@@ -2,6 +2,8 @@
 spaces: direct-method extraction of the bi-additive limit, plus sampled
 verification of every quantitative claim along the way."""
 
+__version__ = "0.1.0"
+
 from ._kernels import ACTIVE_BACKEND
 from .algebra import (
     AlgebraSpec,
@@ -19,7 +21,6 @@ from .bimaps import (
     PsiEnvelope,
     RhoTildeWeight,
     check_psi_law,
-    direct_step,
     draw_probes,
     iterate_evaluator,
     rho_tilde,
@@ -75,5 +76,3 @@ from .verify import (
     check_superstability,
     default_linearity_scalars,
 )
-
-__version__ = "0.1.0"

@@ -1,16 +1,14 @@
 """Hot numeric kernels: batched structure-constant products and modular sums.
 
-Every kernel exists twice, as a plain-numpy implementation and as a numba
-``@njit`` loop.  The numba path is the default; set ``MODSTAB_NO_NUMBA=1``
-(or install without numba) to select the numpy fallback.  Both paths are
-kept bit-compatible for power-of-two scaled inputs, which the iteration
-engine relies on.  ``benchmarks/bench_kernels.py`` times the two paths
-side by side.
+Plain numpy, one implementation each.  ``batch_mul`` is exact under
+power-of-two scaling of either factor (doubling an operand doubles the
+product bit for bit), which the iteration engine relies on for exact
+kernel cancellation.  ``perfbench/`` times these functions per row.
 """
 
-import os
-
 import numpy as np
+
+ACTIVE_BACKEND = "numpy"
 
 # phi preset ids shared with modular.PHI_PRESETS
 PHI_SQUARE = 0
@@ -19,20 +17,20 @@ PHI_LINEAR = 2
 PHI_DEAD_ZONE = 3
 
 
-def _batch_mul_np(a, b, t):
+def batch_mul(a, b, t):
     """out[n,k] = sum_ij a[n,i] b[n,j] t[i,j,k]"""
     return np.einsum("ni,nj,ijk->nk", a, b, t)
 
 
-def _rho_norm_np(v):
+def rho_norm(v):
     return np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=1))
 
 
-def _rho_power_np(v, p):
+def rho_power(v, p):
     return (np.abs(v) ** p).sum(axis=1)
 
 
-def _rho_orlicz_np(v, phi_id):
+def rho_orlicz(v, phi_id):
     t = np.abs(v)
     if phi_id == PHI_SQUARE:
         return (t * t).sum(axis=1)
@@ -44,121 +42,3 @@ def _rho_orlicz_np(v, phi_id):
     if phi_id == PHI_DEAD_ZONE:
         return np.maximum(t - 1.0, 0.0).sum(axis=1)
     raise ValueError(f"unknown phi id {phi_id}")
-
-
-def _want_numba():
-    flag = os.environ.get("MODSTAB_NO_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes", "on")
-
-
-USE_NUMBA = False
-if _want_numba():
-    try:
-        import math
-
-        import numba
-
-        USE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        USE_NUMBA = False
-
-if USE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _batch_mul_nb(a, b, t):
-        n, d = a.shape
-        m = t.shape[2]
-        out = np.zeros((n, m), dtype=np.complex128)
-        for r in range(n):
-            for i in range(d):
-                ai = a[r, i]
-                for j in range(d):
-                    c = ai * b[r, j]
-                    for k in range(m):
-                        out[r, k] += c * t[i, j, k]
-        return out
-
-    @numba.njit(cache=True)
-    def _rho_norm_nb(v):
-        n, d = v.shape
-        out = np.empty(n)
-        for r in range(n):
-            s = 0.0
-            for i in range(d):
-                x = v[r, i]
-                s += x.real * x.real + x.imag * x.imag
-            out[r] = math.sqrt(s)
-        return out
-
-    @numba.njit(cache=True)
-    def _rho_power_nb(v, p):
-        # |v|**p as (re^2+im^2)**(p/2): avoids numba's slow hypot-based
-        # complex abs; safe for the magnitudes the iteration caps allow
-        n, d = v.shape
-        half_p = 0.5 * p
-        out = np.empty(n)
-        for r in range(n):
-            s = 0.0
-            for i in range(d):
-                x = v[r, i]
-                s += (x.real * x.real + x.imag * x.imag) ** half_p
-            out[r] = s
-        return out
-
-    @numba.njit(cache=True)
-    def _rho_orlicz_nb(v, phi_id):
-        n, d = v.shape
-        out = np.empty(n)
-        for r in range(n):
-            s = 0.0
-            for i in range(d):
-                x = v[r, i]
-                t = math.sqrt(x.real * x.real + x.imag * x.imag)
-                if phi_id == 0:
-                    s += t * t
-                elif phi_id == 1:
-                    s += math.expm1(t)
-                elif phi_id == 2:
-                    s += t
-                else:
-                    s += max(t - 1.0, 0.0)
-            out[r] = s
-        return out
-
-    def batch_mul(a, b, t):
-        return _batch_mul_nb(
-            np.ascontiguousarray(a), np.ascontiguousarray(b), np.ascontiguousarray(t)
-        )
-
-    def rho_norm(v):
-        return _rho_norm_nb(np.ascontiguousarray(v))
-
-    def rho_power(v, p):
-        return _rho_power_nb(np.ascontiguousarray(v), float(p))
-
-    def rho_orlicz(v, phi_id):
-        return _rho_orlicz_nb(np.ascontiguousarray(v), int(phi_id))
-
-    ACTIVE_BACKEND = "numba"
-else:
-    batch_mul = _batch_mul_np
-    rho_norm = _rho_norm_np
-    rho_power = _rho_power_np
-    rho_orlicz = _rho_orlicz_np
-    ACTIVE_BACKEND = "numpy"
-
-NUMPY_IMPLS = {
-    "batch_mul": _batch_mul_np,
-    "rho_norm": _rho_norm_np,
-    "rho_power": _rho_power_np,
-    "rho_orlicz": _rho_orlicz_np,
-}
-
-NUMBA_IMPLS = None
-if USE_NUMBA:
-    NUMBA_IMPLS = {
-        "batch_mul": _batch_mul_nb,
-        "rho_norm": _rho_norm_nb,
-        "rho_power": _rho_power_nb,
-        "rho_orlicz": _rho_orlicz_nb,
-    }

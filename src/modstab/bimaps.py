@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .algebra import AlgebraSpec, mul, sample_unit_circle
+from .algebra import AlgebraSpec, sample_unit_circle
 from .errors import ConfigError, NonFiniteValueError, PreconditionError
 
 _PERTURBATION_NAMES = ("bounded_osc", "power_env", "quad_slot1")
@@ -57,9 +57,12 @@ class Perturbation:
 class BiMap:
     """Evaluatable map d(x, z) = kernel + optional perturbation.
 
-    The kernel is exactly bilinear (named closed form over the algebra
+    The kernel is exactly bilinear: a named closed form over the algebra
     product, or an explicit coefficient tensor into a value space of
-    dimension tensor.shape[2]); perturbed maps need not be.
+    dimension tensor.shape[2].  Every form is held as one structure tensor
+    T, built at construction, and evaluated as sum_ij x_i z_j T[i,j,:]
+    (x conjugated for conjugate_product).  Perturbed maps need not be
+    bilinear.
     """
 
     algebra: AlgebraSpec
@@ -68,24 +71,32 @@ class BiMap:
     tensor: np.ndarray | None = None
     perturbation: Perturbation | None = None
     zero_boundary: bool = True
+    kernel_tensor: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kernel is not None and self.kernel not in _KERNEL_FORMS:
             raise ConfigError(f"unknown kernel form {self.kernel!r}")
+        if self.kernel is None and self.perturbation is None:
+            raise ConfigError("map needs a kernel or a perturbation")
+        c = self.algebra.structure
+        t = None
         if self.kernel == "tensor":
             t = np.asarray(self.tensor, dtype=np.complex128)
             d = self.algebra.dim
             if t.ndim != 3 or t.shape[0] != d or t.shape[1] != d:
                 raise ConfigError(f"kernel tensor must be ({d},{d},value_dim)")
             object.__setattr__(self, "tensor", t)
-        elif self.kernel is None and self.perturbation is None:
-            raise ConfigError("map needs a kernel or a perturbation")
+        elif self.kernel == "commutator":
+            t = self.coeff * (c - c.transpose(1, 0, 2))
+        elif self.kernel is not None:  # product, conjugate_product
+            t = self.coeff * c
+        object.__setattr__(self, "kernel_tensor", t)
 
     @property
     def value_dim(self):
-        if self.kernel == "tensor":
-            return self.tensor.shape[2]
-        return self.algebra.dim
+        if self.kernel_tensor is None:
+            return self.algebra.dim
+        return self.kernel_tensor.shape[2]
 
     def _project(self, Z):
         vd = self.value_dim
@@ -107,14 +118,9 @@ class BiMap:
             raise ConfigError("argument dimension does not match the algebra")
         n = X.shape[0]
         out = np.zeros((n, self.value_dim), dtype=np.complex128)
-        if self.kernel == "commutator":
-            out += self.coeff * (mul(X, Z, self.algebra) - mul(Z, X, self.algebra))
-        elif self.kernel == "product":
-            out += self.coeff * mul(X, Z, self.algebra)
-        elif self.kernel == "conjugate_product":
-            out += self.coeff * mul(np.conj(X), Z, self.algebra)
-        elif self.kernel == "tensor":
-            out += _kernels.batch_mul(X, Z, self.tensor)
+        if self.kernel_tensor is not None:
+            left = np.conj(X) if self.kernel == "conjugate_product" else X
+            out += _kernels.batch_mul(left, Z, self.kernel_tensor)
         g = self.perturbation
         if g is not None:
             pz = self._project(Z)
@@ -137,16 +143,6 @@ class BiMap:
                 f"map evaluation is not finite at batch row {idx}", probe_id=idx
             )
         return out[0] if (sx and sz) else out
-
-
-def direct_step(f, direction):
-    """One application of the scaling operator: ascending sends f to
-    (x,z) -> f(2x, z)/2, descending to (x,z) -> 2 f(x/2, z)."""
-    if direction == "ascending":
-        return lambda x, z: 0.5 * f(2.0 * np.asarray(x, dtype=np.complex128), z)
-    if direction == "descending":
-        return lambda x, z: 2.0 * f(0.5 * np.asarray(x, dtype=np.complex128), z)
-    raise ConfigError(f"unknown direction {direction!r}")
 
 
 def iterate_evaluator(f, direction, level):
@@ -430,7 +426,7 @@ def rho_tilde_contraction_margin(rho_fn, weight, delta, gamma, probes, kappa=2.0
     def diff(x, z):
         return delta(x, z) - gamma(x, z)
 
-    lhs = rho_tilde(rho_fn, weight, direct_step(diff, direction), probes)
+    lhs = rho_tilde(rho_fn, weight, iterate_evaluator(diff, direction, 1), probes)
     if direction == "ascending":
         shifted_x = 2.0 * probes.x
         factor = psi.L

@@ -18,10 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import __version__, _kernels
 from .algebra import AlgebraSpec, preset
 from .bimaps import BiMap, Perturbation, PsiEnvelope, check_psi_law, draw_probes
-from .errors import ConfigError, NonFiniteValueError, OverflowAbort, PreconditionError
+from .errors import (
+    BracketDivergenceError,
+    ConfigError,
+    NonFiniteValueError,
+    OverflowAbort,
+    PreconditionError,
+)
 from .modular import (
     ModularSpec,
     check_delta2,
@@ -52,8 +58,6 @@ from .verify import (
     default_linearity_scalars,
     inequality_parts,
 )
-
-__version__ = "0.1.0"
 
 _KNOWN_CHECKS = (
     "inequality_A",
@@ -779,7 +783,9 @@ def run_scenario(source, seed_override=None, probes_override=None):
     """Execute a scenario given as a builtin name, file path, or dict.
 
     Returns a RunResult whose exit code is 0 when every asserted record
-    passes, 1 when any check fails, 2 on configuration errors.
+    passes, 1 when any check fails, 2 on configuration errors and on
+    numeric aborts (overflow, non-finite values, a diverging bracket) that
+    escape the stages which report them as records.
     """
     t0 = time.perf_counter()
     try:
@@ -795,7 +801,13 @@ def run_scenario(source, seed_override=None, probes_override=None):
             records, context = _run_axioms(cfg, name, seed_override, probes_override)
         else:
             records, context = _run_stability(cfg, name, seed_override, probes_override)
-    except (ConfigError, PreconditionError) as e:
+    except (
+        ConfigError,
+        PreconditionError,
+        NonFiniteValueError,
+        OverflowAbort,
+        BracketDivergenceError,
+    ) as e:
         diag = ReportRecord(
             scenario=source if isinstance(source, str) else "config",
             stage="config",

@@ -8,11 +8,12 @@ from modstab import (
     PsiEnvelope,
     RhoTildeWeight,
     check_psi_law,
-    direct_step,
     draw_probes,
     eval_modular,
+    iterate_evaluator,
     matrix_unit,
     ModularSpec,
+    mul,
     preset,
     rho_tilde,
     rho_tilde_contraction_margin,
@@ -68,6 +69,48 @@ def test_tensor_kernel_matches_named_form():
     assert np.allclose(d_named(X, Z), d_tensor(X, Z))
 
 
+FORM_COEFF = 0.75 - 1.25j
+
+
+def _explicit_form(form, X, Z):
+    if form == "commutator":
+        return FORM_COEFF * (mul(X, Z, MATRIX2) - mul(Z, X, MATRIX2))
+    if form == "product":
+        return FORM_COEFF * mul(X, Z, MATRIX2)
+    return FORM_COEFF * mul(np.conj(X), Z, MATRIX2)
+
+
+@pytest.mark.parametrize("form", ["commutator", "product", "conjugate_product"])
+def test_named_form_matches_algebra_formula(form):
+    d = BiMap(algebra=MATRIX2, kernel=form, coeff=FORM_COEFF)
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
+    Z = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
+    expected = _explicit_form(form, X, Z)
+    err = np.max(np.abs(d(X, Z) - expected)) / np.max(np.abs(expected))
+    assert err <= 1e-13
+
+
+def _every_form():
+    rng = np.random.default_rng(22)
+    t = rng.normal(size=(4, 4, 3)) + 1j * rng.normal(size=(4, 4, 3))
+    named = [BiMap(algebra=MATRIX2, kernel=f, coeff=FORM_COEFF)
+             for f in ("commutator", "product", "conjugate_product")]
+    return named + [BiMap(algebra=MATRIX2, kernel="tensor", tensor=t)]
+
+
+@pytest.mark.parametrize("k", [-30, 1, 30])
+def test_power_of_two_scaling_exact_for_every_form(k):
+    # the iteration cancels the kernel exactly only if 2^-k d(2^k x, z)
+    # reproduces d(x, z) bit for bit
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(32, 4)) + 1j * rng.normal(size=(32, 4))
+    Z = rng.normal(size=(32, 4)) + 1j * rng.normal(size=(32, 4))
+    s = 2.0**k
+    for d in _every_form():
+        assert np.array_equal(d(s * X, Z), s * d(X, Z)), d.kernel
+
+
 def test_empty_map_rejected():
     with pytest.raises(ConfigError):
         BiMap(algebra=COMPLEX, kernel=None, perturbation=None)
@@ -90,6 +133,7 @@ def test_tensor_kernel_into_smaller_value_space():
 
 
 # --- scaling step -----------------------------------------------------------
+# one direct step of the scaling operator is the level-1 scaled map
 
 
 def test_direct_step_fixes_bilinear_maps():
@@ -98,14 +142,14 @@ def test_direct_step_fixes_bilinear_maps():
     X = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
     Z = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
     for direction in ("ascending", "descending"):
-        stepped = direct_step(d, direction)
+        stepped = iterate_evaluator(d, direction, 1)
         assert np.max(np.abs(stepped(X, Z) - d(X, Z))) <= 1e-12
 
 
 def test_direct_step_doubles_quadratic_first_slot():
     # f(x, z) = x^2 z on the scalar algebra; half of f(2x, z) is 2 x^2 z
     f = BiMap(algebra=COMPLEX, kernel=None, perturbation=Perturbation("quad_slot1", 1.0))
-    stepped = direct_step(f, "ascending")
+    stepped = iterate_evaluator(f, "ascending", 1)
     x = np.array([1.3 - 0.2j])
     z = np.array([0.7 + 0.4j])
     assert np.allclose(stepped(x, z), 2.0 * f(x, z))

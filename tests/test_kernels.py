@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -16,57 +12,16 @@ def batches(seed, n=257, d=4):
     return a, b, t
 
 
-needs_numba = pytest.mark.skipif(
-    _kernels.NUMBA_IMPLS is None, reason="numba backend not active"
-)
-
-
-@needs_numba
-def test_batch_mul_backends_agree():
-    a, b, t = batches(0)
-    out_np = _kernels.NUMPY_IMPLS["batch_mul"](a, b, t)
-    out_nb = _kernels.NUMBA_IMPLS["batch_mul"](a, b, t)
-    assert np.max(np.abs(out_np - out_nb)) <= 1e-13
-
-
-@needs_numba
-@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
-def test_rho_power_backends_agree(p):
-    a, _, _ = batches(1)
-    out_np = _kernels.NUMPY_IMPLS["rho_power"](a, p)
-    out_nb = _kernels.NUMBA_IMPLS["rho_power"](a, p)
-    assert np.max(np.abs(out_np - out_nb)) <= 1e-12
-
-
-@needs_numba
-def test_rho_norm_backends_agree():
-    a, _, _ = batches(2)
-    out_np = _kernels.NUMPY_IMPLS["rho_norm"](a)
-    out_nb = _kernels.NUMBA_IMPLS["rho_norm"](a)
-    assert np.max(np.abs(out_np - out_nb)) <= 1e-13
-
-
-@needs_numba
-@pytest.mark.parametrize("phi_id", [0, 1, 2, 3])
-def test_rho_orlicz_backends_agree(phi_id):
-    a, _, _ = batches(3)
-    out_np = _kernels.NUMPY_IMPLS["rho_orlicz"](a, phi_id)
-    out_nb = _kernels.NUMBA_IMPLS["rho_orlicz"](a, phi_id)
-    assert np.max(np.abs(out_np - out_nb)) <= 1e-12
-
-
 @pytest.mark.parametrize("name", ["rho_norm", "rho_power", "rho_orlicz"])
 def test_zero_rows_give_exact_zero(name):
     v = np.zeros((5, 4), dtype=np.complex128)
     args = {"rho_norm": (v,), "rho_power": (v, 1.5), "rho_orlicz": (v, 1)}[name]
-    assert np.all(_kernels.NUMPY_IMPLS[name](*args) == 0.0)
-    if _kernels.NUMBA_IMPLS is not None:
-        assert np.all(_kernels.NUMBA_IMPLS[name](*args) == 0.0)
+    assert np.all(getattr(_kernels, name)(*args) == 0.0)
 
 
 def test_dead_zone_vanishes_inside_unit_ball():
     v = 0.7 * np.ones((3, 4), dtype=np.complex128)
-    assert np.all(_kernels.NUMPY_IMPLS["rho_orlicz"](v, _kernels.PHI_DEAD_ZONE) == 0.0)
+    assert np.all(_kernels.rho_orlicz(v, _kernels.PHI_DEAD_ZONE) == 0.0)
 
 
 def test_power_of_two_scaling_exact_in_batch_mul():
@@ -78,14 +33,5 @@ def test_power_of_two_scaling_exact_in_batch_mul():
     assert np.array_equal(doubled, 2.0 * base)
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, MODSTAB_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import modstab; print(modstab.ACTIVE_BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
 def test_default_backend_reported():
-    assert _kernels.ACTIVE_BACKEND in ("numba", "numpy")
+    assert _kernels.ACTIVE_BACKEND == "numpy"

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from modstab import builtin_scenarios, list_builtin_scenarios, run_scenario
@@ -204,3 +205,21 @@ def test_cli_run_invalid_json_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert cli_main(["run", str(path), "--quiet"]) == 2
+
+
+def test_cli_run_numeric_abort_exits_two_with_diagnostic(tmp_path):
+    # a non-finite map value raised during calibration, outside stabilize
+    cfg = json.loads(json.dumps(builtin_scenarios()["corollary-descending-p2"]))
+    cfg["map"]["perturbation"]["epsilon"] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.jsonl"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli_main(["run", str(path), "--out", str(out), "--quiet"])
+    assert code == 2
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[0])["schema"] == SCHEMA
+    diag = json.loads(lines[1])
+    assert diag["stage"] == "config" and not diag["pass"]
+    assert "not finite" in diag["payload"]["error"]
