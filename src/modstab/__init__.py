@@ -31,6 +31,7 @@ from .errors import (
     BracketDivergenceError,
     ConfigError,
     InvalidModularError,
+    ModstabError,
     NonFiniteValueError,
     OutOfDiscError,
     OverflowAbort,

@@ -124,18 +124,21 @@ class BiMap:
         g = self.perturbation
         if g is not None:
             pz = self._project(Z)
-            if g.name == "bounded_osc":
-                term = (g.epsilon * np.sin(X.real.sum(axis=1)))[:, None] * pz
-            elif g.name == "quad_slot1":
-                term = (g.epsilon * X.sum(axis=1) ** 2)[:, None] * pz
-            else:  # power_env
-                v = np.zeros(self.value_dim, dtype=np.complex128)
-                v[0] = 1.0
-                term = (g.epsilon * (_eucl(X) ** g.p * _eucl(Z) ** g.p))[:, None] * v[None, :]
-            if g.boundary_safe:
-                damp = (1.0 - np.exp(-_eucl(X) ** 2)) * (1.0 - np.exp(-_eucl(Z) ** 2))
-                term = damp[:, None] * term
-            out += term
+            # an overflowing term is reported by the finiteness check below,
+            # not by numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                if g.name == "bounded_osc":
+                    term = (g.epsilon * np.sin(X.real.sum(axis=1)))[:, None] * pz
+                elif g.name == "quad_slot1":
+                    term = (g.epsilon * X.sum(axis=1) ** 2)[:, None] * pz
+                else:  # power_env
+                    v = np.zeros(self.value_dim, dtype=np.complex128)
+                    v[0] = 1.0
+                    term = (g.epsilon * (_eucl(X) ** g.p * _eucl(Z) ** g.p))[:, None] * v[None, :]
+                if g.boundary_safe:
+                    damp = (1.0 - np.exp(-_eucl(X) ** 2)) * (1.0 - np.exp(-_eucl(Z) ** 2))
+                    term = damp[:, None] * term
+                out += term
         bad = ~np.isfinite(out).all(axis=1)
         if bad.any():
             idx = int(np.argmax(bad))

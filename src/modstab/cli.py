@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .algebra import three_unimodular_decomposition
-from .errors import ConfigError, OutOfDiscError
+from .errors import ConfigError, ModstabError
 from .modular import ModularSpec, luxemburg_norm
 from .report import write_report
 from .scenarios import list_builtin_scenarios, run_scenario
@@ -130,7 +130,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OutOfDiscError) as e:
+    except ModstabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,31 +1,40 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every package error derives from ``ModstabError`` as well as from the
+builtin ``ValueError`` or ``RuntimeError`` it specializes, so a caller can
+catch all of them at once or keep catching the builtin.
+"""
 
 
-class ConfigError(ValueError):
+class ModstabError(Exception):
+    """Base class of every error the package raises on purpose."""
+
+
+class ConfigError(ModstabError, ValueError):
     """Bad configuration: wrong dimensions, unknown presets, invalid values."""
 
 
-class InvalidModularError(ValueError):
+class InvalidModularError(ModstabError, ValueError):
     """A functional that claims to be a modular but provably is not."""
 
 
-class UnsupportedModularError(ValueError):
+class UnsupportedModularError(ModstabError, ValueError):
     """Operation requires properties (e.g. convexity) the modular lacks."""
 
 
-class BracketDivergenceError(RuntimeError):
+class BracketDivergenceError(ModstabError, RuntimeError):
     """Bisection could not bracket its root within the magnitude cap."""
 
 
-class OutOfDiscError(ValueError):
+class OutOfDiscError(ModstabError, ValueError):
     """Scalar outside the disc where the unimodular decomposition exists."""
 
 
-class PreconditionError(ValueError):
+class PreconditionError(ModstabError, ValueError):
     """Caller-supplied data violates a documented precondition."""
 
 
-class NonFiniteValueError(RuntimeError):
+class NonFiniteValueError(ModstabError, RuntimeError):
     """An evaluation produced NaN or infinity."""
 
     def __init__(self, message, probe_id=None, level=None):
@@ -34,7 +43,7 @@ class NonFiniteValueError(RuntimeError):
         self.level = level
 
 
-class OverflowAbort(RuntimeError):
+class OverflowAbort(ModstabError, RuntimeError):
     """Scaled iteration left the configured magnitude cap."""
 
     def __init__(self, message, level, probe_id):

@@ -11,7 +11,8 @@ a*rho(x) + b*rho(y)).  Three families are built in:
 
 The Luxemburg norm of a convex modular, inf{lam > 0 : rho(x/lam) <= 1},
 is computed by bracketing bisection; the monotonicity of lam -> rho(x/lam)
-makes the predicate exact to bisect.
+makes the predicate exact to bisect.  A batch of rows is bisected in
+lockstep, one modular evaluation per step for all rows still open.
 
 Everything here is sampled verification: the checkers quantify over
 caller-supplied finite sample sets and report worst margins, never over
@@ -109,8 +110,8 @@ def coeff_norm_fn(m):
     """Row-wise Luxemburg norm of ``m`` as a fast batch callable.
 
     norm and power kinds have closed forms (the l2 / lp norms, which the
-    bisection oracle reproduces); orlicz kinds fall back to per-row
-    bisection.
+    bisection oracle reproduces); orlicz kinds bisect the whole batch in
+    one ``luxemburg_norm`` call.
     """
     if m.kind == "norm":
         return lambda rows: _kernels.rho_norm(np.asarray(rows, dtype=np.complex128).reshape(len(rows), -1))
@@ -123,50 +124,67 @@ def coeff_norm_fn(m):
 
         return _lp
 
-    def _bisected(rows):
-        rows = np.asarray(rows, dtype=np.complex128)
-        return np.array([luxemburg_norm(m, r) for r in rows])
-
-    return _bisected
+    return lambda rows: luxemburg_norm(m, rows)
 
 
 def luxemburg_norm(m, x, tol=1e-12):
     """inf{lam > 0 : rho(x/lam) <= 1} by bracketing bisection.
 
-    Requires a convex modular.  The bracket search doubles/halves lam from
-    1 and gives up past 2**64, which only happens for pathological inputs.
+    ``x`` is a single vector (returns a float) or an (n, dim) batch
+    (returns an (n,) array).  Requires a convex modular.  Every row runs
+    the same three phases: double lam from 1 until rho(x/lam) <= 1
+    (giving up past 2**64, which only pathological inputs reach), halve
+    it while that still holds (a row still under at 2**-64 has norm 0),
+    then bisect the bracket.  The rows move in lockstep, one rho
+    evaluation per step over the rows still active, and each row sees
+    the lam sequence it would see alone.  A row stops once hi - lo <= tol
+    or once the midpoint rounds onto an end of the bracket, which can
+    then no longer shrink (|x| >~ 1e4 at the default tol).
     """
     if not m.convex:
         raise UnsupportedModularError("Luxemburg norm requires a convex modular")
     if tol <= 0:
         raise ConfigError("tol must be positive")
-    vec = np.asarray(x, dtype=np.complex128).reshape(1, -1)
-    if not np.any(vec):
-        return 0.0
+    rows, single = _as_rows(np.atleast_1d(x))
+    out = np.zeros(rows.shape[0])  # all-zero rows keep norm 0
+    live = np.flatnonzero(np.any(rows != 0, axis=1))
+    rows = rows[live]
 
-    def under(lam):
-        return float(eval_modular(m, vec / lam)[0]) <= 1.0
+    def under(pos, lam):
+        return eval_modular(m, rows[pos] / lam[:, None]) <= 1.0
 
     cap = 2.0**64
-    hi = 1.0
-    while not under(hi):
-        hi *= 2.0
-        if hi > cap:
+    hi = np.ones(live.size)
+    pos = np.arange(live.size)
+    while pos.size:
+        pos = pos[~under(pos, hi[pos])]
+        hi[pos] *= 2.0
+        if np.any(hi[pos] > cap):
             raise BracketDivergenceError("no upper bracket for the Luxemburg norm below 2**64")
     lo = hi / 2.0
-    while under(lo):
-        hi = lo
-        lo /= 2.0
-        if lo < 1.0 / cap:
-            # rho(x/lam) <= 1 persists down to tiny lam: infimum is 0
-            return 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if under(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    vanished = np.zeros(live.size, dtype=bool)
+    pos = np.arange(live.size)
+    while pos.size:
+        pos = pos[under(pos, lo[pos])]
+        hi[pos] = lo[pos]
+        lo[pos] /= 2.0
+        # rho(x/lam) <= 1 persists down to tiny lam: infimum is 0
+        tiny = lo[pos] < 1.0 / cap
+        vanished[pos[tiny]] = True
+        pos = pos[~tiny]
+    pos = np.flatnonzero(~vanished)
+    while True:
+        l, h = lo[pos], hi[pos]
+        mid = 0.5 * (l + h)
+        go = (h - l > tol) & (mid != l) & (mid != h)
+        if not go.any():
+            break
+        pos, mid = pos[go], mid[go]
+        ok = under(pos, mid)
+        hi[pos[ok]] = mid[ok]
+        lo[pos[~ok]] = mid[~ok]
+    out[live] = np.where(vanished, 0.0, 0.5 * (lo + hi))
+    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------

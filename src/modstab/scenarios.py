@@ -22,11 +22,10 @@ from . import __version__, _kernels
 from .algebra import AlgebraSpec, preset
 from .bimaps import BiMap, Perturbation, PsiEnvelope, check_psi_law, draw_probes
 from .errors import (
-    BracketDivergenceError,
     ConfigError,
+    ModstabError,
     NonFiniteValueError,
     OverflowAbort,
-    PreconditionError,
 )
 from .modular import (
     ModularSpec,
@@ -783,9 +782,10 @@ def run_scenario(source, seed_override=None, probes_override=None):
     """Execute a scenario given as a builtin name, file path, or dict.
 
     Returns a RunResult whose exit code is 0 when every asserted record
-    passes, 1 when any check fails, 2 on configuration errors and on
-    numeric aborts (overflow, non-finite values, a diverging bracket) that
-    escape the stages which report them as records.
+    passes, 1 when any check fails, and 2 on any package error
+    (``ModstabError``) that escapes the stages which report their own:
+    configuration errors, unsupported or invalid modulars, and numeric
+    aborts (overflow, non-finite values, a diverging bracket).
     """
     t0 = time.perf_counter()
     try:
@@ -801,13 +801,7 @@ def run_scenario(source, seed_override=None, probes_override=None):
             records, context = _run_axioms(cfg, name, seed_override, probes_override)
         else:
             records, context = _run_stability(cfg, name, seed_override, probes_override)
-    except (
-        ConfigError,
-        PreconditionError,
-        NonFiniteValueError,
-        OverflowAbort,
-        BracketDivergenceError,
-    ) as e:
+    except ModstabError as e:
         diag = ReportRecord(
             scenario=source if isinstance(source, str) else "config",
             stage="config",

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modstab import (
+    BracketDivergenceError,
     ConfigError,
     InvalidModularError,
     ModularSpec,
@@ -104,6 +105,89 @@ def test_luxemburg_matches_lp_closed_form_bulk():
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             oracle = float(np.sum(np.abs(v) ** p) ** (1.0 / p))
             assert luxemburg_norm(m, v, tol=1e-12) == pytest.approx(oracle, abs=1e-9)
+
+
+BISECTED = [
+    ModularSpec(kind="orlicz", phi="linear"),
+    ORLICZ_SQ,
+    ModularSpec(kind="orlicz", phi="exp_minus_one"),
+    NORM,
+    POWER1,
+    ModularSpec(kind="power", p=1.5),
+    POWER2,
+]
+
+
+def _per_row_reference(m, v, tol=1e-12):
+    # the scalar bracketing bisection, one modular evaluation per step; it
+    # loops forever once one ulp of the norm exceeds tol, so keep |v| small
+    vec = np.asarray(v, dtype=np.complex128).reshape(1, -1)
+    if not np.any(vec):
+        return 0.0
+
+    def under(lam):
+        return float(eval_modular(m, vec / lam)[0]) <= 1.0
+
+    hi = 1.0
+    while not under(hi):
+        hi *= 2.0
+    lo = hi / 2.0
+    while under(lo):
+        hi = lo
+        lo /= 2.0
+        if lo < 2.0**-64:
+            return 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if under(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("m", BISECTED, ids=lambda m: f"{m.kind}-{m.phi if m.kind == 'orlicz' else m.p}")
+def test_luxemburg_batch_equals_per_row_bit_for_bit(m):
+    # the lockstep batch must give every row exactly its single-vector value,
+    # and both must equal the scalar loop
+    rng = np.random.default_rng(23)
+    rows = []
+    for e in range(-12, 4):
+        for _ in range(2):
+            rows.append((rng.normal(size=3) + 1j * rng.normal(size=3)) * 10.0**e)
+    rows.append(np.zeros(3))
+    rows.append(np.array([0.0, 2.5 - 0.5j, 0.0]))
+    rows.insert(5, np.zeros(3))
+    batch = np.array(rows)
+    got = luxemburg_norm(m, batch)
+    assert got.shape == (len(batch),)
+    assert list(got) == [luxemburg_norm(m, r) for r in batch]
+    assert list(got) == [_per_row_reference(m, r) for r in batch]
+    assert got[5] == 0.0 and got[-2] == 0.0
+    assert isinstance(luxemburg_norm(m, batch[0]), float)
+
+
+def test_luxemburg_empty_batch():
+    assert luxemburg_norm(POWER2, np.zeros((0, 3))).shape == (0,)
+
+
+def test_luxemburg_batch_with_one_divergent_row_raises():
+    batch = np.array([[1.0, 2.0], [1e30, 0.0], [0.5, 0.0]])
+    with pytest.raises(BracketDivergenceError):
+        luxemburg_norm(NORM, batch)
+
+
+def test_luxemburg_batch_requires_convexity():
+    with pytest.raises(UnsupportedModularError):
+        luxemburg_norm(ModularSpec(kind="orlicz", phi="square", convex=False), np.ones((4, 2)))
+
+
+def test_luxemburg_large_entries_terminate():
+    # past |x| ~ 1e4 one ulp exceeds the 1e-12 bracket width; the bisection
+    # stops once the midpoint rounds onto an end of the bracket
+    got = luxemburg_norm(ModularSpec(kind="orlicz", phi="exp_minus_one"), [1e6, 3e5])
+    assert np.isfinite(got) and got > 1e6
+    assert luxemburg_norm(NORM, [1e6]) == pytest.approx(1e6, rel=1e-15)
 
 
 @settings(max_examples=40, deadline=None)

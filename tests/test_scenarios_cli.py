@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +172,25 @@ def test_cli_norm_bad_modular(capsys):
     assert cli_main(["norm", "weird", "[1]"]) == 2
 
 
+def test_cli_norm_large_entry_terminates():
+    # one ulp of 1e6 exceeds the 1e-12 bracket width, so only the stop on a
+    # midpoint that rounds onto the bracket ends the bisection
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from modstab.cli import main; sys.exit(main(sys.argv[1:]))",
+         "norm", "norm", "[1e6]"],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) == 1e6
+
+
+def test_cli_norm_divergent_bracket_exits_two(capsys):
+    assert cli_main(["norm", "norm", "[1e30]"]) == 2
+    assert "2**64" in capsys.readouterr().err
+
+
 def test_cli_decompose(capsys):
     assert cli_main(["decompose", "3", "0"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -223,3 +247,33 @@ def test_cli_run_numeric_abort_exits_two_with_diagnostic(tmp_path):
     diag = json.loads(lines[1])
     assert diag["stage"] == "config" and not diag["pass"]
     assert "not finite" in diag["payload"]["error"]
+
+
+def _run_to_report(cfg, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.jsonl"
+    code = cli_main(["run", str(path), "--out", str(out), "--quiet"])
+    return code, [json.loads(line) for line in out.read_text().strip().splitlines()]
+
+
+def test_cli_run_numeric_abort_raises_no_numpy_warning(tmp_path):
+    cfg = json.loads(json.dumps(builtin_scenarios()["corollary-descending-p2"]))
+    cfg["map"]["perturbation"]["epsilon"] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, lines = _run_to_report(cfg, tmp_path)
+    assert code == 2 and len(lines) == 2
+    assert "not finite" in lines[1]["payload"]["error"]
+
+
+def test_cli_run_nonconvex_modular_exits_two_with_diagnostic(tmp_path):
+    # UnsupportedModularError from the envelope's Luxemburg norm
+    cfg = json.loads(json.dumps(builtin_scenarios()["superstability-commutator"]))
+    cfg["modular"] = {"kind": "orlicz", "phi": "square", "convex": False}
+    code, lines = _run_to_report(cfg, tmp_path)
+    assert code == 2
+    assert len(lines) == 2
+    assert lines[0]["schema"] == SCHEMA
+    assert lines[1]["stage"] == "config" and not lines[1]["pass"]
+    assert "convex" in lines[1]["payload"]["error"]
