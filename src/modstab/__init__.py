@@ -58,6 +58,7 @@ from .scenarios import (
     run_scenario,
 )
 from .stabilize import (
+    LevelTable,
     StabilizeConfig,
     StabilizeOutcome,
     bounded_orbit_estimate,

@@ -1,9 +1,19 @@
 """Hot numeric kernels: batched structure-constant products and modular sums.
 
-Plain numpy, one implementation each.  ``batch_mul`` is exact under
-power-of-two scaling of either factor (doubling an operand doubles the
-product bit for bit), which the iteration engine relies on for exact
-kernel cancellation.  ``perfbench/`` times these functions per row.
+Plain numpy, one implementation each.  ``perfbench/`` times these
+functions per row.
+
+``batch_mul`` sums over the nonzero entries of the structure tensor with
+elementwise numpy only: ``out[k] += t[i, j, k] * (a.T[i] * b.T[j])``.
+Structure tensors are sparse (12 of 64 entries for the matrix2
+commutator), so this is 4-5x faster than ``einsum`` at the scenario
+batch size.  It deliberately avoids ``matmul`` and BLAS: a GEMM form
+needs an (n, d*d) outer-product buffer (+17% peak memory), its time
+varies with the BLAS thread pool, and BLAS routes a one-row call through
+gemv, so a row's last bit would depend on its batch.  Here every row is
+an independent, fixed-order sum, so its result is the same in any batch
+at any position, and doubling an operand doubles the product bit for
+bit, which the iteration engine relies on for exact kernel cancellation.
 """
 
 import numpy as np
@@ -18,8 +28,13 @@ PHI_DEAD_ZONE = 3
 
 
 def batch_mul(a, b, t):
-    """out[n,k] = sum_ij a[n,i] b[n,j] t[i,j,k]"""
-    return np.einsum("ni,nj,ijk->nk", a, b, t)
+    """out[n,k] = sum_ij a[n,i] b[n,j] t[i,j,k], summed in the fixed order
+    of t's nonzero entries; returned as the transpose of a (k, n) buffer."""
+    at, bt = a.T, b.T
+    out = np.zeros((t.shape[2], a.shape[0]), dtype=np.result_type(a, b, t))
+    for i, j, k in zip(*np.nonzero(t)):
+        out[k] += t[i, j, k] * (at[i] * bt[j])
+    return out.T
 
 
 def rho_norm(v):

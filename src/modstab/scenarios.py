@@ -39,6 +39,7 @@ from .modular import (
 )
 from .report import ReportRecord, exit_code_from_records, header_record
 from .stabilize import (
+    LevelTable,
     StabilizeConfig,
     bounded_orbit_estimate,
     check_uniqueness,
@@ -515,7 +516,10 @@ def _run_stability(cfg, name, seed_override, probes_override):
         "rho_fn": rho_fn,
         "s": s,
     }
+    table = None
     if st_cfg is not None:
+        # one table of scaled iterates, shared with the uniqueness reruns
+        table = LevelTable(bimap, st_cfg)
         try:
             outcome = stabilize(
                 bimap,
@@ -526,6 +530,7 @@ def _run_stability(cfg, name, seed_override, probes_override):
                 kappa=mspec.kappa,
                 telescoping="telescoping" in checks,
                 skip_psi_check=True,
+                table=table,
             )
         except (OverflowAbort, NonFiniteValueError) as e:
             records.append(
@@ -686,7 +691,9 @@ def _run_stability(cfg, name, seed_override, probes_override):
         elif chk == "uniqueness":
             if st_cfg is None:
                 raise ConfigError("uniqueness requires an iteration section")
-            rep = check_uniqueness(bimap, psi, rho_fn, st_cfg, weight_kind=weight_kind)
+            rep = check_uniqueness(
+                bimap, psi, rho_fn, st_cfg, weight_kind=weight_kind, table=table
+            )
             records.append(
                 ReportRecord(
                     scenario=name,

@@ -165,6 +165,53 @@ def _tabulate(d, X, Z, direction, level, cap, max_abs_x):
     return vals
 
 
+class LevelTable:
+    """The scaled iterates of one map on one probe set, each level
+    evaluated once and shared by every run that reads it.
+
+    ``table[n]`` tabulates level n the first time it is asked for, with
+    that level's magnitude-cap and finiteness aborts, and returns the
+    stored (read-only) array after that.  Nothing is evaluated ahead of
+    use, so a run aborts at the same level and probe as it would without
+    the table.  The iterates depend only on the map, the probes, the
+    direction and the cap, so configs that differ in n_max or tol share a
+    table; any other config is refused.
+    """
+
+    def __init__(self, d, cfg):
+        self.d = d
+        self.cfg = cfg
+        x = cfg.probes.x
+        self._max_abs_x = float(np.abs(x).max()) if x.size else 0.0
+        self._levels = {}
+
+    def check(self, d, cfg):
+        """Raise ConfigError unless (d, cfg) has the iterates of this table."""
+        own = self.cfg
+        if d is not self.d:
+            raise ConfigError("the level table was built for another map")
+        if (
+            cfg.probes is not own.probes
+            or cfg.direction != own.direction
+            or cfg.magnitude_cap != own.magnitude_cap
+        ):
+            raise ConfigError(
+                "the level table was built for other probes, direction or magnitude cap"
+            )
+
+    def __getitem__(self, level):
+        vals = self._levels.get(level)
+        if vals is None:
+            cfg = self.cfg
+            vals = _tabulate(
+                self.d, cfg.probes.x, cfg.probes.z, cfg.direction, level,
+                cfg.magnitude_cap, self._max_abs_x,
+            )
+            vals.flags.writeable = False
+            self._levels[level] = vals
+        return vals
+
+
 def stabilize(
     d,
     psi,
@@ -175,6 +222,7 @@ def stabilize(
     telescoping=True,
     start_level=0,
     skip_psi_check=False,
+    table=None,
 ):
     """Run the scaled iteration and freeze the limit candidate.
 
@@ -184,6 +232,8 @@ def stabilize(
     per_iter_deltas records the probe-restricted function-space modular
     of successive differences; the stopping rule deliberately uses the
     plain probe-sup so zero-weight boundary probes cannot produce 0/0.
+    Levels are read from ``table`` (a LevelTable of d and cfg), or from a
+    fresh one when none is given.
     """
     if not getattr(d, "zero_boundary", True):
         raise PreconditionError("the map must vanish on the axes (zero_boundary)")
@@ -196,10 +246,13 @@ def stabilize(
                 f"psi scaling law fails on the probe set (margin {law.law_margin:.3e})"
             )
 
+    if table is None:
+        table = LevelTable(d, cfg)
+    else:
+        table.check(d, cfg)
     X, Z = cfg.probes.x, cfg.probes.z
     weight = RhoTildeWeight(psi=psi, kind=weight_kind)
     weights = weight.values(X, Z)
-    max_abs_x = float(np.abs(X).max()) if X.size else 0.0
 
     v_origin = d(X, Z)  # the unscaled map, reference for bound/telescoping
     hyers_vals = hyers_bound(psi, X, Z)
@@ -210,11 +263,7 @@ def stabilize(
             _auto_telescope_form(cfg.direction, weight_kind), psi, X, Z, kappa
         )
 
-    v_prev = (
-        v_origin
-        if start_level == 0
-        else _tabulate(d, X, Z, cfg.direction, start_level, cfg.magnitude_cap, max_abs_x)
-    )
+    v_prev = v_origin if start_level == 0 else table[start_level]
     iterates = [v_prev]
     levels = []
     sup_deltas = []
@@ -223,7 +272,7 @@ def stabilize(
     frozen = start_level
 
     for n in range(start_level + 1, cfg.n_max + 1):
-        v = _tabulate(d, X, Z, cfg.direction, n, cfg.magnitude_cap, max_abs_x)
+        v = table[n]
         diff_rho = rho_fn(v - v_prev)
         if not np.isfinite(diff_rho).all():
             raise NonFiniteValueError("non-finite modular value", level=n)
@@ -276,10 +325,15 @@ class UniquenessReport:
     variants: tuple
 
 
-def check_uniqueness(d, psi, rho_fn, cfg, trials=3, weight_kind="psi_xx_z0"):
+def check_uniqueness(d, psi, rho_fn, cfg, trials=3, weight_kind="psi_xx_z0", table=None):
     """Re-run the extraction from shifted starting levels and perturbed
-    level caps; all limit candidates must agree on the probes."""
-    base = stabilize(d, psi, rho_fn, cfg, weight_kind=weight_kind, telescoping=False)
+    level caps; all limit candidates must agree on the probes.  Every run
+    reads its levels from one LevelTable (``table``, or a fresh one)."""
+    if table is None:
+        table = LevelTable(d, cfg)
+    base = stabilize(
+        d, psi, rho_fn, cfg, weight_kind=weight_kind, telescoping=False, table=table
+    )
     X, Z = cfg.probes.x, cfg.probes.z
     base_vals = base.D(X, Z)
     variants = []
@@ -291,7 +345,7 @@ def check_uniqueness(d, psi, rho_fn, cfg, trials=3, weight_kind="psi_xx_z0"):
             out = stabilize(
                 d, psi, rho_fn, cfg,
                 weight_kind=weight_kind, telescoping=False,
-                start_level=value, skip_psi_check=True,
+                start_level=value, skip_psi_check=True, table=table,
             )
         else:
             alt = StabilizeConfig(
@@ -304,6 +358,7 @@ def check_uniqueness(d, psi, rho_fn, cfg, trials=3, weight_kind="psi_xx_z0"):
             out = stabilize(
                 d, psi, rho_fn, alt,
                 weight_kind=weight_kind, telescoping=False, skip_psi_check=True,
+                table=table,
             )
         gap = float(np.max(rho_fn(out.D(X, Z) - base_vals)))
         worst = max(worst, gap)

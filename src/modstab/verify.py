@@ -62,29 +62,30 @@ def inequality_parts(f, rho_fn, s, X, Y, Z, W, lam, which="A"):
         raise PreconditionError("|s| must be < 1")
     if not getattr(f, "zero_boundary", True):
         raise PreconditionError("the map must vanish on the axes (zero_boundary)")
+    if which not in ("A", "B"):
+        raise ConfigError(f"unknown inequality {which!r}")
     lamc = lam[:, None]
     xp, xm = X + Y, X - Y
     zp, zm = Z + W, Z - W
+    # f(x, z) is shared by both sides, and each side is reduced to its
+    # modular before the other is built, so one (n, value_dim) side vector
+    # is alive at a time
+    fxz = f(X, Z)
     if which == "A":
-        lhs_vec = (
+        lhs = rho_fn(
             f(lamc * xp, zp)
             + f(lamc * xp, zm)
             + f(lamc * xm, zp)
             + f(lamc * xm, zm)
-            - 4.0 * lamc * f(X, Z)
+            - 4.0 * lamc * fxz
         )
-        rhs_vec = 4.0 * s * (f(xp / 2.0, zm) + f(xm / 2.0, zp) - f(X, Z) + f(Y, W))
-    elif which == "B":
-        lhs_vec = 4.0 * (
-            f(lamc * xp / 2.0, zm)
-            + f(lamc * xm / 2.0, zp)
-            - lamc * f(X, Z)
-            + lamc * f(Y, W)
-        )
-        rhs_vec = s * (f(xp, zp) + f(xp, zm) + f(xm, zp) + f(xm, zm) - 4.0 * f(X, Z))
+        rhs = rho_fn(4.0 * s * (f(xp / 2.0, zm) + f(xm / 2.0, zp) - fxz + f(Y, W)))
     else:
-        raise ConfigError(f"unknown inequality {which!r}")
-    return rho_fn(lhs_vec), rho_fn(rhs_vec)
+        lhs = rho_fn(
+            4.0 * (f(lamc * xp / 2.0, zm) + f(lamc * xm / 2.0, zp) - lamc * fxz + lamc * f(Y, W))
+        )
+        rhs = rho_fn(s * (f(xp, zp) + f(xp, zm) + f(xm, zp) + f(xm, zm) - 4.0 * fxz))
+    return lhs, rhs
 
 
 def check_inequality_A(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL):

@@ -41,8 +41,7 @@ def _payloads(result, check):
 
 @pytest.fixture(scope="module")
 def warmed():
-    # absorb JIT compilation before anything is timed (standard
-    # run-once-then-measure discipline)
+    # one small run first, so first-call set-up is not timed
     run_scenario("superstability-commutator", probes_override=32)
     return True
 

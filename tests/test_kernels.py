@@ -35,3 +35,36 @@ def test_power_of_two_scaling_exact_in_batch_mul():
 
 def test_default_backend_reported():
     assert _kernels.ACTIVE_BACKEND == "numpy"
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 512])
+def test_batch_mul_row_independent_of_batch(n):
+    # every row is its own fixed-order sum: the same bits in any batch,
+    # at any position
+    a, b, t = batches(7, n=512)
+    full = _kernels.batch_mul(a, b, t)
+    for start in sorted({0, (512 - n) // 2, 512 - n}):
+        part = _kernels.batch_mul(a[start:start + n], b[start:start + n], t)
+        assert np.array_equal(part, full[start:start + n])
+
+
+def test_batch_mul_matches_einsum_definition():
+    rng = np.random.default_rng(8)
+    n, d, m = 300, 4, 3
+    a = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    b = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    t = rng.normal(size=(d, d, m)) + 1j * rng.normal(size=(d, d, m))
+    got = _kernels.batch_mul(a, b, t)
+    want = np.einsum("ni,nj,ijk->nk", a, b, t)
+    assert got.shape == (n, m)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_batch_mul_zero_tensor_and_empty_batch():
+    a, b, _ = batches(9, n=5)
+    zero = np.zeros((4, 4, 2), dtype=np.complex128)
+    out = _kernels.batch_mul(a, b, zero)
+    assert out.shape == (5, 2) and np.all(out == 0.0)
+    _, _, t = batches(9)
+    empty = np.zeros((0, 4), dtype=np.complex128)
+    assert _kernels.batch_mul(empty, empty, t).shape == (0, 4)

@@ -1,8 +1,13 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from modstab import (
     BiMap,
+    ConfigError,
+    LevelTable,
     NonFiniteValueError,
     OverflowAbort,
     Perturbation,
@@ -21,7 +26,7 @@ from modstab import (
     preset,
     stabilize,
 )
-from modstab.scenarios import calibrate_theta
+from modstab.scenarios import builtin_scenarios, calibrate_theta, run_scenario
 
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
@@ -261,3 +266,90 @@ def test_random_calibrated_fixtures_satisfy_the_bound(seed):
     for lv in out.levels:
         assert lv.telescoping_kappa_margin <= 1e-9
         assert lv.telescoping_final_margin <= 1e-9
+
+
+# --- level table ---------------------------------------------------------------
+
+
+class CountingMap:
+    """Wraps an ascending map and counts its calls per scaling level."""
+
+    def __init__(self, d, probes):
+        self.d = d
+        self.zero_boundary = d.zero_boundary
+        self.base = float(np.abs(probes.x).max())
+        self.calls = Counter()
+
+    def __call__(self, x, z):
+        level = int(round(np.log2(float(np.abs(x).max()) / self.base)))
+        self.calls[level] += 1
+        return self.d(x, z)
+
+
+def osc_map(eps=0.01):
+    return BiMap(algebra=MATRIX2, kernel="commutator",
+                 perturbation=Perturbation("bounded_osc", eps, boundary_safe=True))
+
+
+def test_level_table_evaluates_each_level_once():
+    cfg = asc_cfg(seed=13)
+    d = CountingMap(osc_map(), cfg.probes)
+    psi = asc_psi(theta=0.01)
+    table = LevelTable(d, cfg)
+    out = stabilize(d, psi, rho_rows, cfg, table=table)
+    n = out.N_converged
+    assert out.converged and n > 3
+    assert d.calls == Counter(range(n + 1))
+    rep = check_uniqueness(d, psi, rho_rows, cfg, table=table)
+    assert rep.passed and all(v[1] == n for v in rep.variants)
+    # six reruns add only their unscaled map and their limit evaluation
+    # D(x, z); no level in between is tabulated again
+    assert d.calls == Counter(range(n + 1)) + Counter({0: 6, n: 6})
+    assert table[n] is table[n] and not table[n].flags.writeable
+
+
+def test_shared_table_equals_fresh_runs():
+    cfg = asc_cfg(seed=13)
+    d, psi = osc_map(), asc_psi(theta=0.01)
+    table = LevelTable(d, cfg)
+    shared = stabilize(d, psi, rho_rows, cfg, table=table)
+    fresh = stabilize(d, psi, rho_rows, cfg)
+    for name in ("N_converged", "converged", "per_iter_deltas", "sup_rho_deltas",
+                 "contraction_estimate", "bound_margin", "levels"):
+        assert getattr(shared, name) == getattr(fresh, name), name
+    assert np.array_equal(shared.iterates, fresh.iterates)
+    assert (check_uniqueness(d, psi, rho_rows, cfg, table=table)
+            == check_uniqueness(d, psi, rho_rows, cfg))
+
+
+def test_level_table_refuses_other_iterates():
+    cfg = asc_cfg(seed=13)
+    d, psi = osc_map(), asc_psi(theta=0.01)
+    table = LevelTable(d, cfg)
+    # n_max and tol do not change the iterates
+    stabilize(d, psi, rho_rows, StabilizeConfig(
+        direction="ascending", probes=cfg.probes, n_max=35, tol=1e-9), table=table)
+    others = [
+        (d, asc_cfg(seed=14)),
+        (d, StabilizeConfig(direction="ascending", probes=cfg.probes, magnitude_cap=1e12)),
+        (osc_map(), cfg),
+    ]
+    for other_d, other in others:
+        with pytest.raises(ConfigError):
+            stabilize(other_d, psi, rho_rows, other, table=table)
+        with pytest.raises(ConfigError):
+            check_uniqueness(other_d, psi, rho_rows, other, table=table)
+
+
+def test_shared_table_keeps_the_cap_abort():
+    # the probes reach the 1e15 cap at level 30; the abort names the probe
+    # with the largest coordinate, and no level past it is evaluated
+    cfg = json.loads(json.dumps(builtin_scenarios()["corollary-ascending-p05"]))
+    cfg["probes"]["radius"] = 1e6
+    result = run_scenario(cfg)
+    aborts = [r.payload for r in result.records if "error" in r.payload]
+    assert aborts == [{
+        "error": "2^30 scaling exceeds the magnitude cap 1e+15",
+        "level": 30,
+        "probe_id": 193,
+    }]
