@@ -176,30 +176,22 @@ class PsiEnvelope:
 
     ``norm_fn`` computes the row-wise norm on coefficient vectors; the
     scenario layer wires in the Luxemburg norm of the configured modular
-    (Euclidean by default).  A custom envelope can be supplied as a
-    callable via form="custom".
+    (Euclidean by default).
     """
 
     theta: float = 1.0
     p: float = 0.5
     L: float | None = None
     direction: str = "ascending"
-    form: str = "power"
     norm_fn: object = None
-    custom_fn: object = None
 
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise ConfigError(f"direction must be one of {DIRECTIONS}")
-        if self.form not in ("power", "custom"):
-            raise ConfigError(f"unknown envelope form {self.form!r}")
-        if self.form == "custom" and self.custom_fn is None:
-            raise ConfigError("custom envelope needs custom_fn")
-        if self.form == "power":
-            if self.theta < 0:
-                raise ConfigError("theta must be nonnegative")
-            if self.p < 0:
-                raise ConfigError("p must be nonnegative")
+        if self.theta < 0:
+            raise ConfigError("theta must be nonnegative")
+        if self.p < 0:
+            raise ConfigError("p must be nonnegative")
         if self.L is None:
             default = 2.0 ** (self.p - 1.0) if self.direction == "ascending" else 2.0 ** (1.0 - self.p)
             object.__setattr__(self, "L", default)
@@ -213,12 +205,7 @@ class PsiEnvelope:
     def __call__(self, x, y):
         X, sx = _rows(x)
         Y, _ = _rows(y)
-        if self.form == "custom":
-            out = np.asarray(self.custom_fn(X, Y), dtype=float)
-        else:
-            out = np.sqrt(self.theta) * (
-                self.norm_fn(X) ** self.p + self.norm_fn(Y) ** self.p
-            )
+        out = np.sqrt(self.theta) * (self.norm_fn(X) ** self.p + self.norm_fn(Y) ** self.p)
         return float(out[0]) if sx else out
 
     def with_theta(self, theta):
@@ -227,9 +214,7 @@ class PsiEnvelope:
             p=self.p,
             L=self.L,
             direction=self.direction,
-            form=self.form,
             norm_fn=self.norm_fn,
-            custom_fn=self.custom_fn,
         )
 
 

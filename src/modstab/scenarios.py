@@ -9,8 +9,18 @@ maximization of the scenario's functional inequality over an enlarged
 probe family: the scenario probes, a 10^4-tuple random family, and the
 scaled degenerate tuples the iteration actually traverses.  The result
 is deterministic for a fixed seed and is echoed into the report.
+
+A stability run goes parse -> stages -> checks.  The parse stage
+(``_parse_stability``) reads the whole config into a ``_Run`` and rejects
+malformed values, unknown checks and checks that need a missing iteration
+section, all before any evaluation.  The run stages then go in order:
+calibrate, config echo, psi law, iterate; a failed psi law or a numeric
+abort while iterating ends the run.  Last, each configured check is looked
+up in the registry ``_CHECKS`` (name -> function of the run returning its
+report records).
 """
 
+import contextlib
 import copy
 import json
 import time
@@ -57,19 +67,6 @@ from .verify import (
     check_superstability,
     default_linearity_scalars,
     inequality_parts,
-)
-
-_KNOWN_CHECKS = (
-    "inequality_A",
-    "inequality_B",
-    "stability_bound",
-    "biadditivity",
-    "first_slot_linearity",
-    "biderivation",
-    "superstability",
-    "telescoping",
-    "bounded_orbit",
-    "uniqueness",
 )
 
 CALIBRATION_EXTRA_COUNT = 10_000
@@ -367,11 +364,14 @@ def load_config(source):
         return catalog[source]
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{source!r} is neither a builtin scenario nor a readable file")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {source!r} is not valid JSON: {e}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {source!r} must be a JSON object")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -388,400 +388,346 @@ class RunResult:
     elapsed: float = 0.0
 
 
-def _check_records_to_report(name, recs):
-    out = []
-    for r in recs:
-        payload = {
-            "check": r.check_name,
-            "probe_id": r.probe_id,
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-            "margin": r.margin,
-        }
-        payload.update(r.extra)
-        out.append(
-            ReportRecord(
-                scenario=name, stage="check", payload=payload, passed=r.passed, advisory=r.advisory
-            )
+@contextlib.contextmanager
+def _reading_config():
+    """Turn a malformed config value (a missing key, a wrong type, text
+    where a number belongs) into ConfigError; package errors pass as they
+    are.  Wraps config reading only, never an evaluation."""
+    try:
+        yield
+    except ModstabError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"malformed config: {type(e).__name__}: {e}") from e
+
+
+@dataclass
+class _Scenario:
+    name: str
+
+    def record(self, payload, passed, stage="check", advisory=False):
+        return ReportRecord(
+            scenario=self.name, stage=stage, payload=payload, passed=passed, advisory=advisory
         )
-    return out
+
+
+@dataclass
+class _Run(_Scenario):
+    """A stability run: what the parse stage read from the config, plus
+    what the run stages add (the calibrated envelope, the outcome)."""
+
+    algebra: AlgebraSpec
+    modular: ModularSpec
+    bimap: BiMap
+    s: complex
+    probes: object
+    weight_kind: str
+    psi: PsiEnvelope | None
+    needs_calibration: bool
+    st_cfg: StabilizeConfig | None
+    table: LevelTable | None
+    checks: list
+    assert_slot2: bool
+    outcome: object = None
+
+    def rho_fn(self, rows):
+        return eval_modular(self.modular, np.atleast_2d(rows))
+
+    @property
+    def target(self):
+        """The extracted limit when the run iterated, else the map itself."""
+        return self.outcome.D if self.outcome is not None else self.bimap
+
+    @property
+    def d_tol(self):
+        return 10.0 * self.st_cfg.tol if self.st_cfg is not None else IDENTITY_TOL
+
+    def check_records(self, recs):
+        """One report record per verify.CheckRecord."""
+        return [
+            self.record(
+                {"check": r.check_name, "probe_id": r.probe_id, "lhs": r.lhs, "rhs": r.rhs,
+                 "margin": r.margin, **r.extra},
+                r.passed,
+                advisory=r.advisory,
+            )
+            for r in recs
+        ]
+
+
+def _parse_stability(cfg, name, seed_override, probes_override):
+    """The parse stage: build the run from the config, and reject unknown
+    checks and checks whose iteration section is missing, before any work."""
+    with _reading_config():
+        algebra = build_algebra(cfg.get("algebra", {}))
+        mspec = build_modular(cfg.get("modular", {}))
+        bimap = build_bimap(cfg.get("map", {}), algebra)
+        s = _complex_of(cfg.get("s", [0.5, 0.0]), "s")
+        if abs(s) >= 1.0 or s == 0:
+            raise ConfigError(f"s must be nonzero with |s| < 1, got {s}")
+
+        probes_cfg = cfg.get("probes", {})
+        seed = int(seed_override if seed_override is not None else probes_cfg.get("seed", 0))
+        count = int(probes_override if probes_override is not None else probes_cfg.get("count", 512))
+        probes = draw_probes(algebra.dim, count, float(probes_cfg.get("radius", 1.0)), seed)
+
+        checks = list(cfg.get("checks", []))
+        for chk in checks:
+            if chk not in _CHECKS:
+                raise ConfigError(f"unknown check {chk!r}")
+
+        psi, needs_calibration = build_psi(cfg.get("psi"), mspec)
+
+        iter_cfg = cfg.get("iteration")
+        st_cfg = table = None
+        if iter_cfg is not None:
+            if psi is None:
+                raise ConfigError("iteration requires an envelope")
+            direction = iter_cfg.get("direction", psi.direction)
+            if direction != psi.direction:
+                raise ConfigError("iteration direction disagrees with the envelope direction")
+            pert = bimap.perturbation
+            if pert is not None and pert.name == "power_env":
+                if direction == "ascending" and pert.p >= 1.0:
+                    raise ConfigError("ascending runs need a power_env exponent p < 1")
+                if direction == "descending" and pert.p <= 1.0:
+                    raise ConfigError("descending runs need a power_env exponent p > 1")
+            st_cfg = StabilizeConfig(
+                direction=direction,
+                probes=probes,
+                n_max=int(iter_cfg.get("n_max", 40)),
+                tol=float(iter_cfg.get("tol", 1e-10)),
+                magnitude_cap=float(iter_cfg.get("magnitude_cap", 1e15)),
+            )
+            # one table of scaled iterates, shared with the uniqueness reruns
+            table = LevelTable(bimap, st_cfg)
+        for chk in checks:
+            if chk in _NEEDS_ITERATION and st_cfg is None:
+                raise ConfigError(f"{chk} requires an iteration section")
+
+        return _Run(
+            name, algebra, mspec, bimap, s, probes,
+            weight_kind=cfg.get("rho_tilde_weight", "psi_xx_z0"),
+            psi=psi, needs_calibration=needs_calibration, st_cfg=st_cfg, table=table,
+            checks=checks, assert_slot2=bool(cfg.get("biderivation_assert_slot2", False)),
+        )
+
+
+# -- run stages: calibrate, config echo, psi law, iterate --------------------
+
+
+def _calibrate(run):
+    if run.needs_calibration:
+        which = "B" if "inequality_B" in run.checks else "A"
+        n_levels = run.st_cfg.n_max if run.st_cfg is not None else 40
+        theta = calibrate_theta(
+            run.bimap, run.psi, run.rho_fn, run.s, run.probes, which=which, n_levels=n_levels
+        )
+        run.psi = run.psi.with_theta(theta)
+
+
+def _config_echo(run):
+    psi, probes = run.psi, run.probes
+    echo = {
+        "config_name": run.name,
+        "algebra": run.algebra.preset_name or f"dim-{run.algebra.dim}",
+        "modular": run.modular.kind,
+        "weight": run.weight_kind,
+        "s": [run.s.real, run.s.imag],
+        "probes": {"count": len(probes.x), "radius": probes.radius, "seed": probes.seed},
+    }
+    if psi is not None:
+        echo.update(theta=psi.theta, L=psi.L, psi_p=psi.p, direction=psi.direction)
+    return run.record(echo, True, stage="config")
+
+
+def _psi_law(run):
+    law = check_psi_law(run.psi, run.probes)
+    return run.record(
+        {"check": "psi_law", "law_margin": law.law_margin, "decay_ok": law.decay_ok,
+         "decay_ratio": law.decay_ratio},
+        law.passed,
+    )
+
+
+def _iterate(run):
+    """Iterate to the limit; a numeric abort leaves ``run.outcome`` None."""
+    try:
+        run.outcome = out = stabilize(
+            run.bimap, run.psi, run.rho_fn, run.st_cfg,
+            weight_kind=run.weight_kind, kappa=run.modular.kappa,
+            telescoping="telescoping" in run.checks, skip_psi_check=True, table=run.table,
+        )
+    except (OverflowAbort, NonFiniteValueError) as e:
+        payload = {"error": str(e), "level": getattr(e, "level", None),
+                   "probe_id": getattr(e, "probe_id", None)}
+        return [run.record(payload, False, stage="iterate")]
+    records = [
+        run.record({"level": lv.level, "sup_rho_delta": lv.sup_rho_delta,
+                    "rho_tilde_delta": lv.rho_tilde_delta}, True, stage="iterate")
+        for lv in out.levels
+    ]
+    payload = {"check": "stabilize", "n_converged": out.N_converged, "converged": out.converged,
+               "contraction_estimate": out.contraction_estimate, "bound_margin": out.bound_margin}
+    return records + [run.record(payload, out.converged)]
+
+
+# -- checks: each takes the run and returns its records ----------------------
+
+
+def _inequality_A(run):
+    return run.check_records(check_inequality_A(run.bimap, run.rho_fn, run.s, run.psi, run.probes))
+
+
+def _inequality_B(run):
+    return run.check_records(check_inequality_B(run.bimap, run.rho_fn, run.s, run.psi, run.probes))
+
+
+def _stability_bound(run):
+    return run.check_records(check_stability_bound(
+        run.bimap, run.outcome.D, run.psi, run.rho_fn, run.probes, corollary_theta=run.psi.theta
+    ))
+
+
+def _biadditivity(run):
+    rep = check_biadditivity(run.target, run.rho_fn, run.probes, tol=run.d_tol)
+    return [
+        run.record({"check": f"biadditivity_{slot}", "residual": sup, "witness": wit,
+                    "tol": run.d_tol}, sup <= run.d_tol)
+        for slot, sup, wit in (("slot1", rep.slot1_sup, rep.slot1_witness),
+                               ("slot2", rep.slot2_sup, rep.slot2_witness))
+    ]
+
+
+def _first_slot_linearity(run):
+    scalars = default_linearity_scalars(run.probes.seed + 3)
+    return run.check_records(
+        check_first_slot_linearity(run.target, run.rho_fn, scalars, run.probes, tol=run.d_tol)
+    )
+
+
+def _biderivation(run):
+    return run.check_records(check_biderivation(
+        run.bimap, run.rho_fn, run.algebra, run.psi, run.probes, assert_slot2=run.assert_slot2
+    ))
+
+
+def _superstability(run):
+    rep = check_superstability(run.bimap, run.rho_fn, run.probes)
+    records = [run.record({"check": "superstability", "sup_residual": rep.sup_residual},
+                          rep.is_superstable)]
+    if rep.is_superstable and run.outcome is not None:
+        x, z = run.probes.x, run.probes.z
+        gap = float(np.max(run.rho_fn(run.outcome.D(x, z) - run.bimap(x, z))))
+        records.append(run.record({"check": "superstability_certificate", "limit_gap": gap},
+                                  gap <= 1e-12))
+    return records
+
+
+def _telescoping(run):
+    return [
+        run.record({"check": "telescoping", "level": lv.level,
+                    "kappa_margin": lv.telescoping_kappa_margin,
+                    "final_margin": lv.telescoping_final_margin},
+                   lv.telescoping_kappa_margin <= INEQUALITY_TOL
+                   and lv.telescoping_final_margin <= INEQUALITY_TOL)
+        for lv in run.outcome.levels
+    ]
+
+
+def _bounded_orbit(run):
+    est = bounded_orbit_estimate(run.outcome.iterates, run.outcome.weights, run.rho_fn)
+    cap = 1.0 / (1.0 - run.psi.L) + 1e-6
+    return [run.record({"check": "bounded_orbit", "estimate": est, "cap": cap}, est <= cap)]
+
+
+def _uniqueness(run):
+    rep = check_uniqueness(
+        run.bimap, run.psi, run.rho_fn, run.st_cfg, weight_kind=run.weight_kind, table=run.table
+    )
+    return [run.record({"check": "uniqueness", "max_disagreement": rep.max_disagreement,
+                        "variants": [list(v) for v in rep.variants]}, rep.passed)]
+
+
+# The values are these private functions, never the checkers themselves:
+# each looks its checker up by module-global name at call time, so a checker
+# rebound on this module (a wrapper, a mock) is the one that runs.
+_CHECKS = {
+    "inequality_A": _inequality_A,
+    "inequality_B": _inequality_B,
+    "stability_bound": _stability_bound,
+    "biadditivity": _biadditivity,
+    "first_slot_linearity": _first_slot_linearity,
+    "biderivation": _biderivation,
+    "superstability": _superstability,
+    "telescoping": _telescoping,
+    "bounded_orbit": _bounded_orbit,
+    "uniqueness": _uniqueness,
+}
+_NEEDS_ITERATION = frozenset({"stability_bound", "telescoping", "bounded_orbit", "uniqueness"})
 
 
 def _run_stability(cfg, name, seed_override, probes_override):
-    algebra = build_algebra(cfg.get("algebra", {}))
-    mspec = build_modular(cfg.get("modular", {}))
-
-    def rho_fn(rows):
-        return eval_modular(mspec, np.atleast_2d(rows))
-
-    bimap = build_bimap(cfg.get("map", {}), algebra)
-    s = _complex_of(cfg.get("s", [0.5, 0.0]), "s")
-    if abs(s) >= 1.0 or s == 0:
-        raise ConfigError(f"s must be nonzero with |s| < 1, got {s}")
-
-    probes_cfg = cfg.get("probes", {})
-    seed = int(seed_override if seed_override is not None else probes_cfg.get("seed", 0))
-    count = int(probes_override if probes_override is not None else probes_cfg.get("count", 512))
-    radius = float(probes_cfg.get("radius", 1.0))
-    probes = draw_probes(algebra.dim, count, radius, seed)
-
-    weight_kind = cfg.get("rho_tilde_weight", "psi_xx_z0")
-    checks = list(cfg.get("checks", []))
-    for chk in checks:
-        if chk not in _KNOWN_CHECKS:
-            raise ConfigError(f"unknown check {chk!r}")
-
-    psi, needs_calibration = build_psi(cfg.get("psi"), mspec)
-
-    iter_cfg = cfg.get("iteration")
-    st_cfg = None
-    if iter_cfg is not None:
-        if psi is None:
-            raise ConfigError("iteration requires an envelope")
-        direction = iter_cfg.get("direction", psi.direction)
-        if direction != psi.direction:
-            raise ConfigError("iteration direction disagrees with the envelope direction")
-        pert = bimap.perturbation
-        if pert is not None and pert.name == "power_env":
-            if direction == "ascending" and pert.p >= 1.0:
-                raise ConfigError("ascending runs need a power_env exponent p < 1")
-            if direction == "descending" and pert.p <= 1.0:
-                raise ConfigError("descending runs need a power_env exponent p > 1")
-        st_cfg = StabilizeConfig(
-            direction=direction,
-            probes=probes,
-            n_max=int(iter_cfg.get("n_max", 40)),
-            tol=float(iter_cfg.get("tol", 1e-10)),
-            magnitude_cap=float(iter_cfg.get("magnitude_cap", 1e15)),
-        )
-
-    theta = None
-    if psi is not None and needs_calibration:
-        which = "B" if "inequality_B" in checks else "A"
-        theta = calibrate_theta(
-            bimap,
-            psi,
-            rho_fn,
-            s,
-            probes,
-            which=which,
-            n_levels=(st_cfg.n_max if st_cfg is not None else 40),
-        )
-        psi = psi.with_theta(theta)
-    elif psi is not None:
-        theta = psi.theta
-
-    records = []
-    echo = {
-        "config_name": name,
-        "algebra": algebra.preset_name or f"dim-{algebra.dim}",
-        "modular": mspec.kind,
-        "weight": weight_kind,
-        "s": [s.real, s.imag],
-        "probes": {"count": count, "radius": radius, "seed": seed},
-    }
-    if psi is not None:
-        echo["theta"] = psi.theta
-        echo["L"] = psi.L
-        echo["psi_p"] = psi.p
-        echo["direction"] = psi.direction
-    records.append(ReportRecord(scenario=name, stage="config", payload=echo, passed=True))
-
-    if psi is not None:
-        law = check_psi_law(psi, probes)
-        records.append(
-            ReportRecord(
-                scenario=name,
-                stage="check",
-                payload={
-                    "check": "psi_law",
-                    "law_margin": law.law_margin,
-                    "decay_ok": law.decay_ok,
-                    "decay_ratio": law.decay_ratio,
-                },
-                passed=law.passed,
-            )
-        )
-        if not law.passed:
-            return records, {"algebra": algebra, "probes": probes}
-
-    outcome = None
-    context = {
-        "algebra": algebra,
-        "modular": mspec,
-        "bimap": bimap,
-        "psi": psi,
-        "probes": probes,
-        "weight_kind": weight_kind,
-        "rho_fn": rho_fn,
-        "s": s,
-    }
-    table = None
-    if st_cfg is not None:
-        # one table of scaled iterates, shared with the uniqueness reruns
-        table = LevelTable(bimap, st_cfg)
-        try:
-            outcome = stabilize(
-                bimap,
-                psi,
-                rho_fn,
-                st_cfg,
-                weight_kind=weight_kind,
-                kappa=mspec.kappa,
-                telescoping="telescoping" in checks,
-                skip_psi_check=True,
-                table=table,
-            )
-        except (OverflowAbort, NonFiniteValueError) as e:
-            records.append(
-                ReportRecord(
-                    scenario=name,
-                    stage="iterate",
-                    payload={
-                        "error": str(e),
-                        "level": getattr(e, "level", None),
-                        "probe_id": getattr(e, "probe_id", None),
-                    },
-                    passed=False,
-                )
-            )
-            return records, context
-        context["outcome"] = outcome
-        for lv in outcome.levels:
-            records.append(
-                ReportRecord(
-                    scenario=name,
-                    stage="iterate",
-                    payload={
-                        "level": lv.level,
-                        "sup_rho_delta": lv.sup_rho_delta,
-                        "rho_tilde_delta": lv.rho_tilde_delta,
-                    },
-                    passed=True,
-                )
-            )
-        records.append(
-            ReportRecord(
-                scenario=name,
-                stage="check",
-                payload={
-                    "check": "stabilize",
-                    "n_converged": outcome.N_converged,
-                    "converged": outcome.converged,
-                    "contraction_estimate": outcome.contraction_estimate,
-                    "bound_margin": outcome.bound_margin,
-                },
-                passed=outcome.converged,
-            )
-        )
-
-    d_tol = 10.0 * st_cfg.tol if st_cfg is not None else IDENTITY_TOL
-    for chk in checks:
-        if chk == "inequality_A":
-            records += _check_records_to_report(
-                name, check_inequality_A(bimap, rho_fn, s, psi, probes)
-            )
-        elif chk == "inequality_B":
-            records += _check_records_to_report(
-                name, check_inequality_B(bimap, rho_fn, s, psi, probes)
-            )
-        elif chk == "stability_bound":
-            if outcome is None:
-                raise ConfigError("stability_bound requires an iteration section")
-            records += _check_records_to_report(
-                name,
-                check_stability_bound(
-                    bimap, outcome.D, psi, rho_fn, probes, corollary_theta=psi.theta
-                ),
-            )
-        elif chk == "biadditivity":
-            target = outcome.D if outcome is not None else bimap
-            rep = check_biadditivity(target, rho_fn, probes, tol=d_tol)
-            for slot, sup, wit in (
-                ("slot1", rep.slot1_sup, rep.slot1_witness),
-                ("slot2", rep.slot2_sup, rep.slot2_witness),
-            ):
-                records.append(
-                    ReportRecord(
-                        scenario=name,
-                        stage="check",
-                        payload={
-                            "check": f"biadditivity_{slot}",
-                            "residual": sup,
-                            "witness": wit,
-                            "tol": d_tol,
-                        },
-                        passed=sup <= d_tol,
-                    )
-                )
-        elif chk == "first_slot_linearity":
-            target = outcome.D if outcome is not None else bimap
-            scalars = default_linearity_scalars(seed + 3)
-            records += _check_records_to_report(
-                name,
-                check_first_slot_linearity(target, rho_fn, scalars, probes, tol=d_tol),
-            )
-        elif chk == "biderivation":
-            records += _check_records_to_report(
-                name,
-                check_biderivation(
-                    bimap,
-                    rho_fn,
-                    algebra,
-                    psi,
-                    probes,
-                    assert_slot2=bool(cfg.get("biderivation_assert_slot2", False)),
-                ),
-            )
-        elif chk == "superstability":
-            rep = check_superstability(bimap, rho_fn, probes)
-            records.append(
-                ReportRecord(
-                    scenario=name,
-                    stage="check",
-                    payload={"check": "superstability", "sup_residual": rep.sup_residual},
-                    passed=rep.is_superstable,
-                )
-            )
-            if rep.is_superstable and outcome is not None:
-                gap = float(
-                    np.max(rho_fn(outcome.D(probes.x, probes.z) - bimap(probes.x, probes.z)))
-                )
-                records.append(
-                    ReportRecord(
-                        scenario=name,
-                        stage="check",
-                        payload={"check": "superstability_certificate", "limit_gap": gap},
-                        passed=gap <= 1e-12,
-                    )
-                )
-        elif chk == "telescoping":
-            if outcome is None:
-                raise ConfigError("telescoping requires an iteration section")
-            for lv in outcome.levels:
-                records.append(
-                    ReportRecord(
-                        scenario=name,
-                        stage="check",
-                        payload={
-                            "check": "telescoping",
-                            "level": lv.level,
-                            "kappa_margin": lv.telescoping_kappa_margin,
-                            "final_margin": lv.telescoping_final_margin,
-                        },
-                        passed=(
-                            lv.telescoping_kappa_margin <= INEQUALITY_TOL
-                            and lv.telescoping_final_margin <= INEQUALITY_TOL
-                        ),
-                    )
-                )
-        elif chk == "bounded_orbit":
-            if outcome is None:
-                raise ConfigError("bounded_orbit requires an iteration section")
-            est = bounded_orbit_estimate(outcome.iterates, outcome.weights, rho_fn)
-            cap = 1.0 / (1.0 - psi.L) + 1e-6
-            records.append(
-                ReportRecord(
-                    scenario=name,
-                    stage="check",
-                    payload={"check": "bounded_orbit", "estimate": est, "cap": cap},
-                    passed=est <= cap,
-                )
-            )
-        elif chk == "uniqueness":
-            if st_cfg is None:
-                raise ConfigError("uniqueness requires an iteration section")
-            rep = check_uniqueness(
-                bimap, psi, rho_fn, st_cfg, weight_kind=weight_kind, table=table
-            )
-            records.append(
-                ReportRecord(
-                    scenario=name,
-                    stage="check",
-                    payload={
-                        "check": "uniqueness",
-                        "max_disagreement": rep.max_disagreement,
-                        "variants": [list(v) for v in rep.variants],
-                    },
-                    passed=rep.passed,
-                )
-            )
-    return records, context
+    run = _parse_stability(cfg, name, seed_override, probes_override)
+    _calibrate(run)
+    records = [_config_echo(run)]
+    # a failed psi law, or a numeric abort while iterating, ends the run
+    if run.psi is not None:
+        records.append(_psi_law(run))
+    halted = not records[-1].passed
+    if not halted and run.st_cfg is not None:
+        records += _iterate(run)
+        halted = run.outcome is None
+    if not halted:
+        for chk in run.checks:
+            records += _CHECKS[chk](run)
+    keep = ("algebra", "modular", "bimap", "psi", "probes", "weight_kind", "rho_fn", "s", "outcome")
+    return records, {key: getattr(run, key) for key in keep}
 
 
 def _run_axioms(cfg, name, seed_override, probes_override):
-    samples_cfg = cfg.get("samples", {})
-    seed = int(seed_override if seed_override is not None else samples_cfg.get("seed", 0))
-    count = int(probes_override if probes_override is not None else samples_cfg.get("count", 10_000))
-    radius = float(samples_cfg.get("radius", 1.0))
-    dim = int(samples_cfg.get("dim", 4))
+    with _reading_config():
+        samples_cfg = cfg.get("samples", {})
+        seed = int(seed_override if seed_override is not None else samples_cfg.get("seed", 0))
+        count = int(probes_override if probes_override is not None else samples_cfg.get("count", 10_000))
+        radius = float(samples_cfg.get("radius", 1.0))
+        dim = int(samples_cfg.get("dim", 4))
+        fixtures = [
+            (fx.get("label", f"fixture-{idx}"), build_modular(fx["modular"]),
+             fx.get("expect_violation"), fx.get("check_delta2", False))
+            for idx, fx in enumerate(cfg.get("fixtures", []))
+        ]
 
-    records = [
-        ReportRecord(
-            scenario=name,
-            stage="config",
-            payload={
-                "config_name": name,
-                "kind": "axioms",
-                "samples": {"count": count, "radius": radius, "seed": seed, "dim": dim},
-            },
-            passed=True,
-        )
-    ]
+    run = _Scenario(name)
+    samples = {"count": count, "radius": radius, "seed": seed, "dim": dim}
+    records = [run.record({"config_name": name, "kind": "axioms", "samples": samples}, True,
+                          stage="config")]
     context = {}
-    for idx, fixture in enumerate(cfg.get("fixtures", [])):
-        label = fixture.get("label", f"fixture-{idx}")
-        m = build_modular(fixture["modular"])
-        expect = fixture.get("expect_violation")
-        samples = draw_axiom_samples(dim, count, seed + idx, radius)
-        report = check_modular_axioms(m, samples)
+    for idx, (label, m, expect, delta2) in enumerate(fixtures):
+        report = check_modular_axioms(m, draw_axiom_samples(dim, count, seed + idx, radius))
         context[label] = report
         for axiom, chk in report.checks.items():
             expected_violation = expect == f"axiom_{axiom}"
-            ok = (not chk.passed) if expected_violation else chk.passed
-            records.append(
-                ReportRecord(
-                    scenario=name,
-                    stage="check",
-                    payload={
-                        "check": "modular_axiom",
-                        "fixture": label,
-                        "axiom": axiom,
-                        "margin": chk.margin,
-                        "witness": chk.witness,
-                        "expected_violation": expected_violation,
-                    },
-                    passed=ok,
-                )
-            )
+            records.append(run.record(
+                {"check": "modular_axiom", "fixture": label, "axiom": axiom, "margin": chk.margin,
+                 "witness": chk.witness, "expected_violation": expected_violation},
+                (not chk.passed) if expected_violation else chk.passed,
+            ))
         if m.convex:
             remark = check_remark_properties(m, draw_remark_samples(dim, count, seed + 50 + idx, radius))
-            records.append(
-                ReportRecord(
-                    scenario=name,
-                    stage="check",
-                    payload={
-                        "check": "remark_properties",
-                        "fixture": label,
-                        "increasing_margin": remark.increasing.margin,
-                        "scalar_margin": remark.scalar_bound.margin if remark.scalar_bound else None,
-                        "half_double_margin": remark.half_double.margin if remark.half_double else None,
-                    },
-                    passed=remark.passed,
-                )
-            )
-        if fixture.get("check_delta2", False):
+            records.append(run.record(
+                {"check": "remark_properties", "fixture": label,
+                 "increasing_margin": remark.increasing.margin,
+                 "scalar_margin": remark.scalar_bound.margin if remark.scalar_bound else None,
+                 "half_double_margin": remark.half_double.margin if remark.half_double else None},
+                remark.passed,
+            ))
+        if delta2:
             rng = np.random.default_rng(seed + 100 + idx)
             pts = rng.uniform(0.1, 1.0, (256, dim)) + 1j * rng.uniform(0.1, 1.0, (256, dim))
             d2 = check_delta2(m, pts)
-            records.append(
-                ReportRecord(
-                    scenario=name,
-                    stage="check",
-                    payload={"check": "delta2", "fixture": label, "kappa_hat": d2.kappa_hat},
-                    passed=d2.passed,
-                )
-            )
+            records.append(run.record({"check": "delta2", "fixture": label,
+                                       "kappa_hat": d2.kappa_hat}, d2.passed))
     return records, context
 
 
@@ -791,23 +737,18 @@ def run_scenario(source, seed_override=None, probes_override=None):
     Returns a RunResult whose exit code is 0 when every asserted record
     passes, 1 when any check fails, and 2 on any package error
     (``ModstabError``) that escapes the stages which report their own:
-    configuration errors, unsupported or invalid modulars, and numeric
-    aborts (overflow, non-finite values, a diverging bracket).
+    configuration errors (malformed values included), unsupported or
+    invalid modulars, and numeric aborts (overflow, non-finite values, a
+    diverging bracket).
     """
     t0 = time.perf_counter()
     try:
         cfg = load_config(source)
-        name = cfg.get("name", "unnamed")
-        header = header_record(
-            cfg,
-            seed=seed_override if seed_override is not None else _default_seed(cfg),
-            version=__version__,
-            backend=_kernels.ACTIVE_BACKEND,
-        )
-        if cfg.get("kind", "stability") == "axioms":
-            records, context = _run_axioms(cfg, name, seed_override, probes_override)
-        else:
-            records, context = _run_stability(cfg, name, seed_override, probes_override)
+        with _reading_config():
+            seed = seed_override if seed_override is not None else _default_seed(cfg)
+            header = header_record(cfg, seed=seed, version=__version__, backend=_kernels.ACTIVE_BACKEND)
+        runner = _run_axioms if cfg.get("kind", "stability") == "axioms" else _run_stability
+        records, context = runner(cfg, cfg.get("name", "unnamed"), seed_override, probes_override)
     except ModstabError as e:
         diag = ReportRecord(
             scenario=source if isinstance(source, str) else "config",

@@ -63,7 +63,6 @@ class StabilizeOutcome:
     levels: list = field(default_factory=list)
     iterates: np.ndarray | None = None
     weights: np.ndarray | None = None
-    hyers_values: np.ndarray | None = None
 
 
 def hyers_bound(psi, x, z):
@@ -314,8 +313,11 @@ def stabilize(
         levels=levels,
         iterates=np.array(iterates),
         weights=weights,
-        hyers_values=hyers_vals,
     )
+
+
+# check_uniqueness reruns the extraction from start levels 1..3
+UNIQUENESS_START_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -325,7 +327,7 @@ class UniquenessReport:
     variants: tuple
 
 
-def check_uniqueness(d, psi, rho_fn, cfg, trials=3, weight_kind="psi_xx_z0", table=None):
+def check_uniqueness(d, psi, rho_fn, cfg, weight_kind="psi_xx_z0", table=None):
     """Re-run the extraction from shifted starting levels and perturbed
     level caps; all limit candidates must agree on the probes.  Every run
     reads its levels from one LevelTable (``table``, or a fresh one)."""
@@ -337,7 +339,7 @@ def check_uniqueness(d, psi, rho_fn, cfg, trials=3, weight_kind="psi_xx_z0", tab
     X, Z = cfg.probes.x, cfg.probes.z
     base_vals = base.D(X, Z)
     variants = []
-    runs = [("start", s) for s in range(1, trials + 1)]
+    runs = [("start", s) for s in range(1, UNIQUENESS_START_LEVELS + 1)]
     runs += [("n_max", cfg.n_max - 5), ("n_max", cfg.n_max + 5)]
     worst = 0.0
     for tag, value in runs:

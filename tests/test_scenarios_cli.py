@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modstab import builtin_scenarios, list_builtin_scenarios, run_scenario
+from modstab import builtin_scenarios, list_builtin_scenarios, run_scenario, scenarios
 from modstab.cli import main as cli_main
 from modstab.report import SCHEMA
 
@@ -277,3 +277,74 @@ def test_cli_run_nonconvex_modular_exits_two_with_diagnostic(tmp_path):
     assert lines[0]["schema"] == SCHEMA
     assert lines[1]["stage"] == "config" and not lines[1]["pass"]
     assert "convex" in lines[1]["payload"]["error"]
+
+
+def _malformed(section, value):
+    cfg = small_stability_config()
+    cfg[section] = value
+    return json.dumps(cfg)
+
+
+def _no_perturbation_name():
+    cfg = small_stability_config()
+    del cfg["map"]["perturbation"]["name"]
+    return json.dumps(cfg)
+
+
+def _axioms_fixture_without_modular():
+    cfg = json.loads(json.dumps(builtin_scenarios()["axioms-suite"]))
+    del cfg["fixtures"][1]["modular"]
+    return json.dumps(cfg)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        _malformed("probes", {"count": "abc"}),
+        _no_perturbation_name(),
+        _malformed("s", [0.5, "x"]),
+        _malformed("probes", [1, 2]),
+        _axioms_fixture_without_modular(),
+    ],
+    ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list", "fixture-no-modular"],
+)
+def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "report.jsonl"
+    assert cli_main(["run", str(path), "--out", str(out), "--quiet"]) == 2
+    lines = [json.loads(line) for line in out.read_text().strip().splitlines()]
+    assert len(lines) == 2 and lines[0]["schema"] == SCHEMA
+    assert lines[1]["stage"] == "config" and not lines[1]["pass"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_missing_iteration_rejected_before_any_work(monkeypatch):
+    # the envelope's L = 0.5 is below the sharp 2^-1/2, so a run that got as
+    # far as the psi law would fail there and exit 1
+    cfg = small_stability_config(iteration=None, checks=["inequality_A", "stability_bound"])
+    cfg["psi"]["L"] = 0.5
+    monkeypatch.setattr(scenarios, "calibrate_theta", lambda *a, **k: pytest.fail("calibrated"))
+    result = run_scenario(cfg)
+    assert result.exit_code == 2
+    assert [r.payload for r in result.records] == [
+        {"error": "stability_bound requires an iteration section"}
+    ]
+
+
+def test_checks_call_their_checkers_through_the_module(monkeypatch):
+    # the check registry must look checkers up by name at call time, so that
+    # a wrapper installed on the module (a tracer, a mock) sees every call
+    calls = []
+    for name in ("check_uniqueness", "bounded_orbit_estimate", "check_biadditivity"):
+        original = getattr(scenarios, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, name, counted)
+    cfg = small_stability_config(checks=["biadditivity", "bounded_orbit", "uniqueness"])
+    assert run_scenario(cfg).exit_code == 0
+    assert calls == ["check_biadditivity", "bounded_orbit_estimate", "check_uniqueness"]
