@@ -7,8 +7,9 @@ no code execution).  The envelope amplitude may be given as the string
 "calibrate", in which case theta is fixed by brute-force margin
 maximization of the scenario's functional inequality over an enlarged
 probe family: the scenario probes, a 10^4-tuple random family, and the
-scaled degenerate tuples the iteration actually traverses.  The result
-is deterministic for a fixed seed and is echoed into the report.
+scaled degenerate tuples the iteration traverses, read from the run's
+level table and stopping at the magnitude cap.  The result is
+deterministic for a fixed seed and is echoed into the report.
 
 A stability run goes parse -> stages -> checks.  The parse stage
 (``_parse_stability``) reads the whole config into a ``_Run`` and rejects
@@ -24,13 +25,13 @@ import contextlib
 import copy
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__, _kernels
 from .algebra import AlgebraSpec, preset
-from .bimaps import BiMap, Perturbation, PsiEnvelope, check_psi_law, draw_probes
+from .bimaps import WEIGHT_KINDS, BiMap, Perturbation, PsiEnvelope, check_psi_law, draw_probes
 from .errors import (
     ConfigError,
     ModstabError,
@@ -168,53 +169,64 @@ def build_psi(cfg, mspec):
     return psi, needs_calibration
 
 
+def _scaled_degenerate_family(table, psi1, rho_fn, which, n_levels):
+    """(need, unit) per level i < n_levels on the degenerate tuples the
+    iteration traverses, read from the level table T.  Power-of-two scaling
+    is exact, so there the right side is 0 and the left side reduces to
+    rho(k T[i+1] - k T[i]) (descending A: rho(k T[i] - k T[i+1])).
+    Ascending B has a zero left side and yields nothing.  The first level
+    past the magnitude cap ends the family, as it ends the iteration."""
+    ascending = table.cfg.direction == "ascending"
+    if ascending and which == "B":
+        return
+    x, z = table.cfg.probes.x, table.cfg.probes.z
+    zeros = np.zeros_like(x)
+    psi_z0 = psi1(z, zeros)
+    for i in range(n_levels):
+        try:
+            lo, hi = table[i], table[i + 1]
+        except OverflowAbort:
+            return
+        if ascending:  # (u, u, z, 0) with u = 2^i x
+            k, u = 2.0 ** (i + 2), 2.0**i * x
+            yield rho_fn(k * hi - k * lo), psi1(u, u) * psi_z0
+        elif which == "A":  # (u, u, z, 0) with u = x / 2^(i+1)
+            k, u = 2.0 ** (1 - i), x / 2.0 ** (i + 1)
+            yield rho_fn(k * lo - k * hi), psi1(u, u) * psi_z0
+        else:  # (u, 0, z, 0) with u = x / 2^i
+            k, u = 2.0 ** (2 - i), x / 2.0**i
+            yield rho_fn(k * hi - k * lo), psi1(u, zeros) * psi_z0
+
+
 def calibrate_theta(
-    bimap,
-    psi_proto,
-    rho_fn,
-    s,
-    probes,
-    which="A",
-    n_levels=40,
-    extra_count=CALIBRATION_EXTRA_COUNT,
-    safety=CALIBRATION_SAFETY,
+    bimap, psi_proto, rho_fn, s, probes, which="A", n_levels=40,
+    extra_count=CALIBRATION_EXTRA_COUNT, safety=CALIBRATION_SAFETY, table=None,
 ):
     """Smallest theta (times a safety factor) for which the inequality
     holds on the enlarged family; raises if a zero-envelope tuple carries a
-    genuine defect, since no amplitude can repair that."""
+    genuine defect, since no amplitude can repair that.
+
+    The scaled degenerate family is read from levels 0..n_levels of
+    ``table`` (the run's LevelTable, or a fresh one of the map and probes)
+    and stops at the magnitude cap."""
     psi1 = psi_proto.with_theta(1.0)
-    dim = bimap.algebra.dim
-    zeros = np.zeros_like(probes.x)
-    ones = np.ones(len(probes.x), dtype=np.complex128)
+    if table is None:
+        table = LevelTable(bimap, StabilizeConfig(direction=psi_proto.direction, probes=probes))
+    else:
+        table.check(bimap, replace(table.cfg, direction=psi_proto.direction, probes=probes))
+    seed = probes.seed + CALIBRATION_SEED_OFFSET
+    extra = draw_probes(bimap.algebra.dim, max(extra_count, 17), probes.radius, seed)
 
-    families = [(probes.x, probes.y, probes.z, probes.w, probes.lam)]
-    extra = draw_probes(dim, max(extra_count, 17), probes.radius, probes.seed + CALIBRATION_SEED_OFFSET)
-    families.append((extra.x, extra.y, extra.z, extra.w, extra.lam))
-
-    blocks = []
-    for i in range(n_levels):
-        if psi_proto.direction == "ascending":
-            u = (2.0**i) * probes.x
-            blocks.append((u, u))
-        elif which == "A":
-            u = probes.x / (2.0 ** (i + 1))
-            blocks.append((u, u))
-        else:
-            u = probes.x / (2.0**i)
-            blocks.append((u, zeros))
-    if blocks:
-        xs = np.concatenate([b[0] for b in blocks])
-        ys = np.concatenate([b[1] for b in blocks])
-        reps = len(blocks)
-        families.append(
-            (xs, ys, np.tile(probes.z, (reps, 1)), np.tile(zeros, (reps, 1)), np.tile(ones, reps))
-        )
+    def family():
+        for fam in (probes, extra):
+            lhs, rhs0 = inequality_parts(
+                bimap, rho_fn, s, fam.x, fam.y, fam.z, fam.w, fam.lam, which=which
+            )
+            yield lhs - rhs0, psi1(fam.x, fam.y) * psi1(fam.z, fam.w)
+        yield from _scaled_degenerate_family(table, psi1, rho_fn, which, n_levels)
 
     required = 0.0
-    for X, Y, Z, W, lam in families:
-        lhs, rhs0 = inequality_parts(bimap, rho_fn, s, X, Y, Z, W, lam, which=which)
-        unit = psi1(X, Y) * psi1(Z, W)
-        need = lhs - rhs0
+    for need, unit in family():
         weighted = unit > 1e-15
         if np.any(~weighted & (need > 1e-12)):
             raise ConfigError(
@@ -424,8 +436,7 @@ class _Run(_Scenario):
     weight_kind: str
     psi: PsiEnvelope | None
     needs_calibration: bool
-    st_cfg: StabilizeConfig | None
-    table: LevelTable | None
+    table: LevelTable | None  # its cfg is the iteration's; None without one
     checks: list
     assert_slot2: bool
     outcome: object = None
@@ -440,7 +451,7 @@ class _Run(_Scenario):
 
     @property
     def d_tol(self):
-        return 10.0 * self.st_cfg.tol if self.st_cfg is not None else IDENTITY_TOL
+        return 10.0 * self.table.cfg.tol if self.table is not None else IDENTITY_TOL
 
     def check_records(self, recs):
         """One report record per verify.CheckRecord."""
@@ -476,10 +487,13 @@ def _parse_stability(cfg, name, seed_override, probes_override):
             if chk not in _CHECKS:
                 raise ConfigError(f"unknown check {chk!r}")
 
+        weight_kind = cfg.get("rho_tilde_weight", "psi_xx_z0")
+        if weight_kind not in WEIGHT_KINDS:
+            raise ConfigError(f"rho_tilde_weight must be one of {WEIGHT_KINDS}")
         psi, needs_calibration = build_psi(cfg.get("psi"), mspec)
 
         iter_cfg = cfg.get("iteration")
-        st_cfg = table = None
+        table = None
         if iter_cfg is not None:
             if psi is None:
                 raise ConfigError("iteration requires an envelope")
@@ -492,23 +506,23 @@ def _parse_stability(cfg, name, seed_override, probes_override):
                     raise ConfigError("ascending runs need a power_env exponent p < 1")
                 if direction == "descending" and pert.p <= 1.0:
                     raise ConfigError("descending runs need a power_env exponent p > 1")
-            st_cfg = StabilizeConfig(
+            # one table of scaled iterates, read by calibration, the
+            # iteration and the uniqueness reruns
+            table = LevelTable(bimap, StabilizeConfig(
                 direction=direction,
                 probes=probes,
                 n_max=int(iter_cfg.get("n_max", 40)),
                 tol=float(iter_cfg.get("tol", 1e-10)),
                 magnitude_cap=float(iter_cfg.get("magnitude_cap", 1e15)),
-            )
-            # one table of scaled iterates, shared with the uniqueness reruns
-            table = LevelTable(bimap, st_cfg)
+            ))
         for chk in checks:
-            if chk in _NEEDS_ITERATION and st_cfg is None:
+            if chk in _NEEDS_ITERATION and table is None:
                 raise ConfigError(f"{chk} requires an iteration section")
 
         return _Run(
             name, algebra, mspec, bimap, s, probes,
-            weight_kind=cfg.get("rho_tilde_weight", "psi_xx_z0"),
-            psi=psi, needs_calibration=needs_calibration, st_cfg=st_cfg, table=table,
+            weight_kind=weight_kind,
+            psi=psi, needs_calibration=needs_calibration, table=table,
             checks=checks, assert_slot2=bool(cfg.get("biderivation_assert_slot2", False)),
         )
 
@@ -519,9 +533,10 @@ def _parse_stability(cfg, name, seed_override, probes_override):
 def _calibrate(run):
     if run.needs_calibration:
         which = "B" if "inequality_B" in run.checks else "A"
-        n_levels = run.st_cfg.n_max if run.st_cfg is not None else 40
+        n_levels = run.table.cfg.n_max if run.table is not None else 40
         theta = calibrate_theta(
-            run.bimap, run.psi, run.rho_fn, run.s, run.probes, which=which, n_levels=n_levels
+            run.bimap, run.psi, run.rho_fn, run.s, run.probes,
+            which=which, n_levels=n_levels, table=run.table,
         )
         run.psi = run.psi.with_theta(theta)
 
@@ -554,7 +569,7 @@ def _iterate(run):
     """Iterate to the limit; a numeric abort leaves ``run.outcome`` None."""
     try:
         run.outcome = out = stabilize(
-            run.bimap, run.psi, run.rho_fn, run.st_cfg,
+            run.bimap, run.psi, run.rho_fn, run.table.cfg,
             weight_kind=run.weight_kind, kappa=run.modular.kappa,
             telescoping="telescoping" in run.checks, skip_psi_check=True, table=run.table,
         )
@@ -617,8 +632,8 @@ def _superstability(run):
     records = [run.record({"check": "superstability", "sup_residual": rep.sup_residual},
                           rep.is_superstable)]
     if rep.is_superstable and run.outcome is not None:
-        x, z = run.probes.x, run.probes.z
-        gap = float(np.max(run.rho_fn(run.outcome.D(x, z) - run.bimap(x, z))))
+        limit = run.table[run.outcome.N_converged]
+        gap = float(np.max(run.rho_fn(limit - run.table[0])))
         records.append(run.record({"check": "superstability_certificate", "limit_gap": gap},
                                   gap <= 1e-12))
     return records
@@ -643,7 +658,7 @@ def _bounded_orbit(run):
 
 def _uniqueness(run):
     rep = check_uniqueness(
-        run.bimap, run.psi, run.rho_fn, run.st_cfg, weight_kind=run.weight_kind, table=run.table
+        run.bimap, run.psi, run.rho_fn, run.table.cfg, weight_kind=run.weight_kind, table=run.table
     )
     return [run.record({"check": "uniqueness", "max_disagreement": rep.max_disagreement,
                         "variants": [list(v) for v in rep.variants]}, rep.passed)]
@@ -675,7 +690,7 @@ def _run_stability(cfg, name, seed_override, probes_override):
     if run.psi is not None:
         records.append(_psi_law(run))
     halted = not records[-1].passed
-    if not halted and run.st_cfg is not None:
+    if not halted and run.table is not None:
         records += _iterate(run)
         halted = run.outcome is None
     if not halted:

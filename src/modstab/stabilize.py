@@ -3,7 +3,7 @@ modular distance between successive candidates drops below tolerance,
 freeze the bi-additive limit, and instrument every quantitative claim
 made about the iteration on the way."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -143,19 +143,16 @@ def _auto_telescope_form(direction, weight_kind):
     return "kappa_first_zero" if weight_kind == "psi_x0_z0" else "kappa_both_slots"
 
 
-def _tabulate(d, X, Z, direction, level, cap, max_abs_x):
-    scale = 2.0**level
-    if direction == "ascending":
-        if scale * max_abs_x > cap:
-            probe = int(np.argmax(np.abs(X).max(axis=1)))
-            raise OverflowAbort(
-                f"2^{level} scaling exceeds the magnitude cap {cap:g}",
-                level=level,
-                probe_id=probe,
-            )
-        vals = d(scale * X, Z) / scale
-    else:
-        vals = d(X / scale, Z) * scale
+def _tabulate(d, cfg, level, max_abs_x):
+    X, cap = cfg.probes.x, cfg.magnitude_cap
+    if cfg.direction == "ascending" and 2.0**level * max_abs_x > cap:
+        probe = int(np.argmax(np.abs(X).max(axis=1)))
+        raise OverflowAbort(
+            f"2^{level} scaling exceeds the magnitude cap {cap:g}",
+            level=level,
+            probe_id=probe,
+        )
+    vals = iterate_evaluator(d, cfg.direction, level)(X, cfg.probes.z)
     if not np.isfinite(vals).all():
         bad = int(np.argmax(~np.isfinite(vals).all(axis=1)))
         raise NonFiniteValueError(
@@ -170,11 +167,12 @@ class LevelTable:
 
     ``table[n]`` tabulates level n the first time it is asked for, with
     that level's magnitude-cap and finiteness aborts, and returns the
-    stored (read-only) array after that.  Nothing is evaluated ahead of
-    use, so a run aborts at the same level and probe as it would without
-    the table.  The iterates depend only on the map, the probes, the
-    direction and the cap, so configs that differ in n_max or tol share a
-    table; any other config is refused.
+    stored (read-only) array after that.  Calibration reads levels up to
+    n_max before the iteration runs and stops at a magnitude-cap abort, so
+    a run still aborts at the same level and probe as it would without the
+    table.  The iterates depend only on the map, the probes, the direction
+    and the cap, so configs that differ in n_max or tol share a table; any
+    other config is refused.
     """
 
     def __init__(self, d, cfg):
@@ -201,11 +199,7 @@ class LevelTable:
     def __getitem__(self, level):
         vals = self._levels.get(level)
         if vals is None:
-            cfg = self.cfg
-            vals = _tabulate(
-                self.d, cfg.probes.x, cfg.probes.z, cfg.direction, level,
-                cfg.magnitude_cap, self._max_abs_x,
-            )
+            vals = _tabulate(self.d, self.cfg, level, self._max_abs_x)
             vals.flags.writeable = False
             self._levels[level] = vals
         return vals
@@ -253,7 +247,7 @@ def stabilize(
     weight = RhoTildeWeight(psi=psi, kind=weight_kind)
     weights = weight.values(X, Z)
 
-    v_origin = d(X, Z)  # the unscaled map, reference for bound/telescoping
+    v_origin = table[0]  # the unscaled map, reference for bound/telescoping
     hyers_vals = hyers_bound(psi, X, Z)
 
     telescope = None
@@ -262,8 +256,7 @@ def stabilize(
             _auto_telescope_form(cfg.direction, weight_kind), psi, X, Z, kappa
         )
 
-    v_prev = v_origin if start_level == 0 else table[start_level]
-    iterates = [v_prev]
+    v_prev = table[start_level]
     levels = []
     sup_deltas = []
     rt_deltas = []
@@ -282,7 +275,6 @@ def stabilize(
             defect = rho_fn(v - v_origin)
             tel_kappa = float(np.max(defect - telescope.majorant(n)))
             tel_final = float(np.max(defect - telescope.final))
-        iterates.append(v)
         sup_deltas.append(sup_delta)
         rt_deltas.append(rt_delta)
         levels.append(
@@ -311,7 +303,7 @@ def stabilize(
         contraction_estimate=contraction,
         bound_margin=bound_margin,
         levels=levels,
-        iterates=np.array(iterates),
+        iterates=np.array([table[n] for n in range(start_level, frozen + 1)]),
         weights=weights,
     )
 
@@ -330,41 +322,30 @@ class UniquenessReport:
 def check_uniqueness(d, psi, rho_fn, cfg, weight_kind="psi_xx_z0", table=None):
     """Re-run the extraction from shifted starting levels and perturbed
     level caps; all limit candidates must agree on the probes.  Every run
-    reads its levels from one LevelTable (``table``, or a fresh one)."""
+    reads its levels from one LevelTable (``table``, or a fresh one), and
+    each limit on the probes is the table's level it froze at."""
     if table is None:
         table = LevelTable(d, cfg)
     base = stabilize(
         d, psi, rho_fn, cfg, weight_kind=weight_kind, telescoping=False, table=table
     )
-    X, Z = cfg.probes.x, cfg.probes.z
-    base_vals = base.D(X, Z)
+    base_vals = table[base.N_converged]
+    runs = [(f"start={s}", cfg, s) for s in range(1, UNIQUENESS_START_LEVELS + 1)]
+    runs += [
+        (f"n_max={n}", replace(cfg, n_max=max(1, n)), 0)
+        for n in (cfg.n_max - 5, cfg.n_max + 5)
+    ]
     variants = []
-    runs = [("start", s) for s in range(1, UNIQUENESS_START_LEVELS + 1)]
-    runs += [("n_max", cfg.n_max - 5), ("n_max", cfg.n_max + 5)]
     worst = 0.0
-    for tag, value in runs:
-        if tag == "start":
-            out = stabilize(
-                d, psi, rho_fn, cfg,
-                weight_kind=weight_kind, telescoping=False,
-                start_level=value, skip_psi_check=True, table=table,
-            )
-        else:
-            alt = StabilizeConfig(
-                direction=cfg.direction,
-                probes=cfg.probes,
-                n_max=max(1, value),
-                tol=cfg.tol,
-                magnitude_cap=cfg.magnitude_cap,
-            )
-            out = stabilize(
-                d, psi, rho_fn, alt,
-                weight_kind=weight_kind, telescoping=False, skip_psi_check=True,
-                table=table,
-            )
-        gap = float(np.max(rho_fn(out.D(X, Z) - base_vals)))
+    for tag, run_cfg, start in runs:
+        out = stabilize(
+            d, psi, rho_fn, run_cfg,
+            weight_kind=weight_kind, telescoping=False,
+            start_level=start, skip_psi_check=True, table=table,
+        )
+        gap = float(np.max(rho_fn(table[out.N_converged] - base_vals)))
         worst = max(worst, gap)
-        variants.append((f"{tag}={value}", out.N_converged, gap))
+        variants.append((tag, out.N_converged, gap))
     return UniquenessReport(
         max_disagreement=worst, passed=worst <= 10.0 * cfg.tol, variants=tuple(variants)
     )
@@ -374,14 +355,15 @@ def bounded_orbit_estimate(iterates, weights, rho_fn, weight_tol=1e-15, defect_t
     """Probe estimate of sup over level pairs of the induced-modular
     distance between iterates; finite orbits are what licence the
     fixed-point extraction."""
-    m = len(iterates)
+    iterates = np.asarray(iterates)
     active = weights > weight_tol
     best = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            vals = rho_fn(iterates[i] - iterates[j])
-            if np.any(~active & (vals > defect_tol)):
-                return float("inf")
-            if np.any(active):
-                best = max(best, float(np.max(vals[active] / weights[active])))
+    for i in range(len(iterates) - 1):
+        # one modular call per level i, over every later level j
+        diffs = iterates[i] - iterates[i + 1:]
+        vals = rho_fn(diffs.reshape(-1, diffs.shape[-1])).reshape(diffs.shape[:2])
+        if np.any(~active & (vals > defect_tol)):
+            return float("inf")
+        if np.any(active):
+            best = max(best, float(np.max(vals[:, active] / weights[active])))
     return best

@@ -297,6 +297,15 @@ def _axioms_fixture_without_modular():
     return json.dumps(cfg)
 
 
+def _bogus_weight(name, drop_iteration=False):
+    cfg = json.loads(json.dumps(builtin_scenarios()[name]))
+    cfg["rho_tilde_weight"] = "bogus"
+    if drop_iteration:
+        cfg["iteration"] = None
+        cfg["checks"] = [c for c in cfg["checks"] if c != "stability_bound"]
+    return json.dumps(cfg)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -306,10 +315,14 @@ def _axioms_fixture_without_modular():
         _malformed("s", [0.5, "x"]),
         _malformed("probes", [1, 2]),
         _axioms_fixture_without_modular(),
+        _bogus_weight("corollary-ascending-p05"),
+        _bogus_weight("superstability-commutator", drop_iteration=True),
     ],
-    ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list", "fixture-no-modular"],
+    ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list",
+         "fixture-no-modular", "weight-bogus", "weight-bogus-no-iteration"],
 )
-def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys):
+def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scenarios, "calibrate_theta", lambda *a, **k: pytest.fail("calibrated"))
     path = tmp_path / "cfg.json"
     path.write_text(text)
     out = tmp_path / "report.jsonl"

@@ -212,6 +212,45 @@ def test_uniqueness_perturbed_fixture():
     assert rep.passed
 
 
+def _pairwise_orbit_reference(iterates, weights, rho_fn, weight_tol=1e-15, defect_tol=1e-12):
+    # one modular call per pair of levels
+    active = weights > weight_tol
+    best = 0.0
+    for i in range(len(iterates)):
+        for j in range(i + 1, len(iterates)):
+            vals = rho_fn(iterates[i] - iterates[j])
+            if np.any(~active & (vals > defect_tol)):
+                return float("inf")
+            if np.any(active):
+                best = max(best, float(np.max(vals[active] / weights[active])))
+    return best
+
+
+def test_bounded_orbit_matches_the_pairwise_loop():
+    out = stabilize(osc_map(), asc_psi(theta=0.01), rho_rows, asc_cfg(seed=13))
+    assert len(out.iterates) > 10
+    est = bounded_orbit_estimate(out.iterates, out.weights, rho_rows)
+    assert np.isfinite(est) and est > 0.0
+    assert est == _pairwise_orbit_reference(out.iterates, out.weights, rho_rows)
+    # the orbit moves at probe 7, so a zero weight there hides a defect
+    # from the induced modular
+    weights = out.weights.copy()
+    weights[7] = 0.0
+    assert bounded_orbit_estimate(out.iterates, weights, rho_rows) == float("inf")
+    assert _pairwise_orbit_reference(out.iterates, weights, rho_rows) == float("inf")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bounded_orbit_matches_the_pairwise_loop_on_every_prefix(seed):
+    # unordered random levels, so every pair can hold the supremum
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(9, 40, 4)) + 1j * rng.normal(size=(9, 40, 4))
+    weights = rng.uniform(0.1, 2.0, 40)
+    for m in range(1, len(stack) + 1):
+        est = bounded_orbit_estimate(stack[:m], weights, rho_rows)
+        assert est == _pairwise_orbit_reference(stack[:m], weights, rho_rows)
+
+
 def test_bounded_orbit_zero_for_fixed_point():
     d = BiMap(algebra=MATRIX2, kernel="commutator")
     out = stabilize(d, asc_psi(), rho_rows, asc_cfg())
@@ -302,9 +341,8 @@ def test_level_table_evaluates_each_level_once():
     assert d.calls == Counter(range(n + 1))
     rep = check_uniqueness(d, psi, rho_rows, cfg, table=table)
     assert rep.passed and all(v[1] == n for v in rep.variants)
-    # six reruns add only their unscaled map and their limit evaluation
-    # D(x, z); no level in between is tabulated again
-    assert d.calls == Counter(range(n + 1)) + Counter({0: 6, n: 6})
+    # the six reruns and their limits on the probes read the table only
+    assert d.calls == Counter(range(n + 1))
     assert table[n] is table[n] and not table[n].flags.writeable
 
 
