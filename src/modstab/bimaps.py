@@ -139,9 +139,8 @@ class BiMap:
                     damp = (1.0 - np.exp(-_eucl(X) ** 2)) * (1.0 - np.exp(-_eucl(Z) ** 2))
                     term = damp[:, None] * term
                 out += term
-        bad = ~np.isfinite(out).all(axis=1)
-        if bad.any():
-            idx = int(np.argmax(bad))
+        if not np.isfinite(out).all():
+            idx = int(np.argmax(~np.isfinite(out).all(axis=1)))
             raise NonFiniteValueError(
                 f"map evaluation is not finite at batch row {idx}", probe_id=idx
             )

@@ -12,7 +12,10 @@ a*rho(x) + b*rho(y)).  Three families are built in:
 The Luxemburg norm of a convex modular, inf{lam > 0 : rho(x/lam) <= 1},
 is computed by bracketing bisection; the monotonicity of lam -> rho(x/lam)
 makes the predicate exact to bisect.  A batch of rows is bisected in
-lockstep, one modular evaluation per step for all rows still open.
+lockstep, one modular evaluation per step for all rows still open.  The
+callable from ``coeff_norm_fn`` bisects each distinct batch once over its
+own lifetime, which is one scenario run, and returns the stored norms for
+a repeated one.
 
 Everything here is sampled verification: the checkers quantify over
 caller-supplied finite sample sets and report worst margins, never over
@@ -111,7 +114,12 @@ def coeff_norm_fn(m):
 
     norm and power kinds have closed forms (the l2 / lp norms, which the
     bisection oracle reproduces); orlicz kinds bisect the whole batch in
-    one ``luxemburg_norm`` call.
+    one ``luxemburg_norm`` call.  The orlicz callable remembers every
+    batch it has bisected, keyed by the exact shape and bytes of the rows,
+    for as long as the callable lives (one run: ``build_psi`` makes one
+    per run and every envelope derived from it shares it), and returns
+    the stored result, read-only, for an equal batch.  A batch changed in
+    place after a call is a new key and is bisected again.
     """
     if m.kind == "norm":
         return lambda rows: _kernels.rho_norm(np.asarray(rows, dtype=np.complex128).reshape(len(rows), -1))
@@ -124,7 +132,21 @@ def coeff_norm_fn(m):
 
         return _lp
 
-    return lambda rows: luxemburg_norm(m, rows)
+    cache = {}
+
+    def _bisected(rows):
+        rows = np.ascontiguousarray(rows, dtype=np.complex128)
+        # the exact bytes, not a digest: a collision would return a wrong norm
+        key = (rows.shape, rows.tobytes())
+        out = cache.get(key)
+        if out is None:
+            out = luxemburg_norm(m, rows)
+            if isinstance(out, np.ndarray):
+                out.flags.writeable = False
+            cache[key] = out
+        return out
+
+    return _bisected
 
 
 def luxemburg_norm(m, x, tol=1e-12):

@@ -14,6 +14,7 @@ from modstab import (
     check_fatou,
     check_modular_axioms,
     check_remark_properties,
+    coeff_norm_fn,
     draw_axiom_samples,
     draw_remark_samples,
     eval_modular,
@@ -87,8 +88,6 @@ def test_luxemburg_orlicz_square_equals_l2():
     # sum (|x_i|/lam)^2 <= 1 iff lam >= l2 norm, so the bisection must
     # land on the Euclidean norm
     rng = np.random.default_rng(17)
-    from modstab import coeff_norm_fn
-
     batch = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
     got = coeff_norm_fn(ORLICZ_SQ)(batch)
     want = np.sqrt((np.abs(batch) ** 2).sum(axis=1))
@@ -188,6 +187,93 @@ def test_luxemburg_large_entries_terminate():
     got = luxemburg_norm(ModularSpec(kind="orlicz", phi="exp_minus_one"), [1e6, 3e5])
     assert np.isfinite(got) and got > 1e6
     assert luxemburg_norm(NORM, [1e6]) == pytest.approx(1e6, rel=1e-15)
+
+
+# --- the memo behind coeff_norm_fn -----------------------------------------
+
+MEMOIZED = [ModularSpec(kind="orlicz", phi=phi) for phi in ("linear", "square", "exp_minus_one")]
+
+
+def _memo_batches(seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 7, 33):
+        scale = 10.0 ** rng.choice([-12.0, -3.0, 0.0, 2.0, 6.0], size=(n, 1))
+        batch = (rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))) * scale
+        batch[1::5] = 0.0
+        yield batch
+    yield rng.normal(size=4) + 1j * rng.normal(size=4)
+
+
+def _counting_luxemburg(monkeypatch):
+    import modstab.modular
+
+    calls = []
+    original = modstab.modular.luxemburg_norm
+
+    def counted(m, x, *args, **kwargs):
+        calls.append(x)
+        return original(m, x, *args, **kwargs)
+
+    monkeypatch.setattr(modstab.modular, "luxemburg_norm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", MEMOIZED, ids=lambda m: m.phi)
+def test_memo_equals_the_bisection_bit_for_bit(m):
+    norm_fn = coeff_norm_fn(m)
+    for batch in _memo_batches(31):
+        want = luxemburg_norm(m, batch)
+        first, again = norm_fn(batch), norm_fn(batch.copy())
+        assert np.array_equal(first, want) and np.array_equal(again, want)
+        assert np.shape(first) == np.shape(want)
+
+
+def test_memo_bisects_an_equal_batch_once(monkeypatch):
+    calls = _counting_luxemburg(monkeypatch)
+    norm_fn = coeff_norm_fn(MEMOIZED[0])
+    batch = np.array([[1.0, -2.0j], [0.0, 0.0], [3e-12, 4e6]])
+    first = norm_fn(batch)
+    assert norm_fn(np.array(batch.tolist())) is first
+    assert norm_fn(batch.astype(np.complex128, order="F")) is first
+    assert len(calls) == 1
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+
+
+def test_memo_bisects_a_batch_changed_in_place_again(monkeypatch):
+    calls = _counting_luxemburg(monkeypatch)
+    norm_fn = coeff_norm_fn(MEMOIZED[0])
+    batch = np.array([[1.0, 2.0], [0.5, 0.0]], dtype=np.complex128)
+    before = norm_fn(batch)
+    batch[1, 1] = 7.0
+    after = norm_fn(batch)
+    assert len(calls) == 2
+    assert before[1] == luxemburg_norm(MEMOIZED[0], [0.5, 0.0])
+    assert after[1] == luxemburg_norm(MEMOIZED[0], [0.5, 7.0]) > before[1]
+
+
+def test_memo_is_private_to_each_callable(monkeypatch):
+    calls = _counting_luxemburg(monkeypatch)
+    batch = np.array([[1.0, 2.0], [0.5, 0.25]])
+    a, b = coeff_norm_fn(MEMOIZED[1]), coeff_norm_fn(MEMOIZED[1])
+    assert np.array_equal(a(batch), b(batch))
+    assert len(calls) == 2
+    a(batch), b(batch)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("m", [NORM, POWER1, ModularSpec(kind="power", p=1.5), POWER2])
+def test_closed_form_norms_are_not_bisected(m, monkeypatch):
+    calls = _counting_luxemburg(monkeypatch)
+    norm_fn = coeff_norm_fn(m)
+    batch = np.random.default_rng(5).normal(size=(9, 3)) + 0.5j
+    q = m.p if m.kind == "power" else 2.0
+    want = (np.abs(batch) ** q).sum(axis=1) ** (1.0 / q)
+    got = norm_fn(batch)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    assert got.flags.writeable and norm_fn(batch) is not got
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -361,3 +361,32 @@ def test_checks_call_their_checkers_through_the_module(monkeypatch):
     cfg = small_stability_config(checks=["biadditivity", "bounded_orbit", "uniqueness"])
     assert run_scenario(cfg).exit_code == 0
     assert calls == ["check_biadditivity", "bounded_orbit_estimate", "check_uniqueness"]
+
+
+def _orlicz_luxemburg_config():
+    cfg = json.loads(json.dumps(builtin_scenarios()["corollary-descending-p2"]))
+    cfg["modular"] = {"kind": "orlicz", "phi": "linear", "kappa": 2.0}
+    cfg["psi"]["theta"] = 1.0
+    cfg["probes"]["count"] = 32
+    return cfg
+
+
+def test_orlicz_run_bisects_each_distinct_batch_once(monkeypatch):
+    import modstab.modular
+
+    seen = []
+    original = modstab.modular.luxemburg_norm
+
+    def counted(m, x, *args, **kwargs):
+        rows = np.ascontiguousarray(x, dtype=np.complex128)
+        seen.append((rows.shape, rows.tobytes()))
+        return original(m, x, *args, **kwargs)
+
+    monkeypatch.setattr(modstab.modular, "luxemburg_norm", counted)
+    cached = run_scenario(_orlicz_luxemburg_config())
+    assert (len(seen), len(set(seen))) == (36, 36)
+
+    monkeypatch.setattr(scenarios, "coeff_norm_fn", lambda m: lambda rows: original(m, rows))
+    uncached = run_scenario(_orlicz_luxemburg_config())
+    assert cached.exit_code == uncached.exit_code
+    assert [r.to_json() for r in cached.records] == [r.to_json() for r in uncached.records]
