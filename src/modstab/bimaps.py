@@ -232,23 +232,22 @@ def check_psi_law(psi, probes, n_levels=30, floor_ratio=1e-9, tol=1e-9):
     The scaled sequence (psi(2^n x, 2^n y)/2^n ascending, 2^n psi(x/2^n,
     x/2^n) descending) must decrease monotonically while it sits above a
     noise floor of floor_ratio times its start value; values below the
-    floor count as converged to zero.
+    floor count as converged to zero.  One psi call evaluates all levels
+    on the stacked scaled probes, row by row, as per-level calls would.
     """
     X, Y = probes.x, probes.y
+    s = 2.0 ** np.arange(n_levels + 1)[:, None]
     if psi.direction == "ascending":
+        sx, sy = ((s[:, :, None] * V).reshape(-1, V.shape[1]) for V in (X, Y))
+        seq = psi(sx, sy).reshape(s.size, -1) / s
         margins = psi(2.0 * X, 2.0 * X) - 2.0 * psi.L * psi(X, X)
     else:
+        sx = (X / s[:, :, None]).reshape(-1, X.shape[1])
+        seq = s * psi(sx, sx).reshape(s.size, -1)
         margins = psi(X, X) - (psi.L / 2.0) * psi(2.0 * X, 2.0 * X)
     witness = int(np.argmax(margins))
     law_margin = float(margins[witness])
 
-    seq = np.empty((n_levels + 1, X.shape[0]))
-    for n in range(n_levels + 1):
-        s = 2.0**n
-        if psi.direction == "ascending":
-            seq[n] = psi(s * X, s * Y) / s
-        else:
-            seq[n] = s * psi(X / s, X / s)
     start = seq[0]
     floor = floor_ratio * start
     live = seq[:-1] > floor[None, :]

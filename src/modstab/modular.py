@@ -13,9 +13,9 @@ The Luxemburg norm of a convex modular, inf{lam > 0 : rho(x/lam) <= 1},
 is computed by bracketing bisection; the monotonicity of lam -> rho(x/lam)
 makes the predicate exact to bisect.  A batch of rows is bisected in
 lockstep, one modular evaluation per step for all rows still open.  The
-callable from ``coeff_norm_fn`` bisects each distinct batch once over its
-own lifetime, which is one scenario run, and returns the stored norms for
-a repeated one.
+callable from ``coeff_norm_fn`` bisects each distinct row once over its
+own lifetime, which is one scenario run, and reads a repeated row's norm
+from its memo.
 
 Everything here is sampled verification: the checkers quantify over
 caller-supplied finite sample sets and report worst margins, never over
@@ -110,43 +110,40 @@ def eval_modular(m, x, dim=None):
 
 
 def coeff_norm_fn(m):
-    """Row-wise Luxemburg norm of ``m`` as a fast batch callable.
+    """Row-wise Luxemburg norm of ``m`` for one vector (a float) or an
+    (n, dim) batch (an (n,) array), like ``luxemburg_norm``.
 
     norm and power kinds have closed forms (the l2 / lp norms, which the
-    bisection oracle reproduces); orlicz kinds bisect the whole batch in
-    one ``luxemburg_norm`` call.  The orlicz callable remembers every
-    batch it has bisected, keyed by the exact shape and bytes of the rows,
-    for as long as the callable lives (one run: ``build_psi`` makes one
-    per run and every envelope derived from it shares it), and returns
-    the stored result, read-only, for an equal batch.  A batch changed in
-    place after a call is a new key and is bisected again.
+    bisection oracle reproduces).  The orlicz callable remembers the norm
+    of every row it has bisected, keyed by the row's exact bytes, for as
+    long as the callable lives (one run: ``build_psi`` makes one per run
+    and every envelope derived from it shares it).  It bisects a batch's
+    unseen rows, once each, in one ``luxemburg_norm`` call, which gives
+    every row the norm it would get alone.
     """
     if m.kind == "norm":
-        return lambda rows: _kernels.rho_norm(np.asarray(rows, dtype=np.complex128).reshape(len(rows), -1))
-    if m.kind == "power":
-        p = m.p
+        batch_norm = _kernels.rho_norm
+    elif m.kind == "power":
+        def batch_norm(rows):
+            return _kernels.rho_power(rows, m.p) ** (1.0 / m.p)
+    else:
+        memo = {}
 
-        def _lp(rows):
-            rows = np.asarray(rows, dtype=np.complex128)
-            return _kernels.rho_power(rows, p) ** (1.0 / p)
+        def batch_norm(rows):
+            rows = np.ascontiguousarray(rows)
+            # each row's exact bytes, not a digest: a collision would return a wrong norm
+            keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+            fresh = {key: i for i, key in enumerate(keys) if key not in memo}
+            if fresh:
+                memo.update(zip(fresh, luxemburg_norm(m, rows[list(fresh.values())]).tolist()))
+            return np.array([memo[key] for key in keys], dtype=float)
 
-        return _lp
+    def norm_fn(x):
+        rows, single = _as_rows(x)
+        out = batch_norm(rows)
+        return float(out[0]) if single else out
 
-    cache = {}
-
-    def _bisected(rows):
-        rows = np.ascontiguousarray(rows, dtype=np.complex128)
-        # the exact bytes, not a digest: a collision would return a wrong norm
-        key = (rows.shape, rows.tobytes())
-        out = cache.get(key)
-        if out is None:
-            out = luxemburg_norm(m, rows)
-            if isinstance(out, np.ndarray):
-                out.flags.writeable = False
-            cache[key] = out
-        return out
-
-    return _bisected
+    return norm_fn
 
 
 def luxemburg_norm(m, x, tol=1e-12):

@@ -8,9 +8,11 @@ from modstab import (
     PsiEnvelope,
     RhoTildeWeight,
     check_psi_law,
+    coeff_norm_fn,
     draw_probes,
     eval_modular,
     iterate_evaluator,
+    luxemburg_norm,
     matrix_unit,
     ModularSpec,
     mul,
@@ -18,6 +20,7 @@ from modstab import (
     rho_tilde,
     rho_tilde_contraction_margin,
 )
+from modstab.bimaps import PsiLawReport
 
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
@@ -201,6 +204,61 @@ def test_psi_law_zero_envelope_trivially_ok():
     psi = PsiEnvelope(theta=0.0, p=0.5, direction="ascending")
     probes = draw_probes(4, 32, 1.0, seed=4)
     assert check_psi_law(psi, probes).passed
+
+
+def _psi_law_per_level(psi, probes, n_levels=30, floor_ratio=1e-9, tol=1e-9):
+    """The psi law as one psi call per level: the reference the stacked
+    check_psi_law must match bit for bit."""
+    X, Y = probes.x, probes.y
+    if psi.direction == "ascending":
+        margins = psi(2.0 * X, 2.0 * X) - 2.0 * psi.L * psi(X, X)
+    else:
+        margins = psi(X, X) - (psi.L / 2.0) * psi(2.0 * X, 2.0 * X)
+    witness = int(np.argmax(margins))
+    law_margin = float(margins[witness])
+    seq = np.empty((n_levels + 1, X.shape[0]))
+    for n in range(n_levels + 1):
+        s = 2.0**n
+        if psi.direction == "ascending":
+            seq[n] = psi(s * X, s * Y) / s
+        else:
+            seq[n] = s * psi(X / s, X / s)
+    start = seq[0]
+    floor = floor_ratio * start
+    live = seq[:-1] > floor[None, :]
+    monotone = np.all((seq[1:] <= seq[:-1] * (1.0 + 1e-12)) | ~live)
+    shrunk = (start == 0.0) | (seq[-1] < start) | (seq[-1] <= floor)
+    decay_ok = bool(monotone and np.all(shrunk))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(start > 0.0, seq[-1] / start, 0.0)
+    decay_ratio = float(np.max(ratios) ** (1.0 / n_levels)) if np.any(start > 0) else 0.0
+    return PsiLawReport(law_margin, witness, decay_ok, decay_ratio, (law_margin <= tol) and decay_ok)
+
+
+PSI_LAW_MODULARS = [
+    ModularSpec(kind="norm"),
+    ModularSpec(kind="power", p=1.5),
+    ModularSpec(kind="orlicz", phi="linear"),
+    ModularSpec(kind="orlicz", phi="exp_minus_one"),
+]
+
+
+@pytest.mark.parametrize("radius", [1.0, 1e4])
+@pytest.mark.parametrize("direction, p", [("ascending", 0.5), ("descending", 2.0)])
+@pytest.mark.parametrize("m", PSI_LAW_MODULARS, ids=["norm", "power-1.5", "orlicz-linear", "orlicz-exp"])
+def test_psi_law_stacked_equals_per_level_bit_for_bit(m, direction, p, radius):
+    probes = draw_probes(4, 32, radius, seed=19)
+    assert not np.any(probes.x[probes.mandatory["zero"]])
+    # the reference bisects every call afresh; the checked envelope has the memo
+    plain = (lambda rows: luxemburg_norm(m, rows)) if m.kind == "orlicz" else coeff_norm_fn(m)
+    want = _psi_law_per_level(PsiEnvelope(p=p, direction=direction, norm_fn=plain), probes)
+    got = check_psi_law(PsiEnvelope(p=p, direction=direction, norm_fn=coeff_norm_fn(m)), probes)
+    assert got == want
+
+    def floats(r):
+        return np.array([r.law_margin, r.decay_ratio]).tobytes()
+
+    assert floats(got) == floats(want)
 
 
 # --- probe sets -------------------------------------------------------------

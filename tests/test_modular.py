@@ -228,17 +228,64 @@ def test_memo_equals_the_bisection_bit_for_bit(m):
         assert np.shape(first) == np.shape(want)
 
 
-def test_memo_bisects_an_equal_batch_once(monkeypatch):
+def _row_bytes(batch):
+    return sorted(r.tobytes() for r in np.ascontiguousarray(batch, dtype=np.complex128))
+
+
+def test_memo_bisects_a_seen_row_never_again(monkeypatch):
     calls = _counting_luxemburg(monkeypatch)
     norm_fn = coeff_norm_fn(MEMOIZED[0])
     batch = np.array([[1.0, -2.0j], [0.0, 0.0], [3e-12, 4e6]])
     first = norm_fn(batch)
-    assert norm_fn(np.array(batch.tolist())) is first
-    assert norm_fn(batch.astype(np.complex128, order="F")) is first
     assert len(calls) == 1
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = 0.0
+    perm = [2, 0, 1]
+    for again, want in (
+        (np.array(batch.tolist()), first),
+        (batch.astype(np.complex128, order="F"), first),
+        (batch[perm], first[perm]),
+    ):
+        assert norm_fn(again).tobytes() == want.tobytes()
+    assert len(calls) == 1
+
+
+def test_memo_bisects_only_the_unseen_rows_in_one_call(monkeypatch):
+    calls = _counting_luxemburg(monkeypatch)
+    norm_fn = coeff_norm_fn(MEMOIZED[2])
+    seen = np.array([[1.0, 2.0j], [0.5, 0.0], [0.0, 0.0]])
+    norm_fn(seen)
+    unseen = np.array([[3.0, 0.25], [1e-9j, 7.0], [2.0, -1.0]])
+    mixed = np.concatenate([unseen[:1], seen[::-1], unseen[1:]])
+    got = norm_fn(mixed)
+    assert len(calls) == 2
+    assert _row_bytes(calls[1]) == _row_bytes(unseen)
+    assert got.tobytes() == luxemburg_norm(MEMOIZED[2], mixed).tobytes()
+
+
+def test_memo_bisects_a_row_repeated_in_one_batch_once(monkeypatch):
+    calls = _counting_luxemburg(monkeypatch)
+    norm_fn = coeff_norm_fn(MEMOIZED[1])
+    row = np.array([0.75, -1.5j, 2.0])
+    batch = np.array([row, 2.0 * row, row, row])
+    got = norm_fn(batch)
+    assert len(calls) == 1
+    assert _row_bytes(calls[0]) == _row_bytes(batch[:2])
+    assert got.tobytes() == luxemburg_norm(MEMOIZED[1], batch).tobytes()
+
+
+@pytest.mark.parametrize(
+    "m", [NORM, ModularSpec(kind="power", p=1.5), MEMOIZED[0]], ids=["norm", "power-1.5", "orlicz-linear"]
+)
+def test_norm_callable_takes_a_vector_or_a_batch(m):
+    norm_fn = coeff_norm_fn(m)
+    v = np.array([3.0, 4.0])
+    one = norm_fn(v)
+    assert isinstance(one, float)
+    assert one == pytest.approx(luxemburg_norm(m, v), rel=1e-11)
+    batch = np.array([v, 2.0 * v, np.zeros(2)])
+    many = norm_fn(batch)
+    assert isinstance(many, np.ndarray) and many.shape == (3,)
+    assert many[0] == one and many[2] == 0.0
+    assert many[1] == pytest.approx(2.0 * one, rel=1e-11)
 
 
 def test_memo_bisects_a_batch_changed_in_place_again(monkeypatch):
