@@ -507,7 +507,7 @@ def _parse_stability(cfg, name, seed_override, probes_override):
                 if direction == "descending" and pert.p <= 1.0:
                     raise ConfigError("descending runs need a power_env exponent p > 1")
             # one table of scaled iterates, read by calibration, the
-            # iteration and the uniqueness reruns
+            # iteration and the uniqueness check
             table = LevelTable(bimap, StabilizeConfig(
                 direction=direction,
                 probes=probes,
@@ -657,9 +657,7 @@ def _bounded_orbit(run):
 
 
 def _uniqueness(run):
-    rep = check_uniqueness(
-        run.bimap, run.psi, run.rho_fn, run.table.cfg, weight_kind=run.weight_kind, table=run.table
-    )
+    rep = check_uniqueness(run.outcome, run.rho_fn, run.table.cfg, run.table)
     return [run.record({"check": "uniqueness", "max_disagreement": rep.max_disagreement,
                         "variants": [list(v) for v in rep.variants]}, rep.passed)]
 

@@ -3,7 +3,7 @@ modular distance between successive candidates drops below tolerance,
 freeze the bi-additive limit, and instrument every quantitative claim
 made about the iteration on the way."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,6 +205,14 @@ class LevelTable:
         return vals
 
 
+def _level_rho(table, rho_fn, n):
+    """Per-probe rho(T[n] - T[n-1]), aborting on a non-finite value."""
+    diff_rho = rho_fn(table[n] - table[n - 1])
+    if not np.isfinite(diff_rho).all():
+        raise NonFiniteValueError("non-finite modular value", level=n)
+    return diff_rho
+
+
 def stabilize(
     d,
     psi,
@@ -213,7 +221,6 @@ def stabilize(
     weight_kind="psi_xx_z0",
     kappa=2.0,
     telescoping=True,
-    start_level=0,
     skip_psi_check=False,
     table=None,
 ):
@@ -226,7 +233,8 @@ def stabilize(
     of successive differences; the stopping rule deliberately uses the
     plain probe-sup so zero-weight boundary probes cannot produce 0/0.
     Levels are read from ``table`` (a LevelTable of d and cfg), or from a
-    fresh one when none is given.
+    fresh one when none is given.  A run iterates once: ``check_uniqueness``
+    reads its reruns off the outcome's ``sup_rho_deltas``.
     """
     if not getattr(d, "zero_boundary", True):
         raise PreconditionError("the map must vanish on the axes (zero_boundary)")
@@ -244,71 +252,51 @@ def stabilize(
     else:
         table.check(d, cfg)
     X, Z = cfg.probes.x, cfg.probes.z
-    weight = RhoTildeWeight(psi=psi, kind=weight_kind)
-    weights = weight.values(X, Z)
+    weights = RhoTildeWeight(psi=psi, kind=weight_kind).values(X, Z)
 
     v_origin = table[0]  # the unscaled map, reference for bound/telescoping
     hyers_vals = hyers_bound(psi, X, Z)
 
     telescope = None
-    if telescoping and start_level == 0:
+    if telescoping:
         telescope = _Telescope(
             _auto_telescope_form(cfg.direction, weight_kind), psi, X, Z, kappa
         )
 
-    v_prev = table[start_level]
     levels = []
-    sup_deltas = []
-    rt_deltas = []
-    converged = False
-    frozen = start_level
-
-    for n in range(start_level + 1, cfg.n_max + 1):
-        v = table[n]
-        diff_rho = rho_fn(v - v_prev)
-        if not np.isfinite(diff_rho).all():
-            raise NonFiniteValueError("non-finite modular value", level=n)
+    for n in range(1, cfg.n_max + 1):
+        diff_rho = _level_rho(table, rho_fn, n)
         sup_delta = float(np.max(diff_rho))
         rt_delta = rho_tilde_tabulated(diff_rho, weights)
         tel_kappa = tel_final = None
         if telescope is not None:
-            defect = rho_fn(v - v_origin)
+            defect = rho_fn(table[n] - v_origin)
             tel_kappa = float(np.max(defect - telescope.majorant(n)))
             tel_final = float(np.max(defect - telescope.final))
-        sup_deltas.append(sup_delta)
-        rt_deltas.append(rt_delta)
-        levels.append(
-            LevelDiag(
-                level=n,
-                sup_rho_delta=sup_delta,
-                rho_tilde_delta=rt_delta,
-                telescoping_kappa_margin=tel_kappa,
-                telescoping_final_margin=tel_final,
-            )
-        )
-        v_prev = v
-        frozen = n
+        levels.append(LevelDiag(n, sup_delta, rt_delta, tel_kappa, tel_final))
         if sup_delta < cfg.tol:
-            converged = True
             break
 
-    bound_margin = float(np.max(rho_fn(v_prev - v_origin) - hyers_vals))
+    # n_max >= 1, so the loop ran: it froze at its last level
+    frozen, converged = len(levels), sup_delta < cfg.tol
+    rt_deltas = [lv.rho_tilde_delta for lv in levels]
+    bound_margin = float(np.max(rho_fn(table[frozen] - v_origin) - hyers_vals))
     contraction = estimate_contraction(rt_deltas) if len(rt_deltas) >= 3 else 0.0
     return StabilizeOutcome(
         D=iterate_evaluator(d, cfg.direction, frozen),
         N_converged=frozen,
         converged=converged,
         per_iter_deltas=rt_deltas,
-        sup_rho_deltas=sup_deltas,
+        sup_rho_deltas=[lv.sup_rho_delta for lv in levels],
         contraction_estimate=contraction,
         bound_margin=bound_margin,
         levels=levels,
-        iterates=np.array([table[n] for n in range(start_level, frozen + 1)]),
+        iterates=np.array([table[n] for n in range(frozen + 1)]),
         weights=weights,
     )
 
 
-# check_uniqueness reruns the extraction from start levels 1..3
+# check_uniqueness reads the reruns from start levels 1..3 off the run's deltas
 UNIQUENESS_START_LEVELS = 3
 
 
@@ -319,33 +307,39 @@ class UniquenessReport:
     variants: tuple
 
 
-def check_uniqueness(d, psi, rho_fn, cfg, weight_kind="psi_xx_z0", table=None):
-    """Re-run the extraction from shifted starting levels and perturbed
-    level caps; all limit candidates must agree on the probes.  Every run
-    reads its levels from one LevelTable (``table``, or a fresh one), and
-    each limit on the probes is the table's level it froze at."""
-    if table is None:
-        table = LevelTable(d, cfg)
-    base = stabilize(
-        d, psi, rho_fn, cfg, weight_kind=weight_kind, telescoping=False, table=table
-    )
-    base_vals = table[base.N_converged]
-    runs = [(f"start={s}", cfg, s) for s in range(1, UNIQUENESS_START_LEVELS + 1)]
-    runs += [
-        (f"n_max={n}", replace(cfg, n_max=max(1, n)), 0)
-        for n in (cfg.n_max - 5, cfg.n_max + 5)
-    ]
+def check_uniqueness(outcome, rho_fn, cfg, table):
+    """Reruns of the extraction from start levels 1..3 and with level caps
+    n_max -/+ 5 must freeze at limits that agree with the run's on the probes.
+
+    ``outcome`` is ``stabilize``'s result on ``table`` with ``rho_fn``.  A
+    rerun walks the same levels, so it is read off the outcome's deltas
+    d_n = max rho(T[n] - T[n-1]), not run: from level s with cap m it
+    freezes at the first n in (s, m] with d_n < cfg.tol, else at max(s, m),
+    or at the last level below the magnitude cap.  Deltas past the run's
+    stop are computed from the table, for the levels a rerun reads.
+    """
+    table.check(table.d, cfg)
+    deltas = list(outcome.sup_rho_deltas)  # deltas[n - 1] = d_n
+
+    def freeze(start, cap):  # (level, values) of a rerun's limit
+        try:
+            for n in range(start + 1, cap + 1):
+                while len(deltas) < n:  # past the run's stop
+                    deltas.append(float(np.max(_level_rho(table, rho_fn, len(deltas) + 1))))
+                if deltas[n - 1] < cfg.tol:
+                    return n, table[n]
+            return max(start, cap), table[max(start, cap)]
+        except OverflowAbort as e:
+            return e.level - 1, table[e.level - 1]
+
+    base_vals = table[outcome.N_converged]
+    runs = [(f"start={s}", s, cfg.n_max) for s in range(1, UNIQUENESS_START_LEVELS + 1)]
+    runs += [(f"n_max={m}", 0, m) for m in (max(1, cfg.n_max - 5), cfg.n_max + 5)]
     variants = []
-    worst = 0.0
-    for tag, run_cfg, start in runs:
-        out = stabilize(
-            d, psi, rho_fn, run_cfg,
-            weight_kind=weight_kind, telescoping=False,
-            start_level=start, skip_psi_check=True, table=table,
-        )
-        gap = float(np.max(rho_fn(table[out.N_converged] - base_vals)))
-        worst = max(worst, gap)
-        variants.append((tag, out.N_converged, gap))
+    for tag, start, cap in runs:
+        n, vals = freeze(start, cap)
+        variants.append((tag, n, float(np.max(rho_fn(vals - base_vals)))))
+    worst = max(0.0, *(gap for _, _, gap in variants))
     return UniquenessReport(
         max_disagreement=worst, passed=worst <= 10.0 * cfg.tol, variants=tuple(variants)
     )

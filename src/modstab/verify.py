@@ -136,8 +136,10 @@ def check_biadditivity(f, rho_fn, probes, tol=IDENTITY_TOL):
     """Probe-sup additivity defects in each slot, using (x, y) and (z, w)
     as the increment pairs."""
     X, Y, Z, W = probes.x, probes.y, probes.z, probes.w
-    slot1 = rho_fn(f(X + Y, Z) - f(X, Z) - f(Y, Z))
-    slot2 = rho_fn(f(X, Z + W) - f(X, Z) - f(X, W))
+    # f(x, z) serves both slots; the map calls keep their order
+    fXYZ, fXZ = f(X + Y, Z), f(X, Z)
+    slot1 = rho_fn(fXYZ - fXZ - f(Y, Z))
+    slot2 = rho_fn(f(X, Z + W) - fXZ - f(X, W))
     i1, i2 = int(np.argmax(slot1)), int(np.argmax(slot2))
     s1, s2 = float(slot1[i1]), float(slot2[i2])
     return BiadditivityReport(
@@ -172,7 +174,8 @@ def check_first_slot_linearity(f, rho_fn, scalars, probes, tol=IDENTITY_TOL):
     fXZ = f(X, Z)
     out = []
     for idx, lam in enumerate(np.asarray(scalars, dtype=np.complex128)):
-        direct = float(np.max(rho_fn(f(lam * X, Z) - lam * fXZ)))
+        fLXZ = f(lam * X, Z)
+        direct = float(np.max(rho_fn(fLXZ - lam * fXZ)))
         extra = {"lam": [float(lam.real), float(lam.imag)], "direct": direct}
         worst = direct
         if abs(abs(lam) - 1.0) > 1e-12:
@@ -181,7 +184,7 @@ def check_first_slot_linearity(f, rho_fn, scalars, probes, tol=IDENTITY_TOL):
             route_vec = (M / 3.0) * (
                 f(triple.mu1 * X, Z) + f(triple.mu2 * X, Z) + f(triple.mu3 * X, Z)
             )
-            route = float(np.max(rho_fn(f(lam * X, Z) - route_vec)))
+            route = float(np.max(rho_fn(fLXZ - route_vec)))
             extra["route"] = route
             extra["M"] = M
             worst = max(direct, route)
@@ -234,13 +237,13 @@ def check_biderivation(f, rho_fn, alg, psi, probes, tol=IDENTITY_TOL, assert_slo
     X, Y, Z, W = probes.x, probes.y, probes.z, probes.w
     env = psi(X, Y) * psi(Z, W) if psi is not None else np.zeros(len(probes.x))
 
-    lhs1 = rho_fn(
-        f(mul(X, Y, alg), Z) - mul(f(X, Z), Y, alg) - mul(X, f(Y, Z), alg)
-    )
+    # f(x, z) serves both slots; the map calls keep their order
+    fXYZ, fXZ = f(mul(X, Y, alg), Z), f(X, Z)
+    lhs1 = rho_fn(fXYZ - mul(fXZ, Y, alg) - mul(X, f(Y, Z), alg))
     recs = _records("biderivation_slot1", lhs1, env, tol)
 
     lhs2 = rho_fn(
-        f(X, mul(Z, W, alg)) - mul(f(X, Z), W, alg) - mul(Z, f(X, W), alg)
+        f(X, mul(Z, W, alg)) - mul(fXZ, W, alg) - mul(Z, f(X, W), alg)
     )
     recs += _records("biderivation_slot2", lhs2, env, tol, advisory=not assert_slot2)
     return recs

@@ -132,9 +132,9 @@ class ScaledProbeCounter:
 
 
 def test_shared_table_evaluates_each_scaled_level_once():
-    # calibration, the iteration and the six uniqueness reruns read one
-    # table; the one extra level-0 call is f(x, z) inside the inequality at
-    # the scenario probes, which is not a scaled iterate
+    # calibration, the iteration and the uniqueness check read one table;
+    # the one extra level-0 call is f(x, z) inside the inequality at the
+    # scenario probes, which is not a scaled iterate
     probes = draw_probes(4, 64, 1.0, 13)
     cfg = StabilizeConfig(direction="ascending", probes=probes)
     base = random_map(13, "bounded_osc", "ascending")
@@ -147,7 +147,7 @@ def test_shared_table_evaluates_each_scaled_level_once():
     psi = proto("ascending").with_theta(theta)
     out = stabilize(d, psi, rho_rows, cfg, table=table)
     assert out.converged and out.N_converged < cfg.n_max
-    assert check_uniqueness(d, psi, rho_rows, cfg, table=table).passed
+    assert check_uniqueness(out, rho_rows, cfg, table).passed
     assert d.calls == once + Counter({0: 1})
 
 

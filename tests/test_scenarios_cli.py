@@ -363,6 +363,52 @@ def test_checks_call_their_checkers_through_the_module(monkeypatch):
     assert calls == ["check_biadditivity", "bounded_orbit_estimate", "check_uniqueness"]
 
 
+def test_ascending_builtin_iterates_once(monkeypatch):
+    # the uniqueness check reads its reruns off the run's one iteration
+    stabilize_module = sys.modules["modstab.stabilize"]
+    original = stabilize_module.stabilize
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("telescoping", True))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stabilize_module, "stabilize", counted)
+    monkeypatch.setattr(scenarios, "stabilize", counted)
+    result = run_scenario("corollary-ascending-p05")
+    assert result.exit_code == 0
+    assert calls == [True]
+    [rep] = [r.payload for r in result.records if r.payload.get("check") == "uniqueness"]
+    assert [v[1] for v in rep["variants"]] == [result.context["outcome"].N_converged] * 5
+
+
+def _ascending_iteration(**iteration):
+    cfg = json.loads(json.dumps(builtin_scenarios()["corollary-ascending-p05"]))
+    cfg["iteration"] = iteration
+    return cfg
+
+
+def test_uniqueness_rerun_stops_below_the_magnitude_cap():
+    # the iteration walks levels 0..20 under a 2^22 cap; the rerun capped at
+    # n_max + 5 = 25 stops at level 22 instead of ending the run
+    result = run_scenario(_ascending_iteration(n_max=20, tol=1e-30, magnitude_cap=2.0**22))
+    assert result.exit_code == 1
+    assert not any("error" in r.payload for r in result.records)
+    [stab] = [r for r in result.records if r.payload.get("check") == "stabilize"]
+    assert stab.payload["n_converged"] == 20 and not stab.payload["converged"]
+    assert not stab.passed
+    [uniq] = [r.payload for r in result.records if r.payload.get("check") == "uniqueness"]
+    assert [v[:2] for v in uniq["variants"]] == [
+        ["start=1", 20], ["start=2", 20], ["start=3", 20], ["n_max=15", 15], ["n_max=25", 22]]
+
+
+def test_uniqueness_labels_the_level_cap_it_ran():
+    result = run_scenario(_ascending_iteration(n_max=3))
+    [uniq] = [r.payload for r in result.records if r.payload.get("check") == "uniqueness"]
+    assert [v[:2] for v in uniq["variants"]] == [
+        ["start=1", 3], ["start=2", 3], ["start=3", 3], ["n_max=1", 1], ["n_max=8", 8]]
+
+
 def _orlicz_luxemburg_config():
     cfg = json.loads(json.dumps(builtin_scenarios()["corollary-descending-p2"]))
     cfg["modular"] = {"kind": "orlicz", "phi": "linear", "kappa": 2.0}

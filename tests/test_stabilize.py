@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from modstab import (
     stabilize,
 )
 from modstab.scenarios import builtin_scenarios, calibrate_theta, run_scenario
+from modstab.stabilize import UniquenessReport
 
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
@@ -195,10 +197,17 @@ def test_ascending_partial_sums_majorize_with_slack():
 # --- uniqueness and orbit ----------------------------------------------------
 
 
+def uniqueness(d, psi, cfg):
+    """The run's one iteration, then its uniqueness check on the same table."""
+    table = LevelTable(d, cfg)
+    out = stabilize(d, psi, rho_rows, cfg, table=table)
+    return check_uniqueness(out, rho_rows, cfg, table)
+
+
 def test_uniqueness_exact_fixture():
     d = BiMap(algebra=MATRIX2, kernel="commutator")
     cfg = asc_cfg(seed=12, tol=1e-12)
-    rep = check_uniqueness(d, asc_psi(), rho_rows, cfg)
+    rep = uniqueness(d, asc_psi(), cfg)
     assert rep.passed
     assert rep.max_disagreement <= 1e-12
 
@@ -208,8 +217,116 @@ def test_uniqueness_perturbed_fixture():
     d = BiMap(algebra=MATRIX2, kernel="commutator",
               perturbation=Perturbation("bounded_osc", eps, boundary_safe=True))
     cfg = asc_cfg(seed=13)
-    rep = check_uniqueness(d, asc_psi(theta=eps), rho_rows, cfg)
+    rep = uniqueness(d, asc_psi(theta=eps), cfg)
     assert rep.passed
+
+
+def _rerun_uniqueness_reference(d, psi, rho_fn, cfg, table):
+    # the check as six iterations on one table: the base run, three reruns
+    # from start levels 1..3 (stabilize's loop begun at that level) and the
+    # runs capped at n_max -/+ 5, each labelled with the cap it ran
+    def rerun_from(start):
+        v_prev = table[start]
+        frozen = start
+        for n in range(start + 1, cfg.n_max + 1):
+            v = table[n]
+            diff_rho = rho_fn(v - v_prev)
+            if not np.isfinite(diff_rho).all():
+                raise NonFiniteValueError("non-finite modular value", level=n)
+            v_prev = v
+            frozen = n
+            if float(np.max(diff_rho)) < cfg.tol:
+                break
+        return frozen
+
+    def capped(m):
+        return stabilize(d, psi, rho_fn, replace(cfg, n_max=m), telescoping=False,
+                         skip_psi_check=True, table=table).N_converged
+
+    base = stabilize(d, psi, rho_fn, cfg, telescoping=False, table=table).N_converged
+    runs = [(f"start={s}", rerun_from(s)) for s in (1, 2, 3)]
+    runs += [(f"n_max={m}", capped(m)) for m in (max(1, cfg.n_max - 5), cfg.n_max + 5)]
+    variants = []
+    worst = 0.0
+    for tag, n in runs:
+        gap = float(np.max(rho_fn(table[n] - table[base])))
+        worst = max(worst, gap)
+        variants.append((tag, n, gap))
+    return UniquenessReport(
+        max_disagreement=worst, passed=worst <= 10.0 * cfg.tol, variants=tuple(variants)
+    )
+
+
+def _uniqueness_fixtures():
+    eps = 0.01
+    yield "ascending", osc_map(eps), asc_psi(theta=eps)
+    yield "ascending", BiMap(algebra=MATRIX2, kernel="commutator"), asc_psi()
+    yield "descending", BiMap(
+        algebra=MATRIX2, kernel="commutator", perturbation=Perturbation("power_env", eps, p=2.0)
+    ), PsiEnvelope(theta=eps, p=2.0, direction="descending")
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6, 12, 40])
+def test_uniqueness_matches_the_reruns(n_max, tol):
+    # n_max 1..3 put a start level at or past the level cap
+    for direction, d, psi in _uniqueness_fixtures():
+        cfg = StabilizeConfig(direction=direction, probes=draw_probes(4, 48, 1.0, 17),
+                              n_max=n_max, tol=tol)
+        table, ref_table = LevelTable(d, cfg), LevelTable(d, cfg)
+        out = stabilize(d, psi, rho_rows, cfg, table=table)
+        rep = check_uniqueness(out, rho_rows, cfg, table)
+        assert rep == _rerun_uniqueness_reference(d, psi, rho_rows, cfg, ref_table)
+        # and from the same levels: no table level is read that a rerun did not read
+        assert sorted(table._levels) == sorted(ref_table._levels)
+
+
+def test_uniqueness_labels_the_cap_it_ran():
+    cfg = asc_cfg(seed=13, n_max=3)
+    rep = uniqueness(osc_map(), asc_psi(theta=0.01), cfg)
+    assert [tag for tag, _, _ in rep.variants] == [
+        "start=1", "start=2", "start=3", "n_max=1", "n_max=8"]
+    assert [n for _, n, _ in rep.variants] == [3, 3, 3, 1, 8]
+
+
+def test_uniqueness_keeps_the_non_finite_abort_past_the_run():
+    # the run stops two levels short of the level whose exponential modular
+    # overflows; the rerun capped at n_max + 5 reaches it and aborts there
+    exp_mod = ModularSpec(kind="orlicz", phi="exp_minus_one")
+
+    def rho_exp(rows):
+        return eval_modular(exp_mod, np.atleast_2d(rows))
+
+    d = BiMap(algebra=MATRIX2, kernel="commutator",
+              perturbation=Perturbation("quad_slot1", 1.0))
+    with pytest.raises(NonFiniteValueError) as exc:
+        stabilize(d, asc_psi(), rho_exp, asc_cfg(seed=22))
+    level = exc.value.level
+    cfg = asc_cfg(seed=22, n_max=level - 2)
+    table = LevelTable(d, cfg)
+    out = stabilize(d, asc_psi(), rho_exp, cfg, table=table)
+    for run_check in (lambda: check_uniqueness(out, rho_exp, cfg, table),
+                      lambda: _rerun_uniqueness_reference(d, asc_psi(), rho_exp, cfg, table)):
+        with pytest.raises(NonFiniteValueError) as exc:
+            run_check()
+        assert exc.value.level == level
+
+
+def test_uniqueness_stops_a_rerun_below_the_magnitude_cap():
+    # the cap admits level 12 and no level past it; the iteration stops at
+    # n_max = 10, and the rerun capped at 15 stops at 12 instead of aborting
+    cfg = asc_cfg(seed=13, n_max=10, tol=1e-30)
+    cap_level = 12
+    cfg = replace(cfg, magnitude_cap=2.0**cap_level * float(np.abs(cfg.probes.x).max()))
+    d = osc_map()
+    table = LevelTable(d, cfg)
+    out = stabilize(d, asc_psi(theta=0.01), rho_rows, cfg, table=table)
+    assert not out.converged
+    with pytest.raises(OverflowAbort):
+        table[cap_level + 1]
+    rep = check_uniqueness(out, rho_rows, cfg, table)
+    assert rep.variants[-1][:2] == ("n_max=15", cap_level)
+    assert not rep.passed
 
 
 def _pairwise_orbit_reference(iterates, weights, rho_fn, weight_tol=1e-15, defect_tol=1e-12):
@@ -339,9 +456,9 @@ def test_level_table_evaluates_each_level_once():
     n = out.N_converged
     assert out.converged and n > 3
     assert d.calls == Counter(range(n + 1))
-    rep = check_uniqueness(d, psi, rho_rows, cfg, table=table)
+    rep = check_uniqueness(out, rho_rows, cfg, table)
     assert rep.passed and all(v[1] == n for v in rep.variants)
-    # the six reruns and their limits on the probes read the table only
+    # the reruns and their limits on the probes read the table only
     assert d.calls == Counter(range(n + 1))
     assert table[n] is table[n] and not table[n].flags.writeable
 
@@ -356,8 +473,8 @@ def test_shared_table_equals_fresh_runs():
                  "contraction_estimate", "bound_margin", "levels"):
         assert getattr(shared, name) == getattr(fresh, name), name
     assert np.array_equal(shared.iterates, fresh.iterates)
-    assert (check_uniqueness(d, psi, rho_rows, cfg, table=table)
-            == check_uniqueness(d, psi, rho_rows, cfg))
+    assert (check_uniqueness(shared, rho_rows, cfg, table)
+            == check_uniqueness(fresh, rho_rows, cfg, LevelTable(d, cfg)))
 
 
 def test_level_table_refuses_other_iterates():
@@ -365,7 +482,7 @@ def test_level_table_refuses_other_iterates():
     d, psi = osc_map(), asc_psi(theta=0.01)
     table = LevelTable(d, cfg)
     # n_max and tol do not change the iterates
-    stabilize(d, psi, rho_rows, StabilizeConfig(
+    out = stabilize(d, psi, rho_rows, StabilizeConfig(
         direction="ascending", probes=cfg.probes, n_max=35, tol=1e-9), table=table)
     others = [
         (d, asc_cfg(seed=14)),
@@ -375,8 +492,9 @@ def test_level_table_refuses_other_iterates():
     for other_d, other in others:
         with pytest.raises(ConfigError):
             stabilize(other_d, psi, rho_rows, other, table=table)
-        with pytest.raises(ConfigError):
-            check_uniqueness(other_d, psi, rho_rows, other, table=table)
+        if other_d is d:
+            with pytest.raises(ConfigError):
+                check_uniqueness(out, rho_rows, other, table)
 
 
 def test_shared_table_keeps_the_cap_abort():

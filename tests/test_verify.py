@@ -275,3 +275,43 @@ def test_superstability_rejects_oscillation():
     rep = check_superstability(d, rho_rows, probes)
     assert not rep.is_superstable
     assert rep.sup_residual > 1e-4
+
+
+class CallCounter:
+    """Wraps a map and counts its calls."""
+
+    def __init__(self, d):
+        self.d = d
+        self.zero_boundary = d.zero_boundary
+        self.value_dim = d.value_dim
+        self.calls = 0
+
+    def __call__(self, x, z):
+        self.calls += 1
+        return self.d(x, z)
+
+
+@pytest.mark.parametrize("checker", ["biadditivity", "first_slot_linearity", "biderivation"])
+def test_checkers_evaluate_each_map_value_once(checker):
+    # one call per map value a checker's residuals name: f(x, z) is shared
+    # by both slots, and f(l x, z) by the direct and the route residuals
+    probes = draw_probes(4, 32, 1.0, seed=5)
+    d = BiMap(algebra=MATRIX2, kernel="commutator",
+              perturbation=Perturbation("bounded_osc", 0.01, boundary_safe=True))
+    counted = CallCounter(d)
+    if checker == "biadditivity":
+        assert check_biadditivity(counted, rho_rows, probes) == check_biadditivity(
+            d, rho_rows, probes)
+        n_values = 5
+    elif checker == "first_slot_linearity":
+        scalars = default_linearity_scalars(8)
+        assert check_first_slot_linearity(counted, rho_rows, scalars, probes) == (
+            check_first_slot_linearity(d, rho_rows, scalars, probes))
+        generic = int(np.sum(np.abs(np.abs(scalars) - 1.0) > 1e-12))
+        assert generic == 8
+        n_values = 1 + len(scalars) + 3 * generic
+    else:
+        assert check_biderivation(counted, rho_rows, MATRIX2, None, probes) == (
+            check_biderivation(d, rho_rows, MATRIX2, None, probes))
+        n_values = 5
+    assert counted.calls == n_values
