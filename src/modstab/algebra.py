@@ -133,11 +133,14 @@ def three_unimodular_decomposition(w):
     mu3 points along w; the residual r = w - mu3 has |r| <= 2 and splits
     symmetrically as e^{i(theta+phi)} + e^{i(theta-phi)} with theta = arg r
     and phi = arccos(|r|/2).  The tie-break theta = 0 for r = 0 keeps the
-    output deterministic.
+    output deterministic.  A non-finite w, or one outside the disc, raises
+    OutOfDiscError.
     """
     w = complex(w)
+    if not cmath.isfinite(w):
+        raise OutOfDiscError(f"w = {w} is not finite")
     if abs(w) > 3.0 + 1e-12:
-        raise OutOfDiscError(f"|w| = {abs(w):.6f} exceeds 3")
+        raise OutOfDiscError(f"|w| = {abs(w):.6g} exceeds 3")
     if w == 0:
         return UnimodularTriple(*_CUBE_ROOTS)
     ws = w

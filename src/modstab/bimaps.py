@@ -35,10 +35,6 @@ def _rows(v):
     return (a.reshape(1, -1), True) if a.ndim == 1 else (a, False)
 
 
-def _eucl(rows):
-    return np.sqrt((rows.real * rows.real + rows.imag * rows.imag).sum(axis=1))
-
-
 @dataclass(frozen=True)
 class Perturbation:
     name: str
@@ -126,17 +122,20 @@ class BiMap:
             pz = self._project(Z)
             # an overflowing term is reported by the finiteness check below,
             # not by numpy warnings
+            norm = _kernels.rho_norm
             with np.errstate(over="ignore", invalid="ignore"):
                 if g.name == "bounded_osc":
-                    term = (g.epsilon * np.sin(X.real.sum(axis=1)))[:, None] * pz
+                    term = (g.epsilon * np.sin(_kernels._row_sum(X.real)))[:, None] * pz
                 elif g.name == "quad_slot1":
+                    # numpy's complex row sum, not _row_sum: it groups width-4
+                    # rows its own way, and the payloads keep its bits
                     term = (g.epsilon * X.sum(axis=1) ** 2)[:, None] * pz
                 else:  # power_env
                     v = np.zeros(self.value_dim, dtype=np.complex128)
                     v[0] = 1.0
-                    term = (g.epsilon * (_eucl(X) ** g.p * _eucl(Z) ** g.p))[:, None] * v[None, :]
+                    term = (g.epsilon * (norm(X) ** g.p * norm(Z) ** g.p))[:, None] * v[None, :]
                 if g.boundary_safe:
-                    damp = (1.0 - np.exp(-_eucl(X) ** 2)) * (1.0 - np.exp(-_eucl(Z) ** 2))
+                    damp = (1.0 - np.exp(-norm(X) ** 2)) * (1.0 - np.exp(-norm(Z) ** 2))
                     term = damp[:, None] * term
                 out += term
         if not np.isfinite(out).all():
@@ -199,7 +198,7 @@ class PsiEnvelope:
                 f"L = {self.L} is outside (0, 1); the scaling law has no contraction there"
             )
         if self.norm_fn is None:
-            object.__setattr__(self, "norm_fn", _eucl)
+            object.__setattr__(self, "norm_fn", _kernels.rho_norm)
 
     def __call__(self, x, y):
         X, sx = _rows(x)

@@ -21,7 +21,7 @@ from .algebra import three_unimodular_decomposition
 from .errors import ConfigError, ModstabError
 from .modular import ModularSpec, luxemburg_norm
 from .report import write_report
-from .scenarios import list_builtin_scenarios, run_scenario
+from .scenarios import MAX_SAMPLE_COUNT, list_builtin_scenarios, run_scenario
 
 
 def _parse_modular(text):
@@ -105,7 +105,10 @@ def build_parser():
     run_p.add_argument("config", help="builtin scenario name or JSON config path")
     run_p.add_argument("--out", default=None, help="report path (default: stdout)")
     run_p.add_argument("--seed-override", type=int, default=None)
-    run_p.add_argument("--probes", type=int, default=None, help="override probe count")
+    run_p.add_argument(
+        "--probes", type=int, default=None,
+        help=f"override probe count (at most {MAX_SAMPLE_COUNT})",
+    )
     run_p.add_argument("--quiet", action="store_true")
     run_p.set_defaults(func=_cmd_run)
 

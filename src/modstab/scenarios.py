@@ -73,6 +73,9 @@ from .verify import (
 CALIBRATION_EXTRA_COUNT = 10_000
 CALIBRATION_SAFETY = 1.05
 CALIBRATION_SEED_OFFSET = 104_729
+# the largest probe or axiom sample count a run accepts (--probes, probes.count,
+# samples.count); a larger one is a config error before any array is drawn
+MAX_SAMPLE_COUNT = 100_000
 
 
 def _complex_of(value, label):
@@ -81,6 +84,13 @@ def _complex_of(value, label):
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
     raise ConfigError(f"{label} must be a number or an [re, im] pair")
+
+
+def _sample_count(override, section, default):
+    count = int(override if override is not None else section.get("count", default))
+    if count > MAX_SAMPLE_COUNT:
+        raise ConfigError(f"sample count {count} exceeds the limit of {MAX_SAMPLE_COUNT}")
+    return count
 
 
 def build_algebra(cfg):
@@ -479,7 +489,7 @@ def _parse_stability(cfg, name, seed_override, probes_override):
 
         probes_cfg = cfg.get("probes", {})
         seed = int(seed_override if seed_override is not None else probes_cfg.get("seed", 0))
-        count = int(probes_override if probes_override is not None else probes_cfg.get("count", 512))
+        count = _sample_count(probes_override, probes_cfg, 512)
         probes = draw_probes(algebra.dim, count, float(probes_cfg.get("radius", 1.0)), seed)
 
         checks = list(cfg.get("checks", []))
@@ -599,8 +609,10 @@ def _inequality_B(run):
 
 
 def _stability_bound(run):
+    # d and its limit D on the probes are levels 0 and N of the run's table
+    limit = run.table[run.outcome.N_converged]
     return run.check_records(check_stability_bound(
-        run.bimap, run.outcome.D, run.psi, run.rho_fn, run.probes, corollary_theta=run.psi.theta
+        run.table[0], limit, run.psi, run.rho_fn, run.probes, corollary_theta=run.psi.theta
     ))
 
 
@@ -702,7 +714,7 @@ def _run_axioms(cfg, name, seed_override, probes_override):
     with _reading_config():
         samples_cfg = cfg.get("samples", {})
         seed = int(seed_override if seed_override is not None else samples_cfg.get("seed", 0))
-        count = int(probes_override if probes_override is not None else samples_cfg.get("count", 10_000))
+        count = _sample_count(probes_override, samples_cfg, 10_000)
         radius = float(samples_cfg.get("radius", 1.0))
         dim = int(samples_cfg.get("dim", 4))
         fixtures = [

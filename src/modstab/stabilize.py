@@ -355,7 +355,8 @@ def bounded_orbit_estimate(iterates, weights, rho_fn, weight_tol=1e-15, defect_t
     for i in range(len(iterates) - 1):
         # one modular call per level i, over every later level j
         diffs = iterates[i] - iterates[i + 1:]
-        vals = rho_fn(diffs.reshape(-1, diffs.shape[-1])).reshape(diffs.shape[:2])
+        m, n, k = diffs.shape  # explicit: -1 cannot be inferred at value_dim 0
+        vals = rho_fn(diffs.reshape(m * n, k)).reshape(m, n)
         if np.any(~active & (vals > defect_tol)):
             return float("inf")
         if np.any(active):

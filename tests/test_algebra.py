@@ -143,6 +143,22 @@ def test_decompose_out_of_disc():
         three_unimodular_decomposition(3.1)
 
 
+@pytest.mark.parametrize(
+    "w", [complex("nan"), complex(0.0, float("nan")), complex("inf"), complex(1.0, -float("inf"))],
+    ids=["nan", "nan-imag", "inf", "inf-imag"],
+)
+def test_decompose_rejects_non_finite(w):
+    # abs(nan) > 3 is False, so the disc test alone would pass a NaN through
+    with pytest.raises(OutOfDiscError, match="not finite"):
+        three_unimodular_decomposition(w)
+
+
+def test_decompose_out_of_disc_message_is_short():
+    with pytest.raises(OutOfDiscError) as err:
+        three_unimodular_decomposition(complex(1e308, 1e308))
+    assert str(err.value) == "|w| = 1.41421e+308 exceeds 3"
+
+
 def test_decompose_deterministic():
     a = three_unimodular_decomposition(0.3 - 1.1j)
     b = three_unimodular_decomposition(0.3 - 1.1j)

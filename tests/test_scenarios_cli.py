@@ -202,6 +202,19 @@ def test_cli_decompose_out_of_disc(capsys):
     assert cli_main(["decompose", "4", "0"]) == 2
 
 
+@pytest.mark.parametrize("args", [["nan", "0"], ["0", "nan"], ["inf", "0"], ["1", "inf"]])
+def test_cli_decompose_non_finite_exits_two(args, capsys):
+    assert cli_main(["decompose", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
+def test_cli_decompose_out_of_disc_message(capsys):
+    assert cli_main(["decompose", "1e308", "1e308"]) == 2
+    assert capsys.readouterr().err == "error: |w| = 1.41421e+308 exceeds 3\n"
+
+
 def test_cli_run_builtin_to_file(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     code = cli_main(["run", "superstability-commutator", "--out", str(out), "--quiet"])
@@ -380,6 +393,96 @@ def test_ascending_builtin_iterates_once(monkeypatch):
     assert calls == [True]
     [rep] = [r.payload for r in result.records if r.payload.get("check") == "uniqueness"]
     assert [v[1] for v in rep["variants"]] == [result.context["outcome"].N_converged] * 5
+
+
+def test_stability_bound_evaluates_no_map_block_again(monkeypatch):
+    # d(x, z) and its limit D(x, z) are levels 0 and N of the run's table:
+    # the check makes no map call, and its records are those of a fresh
+    # evaluation of both
+    from modstab.bimaps import BiMap
+    from modstab.verify import check_stability_bound
+
+    during, in_check = [], []  # per map call: was the check running?
+    original_call = BiMap.__call__
+
+    def counted_call(self, x, z):
+        during.append(bool(in_check))
+        return original_call(self, x, z)
+
+    def checked(*args, **kwargs):
+        in_check.append(True)
+        try:
+            return check_stability_bound(*args, **kwargs)
+        finally:
+            in_check.pop()
+
+    monkeypatch.setattr(BiMap, "__call__", counted_call)
+    monkeypatch.setattr(scenarios, "check_stability_bound", checked)
+    result = run_scenario("corollary-ascending-p05")
+    assert result.exit_code == 0
+    assert during and not any(during)
+    monkeypatch.undo()
+
+    ctx = result.context
+    probes, psi = ctx["probes"], ctx["psi"]
+    X, Z = probes.x, probes.z
+    fresh = check_stability_bound(ctx["bimap"](X, Z), ctx["outcome"].D(X, Z), psi, ctx["rho_fn"],
+                                  probes, corollary_theta=psi.theta)
+    want = [json.dumps({"check": r.check_name, "probe_id": r.probe_id, "lhs": r.lhs,
+                        "rhs": r.rhs, "margin": r.margin, **r.extra}) for r in fresh]
+    got = [json.dumps(r.payload) for r in result.records
+           if r.payload.get("check") == "stability_bound"]
+    assert got == want and len(got) == len(probes)
+
+
+def test_map_into_a_zero_dimensional_value_space_runs():
+    # every modular of an empty row is 0; the row reductions and stacked
+    # sweeps must not trip over the empty value axis
+    cfg = small_stability_config(
+        map={"kernel": {"form": "tensor", "value_dim": 0, "tensor": []}},
+        checks=["inequality_A", "stability_bound", "first_slot_linearity", "bounded_orbit",
+                "uniqueness"],
+    )
+    cfg["psi"]["theta"] = 1.0
+    result = run_scenario(cfg)
+    assert result.exit_code == 0
+    assert not any("error" in r.payload for r in result.records)
+
+
+def _huge_count(where):
+    if where == "probes.count":
+        cfg = small_stability_config()
+        cfg["probes"]["count"] = scenarios.MAX_SAMPLE_COUNT + 1
+    else:
+        cfg = json.loads(json.dumps(builtin_scenarios()["axioms-suite"]))
+        cfg["samples"]["count"] = 10**11
+    return cfg
+
+
+@pytest.mark.parametrize("where", ["--probes", "probes.count", "samples.count"])
+def test_sample_count_past_the_limit_exits_two_before_drawing(where, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("drew samples")
+
+    monkeypatch.setattr(scenarios, "draw_probes", refuse)
+    monkeypatch.setattr(scenarios, "draw_axiom_samples", refuse)
+    out = tmp_path / "report.jsonl"
+    if where == "--probes":
+        argv = ["run", "lemma-falsifier", "--probes", "100000000000"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_huge_count(where)))
+        argv = ["run", str(path)]
+    assert cli_main(argv + ["--out", str(out), "--quiet"]) == 2
+    lines = [json.loads(line) for line in out.read_text().strip().splitlines()]
+    assert len(lines) == 2 and lines[1]["stage"] == "config" and not lines[1]["pass"]
+    assert "exceeds the limit of 100000" in lines[1]["payload"]["error"]
+
+
+def test_sample_count_at_the_limit_is_accepted():
+    limit = scenarios.MAX_SAMPLE_COUNT
+    assert scenarios._sample_count(None, {"count": limit}, 512) == limit
+    assert scenarios._sample_count(limit, {"count": 10**12}, 512) == limit
 
 
 def _ascending_iteration(**iteration):

@@ -415,7 +415,8 @@ def test_random_calibrated_fixtures_satisfy_the_bound(seed):
     cfg = StabilizeConfig(direction="ascending", probes=probes)
     out = stabilize(d, psi, rho_rows, cfg)
     assert out.converged
-    recs = check_stability_bound(d, out.D, psi, rho_rows, probes)
+    X, Z = probes.x, probes.z
+    recs = check_stability_bound(d(X, Z), out.D(X, Z), psi, rho_rows, probes)
     assert all(r.margin <= 1e-9 for r in recs)
     rep = check_biadditivity(out.D, rho_rows, probes, tol=1e-8)
     assert rep.passed

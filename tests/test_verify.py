@@ -3,6 +3,7 @@ import pytest
 
 from modstab import (
     BiMap,
+    CheckRecord,
     ModularSpec,
     Perturbation,
     PreconditionError,
@@ -22,6 +23,7 @@ from modstab import (
     preset,
     stabilize,
 )
+from modstab.algebra import three_unimodular_decomposition
 from modstab.scenarios import calibrate_theta
 
 MATRIX2 = preset("matrix2")
@@ -184,6 +186,64 @@ def test_conjugation_fails_at_imaginary_unit():
     assert bad.lhs == pytest.approx(expected, abs=1e-12)
 
 
+def _linearity_per_scalar(f, rho_fn, scalars, probes, tol=1e-10):
+    """The sweep as one map call per scalar and per route term: the oracle
+    of the stacked sweep."""
+    X, Z = probes.x, probes.z
+    fXZ = f(X, Z)
+    out = []
+    for idx, lam in enumerate(np.asarray(scalars, dtype=np.complex128)):
+        fLXZ = f(lam * X, Z)
+        direct = float(np.max(rho_fn(fLXZ - lam * fXZ)))
+        extra = {"lam": [float(lam.real), float(lam.imag)], "direct": direct}
+        worst = direct
+        if abs(abs(lam) - 1.0) > 1e-12:
+            M = int(np.floor(4.0 * abs(lam))) + 1
+            triple = three_unimodular_decomposition(3.0 * lam / M)
+            route_vec = (M / 3.0) * (
+                f(triple.mu1 * X, Z) + f(triple.mu2 * X, Z) + f(triple.mu3 * X, Z)
+            )
+            route = float(np.max(rho_fn(fLXZ - route_vec)))
+            extra["route"] = route
+            extra["M"] = M
+            worst = max(direct, route)
+        out.append(CheckRecord("first_slot_linearity", idx, worst, 0.0, worst, worst <= tol,
+                               extra=extra))
+    return out
+
+
+@pytest.mark.parametrize("modular", [NORM, ModularSpec(kind="power", p=1.5),
+                                     ModularSpec(kind="orlicz", phi="exp_minus_one")],
+                         ids=["norm", "power1.5", "orlicz-exp"])
+def test_stacked_linearity_equals_per_scalar_calls_bit_for_bit(modular):
+    def rho_fn(rows):
+        return eval_modular(modular, np.atleast_2d(rows))
+
+    tensor3 = np.random.default_rng(31).normal(size=(4, 4, 3)) + 0j
+    maps = [
+        (BiMap(algebra=MATRIX2, kernel="commutator",
+               perturbation=Perturbation("bounded_osc", 0.01, boundary_safe=True)), 4),
+        (BiMap(algebra=MATRIX2, kernel="commutator",
+               perturbation=Perturbation("power_env", 0.01, p=0.5)), 4),
+        (BiMap(algebra=MATRIX2, kernel="tensor", tensor=tensor3,
+               perturbation=Perturbation("quad_slot1", 0.3)), 4),
+        (BiMap(algebra=COMPLEX, kernel="conjugate_product"), 1),
+    ]
+    # generic scalars of modulus 0, 3 and 4, an exact corner, and the defaults
+    scalars = np.concatenate([default_linearity_scalars(5), [0.0, 3.0, -4.0j, 1j]])
+    for f, dim in maps:
+        for radius in (1.0, 1e3):
+            probes = draw_probes(dim, 40, radius, seed=6)
+            want = _linearity_per_scalar(f, rho_fn, scalars, probes)
+            got = check_first_slot_linearity(f, rho_fn, scalars, probes)
+            assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+def test_linearity_with_no_scalars_is_empty():
+    probes = draw_probes(4, 32, 1.0, seed=3)
+    assert check_first_slot_linearity(random_tensor_map(2), rho_rows, [], probes) == []
+
+
 # --- stability bound -----------------------------------------------------------
 
 
@@ -191,7 +251,8 @@ def test_stability_bound_trivial_for_exact_limit():
     probes = draw_probes(4, 48, 1.0, seed=11)
     d = BiMap(algebra=MATRIX2, kernel="commutator")
     psi = PsiEnvelope(theta=1.0, p=0.5, direction="ascending")
-    recs = check_stability_bound(d, d, psi, rho_rows, probes)
+    dxz = d(probes.x, probes.z)
+    recs = check_stability_bound(dxz, dxz, psi, rho_rows, probes)
     assert all(r.passed for r in recs)
     assert all(r.margin <= 0.0 for r in recs)
 
@@ -208,7 +269,8 @@ def test_stability_bound_flags_oversized_perturbation():
                 perturbation=Perturbation("bounded_osc", 0.5, boundary_safe=True))
     cfg = StabilizeConfig(direction="ascending", probes=probes)
     out = stabilize(big, psi, rho_rows, cfg, telescoping=False)
-    recs = check_stability_bound(big, out.D, psi, rho_rows, probes)
+    X, Z = probes.x, probes.z
+    recs = check_stability_bound(big(X, Z), out.D(X, Z), psi, rho_rows, probes)
     assert any(r.margin > 0 for r in recs)
 
 
@@ -216,7 +278,8 @@ def test_stability_bound_corollary_constant_reported():
     probes = draw_probes(4, 32, 1.0, seed=13)
     d = BiMap(algebra=MATRIX2, kernel="commutator")
     psi = PsiEnvelope(theta=1.0, p=0.5, direction="ascending")
-    recs = check_stability_bound(d, d, psi, rho_rows, probes, corollary_theta=1.0)
+    dxz = d(probes.x, probes.z)
+    recs = check_stability_bound(dxz, dxz, psi, rho_rows, probes, corollary_theta=1.0)
     assert all("corollary_rhs" in r.extra for r in recs)
 
 
@@ -277,41 +340,45 @@ def test_superstability_rejects_oscillation():
     assert rep.sup_residual > 1e-4
 
 
-class CallCounter:
-    """Wraps a map and counts its calls."""
+class RowCounter:
+    """Wraps a map and counts its calls and the rows it evaluates."""
 
     def __init__(self, d):
         self.d = d
         self.zero_boundary = d.zero_boundary
         self.value_dim = d.value_dim
         self.calls = 0
+        self.rows = 0
 
     def __call__(self, x, z):
         self.calls += 1
+        self.rows += len(x)
         return self.d(x, z)
 
 
 @pytest.mark.parametrize("checker", ["biadditivity", "first_slot_linearity", "biderivation"])
 def test_checkers_evaluate_each_map_value_once(checker):
-    # one call per map value a checker's residuals name: f(x, z) is shared
-    # by both slots, and f(l x, z) by the direct and the route residuals
+    # one probe block of rows per map value a checker's residuals name:
+    # f(x, z) is shared by both slots, and f(l x, z) by the direct and the
+    # route residuals; the linearity sweep stacks its blocks into 3 calls
     probes = draw_probes(4, 32, 1.0, seed=5)
     d = BiMap(algebra=MATRIX2, kernel="commutator",
               perturbation=Perturbation("bounded_osc", 0.01, boundary_safe=True))
-    counted = CallCounter(d)
+    counted = RowCounter(d)
     if checker == "biadditivity":
         assert check_biadditivity(counted, rho_rows, probes) == check_biadditivity(
             d, rho_rows, probes)
-        n_values = 5
+        n_values, n_calls = 5, 5
     elif checker == "first_slot_linearity":
         scalars = default_linearity_scalars(8)
         assert check_first_slot_linearity(counted, rho_rows, scalars, probes) == (
             check_first_slot_linearity(d, rho_rows, scalars, probes))
         generic = int(np.sum(np.abs(np.abs(scalars) - 1.0) > 1e-12))
         assert generic == 8
-        n_values = 1 + len(scalars) + 3 * generic
+        n_values, n_calls = 1 + len(scalars) + 3 * generic, 3
     else:
         assert check_biderivation(counted, rho_rows, MATRIX2, None, probes) == (
             check_biderivation(d, rho_rows, MATRIX2, None, probes))
-        n_values = 5
-    assert counted.calls == n_values
+        n_values, n_calls = 5, 5
+    assert counted.rows == n_values * len(probes)
+    assert counted.calls == n_calls
