@@ -201,9 +201,11 @@ class PsiEnvelope:
             object.__setattr__(self, "norm_fn", _kernels.rho_norm)
 
     def __call__(self, x, y):
+        """psi row by row; psi(x, x) with one array object takes its norms once."""
         X, sx = _rows(x)
-        Y, _ = _rows(y)
-        out = np.sqrt(self.theta) * (self.norm_fn(X) ** self.p + self.norm_fn(Y) ** self.p)
+        nx = self.norm_fn(X) ** self.p
+        ny = nx if y is x else self.norm_fn(_rows(y)[0]) ** self.p
+        out = np.sqrt(self.theta) * (nx + ny)
         return float(out[0]) if sx else out
 
     def with_theta(self, theta):
@@ -231,19 +233,26 @@ def check_psi_law(psi, probes, n_levels=30, floor_ratio=1e-9, tol=1e-9):
     The scaled sequence (psi(2^n x, 2^n y)/2^n ascending, 2^n psi(x/2^n,
     x/2^n) descending) must decrease monotonically while it sits above a
     noise floor of floor_ratio times its start value; values below the
-    floor count as converged to zero.  One psi call evaluates all levels
-    on the stacked scaled probes, row by row, as per-level calls would.
+    floor count as converged to zero.  psi evaluates the levels on the
+    stacked scaled probes, in blocks of at most ``_kernels.BLOCK_ROWS``
+    rows, row by row, as per-level calls would.
     """
     X, Y = probes.x, probes.y
+    n, dim = X.shape
     s = 2.0 ** np.arange(n_levels + 1)[:, None]
+    seq = np.empty((s.size, n))
+    for b in _kernels.row_blocks(s.size, n):
+        if psi.direction == "ascending":
+            sx, sy = ((s[b, :, None] * V).reshape(-1, dim) for V in (X, Y))
+            seq[b] = psi(sx, sy).reshape(seq[b].shape) / s[b]
+        else:
+            sx = (X / s[b, :, None]).reshape(-1, dim)
+            seq[b] = s[b] * psi(sx, sx).reshape(seq[b].shape)
+    X2 = 2.0 * X
     if psi.direction == "ascending":
-        sx, sy = ((s[:, :, None] * V).reshape(-1, V.shape[1]) for V in (X, Y))
-        seq = psi(sx, sy).reshape(s.size, -1) / s
-        margins = psi(2.0 * X, 2.0 * X) - 2.0 * psi.L * psi(X, X)
+        margins = psi(X2, X2) - 2.0 * psi.L * psi(X, X)
     else:
-        sx = (X / s[:, :, None]).reshape(-1, X.shape[1])
-        seq = s * psi(sx, sx).reshape(s.size, -1)
-        margins = psi(X, X) - (psi.L / 2.0) * psi(2.0 * X, 2.0 * X)
+        margins = psi(X, X) - (psi.L / 2.0) * psi(X2, X2)
     witness = int(np.argmax(margins))
     law_margin = float(margins[witness])
 

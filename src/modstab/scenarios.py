@@ -211,14 +211,20 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which, n_levels):
 def calibrate_theta(
     bimap, psi_proto, rho_fn, s, probes, which="A", n_levels=40,
     extra_count=CALIBRATION_EXTRA_COUNT, safety=CALIBRATION_SAFETY, table=None,
+    probe_parts=None,
 ):
     """Smallest theta (times a safety factor) for which the inequality
     holds on the enlarged family; raises if a zero-envelope tuple carries a
     genuine defect, since no amplitude can repair that.
 
-    The scaled degenerate family is read from levels 0..n_levels of
-    ``table`` (the run's LevelTable, or a fresh one of the map and probes)
-    and stops at the magnitude cap."""
+    ``probe_parts`` are the inequality's (lhs, rhs) on ``probes`` when the
+    caller already has them (a run shares them with its inequality check).
+    The random family is evaluated in ``_kernels.row_blocks``; a row's
+    value does not depend on its block, and neither the max nor the refusal
+    depends on the order, so theta has the bits of one wide batch.  The
+    scaled degenerate family is read from levels 0..n_levels of ``table``
+    (the run's LevelTable, or a fresh one of the map and probes) and stops
+    at the magnitude cap."""
     psi1 = psi_proto.with_theta(1.0)
     if table is None:
         table = LevelTable(bimap, StabilizeConfig(direction=psi_proto.direction, probes=probes))
@@ -227,12 +233,16 @@ def calibrate_theta(
     seed = probes.seed + CALIBRATION_SEED_OFFSET
     extra = draw_probes(bimap.algebra.dim, max(extra_count, 17), probes.radius, seed)
 
+    def need_unit(x, y, z, w, lam, parts=None):
+        if parts is None:
+            parts = inequality_parts(bimap, rho_fn, s, x, y, z, w, lam, which=which)
+        lhs, rhs0 = parts
+        return lhs - rhs0, psi1(x, y) * psi1(z, w)
+
     def family():
-        for fam in (probes, extra):
-            lhs, rhs0 = inequality_parts(
-                bimap, rho_fn, s, fam.x, fam.y, fam.z, fam.w, fam.lam, which=which
-            )
-            yield lhs - rhs0, psi1(fam.x, fam.y) * psi1(fam.z, fam.w)
+        yield need_unit(probes.x, probes.y, probes.z, probes.w, probes.lam, probe_parts)
+        for b in _kernels.row_blocks(len(extra)):
+            yield need_unit(extra.x[b], extra.y[b], extra.z[b], extra.w[b], extra.lam[b])
         yield from _scaled_degenerate_family(table, psi1, rho_fn, which, n_levels)
 
     required = 0.0
@@ -450,14 +460,31 @@ class _Run(_Scenario):
     checks: list
     assert_slot2: bool
     outcome: object = None
+    parts: dict = field(default_factory=dict)  # which -> inequality_parts on the probes
 
     def rho_fn(self, rows):
         return eval_modular(self.modular, np.atleast_2d(rows))
+
+    def probe_parts(self, which):
+        """(lhs, rhs) of inequality ``which`` on the run's probes, evaluated
+        once per run: calibration and the inequality check share them."""
+        if which not in self.parts:
+            p = self.probes
+            self.parts[which] = inequality_parts(
+                self.bimap, self.rho_fn, self.s, p.x, p.y, p.z, p.w, p.lam, which=which
+            )
+        return self.parts[which]
 
     @property
     def target(self):
         """The extracted limit when the run iterated, else the map itself."""
         return self.outcome.D if self.outcome is not None else self.bimap
+
+    @property
+    def limit_vals(self):
+        """The limit on the probes, level N of the table, when the run
+        iterated; else None (the checks evaluate the map itself)."""
+        return self.table[self.outcome.N_converged] if self.outcome is not None else None
 
     @property
     def d_tol(self):
@@ -546,7 +573,7 @@ def _calibrate(run):
         n_levels = run.table.cfg.n_max if run.table is not None else 40
         theta = calibrate_theta(
             run.bimap, run.psi, run.rho_fn, run.s, run.probes,
-            which=which, n_levels=n_levels, table=run.table,
+            which=which, n_levels=n_levels, table=run.table, probe_parts=run.probe_parts(which),
         )
         run.psi = run.psi.with_theta(theta)
 
@@ -601,23 +628,28 @@ def _iterate(run):
 
 
 def _inequality_A(run):
-    return run.check_records(check_inequality_A(run.bimap, run.rho_fn, run.s, run.psi, run.probes))
+    return run.check_records(check_inequality_A(
+        run.bimap, run.rho_fn, run.s, run.psi, run.probes, parts=run.probe_parts("A")
+    ))
 
 
 def _inequality_B(run):
-    return run.check_records(check_inequality_B(run.bimap, run.rho_fn, run.s, run.psi, run.probes))
+    return run.check_records(check_inequality_B(
+        run.bimap, run.rho_fn, run.s, run.psi, run.probes, parts=run.probe_parts("B")
+    ))
 
 
 def _stability_bound(run):
     # d and its limit D on the probes are levels 0 and N of the run's table
-    limit = run.table[run.outcome.N_converged]
     return run.check_records(check_stability_bound(
-        run.table[0], limit, run.psi, run.rho_fn, run.probes, corollary_theta=run.psi.theta
+        run.table[0], run.limit_vals, run.psi, run.rho_fn, run.probes,
+        corollary_theta=run.psi.theta,
     ))
 
 
 def _biadditivity(run):
-    rep = check_biadditivity(run.target, run.rho_fn, run.probes, tol=run.d_tol)
+    rep = check_biadditivity(run.target, run.rho_fn, run.probes, tol=run.d_tol,
+                             fxz=run.limit_vals)
     return [
         run.record({"check": f"biadditivity_{slot}", "residual": sup, "witness": wit,
                     "tol": run.d_tol}, sup <= run.d_tol)
@@ -629,7 +661,8 @@ def _biadditivity(run):
 def _first_slot_linearity(run):
     scalars = default_linearity_scalars(run.probes.seed + 3)
     return run.check_records(
-        check_first_slot_linearity(run.target, run.rho_fn, scalars, run.probes, tol=run.d_tol)
+        check_first_slot_linearity(run.target, run.rho_fn, scalars, run.probes, tol=run.d_tol,
+                                   fxz=run.limit_vals)
     )
 
 
@@ -644,8 +677,7 @@ def _superstability(run):
     records = [run.record({"check": "superstability", "sup_residual": rep.sup_residual},
                           rep.is_superstable)]
     if rep.is_superstable and run.outcome is not None:
-        limit = run.table[run.outcome.N_converged]
-        gap = float(np.max(run.rho_fn(limit - run.table[0])))
+        gap = float(np.max(run.rho_fn(run.limit_vals - run.table[0])))
         records.append(run.record({"check": "superstability_certificate", "limit_gap": gap},
                                   gap <= 1e-12))
     return records

@@ -114,11 +114,11 @@ class _Telescope:
             X = self.X
             zero = np.zeros_like(X)
             if self.form == "ascending":
-                s = 2.0 ** (i - 1)
-                self._terms[i] = self.psi(s * X, s * X)
+                u = 2.0 ** (i - 1) * X
+                self._terms[i] = self.psi(u, u)
             elif self.form == "kappa_both_slots":
-                s = 2.0 if i == 1 else 2.0**i
-                self._terms[i] = self.psi(X / s, X / s)
+                u = X / (2.0 if i == 1 else 2.0**i)
+                self._terms[i] = self.psi(u, u)
             elif self.form == "kappa_first_zero":
                 s = 1.0 if i == 1 else 2.0 ** (i - 1)
                 self._terms[i] = self.psi(X / s, zero)

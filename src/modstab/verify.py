@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import row_blocks
 from .algebra import mul, sample_unit_circle, three_unimodular_decomposition
 from .errors import ConfigError, PreconditionError
 from .stabilize import hyers_bound
@@ -88,22 +89,27 @@ def inequality_parts(f, rho_fn, s, X, Y, Z, W, lam, which="A"):
     return lhs, rhs
 
 
-def check_inequality_A(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL):
+def check_inequality_A(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL, parts=None):
     """Four-point defect against the s-weighted average plus envelope.
 
     lhs = rho( f(l(x+y), z+w) + f(l(x+y), z-w) + f(l(x-y), z+w)
              + f(l(x-y), z-w) - 4 l f(x,z) )
     rhs = rho( 4s [ f((x+y)/2, z-w) + f((x-y)/2, z+w) - f(x,z) + f(y,w) ] )
         + psi(x,y) psi(z,w)        (envelope omitted when psi is None)
+
+    ``parts`` are ``inequality_parts``' (lhs, rhs) on the probes when the
+    caller already has them.
     """
     X, Y, Z, W = probes.x, probes.y, probes.z, probes.w
-    lhs, rhs = inequality_parts(f, rho_fn, s, X, Y, Z, W, probes.lam, which="A")
+    if parts is None:
+        parts = inequality_parts(f, rho_fn, s, X, Y, Z, W, probes.lam, which="A")
+    lhs, rhs = parts
     if psi is not None:
         rhs = rhs + psi(X, Y) * psi(Z, W)
     return _records("inequality_A", lhs, rhs, tol)
 
 
-def check_inequality_B(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL):
+def check_inequality_B(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL, parts=None):
     """Mirror of inequality A with the s-weight on the four-point side.
 
     lhs = rho( 4 [ f(l(x+y)/2, z-w) + f(l(x-y)/2, z+w)
@@ -114,10 +120,12 @@ def check_inequality_B(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL):
     The bracket vanishes identically for bi-additive maps that are
     unimodular-homogeneous in the first slot, and specializing y = w = 0
     reduces the left side to rho(8 f(x/2, z) - 4 f(x, z)), the seed of the
-    descending defect table.
+    descending defect table.  ``parts`` as for inequality A.
     """
     X, Y, Z, W = probes.x, probes.y, probes.z, probes.w
-    lhs, rhs = inequality_parts(f, rho_fn, s, X, Y, Z, W, probes.lam, which="B")
+    if parts is None:
+        parts = inequality_parts(f, rho_fn, s, X, Y, Z, W, probes.lam, which="B")
+    lhs, rhs = parts
     if psi is not None:
         rhs = rhs + psi(X, Y) * psi(Z, W)
     return _records("inequality_B", lhs, rhs, tol)
@@ -132,12 +140,14 @@ class BiadditivityReport:
     passed: bool
 
 
-def check_biadditivity(f, rho_fn, probes, tol=IDENTITY_TOL):
+def check_biadditivity(f, rho_fn, probes, tol=IDENTITY_TOL, fxz=None):
     """Probe-sup additivity defects in each slot, using (x, y) and (z, w)
-    as the increment pairs."""
+    as the increment pairs.  ``fxz`` is f(x, z) on the probes when the
+    caller already has it (a run's level table does)."""
     X, Y, Z, W = probes.x, probes.y, probes.z, probes.w
     # f(x, z) serves both slots; the map calls keep their order
-    fXYZ, fXZ = f(X + Y, Z), f(X, Z)
+    fXYZ = f(X + Y, Z)
+    fXZ = f(X, Z) if fxz is None else fxz
     slot1 = rho_fn(fXYZ - fXZ - f(Y, Z))
     slot2 = rho_fn(f(X, Z + W) - fXZ - f(X, W))
     i1, i2 = int(np.argmax(slot1)), int(np.argmax(slot2))
@@ -162,7 +172,7 @@ def default_linearity_scalars(seed=0):
 
 
 def _first_slot_stack(f, scalars, X, Z):
-    """f(c x, z) for every scalar c in one map call, as a (len(scalars), n,
+    """f(c x, z) for the scalars c in one map call, as a (len(scalars), n,
     value_dim) stack; a row's value does not depend on its batch."""
     vals = f((scalars[:, None, None] * X).reshape(-1, X.shape[1]), np.tile(Z, (len(scalars), 1)))
     return vals.reshape(len(scalars), X.shape[0], vals.shape[1])
@@ -174,32 +184,41 @@ def _sup_rho(rho_fn, stack):
     return rho_fn(stack.reshape(m * n, k)).reshape(m, n).max(axis=1)
 
 
-def check_first_slot_linearity(f, rho_fn, scalars, probes, tol=IDENTITY_TOL):
+def check_first_slot_linearity(f, rho_fn, scalars, probes, tol=IDENTITY_TOL, fxz=None):
     """Homogeneity f(l x, z) = l f(x, z) per scalar.
 
     Unimodular scalars are checked directly.  Generic scalars additionally
     go through the constructive route: pick an integer M > 4|l|, decompose
     3l/M into unimodular mu1+mu2+mu3, and compare f(l x, z) against
     (M/3) [f(mu1 x, z) + f(mu2 x, z) + f(mu3 x, z)].  Both residuals are
-    recorded; the pass verdict takes the worse of the two.  f(l x, z) is
-    evaluated for all scalars in one map call and the route values in a
-    second, each followed by one modular call.
+    recorded; the pass verdict takes the worse of the two.  The scalars go
+    through the map in stacked calls of at most ``_kernels.BLOCK_ROWS``
+    rows, as many scalars (or routes) per call as fit, each call followed
+    by one modular call.  ``fxz`` is f(x, z) on the probes when the caller
+    already has it (a run's level table does).
     """
     X, Z = probes.x, probes.z
+    n = X.shape[0]
     lams = np.asarray(scalars, dtype=np.complex128).reshape(-1)
-    generic = [i for i, lam in enumerate(lams) if abs(abs(lam) - 1.0) > 1e-12]
-    Ms = [int(np.floor(4.0 * abs(lams[i]))) + 1 for i in generic]
-    mus = [three_unimodular_decomposition(3.0 * lams[i] / M).as_array()
-           for i, M in zip(generic, Ms)]
-    fXZ = f(X, Z)
-    fLXZ = _first_slot_stack(f, lams, X, Z)
-    direct = _sup_rho(rho_fn, fLXZ - lams[:, None, None] * fXZ)
-    routes = {}  # index of a generic scalar -> (route residual, M)
-    if generic:
-        fMU = _first_slot_stack(f, np.concatenate(mus), X, Z).reshape(len(generic), 3, *fXZ.shape)
-        route_vec = (np.array(Ms) / 3.0)[:, None, None] * (fMU[:, 0] + fMU[:, 1] + fMU[:, 2])
-        route = _sup_rho(rho_fn, fLXZ[generic] - route_vec)
-        routes = dict(zip(generic, zip(route.tolist(), Ms)))
+    is_generic = np.array([abs(abs(lam) - 1.0) > 1e-12 for lam in lams], dtype=bool)
+    generic = np.flatnonzero(is_generic).tolist()
+    Ms = np.array([int(np.floor(4.0 * abs(lams[i]))) + 1 for i in generic])
+    mus = np.array([three_unimodular_decomposition(3.0 * lams[i] / M).as_array()
+                    for i, M in zip(generic, Ms)]).reshape(len(generic), 3)
+    fXZ = f(X, Z) if fxz is None else fxz
+    direct = np.empty(len(lams))
+    kept = []  # f(l x, z) of the generic scalars, for their routes
+    for b in row_blocks(len(lams), n):
+        fL = _first_slot_stack(f, lams[b], X, Z)
+        direct[b] = _sup_rho(rho_fn, fL - lams[b, None, None] * fXZ)
+        kept.append(fL[is_generic[b]])
+    fLXZ = np.concatenate(kept) if generic else None
+    route = np.empty(len(generic))
+    for b in row_blocks(len(generic), 3 * n):
+        fMU = _first_slot_stack(f, mus[b].reshape(-1), X, Z).reshape(len(Ms[b]), 3, *fXZ.shape)
+        route_vec = (Ms[b] / 3.0)[:, None, None] * (fMU[:, 0] + fMU[:, 1] + fMU[:, 2])
+        route[b] = _sup_rho(rho_fn, fLXZ[b] - route_vec)
+    routes = dict(zip(generic, zip(route.tolist(), Ms.tolist())))  # scalar index -> (route, M)
     out = []
     for idx, lam in enumerate(lams):
         worst = float(direct[idx])

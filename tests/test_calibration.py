@@ -26,6 +26,7 @@ from modstab import (
     preset,
     stabilize,
 )
+from modstab._kernels import BLOCK_ROWS
 from modstab.scenarios import CALIBRATION_SAFETY, CALIBRATION_SEED_OFFSET, calibrate_theta
 from modstab.verify import inequality_parts
 
@@ -164,3 +165,36 @@ def test_calibration_refuses_a_table_of_other_iterates():
         with pytest.raises(ConfigError, match="level table"):
             calibrate_theta(other_d, psi0, rho_rows, 0.5, other_probes, extra_count=EXTRA,
                             table=table)
+
+
+@pytest.mark.parametrize("direction, which", [("ascending", "A"), ("descending", "B")])
+def test_theta_from_blocks_of_the_random_family_equals_one_batch(direction, which):
+    # a random family wider than BLOCK_ROWS is evaluated block by block; the
+    # reference evaluates it as one batch
+    extra = 2 * BLOCK_ROWS + 5
+    d = random_map(403, "power_env", direction)
+    probes = draw_probes(4, 64, 1.0, 403)
+    psi0 = proto(direction)
+    got = calibrate_theta(d, psi0, rho_rows, 0.5, probes, which=which, extra_count=extra)
+    assert got == _scaled_family_reference(d, psi0, rho_rows, 0.5, probes, which,
+                                           extra_count=extra)
+
+
+def test_given_probe_parts_are_not_evaluated_again():
+    probes = draw_probes(4, 64, 1.0, 404)
+    d = random_map(404, "bounded_osc", "ascending")
+    parts = inequality_parts(d, rho_rows, 0.5, probes.x, probes.y, probes.z, probes.w,
+                             probes.lam, which="A")
+    seen = []
+
+    def counted(x, z):
+        seen.append(len(x))
+        return d(x, z)
+
+    counted.algebra, counted.zero_boundary = d.algebra, d.zero_boundary
+    theta = calibrate_theta(counted, proto("ascending"), rho_rows, 0.5, probes, which="A",
+                            extra_count=EXTRA, probe_parts=parts)
+    assert theta == calibrate_theta(d, proto("ascending"), rho_rows, 0.5, probes, which="A",
+                                    extra_count=EXTRA)
+    # the random family's 8 map calls and the table's 41 levels; no probe-family call
+    assert seen == [EXTRA] * 8 + [len(probes)] * 41

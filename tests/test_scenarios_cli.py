@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from modstab import builtin_scenarios, list_builtin_scenarios, run_scenario, scenarios
+from modstab._kernels import BLOCK_ROWS, row_blocks
 from modstab.cli import main as cli_main
 from modstab.report import SCHEMA
 
@@ -540,3 +541,47 @@ def test_orlicz_run_bisects_each_distinct_row_once(monkeypatch):
     uncached = run_scenario(_orlicz_luxemburg_config())
     assert cached.exit_code == uncached.exit_code
     assert [r.to_json() for r in cached.records] == [r.to_json() for r in uncached.records]
+
+
+STABILITY_BUILTINS = [name for name, cfg in builtin_scenarios().items()
+                      if cfg.get("kind", "stability") == "stability"]
+
+
+@pytest.mark.parametrize("name", STABILITY_BUILTINS)
+def test_no_map_call_is_wider_than_a_row_block(name, monkeypatch):
+    # calibration's random family and the linearity stacks go through the
+    # map in blocks of at most BLOCK_ROWS rows
+    from modstab.bimaps import BiMap
+
+    widths = []
+    original_call = BiMap.__call__
+
+    def counted_call(self, x, z):
+        widths.append(len(x))
+        return original_call(self, x, z)
+
+    monkeypatch.setattr(BiMap, "__call__", counted_call)
+    result = run_scenario(name)
+    assert result.exit_code == (1 if name == "lemma-falsifier" else 0)
+    assert widths and max(widths) <= BLOCK_ROWS
+
+
+def test_calibrated_run_evaluates_its_probe_parts_once(monkeypatch):
+    # calibration and check_inequality_A share one inequality_parts call on
+    # the run's own probes; the random family adds one call per block
+    verify = sys.modules["modstab.verify"]
+    original = verify.inequality_parts
+    rows = []
+
+    def counted(f, rho_fn, s, X, *args, **kwargs):
+        rows.append(len(X))
+        return original(f, rho_fn, s, X, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "inequality_parts", counted)
+    monkeypatch.setattr(scenarios, "inequality_parts", counted)
+    result = run_scenario("corollary-ascending-p05")
+    assert result.exit_code == 0
+    n_probes = len(result.context["probes"])
+    extra = scenarios.CALIBRATION_EXTRA_COUNT
+    assert rows == [n_probes] + [b.stop - b.start for b in row_blocks(extra)]
+    assert sum(rows) == n_probes + extra

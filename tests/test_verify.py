@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from modstab import (
     preset,
     stabilize,
 )
+from modstab._kernels import BLOCK_ROWS
 from modstab.algebra import three_unimodular_decomposition
 from modstab.scenarios import calibrate_theta
 
@@ -341,37 +344,51 @@ def test_superstability_rejects_oscillation():
 
 
 class RowCounter:
-    """Wraps a map and counts its calls and the rows it evaluates."""
+    """Wraps a map and counts its calls, the rows it evaluates and the
+    probe-sized (x, z) blocks of its arguments, keyed by their bytes."""
 
-    def __init__(self, d):
+    def __init__(self, d, n):
         self.d = d
+        self.n = n
         self.zero_boundary = d.zero_boundary
         self.value_dim = d.value_dim
         self.calls = 0
         self.rows = 0
+        self.blocks = Counter()
 
     def __call__(self, x, z):
         self.calls += 1
         self.rows += len(x)
+        for b in range(0, len(x), self.n):
+            self.blocks[x[b:b + self.n].tobytes() + z[b:b + self.n].tobytes()] += 1
         return self.d(x, z)
 
 
-@pytest.mark.parametrize("checker", ["biadditivity", "first_slot_linearity", "biderivation"])
-def test_checkers_evaluate_each_map_value_once(checker):
+@pytest.mark.parametrize(
+    "checker, given",
+    [("biadditivity", False), ("first_slot_linearity", False), ("biderivation", False),
+     ("biadditivity", True), ("first_slot_linearity", True)],
+    ids=["biadditivity", "first_slot_linearity", "biderivation",
+         "biadditivity-table", "first_slot_linearity-table"],
+)
+def test_checkers_evaluate_each_map_value_once(checker, given):
     # one probe block of rows per map value a checker's residuals name:
     # f(x, z) is shared by both slots, and f(l x, z) by the direct and the
-    # route residuals; the linearity sweep stacks its blocks into 3 calls
+    # route residuals; the linearity sweep stacks its blocks into 3 calls.
+    # Given f(x, z) from a level table, a checker evaluates no (x, z) block.
     probes = draw_probes(4, 32, 1.0, seed=5)
+    X, Z = probes.x, probes.z
     d = BiMap(algebra=MATRIX2, kernel="commutator",
               perturbation=Perturbation("bounded_osc", 0.01, boundary_safe=True))
-    counted = RowCounter(d)
+    counted = RowCounter(d, len(probes))
+    fxz = {"fxz": d(X, Z)} if given else {}
     if checker == "biadditivity":
-        assert check_biadditivity(counted, rho_rows, probes) == check_biadditivity(
+        assert check_biadditivity(counted, rho_rows, probes, **fxz) == check_biadditivity(
             d, rho_rows, probes)
         n_values, n_calls = 5, 5
     elif checker == "first_slot_linearity":
         scalars = default_linearity_scalars(8)
-        assert check_first_slot_linearity(counted, rho_rows, scalars, probes) == (
+        assert check_first_slot_linearity(counted, rho_rows, scalars, probes, **fxz) == (
             check_first_slot_linearity(d, rho_rows, scalars, probes))
         generic = int(np.sum(np.abs(np.abs(scalars) - 1.0) > 1e-12))
         assert generic == 8
@@ -380,5 +397,29 @@ def test_checkers_evaluate_each_map_value_once(checker):
         assert check_biderivation(counted, rho_rows, MATRIX2, None, probes) == (
             check_biderivation(d, rho_rows, MATRIX2, None, probes))
         n_values, n_calls = 5, 5
+    if given:
+        n_values, n_calls = n_values - 1, n_calls - 1
     assert counted.rows == n_values * len(probes)
     assert counted.calls == n_calls
+    # f(1 x, z) at the corner scalar 1 is a named value of its own, though
+    # 1 x has the bytes of x
+    xz = X.tobytes() + Z.tobytes()
+    assert counted.blocks[xz] == (not given) + (checker == "first_slot_linearity")
+
+
+@pytest.mark.parametrize("n", [600, BLOCK_ROWS + 3])
+def test_linearity_in_blocks_equals_per_scalar_calls(n):
+    # 600 probes fit 3 scalars per stacked call and no route (1,800 rows);
+    # past BLOCK_ROWS probes every call takes one scalar
+    f = BiMap(algebra=MATRIX2, kernel="commutator",
+              perturbation=Perturbation("bounded_osc", 0.01, boundary_safe=True))
+    scalars = np.concatenate([default_linearity_scalars(9), [0.0, 3.0, -4.0j, 1j]])
+    probes = draw_probes(4, n, 1.0, seed=9)
+    counted = RowCounter(f, n)
+    got = check_first_slot_linearity(counted, rho_rows, scalars, probes)
+    assert [repr(r) for r in got] == [
+        repr(r) for r in _linearity_per_scalar(f, rho_rows, scalars, probes)]
+    generic = int(np.sum(np.abs(np.abs(scalars) - 1.0) > 1e-12))
+    per_call = max(1, BLOCK_ROWS // n)
+    assert counted.calls == 1 + -(-len(scalars) // per_call) + generic
+    assert counted.rows == (1 + len(scalars) + 3 * generic) * n
