@@ -324,7 +324,11 @@ def draw_probes(dim, count=512, radius=1.0, seed=0):
     half = radius / np.sqrt(2.0)
 
     def block():
-        return rng.uniform(-half, half, (count, dim)) + 1j * rng.uniform(-half, half, (count, dim))
+        # built in place, real part drawn first: no complex temporaries
+        out = np.empty((count, dim), dtype=np.complex128)
+        out.real = rng.uniform(-half, half, (count, dim))
+        out.imag = rng.uniform(-half, half, (count, dim))
+        return out
 
     x, y, z, w = block(), block(), block(), block()
     lam = np.ones(count, dtype=np.complex128)

@@ -18,7 +18,7 @@ section, all before any evaluation.  The run stages then go in order:
 calibrate, config echo, psi law, iterate; a failed psi law or a numeric
 abort while iterating ends the run.  Last, each configured check is looked
 up in the registry ``_CHECKS`` (name -> function of the run returning its
-report records).
+report records; a per-probe check returns its lines as one column block).
 """
 
 import contextlib
@@ -48,7 +48,7 @@ from .modular import (
     draw_remark_samples,
     eval_modular,
 )
-from .report import ReportRecord, exit_code_from_records, header_record
+from .report import Records, ReportBlock, ReportRecord, exit_code_from_records, header_record
 from .stabilize import (
     LevelTable,
     StabilizeConfig,
@@ -413,9 +413,14 @@ def load_config(source):
 
 @dataclass
 class RunResult:
+    """A run's exit code, report header and records.  ``records`` is a
+    ``report.Records``: a sequence of one ``ReportRecord`` per report
+    line, whose per-probe checks are held as column blocks; its length is
+    the line count, and a block's rows are built only when read."""
+
     exit_code: int
     header: dict
-    records: list
+    records: Records
     context: dict = field(default_factory=dict)
     elapsed: float = 0.0
 
@@ -501,6 +506,14 @@ class _Run(_Scenario):
             )
             for r in recs
         ]
+
+    def check_block(self, block):
+        """The report lines of a verify.CheckBlock as one block of columns,
+        with the payload keys of ``check_records``."""
+        columns = {"probe_id": block.probe_id, "lhs": block.lhs, "rhs": block.rhs,
+                   "margin": block.margin, **block.extras}
+        return ReportBlock(self.name, {"check": block.check_name}, columns, block.passed,
+                           advisory=block.advisory)
 
 
 def _parse_stability(cfg, name, seed_override, probes_override):
@@ -628,23 +641,23 @@ def _iterate(run):
 
 
 def _inequality_A(run):
-    return run.check_records(check_inequality_A(
+    return [run.check_block(check_inequality_A(
         run.bimap, run.rho_fn, run.s, run.psi, run.probes, parts=run.probe_parts("A")
-    ))
+    ))]
 
 
 def _inequality_B(run):
-    return run.check_records(check_inequality_B(
+    return [run.check_block(check_inequality_B(
         run.bimap, run.rho_fn, run.s, run.psi, run.probes, parts=run.probe_parts("B")
-    ))
+    ))]
 
 
 def _stability_bound(run):
     # d and its limit D on the probes are levels 0 and N of the run's table
-    return run.check_records(check_stability_bound(
+    return [run.check_block(check_stability_bound(
         run.table[0], run.limit_vals, run.psi, run.rho_fn, run.probes,
         corollary_theta=run.psi.theta,
-    ))
+    ))]
 
 
 def _biadditivity(run):
@@ -667,9 +680,10 @@ def _first_slot_linearity(run):
 
 
 def _biderivation(run):
-    return run.check_records(check_biderivation(
+    slots = check_biderivation(
         run.bimap, run.rho_fn, run.algebra, run.psi, run.probes, assert_slot2=run.assert_slot2
-    ))
+    )
+    return [run.check_block(block) for block in slots.items]
 
 
 def _superstability(run):
@@ -814,11 +828,12 @@ def run_scenario(source, seed_override=None, probes_override=None):
             passed=False,
         )
         header = header_record({}, seed=None, version=__version__, backend=_kernels.ACTIVE_BACKEND)
-        return RunResult(exit_code=2, header=header, records=[diag], elapsed=time.perf_counter() - t0)
+        return RunResult(exit_code=2, header=header, records=Records([diag]),
+                         elapsed=time.perf_counter() - t0)
     return RunResult(
         exit_code=exit_code_from_records(records),
         header=header,
-        records=records,
+        records=Records(records),
         context=context,
         elapsed=time.perf_counter() - t0,
     )

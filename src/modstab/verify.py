@@ -6,7 +6,9 @@ exact-scaling certificate.
 Every checker sweeps a probe set and emits one record per probe (or per
 scalar), carrying the measured left side, the majorant, and the margin;
 margin <= tolerance passes.  Identity-type checks default to 1e-10
-absolute, inequality margins to 1e-9.
+absolute, inequality margins to 1e-9.  The per-probe checkers hold their
+records as a ``CheckBlock`` of columns; the linearity check, whose rows
+carry different extra keys, builds its records one by one.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +18,7 @@ import numpy as np
 from ._kernels import row_blocks
 from .algebra import mul, sample_unit_circle, three_unimodular_decomposition
 from .errors import ConfigError, PreconditionError
+from .report import Records, Rows
 from .stabilize import hyers_bound
 
 IDENTITY_TOL = 1e-10
@@ -24,6 +27,11 @@ INEQUALITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """One check's verdict on one probe (or scalar): the measured left
+    side, the majorant, their margin, the pass bit, the advisory flag and
+    check-specific extras.  A ``CheckBlock`` builds these only when a row
+    is read."""
+
     check_name: str
     probe_id: int
     lhs: float
@@ -34,24 +42,36 @@ class CheckRecord:
     extra: dict = field(default_factory=dict)
 
 
-def _records(name, lhs, rhs, tol, advisory=False, extras=None):
-    margins = lhs - rhs
-    out = []
-    for i in range(len(lhs)):
-        extra = extras[i] if extras is not None else {}
-        out.append(
-            CheckRecord(
-                check_name=name,
-                probe_id=i,
-                lhs=float(lhs[i]),
-                rhs=float(rhs[i]),
-                margin=float(margins[i]),
-                passed=bool(margins[i] <= tol),
-                advisory=advisory,
-                extra=extra,
-            )
+class CheckBlock(Rows):
+    """The per-probe records of one check, held as columns: ``lhs``,
+    ``rhs``, ``margin`` = lhs - rhs, ``probe_id``, the pass bits
+    ``passed`` (margin <= tol), the ``advisory`` flag and ``extras``
+    (payload key -> one value per probe).  It reads as a sequence of
+    ``CheckRecord`` rows, each built only when read."""
+
+    def __init__(self, check_name, lhs, rhs, tol, advisory=False, extras=None):
+        self.check_name = check_name
+        self.lhs, self.rhs = lhs, rhs
+        self.margin = lhs - rhs
+        self.passed = self.margin <= tol
+        self.probe_id = np.arange(len(lhs))
+        self.advisory = advisory
+        self.extras = extras or {}
+
+    def __len__(self):
+        return len(self.probe_id)
+
+    def _row(self, i):
+        return CheckRecord(
+            check_name=self.check_name,
+            probe_id=i,
+            lhs=float(self.lhs[i]),
+            rhs=float(self.rhs[i]),
+            margin=float(self.margin[i]),
+            passed=bool(self.passed[i]),
+            advisory=self.advisory,
+            extra={key: float(col[i]) for key, col in self.extras.items()},
         )
-    return out
 
 
 def inequality_parts(f, rho_fn, s, X, Y, Z, W, lam, which="A"):
@@ -106,7 +126,7 @@ def check_inequality_A(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL, parts=None
     lhs, rhs = parts
     if psi is not None:
         rhs = rhs + psi(X, Y) * psi(Z, W)
-    return _records("inequality_A", lhs, rhs, tol)
+    return CheckBlock("inequality_A", lhs, rhs, tol)
 
 
 def check_inequality_B(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL, parts=None):
@@ -128,7 +148,7 @@ def check_inequality_B(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL, parts=None
     lhs, rhs = parts
     if psi is not None:
         rhs = rhs + psi(X, Y) * psi(Z, W)
-    return _records("inequality_B", lhs, rhs, tol)
+    return CheckBlock("inequality_B", lhs, rhs, tol)
 
 
 @dataclass(frozen=True)
@@ -262,8 +282,8 @@ def check_stability_bound(
         nx = psi.norm_fn(X) ** psi.p
         nz = psi.norm_fn(Z) ** psi.p
         printed = corollary_theta / denom * nx * nz
-        extras = [{"corollary_rhs": float(v)} for v in printed]
-    return _records("stability_bound", lhs, rhs, tol, extras=extras)
+        extras = {"corollary_rhs": printed}
+    return CheckBlock("stability_bound", lhs, rhs, tol, extras=extras)
 
 
 def check_biderivation(f, rho_fn, alg, psi, probes, tol=IDENTITY_TOL, assert_slot2=False):
@@ -273,7 +293,8 @@ def check_biderivation(f, rho_fn, alg, psi, probes, tol=IDENTITY_TOL, assert_slo
     symmetric residual in the second argument.  The conclusion names a
     derivation in *each* component, so the second slot is always measured
     and reported; by default only slot one is asserted (advisory slot-two
-    records), since the hypothesis constrains slot one alone.
+    records), since the hypothesis constrains slot one alone.  Returns
+    both slots as two ``CheckBlock``s in one ``Records`` sequence.
     """
     if getattr(f, "value_dim", alg.dim) != alg.dim:
         raise ConfigError("biderivation residuals need the value space to be the algebra")
@@ -283,13 +304,13 @@ def check_biderivation(f, rho_fn, alg, psi, probes, tol=IDENTITY_TOL, assert_slo
     # f(x, z) serves both slots; the map calls keep their order
     fXYZ, fXZ = f(mul(X, Y, alg), Z), f(X, Z)
     lhs1 = rho_fn(fXYZ - mul(fXZ, Y, alg) - mul(X, f(Y, Z), alg))
-    recs = _records("biderivation_slot1", lhs1, env, tol)
+    slot1 = CheckBlock("biderivation_slot1", lhs1, env, tol)
 
     lhs2 = rho_fn(
         f(X, mul(Z, W, alg)) - mul(fXZ, W, alg) - mul(Z, f(X, W), alg)
     )
-    recs += _records("biderivation_slot2", lhs2, env, tol, advisory=not assert_slot2)
-    return recs
+    slot2 = CheckBlock("biderivation_slot2", lhs2, env, tol, advisory=not assert_slot2)
+    return Records([slot1, slot2])
 
 
 @dataclass(frozen=True)
