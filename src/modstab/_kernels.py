@@ -4,16 +4,29 @@ Plain numpy, one implementation each.  ``perfbench/`` times these
 functions per row.
 
 ``batch_mul`` sums over the nonzero entries of the structure tensor with
-elementwise numpy only: ``out[k] += t[i, j, k] * (a.T[i] * b.T[j])``.
-Structure tensors are sparse (12 of 64 entries for the matrix2
-commutator), so this is 4-5x faster than ``einsum`` at the scenario
-batch size.  It deliberately avoids ``matmul`` and BLAS: a GEMM form
-needs an (n, d*d) outer-product buffer (+17% peak memory), its time
-varies with the BLAS thread pool, and BLAS routes a one-row call through
-gemv, so a row's last bit would depend on its batch.  Here every row is
-an independent, fixed-order sum, so its result is the same in any batch
-at any position, and doubling an operand doubles the product bit for
-bit, which the iteration engine relies on for exact kernel cancellation.
+elementwise numpy only: ``out[k] += t[i, j, k] * (a.T[i] * b.T[j])``, in
+the (i, j, k) order of ``np.nonzero``.  Structure tensors are sparse (12 of
+64 entries for the matrix2 commutator), so this is 4-5x faster than
+``einsum`` at the scenario batch size.  It deliberately avoids ``matmul``
+and BLAS: a GEMM form needs an (n, d*d) outer-product buffer (+17% peak
+memory), its time varies with the BLAS thread pool, and BLAS routes a
+one-row call through gemv, so a row's last bit would depend on its batch.
+Here every row is an independent, fixed-order sum, so its result is the
+same in any batch at any position, and doubling an operand doubles the
+product bit for bit, which the iteration engine relies on for exact kernel
+cancellation.
+
+The entries of one (i, j) pair are adjacent in that order, so the product
+``p = a.T[i] * b.T[j]`` is formed once per pair and shared by its k, and a
+coefficient of exactly 1 or -1 adds or subtracts p itself.  The
+commutator's 12 entries are all +-1 over 10 pairs, so a call makes 22 array
+operations instead of 36: 102 -> 68 us at 512 rows and 161 -> 104 us at
+2048 rows (median of 60 interleaved rounds on a 2-vCPU x86-64 host, Python
+3.11, numpy 2.4.6).  The bits are those of the sum with every entry
+multiplied: ``out`` starts at +0.0 and only accumulates, so it never holds
+-0.0, and p and 1 * p differ at most in the sign of a zero part, which then
+adds nothing.  Only an infinite part of p tells them apart: 1 * p turns the
+other part NaN and p leaves it as is, so the same rows are non-finite.
 
 The modular sums reduce each row with ``_row_sum``, which adds the columns
 left to right into a copy of column 0 (from +0.0, as numpy starts).  For
@@ -65,8 +78,18 @@ def batch_mul(a, b, t):
     of t's nonzero entries; returned as the transpose of a (k, n) buffer."""
     at, bt = a.T, b.T
     out = np.zeros((t.shape[2], a.shape[0]), dtype=np.result_type(a, b, t))
-    for i, j, k in zip(*np.nonzero(t)):
-        out[k] += t[i, j, k] * (at[i] * bt[j])
+    rows = list(out)  # views: rows[k] += adds in place, with no store back into out
+    nz = np.nonzero(t)
+    ij = None
+    for i, j, k, c in zip(*(v.tolist() for v in nz), t[nz]):
+        if (i, j) != ij:  # entries come in (i, j, k) order: one product per (i, j)
+            ij, p = (i, j), at[i] * bt[j]
+        if c == 1:
+            rows[k] += p
+        elif c == -1:
+            rows[k] -= p
+        else:
+            rows[k] += c * p
     return out.T
 
 

@@ -31,7 +31,9 @@ DIRECTIONS = ("ascending", "descending")
 
 
 def _rows(v):
-    a = np.asarray(v, dtype=np.complex128)
+    """(C-contiguous (n, dim) rows, whether v was one vector): a row's
+    bits then do not depend on the caller's memory layout."""
+    a = np.ascontiguousarray(v, dtype=np.complex128)
     return (a.reshape(1, -1), True) if a.ndim == 1 else (a, False)
 
 
@@ -87,6 +89,9 @@ class BiMap:
         elif self.kernel is not None:  # product, conjugate_product
             t = self.coeff * c
         object.__setattr__(self, "kernel_tensor", t)
+        g = self.perturbation
+        if g is not None and g.name == "power_env" and self.value_dim == 0:
+            raise ConfigError("power_env needs a value space with a first coordinate")
 
     @property
     def value_dim(self):
@@ -112,14 +117,15 @@ class BiMap:
             raise ConfigError("batch sizes differ")
         if X.shape[1] != self.algebra.dim or Z.shape[1] != self.algebra.dim:
             raise ConfigError("argument dimension does not match the algebra")
-        n = X.shape[0]
-        out = np.zeros((n, self.value_dim), dtype=np.complex128)
         if self.kernel_tensor is not None:
             left = np.conj(X) if self.kernel == "conjugate_product" else X
-            out += _kernels.batch_mul(left, Z, self.kernel_tensor)
+            # batch_mul sums from +0.0, so the product holds no -0.0 and needs no zero-fill
+            out = np.ascontiguousarray(_kernels.batch_mul(left, Z, self.kernel_tensor))
+        else:
+            out = np.zeros((X.shape[0], self.value_dim), dtype=np.complex128)
         g = self.perturbation
         if g is not None:
-            pz = self._project(Z)
+            pz, target = self._project(Z), out
             # an overflowing term is reported by the finiteness check below,
             # not by numpy warnings
             norm = _kernels.rho_norm
@@ -130,16 +136,16 @@ class BiMap:
                     # numpy's complex row sum, not _row_sum: it groups width-4
                     # rows its own way, and the payloads keep its bits
                     term = (g.epsilon * X.sum(axis=1) ** 2)[:, None] * pz
-                else:  # power_env
-                    v = np.zeros(self.value_dim, dtype=np.complex128)
-                    v[0] = 1.0
-                    term = (g.epsilon * (norm(X) ** g.p * norm(Z) ** g.p))[:, None] * v[None, :]
+                else:  # power_env: a real multiple of the first unit vector
+                    term = (g.epsilon * (norm(X) ** g.p * norm(Z) ** g.p))[:, None]
+                    target = out.real[:, :1]
                 if g.boundary_safe:
                     damp = (1.0 - np.exp(-norm(X) ** 2)) * (1.0 - np.exp(-norm(Z) ** 2))
-                    term = damp[:, None] * term
-                out += term
-        if not np.isfinite(out).all():
-            idx = int(np.argmax(~np.isfinite(out).all(axis=1)))
+                    term *= damp[:, None]
+                target += term
+        finite = np.isfinite(out.view(np.float64))
+        if not finite.all():
+            idx = int(np.argmax(~finite.all(axis=1)))
             raise NonFiniteValueError(
                 f"map evaluation is not finite at batch row {idx}", probe_id=idx
             )

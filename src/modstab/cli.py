@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import three_unimodular_decomposition
 from .errors import ConfigError, ModstabError
 from .modular import ModularSpec, luxemburg_norm
-from .report import write_report
+from .report import count_failures, write_report
 from .scenarios import MAX_SAMPLE_COUNT, list_builtin_scenarios, run_scenario
 
 
@@ -66,10 +66,9 @@ def _cmd_run(args):
     elif not args.quiet:
         write_report(result.header, result.records, sys.stdout)
     if not args.quiet:
-        n_fail = sum(1 for r in result.records if not r.advisory and not r.passed)
         print(
             f"# {args.config}: exit={result.exit_code} records={len(result.records)} "
-            f"failures={n_fail} elapsed={result.elapsed:.2f}s",
+            f"failures={count_failures(result.records)} elapsed={result.elapsed:.2f}s",
             file=sys.stderr,
         )
     return result.exit_code

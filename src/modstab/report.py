@@ -44,6 +44,11 @@ class ReportRecord:
     passed: bool
     advisory: bool = field(default=False)
 
+    @property
+    def n_failed(self):
+        """1 when the line fails and counts toward the exit code, else 0."""
+        return int(not self.advisory and not self.passed)
+
     def to_json(self):
         doc = _doc(self.scenario, self.stage, bool(self.passed), self.payload, self.advisory)
         return json.dumps(doc, sort_keys=True, allow_nan=True)
@@ -183,14 +188,17 @@ def _items(records):
     return records.items if isinstance(records, Records) else records
 
 
+def count_failures(records):
+    """The number of failed lines that count toward the exit code.
+    ``records`` is a ``Records`` or a list of its items; a block answers by
+    its ``n_failed``, without building its rows."""
+    return sum(r.n_failed for r in _items(records))
+
+
 def exit_code_from_records(records):
-    """0 iff every asserted record passes, else 1.  ``records`` is a
-    ``Records`` or a list of its items; a block answers by its failure
-    count, without building its rows."""
-    for r in _items(records):
-        if r.n_failed if isinstance(r, ReportBlock) else not r.advisory and not r.passed:
-            return 1
-    return 0
+    """0 iff every asserted record passes, else 1; ``records`` as for
+    ``count_failures``."""
+    return 1 if count_failures(records) else 0
 
 
 def write_report(header, records, stream):

@@ -348,17 +348,38 @@ def check_uniqueness(outcome, rho_fn, cfg, table):
 def bounded_orbit_estimate(iterates, weights, rho_fn, weight_tol=1e-15, defect_tol=1e-12):
     """Probe estimate of sup over level pairs of the induced-modular
     distance between iterates; finite orbits are what licence the
-    fixed-point extraction."""
+    fixed-point extraction.
+
+    The result is max over level pairs (i, j) and probes p of
+    rho(T_i - T_j)[p] / w[p] over the probes with weight above
+    ``weight_tol``, or +inf when a probe at or below it carries a value
+    above ``defect_tol``.  It keeps one running maximum of rho per probe
+    over all pairs (one modular call per level i, over every later level
+    j) and divides it by the weights once: correctly rounded division by
+    a positive weight is monotone, so max fl(v / w) = fl(max v / w) and
+    the result has the bits of the ratios taken pair by pair.  Those ratios
+    are maximised level by level through Python's ``max``, which passes
+    over a NaN: a NaN value counts for nothing in the defect test, and a
+    level whose weighted ratios include a NaN (a NaN value, or inf over an
+    infinite weight) adds nothing to the maximum.  Finite weights and
+    iterates give no NaN ratio; an overflowing difference gives +inf.
+    """
     iterates = np.asarray(iterates)
     active = weights > weight_tol
-    best = 0.0
+    peak = np.zeros(len(weights))
     for i in range(len(iterates) - 1):
-        # one modular call per level i, over every later level j
         diffs = iterates[i] - iterates[i + 1:]
         m, n, k = diffs.shape  # explicit: -1 cannot be inferred at value_dim 0
         vals = rho_fn(diffs.reshape(m * n, k)).reshape(m, n)
-        if np.any(~active & (vals > defect_tol)):
-            return float("inf")
-        if np.any(active):
-            best = max(best, float(np.max(vals[:, active] / weights[active])))
-    return best
+        top = vals.max(axis=0)
+        if not np.isfinite(top).all():  # a NaN or inf value: is some ratio NaN?
+            nan_ratio = np.isnan(top) | np.isinf(top) & np.isinf(weights)
+            top = np.fmax.reduce(vals, axis=0)
+            if np.any(active & nan_ratio):
+                top[active] = 0.0
+        np.fmax(peak, top, out=peak)
+    if np.any(~active & (peak > defect_tol)):
+        return float("inf")
+    if not np.any(active):
+        return 0.0
+    return float(np.max(peak[active] / weights[active]))

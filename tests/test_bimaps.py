@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modstab import _kernels
 from modstab import (
     BiMap,
     ConfigError,
@@ -15,6 +16,7 @@ from modstab import (
     luxemburg_norm,
     matrix_unit,
     ModularSpec,
+    NonFiniteValueError,
     mul,
     preset,
     rho_tilde,
@@ -133,6 +135,112 @@ def test_tensor_kernel_into_smaller_value_space():
     kernel_only = BiMap(algebra=MATRIX2, kernel="tensor", tensor=t)
     expected = kernel_only(X, Z) + 0.1 * np.sin(X.real.sum(axis=1))[:, None] * Z[:, :2]
     assert np.allclose(out, expected)
+
+
+def _map_reference(d, X, Z):
+    # the map as zeros plus the product plus a complex (n, value_dim)
+    # perturbation term, power_env's spelled out on every column
+    out = np.zeros((X.shape[0], d.value_dim), dtype=np.complex128)
+    if d.kernel_tensor is not None:
+        left = np.conj(X) if d.kernel == "conjugate_product" else X
+        out += _kernels.batch_mul(left, Z, d.kernel_tensor)
+    g = d.perturbation
+    if g is not None:
+        pz = d._project(Z)
+        norm = _kernels.rho_norm
+        if g.name == "bounded_osc":
+            term = (g.epsilon * np.sin(_kernels._row_sum(X.real)))[:, None] * pz
+        elif g.name == "quad_slot1":
+            term = (g.epsilon * X.sum(axis=1) ** 2)[:, None] * pz
+        else:
+            v = np.zeros(d.value_dim, dtype=np.complex128)
+            v[0] = 1.0
+            term = (g.epsilon * (norm(X) ** g.p * norm(Z) ** g.p))[:, None] * v[None, :]
+        if g.boundary_safe:
+            damp = (1.0 - np.exp(-norm(X) ** 2)) * (1.0 - np.exp(-norm(Z) ** 2))
+            term = damp[:, None] * term
+        out += term
+    return out
+
+
+PERTURBATIONS = [None] + [
+    Perturbation(name, eps, p=p, boundary_safe=safe)
+    for name, eps, p in (("bounded_osc", 0.3, 2.0), ("power_env", -0.2, 0.5),
+                         ("quad_slot1", 0.01, 2.0))
+    for safe in (False, True)
+]
+
+
+def _maps_with(pert):
+    rng = np.random.default_rng(24)
+    maps = [BiMap(algebra=MATRIX2, kernel=form, coeff=c, perturbation=pert)
+            for form in ("commutator", "product", "conjugate_product")
+            for c in (1.0, FORM_COEFF)]
+    for vd in (3, 4, 6):
+        t = rng.normal(size=(4, 4, vd)) + 1j * rng.normal(size=(4, 4, vd))
+        t[rng.random(t.shape) < 0.4] = rng.choice([1.0, -1.0, 0.0])
+        maps.append(BiMap(algebra=MATRIX2, kernel="tensor", tensor=t, perturbation=pert))
+    if pert is not None:
+        maps.append(BiMap(algebra=MATRIX2, kernel=None, perturbation=pert))
+    return maps
+
+
+def _rows_with_signed_zeros(rng, n):
+    a = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    a.real[rng.random((n, 4)) < 0.1] = -0.0
+    a.imag[rng.random((n, 4)) < 0.1] = -0.0
+    a[0], a[1] = 0.0, complex(-0.0, -0.0)  # rows on the axes
+    a.real[2] = -0.0
+    return a
+
+
+def _cbits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("pert", PERTURBATIONS, ids=repr)
+def test_map_matches_the_zero_filled_sum_bit_for_bit(pert):
+    rng = np.random.default_rng(25)
+    X, Z = _rows_with_signed_zeros(rng, 512), _rows_with_signed_zeros(rng, 512)
+    for d in _maps_with(pert):
+        got = d(X, Z)
+        assert got.flags.c_contiguous
+        assert np.array_equal(_cbits(got), _cbits(_map_reference(d, X, Z))), d
+        assert np.array_equal(_cbits(d(X[7], Z[7])), _cbits(got[7]))
+
+
+@pytest.mark.parametrize("pert", PERTURBATIONS, ids=repr)
+def test_map_rows_do_not_depend_on_the_argument_layout(pert):
+    # check_biderivation passes mul(X, Y), the transpose of a (4, n)
+    # buffer, as the first argument
+    rng = np.random.default_rng(26)
+    X, Y, Z = (_rows_with_signed_zeros(rng, 4096) for _ in range(3))
+    XY = mul(X, Y, MATRIX2)
+    assert not XY.flags.c_contiguous
+    for d in _maps_with(pert):
+        want = d(X, Z)
+        for x, z in ((np.asfortranarray(X), Z), (X, np.asfortranarray(Z)), (X[:, ::-1][:, ::-1], Z)):
+            assert np.array_equal(_cbits(d(x, z)), _cbits(want)), d
+        assert np.array_equal(_cbits(d(XY, Z)), _cbits(d(np.ascontiguousarray(XY), Z))), d
+
+
+def test_power_env_into_a_zero_dimensional_value_space_rejected():
+    with pytest.raises(ConfigError, match="first coordinate"):
+        BiMap(algebra=MATRIX2, kernel="tensor", tensor=np.zeros((4, 4, 0)),
+              perturbation=Perturbation("power_env", 0.1))
+
+
+@pytest.mark.parametrize("pert", [None, Perturbation("power_env", 0.1, p=400.0)], ids=repr)
+def test_map_reports_its_first_non_finite_row(pert):
+    d = BiMap(algebra=MATRIX2, kernel="commutator", perturbation=pert)
+    rng = np.random.default_rng(27)
+    X, Z = rng.normal(size=(9, 4)) + 0j, rng.normal(size=(9, 4)) + 0j
+    X[5, 1] = complex(0.0, np.inf) if pert is None else 1e3
+    X[7, 2] = complex(np.inf, 0.0) if pert is None else 1e3
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteValueError, match="batch row 5") as exc:
+            d(X, Z)
+    assert exc.value.probe_id == 5
 
 
 # --- scaling step -----------------------------------------------------------

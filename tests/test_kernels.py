@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modstab import _kernels
+from modstab import _kernels, preset
 
 
 def batches(seed, n=257, d=4):
@@ -68,6 +68,91 @@ def test_batch_mul_zero_tensor_and_empty_batch():
     _, _, t = batches(9)
     empty = np.zeros((0, 4), dtype=np.complex128)
     assert _kernels.batch_mul(empty, empty, t).shape == (0, 4)
+
+
+def _batch_mul_entry_order(a, b, t):
+    # one term t[i, j, k] * (a.T[i] * b.T[j]) per nonzero entry, in (i, j, k) order
+    at, bt = a.T, b.T
+    out = np.zeros((t.shape[2], a.shape[0]), dtype=np.result_type(a, b, t))
+    for i, j, k in zip(*np.nonzero(t)):
+        out[k] += t[i, j, k] * (at[i] * bt[j])
+    return out.T
+
+
+def _cbits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _mixed_tensor(rng, d, m):
+    # +-1 (some with a -0.0 imaginary part), 0 and generic complex entries;
+    # with m > 1 most (i, j) pairs carry several k
+    generic = rng.normal(size=(d, d, m)) + 1j * rng.normal(size=(d, d, m))
+    choices = [1.0, -1.0, complex(1.0, -0.0), complex(-1.0, -0.0), 0.0, 2.0, 1j,
+               complex(1.0, 0.5), complex(-1.0, -2.0)]
+    pick = rng.integers(0, len(choices) + 3, size=(d, d, m))
+    t = generic.copy()
+    for c, value in enumerate(choices):
+        t[pick == c] = value
+    return t
+
+
+def _signed_inputs(rng, n, d):
+    # magnitudes over 40 decades, with exact zeros of both signs in either part
+    a = (rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))) * 10.0 ** rng.integers(
+        -20, 20, size=(n, d))
+    zeros = rng.integers(0, 6, size=(n, d))
+    a.real[zeros == 0] = -0.0
+    a.imag[zeros == 1] = -0.0
+    a.real[zeros == 2] = 0.0
+    a[zeros == 3] = complex(-0.0, -0.0)
+    return a
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batch_mul_matches_the_entry_order_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(100 + seed)
+    d, m = (1, 2, 3, 4)[seed % 4], (1, 2, 4, 5)[seed // 4 % 4]
+    a, b = _signed_inputs(rng, 300, d), _signed_inputs(rng, 300, d)
+    t = _mixed_tensor(rng, d, m)
+    for left, right in ((a, b), (np.conj(a), b), (a[::-1], np.asfortranarray(b)), (a, a)):
+        got = _kernels.batch_mul(left, right, t)
+        assert np.array_equal(_cbits(got), _cbits(_batch_mul_entry_order(left, right, t)))
+    real = _kernels.batch_mul(a.real, b.real, t.real)
+    assert np.array_equal(_cbits(real), _cbits(_batch_mul_entry_order(a.real, b.real, t.real)))
+
+
+def test_batch_mul_matches_the_entry_order_loop_on_the_algebra_tensors():
+    rng = np.random.default_rng(41)
+    c = preset("matrix2").structure
+    a, b = _signed_inputs(rng, 4096, 4), _signed_inputs(rng, 4096, 4)
+    for t in (c, c - c.transpose(1, 0, 2), (0.75 - 1.25j) * c, preset("complex").structure):
+        x, z = a[:, : t.shape[0]], b[:, : t.shape[0]]
+        got = _kernels.batch_mul(x, z, t)
+        assert np.array_equal(_cbits(got), _cbits(_batch_mul_entry_order(x, z, t)))
+    commutator = c - c.transpose(1, 0, 2)
+    assert np.count_nonzero(commutator) == 12
+    assert len({(i, j) for i, j, _ in zip(*np.nonzero(commutator))}) == 10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_mul_non_finite_inputs_give_non_finite_rows(seed):
+    # +-1 coefficients add the product itself, so where a product part is
+    # infinite the other part need not turn NaN as c * p does; the rows that
+    # are not finite stay the same, and the finite rows keep their bits
+    rng = np.random.default_rng(200 + seed)
+    a, b = _signed_inputs(rng, 200, 4), _signed_inputs(rng, 200, 4)
+    for v in (a, b):
+        rows, cols = rng.integers(0, 200, 15), rng.integers(0, 4, 15)
+        v[rows, cols] = rng.choice([complex(np.inf, 0.0), complex(-np.inf, 1.0),
+                                    complex(0.0, np.inf), complex(np.inf, -np.inf)], 15)
+    t = _mixed_tensor(rng, 4, 3)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _kernels.batch_mul(a, b, t)
+        want = _batch_mul_entry_order(a, b, t)
+    bad = ~np.isfinite(want).all(axis=1)
+    assert bad.any() and not bad.all()
+    assert np.array_equal(~np.isfinite(got).all(axis=1), bad)
+    assert np.array_equal(_cbits(got[~bad]), _cbits(want[~bad]))
 
 
 # --- _row_sum and the row norms built on it ------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -227,6 +228,26 @@ def test_cli_run_builtin_to_file(tmp_path, capsys):
     body = [json.loads(l) for l in lines[1:]]
     assert all({"scenario", "stage", "pass", "payload"} <= set(doc) for doc in body)
     assert body[0]["stage"] == "config"
+
+
+def _failed_lines(path):
+    docs = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    return sum(1 for doc in docs if not doc["pass"] and not doc.get("advisory", False))
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()) + ["missing.json"])
+def test_cli_failure_count_is_the_per_line_count(name, tmp_path, capsys):
+    # the stderr summary counts failed asserted lines from each block's
+    # count; the written report counts them line by line
+    out = tmp_path / "report.jsonl"
+    source = str(tmp_path / name) if name.endswith(".json") else name
+    code = cli_main(["run", source, "--out", str(out)])
+    err = capsys.readouterr().err
+    failures = int(re.search(r" failures=(\d+) ", err).group(1))
+    assert failures == _failed_lines(out)
+    assert (failures > 0) == (code != 0)
+    if name in ("lemma-falsifier", "missing.json"):
+        assert failures > 0
 
 
 def test_cli_run_config_file(tmp_path):

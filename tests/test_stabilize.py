@@ -374,6 +374,128 @@ def test_bounded_orbit_zero_for_fixed_point():
     assert bounded_orbit_estimate(out.iterates, out.weights, rho_rows) == 0.0
 
 
+def _levelwise_orbit_reference(iterates, weights, rho_fn, weight_tol=1e-15, defect_tol=1e-12):
+    # ratios taken level by level; Python's max passes over a level whose
+    # largest active ratio is NaN
+    active = weights > weight_tol
+    best = 0.0
+    for i in range(len(iterates) - 1):
+        vals = np.array([rho_fn(iterates[i] - later) for later in iterates[i + 1:]])
+        if np.any(~active & (vals > defect_tol)):
+            return float("inf")
+        if np.any(active):
+            best = max(best, float(np.max(vals[:, active] / weights[active])))
+    return best
+
+
+def _orbit_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    stack = rng.normal(size=(7, 24, 4)) + 1j * rng.normal(size=(7, 24, 4))
+    weights = rng.uniform(0.1, 2.0, 24)
+    if name == "single_iterate":
+        stack = stack[:1]
+    elif name == "all_weights_zero":
+        stack[:] = stack[0]  # no level moves, so no defect either
+        weights[:] = 0.0
+    elif name == "all_weights_zero_with_defect":
+        weights[:] = 0.0
+    elif name == "zero_weight_with_defect":
+        weights[[3, 17]] = 0.0
+    elif name == "zero_weight_without_defect":
+        weights[[3, 17]] = 0.0
+        stack[:, [3, 17]] = stack[0, [3, 17]]
+    elif name == "value_dim_zero":
+        stack = stack[:, :, :0]
+    elif name == "overflow_at_active_probe":
+        stack[2, 5, 1], stack[4, 5, 1] = 1.5e308, -1.5e308
+    elif name == "overflow_at_zero_weight_probe":
+        stack[2, 5, 1], stack[4, 5, 1] = 1.5e308, -1.5e308
+        weights[5] = 0.0
+    elif name == "weights_at_the_tolerance":
+        weights[::2] = np.nextafter(1e-15, 1.0)  # active, with ratios near 1e15
+        weights[1::4] = 1e-15  # inactive, on probes that do not move
+        stack[:, 1::4] = stack[0, 1::4]
+    return stack, weights
+
+
+ORBIT_CASES = ["random", "single_iterate", "all_weights_zero", "all_weights_zero_with_defect",
+               "zero_weight_with_defect", "zero_weight_without_defect", "value_dim_zero",
+               "overflow_at_active_probe", "overflow_at_zero_weight_probe", "weights_at_the_tolerance"]
+ORBIT_WANT = {"single_iterate": 0.0, "all_weights_zero": 0.0, "value_dim_zero": 0.0,
+              "all_weights_zero_with_defect": float("inf"),
+              "zero_weight_with_defect": float("inf"),
+              "overflow_at_active_probe": float("inf"),
+              "overflow_at_zero_weight_probe": float("inf")}
+
+
+@pytest.mark.parametrize("name", ORBIT_CASES)
+def test_bounded_orbit_matches_the_pairwise_loop_on_edge_cases(name):
+    stack, weights = _orbit_case(name)
+    with np.errstate(over="ignore"):  # the overflow cases subtract +-1.5e308
+        est = bounded_orbit_estimate(stack, weights, rho_rows)
+        want = _pairwise_orbit_reference(stack, weights, rho_rows)
+        assert _levelwise_orbit_reference(stack, weights, rho_rows) == want
+    assert type(est) is float
+    assert est == want
+    if name in ORBIT_WANT:
+        assert est == ORBIT_WANT[name]
+    else:
+        assert 0.0 < est < float("inf")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_finite_weights_and_iterates_give_no_nan_ratio(seed):
+    # with finite weights a ratio is v / w with w > 0 finite, and with finite
+    # iterates v is finite or +inf (an overflowing difference), never NaN;
+    # so every level counts, and the per-probe maximum divided once equals
+    # the ratios taken pair by pair
+    rng = np.random.default_rng(seed)
+    stack = (rng.normal(size=(8, 32, 4)) + 1j * rng.normal(size=(8, 32, 4))) * 10.0 ** rng.integers(
+        -300, 300, size=(8, 32, 1))
+    weights = 10.0 ** rng.uniform(-300, 300, 32)
+    weights[rng.integers(0, 32, 3)] = 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        vals = [rho_rows(a - b) for i, a in enumerate(stack) for b in stack[i + 1:]]
+        assert not np.isnan(vals).any()
+        est = bounded_orbit_estimate(stack, weights, rho_rows)
+        assert est == _pairwise_orbit_reference(stack, weights, rho_rows)
+
+
+@pytest.mark.parametrize("defect", [False, True])
+@pytest.mark.parametrize("kind", ["inf_over_inf_weight", "nan_value"])
+def test_bounded_orbit_passes_over_a_level_with_a_nan_ratio(kind, defect):
+    # inf over an infinite weight, or a NaN value at a weighted probe, makes a
+    # level's largest active ratio NaN; such a level adds nothing, as Python's
+    # max makes it, while its zero-weight probes still count for the defect test
+    rng = np.random.default_rng(31)
+    stack = rng.normal(size=(6, 16, 4)) + 1j * rng.normal(size=(6, 16, 4))
+    stack[1] *= 100.0  # the pairs with level 1 hold the largest ratios
+    weights = rng.uniform(0.5, 2.0, 16)
+    if kind == "inf_over_inf_weight":
+        weights[2] = np.inf
+        stack[1, 2, 0] = 1.5e308  # rho is inf in every pair with level 1
+        counted = 2  # levels 0 and 1 are passed over
+    else:
+        stack[3, 9, 2] = complex(np.nan, 0.0)  # NaN in every pair with level 3
+        counted = 4
+    weights[11] = 0.0
+    if defect:
+        stack[1, 11, 1] += 1.0  # seen only in levels 0 and 1
+    else:
+        stack[:, 11] = stack[0, 11]
+    # a NaN at a zero-weight probe passes over no level, and hides no defect
+    # seen in another pair or level: level 4's one pair is NaN there
+    stack[5, 11, 3] = complex(np.nan, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = bounded_orbit_estimate(stack, weights, rho_rows)
+        assert est == _levelwise_orbit_reference(stack, weights, rho_rows)
+        rest = _levelwise_orbit_reference(stack[counted:], weights, rho_rows)
+    if defect:
+        assert est == float("inf")
+    else:
+        assert est == rest and 0.0 < est < float("inf")
+
+
 def test_deltas_eventually_decrease_under_contraction():
     eps = 0.01
     d = BiMap(algebra=MATRIX2, kernel="commutator",
