@@ -88,6 +88,17 @@ def matrix_unit(i, j):
     return v
 
 
+def complex_uniform(rng, lo, hi, shape):
+    """Complex samples whose real and imaginary parts are uniform on
+    [lo, hi), the real parts drawn from ``rng`` first.  Built in place, so
+    no complex temporary: the bits of ``rng.uniform(lo, hi, shape) + 1j *
+    rng.uniform(lo, hi, shape)``."""
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.uniform(lo, hi, shape)
+    out.imag = rng.uniform(lo, hi, shape)
+    return out
+
+
 def sample_unit_circle(seed, n):
     """{1, -1, i, -i} followed by n-4 seeded points on the unit circle."""
     if n < 4:

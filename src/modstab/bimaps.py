@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .algebra import AlgebraSpec, sample_unit_circle
+from .algebra import AlgebraSpec, complex_uniform, sample_unit_circle
 from .errors import ConfigError, NonFiniteValueError, PreconditionError
 
 _PERTURBATION_NAMES = ("bounded_osc", "power_env", "quad_slot1")
@@ -328,15 +328,7 @@ def draw_probes(dim, count=512, radius=1.0, seed=0):
         raise ConfigError("need at least 17 probes to fit the mandatory tuples")
     rng = np.random.default_rng(seed)
     half = radius / np.sqrt(2.0)
-
-    def block():
-        # built in place, real part drawn first: no complex temporaries
-        out = np.empty((count, dim), dtype=np.complex128)
-        out.real = rng.uniform(-half, half, (count, dim))
-        out.imag = rng.uniform(-half, half, (count, dim))
-        return out
-
-    x, y, z, w = block(), block(), block(), block()
+    x, y, z, w = (complex_uniform(rng, -half, half, (count, dim)) for _ in range(4))
     lam = np.ones(count, dtype=np.complex128)
     lam[N_MANDATORY:] = sample_unit_circle(seed + 1, count - N_MANDATORY)
 

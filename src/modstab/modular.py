@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .algebra import complex_uniform
 from .errors import (
     BracketDivergenceError,
     ConfigError,
@@ -241,8 +242,8 @@ class AxiomSamples:
 def draw_axiom_samples(dim, count, seed, radius=1.0):
     rng = np.random.default_rng(seed)
     half = radius / np.sqrt(2.0)
-    x = rng.uniform(-half, half, (count, dim)) + 1j * rng.uniform(-half, half, (count, dim))
-    y = rng.uniform(-half, half, (count, dim)) + 1j * rng.uniform(-half, half, (count, dim))
+    x = complex_uniform(rng, -half, half, (count, dim))
+    y = complex_uniform(rng, -half, half, (count, dim))
     alpha = rng.uniform(0.0, 1.0, count)
     theta = rng.uniform(0.0, 2.0 * np.pi, count)
     zeta = np.cos(theta) + 1j * np.sin(theta)
@@ -342,7 +343,7 @@ class RemarkSamples:
 def draw_remark_samples(dim, count, seed, radius=1.0):
     rng = np.random.default_rng(seed)
     half = radius / np.sqrt(2.0)
-    x = rng.uniform(-half, half, (count, dim)) + 1j * rng.uniform(-half, half, (count, dim))
+    x = complex_uniform(rng, -half, half, (count, dim))
     a = rng.uniform(0.05, 0.95, count)
     b = a + rng.uniform(0.05, 1.0, count)
     alpha = rng.uniform(-1.0, 1.0, count)

@@ -24,13 +24,14 @@ report records; a per-probe check returns its lines as one column block).
 import contextlib
 import copy
 import json
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, _kernels
-from .algebra import AlgebraSpec, preset
+from .algebra import AlgebraSpec, complex_uniform, preset
 from .bimaps import WEIGHT_KINDS, BiMap, Perturbation, PsiEnvelope, check_psi_law, draw_probes
 from .errors import (
     ConfigError,
@@ -88,9 +89,18 @@ def _complex_of(value, label):
 
 def _sample_count(override, section, default):
     count = int(override if override is not None else section.get("count", default))
+    if count < 1:
+        raise ConfigError(f"sample count must be at least 1, got {count}")
     if count > MAX_SAMPLE_COUNT:
         raise ConfigError(f"sample count {count} exceeds the limit of {MAX_SAMPLE_COUNT}")
     return count
+
+
+def _sample_radius(section):
+    radius = float(section.get("radius", 1.0))
+    if not math.isfinite(radius) or radius < 0.0:
+        raise ConfigError(f"sample radius must be finite and non-negative, got {radius}")
+    return radius
 
 
 def build_algebra(cfg):
@@ -179,8 +189,8 @@ def build_psi(cfg, mspec):
     return psi, needs_calibration
 
 
-def _scaled_degenerate_family(table, psi1, rho_fn, which, n_levels):
-    """(need, unit) per level i < n_levels on the degenerate tuples the
+def _scaled_degenerate_family(table, psi1, rho_fn, which):
+    """(need, unit) per level i < n_max on the degenerate tuples the
     iteration traverses, read from the level table T.  Power-of-two scaling
     is exact, so there the right side is 0 and the left side reduces to
     rho(k T[i+1] - k T[i]) (descending A: rho(k T[i] - k T[i+1])).
@@ -192,7 +202,7 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which, n_levels):
     x, z = table.cfg.probes.x, table.cfg.probes.z
     zeros = np.zeros_like(x)
     psi_z0 = psi1(z, zeros)
-    for i in range(n_levels):
+    for i in range(table.cfg.n_max):
         try:
             lo, hi = table[i], table[i + 1]
         except OverflowAbort:
@@ -209,27 +219,29 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which, n_levels):
 
 
 def calibrate_theta(
-    bimap, psi_proto, rho_fn, s, probes, which="A", n_levels=40,
-    extra_count=CALIBRATION_EXTRA_COUNT, safety=CALIBRATION_SAFETY, table=None,
-    probe_parts=None,
+    table, psi_proto, rho_fn, s, which="A",
+    extra_count=CALIBRATION_EXTRA_COUNT, safety=CALIBRATION_SAFETY, probe_parts=None,
 ):
     """Smallest theta (times a safety factor) for which the inequality
     holds on the enlarged family; raises if a zero-envelope tuple carries a
     genuine defect, since no amplitude can repair that.
 
-    ``probe_parts`` are the inequality's (lhs, rhs) on ``probes`` when the
+    The map, the probes and the level count n_max are those of ``table``,
+    a LevelTable whose direction must be the envelope's.
+    ``probe_parts`` are the inequality's (lhs, rhs) on the probes when the
     caller already has them (a run shares them with its inequality check).
     The random family is evaluated in ``_kernels.row_blocks``; a row's
     value does not depend on its block, and neither the max nor the refusal
     depends on the order, so theta has the bits of one wide batch.  The
-    scaled degenerate family is read from levels 0..n_levels of ``table``
-    (the run's LevelTable, or a fresh one of the map and probes) and stops
-    at the magnitude cap."""
+    scaled degenerate family is read from levels 0..n_max of the table and
+    stops at the magnitude cap."""
+    bimap, probes = table.d, table.cfg.probes
+    if psi_proto.direction != table.cfg.direction:
+        raise ConfigError(
+            f"the level table was built for {table.cfg.direction} iterates, "
+            f"the envelope scales {psi_proto.direction}"
+        )
     psi1 = psi_proto.with_theta(1.0)
-    if table is None:
-        table = LevelTable(bimap, StabilizeConfig(direction=psi_proto.direction, probes=probes))
-    else:
-        table.check(bimap, replace(table.cfg, direction=psi_proto.direction, probes=probes))
     seed = probes.seed + CALIBRATION_SEED_OFFSET
     extra = draw_probes(bimap.algebra.dim, max(extra_count, 17), probes.radius, seed)
 
@@ -243,7 +255,7 @@ def calibrate_theta(
         yield need_unit(probes.x, probes.y, probes.z, probes.w, probes.lam, probe_parts)
         for b in _kernels.row_blocks(len(extra)):
             yield need_unit(extra.x[b], extra.y[b], extra.z[b], extra.w[b], extra.lam[b])
-        yield from _scaled_degenerate_family(table, psi1, rho_fn, which, n_levels)
+        yield from _scaled_degenerate_family(table, psi1, rho_fn, which)
 
     required = 0.0
     for need, unit in family():
@@ -428,13 +440,14 @@ class RunResult:
 @contextlib.contextmanager
 def _reading_config():
     """Turn a malformed config value (a missing key, a wrong type, text
-    where a number belongs) into ConfigError; package errors pass as they
-    are.  Wraps config reading only, never an evaluation."""
+    where a number belongs, an infinite count) into ConfigError; package
+    errors pass as they are.  Wraps config reading only, never an
+    evaluation."""
     try:
         yield
     except ModstabError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise ConfigError(f"malformed config: {type(e).__name__}: {e}") from e
 
 
@@ -530,7 +543,7 @@ def _parse_stability(cfg, name, seed_override, probes_override):
         probes_cfg = cfg.get("probes", {})
         seed = int(seed_override if seed_override is not None else probes_cfg.get("seed", 0))
         count = _sample_count(probes_override, probes_cfg, 512)
-        probes = draw_probes(algebra.dim, count, float(probes_cfg.get("radius", 1.0)), seed)
+        probes = draw_probes(algebra.dim, count, _sample_radius(probes_cfg), seed)
 
         checks = list(cfg.get("checks", []))
         for chk in checks:
@@ -583,10 +596,12 @@ def _parse_stability(cfg, name, seed_override, probes_override):
 def _calibrate(run):
     if run.needs_calibration:
         which = "B" if "inequality_B" in run.checks else "A"
-        n_levels = run.table.cfg.n_max if run.table is not None else 40
+        table = run.table
+        if table is None:  # no iteration section: calibrate on a table of its own
+            table = LevelTable(run.bimap, StabilizeConfig(direction=run.psi.direction,
+                                                          probes=run.probes))
         theta = calibrate_theta(
-            run.bimap, run.psi, run.rho_fn, run.s, run.probes,
-            which=which, n_levels=n_levels, table=run.table, probe_parts=run.probe_parts(which),
+            table, run.psi, run.rho_fn, run.s, which=which, probe_parts=run.probe_parts(which)
         )
         run.psi = run.psi.with_theta(theta)
 
@@ -619,9 +634,9 @@ def _iterate(run):
     """Iterate to the limit; a numeric abort leaves ``run.outcome`` None."""
     try:
         run.outcome = out = stabilize(
-            run.bimap, run.psi, run.rho_fn, run.table.cfg,
+            run.table, run.psi, run.rho_fn,
             weight_kind=run.weight_kind, kappa=run.modular.kappa,
-            telescoping="telescoping" in run.checks, skip_psi_check=True, table=run.table,
+            telescoping="telescoping" in run.checks, skip_psi_check=True,
         )
     except (OverflowAbort, NonFiniteValueError) as e:
         payload = {"error": str(e), "level": getattr(e, "level", None),
@@ -709,13 +724,14 @@ def _telescoping(run):
 
 
 def _bounded_orbit(run):
-    est = bounded_orbit_estimate(run.outcome.iterates, run.outcome.weights, run.rho_fn)
+    iterates = [run.table[n] for n in range(run.outcome.N_converged + 1)]
+    est = bounded_orbit_estimate(iterates, run.outcome.weights, run.rho_fn)
     cap = 1.0 / (1.0 - run.psi.L) + 1e-6
     return [run.record({"check": "bounded_orbit", "estimate": est, "cap": cap}, est <= cap)]
 
 
 def _uniqueness(run):
-    rep = check_uniqueness(run.outcome, run.rho_fn, run.table.cfg, run.table)
+    rep = check_uniqueness(run.outcome, run.rho_fn, run.table)
     return [run.record({"check": "uniqueness", "max_disagreement": rep.max_disagreement,
                         "variants": [list(v) for v in rep.variants]}, rep.passed)]
 
@@ -761,8 +777,10 @@ def _run_axioms(cfg, name, seed_override, probes_override):
         samples_cfg = cfg.get("samples", {})
         seed = int(seed_override if seed_override is not None else samples_cfg.get("seed", 0))
         count = _sample_count(probes_override, samples_cfg, 10_000)
-        radius = float(samples_cfg.get("radius", 1.0))
+        radius = _sample_radius(samples_cfg)
         dim = int(samples_cfg.get("dim", 4))
+        if dim < 1:
+            raise ConfigError(f"samples.dim must be at least 1, got {dim}")
         fixtures = [
             (fx.get("label", f"fixture-{idx}"), build_modular(fx["modular"]),
              fx.get("expect_violation"), fx.get("check_delta2", False))
@@ -795,7 +813,7 @@ def _run_axioms(cfg, name, seed_override, probes_override):
             ))
         if delta2:
             rng = np.random.default_rng(seed + 100 + idx)
-            pts = rng.uniform(0.1, 1.0, (256, dim)) + 1j * rng.uniform(0.1, 1.0, (256, dim))
+            pts = complex_uniform(rng, 0.1, 1.0, (256, dim))
             d2 = check_delta2(m, pts)
             records.append(run.record({"check": "delta2", "fixture": label,
                                        "kappa_hat": d2.kappa_hat}, d2.passed))

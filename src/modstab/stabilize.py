@@ -56,12 +56,9 @@ class StabilizeOutcome:
     D: object
     N_converged: int
     converged: bool
-    per_iter_deltas: list = field(default_factory=list)
-    sup_rho_deltas: list = field(default_factory=list)
     contraction_estimate: float = 0.0
     bound_margin: float = float("nan")
     levels: list = field(default_factory=list)
-    iterates: np.ndarray | None = None
     weights: np.ndarray | None = None
 
 
@@ -95,17 +92,17 @@ class _Telescope:
     whose full sum is bounded by psi(x,x) psi(z,0)/(2(1-L)).
     Descending uses the kappa-weighted table (two variants, one keyed by
     psi at the halved diagonal, one by psi(. , 0)); at kappa = 2 the table
-    coincides with the honest unrolled recursion.
+    coincides with the honest unrolled recursion.  ``final`` is the full
+    bound, ``hyers_bound`` on the probes.
     """
 
-    def __init__(self, form, psi, X, Z, kappa):
+    def __init__(self, form, psi, X, Z, kappa, final):
         self.form = form
         self.psi = psi
         self.X = X
         self.kappa = kappa
-        zero = np.zeros_like(Z)
-        self.psi_z0 = psi(Z, zero)
-        self.final = psi(X, X) * self.psi_z0 / (2.0 * (1.0 - psi.L))
+        self.psi_z0 = psi(Z, np.zeros_like(Z))
+        self.final = final
         self._cum = np.zeros(X.shape[0])
         self._terms = {}
 
@@ -162,17 +159,17 @@ def _tabulate(d, cfg, level, max_abs_x):
 
 
 class LevelTable:
-    """The scaled iterates of one map on one probe set, each level
-    evaluated once and shared by every run that reads it.
+    """The scaled iterates J^n d of the map ``d`` on the probes of ``cfg``,
+    each level evaluated once: the one input of a run's iteration.
 
-    ``table[n]`` tabulates level n the first time it is asked for, with
-    that level's magnitude-cap and finiteness aborts, and returns the
-    stored (read-only) array after that.  Calibration reads levels up to
-    n_max before the iteration runs and stops at a magnitude-cap abort, so
-    a run still aborts at the same level and probe as it would without the
-    table.  The iterates depend only on the map, the probes, the direction
-    and the cap, so configs that differ in n_max or tol share a table; any
-    other config is refused.
+    ``stabilize``, ``check_uniqueness`` and ``calibrate_theta`` take the
+    table and read the map, the probes, the direction, the level cap n_max,
+    the tolerance and the magnitude cap from it.  ``table[n]`` tabulates
+    level n the first time it is asked for, with that level's magnitude-cap
+    and finiteness aborts, and returns the stored (read-only) array after
+    that.  Calibration reads levels up to n_max before the iteration runs
+    and stops at a magnitude-cap abort, so a run still aborts at the same
+    level and probe as it would without the table.
     """
 
     def __init__(self, d, cfg):
@@ -181,20 +178,6 @@ class LevelTable:
         x = cfg.probes.x
         self._max_abs_x = float(np.abs(x).max()) if x.size else 0.0
         self._levels = {}
-
-    def check(self, d, cfg):
-        """Raise ConfigError unless (d, cfg) has the iterates of this table."""
-        own = self.cfg
-        if d is not self.d:
-            raise ConfigError("the level table was built for another map")
-        if (
-            cfg.probes is not own.probes
-            or cfg.direction != own.direction
-            or cfg.magnitude_cap != own.magnitude_cap
-        ):
-            raise ConfigError(
-                "the level table was built for other probes, direction or magnitude cap"
-            )
 
     def __getitem__(self, level):
         vals = self._levels.get(level)
@@ -214,28 +197,27 @@ def _level_rho(table, rho_fn, n):
 
 
 def stabilize(
-    d,
+    table,
     psi,
     rho_fn,
-    cfg,
     weight_kind="psi_xx_z0",
     kappa=2.0,
     telescoping=True,
     skip_psi_check=False,
-    table=None,
 ):
-    """Run the scaled iteration and freeze the limit candidate.
+    """Run the scaled iteration on ``table`` and freeze the limit candidate.
 
+    The map d and its StabilizeConfig cfg are ``table.d`` and ``table.cfg``.
     rho_fn maps an (n, value_dim) batch to its (n,) modular values.
     Stops when the probe-sup modular distance between successive
-    candidates drops below cfg.tol (convergence) or at cfg.n_max.
-    per_iter_deltas records the probe-restricted function-space modular
-    of successive differences; the stopping rule deliberately uses the
-    plain probe-sup so zero-weight boundary probes cannot produce 0/0.
-    Levels are read from ``table`` (a LevelTable of d and cfg), or from a
-    fresh one when none is given.  A run iterates once: ``check_uniqueness``
-    reads its reruns off the outcome's ``sup_rho_deltas``.
+    candidates drops below cfg.tol (convergence) or at cfg.n_max.  Each
+    level's ``rho_tilde_delta`` is the probe-restricted function-space
+    modular of the successive difference; the stopping rule deliberately
+    uses the plain probe-sup ``sup_rho_delta`` so zero-weight boundary
+    probes cannot produce 0/0.  A run iterates once: ``check_uniqueness``
+    reads its reruns off the outcome's levels.
     """
+    d, cfg = table.d, table.cfg
     if not getattr(d, "zero_boundary", True):
         raise PreconditionError("the map must vanish on the axes (zero_boundary)")
     if psi.direction != cfg.direction:
@@ -247,10 +229,6 @@ def stabilize(
                 f"psi scaling law fails on the probe set (margin {law.law_margin:.3e})"
             )
 
-    if table is None:
-        table = LevelTable(d, cfg)
-    else:
-        table.check(d, cfg)
     X, Z = cfg.probes.x, cfg.probes.z
     weights = RhoTildeWeight(psi=psi, kind=weight_kind).values(X, Z)
 
@@ -260,7 +238,7 @@ def stabilize(
     telescope = None
     if telescoping:
         telescope = _Telescope(
-            _auto_telescope_form(cfg.direction, weight_kind), psi, X, Z, kappa
+            _auto_telescope_form(cfg.direction, weight_kind), psi, X, Z, kappa, hyers_vals
         )
 
     levels = []
@@ -286,12 +264,9 @@ def stabilize(
         D=iterate_evaluator(d, cfg.direction, frozen),
         N_converged=frozen,
         converged=converged,
-        per_iter_deltas=rt_deltas,
-        sup_rho_deltas=[lv.sup_rho_delta for lv in levels],
         contraction_estimate=contraction,
         bound_margin=bound_margin,
         levels=levels,
-        iterates=np.array([table[n] for n in range(frozen + 1)]),
         weights=weights,
     )
 
@@ -307,19 +282,20 @@ class UniquenessReport:
     variants: tuple
 
 
-def check_uniqueness(outcome, rho_fn, cfg, table):
+def check_uniqueness(outcome, rho_fn, table):
     """Reruns of the extraction from start levels 1..3 and with level caps
     n_max -/+ 5 must freeze at limits that agree with the run's on the probes.
 
-    ``outcome`` is ``stabilize``'s result on ``table`` with ``rho_fn``.  A
-    rerun walks the same levels, so it is read off the outcome's deltas
-    d_n = max rho(T[n] - T[n-1]), not run: from level s with cap m it
-    freezes at the first n in (s, m] with d_n < cfg.tol, else at max(s, m),
-    or at the last level below the magnitude cap.  Deltas past the run's
-    stop are computed from the table, for the levels a rerun reads.
+    ``outcome`` is ``stabilize``'s result on ``table`` with ``rho_fn``, and
+    cfg is ``table.cfg``.  A rerun walks the same levels, so it is read off
+    the outcome's deltas d_n = max rho(T[n] - T[n-1]), the levels'
+    ``sup_rho_delta``, not run: from level s with cap m it freezes at the
+    first n in (s, m] with d_n < cfg.tol, else at max(s, m), or at the last
+    level below the magnitude cap.  Deltas past the run's stop are computed
+    from the table, for the levels a rerun reads.
     """
-    table.check(table.d, cfg)
-    deltas = list(outcome.sup_rho_deltas)  # deltas[n - 1] = d_n
+    cfg = table.cfg
+    deltas = [lv.sup_rho_delta for lv in outcome.levels]  # deltas[n - 1] = d_n
 
     def freeze(start, cap):  # (level, values) of a rerun's limit
         try:

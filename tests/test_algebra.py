@@ -12,7 +12,7 @@ from modstab import (
     sample_unit_circle,
     three_unimodular_decomposition,
 )
-from modstab.algebra import AlgebraSpec, InvalidAlgebraError
+from modstab.algebra import AlgebraSpec, InvalidAlgebraError, complex_uniform
 
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
@@ -113,6 +113,26 @@ def test_unit_circle_reproducible():
 def test_unit_circle_needs_four():
     with pytest.raises(ConfigError):
         sample_unit_circle(seed=0, n=3)
+
+
+# --- complex uniform sampling -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lo, hi, shape",
+    [(-0.5**0.5, 0.5**0.5, (10_000, 4)), (-0.5**0.5, 0.5**0.5, (17, 1)), (0.1, 1.0, (256, 4)),
+     (-0.0, 0.0, (17, 4))],
+)
+def test_complex_uniform_has_the_bits_of_the_two_draw_sum(lo, hi, shape):
+    # the expression the probe, axiom, remark and delta2 draws used before,
+    # kept as the reference; compared as float64 words, so a -0.0 shows too
+    for seed in range(50):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = ref_rng.uniform(lo, hi, shape) + 1j * ref_rng.uniform(lo, hi, shape)
+        got = complex_uniform(rng, lo, hi, shape)
+        assert got.dtype == np.complex128 and got.shape == shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.uniform() == ref_rng.uniform()  # and the same draws were taken
 
 
 # --- three-unimodular decomposition -----------------------------------------

@@ -7,6 +7,7 @@ concatenated batch, the map called on all of them at once.  Reading the
 family from the table must give the same theta bit for bit.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -26,8 +27,16 @@ from modstab import (
     preset,
     stabilize,
 )
+from modstab import scenarios
 from modstab._kernels import BLOCK_ROWS
-from modstab.scenarios import CALIBRATION_SAFETY, CALIBRATION_SEED_OFFSET, calibrate_theta
+from modstab.scenarios import (
+    CALIBRATION_EXTRA_COUNT,
+    CALIBRATION_SAFETY,
+    CALIBRATION_SEED_OFFSET,
+    builtin_scenarios,
+    calibrate_theta,
+    run_scenario,
+)
 from modstab.verify import inequality_parts
 
 MATRIX2 = preset("matrix2")
@@ -94,6 +103,11 @@ def proto(direction):
     return PsiEnvelope(theta=1.0, p=0.5 if direction == "ascending" else 2.0, direction=direction)
 
 
+def table_of(d, probes, direction):
+    """The level table a run without an iteration section calibrates on."""
+    return LevelTable(d, StabilizeConfig(direction=direction, probes=probes))
+
+
 @pytest.mark.parametrize("radius", [1.0, 1e6])
 @pytest.mark.parametrize("seed", [401, 402])
 @pytest.mark.parametrize("pert", ["bounded_osc", "power_env"])
@@ -103,7 +117,8 @@ def test_theta_from_the_table_equals_the_concatenated_family(direction, which, p
     d = random_map(seed, pert, direction)
     probes = draw_probes(4, 64, radius, seed)
     psi0 = proto(direction)
-    got = calibrate_theta(d, psi0, rho_rows, 0.5, probes, which=which, extra_count=EXTRA)
+    got = calibrate_theta(table_of(d, probes, direction), psi0, rho_rows, 0.5, which=which,
+                          extra_count=EXTRA)
     assert got == _scaled_family_reference(d, psi0, rho_rows, 0.5, probes, which)
 
 
@@ -141,30 +156,22 @@ def test_shared_table_evaluates_each_scaled_level_once():
     base = random_map(13, "bounded_osc", "ascending")
     d = ScaledProbeCounter(base, probes, cfg.n_max + 1)
     table = LevelTable(d, cfg)
-    theta = calibrate_theta(d, proto("ascending"), rho_rows, 0.5, probes, which="A",
-                            n_levels=cfg.n_max, extra_count=EXTRA, table=table)
+    theta = calibrate_theta(table, proto("ascending"), rho_rows, 0.5, which="A",
+                            extra_count=EXTRA)
     once = Counter(range(cfg.n_max + 1))
     assert d.calls == once + Counter({0: 1})
     psi = proto("ascending").with_theta(theta)
-    out = stabilize(d, psi, rho_rows, cfg, table=table)
+    out = stabilize(table, psi, rho_rows)
     assert out.converged and out.N_converged < cfg.n_max
-    assert check_uniqueness(out, rho_rows, cfg, table).passed
+    assert check_uniqueness(out, rho_rows, table).passed
     assert d.calls == once + Counter({0: 1})
 
 
 def test_calibration_refuses_a_table_of_other_iterates():
     probes = draw_probes(4, 64, 1.0, 13)
-    d = random_map(13, "bounded_osc", "ascending")
-    table = LevelTable(d, StabilizeConfig(direction="ascending", probes=probes))
-    others = [
-        (d, proto("descending"), probes),
-        (d, proto("ascending"), draw_probes(4, 64, 1.0, 14)),
-        (random_map(13, "bounded_osc", "ascending"), proto("ascending"), probes),
-    ]
-    for other_d, psi0, other_probes in others:
-        with pytest.raises(ConfigError, match="level table"):
-            calibrate_theta(other_d, psi0, rho_rows, 0.5, other_probes, extra_count=EXTRA,
-                            table=table)
+    table = table_of(random_map(13, "bounded_osc", "ascending"), probes, "ascending")
+    with pytest.raises(ConfigError, match="level table"):
+        calibrate_theta(table, proto("descending"), rho_rows, 0.5, extra_count=EXTRA)
 
 
 @pytest.mark.parametrize("direction, which", [("ascending", "A"), ("descending", "B")])
@@ -175,7 +182,8 @@ def test_theta_from_blocks_of_the_random_family_equals_one_batch(direction, whic
     d = random_map(403, "power_env", direction)
     probes = draw_probes(4, 64, 1.0, 403)
     psi0 = proto(direction)
-    got = calibrate_theta(d, psi0, rho_rows, 0.5, probes, which=which, extra_count=extra)
+    got = calibrate_theta(table_of(d, probes, direction), psi0, rho_rows, 0.5, which=which,
+                          extra_count=extra)
     assert got == _scaled_family_reference(d, psi0, rho_rows, 0.5, probes, which,
                                            extra_count=extra)
 
@@ -192,9 +200,46 @@ def test_given_probe_parts_are_not_evaluated_again():
         return d(x, z)
 
     counted.algebra, counted.zero_boundary = d.algebra, d.zero_boundary
-    theta = calibrate_theta(counted, proto("ascending"), rho_rows, 0.5, probes, which="A",
-                            extra_count=EXTRA, probe_parts=parts)
-    assert theta == calibrate_theta(d, proto("ascending"), rho_rows, 0.5, probes, which="A",
-                                    extra_count=EXTRA)
+    theta = calibrate_theta(table_of(counted, probes, "ascending"), proto("ascending"), rho_rows,
+                            0.5, which="A", extra_count=EXTRA, probe_parts=parts)
+    assert theta == calibrate_theta(table_of(d, probes, "ascending"), proto("ascending"),
+                                    rho_rows, 0.5, which="A", extra_count=EXTRA)
     # the random family's 8 map calls and the table's 41 levels; no probe-family call
     assert seen == [EXTRA] * 8 + [len(probes)] * 41
+
+
+def without_iteration(name):
+    """A calibrated builtin with ``iteration: null`` and the four checks that
+    need the iteration dropped, so calibration tabulates its own levels."""
+    cfg = json.loads(json.dumps(builtin_scenarios()[name]))
+    cfg["iteration"] = None
+    cfg["checks"] = [c for c in cfg["checks"]
+                     if c not in ("stability_bound", "telescoping", "bounded_orbit", "uniqueness")]
+    return cfg
+
+
+@pytest.mark.parametrize("name, failed", [
+    ("corollary-descending-p2", {"biadditivity_slot1": 1, "biadditivity_slot2": 1}),
+    ("corollary-ascending-p05",
+     {"biadditivity_slot1": 1, "biadditivity_slot2": 1, "first_slot_linearity": 26}),
+])
+def test_calibration_without_an_iteration_section_reads_40_levels(name, failed, monkeypatch):
+    tables = []
+
+    def calibrate(table, *args, **kwargs):
+        tables.append(table)
+        return calibrate_theta(table, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "calibrate_theta", calibrate)
+    result = run_scenario(without_iteration(name))
+    [table] = tables
+    assert table.cfg.n_max == 40 and sorted(table._levels) == list(range(41))
+    # with no limit extracted, these checks measure the perturbed map itself
+    assert result.exit_code == 1
+    assert Counter(r.payload.get("check") for r in result.records
+                   if not r.passed and not r.advisory) == failed
+    [echo] = [r.payload for r in result.records if r.stage == "config"]
+    ctx = result.context
+    assert echo["theta"] == _scaled_family_reference(
+        ctx["bimap"], ctx["psi"], ctx["rho_fn"], ctx["s"], ctx["probes"], "A", n_levels=40,
+        extra_count=CALIBRATION_EXTRA_COUNT)

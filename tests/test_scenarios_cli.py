@@ -332,6 +332,18 @@ def _axioms_fixture_without_modular():
     return json.dumps(cfg)
 
 
+def _axioms_samples(key, value):
+    cfg = json.loads(json.dumps(builtin_scenarios()["axioms-suite"]))
+    cfg["samples"][key] = value
+    return json.dumps(cfg)
+
+
+def _probes_radius(value):
+    cfg = small_stability_config()
+    cfg["probes"]["radius"] = value
+    return json.dumps(cfg)
+
+
 def _bogus_weight(name, drop_iteration=False):
     cfg = json.loads(json.dumps(builtin_scenarios()[name]))
     cfg["rho_tilde_weight"] = "bogus"
@@ -352,12 +364,25 @@ def _bogus_weight(name, drop_iteration=False):
         _axioms_fixture_without_modular(),
         _bogus_weight("corollary-ascending-p05"),
         _bogus_weight("superstability-commutator", drop_iteration=True),
+        _axioms_samples("dim", -1),
+        _axioms_samples("dim", 0),
+        _axioms_samples("radius", float("nan")),
+        _axioms_samples("radius", -1.0),
+        _axioms_samples("radius", float("inf")),
+        _probes_radius(float("nan")),
+        _probes_radius(float("inf")),
+        _malformed("probes", {"count": float("inf")}),
+        _malformed("iteration", {"direction": "ascending", "n_max": float("inf")}),
     ],
     ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list",
-         "fixture-no-modular", "weight-bogus", "weight-bogus-no-iteration"],
+         "fixture-no-modular", "weight-bogus", "weight-bogus-no-iteration",
+         "samples-dim-negative", "samples-dim-zero", "samples-radius-nan",
+         "samples-radius-negative", "samples-radius-inf", "probes-radius-nan",
+         "probes-radius-inf", "count-inf", "n-max-inf"],
 )
 def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "calibrate_theta", lambda *a, **k: pytest.fail("calibrated"))
+    monkeypatch.setattr(scenarios, "draw_axiom_samples", lambda *a, **k: pytest.fail("drew"))
     path = tmp_path / "cfg.json"
     path.write_text(text)
     out = tmp_path / "report.jsonl"
@@ -471,18 +496,29 @@ def test_map_into_a_zero_dimensional_value_space_runs():
     assert not any("error" in r.payload for r in result.records)
 
 
-def _huge_count(where):
+def _with_count(where, count):
     if where == "probes.count":
         cfg = small_stability_config()
-        cfg["probes"]["count"] = scenarios.MAX_SAMPLE_COUNT + 1
+        cfg["probes"]["count"] = count
     else:
         cfg = json.loads(json.dumps(builtin_scenarios()["axioms-suite"]))
-        cfg["samples"]["count"] = 10**11
+        cfg["samples"]["count"] = count
     return cfg
 
 
-@pytest.mark.parametrize("where", ["--probes", "probes.count", "samples.count"])
-def test_sample_count_past_the_limit_exits_two_before_drawing(where, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "where, count",
+    [
+        pytest.param("--probes", 10**11, id="--probes"),
+        pytest.param("probes.count", scenarios.MAX_SAMPLE_COUNT + 1, id="probes.count"),
+        pytest.param("samples.count", 10**11, id="samples.count"),
+        pytest.param("--probes", 0, id="--probes-zero"),
+        pytest.param("--probes", -5, id="--probes-negative"),
+        pytest.param("samples.count", 0, id="samples.count-zero"),
+    ],
+)
+def test_sample_count_past_the_limit_exits_two_before_drawing(where, count, tmp_path,
+                                                              monkeypatch, capsys):
     def refuse(*args, **kwargs):
         pytest.fail("drew samples")
 
@@ -490,15 +526,19 @@ def test_sample_count_past_the_limit_exits_two_before_drawing(where, tmp_path, m
     monkeypatch.setattr(scenarios, "draw_axiom_samples", refuse)
     out = tmp_path / "report.jsonl"
     if where == "--probes":
-        argv = ["run", "lemma-falsifier", "--probes", "100000000000"]
+        # the axioms suite draws no probes, so a count below 1 reached its checks
+        scenario = "lemma-falsifier" if count > 0 else "axioms-suite"
+        argv = ["run", scenario, "--probes", str(count)]
     else:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(_huge_count(where)))
+        path.write_text(json.dumps(_with_count(where, count)))
         argv = ["run", str(path)]
     assert cli_main(argv + ["--out", str(out), "--quiet"]) == 2
     lines = [json.loads(line) for line in out.read_text().strip().splitlines()]
     assert len(lines) == 2 and lines[1]["stage"] == "config" and not lines[1]["pass"]
-    assert "exceeds the limit of 100000" in lines[1]["payload"]["error"]
+    want = "exceeds the limit of 100000" if count > 0 else "must be at least 1"
+    assert want in lines[1]["payload"]["error"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_sample_count_at_the_limit_is_accepted():

@@ -7,7 +7,6 @@ import pytest
 
 from modstab import (
     BiMap,
-    ConfigError,
     LevelTable,
     NonFiniteValueError,
     OverflowAbort,
@@ -49,12 +48,12 @@ def asc_cfg(seed=0, count=64, **kw):
 
 def test_exact_bilinear_map_is_a_fixed_point():
     d = BiMap(algebra=MATRIX2, kernel="commutator")
-    out = stabilize(d, asc_psi(), rho_rows, asc_cfg())
+    table = LevelTable(d, asc_cfg())
+    out = stabilize(table, asc_psi(), rho_rows)
     assert out.converged and out.N_converged <= 1
     assert out.bound_margin <= 0.0
     assert out.contraction_estimate == 0.0
-    probes = out.iterates
-    assert np.array_equal(probes[0], probes[-1])
+    assert np.array_equal(table[0], table[out.N_converged])
 
 
 def test_bounded_oscillation_limit_is_the_kernel():
@@ -65,7 +64,7 @@ def test_bounded_oscillation_limit_is_the_kernel():
     kernel = BiMap(algebra=COMPLEX, kernel="product")
     probes = draw_probes(1, 64, 1.0, seed=4)
     cfg = StabilizeConfig(direction="ascending", probes=probes)
-    out = stabilize(d, asc_psi(theta=eps), rho_rows, cfg)
+    out = stabilize(LevelTable(d, cfg), asc_psi(theta=eps), rho_rows)
     assert out.converged and out.N_converged <= 40
     X, Z = probes.x, probes.z
     assert np.max(rho_rows(out.D(X, Z) - kernel(X, Z))) <= 1e-9
@@ -80,7 +79,7 @@ def test_descending_power_envelope_limit():
     probes = draw_probes(4, 64, 1.0, seed=5)
     cfg = StabilizeConfig(direction="descending", probes=probes)
     psi = PsiEnvelope(theta=eps, p=2.0, direction="descending")
-    out = stabilize(d, psi, rho_rows, cfg)
+    out = stabilize(LevelTable(d, cfg), psi, rho_rows)
     assert out.converged
     X, Z = probes.x, probes.z
     assert np.max(rho_rows(out.D(X, Z) - kernel(X, Z))) <= 1e-9
@@ -89,11 +88,12 @@ def test_descending_power_envelope_limit():
 def test_preconditions_rejected():
     d = BiMap(algebra=MATRIX2, kernel="commutator")
     with pytest.raises(PreconditionError):
-        stabilize(d, PsiEnvelope(theta=1.0, p=2.0, direction="descending"), rho_rows, asc_cfg())
+        stabilize(LevelTable(d, asc_cfg()), PsiEnvelope(theta=1.0, p=2.0, direction="descending"),
+                  rho_rows)
     # law violated: L below the sharp ascending constant
     bad = PsiEnvelope(theta=1.0, p=0.5, L=0.5, direction="ascending")
     with pytest.raises(PreconditionError):
-        stabilize(d, bad, rho_rows, asc_cfg())
+        stabilize(LevelTable(d, asc_cfg()), bad, rho_rows)
 
 
 def test_overflow_abort_records_level():
@@ -101,7 +101,7 @@ def test_overflow_abort_records_level():
               perturbation=Perturbation("bounded_osc", 0.5))
     cfg = asc_cfg(magnitude_cap=1e3)
     with pytest.raises(OverflowAbort) as exc:
-        stabilize(d, asc_psi(), rho_rows, cfg)
+        stabilize(LevelTable(d, cfg), asc_psi(), rho_rows)
     assert exc.value.level <= 11
 
 
@@ -120,7 +120,7 @@ def test_power_env_contracts_at_sharp_rate():
               perturbation=Perturbation("power_env", eps, p=0.5))
     probes = draw_probes(1, 64, 1.0, seed=7)
     cfg = StabilizeConfig(direction="ascending", probes=probes)
-    out = stabilize(d, asc_psi(theta=eps), rho_rows, cfg)
+    out = stabilize(LevelTable(d, cfg), asc_psi(theta=eps), rho_rows)
     assert out.contraction_estimate == pytest.approx(2.0 ** (-0.5), abs=1e-6)
     assert out.contraction_estimate <= 2.0 ** (-0.5) + 0.05
 
@@ -131,7 +131,7 @@ def test_bounded_osc_contracts_at_half():
               perturbation=Perturbation("bounded_osc", eps, boundary_safe=True))
     probes = draw_probes(4, 128, 1.0, seed=8)
     cfg = StabilizeConfig(direction="ascending", probes=probes)
-    out = stabilize(d, asc_psi(theta=eps), rho_rows, cfg)
+    out = stabilize(LevelTable(d, cfg), asc_psi(theta=eps), rho_rows)
     assert out.contraction_estimate <= 0.5 + 0.05
 
 
@@ -164,7 +164,7 @@ def test_descending_table_tight_at_matched_amplitude():
     probes = draw_probes(4, 64, 1.0, seed=9)
     cfg = StabilizeConfig(direction="descending", probes=probes)
     psi = PsiEnvelope(theta=eps, p=2.0, direction="descending")
-    out = stabilize(d, psi, rho_rows, cfg, kappa=2.0)
+    out = stabilize(LevelTable(d, cfg), psi, rho_rows, kappa=2.0)
     for lv in out.levels:
         assert lv.telescoping_kappa_margin <= 1e-12
         assert lv.telescoping_final_margin <= 1e-12
@@ -177,7 +177,7 @@ def test_descending_table_detects_undersized_envelope():
     probes = draw_probes(4, 64, 1.0, seed=9)
     cfg = StabilizeConfig(direction="descending", probes=probes)
     psi = PsiEnvelope(theta=eps / 4.0, p=2.0, direction="descending")
-    out = stabilize(d, psi, rho_rows, cfg, kappa=2.0)
+    out = stabilize(LevelTable(d, cfg), psi, rho_rows, kappa=2.0)
     assert any(lv.telescoping_kappa_margin > 0 for lv in out.levels)
 
 
@@ -188,10 +188,25 @@ def test_ascending_partial_sums_majorize_with_slack():
               perturbation=Perturbation("power_env", eps, p=0.5))
     probes = draw_probes(1, 64, 1.0, seed=10)
     cfg = StabilizeConfig(direction="ascending", probes=probes)
-    out = stabilize(d, asc_psi(theta=theta), rho_rows, cfg)
+    out = stabilize(LevelTable(d, cfg), asc_psi(theta=theta), rho_rows)
     for lv in out.levels:
         assert lv.telescoping_kappa_margin <= 1e-12
         assert lv.telescoping_final_margin <= 1e-12
+
+
+def test_telescoping_final_margin_is_against_the_hyers_bound():
+    # an envelope a tenth of the perturbation's size, so the defect passes
+    # the bound and the margins are positive (the zero probe pins them at 0
+    # otherwise)
+    table = LevelTable(osc_map(eps=0.01), asc_cfg(seed=13))
+    psi = asc_psi(theta=0.001)
+    out = stabilize(table, psi, rho_rows)
+    probes = table.cfg.probes
+    bound = hyers_bound(psi, probes.x, probes.z)
+    for lv in out.levels:
+        margin = float(np.max(rho_rows(table[lv.level] - table[0]) - bound))
+        assert lv.telescoping_final_margin == margin
+    assert out.bound_margin == out.levels[-1].telescoping_final_margin > 0.0
 
 
 # --- uniqueness and orbit ----------------------------------------------------
@@ -200,8 +215,8 @@ def test_ascending_partial_sums_majorize_with_slack():
 def uniqueness(d, psi, cfg):
     """The run's one iteration, then its uniqueness check on the same table."""
     table = LevelTable(d, cfg)
-    out = stabilize(d, psi, rho_rows, cfg, table=table)
-    return check_uniqueness(out, rho_rows, cfg, table)
+    out = stabilize(table, psi, rho_rows)
+    return check_uniqueness(out, rho_rows, table)
 
 
 def test_uniqueness_exact_fixture():
@@ -221,10 +236,13 @@ def test_uniqueness_perturbed_fixture():
     assert rep.passed
 
 
-def _rerun_uniqueness_reference(d, psi, rho_fn, cfg, table):
-    # the check as six iterations on one table: the base run, three reruns
-    # from start levels 1..3 (stabilize's loop begun at that level) and the
-    # runs capped at n_max -/+ 5, each labelled with the cap it ran
+def _rerun_uniqueness_reference(psi, rho_fn, table):
+    # the check as six iterations on the levels of one table: the base run,
+    # three reruns from start levels 1..3 (stabilize's loop begun at that
+    # level) and the runs capped at n_max -/+ 5, each labelled with the cap
+    # it ran on a table that shares the levels
+    cfg = table.cfg
+
     def rerun_from(start):
         v_prev = table[start]
         frozen = start
@@ -240,10 +258,11 @@ def _rerun_uniqueness_reference(d, psi, rho_fn, cfg, table):
         return frozen
 
     def capped(m):
-        return stabilize(d, psi, rho_fn, replace(cfg, n_max=m), telescoping=False,
-                         skip_psi_check=True, table=table).N_converged
+        other = LevelTable(table.d, replace(cfg, n_max=m))
+        other._levels = table._levels
+        return stabilize(other, psi, rho_fn, telescoping=False, skip_psi_check=True).N_converged
 
-    base = stabilize(d, psi, rho_fn, cfg, telescoping=False, table=table).N_converged
+    base = stabilize(table, psi, rho_fn, telescoping=False).N_converged
     runs = [(f"start={s}", rerun_from(s)) for s in (1, 2, 3)]
     runs += [(f"n_max={m}", capped(m)) for m in (max(1, cfg.n_max - 5), cfg.n_max + 5)]
     variants = []
@@ -274,9 +293,9 @@ def test_uniqueness_matches_the_reruns(n_max, tol):
         cfg = StabilizeConfig(direction=direction, probes=draw_probes(4, 48, 1.0, 17),
                               n_max=n_max, tol=tol)
         table, ref_table = LevelTable(d, cfg), LevelTable(d, cfg)
-        out = stabilize(d, psi, rho_rows, cfg, table=table)
-        rep = check_uniqueness(out, rho_rows, cfg, table)
-        assert rep == _rerun_uniqueness_reference(d, psi, rho_rows, cfg, ref_table)
+        out = stabilize(table, psi, rho_rows)
+        rep = check_uniqueness(out, rho_rows, table)
+        assert rep == _rerun_uniqueness_reference(psi, rho_rows, ref_table)
         # and from the same levels: no table level is read that a rerun did not read
         assert sorted(table._levels) == sorted(ref_table._levels)
 
@@ -300,13 +319,12 @@ def test_uniqueness_keeps_the_non_finite_abort_past_the_run():
     d = BiMap(algebra=MATRIX2, kernel="commutator",
               perturbation=Perturbation("quad_slot1", 1.0))
     with pytest.raises(NonFiniteValueError) as exc:
-        stabilize(d, asc_psi(), rho_exp, asc_cfg(seed=22))
+        stabilize(LevelTable(d, asc_cfg(seed=22)), asc_psi(), rho_exp)
     level = exc.value.level
-    cfg = asc_cfg(seed=22, n_max=level - 2)
-    table = LevelTable(d, cfg)
-    out = stabilize(d, asc_psi(), rho_exp, cfg, table=table)
-    for run_check in (lambda: check_uniqueness(out, rho_exp, cfg, table),
-                      lambda: _rerun_uniqueness_reference(d, asc_psi(), rho_exp, cfg, table)):
+    table = LevelTable(d, asc_cfg(seed=22, n_max=level - 2))
+    out = stabilize(table, asc_psi(), rho_exp)
+    for run_check in (lambda: check_uniqueness(out, rho_exp, table),
+                      lambda: _rerun_uniqueness_reference(asc_psi(), rho_exp, table)):
         with pytest.raises(NonFiniteValueError) as exc:
             run_check()
         assert exc.value.level == level
@@ -320,11 +338,11 @@ def test_uniqueness_stops_a_rerun_below_the_magnitude_cap():
     cfg = replace(cfg, magnitude_cap=2.0**cap_level * float(np.abs(cfg.probes.x).max()))
     d = osc_map()
     table = LevelTable(d, cfg)
-    out = stabilize(d, asc_psi(theta=0.01), rho_rows, cfg, table=table)
+    out = stabilize(table, asc_psi(theta=0.01), rho_rows)
     assert not out.converged
     with pytest.raises(OverflowAbort):
         table[cap_level + 1]
-    rep = check_uniqueness(out, rho_rows, cfg, table)
+    rep = check_uniqueness(out, rho_rows, table)
     assert rep.variants[-1][:2] == ("n_max=15", cap_level)
     assert not rep.passed
 
@@ -343,18 +361,25 @@ def _pairwise_orbit_reference(iterates, weights, rho_fn, weight_tol=1e-15, defec
     return best
 
 
+def orbit(table, out):
+    """Levels 0..N of the run's table, the iterates its orbit check reads."""
+    return [table[n] for n in range(out.N_converged + 1)]
+
+
 def test_bounded_orbit_matches_the_pairwise_loop():
-    out = stabilize(osc_map(), asc_psi(theta=0.01), rho_rows, asc_cfg(seed=13))
-    assert len(out.iterates) > 10
-    est = bounded_orbit_estimate(out.iterates, out.weights, rho_rows)
+    table = LevelTable(osc_map(), asc_cfg(seed=13))
+    out = stabilize(table, asc_psi(theta=0.01), rho_rows)
+    iterates = orbit(table, out)
+    assert len(iterates) > 10
+    est = bounded_orbit_estimate(iterates, out.weights, rho_rows)
     assert np.isfinite(est) and est > 0.0
-    assert est == _pairwise_orbit_reference(out.iterates, out.weights, rho_rows)
+    assert est == _pairwise_orbit_reference(iterates, out.weights, rho_rows)
     # the orbit moves at probe 7, so a zero weight there hides a defect
     # from the induced modular
     weights = out.weights.copy()
     weights[7] = 0.0
-    assert bounded_orbit_estimate(out.iterates, weights, rho_rows) == float("inf")
-    assert _pairwise_orbit_reference(out.iterates, weights, rho_rows) == float("inf")
+    assert bounded_orbit_estimate(iterates, weights, rho_rows) == float("inf")
+    assert _pairwise_orbit_reference(iterates, weights, rho_rows) == float("inf")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -368,10 +393,29 @@ def test_bounded_orbit_matches_the_pairwise_loop_on_every_prefix(seed):
         assert est == _pairwise_orbit_reference(stack[:m], weights, rho_rows)
 
 
+def test_bounded_orbit_check_reads_levels_0_to_n():
+    # a power envelope's orbit moves away from level 0 at every level;
+    # capped at level 3, the run stops far from its limit, so level 3 sets
+    # the estimate
+    cfg = json.loads(json.dumps(builtin_scenarios()["corollary-ascending-p05"]))
+    cfg["map"]["perturbation"] = {"name": "power_env", "epsilon": 0.01, "p": 0.5}
+    cfg["iteration"]["n_max"] = 3
+    result = run_scenario(cfg)
+    [est] = [r.payload["estimate"] for r in result.records
+             if r.payload.get("check") == "bounded_orbit"]
+    ctx = result.context
+    table = LevelTable(ctx["bimap"], StabilizeConfig(direction="ascending", probes=ctx["probes"]))
+    assert ctx["outcome"].N_converged == 3
+    levels = [table[n] for n in range(4)]
+    weights = ctx["outcome"].weights
+    assert est == bounded_orbit_estimate(levels, weights, ctx["rho_fn"])
+    assert est != bounded_orbit_estimate(levels[:3], weights, ctx["rho_fn"])
+
+
 def test_bounded_orbit_zero_for_fixed_point():
-    d = BiMap(algebra=MATRIX2, kernel="commutator")
-    out = stabilize(d, asc_psi(), rho_rows, asc_cfg())
-    assert bounded_orbit_estimate(out.iterates, out.weights, rho_rows) == 0.0
+    table = LevelTable(BiMap(algebra=MATRIX2, kernel="commutator"), asc_cfg())
+    out = stabilize(table, asc_psi(), rho_rows)
+    assert bounded_orbit_estimate(orbit(table, out), out.weights, rho_rows) == 0.0
 
 
 def _levelwise_orbit_reference(iterates, weights, rho_fn, weight_tol=1e-15, defect_tol=1e-12):
@@ -500,9 +544,9 @@ def test_deltas_eventually_decrease_under_contraction():
     eps = 0.01
     d = BiMap(algebra=MATRIX2, kernel="commutator",
               perturbation=Perturbation("bounded_osc", eps, boundary_safe=True))
-    out = stabilize(d, asc_psi(theta=eps), rho_rows, asc_cfg(seed=21, count=128))
+    out = stabilize(LevelTable(d, asc_cfg(seed=21, count=128)), asc_psi(theta=eps), rho_rows)
     assert out.contraction_estimate < 1.0
-    tail = out.per_iter_deltas[-6:]
+    tail = [lv.rho_tilde_delta for lv in out.levels][-6:]
     assert all(b <= a for a, b in zip(tail, tail[1:]))
 
 
@@ -517,7 +561,7 @@ def test_nonfinite_modular_value_aborts_with_level():
     d = BiMap(algebra=MATRIX2, kernel="commutator",
               perturbation=Perturbation("quad_slot1", 1.0))
     with pytest.raises(NonFiniteValueError) as exc:
-        stabilize(d, asc_psi(), rho_exp, asc_cfg(seed=22))
+        stabilize(LevelTable(d, asc_cfg(seed=22)), asc_psi(), rho_exp)
     assert exc.value.level is not None and exc.value.level < 40
 
 
@@ -532,10 +576,10 @@ def test_random_calibrated_fixtures_satisfy_the_bound(seed):
               perturbation=Perturbation("bounded_osc", eps, boundary_safe=True))
     probes = draw_probes(4, 96, 1.0, seed=seed)
     psi0 = PsiEnvelope(theta=1.0, p=0.5, direction="ascending")
-    theta = calibrate_theta(d, psi0, rho_rows, 0.5, probes, which="A")
+    table = LevelTable(d, StabilizeConfig(direction="ascending", probes=probes))
+    theta = calibrate_theta(table, psi0, rho_rows, 0.5, which="A")
     psi = psi0.with_theta(theta)
-    cfg = StabilizeConfig(direction="ascending", probes=probes)
-    out = stabilize(d, psi, rho_rows, cfg)
+    out = stabilize(table, psi, rho_rows)
     assert out.converged
     X, Z = probes.x, probes.z
     recs = check_stability_bound(d(X, Z), out.D(X, Z), psi, rho_rows, probes)
@@ -575,11 +619,11 @@ def test_level_table_evaluates_each_level_once():
     d = CountingMap(osc_map(), cfg.probes)
     psi = asc_psi(theta=0.01)
     table = LevelTable(d, cfg)
-    out = stabilize(d, psi, rho_rows, cfg, table=table)
+    out = stabilize(table, psi, rho_rows)
     n = out.N_converged
     assert out.converged and n > 3
     assert d.calls == Counter(range(n + 1))
-    rep = check_uniqueness(out, rho_rows, cfg, table)
+    rep = check_uniqueness(out, rho_rows, table)
     assert rep.passed and all(v[1] == n for v in rep.variants)
     # the reruns and their limits on the probes read the table only
     assert d.calls == Counter(range(n + 1))
@@ -589,35 +633,23 @@ def test_level_table_evaluates_each_level_once():
 def test_shared_table_equals_fresh_runs():
     cfg = asc_cfg(seed=13)
     d, psi = osc_map(), asc_psi(theta=0.01)
-    table = LevelTable(d, cfg)
-    shared = stabilize(d, psi, rho_rows, cfg, table=table)
-    fresh = stabilize(d, psi, rho_rows, cfg)
-    for name in ("N_converged", "converged", "per_iter_deltas", "sup_rho_deltas",
-                 "contraction_estimate", "bound_margin", "levels"):
+    table, fresh_table = LevelTable(d, cfg), LevelTable(d, cfg)
+    shared = stabilize(table, psi, rho_rows)
+    rep = check_uniqueness(shared, rho_rows, table)
+    fresh = stabilize(fresh_table, psi, rho_rows)
+    for name in ("N_converged", "converged", "contraction_estimate", "bound_margin", "levels"):
         assert getattr(shared, name) == getattr(fresh, name), name
-    assert np.array_equal(shared.iterates, fresh.iterates)
-    assert (check_uniqueness(shared, rho_rows, cfg, table)
-            == check_uniqueness(fresh, rho_rows, cfg, LevelTable(d, cfg)))
+    assert np.array_equal(orbit(table, shared), orbit(fresh_table, fresh))
+    assert rep == check_uniqueness(fresh, rho_rows, LevelTable(d, cfg))
 
 
 def test_level_table_refuses_other_iterates():
-    cfg = asc_cfg(seed=13)
-    d, psi = osc_map(), asc_psi(theta=0.01)
-    table = LevelTable(d, cfg)
-    # n_max and tol do not change the iterates
-    out = stabilize(d, psi, rho_rows, StabilizeConfig(
-        direction="ascending", probes=cfg.probes, n_max=35, tol=1e-9), table=table)
-    others = [
-        (d, asc_cfg(seed=14)),
-        (d, StabilizeConfig(direction="ascending", probes=cfg.probes, magnitude_cap=1e12)),
-        (osc_map(), cfg),
-    ]
-    for other_d, other in others:
-        with pytest.raises(ConfigError):
-            stabilize(other_d, psi, rho_rows, other, table=table)
-        if other_d is d:
-            with pytest.raises(ConfigError):
-                check_uniqueness(out, rho_rows, other, table)
+    # the table fixes the map, the probes, the direction and the cap; an
+    # envelope that scales the other way is refused
+    table = LevelTable(osc_map(), asc_cfg(seed=13))
+    with pytest.raises(PreconditionError, match="direction"):
+        stabilize(table, PsiEnvelope(theta=0.01, p=2.0, direction="descending"), rho_rows)
+    assert table._levels == {}
 
 
 def test_shared_table_keeps_the_cap_abort():

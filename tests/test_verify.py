@@ -6,6 +6,7 @@ import pytest
 from modstab import (
     BiMap,
     CheckRecord,
+    LevelTable,
     ModularSpec,
     Perturbation,
     PreconditionError,
@@ -265,13 +266,13 @@ def test_stability_bound_flags_oversized_perturbation():
     small = BiMap(algebra=MATRIX2, kernel="commutator",
                   perturbation=Perturbation("bounded_osc", 0.01, boundary_safe=True))
     psi0 = PsiEnvelope(theta=1.0, p=0.5, direction="ascending")
-    theta = calibrate_theta(small, psi0, rho_rows, 0.5, probes, which="A")
+    cfg = StabilizeConfig(direction="ascending", probes=probes)
+    theta = calibrate_theta(LevelTable(small, cfg), psi0, rho_rows, 0.5, which="A")
     psi = psi0.with_theta(theta)
 
     big = BiMap(algebra=MATRIX2, kernel="commutator",
                 perturbation=Perturbation("bounded_osc", 0.5, boundary_safe=True))
-    cfg = StabilizeConfig(direction="ascending", probes=probes)
-    out = stabilize(big, psi, rho_rows, cfg, telescoping=False)
+    out = stabilize(LevelTable(big, cfg), psi, rho_rows, telescoping=False)
     X, Z = probes.x, probes.z
     recs = check_stability_bound(big(X, Z), out.D(X, Z), psi, rho_rows, probes)
     assert any(r.margin > 0 for r in recs)
