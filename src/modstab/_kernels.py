@@ -65,11 +65,17 @@ PHI_LINEAR = 2
 PHI_DEAD_ZONE = 3
 
 
+def _items_per_block(rows_per_item):
+    """How many items of rows_per_item rows fit in BLOCK_ROWS rows; one
+    when an item alone is wider."""
+    return max(1, BLOCK_ROWS // max(rows_per_item, 1))
+
+
 def row_blocks(n, rows_per_item=1):
     """Slices of range(n) for blockwise evaluation of n items of
     rows_per_item rows each: every slice spans at most BLOCK_ROWS rows, or
     one item when an item alone is wider."""
-    step = max(1, BLOCK_ROWS // max(rows_per_item, 1))
+    step = _items_per_block(rows_per_item)
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 

@@ -382,15 +382,22 @@ class RhoTildeWeight:
 
 def rho_tilde_tabulated(rho_vals, weights, weight_tol=1e-15, defect_tol=1e-12):
     """max rho(delta)/w over probes with positive weight; +inf when a
-    zero-weight probe carries a nonvanishing defect (empty infimum)."""
+    zero-weight probe carries a nonvanishing defect (empty infimum).
+
+    ``rho_vals`` is one (P,) vector, giving a float, or a (k, P) batch of
+    them, giving a (k,) array whose rows are the floats of the vectors
+    alone; the batch raises if any of its vectors would."""
     rho_vals = np.asarray(rho_vals, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    batch = np.atleast_2d(rho_vals)
     active = weights > weight_tol
-    if np.any(~active & (rho_vals > defect_tol)):
-        return float("inf")
-    if not np.any(active):
-        raise PreconditionError("no probe carries positive weight")
-    return float(np.max(rho_vals[active] / weights[active]))
+    out = np.full(len(batch), np.inf)
+    bounded = ~np.any(~active & (batch > defect_tol), axis=1)
+    if np.any(bounded):
+        if not np.any(active):
+            raise PreconditionError("no probe carries positive weight")
+        out[bounded] = np.max(batch[bounded][:, active] / weights[active], axis=1)
+    return float(out[0]) if rho_vals.ndim == 1 else out
 
 
 def rho_tilde(rho_fn, weight, delta, probes):

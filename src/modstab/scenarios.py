@@ -77,6 +77,9 @@ CALIBRATION_SEED_OFFSET = 104_729
 # the largest probe or axiom sample count a run accepts (--probes, probes.count,
 # samples.count); a larger one is a config error before any array is drawn
 MAX_SAMPLE_COUNT = 100_000
+# the largest axiom sample dimension (samples.dim), checked likewise; at the
+# largest count a (count, dim) complex sample is then at most about 100 MB
+MAX_SAMPLE_DIM = 64
 
 
 def _complex_of(value, label):
@@ -190,32 +193,52 @@ def build_psi(cfg, mspec):
 
 
 def _scaled_degenerate_family(table, psi1, rho_fn, which):
-    """(need, unit) per level i < n_max on the degenerate tuples the
-    iteration traverses, read from the level table T.  Power-of-two scaling
-    is exact, so there the right side is 0 and the left side reduces to
-    rho(k T[i+1] - k T[i]) (descending A: rho(k T[i] - k T[i+1])).
-    Ascending B has a zero left side and yields nothing.  The first level
-    past the magnitude cap ends the family, as it ends the iteration."""
-    ascending = table.cfg.direction == "ascending"
+    """(need, unit) on the degenerate tuples the iteration traverses, read
+    from the level table T: one pair of (k, P) arrays per table block, whose
+    row for level i < n_max is the pair (T[i], T[i+1]).  Power-of-two
+    scaling is exact, so there the right side is 0 and the left side
+    reduces to rho(k_i T[i+1] - k_i T[i]) (descending A:
+    rho(k_i T[i] - k_i T[i+1])).  Ascending B has a zero left side and
+    yields nothing.  The first level past the magnitude cap ends the
+    family, as it ends the iteration."""
+    cfg = table.cfg
+    ascending = cfg.direction == "ascending"
     if ascending and which == "B":
         return
-    x, z = table.cfg.probes.x, table.cfg.probes.z
-    zeros = np.zeros_like(x)
-    psi_z0 = psi1(z, zeros)
-    for i in range(table.cfg.n_max):
+    x, z = cfg.probes.x, cfg.probes.z
+    n, dim = x.shape
+    psi_z0 = psi1(z, np.zeros_like(z))
+
+    def column(values):  # Python floats, one per level, against (k, P, dim)
+        return np.array(values)[:, None, None]
+
+    try:
+        lo = table[0]
+    except OverflowAbort:
+        return
+    j = 1  # the upper level of the block's first pair
+    while j <= cfg.n_max:
         try:
-            lo, hi = table[i], table[i + 1]
+            hi = table.block(j)[: cfg.n_max - j + 1]
         except OverflowAbort:
             return
+        los = np.concatenate([lo[None], hi[:-1]])
+        i, rows = range(j - 1, j - 1 + len(hi)), len(hi) * n
         if ascending:  # (u, u, z, 0) with u = 2^i x
-            k, u = 2.0 ** (i + 2), 2.0**i * x
-            yield rho_fn(k * hi - k * lo), psi1(u, u) * psi_z0
+            k = column([2.0 ** (m + 2) for m in i])
+            u = (column([2.0**m for m in i]) * x).reshape(rows, dim)
+            diff, y = k * hi - k * los, u
         elif which == "A":  # (u, u, z, 0) with u = x / 2^(i+1)
-            k, u = 2.0 ** (1 - i), x / 2.0 ** (i + 1)
-            yield rho_fn(k * lo - k * hi), psi1(u, u) * psi_z0
+            k = column([2.0 ** (1 - m) for m in i])
+            u = (x / column([2.0 ** (m + 1) for m in i])).reshape(rows, dim)
+            diff, y = k * los - k * hi, u
         else:  # (u, 0, z, 0) with u = x / 2^i
-            k, u = 2.0 ** (2 - i), x / 2.0**i
-            yield rho_fn(k * hi - k * lo), psi1(u, zeros) * psi_z0
+            k = column([2.0 ** (2 - m) for m in i])
+            u = (x / column([2.0**m for m in i])).reshape(rows, dim)
+            diff, y = k * hi - k * los, np.zeros_like(u)
+        need = rho_fn(diff.reshape(rows, diff.shape[2])).reshape(len(hi), n)
+        yield need, psi1(u, y).reshape(len(hi), n) * psi_z0
+        lo, j = hi[-1], j + len(hi)
 
 
 def calibrate_theta(
@@ -233,8 +256,8 @@ def calibrate_theta(
     The random family is evaluated in ``_kernels.row_blocks``; a row's
     value does not depend on its block, and neither the max nor the refusal
     depends on the order, so theta has the bits of one wide batch.  The
-    scaled degenerate family is read from levels 0..n_max of the table and
-    stops at the magnitude cap."""
+    scaled degenerate family is read from levels 0..n_max of the table, one
+    (need, unit) pair per table block, and stops at the magnitude cap."""
     bimap, probes = table.d, table.cfg.probes
     if psi_proto.direction != table.cfg.direction:
         raise ConfigError(
@@ -781,6 +804,8 @@ def _run_axioms(cfg, name, seed_override, probes_override):
         dim = int(samples_cfg.get("dim", 4))
         if dim < 1:
             raise ConfigError(f"samples.dim must be at least 1, got {dim}")
+        if dim > MAX_SAMPLE_DIM:
+            raise ConfigError(f"samples.dim {dim} exceeds the limit of {MAX_SAMPLE_DIM}")
         fixtures = [
             (fx.get("label", f"fixture-{idx}"), build_modular(fx["modular"]),
              fx.get("expect_violation"), fx.get("check_delta2", False))

@@ -3,10 +3,12 @@ modular distance between successive candidates drops below tolerance,
 freeze the bi-additive limit, and instrument every quantitative claim
 made about the iteration on the way."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .bimaps import (
     DIRECTIONS,
     ProbeSet,
@@ -17,10 +19,16 @@ from .bimaps import (
 )
 from .errors import (
     ConfigError,
+    ModstabError,
     NonFiniteValueError,
     OverflowAbort,
     PreconditionError,
 )
+
+
+# the largest level cap n_max a run accepts: 2.0**n overflows a float from
+# n = 1024 on, and the uniqueness check reads levels up to n_max + 5
+MAX_N_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -36,10 +44,12 @@ class StabilizeConfig:
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise ConfigError(f"direction must be one of {DIRECTIONS}")
-        if self.n_max < 1:
-            raise ConfigError("n_max must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not 1 <= self.n_max <= MAX_N_MAX:
+            raise ConfigError(f"n_max must be between 1 and {MAX_N_MAX}, got {self.n_max}")
+        for name in ("tol", "magnitude_cap"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -84,60 +94,61 @@ def estimate_contraction(history):
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-class _Telescope:
-    """Per-level majorants for the defect against the level-0 map.
-
-    Ascending uses the geometric partial sum
-        sum_{i<=n} 2^-i psi(2^(i-1) x, 2^(i-1) x) psi(z, 0),
-    whose full sum is bounded by psi(x,x) psi(z,0)/(2(1-L)).
-    Descending uses the kappa-weighted table (two variants, one keyed by
-    psi at the halved diagonal, one by psi(. , 0)); at kappa = 2 the table
-    coincides with the honest unrolled recursion.  ``final`` is the full
-    bound, ``hyers_bound`` on the probes.
-    """
-
-    def __init__(self, form, psi, X, Z, kappa, final):
-        self.form = form
-        self.psi = psi
-        self.X = X
-        self.kappa = kappa
-        self.psi_z0 = psi(Z, np.zeros_like(Z))
-        self.final = final
-        self._cum = np.zeros(X.shape[0])
-        self._terms = {}
-
-    def _term(self, i):
-        if i not in self._terms:
-            X = self.X
-            zero = np.zeros_like(X)
-            if self.form == "ascending":
-                u = 2.0 ** (i - 1) * X
-                self._terms[i] = self.psi(u, u)
-            elif self.form == "kappa_both_slots":
-                u = X / (2.0 if i == 1 else 2.0**i)
-                self._terms[i] = self.psi(u, u)
-            elif self.form == "kappa_first_zero":
-                s = 1.0 if i == 1 else 2.0 ** (i - 1)
-                self._terms[i] = self.psi(X / s, zero)
-            else:
-                raise ConfigError(f"unknown telescoping form {self.form!r}")
-        return self._terms[i]
-
-    def majorant(self, n):
-        if self.form == "ascending":
-            self._cum = self._cum + 2.0 ** (-n) * self._term(n)
-            return self._cum * self.psi_z0
-        k = self.kappa
-        acc = k ** (n - 1) / 2.0 ** (n - 1) * self._term(1)
-        for i in range(2, n + 1):
-            acc = acc + k**n / 2.0 ** (n - i + 1) * self._term(i)
-        return acc * self.psi_z0
-
-
 def _auto_telescope_form(direction, weight_kind):
     if direction == "ascending":
         return "ascending"
     return "kappa_first_zero" if weight_kind == "psi_x0_z0" else "kappa_both_slots"
+
+
+# The telescoping majorants bound the defect against the level-0 map.
+# Ascending uses the geometric partial sum
+#     sum_{i<=n} 2^-i psi(2^(i-1) x, 2^(i-1) x) psi(z, 0),
+# whose full sum is bounded by psi(x,x) psi(z,0)/(2(1-L)).  Descending uses
+# the kappa-weighted table (two variants, one keyed by psi at the halved
+# diagonal, one by psi(. , 0)); at kappa = 2 the table coincides with the
+# honest unrolled recursion.  The full bound is ``hyers_bound`` on the probes.
+
+
+def _majorant_terms(form, psi, X, span):
+    """The majorant's term psi_i for each level i of ``span``, from one
+    psi call on the stacked scaled probes: a (k, P) array.  psi_i is
+    psi(2^(i-1) x, 2^(i-1) x) ascending, psi(x / 2^i, x / 2^i) for
+    kappa_both_slots and psi(x / 2^(i-1), 0) for kappa_first_zero."""
+    n, dim = X.shape
+    if form == "ascending":
+        u = np.array([2.0 ** (i - 1) for i in span])[:, None, None] * X
+    elif form == "kappa_both_slots":
+        u = X / np.array([2.0**i for i in span])[:, None, None]
+    elif form == "kappa_first_zero":
+        u = X / np.array([2.0 ** (i - 1) for i in span])[:, None, None]
+    else:
+        raise ConfigError(f"unknown telescoping form {form!r}")
+    u = u.reshape(len(span) * n, dim)
+    return psi(u, np.zeros_like(u) if form == "kappa_first_zero" else u).reshape(len(span), n)
+
+
+def _majorants(form, kappa, span, terms, carry):
+    """The majorants of the consecutive levels ``span`` before their
+    psi(z, 0) factor, a (k, P) array, from their ``terms``; and the carry
+    for the levels after them.  The coefficients are Python floats.
+
+    Ascending, the carry is the running sum through the level before:
+    each row adds 2^-n psi_n to the row before it, in level order.
+    Descending, the carry is the list of the terms psi_1.. of the levels
+    before, and row n sums c_n,i psi_i over i = 1..n in that order, with
+    c_n,1 = kappa^(n-1) / 2^(n-1) and c_n,i = kappa^n / 2^(n-i+1): one
+    vector update per i over the rows n >= i."""
+    if form == "ascending":
+        steps = np.array([2.0 ** (-n) for n in span])[:, None] * terms
+        sums = np.add.accumulate(np.concatenate([carry[None], steps]), axis=0)[1:]
+        return sums, sums[-1]
+    psis = carry + list(terms)
+    rows = np.array([kappa ** (n - 1) / 2.0 ** (n - 1) for n in span])[:, None] * psis[0]
+    for i in range(2, span[-1] + 1):
+        r = max(0, i - span[0])  # the rows of the levels n >= i
+        c = [kappa**n / 2.0 ** (n - i + 1) for n in span[r:]]
+        rows[r:] += np.array(c)[:, None] * psis[i - 1]
+    return rows, psis
 
 
 def _tabulate(d, cfg, level, max_abs_x):
@@ -158,18 +169,44 @@ def _tabulate(d, cfg, level, max_abs_x):
     return vals
 
 
+# numpy's floating-point events raise (FloatingPointError) inside a stacked
+# pass, so that a pass which meets one is given up and its levels are redone
+# one at a time, under the caller's own error state; so is a pass that meets
+# any other arithmetic error or one of the package's own errors
+_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
+_LEVEL_ERRORS = (ArithmeticError, ModstabError)
+
+
 class LevelTable:
     """The scaled iterates J^n d of the map ``d`` on the probes of ``cfg``,
     each level evaluated once: the one input of a run's iteration.
 
     ``stabilize``, ``check_uniqueness`` and ``calibrate_theta`` take the
     table and read the map, the probes, the direction, the level cap n_max,
-    the tolerance and the magnitude cap from it.  ``table[n]`` tabulates
-    level n the first time it is asked for, with that level's magnitude-cap
-    and finiteness aborts, and returns the stored (read-only) array after
-    that.  Calibration reads levels up to n_max before the iteration runs
-    and stops at a magnitude-cap abort, so a run still aborts at the same
-    level and probe as it would without the table.
+    the tolerance and the magnitude cap from it.  ``table[n]`` returns level
+    n as a read-only array; ``table.block(n)`` returns level n and the
+    levels after it in its block, stacked.
+
+    Levels 0..n_max are tabulated in blocks of consecutive levels, each
+    spanning at most ``_kernels.BLOCK_ROWS`` rows (4 levels at 512 probes,
+    all 41 at 32), from one map call on the stacked scaled probes:
+    2^n x (or x / 2^n) with z tiled, the value scaled back row by row.  A
+    row's value does not depend on its batch, so every level has the bits
+    of its own call.  The first read of a level tabulates the block that
+    starts there; nothing past that block, past n_max or past the magnitude
+    cap is evaluated (for ascending iterates the cap is known in advance
+    from max |x|).  A level past n_max is tabulated alone.
+
+    A block whose map call raises an arithmetic or package error, meets a
+    floating-point overflow, invalid value or division by zero, or yields a
+    non-finite value is given up, and each of its levels is tabulated alone
+    when it is read: a level then raises the same ``OverflowAbort`` or
+    ``NonFiniteValueError`` (level, probe_id and message) as it did alone,
+    and only when it is read, so a run that converges before a bad level
+    does not raise.
+    Calibration reads levels up to n_max before the iteration runs and
+    stops at a magnitude-cap abort, so a run still aborts at the same level
+    and probe as it would without the table.
     """
 
     def __init__(self, d, cfg):
@@ -177,15 +214,63 @@ class LevelTable:
         self.cfg = cfg
         x = cfg.probes.x
         self._max_abs_x = float(np.abs(x).max()) if x.size else 0.0
-        self._levels = {}
+        self._levels = {}  # level -> its read-only row of a block
+        self._blocks = {}  # level -> (block, row)
+        self._per_block = _kernels._items_per_block(len(x))
+        # blocks end at n_max and below the first level over the cap
+        self._end = cfg.n_max + 1
+        if cfg.direction == "ascending":
+            self._end = next(
+                (n for n in range(self._end) if 2.0**n * self._max_abs_x > cfg.magnitude_cap),
+                self._end,
+            )
+        self._single_until = 0  # levels below it are tabulated alone
 
     def __getitem__(self, level):
-        vals = self._levels.get(level)
-        if vals is None:
-            vals = _tabulate(self.d, self.cfg, level, self._max_abs_x)
-            vals.flags.writeable = False
-            self._levels[level] = vals
-        return vals
+        if level not in self._levels:
+            self._fill(level)
+        return self._levels[level]
+
+    def block(self, level):
+        """Level ``level`` and the tabulated levels after it in its block,
+        as a read-only (k, P, value_dim) array with k >= 1."""
+        if level not in self._levels:
+            self._fill(level)
+        stack, row = self._blocks[level]
+        return stack[row:]
+
+    def _fill(self, start):
+        stop = min(start + self._per_block, self._end)
+        stop = next((n for n in range(start + 1, stop) if n in self._levels), stop)
+        stack = None
+        if start >= self._single_until and stop - start > 1:
+            stack = self._stacked(start, stop)
+            if stack is None:
+                self._single_until = stop
+        if stack is None:
+            stack = _tabulate(self.d, self.cfg, start, self._max_abs_x)[None]
+        stack.flags.writeable = False
+        for row in range(len(stack)):
+            self._levels[start + row] = stack[row]
+            self._blocks[start + row] = (stack, row)
+
+    def _stacked(self, start, stop):
+        """Levels start..stop-1 from one map call, or None when the block
+        is given up."""
+        X, Z = self.cfg.probes.x, self.cfg.probes.z
+        k, (n, dim) = stop - start, X.shape
+        s = np.array([2.0**level for level in range(start, stop)])[:, None, None]
+        try:
+            with np.errstate(**_RAISE):
+                if self.cfg.direction == "ascending":
+                    vals = self.d((s * X).reshape(k * n, dim), np.tile(Z, (k, 1)))
+                    vals = vals.reshape(k, n, vals.shape[1]) / s
+                else:
+                    vals = self.d((X / s).reshape(k * n, dim), np.tile(Z, (k, 1)))
+                    vals = s * vals.reshape(k, n, vals.shape[1])
+        except _LEVEL_ERRORS:  # met again by the levels alone
+            return None
+        return vals if np.isfinite(vals).all() else None
 
 
 def _level_rho(table, rho_fn, n):
@@ -216,6 +301,15 @@ def stabilize(
     uses the plain probe-sup ``sup_rho_delta`` so zero-weight boundary
     probes cannot produce 0/0.  A run iterates once: ``check_uniqueness``
     reads its reruns off the outcome's levels.
+
+    The levels are walked a table block at a time: one modular call gives
+    the deltas of the whole block, and the diagnostics of the levels up to
+    the first that converges (rho-tilde, the telescoping defect and
+    majorant) are computed over them at once, each with the bits the level
+    gets alone.  A block pass that raises an arithmetic or package error,
+    numpy's floating-point events among them, is given up, and the rest of
+    its block is walked one level at a time under the caller's error state,
+    so a run raises what it raised level by level, at the same level.
     """
     d, cfg = table.d, table.cfg
     if not getattr(d, "zero_boundary", True):
@@ -234,29 +328,61 @@ def stabilize(
 
     v_origin = table[0]  # the unscaled map, reference for bound/telescoping
     hyers_vals = hyers_bound(psi, X, Z)
-
-    telescope = None
+    form = _auto_telescope_form(cfg.direction, weight_kind)
     if telescoping:
-        telescope = _Telescope(
-            _auto_telescope_form(cfg.direction, weight_kind), psi, X, Z, kappa, hyers_vals
-        )
+        psi_z0 = psi(Z, np.zeros_like(Z))
 
-    levels = []
-    for n in range(1, cfg.n_max + 1):
-        diff_rho = _level_rho(table, rho_fn, n)
-        sup_delta = float(np.max(diff_rho))
-        rt_delta = rho_tilde_tabulated(diff_rho, weights)
-        tel_kappa = tel_final = None
-        if telescope is not None:
-            defect = rho_fn(table[n] - v_origin)
-            tel_kappa = float(np.max(defect - telescope.majorant(n)))
-            tel_final = float(np.max(defect - telescope.final))
-        levels.append(LevelDiag(n, sup_delta, rt_delta, tel_kappa, tel_final))
-        if sup_delta < cfg.tol:
+    def walk(block, first, prev, carry):
+        """LevelDiags of the levels first, first + 1, .. of ``block`` up to
+        the first that converges, and the majorant carry after them.  Each
+        level's steps go in the order of the per-level loop, so a one-level
+        block raises what that level raised."""
+        k, n_probes, vd = block.shape
+        diffs = np.empty_like(block)
+        np.subtract(block[0], prev, out=diffs[0])
+        np.subtract(block[1:], block[:-1], out=diffs[1:])
+        diff_rho = rho_fn(diffs.reshape(k * n_probes, vd)).reshape(k, n_probes)
+        finite = np.isfinite(diff_rho).all(axis=1)
+        sup = np.full(k, np.inf)
+        sup[finite] = diff_rho[finite].max(axis=1)
+        stop = (sup < cfg.tol) | ~finite
+        if stop.any():
+            k = int(np.argmax(stop)) + 1
+            if not finite[k - 1]:
+                raise NonFiniteValueError("non-finite modular value", level=first + k - 1)
+        span = range(first, first + k)
+        rt = rho_tilde_tabulated(diff_rho[:k], weights)
+        tel_kappa = tel_final = [None] * k
+        if telescoping:
+            defect = rho_fn((block[:k] - v_origin).reshape(k * n_probes, vd)).reshape(k, n_probes)
+            terms = _majorant_terms(form, psi, X, span)
+            majorant, carry = _majorants(form, kappa, span, terms, carry)
+            tel_kappa = (defect - majorant * psi_z0).max(axis=1).tolist()
+            tel_final = (defect - hyers_vals).max(axis=1).tolist()
+        rows = zip(span, sup[:k].tolist(), rt.tolist(), tel_kappa, tel_final)
+        return [LevelDiag(*row) for row in rows], carry
+
+    levels, prev, single_until = [], v_origin, 0
+    carry = np.zeros(len(X)) if form == "ascending" else []
+    while True:
+        first = len(levels) + 1
+        block = table.block(first)[: cfg.n_max - first + 1]
+        diags = None
+        if first >= single_until and len(block) > 1:
+            try:
+                with np.errstate(**_RAISE):
+                    diags, after = walk(block, first, prev, carry)
+            except _LEVEL_ERRORS:  # met again by the levels alone
+                single_until = first + len(block)
+        if diags is None:
+            diags, after = walk(block[:1], first, prev, carry)
+        levels += diags
+        carry, prev = after, block[len(diags) - 1]
+        if levels[-1].sup_rho_delta < cfg.tol or len(levels) == cfg.n_max:
             break
 
     # n_max >= 1, so the loop ran: it froze at its last level
-    frozen, converged = len(levels), sup_delta < cfg.tol
+    frozen, converged = len(levels), levels[-1].sup_rho_delta < cfg.tol
     rt_deltas = [lv.rho_tilde_delta for lv in levels]
     bound_margin = float(np.max(rho_fn(table[frozen] - v_origin) - hyers_vals))
     contraction = estimate_contraction(rt_deltas) if len(rt_deltas) >= 3 else 0.0

@@ -133,10 +133,12 @@ class ScaledProbeCounter:
         self.probes = probes
         self.levels = levels
         self.calls = Counter()
+        self.scaled_widths = []  # widths of the calls that hold such a block
 
     def __call__(self, x, z):
         n = len(self.probes.x)
         if len(x) % n == 0:
+            seen = sum(self.calls.values())
             for b in range(len(x) // n):
                 xb, zb = x[b * n:(b + 1) * n], z[b * n:(b + 1) * n]
                 if not np.array_equal(zb, self.probes.z):
@@ -144,27 +146,34 @@ class ScaledProbeCounter:
                 for i in range(self.levels + 1):
                     if np.array_equal(xb, 2.0**i * self.probes.x):
                         self.calls[i] += 1
+            if sum(self.calls.values()) > seen:
+                self.scaled_widths.append(len(x))
         return self.d(x, z)
 
 
 def test_shared_table_evaluates_each_scaled_level_once():
     # calibration, the iteration and the uniqueness check read one table;
     # the one extra level-0 call is f(x, z) inside the inequality at the
-    # scenario probes, which is not a scaled iterate
+    # scenario probes, which is not a scaled iterate.  At 64 probes the
+    # table's blocks span 32 levels: levels 0..n_max = 40 take two map
+    # calls, and no level past n_max is evaluated
     probes = draw_probes(4, 64, 1.0, 13)
     cfg = StabilizeConfig(direction="ascending", probes=probes)
     base = random_map(13, "bounded_osc", "ascending")
-    d = ScaledProbeCounter(base, probes, cfg.n_max + 1)
+    d = ScaledProbeCounter(base, probes, cfg.n_max + 5)
     table = LevelTable(d, cfg)
     theta = calibrate_theta(table, proto("ascending"), rho_rows, 0.5, which="A",
                             extra_count=EXTRA)
     once = Counter(range(cfg.n_max + 1))
+    blocks = [32 * len(probes), 9 * len(probes)]
     assert d.calls == once + Counter({0: 1})
+    assert d.scaled_widths == [len(probes)] + blocks
     psi = proto("ascending").with_theta(theta)
     out = stabilize(table, psi, rho_rows)
     assert out.converged and out.N_converged < cfg.n_max
     assert check_uniqueness(out, rho_rows, table).passed
     assert d.calls == once + Counter({0: 1})
+    assert d.scaled_widths == [len(probes)] + blocks
 
 
 def test_calibration_refuses_a_table_of_other_iterates():
@@ -204,8 +213,9 @@ def test_given_probe_parts_are_not_evaluated_again():
                             0.5, which="A", extra_count=EXTRA, probe_parts=parts)
     assert theta == calibrate_theta(table_of(d, probes, "ascending"), proto("ascending"),
                                     rho_rows, 0.5, which="A", extra_count=EXTRA)
-    # the random family's 8 map calls and the table's 41 levels; no probe-family call
-    assert seen == [EXTRA] * 8 + [len(probes)] * 41
+    # the random family's 8 map calls and the table's 41 levels in blocks of
+    # 32 levels (2 calls); no probe-family call
+    assert seen == [EXTRA] * 8 + [32 * len(probes), 9 * len(probes)]
 
 
 def without_iteration(name):
@@ -233,7 +243,10 @@ def test_calibration_without_an_iteration_section_reads_40_levels(name, failed, 
     monkeypatch.setattr(scenarios, "calibrate_theta", calibrate)
     result = run_scenario(without_iteration(name))
     [table] = tables
+    # levels 0..40, each tabulated once: 512 probes give blocks of 4 levels
     assert table.cfg.n_max == 40 and sorted(table._levels) == list(range(41))
+    blocks = sorted({(level - row, len(stack)) for level, (stack, row) in table._blocks.items()})
+    assert blocks == [(i, 4) for i in range(0, 40, 4)] + [(40, 1)]
     # with no limit extracted, these checks measure the perturbed map itself
     assert result.exit_code == 1
     assert Counter(r.payload.get("check") for r in result.records

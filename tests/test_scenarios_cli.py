@@ -338,6 +338,12 @@ def _axioms_samples(key, value):
     return json.dumps(cfg)
 
 
+def _iteration_value(key, value):
+    cfg = json.loads(json.dumps(builtin_scenarios()["corollary-ascending-p05"]))
+    cfg["iteration"][key] = value
+    return json.dumps(cfg)
+
+
 def _probes_radius(value):
     cfg = small_stability_config()
     cfg["probes"]["radius"] = value
@@ -373,12 +379,23 @@ def _bogus_weight(name, drop_iteration=False):
         _probes_radius(float("inf")),
         _malformed("probes", {"count": float("inf")}),
         _malformed("iteration", {"direction": "ascending", "n_max": float("inf")}),
+        _axioms_samples("dim", scenarios.MAX_SAMPLE_DIM + 1),
+        _axioms_samples("dim", 10**9),
+        _iteration_value("n_max", 1100),
+        _iteration_value("tol", float("nan")),
+        _iteration_value("tol", float("inf")),
+        _iteration_value("tol", 0.0),
+        _iteration_value("magnitude_cap", float("nan")),
+        _iteration_value("magnitude_cap", float("inf")),
+        _iteration_value("magnitude_cap", -1.0),
     ],
     ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list",
          "fixture-no-modular", "weight-bogus", "weight-bogus-no-iteration",
          "samples-dim-negative", "samples-dim-zero", "samples-radius-nan",
          "samples-radius-negative", "samples-radius-inf", "probes-radius-nan",
-         "probes-radius-inf", "count-inf", "n-max-inf"],
+         "probes-radius-inf", "count-inf", "n-max-inf", "samples-dim-past-limit",
+         "samples-dim-1e9", "n-max-1100", "tol-nan", "tol-inf", "tol-zero", "magnitude-cap-nan",
+         "magnitude-cap-inf", "magnitude-cap-negative"],
 )
 def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "calibrate_theta", lambda *a, **k: pytest.fail("calibrated"))
@@ -602,6 +619,32 @@ def test_orlicz_run_bisects_each_distinct_row_once(monkeypatch):
     uncached = run_scenario(_orlicz_luxemburg_config())
     assert cached.exit_code == uncached.exit_code
     assert [r.to_json() for r in cached.records] == [r.to_json() for r in uncached.records]
+
+
+def test_orlicz_run_tabulates_its_levels_in_one_map_call(monkeypatch):
+    # 32 probes: levels 0..40 are 1,312 rows, within one block of BLOCK_ROWS
+    from modstab.bimaps import BiMap
+    from modstab.stabilize import LevelTable
+
+    tables, widths = [], []
+    original_call = BiMap.__call__
+
+    class Recorded(LevelTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    def counted_call(self, x, z):
+        widths.append(len(x))
+        return original_call(self, x, z)
+
+    monkeypatch.setattr(scenarios, "LevelTable", Recorded)
+    monkeypatch.setattr(BiMap, "__call__", counted_call)
+    result = run_scenario(_orlicz_luxemburg_config())
+    assert result.exit_code == 0
+    [table] = tables
+    blocks = {(level - row, len(stack)) for level, (stack, row) in table._blocks.items()}
+    assert blocks == {(0, 41)} and widths.count(41 * 32) == 1
 
 
 STABILITY_BUILTINS = [name for name, cfg in builtin_scenarios().items()

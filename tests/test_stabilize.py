@@ -26,6 +26,7 @@ from modstab import (
     preset,
     stabilize,
 )
+from modstab._kernels import BLOCK_ROWS
 from modstab.scenarios import builtin_scenarios, calibrate_theta, run_scenario
 from modstab.stabilize import UniquenessReport
 
@@ -238,15 +239,15 @@ def test_uniqueness_perturbed_fixture():
 
 def _rerun_uniqueness_reference(psi, rho_fn, table):
     # the check as six iterations on the levels of one table: the base run,
-    # three reruns from start levels 1..3 (stabilize's loop begun at that
-    # level) and the runs capped at n_max -/+ 5, each labelled with the cap
-    # it ran on a table that shares the levels
+    # three reruns from start levels 1..3 and the runs from level 0 capped at
+    # n_max -/+ 5, each the per-level loop of stabilize begun at its start
+    # level and stopped at its cap, and labelled with the cap it ran
     cfg = table.cfg
 
-    def rerun_from(start):
+    def rerun_from(start, cap=cfg.n_max):
         v_prev = table[start]
         frozen = start
-        for n in range(start + 1, cfg.n_max + 1):
+        for n in range(start + 1, cap + 1):
             v = table[n]
             diff_rho = rho_fn(v - v_prev)
             if not np.isfinite(diff_rho).all():
@@ -257,14 +258,9 @@ def _rerun_uniqueness_reference(psi, rho_fn, table):
                 break
         return frozen
 
-    def capped(m):
-        other = LevelTable(table.d, replace(cfg, n_max=m))
-        other._levels = table._levels
-        return stabilize(other, psi, rho_fn, telescoping=False, skip_psi_check=True).N_converged
-
     base = stabilize(table, psi, rho_fn, telescoping=False).N_converged
     runs = [(f"start={s}", rerun_from(s)) for s in (1, 2, 3)]
-    runs += [(f"n_max={m}", capped(m)) for m in (max(1, cfg.n_max - 5), cfg.n_max + 5)]
+    runs += [(f"n_max={m}", rerun_from(0, m)) for m in (max(1, cfg.n_max - 5), cfg.n_max + 5)]
     variants = []
     worst = 0.0
     for tag, n in runs:
@@ -296,8 +292,10 @@ def test_uniqueness_matches_the_reruns(n_max, tol):
         out = stabilize(table, psi, rho_rows)
         rep = check_uniqueness(out, rho_rows, table)
         assert rep == _rerun_uniqueness_reference(psi, rho_rows, ref_table)
-        # and from the same levels: no table level is read that a rerun did not read
-        assert sorted(table._levels) == sorted(ref_table._levels)
+        # and from the same blocks of levels, each level tabulated once: a
+        # level is tabulated only with the block a read starts, so no block
+        # is read that a rerun did not read
+        assert tabulated_blocks(table) == tabulated_blocks(ref_table)
 
 
 def test_uniqueness_labels_the_cap_it_ran():
@@ -336,7 +334,7 @@ def test_uniqueness_stops_a_rerun_below_the_magnitude_cap():
     cfg = asc_cfg(seed=13, n_max=10, tol=1e-30)
     cap_level = 12
     cfg = replace(cfg, magnitude_cap=2.0**cap_level * float(np.abs(cfg.probes.x).max()))
-    d = osc_map()
+    d = CountingMap(osc_map(), cfg.probes)
     table = LevelTable(d, cfg)
     out = stabilize(table, asc_psi(theta=0.01), rho_rows)
     assert not out.converged
@@ -345,6 +343,9 @@ def test_uniqueness_stops_a_rerun_below_the_magnitude_cap():
     rep = check_uniqueness(out, rho_rows, table)
     assert rep.variants[-1][:2] == ("n_max=15", cap_level)
     assert not rep.passed
+    # levels 0..10 are one block; 11 and 12, past n_max, are read alone by
+    # the rerun, and no level past the cap is evaluated
+    assert d.calls == Counter(range(cap_level + 1)) and d.widths == [11 * 64, 64, 64]
 
 
 def _pairwise_orbit_reference(iterates, weights, rho_fn, weight_tol=1e-15, defect_tol=1e-12):
@@ -595,18 +596,28 @@ def test_random_calibrated_fixtures_satisfy_the_bound(seed):
 
 
 class CountingMap:
-    """Wraps an ascending map and counts its calls per scaling level."""
+    """Wraps an ascending map; records the width of each call and counts,
+    per scaling level, the probe blocks it evaluates (a call on k stacked
+    levels counts each of them once)."""
 
     def __init__(self, d, probes):
         self.d = d
         self.zero_boundary = d.zero_boundary
         self.base = float(np.abs(probes.x).max())
+        self.n = len(probes.x)
         self.calls = Counter()
+        self.widths = []
 
     def __call__(self, x, z):
-        level = int(round(np.log2(float(np.abs(x).max()) / self.base)))
-        self.calls[level] += 1
+        self.widths.append(len(x))
+        for rows in np.split(np.asarray(x), len(x) // self.n):
+            self.calls[int(round(np.log2(float(np.abs(rows).max()) / self.base)))] += 1
         return self.d(x, z)
+
+
+def tabulated_blocks(table):
+    """(first level, level count) of each block the table has tabulated."""
+    return sorted({(level - row, len(stack)) for level, (stack, row) in table._blocks.items()})
 
 
 def osc_map(eps=0.01):
@@ -615,19 +626,47 @@ def osc_map(eps=0.01):
 
 
 def test_level_table_evaluates_each_level_once():
+    # at 64 probes a block spans 32 levels: the run converges inside the
+    # first, which is one map call that evaluates each of its levels once
+    # and nothing past it
     cfg = asc_cfg(seed=13)
     d = CountingMap(osc_map(), cfg.probes)
     psi = asc_psi(theta=0.01)
     table = LevelTable(d, cfg)
     out = stabilize(table, psi, rho_rows)
     n = out.N_converged
-    assert out.converged and n > 3
-    assert d.calls == Counter(range(n + 1))
+    per_block = BLOCK_ROWS // len(cfg.probes)
+    assert out.converged and 3 < n < per_block - 1
+    assert d.calls == Counter(range(per_block)) and d.widths == [BLOCK_ROWS]
     rep = check_uniqueness(out, rho_rows, table)
     assert rep.passed and all(v[1] == n for v in rep.variants)
     # the reruns and their limits on the probes read the table only
-    assert d.calls == Counter(range(n + 1))
+    assert d.calls == Counter(range(per_block)) and d.widths == [BLOCK_ROWS]
+    assert tabulated_blocks(table) == [(0, per_block)]
     assert table[n] is table[n] and not table[n].flags.writeable
+
+
+def test_the_magnitude_cap_ends_a_block():
+    # at 32 probes one block would hold all 41 levels; the cap admits level
+    # 12 and no level past it, so the block ends at 12, and level 13 raises
+    # without a map call, naming the probe with the largest coordinate
+    cfg, psi = asc_cfg(seed=3, count=32, tol=1e-30), asc_psi(theta=0.01)
+    x = cfg.probes.x
+    cap = 2.0**12 * float(np.abs(x).max())
+    d = CountingMap(osc_map(), cfg.probes)
+    with pytest.raises(OverflowAbort) as exc:
+        stabilize(LevelTable(d, replace(cfg, magnitude_cap=cap)), psi, rho_rows)
+    widest = int(np.argmax(np.abs(x).max(axis=1)))
+    assert (str(exc.value), exc.value.level, exc.value.probe_id) == (
+        f"2^13 scaling exceeds the magnitude cap {cap:g}", 13, widest)
+    assert d.calls == Counter(range(13)) and d.widths == [13 * 32]
+    # a run that converges below the cap evaluates nothing past its block
+    d = CountingMap(osc_map(), cfg.probes)
+    capped = stabilize(LevelTable(d, replace(cfg, tol=1e-10, magnitude_cap=2.0**35)), psi,
+                       rho_rows)
+    uncapped = stabilize(LevelTable(osc_map(), replace(cfg, tol=1e-10)), psi, rho_rows)
+    assert capped.converged and capped.levels == uncapped.levels
+    assert d.calls == Counter(range(36)) and d.widths == [36 * 32]
 
 
 def test_shared_table_equals_fresh_runs():
