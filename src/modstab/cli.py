@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .algebra import three_unimodular_decomposition
-from .errors import ConfigError, ModstabError
+from .errors import ConfigError, ModstabError, NonFiniteValueError
 from .modular import ModularSpec, luxemburg_norm
 from .report import count_failures, write_report
 from .scenarios import MAX_SAMPLE_COUNT, list_builtin_scenarios, run_scenario
@@ -83,7 +83,12 @@ def _cmd_list(_args):
 def _cmd_norm(args):
     m = _parse_modular(args.modular)
     vec = _parse_vector(args.vector)
-    print(f"{luxemburg_norm(m, vec, tol=args.tol):.12g}")
+    with np.errstate(over="ignore"):
+        value = luxemburg_norm(m, vec, tol=args.tol)
+    # a closed form overflows float64 where the bisection ran out of bracket
+    if not np.isfinite(value):
+        raise NonFiniteValueError("the Luxemburg norm overflows float64")
+    print(f"{value:.12g}")
     return 0
 
 
@@ -117,7 +122,11 @@ def build_parser():
     norm_p = sub.add_parser("norm", help="Luxemburg norm one-shot")
     norm_p.add_argument("modular", help="norm | power:P | orlicz:PHI")
     norm_p.add_argument("vector", help="JSON array; entries are numbers or [re, im]")
-    norm_p.add_argument("--tol", type=float, default=1e-12)
+    norm_p.add_argument(
+        "--tol", type=float, default=1e-12,
+        help="bisection tolerance; only orlicz:exp_minus_one and orlicz:dead_zone are "
+        "bisected, the homogeneous modulars take a closed form",
+    )
     norm_p.set_defaults(func=_cmd_norm)
 
     dec_p = sub.add_parser("decompose", help="three-unimodular decomposition one-shot")

@@ -9,13 +9,15 @@ a*rho(x) + b*rho(y)).  Three families are built in:
     power(p>=1)  rho(x) = sum_i |x_i|^p
     orlicz(phi)  rho(x) = sum_i phi(|x_i|), phi a named scalar preset
 
-The Luxemburg norm of a convex modular, inf{lam > 0 : rho(x/lam) <= 1},
-is computed by bracketing bisection; the monotonicity of lam -> rho(x/lam)
-makes the predicate exact to bisect.  A batch of rows is bisected in
-lockstep, one modular evaluation per step for all rows still open.  The
-callable from ``coeff_norm_fn`` bisects each distinct row once over its
-own lifetime, which is one scenario run, and reads a repeated row's norm
-from its memo.
+The Luxemburg norm of a convex modular is inf{lam > 0 : rho(x/lam) <= 1}.
+For a q-homogeneous modular, rho(t*x) = t**q * rho(x) for t > 0, it is
+exactly rho(x)**(1/q): norm and orlicz "linear" (q = 1), power p (q = p)
+and orlicz "square" (q = 2).  The other presets have no closed form and
+are bisected: the monotonicity of lam -> rho(x/lam) makes the predicate
+exact to bisect, and a batch of rows is bisected in lockstep, one modular
+evaluation per step for all rows still open.  The callable from
+``coeff_norm_fn`` bisects each distinct row once over its own lifetime,
+which is one scenario run, and reads a repeated row's norm from its memo.
 
 Everything here is sampled verification: the checkers quantify over
 caller-supplied finite sample sets and report worst margins, never over
@@ -45,6 +47,9 @@ PHI_PRESETS = {
     # It exists as the broken fixture the axiom checker must catch.
     "dead_zone": _kernels.PHI_DEAD_ZONE,
 }
+
+# the presets with phi(t*s) = t**q * phi(s) for t > 0, by their degree q
+_PHI_HOMOGENEITY = {"linear": 1.0, "square": 2.0}
 
 _MODULAR_KINDS = ("norm", "power", "orlicz")
 
@@ -77,6 +82,17 @@ class ModularSpec:
             raise ConfigError(f"unknown orlicz preset {self.phi!r}; options: {sorted(PHI_PRESETS)}")
         if not (0.0 < self.kappa <= 2.0):
             raise ConfigError("kappa must lie in (0, 2]")
+
+    @property
+    def homogeneity(self):
+        """The degree q with rho(t*x) = t**q * rho(x) for every t > 0, or
+        None when rho is not homogeneous (orlicz "exp_minus_one",
+        "dead_zone")."""
+        if self.kind == "norm":
+            return 1.0
+        if self.kind == "power":
+            return self.p
+        return _PHI_HOMOGENEITY.get(self.phi)
 
 
 def _as_rows(x):
@@ -114,58 +130,73 @@ def coeff_norm_fn(m):
     """Row-wise Luxemburg norm of ``m`` for one vector (a float) or an
     (n, dim) batch (an (n,) array), like ``luxemburg_norm``.
 
-    norm and power kinds have closed forms (the l2 / lp norms, which the
-    bisection oracle reproduces).  The orlicz callable remembers the norm
-    of every row it has bisected, keyed by the row's exact bytes, for as
-    long as the callable lives (one run: ``build_psi`` makes one per run
-    and every envelope derived from it shares it).  It bisects a batch's
-    unseen rows, once each, in one ``luxemburg_norm`` call, which gives
-    every row the norm it would get alone.
+    A homogeneous modular's callable calls ``luxemburg_norm`` directly: its
+    closed form costs one modular evaluation.  Any other modular's callable
+    remembers the norm of every row it has bisected, keyed by the row's
+    exact bytes, for as long as the callable lives (one run: ``build_psi``
+    makes one per run and every envelope derived from it shares it).  It
+    bisects a batch's unseen rows, once each, in one ``luxemburg_norm``
+    call, which gives every row the norm it would get alone.
     """
-    if m.kind == "norm":
-        batch_norm = _kernels.rho_norm
-    elif m.kind == "power":
-        def batch_norm(rows):
-            return _kernels.rho_power(rows, m.p) ** (1.0 / m.p)
-    else:
-        memo = {}
+    if m.homogeneity is not None:
+        def norm_fn(x):
+            # looked up at call time, so a wrapper installed on the module sees it
+            return luxemburg_norm(m, x)
 
-        def batch_norm(rows):
-            rows = np.ascontiguousarray(rows)
-            # each row's exact bytes, not a digest: a collision would return a wrong norm
-            keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-            fresh = {key: i for i, key in enumerate(keys) if key not in memo}
-            if fresh:
-                memo.update(zip(fresh, luxemburg_norm(m, rows[list(fresh.values())]).tolist()))
-            return np.array([memo[key] for key in keys], dtype=float)
+        return norm_fn
+    memo = {}
 
     def norm_fn(x):
         rows, single = _as_rows(x)
-        out = batch_norm(rows)
+        rows = np.ascontiguousarray(rows)
+        # each row's exact bytes, not a digest: a collision would return a wrong norm
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        fresh = {key: i for i, key in enumerate(keys) if key not in memo}
+        if fresh:
+            memo.update(zip(fresh, luxemburg_norm(m, rows[list(fresh.values())]).tolist()))
+        out = np.array([memo[key] for key in keys], dtype=float)
         return float(out[0]) if single else out
 
     return norm_fn
 
 
 def luxemburg_norm(m, x, tol=1e-12):
-    """inf{lam > 0 : rho(x/lam) <= 1} by bracketing bisection.
+    """inf{lam > 0 : rho(x/lam) <= 1} of a convex modular.
 
     ``x`` is a single vector (returns a float) or an (n, dim) batch
-    (returns an (n,) array).  Requires a convex modular.  Every row runs
-    the same three phases: double lam from 1 until rho(x/lam) <= 1
-    (giving up past 2**64, which only pathological inputs reach), halve
-    it while that still holds (a row still under at 2**-64 has norm 0),
-    then bisect the bracket.  The rows move in lockstep, one rho
-    evaluation per step over the rows still active, and each row sees
-    the lam sequence it would see alone.  A row stops once hi - lo <= tol
-    or once the midpoint rounds onto an end of the bracket, which can
-    then no longer shrink (|x| >~ 1e4 at the default tol).
+    (returns an (n,) array); a zero row has norm 0.  A q-homogeneous
+    modular (``ModularSpec.homogeneity``) takes the closed form
+    rho(x)**(1/q), exact to rounding, and ignores ``tol``.  Any other
+    modular is bisected to within ``tol`` (see ``_bisect_luxemburg``).
     """
     if not m.convex:
         raise UnsupportedModularError("Luxemburg norm requires a convex modular")
-    if tol <= 0:
+    if not tol > 0:  # NaN too: a NaN tol would stop the bisection at once
         raise ConfigError("tol must be positive")
     rows, single = _as_rows(np.atleast_1d(x))
+    q = m.homogeneity
+    if q is None:
+        out = _bisect_luxemburg(m, rows, tol)
+    else:
+        out = eval_modular(m, rows)
+        if q != 1.0:
+            out = out ** (1.0 / q)
+    return float(out[0]) if single else out
+
+
+def _bisect_luxemburg(m, rows, tol):
+    """The Luxemburg norm of each row of an (n, dim) batch by bracketing
+    bisection; right for every convex modular, homogeneous or not.
+
+    Every row runs the same three phases: double lam from 1 until
+    rho(x/lam) <= 1 (giving up past 2**64, which only pathological inputs
+    reach), halve it while that still holds (a row still under at 2**-64
+    has norm 0), then bisect the bracket.  The rows move in lockstep, one
+    rho evaluation per step over the rows still active, and each row sees
+    the lam sequence it would see alone.  A row stops once hi - lo <= tol
+    or once the midpoint rounds onto an end of the bracket, which can then
+    no longer shrink (|x| >~ 1e4 at the default tol).
+    """
     out = np.zeros(rows.shape[0])  # all-zero rows keep norm 0
     live = np.flatnonzero(np.any(rows != 0, axis=1))
     rows = rows[live]
@@ -204,7 +235,7 @@ def luxemburg_norm(m, x, tol=1e-12):
         hi[pos[ok]] = mid[ok]
         lo[pos[~ok]] = mid[~ok]
     out[live] = np.where(vanished, 0.0, 0.5 * (lo + hi))
-    return float(out[0]) if single else out
+    return out
 
 
 # ---------------------------------------------------------------------------

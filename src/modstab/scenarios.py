@@ -80,6 +80,10 @@ MAX_SAMPLE_COUNT = 100_000
 # the largest axiom sample dimension (samples.dim), checked likewise; at the
 # largest count a (count, dim) complex sample is then at most about 100 MB
 MAX_SAMPLE_DIM = 64
+# the largest algebra dimension (algebra.dim), checked before any structure
+# array is built; the associativity check's dim**4 complex temporaries are
+# then at most 16 MB
+MAX_ALGEBRA_DIM = 32
 
 
 def _complex_of(value, label):
@@ -106,13 +110,21 @@ def _sample_radius(section):
     return radius
 
 
+def _algebra_dim(value):
+    dim = int(value)
+    if not 1 <= dim <= MAX_ALGEBRA_DIM:
+        raise ConfigError(f"algebra dim must lie in [1, {MAX_ALGEBRA_DIM}], got {dim}")
+    return dim
+
+
 def build_algebra(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("algebra section must be a mapping")
     if "preset" in cfg:
-        return preset(cfg["preset"], dim=cfg.get("dim"))
+        dim = cfg.get("dim")
+        return preset(cfg["preset"], dim=None if dim is None else _algebra_dim(dim))
     if "dim" in cfg and "structure" in cfg:
-        dim = int(cfg["dim"])
+        dim = _algebra_dim(cfg["dim"])
         flat = cfg["structure"]
         if len(flat) != dim**3:
             raise ConfigError(f"structure needs {dim ** 3} entries, got {len(flat)}")

@@ -21,6 +21,7 @@ from modstab import (
     run_scenario,
     three_unimodular_decomposition,
 )
+from modstab.modular import _bisect_luxemburg
 
 MATRIX2 = preset("matrix2")
 NORM = ModularSpec(kind="norm")
@@ -184,14 +185,18 @@ def test_ac05_three_unimodular_decomposition():
 
 
 def test_ac06_luxemburg_bisection_oracle():
+    # the bisection, run on the homogeneous modulars, against their closed
+    # forms, which luxemburg_norm returns for them
     rng = np.random.default_rng(606)
     worst = 0.0
-    for p in (1.0, 1.5, 2.0, 3.0):
-        m = ModularSpec(kind="power", p=p)
-        for _ in range(250):
-            v = rng.normal(size=4) + 1j * rng.normal(size=4)
-            oracle = float(np.sum(np.abs(v) ** p) ** (1.0 / p))
-            worst = max(worst, abs(luxemburg_norm(m, v, tol=1e-12) - oracle))
+    modulars = [ModularSpec(kind="power", p=p) for p in (1.0, 1.5, 2.0, 3.0)]
+    modulars += [ModularSpec(kind="orlicz", phi=phi) for phi in ("linear", "square")]
+    for m in modulars:
+        q = m.homogeneity
+        v = rng.normal(size=(250, 4)) + 1j * rng.normal(size=(250, 4))
+        oracle = np.sum(np.abs(v) ** q, axis=1) ** (1.0 / q)
+        assert np.max(np.abs(luxemburg_norm(m, v) - oracle)) <= 1e-15 * np.max(oracle)
+        worst = max(worst, float(np.max(np.abs(_bisect_luxemburg(m, v, 1e-12) - oracle))))
     ok = worst <= 1e-9
     _criterion("AC-6 Luxemburg norm vs closed form", ok, f"worst_abs_err={worst:.2e}")
 

@@ -20,12 +20,14 @@ from modstab import (
     eval_modular,
     luxemburg_norm,
 )
+from modstab.modular import PHI_PRESETS, _bisect_luxemburg
 
 NORM = ModularSpec(kind="norm")
 POWER2 = ModularSpec(kind="power", p=2.0)
 POWER1 = ModularSpec(kind="power", p=1.0)
 ORLICZ_SQ = ModularSpec(kind="orlicz", phi="square")
 DEAD_ZONE = ModularSpec(kind="orlicz", phi="dead_zone")
+EXP = ModularSpec(kind="orlicz", phi="exp_minus_one")
 
 
 def test_eval_norm_is_euclidean():
@@ -84,6 +86,13 @@ def test_luxemburg_requires_convexity():
         luxemburg_norm(ModularSpec(kind="orlicz", phi="linear", convex=False), [1.0])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+@pytest.mark.parametrize("m", [NORM, EXP], ids=["closed-form", "bisected"])
+def test_luxemburg_rejects_a_tol_that_is_not_positive(m, tol):
+    with pytest.raises(ConfigError):
+        luxemburg_norm(m, [1.0, 0.5], tol=tol)
+
+
 def test_luxemburg_orlicz_square_equals_l2():
     # sum (|x_i|/lam)^2 <= 1 iff lam >= l2 norm, so the bisection must
     # land on the Euclidean norm
@@ -94,16 +103,60 @@ def test_luxemburg_orlicz_square_equals_l2():
     assert np.max(np.abs(got - want)) <= 1e-9
     v = batch[0]
     assert luxemburg_norm(ORLICZ_SQ, v) == pytest.approx(float(np.linalg.norm(v)), abs=1e-9)
+    assert np.max(np.abs(_bisect_luxemburg(ORLICZ_SQ, batch, 1e-12) - want)) <= 1e-9
 
 
 def test_luxemburg_matches_lp_closed_form_bulk():
+    # the bisection, run on a modular that has a closed form, must land on it
     rng = np.random.default_rng(7)
     for p in (1.0, 1.5, 2.0, 3.0):
         m = ModularSpec(kind="power", p=p)
         for _ in range(50):
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             oracle = float(np.sum(np.abs(v) ** p) ** (1.0 / p))
-            assert luxemburg_norm(m, v, tol=1e-12) == pytest.approx(oracle, abs=1e-9)
+            assert luxemburg_norm(m, v) == pytest.approx(oracle, rel=1e-15)
+            assert _bisect_luxemburg(m, v[None], 1e-12)[0] == pytest.approx(oracle, abs=1e-9)
+
+
+HOMOGENEOUS = [
+    NORM,
+    POWER1,
+    ModularSpec(kind="power", p=1.5),
+    POWER2,
+    ModularSpec(kind="power", p=3.0),
+    ModularSpec(kind="orlicz", phi="linear"),
+    ORLICZ_SQ,
+]
+
+
+def _modular_id(m):
+    return f"{m.kind}-{m.phi if m.kind == 'orlicz' else m.p}"
+
+
+def test_homogeneity_degree_of_each_modular():
+    assert [m.homogeneity for m in HOMOGENEOUS] == [1.0, 1.0, 1.5, 2.0, 3.0, 1.0, 2.0]
+    assert EXP.homogeneity is None and DEAD_ZONE.homogeneity is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-40, max_value=40))
+def test_closed_form_norms_scale_exactly_by_powers_of_two(k):
+    # units must not change a verdict: ||2^k x|| = 2^k ||x||.  Scaling by
+    # 2^k is exact, so q = 1 and q = 2 (an abs sum; a sum of squares and a
+    # square root) keep every bit.  Other p round each |x_i|^p and the root
+    # once more: measured within 1.75e-15 relative, bounded here by 16 ulps.
+    rng = np.random.default_rng(41)
+    batch = (rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))) * 10.0 ** rng.uniform(
+        -6.0, 6.0, size=(16, 1)
+    )
+    for m in HOMOGENEOUS:
+        base = luxemburg_norm(m, batch)
+        scaled = luxemburg_norm(m, 2.0**k * batch)
+        if m.homogeneity in (1.0, 2.0):
+            assert scaled.tobytes() == (2.0**k * base).tobytes(), _modular_id(m)
+        else:
+            rel = np.max(np.abs(scaled - 2.0**k * base) / (2.0**k * base))
+            assert rel <= 16 * np.finfo(float).eps, _modular_id(m)
 
 
 BISECTED = [
@@ -145,10 +198,11 @@ def _per_row_reference(m, v, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
-@pytest.mark.parametrize("m", BISECTED, ids=lambda m: f"{m.kind}-{m.phi if m.kind == 'orlicz' else m.p}")
+@pytest.mark.parametrize("m", BISECTED, ids=_modular_id)
 def test_luxemburg_batch_equals_per_row_bit_for_bit(m):
-    # the lockstep batch must give every row exactly its single-vector value,
-    # and both must equal the scalar loop
+    # the lockstep bisection must give every row exactly its single-row
+    # value, and both must equal the scalar loop; it runs here on every
+    # modular, closed form or not.  The public norm is row-wise too.
     rng = np.random.default_rng(23)
     rows = []
     for e in range(-12, 4):
@@ -158,11 +212,14 @@ def test_luxemburg_batch_equals_per_row_bit_for_bit(m):
     rows.append(np.array([0.0, 2.5 - 0.5j, 0.0]))
     rows.insert(5, np.zeros(3))
     batch = np.array(rows)
-    got = luxemburg_norm(m, batch)
+    got = _bisect_luxemburg(m, batch, 1e-12)
     assert got.shape == (len(batch),)
-    assert list(got) == [luxemburg_norm(m, r) for r in batch]
+    assert list(got) == [_bisect_luxemburg(m, r[None], 1e-12)[0] for r in batch]
     assert list(got) == [_per_row_reference(m, r) for r in batch]
     assert got[5] == 0.0 and got[-2] == 0.0
+    public = luxemburg_norm(m, batch)
+    assert list(public) == [luxemburg_norm(m, r) for r in batch]
+    assert public[5] == 0.0 and public[-2] == 0.0
     assert isinstance(luxemburg_norm(m, batch[0]), float)
 
 
@@ -171,9 +228,14 @@ def test_luxemburg_empty_batch():
 
 
 def test_luxemburg_batch_with_one_divergent_row_raises():
+    # expm1(1e30 / 2**64) still overflows, so no bracket closes below the cap
     batch = np.array([[1.0, 2.0], [1e30, 0.0], [0.5, 0.0]])
     with pytest.raises(BracketDivergenceError):
-        luxemburg_norm(NORM, batch)
+        luxemburg_norm(EXP, batch)
+    with pytest.raises(BracketDivergenceError):
+        _bisect_luxemburg(NORM, batch, 1e-12)
+    # the closed form has no bracket to lose
+    assert luxemburg_norm(NORM, batch)[1] == 1e30
 
 
 def test_luxemburg_batch_requires_convexity():
@@ -184,14 +246,14 @@ def test_luxemburg_batch_requires_convexity():
 def test_luxemburg_large_entries_terminate():
     # past |x| ~ 1e4 one ulp exceeds the 1e-12 bracket width; the bisection
     # stops once the midpoint rounds onto an end of the bracket
-    got = luxemburg_norm(ModularSpec(kind="orlicz", phi="exp_minus_one"), [1e6, 3e5])
+    got = luxemburg_norm(EXP, [1e6, 3e5])
     assert np.isfinite(got) and got > 1e6
     assert luxemburg_norm(NORM, [1e6]) == pytest.approx(1e6, rel=1e-15)
 
 
 # --- the memo behind coeff_norm_fn -----------------------------------------
 
-MEMOIZED = [ModularSpec(kind="orlicz", phi=phi) for phi in ("linear", "square", "exp_minus_one")]
+MEMOIZED = [EXP, DEAD_ZONE]
 
 
 def _memo_batches(seed):
@@ -218,8 +280,12 @@ def _counting_luxemburg(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("m", MEMOIZED, ids=lambda m: m.phi)
+@pytest.mark.parametrize(
+    "m", [ModularSpec(kind="orlicz", phi=phi) for phi in PHI_PRESETS], ids=lambda m: m.phi
+)
 def test_memo_equals_the_bisection_bit_for_bit(m):
+    # bisected presets go through the memo, homogeneous ones straight to
+    # the closed form: either way the callable returns luxemburg_norm's bits
     norm_fn = coeff_norm_fn(m)
     for batch in _memo_batches(31):
         want = luxemburg_norm(m, batch)
@@ -234,7 +300,7 @@ def _row_bytes(batch):
 
 def test_memo_bisects_a_seen_row_never_again(monkeypatch):
     calls = _counting_luxemburg(monkeypatch)
-    norm_fn = coeff_norm_fn(MEMOIZED[0])
+    norm_fn = coeff_norm_fn(DEAD_ZONE)
     batch = np.array([[1.0, -2.0j], [0.0, 0.0], [3e-12, 4e6]])
     first = norm_fn(batch)
     assert len(calls) == 1
@@ -250,7 +316,7 @@ def test_memo_bisects_a_seen_row_never_again(monkeypatch):
 
 def test_memo_bisects_only_the_unseen_rows_in_one_call(monkeypatch):
     calls = _counting_luxemburg(monkeypatch)
-    norm_fn = coeff_norm_fn(MEMOIZED[2])
+    norm_fn = coeff_norm_fn(EXP)
     seen = np.array([[1.0, 2.0j], [0.5, 0.0], [0.0, 0.0]])
     norm_fn(seen)
     unseen = np.array([[3.0, 0.25], [1e-9j, 7.0], [2.0, -1.0]])
@@ -258,18 +324,18 @@ def test_memo_bisects_only_the_unseen_rows_in_one_call(monkeypatch):
     got = norm_fn(mixed)
     assert len(calls) == 2
     assert _row_bytes(calls[1]) == _row_bytes(unseen)
-    assert got.tobytes() == luxemburg_norm(MEMOIZED[2], mixed).tobytes()
+    assert got.tobytes() == luxemburg_norm(EXP, mixed).tobytes()
 
 
 def test_memo_bisects_a_row_repeated_in_one_batch_once(monkeypatch):
     calls = _counting_luxemburg(monkeypatch)
-    norm_fn = coeff_norm_fn(MEMOIZED[1])
+    norm_fn = coeff_norm_fn(DEAD_ZONE)
     row = np.array([0.75, -1.5j, 2.0])
     batch = np.array([row, 2.0 * row, row, row])
     got = norm_fn(batch)
     assert len(calls) == 1
     assert _row_bytes(calls[0]) == _row_bytes(batch[:2])
-    assert got.tobytes() == luxemburg_norm(MEMOIZED[1], batch).tobytes()
+    assert got.tobytes() == luxemburg_norm(DEAD_ZONE, batch).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -290,37 +356,49 @@ def test_norm_callable_takes_a_vector_or_a_batch(m):
 
 def test_memo_bisects_a_batch_changed_in_place_again(monkeypatch):
     calls = _counting_luxemburg(monkeypatch)
-    norm_fn = coeff_norm_fn(MEMOIZED[0])
+    norm_fn = coeff_norm_fn(DEAD_ZONE)
     batch = np.array([[1.0, 2.0], [0.5, 0.0]], dtype=np.complex128)
     before = norm_fn(batch)
     batch[1, 1] = 7.0
     after = norm_fn(batch)
     assert len(calls) == 2
-    assert before[1] == luxemburg_norm(MEMOIZED[0], [0.5, 0.0])
-    assert after[1] == luxemburg_norm(MEMOIZED[0], [0.5, 7.0]) > before[1]
+    assert before[1] == luxemburg_norm(DEAD_ZONE, [0.5, 0.0])
+    assert after[1] == luxemburg_norm(DEAD_ZONE, [0.5, 7.0]) > before[1]
 
 
 def test_memo_is_private_to_each_callable(monkeypatch):
     calls = _counting_luxemburg(monkeypatch)
     batch = np.array([[1.0, 2.0], [0.5, 0.25]])
-    a, b = coeff_norm_fn(MEMOIZED[1]), coeff_norm_fn(MEMOIZED[1])
+    a, b = coeff_norm_fn(EXP), coeff_norm_fn(EXP)
     assert np.array_equal(a(batch), b(batch))
     assert len(calls) == 2
     a(batch), b(batch)
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("m", [NORM, POWER1, ModularSpec(kind="power", p=1.5), POWER2])
+@pytest.mark.parametrize("m", HOMOGENEOUS)
 def test_closed_form_norms_are_not_bisected(m, monkeypatch):
-    calls = _counting_luxemburg(monkeypatch)
+    import modstab.modular
+
+    calls = []
+    original = modstab.modular._bisect_luxemburg
+
+    def counted(spec, rows, tol):
+        calls.append(rows)
+        return original(spec, rows, tol)
+
+    monkeypatch.setattr(modstab.modular, "_bisect_luxemburg", counted)
     norm_fn = coeff_norm_fn(m)
     batch = np.random.default_rng(5).normal(size=(9, 3)) + 0.5j
-    q = m.p if m.kind == "power" else 2.0
+    q = 2.0 if m.kind == "norm" else m.homogeneity
     want = (np.abs(batch) ** q).sum(axis=1) ** (1.0 / q)
     got = norm_fn(batch)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
     assert got.flags.writeable and norm_fn(batch) is not got
+    assert luxemburg_norm(m, batch, tol=0.5).tobytes() == got.tobytes()
     assert calls == []
+    luxemburg_norm(EXP, batch)
+    assert len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -175,22 +175,33 @@ def test_cli_norm_bad_modular(capsys):
 
 
 def test_cli_norm_large_entry_terminates():
-    # one ulp of 1e6 exceeds the 1e-12 bracket width, so only the stop on a
-    # midpoint that rounds onto the bracket ends the bisection
+    # one ulp of the norm exceeds the 1e-12 bracket width, so only the stop
+    # on a midpoint that rounds onto the bracket ends the bisection
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
         [sys.executable, "-c", "import sys; from modstab.cli import main; sys.exit(main(sys.argv[1:]))",
-         "norm", "norm", "[1e6]"],
+         "norm", "orlicz:exp_minus_one", "[1e6]"],
         capture_output=True, text=True, timeout=30, env=env,
     )
     assert run.returncode == 0, run.stderr
-    assert float(run.stdout) == 1e6
+    # expm1(1e6 / lam) <= 1 iff lam >= 1e6 / ln 2
+    assert float(run.stdout) == pytest.approx(1e6 / np.log(2.0), rel=1e-11)
 
 
 def test_cli_norm_divergent_bracket_exits_two(capsys):
-    assert cli_main(["norm", "norm", "[1e30]"]) == 2
+    assert cli_main(["norm", "orlicz:exp_minus_one", "[1e30]"]) == 2
     assert "2**64" in capsys.readouterr().err
+    # the norm modular's closed form needs no bracket
+    assert cli_main(["norm", "norm", "[1e30]"]) == 0
+    assert capsys.readouterr().out == "1e+30\n"
+
+
+@pytest.mark.parametrize("modular", ["norm", "orlicz:square", "power:3", "orlicz:linear"])
+def test_cli_norm_overflowing_closed_form_exits_two(modular, capsys):
+    assert cli_main(["norm", modular, "[1e308, 1e308]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflows float64" in captured.err
 
 
 def test_cli_decompose(capsys):
@@ -344,6 +355,12 @@ def _iteration_value(key, value):
     return json.dumps(cfg)
 
 
+def _algebra(section):
+    cfg = json.loads(json.dumps(builtin_scenarios()["superstability-commutator"]))
+    cfg["algebra"] = section
+    return json.dumps(cfg)
+
+
 def _probes_radius(value):
     cfg = small_stability_config()
     cfg["probes"]["radius"] = value
@@ -388,6 +405,11 @@ def _bogus_weight(name, drop_iteration=False):
         _iteration_value("magnitude_cap", float("nan")),
         _iteration_value("magnitude_cap", float("inf")),
         _iteration_value("magnitude_cap", -1.0),
+        _algebra({"preset": "zero_mul", "dim": scenarios.MAX_ALGEBRA_DIM + 1}),
+        _algebra({"preset": "zero_mul", "dim": 10**9}),
+        _algebra({"preset": "zero_mul", "dim": 0}),
+        _algebra({"dim": scenarios.MAX_ALGEBRA_DIM + 1, "structure": [0.0]}),
+        _algebra({"dim": 10**9, "structure": []}),
     ],
     ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list",
          "fixture-no-modular", "weight-bogus", "weight-bogus-no-iteration",
@@ -395,7 +417,8 @@ def _bogus_weight(name, drop_iteration=False):
          "samples-radius-negative", "samples-radius-inf", "probes-radius-nan",
          "probes-radius-inf", "count-inf", "n-max-inf", "samples-dim-past-limit",
          "samples-dim-1e9", "n-max-1100", "tol-nan", "tol-inf", "tol-zero", "magnitude-cap-nan",
-         "magnitude-cap-inf", "magnitude-cap-negative"],
+         "magnitude-cap-inf", "magnitude-cap-negative", "algebra-dim-past-limit",
+         "algebra-dim-1e9", "algebra-dim-zero", "structure-dim-past-limit", "structure-dim-1e9"],
 )
 def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "calibrate_theta", lambda *a, **k: pytest.fail("calibrated"))
@@ -591,15 +614,17 @@ def test_uniqueness_labels_the_level_cap_it_ran():
         ["start=1", 3], ["start=2", 3], ["start=3", 3], ["n_max=1", 1], ["n_max=8", 8]]
 
 
-def _orlicz_luxemburg_config():
+def _orlicz_luxemburg_config(phi="linear"):
     cfg = json.loads(json.dumps(builtin_scenarios()["corollary-descending-p2"]))
-    cfg["modular"] = {"kind": "orlicz", "phi": "linear", "kappa": 2.0}
+    cfg["modular"] = {"kind": "orlicz", "phi": phi, "kappa": 2.0}
     cfg["psi"]["theta"] = 1.0
     cfg["probes"]["count"] = 32
     return cfg
 
 
 def test_orlicz_run_bisects_each_distinct_row_once(monkeypatch):
+    # exp_minus_one has no closed form, so psi's norm runs the memo and the
+    # bisection behind it
     import modstab.modular
 
     calls, bisected = [], []
@@ -611,14 +636,27 @@ def test_orlicz_run_bisects_each_distinct_row_once(monkeypatch):
         return original(m, x, *args, **kwargs)
 
     monkeypatch.setattr(modstab.modular, "luxemburg_norm", counted)
-    cached = run_scenario(_orlicz_luxemburg_config())
+    cached = run_scenario(_orlicz_luxemburg_config(phi="exp_minus_one"))
     assert 0 < len(calls) <= 6
     assert len(bisected) == len(set(bisected))
 
     monkeypatch.setattr(scenarios, "coeff_norm_fn", lambda m: lambda rows: original(m, rows))
-    uncached = run_scenario(_orlicz_luxemburg_config())
+    uncached = run_scenario(_orlicz_luxemburg_config(phi="exp_minus_one"))
     assert cached.exit_code == uncached.exit_code
     assert [r.to_json() for r in cached.records] == [r.to_json() for r in uncached.records]
+
+
+@pytest.mark.parametrize("seed", [None, 7, 4242])
+def test_orlicz_psi_law_is_exact_with_the_closed_form_norm(seed):
+    # the linear preset is 1-homogeneous, so psi's norm is the l1 norm to
+    # rounding and the scaling law holds without the bisection's 1e-12 slack
+    cfg = _orlicz_luxemburg_config()
+    psi, _ = scenarios.build_psi(cfg["psi"], scenarios.build_modular(cfg["modular"]))
+    result = run_scenario(cfg, seed_override=seed)
+    [law] = [r.payload for r in result.records if r.payload.get("check") == "psi_law"]
+    assert result.exit_code == 0
+    assert law["law_margin"] <= 1e-15
+    assert law["decay_ratio"] == pytest.approx(psi.L, rel=1e-15)
 
 
 def test_orlicz_run_tabulates_its_levels_in_one_map_call(monkeypatch):
