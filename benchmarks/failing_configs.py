@@ -1,0 +1,66 @@
+"""Builtin variants whose runs fail checks, so that a payload diff also
+covers the lines a check writes when it fails.
+
+    PYTHONPATH=src python benchmarks/failing_configs.py DIR
+
+writes each config as DIR/<name>.json and prints the paths, one a line.
+Each run exits 1; the failing checks are named beside each config.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+from modstab import builtin_scenarios
+
+
+def _variant(builtin, name, edit):
+    cfg = builtin_scenarios()[builtin]
+    cfg["name"] = name
+    edit(cfg)
+    return cfg
+
+
+def failing_configs():
+    """name -> config of every variant."""
+
+    def conjugate_product(cfg):  # first_slot_linearity at the non-real scalars
+        cfg["map"]["kernel"] = {"form": "conjugate_product", "c": [1.0, 0.0]}
+
+    def bounded_osc(cfg):  # superstability
+        cfg["map"]["perturbation"] = {"name": "bounded_osc", "epsilon": 0.01}
+
+    def psi_l(cfg):  # psi_law, which halts the run
+        cfg["psi"]["L"] = 0.1
+
+    def product_radius_4(cfg):  # biderivation_slot1 and biderivation_slot2
+        cfg["map"]["kernel"] = {"form": "product", "c": [1.0, 0.0]}
+        cfg["probes"]["radius"] = 4.0
+
+    def radius_16(cfg):  # stabilize, biadditivity_slot1 and biadditivity_slot2
+        cfg["probes"]["radius"] = 16.0
+
+    variants = [
+        ("corollary-ascending-p05", "ascending-conjugate-product", conjugate_product),
+        ("superstability-commutator", "superstability-bounded-osc", bounded_osc),
+        ("corollary-ascending-p05", "ascending-psi-L-0.1", psi_l),
+        ("superstability-commutator", "superstability-product-radius-4", product_radius_4),
+        ("corollary-descending-p2", "descending-radius-16", radius_16),
+    ]
+    return {name: _variant(builtin, name, edit) for builtin, name, edit in variants}
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: failing_configs.py DIR", file=sys.stderr)
+        return 2
+    for name, cfg in failing_configs().items():
+        path = Path(argv[0]) / f"{name}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -67,8 +67,8 @@ from .stabilize import (
     hyers_bound,
     stabilize,
 )
+from .report import CheckResult
 from .verify import (
-    CheckRecord,
     check_biadditivity,
     check_biderivation,
     check_first_slot_linearity,

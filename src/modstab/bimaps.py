@@ -24,6 +24,7 @@ import numpy as np
 from . import _kernels
 from .algebra import AlgebraSpec, complex_uniform, sample_unit_circle
 from .errors import ConfigError, NonFiniteValueError, PreconditionError
+from .report import CheckResult
 
 _PERTURBATION_NAMES = ("bounded_osc", "power_env", "quad_slot1")
 _KERNEL_FORMS = ("commutator", "product", "conjugate_product", "tensor")
@@ -224,15 +225,6 @@ class PsiEnvelope:
         )
 
 
-@dataclass(frozen=True)
-class PsiLawReport:
-    law_margin: float
-    law_witness: int
-    decay_ok: bool
-    decay_ratio: float
-    passed: bool
-
-
 def check_psi_law(psi, probes, n_levels=30, floor_ratio=1e-9, tol=1e-9):
     """Scaling inequality on every probe plus an empirical vanishing test.
 
@@ -242,6 +234,10 @@ def check_psi_law(psi, probes, n_levels=30, floor_ratio=1e-9, tol=1e-9):
     floor count as converged to zero.  psi evaluates the levels on the
     stacked scaled probes, in blocks of at most ``_kernels.BLOCK_ROWS``
     rows, row by row, as per-level calls would.
+
+    One row: its lhs is the probe-max scaling-law margin, or +inf when the
+    vanishing test fails, against 0 and ``tol``; its payload is
+    ``law_margin``, ``decay_ok`` and ``decay_ratio``.
     """
     X, Y = probes.x, probes.y
     n, dim = X.shape
@@ -259,8 +255,7 @@ def check_psi_law(psi, probes, n_levels=30, floor_ratio=1e-9, tol=1e-9):
         margins = psi(X2, X2) - 2.0 * psi.L * psi(X, X)
     else:
         margins = psi(X, X) - (psi.L / 2.0) * psi(X2, X2)
-    witness = int(np.argmax(margins))
-    law_margin = float(margins[witness])
+    law_margin = float(margins[int(np.argmax(margins))])
 
     start = seq[0]
     floor = floor_ratio * start
@@ -271,13 +266,8 @@ def check_psi_law(psi, probes, n_levels=30, floor_ratio=1e-9, tol=1e-9):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(start > 0.0, seq[-1] / start, 0.0)
     decay_ratio = float(np.max(ratios) ** (1.0 / n_levels)) if np.any(start > 0) else 0.0
-    return PsiLawReport(
-        law_margin=law_margin,
-        law_witness=witness,
-        decay_ok=decay_ok,
-        decay_ratio=decay_ratio,
-        passed=(law_margin <= tol) and decay_ok,
-    )
+    payload = {"law_margin": law_margin, "decay_ok": decay_ok, "decay_ratio": decay_ratio}
+    return CheckResult.one("psi_law", law_margin if decay_ok else np.inf, 0.0, tol, payload)
 
 
 # ---------------------------------------------------------------------------

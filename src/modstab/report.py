@@ -7,12 +7,15 @@ line is a self-describing record with a scenario name, a stage tag
 Payload lines are deterministic for a fixed config; only the header
 carries the timestamp.
 
-A run's records are ``Records``: single ``ReportRecord``s and
-``ReportBlock``s, read as one flat sequence of records.  A block holds the
-lines of one per-probe check as columns and writes them from one template
-that ``json.dumps`` encodes itself, so per line only the values are
-formatted; its lines are byte for byte ``ReportRecord.to_json`` of its
-rows, which are built only when read.
+A run's records are ``Records``: single ``ReportRecord``s (the config
+echo, the iteration's levels, diagnostics) and ``CheckResult``s, read as
+one flat sequence of records.  A ``CheckResult`` is what a check returns
+and what the report writes, with no conversion between: its rows as
+columns, the measured side, the majorant and the tolerance, and the one
+pass rule lhs - rhs <= tol.  A result of many rows writes its lines from
+one template that ``json.dumps`` encodes itself, so per line only the
+values are formatted; its lines are byte for byte ``ReportRecord.to_json``
+of its rows, which are built only when read.
 """
 
 import hashlib
@@ -52,6 +55,10 @@ class ReportRecord:
     def to_json(self):
         doc = _doc(self.scenario, self.stage, bool(self.passed), self.payload, self.advisory)
         return json.dumps(doc, sort_keys=True, allow_nan=True)
+
+    def lines(self):
+        """The record's report line, ending in a newline."""
+        return self.to_json() + "\n"
 
 
 class Rows(Sequence):
@@ -99,6 +106,8 @@ class Records(Rows):
 _SLOT = "\x00%d\x00"
 _SLOT_JSON = re.compile(r'"\\u0000(\d+)\\u0000"')
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# a value of a list column that leaves its key out of that row's payload
+ABSENT = object()
 
 
 def _column(col):
@@ -115,51 +124,74 @@ def _column(col):
     return "%r", values
 
 
-class ReportBlock(Rows):
-    """The check lines of one per-probe check, held as columns.
+class CheckResult(Rows):
+    """The verdict of one check, one row per probe, scalar or level, held as
+    columns; every check of a stability run returns this type.
 
-    ``fixed`` holds the payload values every line shares (the check name),
-    ``columns`` one 1-D int or float array per payload key that varies by
-    line, and ``passed`` the pass bits.  Its rows are ``ReportRecord``s
-    with the payload ``{**fixed, key: column[i], ...}``, built only when
-    read; ``lines`` writes the block without building them.
+    ``lhs`` is the measured side, ``rhs`` the majorant (an array or one
+    number for every row) and ``tol`` the tolerance.  Row i passes iff
+    ``margin[i] = lhs[i] - rhs[i] <= tol``, so a NaN fails: the one pass
+    rule, computed here only.  ``columns`` maps each payload key to one
+    value per row: a 1-D bool, int or float array, or a list of JSON
+    values in which ``ABSENT`` leaves the key out of that row.  A row is
+    a ``ReportRecord`` with the payload ``{"check": check, key: value, ..}``
+    in ``scenario``, built only when read.
     """
 
     stage = "check"
 
-    def __init__(self, scenario, fixed, columns, passed, advisory=False):
-        self.scenario = scenario
-        self.fixed = fixed
-        self.columns = {key: np.asarray(col) for key, col in columns.items()}
-        self.passed = np.asarray(passed, dtype=bool)
+    def __init__(self, check, lhs, rhs, tol, columns=None, advisory=False, scenario=None):
+        self.check = check
+        self.lhs = np.atleast_1d(np.asarray(lhs, dtype=np.float64))
+        self.rhs = np.asarray(rhs, dtype=np.float64)
+        self.tol = tol
+        # an overflowing difference is the infinity of its sign, and inf - inf
+        # is NaN, which fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.margin = self.lhs - self.rhs
+        self.passed = self.margin <= tol
+        self.columns = columns or {}
         self.advisory = advisory
+        self.scenario = scenario
+
+    @classmethod
+    def one(cls, check, lhs, rhs, tol, payload, advisory=False):
+        """A one-row result whose payload is ``payload`` (after the check name)."""
+        return cls(check, lhs, rhs, tol, {key: [v] for key, v in payload.items()}, advisory)
 
     def __len__(self):
-        return len(self.passed)
+        return len(self.lhs)
 
     @property
     def n_failed(self):
-        """The number of failed lines that count toward the exit code."""
+        """The number of failed rows that count toward the exit code."""
         return 0 if self.advisory else int(np.count_nonzero(~self.passed))
 
     def _row(self, i):
-        payload = {**self.fixed, **{key: col[i].item() for key, col in self.columns.items()}}
+        payload = {"check": self.check}
+        for key, col in self.columns.items():
+            if col[i] is not ABSENT:
+                payload[key] = col[i].item() if isinstance(col, np.ndarray) else col[i]
         return ReportRecord(self.scenario, self.stage, payload, bool(self.passed[i]), self.advisory)
 
     def lines(self):
-        """Every line of the block, each ending in a newline, as one string.
+        """Every row's line, each ending in a newline, as one string.
 
-        json.dumps encodes one document whose pass bit and column values
-        are slot markers, which fixes key order, separators and escaping;
-        per line only the values are formatted into the slots."""
+        A result of one row, or with a list column, writes its rows'
+        ``to_json``.  Otherwise json.dumps encodes one document whose pass
+        bit and column values are slot markers, which fixes key order,
+        separators and escaping; per line only the values are formatted
+        into the slots."""
         names = list(self.columns)
-        payload = {**self.fixed, **{key: _SLOT % j for j, key in enumerate(names, 1)}}
+        if len(self) == 1 or not all(isinstance(self.columns[k], np.ndarray) for k in names):
+            return "".join(r.lines() for r in self)
+        payload = {"check": self.check, **{key: _SLOT % j for j, key in enumerate(names, 1)}}
         doc = _doc(self.scenario, self.stage, _SLOT % 0, payload, self.advisory)
         parts = _SLOT_JSON.split(json.dumps(doc, sort_keys=True, allow_nan=True))
         order = [int(j) for j in parts[1::2]]
         if sorted(order) != list(range(len(names) + 1)):
-            # the scenario name spells a slot marker itself
-            return "".join(r.to_json() + "\n" for r in self)
+            # the scenario or check name spells a slot marker itself
+            return "".join(r.lines() for r in self)
         columns = [_column(self.passed)] + [_column(self.columns[key]) for key in names]
         pieces = [p.replace("%", "%%") for p in parts[0::2]]
         fmt = "".join(p + columns[j][0] for p, j in zip(pieces, order)) + pieces[-1] + "\n"
@@ -190,8 +222,8 @@ def _items(records):
 
 def count_failures(records):
     """The number of failed lines that count toward the exit code.
-    ``records`` is a ``Records`` or a list of its items; a block answers by
-    its ``n_failed``, without building its rows."""
+    ``records`` is a ``Records`` or a list of its items; a ``CheckResult``
+    answers by its ``n_failed``, without building its rows."""
     return sum(r.n_failed for r in _items(records))
 
 
@@ -206,4 +238,4 @@ def write_report(header, records, stream):
     ``exit_code_from_records``."""
     stream.write(json.dumps(header, sort_keys=True) + "\n")
     for r in _items(records):
-        stream.write(r.lines() if isinstance(r, ReportBlock) else r.to_json() + "\n")
+        stream.write(r.lines())

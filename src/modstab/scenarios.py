@@ -17,14 +17,18 @@ malformed values, unknown checks and checks that need a missing iteration
 section, all before any evaluation.  The run stages then go in order:
 calibrate, config echo, psi law, iterate; a failed psi law or a numeric
 abort while iterating ends the run.  Last, each configured check is looked
-up in the registry ``_CHECKS`` (name -> function of the run returning its
-report records; a per-probe check returns its lines as one column block).
+up in the registry ``_CHECKS`` (name -> function of the run returning a
+list of ``report.CheckResult``).  The psi law and the iteration's
+``stabilize`` record are ``CheckResult``s too, so every verdict of a
+stability run passes by the one rule lhs - rhs <= tol, and the report
+writes the results the checkers return.
 """
 
 import contextlib
 import copy
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -49,7 +53,7 @@ from .modular import (
     draw_remark_samples,
     eval_modular,
 )
-from .report import Records, ReportBlock, ReportRecord, exit_code_from_records, header_record
+from .report import CheckResult, Records, ReportRecord, exit_code_from_records, header_record
 from .stabilize import (
     LevelTable,
     StabilizeConfig,
@@ -94,8 +98,19 @@ def _complex_of(value, label):
     raise ConfigError(f"{label} must be a number or an [re, im] pair")
 
 
+def _int_of(value, label):
+    """An integer config value: an int, or a float that is a whole number.
+    A bool, a string or a fractional value is a config error."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{label} must be an integer, got {value!r}")
+
+
 def _sample_count(override, section, default):
-    count = int(override if override is not None else section.get("count", default))
+    count = _int_of(override if override is not None else section.get("count", default),
+                    "sample count")
     if count < 1:
         raise ConfigError(f"sample count must be at least 1, got {count}")
     if count > MAX_SAMPLE_COUNT:
@@ -111,7 +126,7 @@ def _sample_radius(section):
 
 
 def _algebra_dim(value):
-    dim = int(value)
+    dim = _int_of(value, "algebra.dim")
     if not 1 <= dim <= MAX_ALGEBRA_DIM:
         raise ConfigError(f"algebra dim must lie in [1, {MAX_ALGEBRA_DIM}], got {dim}")
     return dim
@@ -155,7 +170,7 @@ def build_bimap(cfg, algebra):
     if kernel_cfg is not None:
         form = kernel_cfg.get("form")
         if form == "tensor":
-            vd = int(kernel_cfg.get("value_dim", algebra.dim))
+            vd = _int_of(kernel_cfg.get("value_dim", algebra.dim), "map.kernel.value_dim")
             flat = kernel_cfg["tensor"]
             if len(flat) != algebra.dim * algebra.dim * vd:
                 raise ConfigError("kernel tensor has the wrong number of entries")
@@ -462,8 +477,9 @@ def load_config(source):
 class RunResult:
     """A run's exit code, report header and records.  ``records`` is a
     ``report.Records``: a sequence of one ``ReportRecord`` per report
-    line, whose per-probe checks are held as column blocks; its length is
-    the line count, and a block's rows are built only when read."""
+    line, whose checks are held as ``report.CheckResult`` columns; its
+    length is the line count, and a result's rows are built only when
+    read."""
 
     exit_code: int
     header: dict
@@ -543,26 +559,6 @@ class _Run(_Scenario):
     def d_tol(self):
         return 10.0 * self.table.cfg.tol if self.table is not None else IDENTITY_TOL
 
-    def check_records(self, recs):
-        """One report record per verify.CheckRecord."""
-        return [
-            self.record(
-                {"check": r.check_name, "probe_id": r.probe_id, "lhs": r.lhs, "rhs": r.rhs,
-                 "margin": r.margin, **r.extra},
-                r.passed,
-                advisory=r.advisory,
-            )
-            for r in recs
-        ]
-
-    def check_block(self, block):
-        """The report lines of a verify.CheckBlock as one block of columns,
-        with the payload keys of ``check_records``."""
-        columns = {"probe_id": block.probe_id, "lhs": block.lhs, "rhs": block.rhs,
-                   "margin": block.margin, **block.extras}
-        return ReportBlock(self.name, {"check": block.check_name}, columns, block.passed,
-                           advisory=block.advisory)
-
 
 def _parse_stability(cfg, name, seed_override, probes_override):
     """The parse stage: build the run from the config, and reject unknown
@@ -576,7 +572,8 @@ def _parse_stability(cfg, name, seed_override, probes_override):
             raise ConfigError(f"s must be nonzero with |s| < 1, got {s}")
 
         probes_cfg = cfg.get("probes", {})
-        seed = int(seed_override if seed_override is not None else probes_cfg.get("seed", 0))
+        seed = _int_of(seed_override if seed_override is not None else probes_cfg.get("seed", 0),
+                       "probes.seed")
         count = _sample_count(probes_override, probes_cfg, 512)
         probes = draw_probes(algebra.dim, count, _sample_radius(probes_cfg), seed)
 
@@ -609,7 +606,7 @@ def _parse_stability(cfg, name, seed_override, probes_override):
             table = LevelTable(bimap, StabilizeConfig(
                 direction=direction,
                 probes=probes,
-                n_max=int(iter_cfg.get("n_max", 40)),
+                n_max=_int_of(iter_cfg.get("n_max", 40), "iteration.n_max"),
                 tol=float(iter_cfg.get("tol", 1e-10)),
                 magnitude_cap=float(iter_cfg.get("magnitude_cap", 1e15)),
             ))
@@ -656,15 +653,6 @@ def _config_echo(run):
     return run.record(echo, True, stage="config")
 
 
-def _psi_law(run):
-    law = check_psi_law(run.psi, run.probes)
-    return run.record(
-        {"check": "psi_law", "law_margin": law.law_margin, "decay_ok": law.decay_ok,
-         "decay_ratio": law.decay_ratio},
-        law.passed,
-    )
-
-
 def _iterate(run):
     """Iterate to the limit; a numeric abort leaves ``run.outcome`` None."""
     try:
@@ -682,93 +670,83 @@ def _iterate(run):
                     "rho_tilde_delta": lv.rho_tilde_delta}, True, stage="iterate")
         for lv in out.levels
     ]
-    payload = {"check": "stabilize", "n_converged": out.N_converged, "converged": out.converged,
+    # delta_N <= tol, the rule that stopped the iteration
+    payload = {"n_converged": out.N_converged, "converged": out.converged,
                "contraction_estimate": out.contraction_estimate, "bound_margin": out.bound_margin}
-    return records + [run.record(payload, out.converged)]
+    return records + [CheckResult.one("stabilize", out.levels[-1].sup_rho_delta, 0.0,
+                                      run.table.cfg.tol, payload)]
 
 
-# -- checks: each takes the run and returns its records ----------------------
+# -- checks: each takes the run and returns its list of CheckResults --------
 
 
 def _inequality_A(run):
-    return [run.check_block(check_inequality_A(
+    return [check_inequality_A(
         run.bimap, run.rho_fn, run.s, run.psi, run.probes, parts=run.probe_parts("A")
-    ))]
+    )]
 
 
 def _inequality_B(run):
-    return [run.check_block(check_inequality_B(
+    return [check_inequality_B(
         run.bimap, run.rho_fn, run.s, run.psi, run.probes, parts=run.probe_parts("B")
-    ))]
+    )]
 
 
 def _stability_bound(run):
     # d and its limit D on the probes are levels 0 and N of the run's table
-    return [run.check_block(check_stability_bound(
+    return [check_stability_bound(
         run.table[0], run.limit_vals, run.psi, run.rho_fn, run.probes,
         corollary_theta=run.psi.theta,
-    ))]
+    )]
 
 
 def _biadditivity(run):
-    rep = check_biadditivity(run.target, run.rho_fn, run.probes, tol=run.d_tol,
-                             fxz=run.limit_vals)
-    return [
-        run.record({"check": f"biadditivity_{slot}", "residual": sup, "witness": wit,
-                    "tol": run.d_tol}, sup <= run.d_tol)
-        for slot, sup, wit in (("slot1", rep.slot1_sup, rep.slot1_witness),
-                               ("slot2", rep.slot2_sup, rep.slot2_witness))
-    ]
+    return list(check_biadditivity(run.target, run.rho_fn, run.probes, tol=run.d_tol,
+                                   fxz=run.limit_vals))
 
 
 def _first_slot_linearity(run):
     scalars = default_linearity_scalars(run.probes.seed + 3)
-    return run.check_records(
-        check_first_slot_linearity(run.target, run.rho_fn, scalars, run.probes, tol=run.d_tol,
-                                   fxz=run.limit_vals)
-    )
+    return [check_first_slot_linearity(run.target, run.rho_fn, scalars, run.probes,
+                                       tol=run.d_tol, fxz=run.limit_vals)]
 
 
 def _biderivation(run):
-    slots = check_biderivation(
+    return list(check_biderivation(
         run.bimap, run.rho_fn, run.algebra, run.psi, run.probes, assert_slot2=run.assert_slot2
-    )
-    return [run.check_block(block) for block in slots.items]
+    ))
 
 
 def _superstability(run):
     rep = check_superstability(run.bimap, run.rho_fn, run.probes)
-    records = [run.record({"check": "superstability", "sup_residual": rep.sup_residual},
-                          rep.is_superstable)]
-    if rep.is_superstable and run.outcome is not None:
+    results = [rep]
+    if rep.passed.all() and run.outcome is not None:
         gap = float(np.max(run.rho_fn(run.limit_vals - run.table[0])))
-        records.append(run.record({"check": "superstability_certificate", "limit_gap": gap},
-                                  gap <= 1e-12))
-    return records
+        results.append(CheckResult.one("superstability_certificate", gap, 0.0, 1e-12,
+                                       {"limit_gap": gap}))
+    return results
 
 
 def _telescoping(run):
-    return [
-        run.record({"check": "telescoping", "level": lv.level,
-                    "kappa_margin": lv.telescoping_kappa_margin,
-                    "final_margin": lv.telescoping_final_margin},
-                   lv.telescoping_kappa_margin <= INEQUALITY_TOL
-                   and lv.telescoping_final_margin <= INEQUALITY_TOL)
-        for lv in run.outcome.levels
-    ]
+    # a level passes iff both its margins are at most the tolerance
+    levels = run.outcome.levels
+    kappa = np.array([lv.telescoping_kappa_margin for lv in levels])
+    final = np.array([lv.telescoping_final_margin for lv in levels])
+    columns = {"level": np.array([lv.level for lv in levels]), "kappa_margin": kappa,
+               "final_margin": final}
+    return [CheckResult("telescoping", np.maximum(kappa, final), 0.0, INEQUALITY_TOL, columns)]
 
 
 def _bounded_orbit(run):
     iterates = [run.table[n] for n in range(run.outcome.N_converged + 1)]
     est = bounded_orbit_estimate(iterates, run.outcome.weights, run.rho_fn)
     cap = 1.0 / (1.0 - run.psi.L) + 1e-6
-    return [run.record({"check": "bounded_orbit", "estimate": est, "cap": cap}, est <= cap)]
+    # est - cap <= 0 iff est <= cap, in IEEE arithmetic
+    return [CheckResult.one("bounded_orbit", est, cap, 0.0, {"estimate": est, "cap": cap})]
 
 
 def _uniqueness(run):
-    rep = check_uniqueness(run.outcome, run.rho_fn, run.table)
-    return [run.record({"check": "uniqueness", "max_disagreement": rep.max_disagreement,
-                        "variants": [list(v) for v in rep.variants]}, rep.passed)]
+    return [check_uniqueness(run.outcome, run.rho_fn, run.table)]
 
 
 # The values are these private functions, never the checkers themselves:
@@ -794,15 +772,20 @@ def _run_stability(cfg, name, seed_override, probes_override):
     _calibrate(run)
     records = [_config_echo(run)]
     # a failed psi law, or a numeric abort while iterating, ends the run
+    halted = False
     if run.psi is not None:
-        records.append(_psi_law(run))
-    halted = not records[-1].passed
+        law = check_psi_law(run.psi, run.probes)
+        records.append(law)
+        halted = law.n_failed > 0
     if not halted and run.table is not None:
         records += _iterate(run)
         halted = run.outcome is None
     if not halted:
         for chk in run.checks:
             records += _CHECKS[chk](run)
+    for r in records:
+        if isinstance(r, CheckResult):
+            r.scenario = run.name
     keep = ("algebra", "modular", "bimap", "psi", "probes", "weight_kind", "rho_fn", "s", "outcome")
     return records, {key: getattr(run, key) for key in keep}
 
@@ -810,10 +793,11 @@ def _run_stability(cfg, name, seed_override, probes_override):
 def _run_axioms(cfg, name, seed_override, probes_override):
     with _reading_config():
         samples_cfg = cfg.get("samples", {})
-        seed = int(seed_override if seed_override is not None else samples_cfg.get("seed", 0))
+        seed = _int_of(seed_override if seed_override is not None else samples_cfg.get("seed", 0),
+                       "samples.seed")
         count = _sample_count(probes_override, samples_cfg, 10_000)
         radius = _sample_radius(samples_cfg)
-        dim = int(samples_cfg.get("dim", 4))
+        dim = _int_of(samples_cfg.get("dim", 4), "samples.dim")
         if dim < 1:
             raise ConfigError(f"samples.dim must be at least 1, got {dim}")
         if dim > MAX_SAMPLE_DIM:

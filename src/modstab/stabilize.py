@@ -1,5 +1,5 @@
 """Direct-method engine: iterate the scaled map until the probe-sup
-modular distance between successive candidates drops below tolerance,
+modular distance between successive candidates is at most the tolerance,
 freeze the bi-additive limit, and instrument every quantitative claim
 made about the iteration on the way."""
 
@@ -24,6 +24,7 @@ from .errors import (
     OverflowAbort,
     PreconditionError,
 )
+from .report import CheckResult
 
 
 # the largest level cap n_max a run accepts: 2.0**n overflows a float from
@@ -294,8 +295,9 @@ def stabilize(
 
     The map d and its StabilizeConfig cfg are ``table.d`` and ``table.cfg``.
     rho_fn maps an (n, value_dim) batch to its (n,) modular values.
-    Stops when the probe-sup modular distance between successive
-    candidates drops below cfg.tol (convergence) or at cfg.n_max.  Each
+    Stops when the probe-sup modular distance delta_n between successive
+    candidates is at most cfg.tol (convergence: delta_n <= tol, the pass
+    rule of the run's ``stabilize`` record) or at cfg.n_max.  Each
     level's ``rho_tilde_delta`` is the probe-restricted function-space
     modular of the successive difference; the stopping rule deliberately
     uses the plain probe-sup ``sup_rho_delta`` so zero-weight boundary
@@ -318,10 +320,9 @@ def stabilize(
         raise PreconditionError("psi scaling direction disagrees with the iteration direction")
     if not skip_psi_check:
         law = check_psi_law(psi, cfg.probes)
-        if not law.passed:
-            raise PreconditionError(
-                f"psi scaling law fails on the probe set (margin {law.law_margin:.3e})"
-            )
+        if law.n_failed:
+            margin = law[0].payload["law_margin"]
+            raise PreconditionError(f"psi scaling law fails on the probe set (margin {margin:.3e})")
 
     X, Z = cfg.probes.x, cfg.probes.z
     weights = RhoTildeWeight(psi=psi, kind=weight_kind).values(X, Z)
@@ -345,7 +346,7 @@ def stabilize(
         finite = np.isfinite(diff_rho).all(axis=1)
         sup = np.full(k, np.inf)
         sup[finite] = diff_rho[finite].max(axis=1)
-        stop = (sup < cfg.tol) | ~finite
+        stop = (sup <= cfg.tol) | ~finite
         if stop.any():
             k = int(np.argmax(stop)) + 1
             if not finite[k - 1]:
@@ -378,11 +379,11 @@ def stabilize(
             diags, after = walk(block[:1], first, prev, carry)
         levels += diags
         carry, prev = after, block[len(diags) - 1]
-        if levels[-1].sup_rho_delta < cfg.tol or len(levels) == cfg.n_max:
+        if levels[-1].sup_rho_delta <= cfg.tol or len(levels) == cfg.n_max:
             break
 
     # n_max >= 1, so the loop ran: it froze at its last level
-    frozen, converged = len(levels), levels[-1].sup_rho_delta < cfg.tol
+    frozen, converged = len(levels), levels[-1].sup_rho_delta <= cfg.tol
     rt_deltas = [lv.rho_tilde_delta for lv in levels]
     bound_margin = float(np.max(rho_fn(table[frozen] - v_origin) - hyers_vals))
     contraction = estimate_contraction(rt_deltas) if len(rt_deltas) >= 3 else 0.0
@@ -401,13 +402,6 @@ def stabilize(
 UNIQUENESS_START_LEVELS = 3
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    max_disagreement: float
-    passed: bool
-    variants: tuple
-
-
 def check_uniqueness(outcome, rho_fn, table):
     """Reruns of the extraction from start levels 1..3 and with level caps
     n_max -/+ 5 must freeze at limits that agree with the run's on the probes.
@@ -416,9 +410,13 @@ def check_uniqueness(outcome, rho_fn, table):
     cfg is ``table.cfg``.  A rerun walks the same levels, so it is read off
     the outcome's deltas d_n = max rho(T[n] - T[n-1]), the levels'
     ``sup_rho_delta``, not run: from level s with cap m it freezes at the
-    first n in (s, m] with d_n < cfg.tol, else at max(s, m), or at the last
+    first n in (s, m] with d_n <= cfg.tol, else at max(s, m), or at the last
     level below the magnitude cap.  Deltas past the run's stop are computed
     from the table, for the levels a rerun reads.
+
+    One row: the largest disagreement against 0 and 10 cfg.tol; its payload
+    is ``max_disagreement`` and the ``variants``, one [tag, level,
+    disagreement] per rerun.
     """
     cfg = table.cfg
     deltas = [lv.sup_rho_delta for lv in outcome.levels]  # deltas[n - 1] = d_n
@@ -428,7 +426,7 @@ def check_uniqueness(outcome, rho_fn, table):
             for n in range(start + 1, cap + 1):
                 while len(deltas) < n:  # past the run's stop
                     deltas.append(float(np.max(_level_rho(table, rho_fn, len(deltas) + 1))))
-                if deltas[n - 1] < cfg.tol:
+                if deltas[n - 1] <= cfg.tol:
                     return n, table[n]
             return max(start, cap), table[max(start, cap)]
         except OverflowAbort as e:
@@ -440,11 +438,10 @@ def check_uniqueness(outcome, rho_fn, table):
     variants = []
     for tag, start, cap in runs:
         n, vals = freeze(start, cap)
-        variants.append((tag, n, float(np.max(rho_fn(vals - base_vals)))))
+        variants.append([tag, n, float(np.max(rho_fn(vals - base_vals)))])
     worst = max(0.0, *(gap for _, _, gap in variants))
-    return UniquenessReport(
-        max_disagreement=worst, passed=worst <= 10.0 * cfg.tol, variants=tuple(variants)
-    )
+    return CheckResult.one("uniqueness", worst, 0.0, 10.0 * cfg.tol,
+                           {"max_disagreement": worst, "variants": variants})
 
 
 def bounded_orbit_estimate(iterates, weights, rho_fn, weight_tol=1e-15, defect_tol=1e-12):

@@ -3,75 +3,32 @@ additivity, first-slot homogeneity (direct and via the three-unimodular
 route), the a-priori stability bound, the Leibniz-rule residuals, and the
 exact-scaling certificate.
 
-Every checker sweeps a probe set and emits one record per probe (or per
-scalar), carrying the measured left side, the majorant, and the margin;
-margin <= tolerance passes.  Identity-type checks default to 1e-10
-absolute, inequality margins to 1e-9.  The per-probe checkers hold their
-records as a ``CheckBlock`` of columns; the linearity check, whose rows
-carry different extra keys, builds its records one by one.
+Every checker returns its verdict as a ``report.CheckResult``: one row
+per probe (or per scalar, or one row for a probe-sup), carrying the
+measured left side, the majorant and the tolerance; a row passes iff
+lhs - rhs <= tol.  Identity-type checks default to 1e-10 absolute,
+inequality margins to 1e-9.  A two-slot check returns one result per slot.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernels import row_blocks
 from .algebra import mul, sample_unit_circle, three_unimodular_decomposition
 from .errors import ConfigError, PreconditionError
-from .report import Records, Rows
+from .report import ABSENT, CheckResult
 from .stabilize import hyers_bound
 
 IDENTITY_TOL = 1e-10
 INEQUALITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """One check's verdict on one probe (or scalar): the measured left
-    side, the majorant, their margin, the pass bit, the advisory flag and
-    check-specific extras.  A ``CheckBlock`` builds these only when a row
-    is read."""
-
-    check_name: str
-    probe_id: int
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-    advisory: bool = False
-    extra: dict = field(default_factory=dict)
-
-
-class CheckBlock(Rows):
-    """The per-probe records of one check, held as columns: ``lhs``,
-    ``rhs``, ``margin`` = lhs - rhs, ``probe_id``, the pass bits
-    ``passed`` (margin <= tol), the ``advisory`` flag and ``extras``
-    (payload key -> one value per probe).  It reads as a sequence of
-    ``CheckRecord`` rows, each built only when read."""
-
-    def __init__(self, check_name, lhs, rhs, tol, advisory=False, extras=None):
-        self.check_name = check_name
-        self.lhs, self.rhs = lhs, rhs
-        self.margin = lhs - rhs
-        self.passed = self.margin <= tol
-        self.probe_id = np.arange(len(lhs))
-        self.advisory = advisory
-        self.extras = extras or {}
-
-    def __len__(self):
-        return len(self.probe_id)
-
-    def _row(self, i):
-        return CheckRecord(
-            check_name=self.check_name,
-            probe_id=i,
-            lhs=float(self.lhs[i]),
-            rhs=float(self.rhs[i]),
-            margin=float(self.margin[i]),
-            passed=bool(self.passed[i]),
-            advisory=self.advisory,
-            extra={key: float(col[i]) for key, col in self.extras.items()},
-        )
+def _per_probe(check, lhs, rhs, tol, advisory=False, **extras):
+    """One row per probe (or scalar) i, whose payload is probe_id = i, lhs,
+    rhs, margin and ``extras``."""
+    result = CheckResult(check, lhs, rhs, tol, advisory=advisory)
+    result.columns = {"probe_id": np.arange(len(result)), "lhs": result.lhs, "rhs": result.rhs,
+                      "margin": result.margin, **extras}
+    return result
 
 
 def inequality_parts(f, rho_fn, s, X, Y, Z, W, lam, which="A"):
@@ -126,7 +83,7 @@ def check_inequality_A(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL, parts=None
     lhs, rhs = parts
     if psi is not None:
         rhs = rhs + psi(X, Y) * psi(Z, W)
-    return CheckBlock("inequality_A", lhs, rhs, tol)
+    return _per_probe("inequality_A", lhs, rhs, tol)
 
 
 def check_inequality_B(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL, parts=None):
@@ -148,34 +105,28 @@ def check_inequality_B(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL, parts=None
     lhs, rhs = parts
     if psi is not None:
         rhs = rhs + psi(X, Y) * psi(Z, W)
-    return CheckBlock("inequality_B", lhs, rhs, tol)
-
-
-@dataclass(frozen=True)
-class BiadditivityReport:
-    slot1_sup: float
-    slot1_witness: int
-    slot2_sup: float
-    slot2_witness: int
-    passed: bool
+    return _per_probe("inequality_B", lhs, rhs, tol)
 
 
 def check_biadditivity(f, rho_fn, probes, tol=IDENTITY_TOL, fxz=None):
     """Probe-sup additivity defects in each slot, using (x, y) and (z, w)
-    as the increment pairs.  ``fxz`` is f(x, z) on the probes when the
-    caller already has it (a run's level table does)."""
+    as the increment pairs: one one-row result per slot, whose payload is
+    the sup (``residual``), its probe (``witness``) and ``tol``.  ``fxz``
+    is f(x, z) on the probes when the caller already has it (a run's level
+    table does)."""
     X, Y, Z, W = probes.x, probes.y, probes.z, probes.w
     # f(x, z) serves both slots; the map calls keep their order
     fXYZ = f(X + Y, Z)
     fXZ = f(X, Z) if fxz is None else fxz
     slot1 = rho_fn(fXYZ - fXZ - f(Y, Z))
     slot2 = rho_fn(f(X, Z + W) - fXZ - f(X, W))
-    i1, i2 = int(np.argmax(slot1)), int(np.argmax(slot2))
-    s1, s2 = float(slot1[i1]), float(slot2[i2])
-    return BiadditivityReport(
-        slot1_sup=s1, slot1_witness=i1, slot2_sup=s2, slot2_witness=i2,
-        passed=(s1 <= tol and s2 <= tol),
-    )
+    results = []
+    for name, residuals in (("biadditivity_slot1", slot1), ("biadditivity_slot2", slot2)):
+        witness = int(np.argmax(residuals))
+        sup = float(residuals[witness])
+        results.append(CheckResult.one(name, sup, 0.0, tol,
+                                       {"residual": sup, "witness": witness, "tol": tol}))
+    return tuple(results)
 
 
 def default_linearity_scalars(seed=0):
@@ -211,7 +162,8 @@ def check_first_slot_linearity(f, rho_fn, scalars, probes, tol=IDENTITY_TOL, fxz
     go through the constructive route: pick an integer M > 4|l|, decompose
     3l/M into unimodular mu1+mu2+mu3, and compare f(l x, z) against
     (M/3) [f(mu1 x, z) + f(mu2 x, z) + f(mu3 x, z)].  Both residuals are
-    recorded; the pass verdict takes the worse of the two.  The scalars go
+    recorded, one row per scalar; the row's lhs is the worse of the two
+    (as Python's ``max`` takes it: a NaN route counts for nothing).  The scalars go
     through the map in stacked calls of at most ``_kernels.BLOCK_ROWS``
     rows, as many scalars (or routes) per call as fit, each call followed
     by one modular call.  ``fxz`` is f(x, z) on the probes when the caller
@@ -238,26 +190,16 @@ def check_first_slot_linearity(f, rho_fn, scalars, probes, tol=IDENTITY_TOL, fxz
         fMU = _first_slot_stack(f, mus[b].reshape(-1), X, Z).reshape(len(Ms[b]), 3, *fXZ.shape)
         route_vec = (Ms[b] / 3.0)[:, None, None] * (fMU[:, 0] + fMU[:, 1] + fMU[:, 2])
         route[b] = _sup_rho(rho_fn, fLXZ[b] - route_vec)
+    worst = direct.copy()
+    worst[generic] = np.where(route > direct[generic], route, direct[generic])
     routes = dict(zip(generic, zip(route.tolist(), Ms.tolist())))  # scalar index -> (route, M)
-    out = []
-    for idx, lam in enumerate(lams):
-        worst = float(direct[idx])
-        extra = {"lam": [float(lam.real), float(lam.imag)], "direct": worst}
-        if idx in routes:
-            extra["route"], extra["M"] = routes[idx]
-            worst = max(worst, extra["route"])
-        out.append(
-            CheckRecord(
-                check_name="first_slot_linearity",
-                probe_id=idx,
-                lhs=worst,
-                rhs=0.0,
-                margin=worst,
-                passed=worst <= tol,
-                extra=extra,
-            )
-        )
-    return out
+    return _per_probe(
+        "first_slot_linearity", worst, np.zeros(len(lams)), tol,
+        lam=[[lam.real, lam.imag] for lam in lams.tolist()],
+        direct=direct,
+        route=[routes[i][0] if i in routes else ABSENT for i in range(len(lams))],
+        M=[routes[i][1] if i in routes else ABSENT for i in range(len(lams))],
+    )
 
 
 def check_stability_bound(
@@ -276,14 +218,14 @@ def check_stability_bound(
     X, Z = probes.x, probes.z
     lhs = rho_fn(D_vals - d_vals)
     rhs = hyers_bound(psi, X, Z)
-    extras = None
+    extras = {}
     denom = 2.0 ** (1.0 - psi.p) - 1.0
     if corollary_theta is not None and denom > 0:
         nx = psi.norm_fn(X) ** psi.p
         nz = psi.norm_fn(Z) ** psi.p
         printed = corollary_theta / denom * nx * nz
         extras = {"corollary_rhs": printed}
-    return CheckBlock("stability_bound", lhs, rhs, tol, extras=extras)
+    return _per_probe("stability_bound", lhs, rhs, tol, **extras)
 
 
 def check_biderivation(f, rho_fn, alg, psi, probes, tol=IDENTITY_TOL, assert_slot2=False):
@@ -294,7 +236,7 @@ def check_biderivation(f, rho_fn, alg, psi, probes, tol=IDENTITY_TOL, assert_slo
     derivation in *each* component, so the second slot is always measured
     and reported; by default only slot one is asserted (advisory slot-two
     records), since the hypothesis constrains slot one alone.  Returns
-    both slots as two ``CheckBlock``s in one ``Records`` sequence.
+    one result per slot.
     """
     if getattr(f, "value_dim", alg.dim) != alg.dim:
         raise ConfigError("biderivation residuals need the value space to be the algebra")
@@ -304,25 +246,20 @@ def check_biderivation(f, rho_fn, alg, psi, probes, tol=IDENTITY_TOL, assert_slo
     # f(x, z) serves both slots; the map calls keep their order
     fXYZ, fXZ = f(mul(X, Y, alg), Z), f(X, Z)
     lhs1 = rho_fn(fXYZ - mul(fXZ, Y, alg) - mul(X, f(Y, Z), alg))
-    slot1 = CheckBlock("biderivation_slot1", lhs1, env, tol)
+    slot1 = _per_probe("biderivation_slot1", lhs1, env, tol)
 
     lhs2 = rho_fn(
         f(X, mul(Z, W, alg)) - mul(fXZ, W, alg) - mul(Z, f(X, W), alg)
     )
-    slot2 = CheckBlock("biderivation_slot2", lhs2, env, tol, advisory=not assert_slot2)
-    return Records([slot1, slot2])
-
-
-@dataclass(frozen=True)
-class SuperstabilityReport:
-    sup_residual: float
-    is_superstable: bool
+    slot2 = _per_probe("biderivation_slot2", lhs2, env, tol, advisory=not assert_slot2)
+    return slot1, slot2
 
 
 def check_superstability(d, rho_fn, probes, tol=IDENTITY_TOL):
-    """True iff the map already satisfies the exact doubling law
-    d(2x, z) = 2 d(x, z) on every probe; such a map is its own limit."""
+    """Passes iff the map already satisfies the exact doubling law
+    d(2x, z) = 2 d(x, z) on every probe, to ``tol``; such a map is its own
+    limit.  One row, whose payload is the probe-sup ``sup_residual``."""
     X, Z = probes.x, probes.z
     res = rho_fn(d(2.0 * X, Z) - 2.0 * d(X, Z))
     sup = float(np.max(res))
-    return SuperstabilityReport(sup_residual=sup, is_superstable=sup <= tol)
+    return CheckResult.one("superstability", sup, 0.0, tol, {"sup_residual": sup})

@@ -130,7 +130,7 @@ def test_ac04_no_false_certifications(warmed):
             check_inequality_A(f, rho_rows, 0.5, None, probes),
             check_inequality_B(f, rho_rows, 0.5, None, probes),
         ):
-            clean_worst = max(clean_worst, max(r.lhs for r in recs))
+            clean_worst = max(clean_worst, float(recs.lhs.max()))
     clean_ok = clean_worst <= 1e-10
 
     missed = 0

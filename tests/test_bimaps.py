@@ -22,7 +22,7 @@ from modstab import (
     rho_tilde,
     rho_tilde_contraction_margin,
 )
-from modstab.bimaps import PsiLawReport
+from modstab.report import ReportRecord
 
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
@@ -287,17 +287,19 @@ def test_psi_law_sharp_ascending_margin_zero():
     psi = PsiEnvelope(theta=1.0, p=0.5, direction="ascending")
     probes = draw_probes(4, 64, 1.0, seed=3)
     report = check_psi_law(psi, probes)
-    assert report.passed
-    assert abs(report.law_margin) <= 1e-12
-    assert report.decay_ratio == pytest.approx(2.0 ** (-0.5), abs=1e-9)
+    assert report.passed.all()
+    [law] = report
+    assert law.payload["check"] == "psi_law" and law.payload["decay_ok"]
+    assert abs(law.payload["law_margin"]) <= 1e-12
+    assert law.payload["decay_ratio"] == pytest.approx(2.0 ** (-0.5), abs=1e-9)
 
 
 def test_psi_law_sharp_descending_margin_zero():
     psi = PsiEnvelope(theta=1.0, p=2.0, L=0.5, direction="descending")
     probes = draw_probes(4, 64, 1.0, seed=3)
     report = check_psi_law(psi, probes)
-    assert report.passed
-    assert abs(report.law_margin) <= 1e-12
+    assert report.passed.all()
+    assert abs(report[0].payload["law_margin"]) <= 1e-12
 
 
 def test_psi_law_constant_envelope_decays():
@@ -305,18 +307,34 @@ def test_psi_law_constant_envelope_decays():
     psi = PsiEnvelope(theta=4.0, p=0.0, direction="ascending")
     probes = draw_probes(4, 32, 1.0, seed=4)
     report = check_psi_law(psi, probes)
-    assert report.passed
+    assert report.passed.all()
 
 
 def test_psi_law_zero_envelope_trivially_ok():
     psi = PsiEnvelope(theta=0.0, p=0.5, direction="ascending")
     probes = draw_probes(4, 32, 1.0, seed=4)
-    assert check_psi_law(psi, probes).passed
+    assert check_psi_law(psi, probes).passed.all()
+
+
+def test_psi_law_fails_on_the_decay_test_alone():
+    # the norm is Euclidean below 100 and cubic past it: the scaling law
+    # holds at x and 2x, but the scaled sequence grows at large scales, so
+    # the row's lhs is +inf although law_margin passes
+    def norm(rows):
+        r = _kernels.rho_norm(rows)
+        return np.where(r < 100.0, r, r**3 / 1e4)
+
+    psi = PsiEnvelope(theta=1.0, p=0.5, direction="ascending", norm_fn=norm)
+    law = check_psi_law(psi, draw_probes(4, 32, 1.0, seed=3))
+    [row] = law
+    assert row.payload["law_margin"] <= 1e-9 and not row.payload["decay_ok"]
+    assert law.lhs[0] == np.inf and not row.passed and law.n_failed == 1
 
 
 def _psi_law_per_level(psi, probes, n_levels=30, floor_ratio=1e-9, tol=1e-9):
     """The psi law as one psi call per level: the reference the stacked
-    check_psi_law must match bit for bit."""
+    check_psi_law must match bit for bit, as the report row it must read
+    as, whose pass bit is law_margin <= tol and decay_ok."""
     X, Y = probes.x, probes.y
     if psi.direction == "ascending":
         margins = psi(2.0 * X, 2.0 * X) - 2.0 * psi.L * psi(X, X)
@@ -340,7 +358,9 @@ def _psi_law_per_level(psi, probes, n_levels=30, floor_ratio=1e-9, tol=1e-9):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(start > 0.0, seq[-1] / start, 0.0)
     decay_ratio = float(np.max(ratios) ** (1.0 / n_levels)) if np.any(start > 0) else 0.0
-    return PsiLawReport(law_margin, witness, decay_ok, decay_ratio, (law_margin <= tol) and decay_ok)
+    payload = {"check": "psi_law", "law_margin": law_margin, "decay_ok": decay_ok,
+               "decay_ratio": decay_ratio}
+    return ReportRecord(None, "check", payload, (law_margin <= tol) and decay_ok)
 
 
 PSI_LAW_MODULARS = [
@@ -361,12 +381,12 @@ def test_psi_law_stacked_equals_per_level_bit_for_bit(m, direction, p, radius):
     plain = (lambda rows: luxemburg_norm(m, rows)) if m.kind == "orlicz" else coeff_norm_fn(m)
     want = _psi_law_per_level(PsiEnvelope(p=p, direction=direction, norm_fn=plain), probes)
     got = check_psi_law(PsiEnvelope(p=p, direction=direction, norm_fn=coeff_norm_fn(m)), probes)
-    assert got == want
+    assert list(got) == [want]
 
     def floats(r):
-        return np.array([r.law_margin, r.decay_ratio]).tobytes()
+        return np.array([r.payload["law_margin"], r.payload["decay_ratio"]]).tobytes()
 
-    assert floats(got) == floats(want)
+    assert floats(got[0]) == floats(want)
 
 
 # --- probe sets -------------------------------------------------------------

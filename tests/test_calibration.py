@@ -171,7 +171,7 @@ def test_shared_table_evaluates_each_scaled_level_once():
     psi = proto("ascending").with_theta(theta)
     out = stabilize(table, psi, rho_rows)
     assert out.converged and out.N_converged < cfg.n_max
-    assert check_uniqueness(out, rho_rows, table).passed
+    assert check_uniqueness(out, rho_rows, table).passed.all()
     assert d.calls == once + Counter({0: 1})
     assert d.scaled_widths == [len(probes)] + blocks
 

@@ -1,5 +1,6 @@
-"""The report layer: a column block writes exactly the bytes json.dumps gives
-its rows, and a run's records read as one flat sequence of report lines."""
+"""The report layer: a check result writes exactly the bytes json.dumps gives
+its rows, its rows pass by lhs - rhs <= tol, and a run's records read as one
+flat sequence of report lines."""
 
 import io
 import json
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modstab.report import Records, ReportBlock, ReportRecord, exit_code_from_records, write_report
+from modstab.report import (
+    ABSENT,
+    CheckResult,
+    Records,
+    ReportRecord,
+    exit_code_from_records,
+    write_report,
+)
 from modstab.scenarios import builtin_scenarios, run_scenario
 
 EDGE_FLOATS = [
@@ -29,26 +37,34 @@ def row_doc(scenario, fixed, values, passed, advisory):
     return doc
 
 
+def rule(block):
+    """Each row's pass bit by the rule lhs - rhs <= tol, in Python floats,
+    where inf - inf is NaN and a NaN fails."""
+    return [lhs - rhs <= block.tol for lhs, rhs in zip(block.lhs.tolist(), block.rhs.tolist())]
+
+
 def expected_lines(block):
     """One json.dumps per row, from the block's raw column values."""
     lists = {key: col.tolist() for key, col in block.columns.items()}
     return [
-        json.dumps(row_doc(block.scenario, block.fixed, {k: v[i] for k, v in lists.items()},
-                           bool(block.passed[i]), block.advisory),
+        json.dumps(row_doc(block.scenario, {"check": block.check},
+                           {k: v[i] for k, v in lists.items()}, passed, block.advisory),
                    sort_keys=True, allow_nan=True) + "\n"
-        for i in range(len(block))
+        for i, passed in enumerate(rule(block))
     ]
 
 
-def make_block(scenario, values, passed, advisory, extras):
-    n = len(passed)
-    columns = {"probe_id": np.arange(n), "lhs": np.array(values[:n], dtype=np.float64),
-               "rhs": np.array(values[n:2 * n], dtype=np.float64),
+def make_block(scenario, values, tol, advisory, extras):
+    """A stability_bound result of n = len(values) // 4 rows, whose payload
+    columns need not be its lhs and rhs."""
+    n = len(values) // 4
+    lhs, rhs = np.array(values[:n]), np.array(values[n:2 * n])
+    columns = {"probe_id": np.arange(n), "lhs": lhs, "rhs": np.array(values[::-1][:n]),
                "margin": np.array(values[2 * n:3 * n], dtype=np.float64)}
     if extras:
         columns["corollary_rhs"] = np.array(values[3 * n:], dtype=np.float64)
-    return ReportBlock(scenario, {"check": "stability_bound"}, columns, np.array(passed, dtype=bool),
-                       advisory=advisory)
+    return CheckResult("stability_bound", lhs, rhs, tol, columns, advisory=advisory,
+                       scenario=scenario)
 
 
 @st.composite
@@ -57,15 +73,16 @@ def blocks(draw):
     extras = draw(st.booleans())
     values = draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
                            min_size=4 * n, max_size=4 * n))
-    passed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    tol = draw(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()))
     scenario = draw(st.one_of(st.sampled_from(NAMES), st.text(max_size=12)))
-    return make_block(scenario, values, passed, draw(st.booleans()), extras)
+    return make_block(scenario, values, tol, draw(st.booleans()), extras)
 
 
 @settings(max_examples=150, deadline=None)
 @given(blocks())
 def test_block_lines_are_json_dumps_of_each_row(block):
     want = expected_lines(block)
+    assert block.passed.tolist() == rule(block)
     assert block.lines() == "".join(want)
     assert [r.to_json() + "\n" for r in block] == want
 
@@ -76,18 +93,38 @@ def test_block_lines_are_json_dumps_of_each_row(block):
 @pytest.mark.parametrize("extras", [False, True])
 def test_block_lines_at_the_edges(scenario, n, advisory, extras):
     values = (EDGE_FLOATS * 4)[: 4 * n]
-    block = make_block(scenario, values, [i % 2 == 0 for i in range(n)], advisory, extras)
-    assert block.lines() == "".join(expected_lines(block))
-    assert exit_code_from_records([block]) == (1 if n > 1 and not advisory else 0)
+    for tol in (0.0, 1e-9, float("inf"), float("nan")):
+        block = make_block(scenario, values, tol, advisory, extras)
+        assert block.passed.tolist() == rule(block)
+        assert block.lines() == "".join(expected_lines(block))
+        assert block.n_failed == (0 if advisory else rule(block).count(False))
+        assert exit_code_from_records([block]) == (1 if block.n_failed else 0)
+
+
+def test_list_columns_write_each_row_and_absent_leaves_its_key_out():
+    # a pair and a key that only some rows carry, as the linearity check's
+    # lam, route and M; an int and a float array beside them
+    block = CheckResult("first_slot_linearity", [0.5, float("nan"), 2.0], 0.0, 1.0,
+                        {"lam": [[1.0, 0.0], [0.0, -1.0], [2.0, 1.0]],
+                         "M": [ABSENT, ABSENT, 9], "probe_id": np.arange(3),
+                         "direct": np.array([0.5, float("nan"), 1.5])}, scenario="s")
+    rows = [r.payload for r in block]
+    assert rows[0] == {"check": "first_slot_linearity", "lam": [1.0, 0.0], "probe_id": 0,
+                       "direct": 0.5}
+    assert "M" not in rows[1] and rows[2]["M"] == 9
+    assert block.passed.tolist() == [True, False, False]
+    assert block.lines() == "".join(r.to_json() + "\n" for r in block)
 
 
 def test_records_read_blocks_as_their_rows():
     echo = ReportRecord("s", "config", {"config_name": "s"}, True)
     tail = ReportRecord("s", "check", {"check": "uniqueness"}, False, advisory=True)
-    first = make_block("s", [0.5, -1.0, 2.0, 1.0, -3.0, 4.0, 0.0, 0.25, -1.5], [True, False, True],
+    first = make_block("s", [0.5, 2.0, 2.0, 1.0, -3.0, 4.0, 0.0, 0.25, -1.5, 0.0, 0.0, 0.0], 0.0,
                        False, False)
-    empty = make_block("s", [], [], False, True)
-    second = make_block("s", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], [True, True], True, True)
+    empty = make_block("s", [], 0.0, False, True)
+    second = make_block("s", [1.0, 9.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], 0.0, True, True)
+    assert first.passed.tolist() == [True, False, True]
+    assert second.passed.tolist() == [True, False]  # advisory
     records = Records([echo, first, empty, second, tail])
     flat = [echo, *first, *second, tail]
     assert len(records) == len(flat) == 7

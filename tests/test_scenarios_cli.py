@@ -410,6 +410,21 @@ def _bogus_weight(name, drop_iteration=False):
         _algebra({"preset": "zero_mul", "dim": 0}),
         _algebra({"dim": scenarios.MAX_ALGEBRA_DIM + 1, "structure": [0.0]}),
         _algebra({"dim": 10**9, "structure": []}),
+        _algebra({"preset": "zero_mul", "dim": 2.5}),
+        _algebra({"dim": 1.5, "structure": [0.0]}),
+        _malformed("probes", {"count": 512.9}),
+        _malformed("probes", {"count": "64"}),
+        _malformed("probes", {"count": True}),
+        _malformed("probes", {"count": 32, "seed": 5.5}),
+        _malformed("probes", {"count": 32, "seed": "5"}),
+        _iteration_value("n_max", 40.7),
+        _iteration_value("n_max", "40"),
+        _axioms_samples("dim", 3.9),
+        _axioms_samples("count", "64"),
+        _axioms_samples("seed", 5.5),
+        _axioms_samples("dim", True),
+        # 3.5 would run a tensor of value_dim 3, whose 48 entries these are
+        _malformed("map", {"kernel": {"form": "tensor", "value_dim": 3.5, "tensor": [0.0] * 48}}),
     ],
     ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list",
          "fixture-no-modular", "weight-bogus", "weight-bogus-no-iteration",
@@ -418,7 +433,11 @@ def _bogus_weight(name, drop_iteration=False):
          "probes-radius-inf", "count-inf", "n-max-inf", "samples-dim-past-limit",
          "samples-dim-1e9", "n-max-1100", "tol-nan", "tol-inf", "tol-zero", "magnitude-cap-nan",
          "magnitude-cap-inf", "magnitude-cap-negative", "algebra-dim-past-limit",
-         "algebra-dim-1e9", "algebra-dim-zero", "structure-dim-past-limit", "structure-dim-1e9"],
+         "algebra-dim-1e9", "algebra-dim-zero", "structure-dim-past-limit", "structure-dim-1e9",
+         "algebra-dim-2.5", "structure-dim-1.5", "count-512.9", "count-string", "count-bool",
+         "probes-seed-5.5", "probes-seed-string", "n-max-40.7", "n-max-string",
+         "samples-dim-3.9", "samples-count-string", "samples-seed-5.5", "samples-dim-bool",
+         "value-dim-3.5"],
 )
 def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "calibrate_theta", lambda *a, **k: pytest.fail("calibrated"))
@@ -431,6 +450,18 @@ def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch)
     assert len(lines) == 2 and lines[0]["schema"] == SCHEMA
     assert lines[1]["stage"] == "config" and not lines[1]["pass"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("probes", "count", 32.0), ("probes", "seed", 3.0), ("iteration", "n_max", 40.0),
+])
+def test_whole_float_config_integers_run_as_ints(section, key, value):
+    cfg = small_stability_config()
+    want = run_scenario(cfg)
+    cfg[section][key] = value
+    got = run_scenario(cfg)
+    assert got.exit_code == want.exit_code == 0
+    assert [r.to_json() for r in got.records] == [r.to_json() for r in want.records]
 
 
 def test_missing_iteration_rejected_before_any_work(monkeypatch):
@@ -515,8 +546,10 @@ def test_stability_bound_evaluates_no_map_block_again(monkeypatch):
     X, Z = probes.x, probes.z
     fresh = check_stability_bound(ctx["bimap"](X, Z), ctx["outcome"].D(X, Z), psi, ctx["rho_fn"],
                                   probes, corollary_theta=psi.theta)
-    want = [json.dumps({"check": r.check_name, "probe_id": r.probe_id, "lhs": r.lhs,
-                        "rhs": r.rhs, "margin": r.margin, **r.extra}) for r in fresh]
+    want = [json.dumps({"check": "stability_bound", "probe_id": i, "lhs": lhs, "rhs": rhs,
+                        "margin": lhs - rhs, "corollary_rhs": c})
+            for i, (lhs, rhs, c) in enumerate(zip(fresh.lhs.tolist(), fresh.rhs.tolist(),
+                                                  fresh.columns["corollary_rhs"].tolist()))]
     got = [json.dumps(r.payload) for r in result.records
            if r.payload.get("check") == "stability_bound"]
     assert got == want and len(got) == len(probes)

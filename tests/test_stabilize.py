@@ -28,7 +28,7 @@ from modstab import (
 )
 from modstab._kernels import BLOCK_ROWS
 from modstab.scenarios import builtin_scenarios, calibrate_theta, run_scenario
-from modstab.stabilize import UniquenessReport
+from modstab.report import ReportRecord
 
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
@@ -224,8 +224,8 @@ def test_uniqueness_exact_fixture():
     d = BiMap(algebra=MATRIX2, kernel="commutator")
     cfg = asc_cfg(seed=12, tol=1e-12)
     rep = uniqueness(d, asc_psi(), cfg)
-    assert rep.passed
-    assert rep.max_disagreement <= 1e-12
+    assert rep.passed.all()
+    assert rep.lhs[0] == rep[0].payload["max_disagreement"] <= 1e-12
 
 
 def test_uniqueness_perturbed_fixture():
@@ -237,11 +237,41 @@ def test_uniqueness_perturbed_fixture():
     assert rep.passed
 
 
+def test_a_delta_equal_to_tol_converges():
+    # the stop rule is delta_n <= tol, the pass rule of the run's stabilize
+    # record: with tol set to level 5's own delta, the iteration and every
+    # uniqueness rerun stop at level 5, and the run counts as converged
+    d, psi = osc_map(), asc_psi(theta=0.01)
+    free = stabilize(LevelTable(d, asc_cfg(seed=13, tol=1e-30)), psi, rho_rows)
+    deltas = [lv.sup_rho_delta for lv in free.levels]
+    assert min(deltas[:4]) > deltas[4] > deltas[5] > 0.0
+    table = LevelTable(d, asc_cfg(seed=13, tol=deltas[4]))
+    out = stabilize(table, psi, rho_rows)
+    assert out.converged and out.N_converged == 5
+    assert out.levels[-1].sup_rho_delta == table.cfg.tol
+    rep = check_uniqueness(out, rho_rows, table)
+    assert [v[1] for v in rep[0].payload["variants"]] == [5] * 5 and rep.passed.all()
+
+
+def test_a_run_whose_last_delta_equals_tol_passes_its_stabilize_record():
+    cfg = json.loads(json.dumps(builtin_scenarios()["corollary-ascending-p05"]))
+    deltas = [r.payload["sup_rho_delta"] for r in run_scenario(cfg).records
+              if r.stage == "iterate"]
+    assert deltas[-2] > cfg["iteration"]["tol"] and deltas[-2] < min(deltas[:-2])
+    cfg["iteration"]["tol"] = deltas[-2]
+    result = run_scenario(cfg)
+    [stab] = [r for r in result.records if r.payload.get("check") == "stabilize"]
+    assert stab.passed and stab.payload["converged"]
+    assert stab.payload["n_converged"] == len(deltas) - 1
+
+
 def _rerun_uniqueness_reference(psi, rho_fn, table):
     # the check as six iterations on the levels of one table: the base run,
     # three reruns from start levels 1..3 and the runs from level 0 capped at
     # n_max -/+ 5, each the per-level loop of stabilize begun at its start
-    # level and stopped at its cap, and labelled with the cap it ran
+    # level and stopped at its cap (delta_n <= tol, the stop rule), and
+    # labelled with the cap it ran; returned as the report row the check
+    # must read as, whose pass bit is worst <= 10 tol
     cfg = table.cfg
 
     def rerun_from(start, cap=cfg.n_max):
@@ -254,7 +284,7 @@ def _rerun_uniqueness_reference(psi, rho_fn, table):
                 raise NonFiniteValueError("non-finite modular value", level=n)
             v_prev = v
             frozen = n
-            if float(np.max(diff_rho)) < cfg.tol:
+            if float(np.max(diff_rho)) <= cfg.tol:
                 break
         return frozen
 
@@ -266,10 +296,9 @@ def _rerun_uniqueness_reference(psi, rho_fn, table):
     for tag, n in runs:
         gap = float(np.max(rho_fn(table[n] - table[base])))
         worst = max(worst, gap)
-        variants.append((tag, n, gap))
-    return UniquenessReport(
-        max_disagreement=worst, passed=worst <= 10.0 * cfg.tol, variants=tuple(variants)
-    )
+        variants.append([tag, n, gap])
+    payload = {"check": "uniqueness", "max_disagreement": worst, "variants": variants}
+    return ReportRecord(None, "check", payload, worst <= 10.0 * cfg.tol)
 
 
 def _uniqueness_fixtures():
@@ -291,7 +320,7 @@ def test_uniqueness_matches_the_reruns(n_max, tol):
         table, ref_table = LevelTable(d, cfg), LevelTable(d, cfg)
         out = stabilize(table, psi, rho_rows)
         rep = check_uniqueness(out, rho_rows, table)
-        assert rep == _rerun_uniqueness_reference(psi, rho_rows, ref_table)
+        assert list(rep) == [_rerun_uniqueness_reference(psi, rho_rows, ref_table)]
         # and from the same blocks of levels, each level tabulated once: a
         # level is tabulated only with the block a read starts, so no block
         # is read that a rerun did not read
@@ -300,10 +329,10 @@ def test_uniqueness_matches_the_reruns(n_max, tol):
 
 def test_uniqueness_labels_the_cap_it_ran():
     cfg = asc_cfg(seed=13, n_max=3)
-    rep = uniqueness(osc_map(), asc_psi(theta=0.01), cfg)
-    assert [tag for tag, _, _ in rep.variants] == [
+    variants = uniqueness(osc_map(), asc_psi(theta=0.01), cfg)[0].payload["variants"]
+    assert [tag for tag, _, _ in variants] == [
         "start=1", "start=2", "start=3", "n_max=1", "n_max=8"]
-    assert [n for _, n, _ in rep.variants] == [3, 3, 3, 1, 8]
+    assert [n for _, n, _ in variants] == [3, 3, 3, 1, 8]
 
 
 def test_uniqueness_keeps_the_non_finite_abort_past_the_run():
@@ -341,8 +370,8 @@ def test_uniqueness_stops_a_rerun_below_the_magnitude_cap():
     with pytest.raises(OverflowAbort):
         table[cap_level + 1]
     rep = check_uniqueness(out, rho_rows, table)
-    assert rep.variants[-1][:2] == ("n_max=15", cap_level)
-    assert not rep.passed
+    assert rep[0].payload["variants"][-1][:2] == ["n_max=15", cap_level]
+    assert not rep.passed[0]
     # levels 0..10 are one block; 11 and 12, past n_max, are read alone by
     # the rerun, and no level past the cap is evaluated
     assert d.calls == Counter(range(cap_level + 1)) and d.widths == [11 * 64, 64, 64]
@@ -584,9 +613,8 @@ def test_random_calibrated_fixtures_satisfy_the_bound(seed):
     assert out.converged
     X, Z = probes.x, probes.z
     recs = check_stability_bound(d(X, Z), out.D(X, Z), psi, rho_rows, probes)
-    assert all(r.margin <= 1e-9 for r in recs)
-    rep = check_biadditivity(out.D, rho_rows, probes, tol=1e-8)
-    assert rep.passed
+    assert np.all(recs.margin <= 1e-9)
+    assert all(slot.passed.all() for slot in check_biadditivity(out.D, rho_rows, probes, tol=1e-8))
     for lv in out.levels:
         assert lv.telescoping_kappa_margin <= 1e-9
         assert lv.telescoping_final_margin <= 1e-9
@@ -639,7 +667,7 @@ def test_level_table_evaluates_each_level_once():
     assert out.converged and 3 < n < per_block - 1
     assert d.calls == Counter(range(per_block)) and d.widths == [BLOCK_ROWS]
     rep = check_uniqueness(out, rho_rows, table)
-    assert rep.passed and all(v[1] == n for v in rep.variants)
+    assert rep.passed.all() and all(v[1] == n for v in rep[0].payload["variants"])
     # the reruns and their limits on the probes read the table only
     assert d.calls == Counter(range(per_block)) and d.widths == [BLOCK_ROWS]
     assert tabulated_blocks(table) == [(0, per_block)]

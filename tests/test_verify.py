@@ -5,7 +5,6 @@ import pytest
 
 from modstab import (
     BiMap,
-    CheckRecord,
     LevelTable,
     ModularSpec,
     Perturbation,
@@ -28,6 +27,7 @@ from modstab import (
 )
 from modstab._kernels import BLOCK_ROWS
 from modstab.algebra import three_unimodular_decomposition
+from modstab.report import ReportRecord
 from modstab.scenarios import calibrate_theta
 
 MATRIX2 = preset("matrix2")
@@ -65,15 +65,15 @@ def test_inequality_A_vanishes_for_bilinear_maps():
     probes = draw_probes(4, 64, 1.0, seed=1)
     recs = check_inequality_A(random_tensor_map(3), rho_rows, 0.5, None, probes)
     assert all(r.passed for r in recs)
-    assert max(r.lhs for r in recs) <= 1e-10
+    assert recs.lhs.max() <= 1e-10
 
 
 def test_inequality_A_quadratic_probe_arithmetic():
     # f(x,z) = x^2 z at x=y=1, z=1, w=0: defect is 2 f(2,1) - 4 f(1,1) = 4
     recs = check_inequality_A(QUAD, rho_rows, 0.5, None, one_probe(1, 1, 1, 0))
     assert len(recs) == 1
-    assert recs[0].lhs == pytest.approx(4.0, abs=1e-12)
-    assert recs[0].rhs == pytest.approx(0.0, abs=1e-12)
+    assert recs.lhs[0] == pytest.approx(4.0, abs=1e-12)
+    assert recs.rhs[0] == pytest.approx(0.0, abs=1e-12)
     assert not recs[0].passed
 
 
@@ -103,17 +103,17 @@ def test_inequality_B_vanishes_for_bilinear_maps():
     probes = draw_probes(4, 64, 1.0, seed=3)
     recs = check_inequality_B(random_tensor_map(5), rho_rows, 0.5, None, probes)
     assert all(r.passed for r in recs)
-    assert max(r.lhs for r in recs) <= 1e-10
+    assert recs.lhs.max() <= 1e-10
 
 
 def test_inequality_B_quadratic_fails_at_second_zero_probe():
     # y = w = 0 reduces the defect to 8 f(x/2, z) - 4 f(x, z) = -2 f(x, z)
     recs = check_inequality_B(QUAD, rho_rows, 0.5, None, one_probe(1, 0, 1, 0))
-    assert recs[0].lhs == pytest.approx(2.0, abs=1e-12)
+    assert recs.lhs[0] == pytest.approx(2.0, abs=1e-12)
     assert not recs[0].passed
     # the halving in the first argument hides pure second-degree terms at x = y
     recs2 = check_inequality_B(QUAD, rho_rows, 0.5, None, one_probe(1, 1, 1, 0))
-    assert recs2[0].lhs <= 1e-12
+    assert recs2.lhs[0] <= 1e-12
     assert recs2[0].passed
 
 
@@ -122,24 +122,27 @@ def test_inequality_B_quadratic_fails_at_second_zero_probe():
 
 def test_biadditivity_of_kernels():
     probes = draw_probes(4, 64, 1.0, seed=4)
-    rep = check_biadditivity(random_tensor_map(6), rho_rows, probes)
-    assert rep.passed and rep.slot1_sup <= 1e-12 and rep.slot2_sup <= 1e-12
+    slot1, slot2 = check_biadditivity(random_tensor_map(6), rho_rows, probes)
+    assert slot1.passed.all() and slot2.passed.all()
+    assert slot1.lhs[0] <= 1e-12 and slot2.lhs[0] <= 1e-12
+    assert [slot1.check, slot2.check] == ["biadditivity_slot1", "biadditivity_slot2"]
+    assert slot1[0].payload["residual"] == slot1.lhs[0] and slot1[0].payload["tol"] == 1e-10
 
 
 def test_biadditivity_detects_oscillation():
     probes = draw_probes(4, 64, 1.0, seed=5)
     d = BiMap(algebra=MATRIX2, kernel="commutator",
               perturbation=Perturbation("bounded_osc", 0.1))
-    rep = check_biadditivity(d, rho_rows, probes)
-    assert not rep.passed
-    assert rep.slot1_sup > 1e-3
+    slot1, slot2 = check_biadditivity(d, rho_rows, probes)
+    assert not (slot1.passed.all() and slot2.passed.all())
+    assert slot1.lhs[0] > 1e-3
 
 
 def test_biadditivity_zero_map():
     probes = draw_probes(4, 32, 1.0, seed=6)
     zero = BiMap(algebra=MATRIX2, kernel="product", coeff=0.0)
-    rep = check_biadditivity(zero, rho_rows, probes)
-    assert rep.slot1_sup == 0.0 and rep.slot2_sup == 0.0
+    slot1, slot2 = check_biadditivity(zero, rho_rows, probes)
+    assert slot1.lhs[0] == 0.0 and slot2.lhs[0] == 0.0
 
 
 def test_passing_inequality_A_implies_biadditivity():
@@ -151,9 +154,9 @@ def test_passing_inequality_A_implies_biadditivity():
                           perturbation=Perturbation("quad_slot1", 0.4)))
     for f in fixtures:
         recs = check_inequality_A(f, rho_rows, 0.5, None, probes)
-        if all(r.margin <= 0 for r in recs):
-            rep = check_biadditivity(f, rho_rows, probes)
-            assert rep.slot1_sup <= 1e-9 and rep.slot2_sup <= 1e-9
+        if np.all(recs.margin <= 0):
+            slot1, slot2 = check_biadditivity(f, rho_rows, probes)
+            assert slot1.lhs[0] <= 1e-9 and slot2.lhs[0] <= 1e-9
 
 
 # --- first slot homogeneity ---------------------------------------------------
@@ -165,7 +168,7 @@ def test_linearity_of_complex_bilinear_kernel():
         random_tensor_map(9), rho_rows, default_linearity_scalars(0), probes
     )
     assert all(r.passed for r in recs)
-    assert max(r.lhs for r in recs) <= 1e-10
+    assert recs.lhs.max() <= 1e-10
 
 
 def test_linearity_route_reported_for_generic_scalars():
@@ -173,26 +176,26 @@ def test_linearity_route_reported_for_generic_scalars():
     recs = check_first_slot_linearity(
         random_tensor_map(10), rho_rows, [2.0 + 1.0j], probes
     )
-    assert "route" in recs[0].extra and "M" in recs[0].extra
-    assert recs[0].extra["M"] > 4 * abs(2.0 + 1.0j)
+    assert "route" in recs[0].payload and "M" in recs[0].payload
+    assert recs[0].payload["M"] > 4 * abs(2.0 + 1.0j)
 
 
 def test_conjugation_fails_at_imaginary_unit():
     conj = BiMap(algebra=COMPLEX, kernel="conjugate_product")
     probes = draw_probes(1, 32, 1.0, seed=10)
     recs = check_first_slot_linearity(conj, rho_rows, [1.0, 1j], probes)
-    by_lam = {tuple(r.extra["lam"]): r for r in recs}
-    assert by_lam[(1.0, 0.0)].lhs <= 1e-15
+    by_lam = {tuple(r.payload["lam"]): r for r in recs}
+    assert by_lam[(1.0, 0.0)].payload["lhs"] <= 1e-15
     bad = by_lam[(0.0, 1.0)]
     assert not bad.passed
     # f(i x, z) - i f(x, z) = -2i conj(x) z
     expected = float(np.max(2.0 * np.abs(probes.x[:, 0]) * np.abs(probes.z[:, 0])))
-    assert bad.lhs == pytest.approx(expected, abs=1e-12)
+    assert bad.payload["lhs"] == pytest.approx(expected, abs=1e-12)
 
 
 def _linearity_per_scalar(f, rho_fn, scalars, probes, tol=1e-10):
     """The sweep as one map call per scalar and per route term: the oracle
-    of the stacked sweep."""
+    of the stacked sweep, as the report rows it must read as."""
     X, Z = probes.x, probes.z
     fXZ = f(X, Z)
     out = []
@@ -211,8 +214,9 @@ def _linearity_per_scalar(f, rho_fn, scalars, probes, tol=1e-10):
             extra["route"] = route
             extra["M"] = M
             worst = max(direct, route)
-        out.append(CheckRecord("first_slot_linearity", idx, worst, 0.0, worst, worst <= tol,
-                               extra=extra))
+        payload = {"check": "first_slot_linearity", "probe_id": idx, "lhs": worst, "rhs": 0.0,
+                   "margin": worst, **extra}
+        out.append(ReportRecord(None, "check", payload, worst <= tol))
     return out
 
 
@@ -240,7 +244,7 @@ def test_stacked_linearity_equals_per_scalar_calls_bit_for_bit(modular):
             probes = draw_probes(dim, 40, radius, seed=6)
             want = _linearity_per_scalar(f, rho_fn, scalars, probes)
             got = check_first_slot_linearity(f, rho_fn, scalars, probes)
-            assert [repr(r) for r in got] == [repr(r) for r in want]
+            assert [r.to_json() for r in got] == [r.to_json() for r in want]
 
 
 def test_linearity_with_no_scalars_is_empty():
@@ -258,7 +262,7 @@ def test_stability_bound_trivial_for_exact_limit():
     dxz = d(probes.x, probes.z)
     recs = check_stability_bound(dxz, dxz, psi, rho_rows, probes)
     assert all(r.passed for r in recs)
-    assert all(r.margin <= 0.0 for r in recs)
+    assert np.all(recs.margin <= 0.0)
 
 
 def test_stability_bound_flags_oversized_perturbation():
@@ -275,7 +279,7 @@ def test_stability_bound_flags_oversized_perturbation():
     out = stabilize(LevelTable(big, cfg), psi, rho_rows, telescoping=False)
     X, Z = probes.x, probes.z
     recs = check_stability_bound(big(X, Z), out.D(X, Z), psi, rho_rows, probes)
-    assert any(r.margin > 0 for r in recs)
+    assert np.any(recs.margin > 0)
 
 
 def test_stability_bound_corollary_constant_reported():
@@ -284,7 +288,7 @@ def test_stability_bound_corollary_constant_reported():
     psi = PsiEnvelope(theta=1.0, p=0.5, direction="ascending")
     dxz = d(probes.x, probes.z)
     recs = check_stability_bound(dxz, dxz, psi, rho_rows, probes, corollary_theta=1.0)
-    assert all("corollary_rhs" in r.extra for r in recs)
+    assert all("corollary_rhs" in r.payload for r in recs)
 
 
 # --- derivation residuals -------------------------------------------------------
@@ -293,36 +297,37 @@ def test_stability_bound_corollary_constant_reported():
 def test_commutator_is_a_biderivation():
     probes = draw_probes(4, 64, 1.0, seed=14)
     d = BiMap(algebra=MATRIX2, kernel="commutator")
-    recs = check_biderivation(d, rho_rows, MATRIX2, None, probes, assert_slot2=True)
-    assert all(r.passed for r in recs)
-    assert max(r.lhs for r in recs) <= 1e-12
+    slots = check_biderivation(d, rho_rows, MATRIX2, None, probes, assert_slot2=True)
+    assert all(slot.passed.all() for slot in slots)
+    assert max(slot.lhs.max() for slot in slots) <= 1e-12
 
 
 def test_zero_product_algebra_everything_is_a_biderivation():
     probes = draw_probes(3, 32, 1.0, seed=15)
     d = random_tensor_map(16, algebra=ZERO_MUL)
-    recs = check_biderivation(d, rho_rows, ZERO_MUL, None, probes, assert_slot2=True)
+    slots = check_biderivation(d, rho_rows, ZERO_MUL, None, probes, assert_slot2=True)
     # products vanish, so residuals reduce to f(0, z) etc., exactly zero
-    assert all(r.lhs == 0.0 for r in recs)
+    assert all(np.all(slot.lhs == 0.0) for slot in slots)
 
 
 def test_plain_product_violates_the_leibniz_rule():
     probes = draw_probes(1, 32, 1.0, seed=16)
     d = BiMap(algebra=COMPLEX, kernel="product")
-    recs = check_biderivation(d, rho_rows, COMPLEX, None, probes)
-    slot1 = [r for r in recs if r.check_name == "biderivation_slot1"]
+    slot1, _ = check_biderivation(d, rho_rows, COMPLEX, None, probes)
+    assert slot1.check == "biderivation_slot1"
     expected = np.abs(probes.x[:, 0] * probes.y[:, 0] * probes.z[:, 0])
-    for r, want in zip(slot1, expected):
-        assert r.lhs == pytest.approx(float(want), abs=1e-13)
+    for lhs, want in zip(slot1.lhs, expected):
+        assert lhs == pytest.approx(float(want), abs=1e-13)
     assert any(not r.passed for r in slot1)
 
 
 def test_slot2_records_are_advisory_by_default():
     probes = draw_probes(1, 32, 1.0, seed=17)
     d = BiMap(algebra=COMPLEX, kernel="product")
-    recs = check_biderivation(d, rho_rows, COMPLEX, None, probes)
-    assert all(r.advisory for r in recs if r.check_name == "biderivation_slot2")
-    assert all(not r.advisory for r in recs if r.check_name == "biderivation_slot1")
+    slot1, slot2 = check_biderivation(d, rho_rows, COMPLEX, None, probes)
+    assert slot2.check == "biderivation_slot2" and slot2.advisory and slot2.n_failed == 0
+    assert all(r.advisory for r in slot2)
+    assert slot1.check == "biderivation_slot1" and not any(r.advisory for r in slot1)
 
 
 # --- exact-scaling certificate ---------------------------------------------------
@@ -330,9 +335,9 @@ def test_slot2_records_are_advisory_by_default():
 
 def test_superstability_of_kernels_and_zero():
     probes = draw_probes(4, 48, 1.0, seed=18)
-    assert check_superstability(random_tensor_map(19), rho_rows, probes).is_superstable
+    assert check_superstability(random_tensor_map(19), rho_rows, probes).passed.all()
     zero = BiMap(algebra=MATRIX2, kernel="product", coeff=0.0)
-    assert check_superstability(zero, rho_rows, probes).is_superstable
+    assert check_superstability(zero, rho_rows, probes).passed.all()
 
 
 def test_superstability_rejects_oscillation():
@@ -340,8 +345,8 @@ def test_superstability_rejects_oscillation():
     d = BiMap(algebra=MATRIX2, kernel="commutator",
               perturbation=Perturbation("bounded_osc", 0.05))
     rep = check_superstability(d, rho_rows, probes)
-    assert not rep.is_superstable
-    assert rep.sup_residual > 1e-4
+    assert len(rep) == 1 and not rep.passed[0]
+    assert rep[0].payload["sup_residual"] == rep.lhs[0] > 1e-4
 
 
 class RowCounter:
@@ -418,8 +423,8 @@ def test_linearity_in_blocks_equals_per_scalar_calls(n):
     probes = draw_probes(4, n, 1.0, seed=9)
     counted = RowCounter(f, n)
     got = check_first_slot_linearity(counted, rho_rows, scalars, probes)
-    assert [repr(r) for r in got] == [
-        repr(r) for r in _linearity_per_scalar(f, rho_rows, scalars, probes)]
+    assert [r.to_json() for r in got] == [
+        r.to_json() for r in _linearity_per_scalar(f, rho_rows, scalars, probes)]
     generic = int(np.sum(np.abs(np.abs(scalars) - 1.0) > 1e-12))
     per_call = max(1, BLOCK_ROWS // n)
     assert counted.calls == 1 + -(-len(scalars) // per_call) + generic
