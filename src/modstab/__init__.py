@@ -76,5 +76,6 @@ from .verify import (
     check_inequality_B,
     check_stability_bound,
     check_superstability,
+    check_telescoping,
     default_linearity_scalars,
 )

@@ -63,7 +63,6 @@ from .stabilize import (
 )
 from .verify import (
     IDENTITY_TOL,
-    INEQUALITY_TOL,
     check_biadditivity,
     check_biderivation,
     check_first_slot_linearity,
@@ -71,6 +70,7 @@ from .verify import (
     check_inequality_B,
     check_stability_bound,
     check_superstability,
+    check_telescoping,
     default_linearity_scalars,
     inequality_parts,
 )
@@ -657,9 +657,7 @@ def _iterate(run):
     """Iterate to the limit; a numeric abort leaves ``run.outcome`` None."""
     try:
         run.outcome = out = stabilize(
-            run.table, run.psi, run.rho_fn,
-            weight_kind=run.weight_kind, kappa=run.modular.kappa,
-            telescoping="telescoping" in run.checks, skip_psi_check=True,
+            run.table, run.psi, run.rho_fn, weight_kind=run.weight_kind, skip_psi_check=True
         )
     except (OverflowAbort, NonFiniteValueError) as e:
         payload = {"error": str(e), "level": getattr(e, "level", None),
@@ -728,13 +726,8 @@ def _superstability(run):
 
 
 def _telescoping(run):
-    # a level passes iff both its margins are at most the tolerance
-    levels = run.outcome.levels
-    kappa = np.array([lv.telescoping_kappa_margin for lv in levels])
-    final = np.array([lv.telescoping_final_margin for lv in levels])
-    columns = {"level": np.array([lv.level for lv in levels]), "kappa_margin": kappa,
-               "final_margin": final}
-    return [CheckResult("telescoping", np.maximum(kappa, final), 0.0, INEQUALITY_TOL, columns)]
+    return [check_telescoping(run.table, run.psi, run.rho_fn, run.outcome.N_converged,
+                              run.weight_kind, run.modular.kappa)]
 
 
 def _bounded_orbit(run):

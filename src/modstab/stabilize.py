@@ -1,7 +1,7 @@
 """Direct-method engine: iterate the scaled map until the probe-sup
 modular distance between successive candidates is at most the tolerance,
-freeze the bi-additive limit, and instrument every quantitative claim
-made about the iteration on the way."""
+and freeze the bi-additive limit.  The checks on the iterates (uniqueness
+and the bounded orbit here, the rest in ``verify``) read the run's table."""
 
 import math
 from dataclasses import dataclass, field
@@ -58,8 +58,6 @@ class LevelDiag:
     level: int
     sup_rho_delta: float
     rho_tilde_delta: float
-    telescoping_kappa_margin: float | None
-    telescoping_final_margin: float | None
 
 
 @dataclass
@@ -93,63 +91,6 @@ def estimate_contraction(history):
     if not ratios:
         return 0.0
     return float(np.exp(np.mean(np.log(ratios))))
-
-
-def _auto_telescope_form(direction, weight_kind):
-    if direction == "ascending":
-        return "ascending"
-    return "kappa_first_zero" if weight_kind == "psi_x0_z0" else "kappa_both_slots"
-
-
-# The telescoping majorants bound the defect against the level-0 map.
-# Ascending uses the geometric partial sum
-#     sum_{i<=n} 2^-i psi(2^(i-1) x, 2^(i-1) x) psi(z, 0),
-# whose full sum is bounded by psi(x,x) psi(z,0)/(2(1-L)).  Descending uses
-# the kappa-weighted table (two variants, one keyed by psi at the halved
-# diagonal, one by psi(. , 0)); at kappa = 2 the table coincides with the
-# honest unrolled recursion.  The full bound is ``hyers_bound`` on the probes.
-
-
-def _majorant_terms(form, psi, X, span):
-    """The majorant's term psi_i for each level i of ``span``, from one
-    psi call on the stacked scaled probes: a (k, P) array.  psi_i is
-    psi(2^(i-1) x, 2^(i-1) x) ascending, psi(x / 2^i, x / 2^i) for
-    kappa_both_slots and psi(x / 2^(i-1), 0) for kappa_first_zero."""
-    n, dim = X.shape
-    if form == "ascending":
-        u = np.array([2.0 ** (i - 1) for i in span])[:, None, None] * X
-    elif form == "kappa_both_slots":
-        u = X / np.array([2.0**i for i in span])[:, None, None]
-    elif form == "kappa_first_zero":
-        u = X / np.array([2.0 ** (i - 1) for i in span])[:, None, None]
-    else:
-        raise ConfigError(f"unknown telescoping form {form!r}")
-    u = u.reshape(len(span) * n, dim)
-    return psi(u, np.zeros_like(u) if form == "kappa_first_zero" else u).reshape(len(span), n)
-
-
-def _majorants(form, kappa, span, terms, carry):
-    """The majorants of the consecutive levels ``span`` before their
-    psi(z, 0) factor, a (k, P) array, from their ``terms``; and the carry
-    for the levels after them.  The coefficients are Python floats.
-
-    Ascending, the carry is the running sum through the level before:
-    each row adds 2^-n psi_n to the row before it, in level order.
-    Descending, the carry is the list of the terms psi_1.. of the levels
-    before, and row n sums c_n,i psi_i over i = 1..n in that order, with
-    c_n,1 = kappa^(n-1) / 2^(n-1) and c_n,i = kappa^n / 2^(n-i+1): one
-    vector update per i over the rows n >= i."""
-    if form == "ascending":
-        steps = np.array([2.0 ** (-n) for n in span])[:, None] * terms
-        sums = np.add.accumulate(np.concatenate([carry[None], steps]), axis=0)[1:]
-        return sums, sums[-1]
-    psis = carry + list(terms)
-    rows = np.array([kappa ** (n - 1) / 2.0 ** (n - 1) for n in span])[:, None] * psis[0]
-    for i in range(2, span[-1] + 1):
-        r = max(0, i - span[0])  # the rows of the levels n >= i
-        c = [kappa**n / 2.0 ** (n - i + 1) for n in span[r:]]
-        rows[r:] += np.array(c)[:, None] * psis[i - 1]
-    return rows, psis
 
 
 def _tabulate(d, cfg, level, max_abs_x):
@@ -282,15 +223,7 @@ def _level_rho(table, rho_fn, n):
     return diff_rho
 
 
-def stabilize(
-    table,
-    psi,
-    rho_fn,
-    weight_kind="psi_xx_z0",
-    kappa=2.0,
-    telescoping=True,
-    skip_psi_check=False,
-):
+def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0", skip_psi_check=False):
     """Run the scaled iteration on ``table`` and freeze the limit candidate.
 
     The map d and its StabilizeConfig cfg are ``table.d`` and ``table.cfg``.
@@ -305,13 +238,12 @@ def stabilize(
     reads its reruns off the outcome's levels.
 
     The levels are walked a table block at a time: one modular call gives
-    the deltas of the whole block, and the diagnostics of the levels up to
-    the first that converges (rho-tilde, the telescoping defect and
-    majorant) are computed over them at once, each with the bits the level
-    gets alone.  A block pass that raises an arithmetic or package error,
-    numpy's floating-point events among them, is given up, and the rest of
-    its block is walked one level at a time under the caller's error state,
-    so a run raises what it raised level by level, at the same level.
+    the deltas of the whole block and rho-tilde of its levels up to the
+    first that converges, each with the bits the level gets alone.  A block
+    pass that raises an arithmetic or package error, numpy's floating-point
+    events among them, is given up, and the rest of its block is walked one
+    level at a time under the caller's error state, so a run raises what it
+    raised level by level, at the same level.
     """
     d, cfg = table.d, table.cfg
     if not getattr(d, "zero_boundary", True):
@@ -327,17 +259,14 @@ def stabilize(
     X, Z = cfg.probes.x, cfg.probes.z
     weights = RhoTildeWeight(psi=psi, kind=weight_kind).values(X, Z)
 
-    v_origin = table[0]  # the unscaled map, reference for bound/telescoping
+    v_origin = table[0]  # the unscaled map, reference for the bound
     hyers_vals = hyers_bound(psi, X, Z)
-    form = _auto_telescope_form(cfg.direction, weight_kind)
-    if telescoping:
-        psi_z0 = psi(Z, np.zeros_like(Z))
 
-    def walk(block, first, prev, carry):
+    def walk(block, first, prev):
         """LevelDiags of the levels first, first + 1, .. of ``block`` up to
-        the first that converges, and the majorant carry after them.  Each
-        level's steps go in the order of the per-level loop, so a one-level
-        block raises what that level raised."""
+        the first that converges.  Each level's steps go in the order of
+        the per-level loop, so a one-level block raises what that level
+        raised."""
         k, n_probes, vd = block.shape
         diffs = np.empty_like(block)
         np.subtract(block[0], prev, out=diffs[0])
@@ -351,20 +280,11 @@ def stabilize(
             k = int(np.argmax(stop)) + 1
             if not finite[k - 1]:
                 raise NonFiniteValueError("non-finite modular value", level=first + k - 1)
-        span = range(first, first + k)
         rt = rho_tilde_tabulated(diff_rho[:k], weights)
-        tel_kappa = tel_final = [None] * k
-        if telescoping:
-            defect = rho_fn((block[:k] - v_origin).reshape(k * n_probes, vd)).reshape(k, n_probes)
-            terms = _majorant_terms(form, psi, X, span)
-            majorant, carry = _majorants(form, kappa, span, terms, carry)
-            tel_kappa = (defect - majorant * psi_z0).max(axis=1).tolist()
-            tel_final = (defect - hyers_vals).max(axis=1).tolist()
-        rows = zip(span, sup[:k].tolist(), rt.tolist(), tel_kappa, tel_final)
-        return [LevelDiag(*row) for row in rows], carry
+        rows = zip(range(first, first + k), sup[:k].tolist(), rt.tolist())
+        return [LevelDiag(*row) for row in rows]
 
     levels, prev, single_until = [], v_origin, 0
-    carry = np.zeros(len(X)) if form == "ascending" else []
     while True:
         first = len(levels) + 1
         block = table.block(first)[: cfg.n_max - first + 1]
@@ -372,13 +292,13 @@ def stabilize(
         if first >= single_until and len(block) > 1:
             try:
                 with np.errstate(**_RAISE):
-                    diags, after = walk(block, first, prev, carry)
+                    diags = walk(block, first, prev)
             except _LEVEL_ERRORS:  # met again by the levels alone
                 single_until = first + len(block)
         if diags is None:
-            diags, after = walk(block[:1], first, prev, carry)
+            diags = walk(block[:1], first, prev)
         levels += diags
-        carry, prev = after, block[len(diags) - 1]
+        prev = block[len(diags) - 1]
         if levels[-1].sup_rho_delta <= cfg.tol or len(levels) == cfg.n_max:
             break
 

@@ -1,7 +1,8 @@
 """Residual checkers: the two four-point functional inequalities, slotwise
 additivity, first-slot homogeneity (direct and via the three-unimodular
-route), the a-priori stability bound, the Leibniz-rule residuals, and the
-exact-scaling certificate.
+route), the a-priori stability bound and the telescoping table (both on
+the iterates of the run's ``LevelTable``), the Leibniz-rule residuals,
+and the exact-scaling certificate.
 
 Every checker returns its verdict as a ``report.CheckResult``: one row
 per probe (or per scalar, or one row for a probe-sup), carrying the
@@ -226,6 +227,87 @@ def check_stability_bound(
         printed = corollary_theta / denom * nx * nz
         extras = {"corollary_rhs": printed}
     return _per_probe("stability_bound", lhs, rhs, tol, **extras)
+
+
+def _auto_telescope_form(direction, weight_kind):
+    if direction == "ascending":
+        return "ascending"
+    return "kappa_first_zero" if weight_kind == "psi_x0_z0" else "kappa_both_slots"
+
+
+# The telescoping majorants bound the defect against the level-0 map.
+# Ascending uses the geometric partial sum
+#     sum_{i<=n} 2^-i psi(2^(i-1) x, 2^(i-1) x) psi(z, 0),
+# whose full sum is bounded by psi(x,x) psi(z,0)/(2(1-L)).  Descending uses
+# the kappa-weighted table (two variants, one keyed by psi at the halved
+# diagonal, one by psi(. , 0)); at kappa = 2 the table coincides with the
+# honest unrolled recursion.  The full bound is ``hyers_bound`` on the probes.
+
+
+def _majorant_terms(form, psi, X, span):
+    """The majorant's term psi_i for each level i of ``span``, from one
+    psi call on the stacked scaled probes: a (k, P) array.  psi_i is
+    psi(2^(i-1) x, 2^(i-1) x) ascending, psi(x / 2^i, x / 2^i) for
+    kappa_both_slots and psi(x / 2^(i-1), 0) for kappa_first_zero."""
+    n, dim = X.shape
+    if form == "ascending":
+        u = np.array([2.0 ** (i - 1) for i in span])[:, None, None] * X
+    elif form == "kappa_both_slots":
+        u = X / np.array([2.0**i for i in span])[:, None, None]
+    elif form == "kappa_first_zero":
+        u = X / np.array([2.0 ** (i - 1) for i in span])[:, None, None]
+    else:
+        raise ConfigError(f"unknown telescoping form {form!r}")
+    u = u.reshape(len(span) * n, dim)
+    return psi(u, np.zeros_like(u) if form == "kappa_first_zero" else u).reshape(len(span), n)
+
+
+def _majorants(form, kappa, terms):
+    """The majorants of levels 1..N before their psi(z, 0) factor, an
+    (N, P) array, from their ``terms`` psi_1..psi_N.  The coefficients are
+    Python floats.
+
+    Ascending, row n adds 2^-n psi_n to the row before it, in level order,
+    from a +0.0 start row.  Descending, row n sums c_n,i psi_i over
+    i = 1..n in that order, with c_n,1 = kappa^(n-1) / 2^(n-1) and
+    c_n,i = kappa^n / 2^(n-i+1): one vector update per i over the rows
+    n >= i."""
+    span = range(1, len(terms) + 1)
+    if form == "ascending":
+        steps = np.array([2.0 ** (-n) for n in span])[:, None] * terms
+        return np.add.accumulate(np.concatenate([np.zeros_like(terms[:1]), steps]), axis=0)[1:]
+    rows = np.array([kappa ** (n - 1) / 2.0 ** (n - 1) for n in span])[:, None] * terms[0]
+    for i in span[1:]:
+        c = [kappa**n / 2.0 ** (n - i + 1) for n in span[i - 1:]]
+        rows[i - 1:] += np.array(c)[:, None] * terms[i - 1]
+    return rows
+
+
+def check_telescoping(table, psi, rho_fn, n, weight_kind, kappa, tol=INEQUALITY_TOL):
+    """The telescoping table of levels 1..n of ``table`` against level 0,
+    one row per level: ``kappa_margin`` is the probe-max of the defect
+    rho(T[l] - T[0]) minus the level's majorant times psi(z, 0), and
+    ``final_margin`` the defect minus ``hyers_bound``.  A level passes iff
+    both are at most ``tol`` (its lhs is the larger, NaN if either is).
+    The majorant form follows the direction and ``weight_kind``; each row
+    has the bits it gets alone.  n is the run's stopping level."""
+    X, Z = table.cfg.probes.x, table.cfg.probes.z
+    form = _auto_telescope_form(table.cfg.direction, weight_kind)
+    origin, defect, level = table[0], [], 1
+    while level <= n:
+        block = table.block(level)[: n - level + 1]
+        k, p, vd = block.shape
+        defect.append(rho_fn((block - origin).reshape(k * p, vd)).reshape(k, p))
+        level += k
+    defect = np.concatenate(defect)
+    terms = np.concatenate([_majorant_terms(form, psi, X, range(b.start + 1, b.stop + 1))
+                            for b in row_blocks(n, len(X))])
+    majorant = _majorants(form, kappa, terms) * psi(Z, np.zeros_like(Z))
+    kappa_margin = (defect - majorant).max(axis=1)
+    final_margin = (defect - hyers_bound(psi, X, Z)).max(axis=1)
+    columns = {"level": np.arange(1, n + 1), "kappa_margin": kappa_margin,
+               "final_margin": final_margin}
+    return CheckResult("telescoping", np.maximum(kappa_margin, final_margin), 0.0, tol, columns)
 
 
 def check_biderivation(f, rho_fn, alg, psi, probes, tol=IDENTITY_TOL, assert_slot2=False):

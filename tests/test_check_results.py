@@ -12,10 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from modstab import scenarios
+from modstab import scenarios, verify
 from modstab.report import CheckResult
 from modstab.scenarios import builtin_scenarios, run_scenario
-from modstab.stabilize import LevelDiag
 
 _PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "failing_configs.py"
 _spec = importlib.util.spec_from_file_location("failing_configs", _PATH)
@@ -87,16 +86,42 @@ def test_every_verdict_is_one_check_result_passing_by_the_one_rule(name, monkeyp
     assert result.exit_code == (1 if name in FAILURES else 0)
 
 
-def test_telescoping_passes_a_level_iff_both_its_margins_pass():
-    # the row's lhs is the larger margin, and a NaN in either fails the row
-    nan = float("nan")
-    pairs = [(nan, 0.0), (0.0, nan), (0.0, 0.0), (2e-9, 0.0), (0.0, 2e-9), (-1.0, 1e-9)]
-    levels = [LevelDiag(n, 0.0, 0.0, k, f) for n, (k, f) in enumerate(pairs, 1)]
-    [result] = scenarios._telescoping(SimpleNamespace(outcome=SimpleNamespace(levels=levels)))
-    assert result.passed.tolist() == [k <= 1e-9 and f <= 1e-9 for k, f in pairs]
-    rows = [[r.payload["level"], r.payload["kappa_margin"], r.payload["final_margin"]]
-            for r in result]
-    assert json.dumps(rows) == json.dumps([[n, k, f] for n, (k, f) in enumerate(pairs, 1)])
+class _Levels:
+    """A level table on one probe whose level l > 0 holds ``values[l - 1]``
+    and level 0 holds 0, all in one block."""
+
+    def __init__(self, values):
+        self.stack = np.array([0.0, *values], dtype=complex)[:, None, None]
+        probes = SimpleNamespace(x=np.ones((1, 1), dtype=complex), z=np.ones((1, 1), dtype=complex))
+        self.cfg = SimpleNamespace(direction="ascending", probes=probes)
+
+    def __getitem__(self, level):
+        return self.stack[level]
+
+    def block(self, level):
+        return self.stack[level:]
+
+
+def test_telescoping_passes_a_level_iff_both_its_margins_pass(monkeypatch):
+    # the row's lhs is the larger margin, and a NaN in either fails the row:
+    # with psi = 1, rho the real part and the majorants and the bound set
+    # here, level l's margins are defect_l - majorant_l and defect_l - bound
+    nan, e29, e31 = float("nan"), 2.0**-29, 2.0**-31  # 2^-29 > 1e-9 > 2^-31
+    defects = [nan, 1.0, 1.0, 1.0, 1.0 + e29, 1.0 + e31]
+    majorants = [0.0, nan, 1.0, 1.0 - e29, 1.0 + e29, 2.0 + e31]
+    monkeypatch.setattr(verify, "_majorants", lambda form, kappa, terms: np.array(majorants)[:, None])
+    run = SimpleNamespace(table=_Levels(defects), psi=lambda a, b: np.ones(len(a)),
+                          rho_fn=lambda rows: rows[:, 0].real, weight_kind="psi_xx_z0",
+                          outcome=SimpleNamespace(N_converged=len(defects)),
+                          modular=SimpleNamespace(kappa=2.0))
+    for bound in (1.0, nan):  # a NaN bound makes every final margin NaN
+        monkeypatch.setattr(verify, "hyers_bound", lambda psi, x, z: np.array([bound]))
+        pairs = [(d - m, d - bound) for d, m in zip(defects, majorants)]
+        [result] = scenarios._telescoping(run)
+        assert result.passed.tolist() == [k <= 1e-9 and f <= 1e-9 for k, f in pairs]
+        rows = [[r.payload["level"], r.payload["kappa_margin"], r.payload["final_margin"]]
+                for r in result]
+        assert json.dumps(rows) == json.dumps([[n, k, f] for n, (k, f) in enumerate(pairs, 1)])
 
 
 @pytest.mark.parametrize("estimate", [0.5, 2.0, float("inf"), float("nan")])

@@ -2,13 +2,14 @@
 levels; the per-level walk they replaced is kept here as the reference.
 
 ``RefTable`` evaluates one level per map call, ``stabilize_ref`` is the
-per-level loop with its ``_Telescope`` majorants, and
+per-level loop with the ``_Telescope`` majorants of its levels, and
 ``scaled_family_ref`` yields calibration's scaled degenerate family one
-level at a time.  Blocks must give the same LevelDiag values bit for bit
-(compared through ``repr``, which tells -0.0 from 0.0), the same table
-values, and the same exception type, message, level and probe_id, at
-probe counts that put the block edges at different levels: 17 (120 levels
-per block), 32 (64), 512 (4), 700 (2) and 2049 (1).
+level at a time.  Blocks must give the same LevelDiag values and the one
+pass of ``check_telescoping`` the same margins, bit for bit (compared
+through ``repr``, which tells -0.0 from 0.0), the same table values, and
+the same exception type, message, level and probe_id, at probe counts
+that put the block edges at different levels: 17 (120 levels per block),
+32 (64), 512 (4), 700 (2) and 2049 (1).
 """
 
 import math
@@ -37,15 +38,8 @@ from modstab._kernels import BLOCK_ROWS
 from modstab.bimaps import RhoTildeWeight, iterate_evaluator, rho_tilde_tabulated
 from modstab.modular import coeff_norm_fn
 from modstab.scenarios import _scaled_degenerate_family
-from modstab.stabilize import (
-    MAX_N_MAX,
-    LevelDiag,
-    _auto_telescope_form,
-    _majorant_terms,
-    _majorants,
-    estimate_contraction,
-    hyers_bound,
-)
+from modstab.stabilize import MAX_N_MAX, LevelDiag, estimate_contraction, hyers_bound
+from modstab.verify import _auto_telescope_form, _majorant_terms, _majorants, check_telescoping
 
 MATRIX2 = preset("matrix2")
 NORM = ModularSpec(kind="norm")
@@ -118,18 +112,15 @@ class _Telescope:
         return acc * self.psi_z0
 
 
-def stabilize_ref(table, psi, rho_fn, weight_kind="psi_xx_z0", kappa=2.0, telescoping=True):
-    """The per-level loop; returns the fields stabilize's outcome carries."""
+def stabilize_ref(table, psi, rho_fn, weight_kind="psi_xx_z0", kappa=2.0):
+    """The per-level loop; returns the fields stabilize's outcome carries
+    and, beside them, the telescoping margins (kappa, final) of its levels,
+    each level's defect and majorant taken alone."""
     cfg = table.cfg
     X, Z = cfg.probes.x, cfg.probes.z
     weights = RhoTildeWeight(psi=psi, kind=weight_kind).values(X, Z)
     v_origin = table[0]
     hyers_vals = hyers_bound(psi, X, Z)
-    telescope = None
-    if telescoping:
-        form = "ascending" if cfg.direction == "ascending" else (
-            "kappa_first_zero" if weight_kind == "psi_x0_z0" else "kappa_both_slots")
-        telescope = _Telescope(form, psi, X, Z, kappa, hyers_vals)
     levels = []
     for n in range(1, cfg.n_max + 1):
         diff_rho = rho_fn(table[n] - table[n - 1])
@@ -137,19 +128,30 @@ def stabilize_ref(table, psi, rho_fn, weight_kind="psi_xx_z0", kappa=2.0, telesc
             raise NonFiniteValueError("non-finite modular value", level=n)
         sup_delta = float(np.max(diff_rho))
         rt_delta = rho_tilde_tabulated(diff_rho, weights)
-        tel_kappa = tel_final = None
-        if telescope is not None:
-            defect = rho_fn(table[n] - v_origin)
-            tel_kappa = float(np.max(defect - telescope.majorant(n)))
-            tel_final = float(np.max(defect - telescope.final))
-        levels.append(LevelDiag(n, sup_delta, rt_delta, tel_kappa, tel_final))
+        levels.append(LevelDiag(n, sup_delta, rt_delta))
         if sup_delta < cfg.tol:
             break
     frozen, converged = len(levels), sup_delta < cfg.tol
     rt_deltas = [lv.rho_tilde_delta for lv in levels]
     bound_margin = float(np.max(rho_fn(table[frozen] - v_origin) - hyers_vals))
     contraction = estimate_contraction(rt_deltas) if len(rt_deltas) >= 3 else 0.0
-    return frozen, converged, contraction, bound_margin, levels, weights
+    margins = margins_ref(table, psi, rho_fn, frozen, weight_kind, kappa)
+    return frozen, converged, contraction, bound_margin, levels, weights, margins
+
+
+def margins_ref(table, psi, rho_fn, n, weight_kind="psi_xx_z0", kappa=2.0):
+    """The telescoping margins (kappa, final) of levels 1..n, one level at
+    a time."""
+    X, Z = table.cfg.probes.x, table.cfg.probes.z
+    form = "ascending" if table.cfg.direction == "ascending" else (
+        "kappa_first_zero" if weight_kind == "psi_x0_z0" else "kappa_both_slots")
+    telescope = _Telescope(form, psi, X, Z, kappa, hyers_bound(psi, X, Z))
+    margins = []
+    for level in range(1, n + 1):
+        defect = rho_fn(table[level] - table[0])
+        margins.append((float(np.max(defect - telescope.majorant(level))),
+                        float(np.max(defect - telescope.final))))
+    return margins
 
 
 def scaled_family_ref(table, psi1, rho_fn, which):
@@ -200,15 +202,28 @@ def outcome_fields(out):
 
 
 def same(got, want):
-    """Bit-for-bit equality of outcome fields, or of raised errors."""
-    if isinstance(want, tuple) and len(want) == 6 and isinstance(want[4], list):
-        *head, levels, weights = want
+    """Bit-for-bit equality of outcome fields (``stabilize_ref``'s margins
+    aside), or of raised errors."""
+    if isinstance(want, tuple) and len(want) == 7 and isinstance(want[4], list):
+        *head, levels, weights, _ = want
         g_head, g_levels, g_weights = got[:4], got[4], got[5]
         assert repr(tuple(g_head)) == repr(tuple(head))
         assert repr([astuple(lv) for lv in g_levels]) == repr([astuple(lv) for lv in levels])
         assert g_weights.tobytes() == weights.tobytes()
     else:
         assert got == want
+
+
+def same_margins(table, psi, margins, weight_kind="psi_xx_z0", kappa=2.0, rho_fn=rho_rows):
+    """check_telescoping's rows on levels 1..len(margins) of ``table`` are
+    the reference ``margins``, repr for repr, each row's lhs the larger."""
+    result = check_telescoping(table, psi, rho_fn, len(margins), weight_kind, kappa)
+    cols = result.columns
+    assert cols["level"].tolist() == list(range(1, len(margins) + 1))
+    got = list(zip(cols["kappa_margin"].tolist(), cols["final_margin"].tolist()))
+    assert repr(got) == repr(margins)
+    assert result.lhs.tobytes() == np.maximum(cols["kappa_margin"], cols["final_margin"]).tobytes()
+    return result
 
 
 def run(fn):
@@ -249,12 +264,14 @@ def test_blocks_give_the_per_level_diagnostics(direction, weight_kind, count, th
     got = outcome_fields(stabilize(table, psi, rho_rows, weight_kind=weight_kind))
     want = stabilize_ref(ref, psi, rho_rows, weight_kind=weight_kind)
     same(got, want)
+    same_margins(table, psi, want[6], weight_kind)
     if theta < 0.01:
-        assert any(lv.telescoping_kappa_margin > 0.0 for lv in got[4])
+        assert any(kappa > 0.0 for kappa, _ in want[6])
     n, per_block = got[0], max(1, BLOCK_ROWS // count)
     assert got[1] and n > 3  # converged
     check_table_levels(table, ref)
-    # the run read blocks from level 0 and stopped inside the one holding N
+    # the run read blocks from level 0 and stopped inside the one holding N;
+    # the telescoping check read no level past it
     end = min((n // per_block + 1) * per_block, cfg.n_max + 1)
     assert sorted(table._levels) == list(range(end))
     assert all(k * count <= max(BLOCK_ROWS, count) for _, k in table_blocks(table))
@@ -264,23 +281,28 @@ def test_blocks_give_the_per_level_diagnostics(direction, weight_kind, count, th
 @pytest.mark.parametrize("direction, weight_kind", FORMS)
 def test_blocks_without_telescoping_and_with_other_caps(direction, weight_kind, count):
     # level caps and tolerances put the stop at a block edge, inside a
-    # block and at n_max
+    # block and at n_max; the iteration computes no telescoping margin, and
+    # the check after it gives the per-level ones
     for n_max, tol in [(1, 1e-10), (4, 1e-10), (9, 1e-3), (40, 1e-30)]:
         d, psi, cfg = fixture(direction, count, n_max=n_max, tol=tol)
-        for telescoping in (False, True):
-            table, ref = LevelTable(d, cfg), RefTable(d, cfg)
-            got = outcome_fields(stabilize(table, psi, rho_rows, weight_kind=weight_kind,
-                                           telescoping=telescoping))
-            same(got, stabilize_ref(ref, psi, rho_rows, weight_kind, telescoping=telescoping))
-            check_table_levels(table, ref)
+        table, ref = LevelTable(d, cfg), RefTable(d, cfg)
+        got = outcome_fields(stabilize(table, psi, rho_rows, weight_kind=weight_kind))
+        want = stabilize_ref(ref, psi, rho_rows, weight_kind)
+        same(got, want)
+        assert all(len(astuple(lv)) == 3 for lv in got[4])
+        same_margins(table, psi, want[6], weight_kind)
+        check_table_levels(table, ref)
 
 
 @pytest.mark.parametrize("kappa", [2.0, 1.5, 0.75])
 def test_blocks_give_the_kappa_weighted_majorants(kappa):
     d, psi, cfg = fixture("descending", 32)
     for weight_kind in ("psi_xx_z0", "psi_x0_z0"):
-        got = outcome_fields(stabilize(LevelTable(d, cfg), psi, rho_rows, weight_kind, kappa))
-        same(got, stabilize_ref(RefTable(d, cfg), psi, rho_rows, weight_kind, kappa))
+        table = LevelTable(d, cfg)
+        got = outcome_fields(stabilize(table, psi, rho_rows, weight_kind))
+        want = stabilize_ref(RefTable(d, cfg), psi, rho_rows, weight_kind, kappa)
+        same(got, want)
+        same_margins(table, psi, want[6], weight_kind, kappa)
 
 
 def test_blocks_give_the_per_level_luxemburg_envelope():
@@ -295,9 +317,13 @@ def test_blocks_give_the_per_level_luxemburg_envelope():
     for weight_kind in ("psi_xx_z0", "psi_x0_z0"):
         # one norm memo per run, as a scenario builds it
         psi = PsiEnvelope(theta=1.0, p=2.0, direction="descending", norm_fn=coeff_norm_fn(orlicz))
-        got = outcome_fields(stabilize(LevelTable(d, cfg), psi, rho_orlicz, weight_kind))
+        table = LevelTable(d, cfg)
+        got = outcome_fields(stabilize(table, psi, rho_orlicz, weight_kind))
+        run_psi = psi
         psi = PsiEnvelope(theta=1.0, p=2.0, direction="descending", norm_fn=coeff_norm_fn(orlicz))
-        same(got, stabilize_ref(RefTable(d, cfg), psi, rho_orlicz, weight_kind))
+        want = stabilize_ref(RefTable(d, cfg), psi, rho_orlicz, weight_kind)
+        same(got, want)
+        same_margins(table, run_psi, want[6], weight_kind, rho_fn=rho_orlicz)
 
 
 class BlowsUp:
@@ -428,22 +454,41 @@ def test_a_non_finite_modular_value_in_a_block(count):
     assert got[:2] == (NonFiniteValueError, "non-finite modular value") and 1 < got[2] < 40
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 4, 40])
+@pytest.mark.parametrize("N", [1, 3, 4, 40])
 @pytest.mark.parametrize("kappa", [2.0, 0.75])
 @pytest.mark.parametrize("direction, weight_kind", FORMS)
-def test_majorant_rows_are_the_per_level_majorants(direction, weight_kind, kappa, chunk):
-    # every probe's majorant, not only the maximum margin a LevelDiag keeps
+def test_majorant_rows_are_the_per_level_majorants(direction, weight_kind, kappa, N):
+    # every probe's majorant over the span 1..N, not only the maximum
+    # margin a telescoping row keeps
     _, psi, cfg = fixture(direction, 64)
     X, Z = cfg.probes.x, cfg.probes.z
     form = _auto_telescope_form(direction, weight_kind)
     ref = _Telescope(form, psi, X, Z, kappa, None)
     psi_z0 = psi(Z, np.zeros_like(Z))
-    carry = np.zeros(len(X)) if form == "ascending" else []
-    for first in range(1, 41, chunk):
-        levels = range(first, min(first + chunk, 41))
-        rows, carry = _majorants(form, kappa, levels, _majorant_terms(form, psi, X, levels), carry)
-        for n, row in zip(levels, rows):
-            assert (row * psi_z0).tobytes() == ref.majorant(n).tobytes(), n
+    levels = range(1, N + 1)
+    rows = _majorants(form, kappa, _majorant_terms(form, psi, X, levels))
+    assert rows.shape == (N, len(X))
+    for n, row in zip(levels, rows):
+        assert (row * psi_z0).tobytes() == ref.majorant(n).tobytes(), n
+
+
+@pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("kappa", [2.0, 1.5, 0.75])
+@pytest.mark.parametrize("direction, weight_kind", FORMS)
+def test_the_one_pass_gives_the_per_level_margins(direction, weight_kind, kappa, count):
+    # on an unconverged run (tol 1e-30, so N = n_max): the check's rows for
+    # n = 1, for n at the last level of the table's first block and at the
+    # first of the next, and for n = n_max, against the levels taken alone
+    d, psi, cfg = fixture(direction, count, theta=0.0005, tol=1e-30)
+    table, ref = LevelTable(d, cfg), RefTable(d, cfg)
+    out = stabilize(table, psi, rho_rows, weight_kind=weight_kind)
+    assert not out.converged and out.N_converged == cfg.n_max
+    edge = max(1, BLOCK_ROWS // count)  # the first level of the second block
+    for n in sorted({1, min(edge - 1, cfg.n_max) or 1, min(edge, cfg.n_max), cfg.n_max}):
+        margins = margins_ref(ref, psi, rho_rows, n, weight_kind, kappa)
+        result = same_margins(table, psi, margins, weight_kind, kappa)
+        assert len(result) == n
+    assert any(k > 0.0 for k, _ in margins)  # the undersized envelope shows
 
 
 # --- calibration's scaled family ------------------------------------------------

@@ -18,6 +18,7 @@ from modstab import (
     bounded_orbit_estimate,
     check_stability_bound,
     check_biadditivity,
+    check_telescoping,
     check_uniqueness,
     draw_probes,
     estimate_contraction,
@@ -156,6 +157,14 @@ def test_hyers_bound_degenerate_cases():
 # --- telescoping diagnostics -------------------------------------------------
 
 
+def telescoping(table, psi, kappa=2.0, weight_kind="psi_xx_z0"):
+    """The run's one iteration on ``table``, then the telescoping check on
+    its levels 1..N: (outcome, kappa margins, final margins)."""
+    out = stabilize(table, psi, rho_rows, weight_kind=weight_kind)
+    tel = check_telescoping(table, psi, rho_rows, out.N_converged, weight_kind, kappa)
+    return out, tel.columns["kappa_margin"], tel.columns["final_margin"]
+
+
 def test_descending_table_tight_at_matched_amplitude():
     # theta = eps makes the kappa-form table an equality chain for the
     # quadratic envelope perturbation; margins must be <= 0 up to rounding
@@ -165,10 +174,9 @@ def test_descending_table_tight_at_matched_amplitude():
     probes = draw_probes(4, 64, 1.0, seed=9)
     cfg = StabilizeConfig(direction="descending", probes=probes)
     psi = PsiEnvelope(theta=eps, p=2.0, direction="descending")
-    out = stabilize(LevelTable(d, cfg), psi, rho_rows, kappa=2.0)
-    for lv in out.levels:
-        assert lv.telescoping_kappa_margin <= 1e-12
-        assert lv.telescoping_final_margin <= 1e-12
+    out, kappa_margin, final_margin = telescoping(LevelTable(d, cfg), psi, kappa=2.0)
+    assert len(kappa_margin) == out.N_converged > 1
+    assert np.all(kappa_margin <= 1e-12) and np.all(final_margin <= 1e-12)
 
 
 def test_descending_table_detects_undersized_envelope():
@@ -178,8 +186,8 @@ def test_descending_table_detects_undersized_envelope():
     probes = draw_probes(4, 64, 1.0, seed=9)
     cfg = StabilizeConfig(direction="descending", probes=probes)
     psi = PsiEnvelope(theta=eps / 4.0, p=2.0, direction="descending")
-    out = stabilize(LevelTable(d, cfg), psi, rho_rows, kappa=2.0)
-    assert any(lv.telescoping_kappa_margin > 0 for lv in out.levels)
+    _, kappa_margin, _ = telescoping(LevelTable(d, cfg), psi, kappa=2.0)
+    assert np.any(kappa_margin > 0)
 
 
 def test_ascending_partial_sums_majorize_with_slack():
@@ -189,10 +197,9 @@ def test_ascending_partial_sums_majorize_with_slack():
               perturbation=Perturbation("power_env", eps, p=0.5))
     probes = draw_probes(1, 64, 1.0, seed=10)
     cfg = StabilizeConfig(direction="ascending", probes=probes)
-    out = stabilize(LevelTable(d, cfg), asc_psi(theta=theta), rho_rows)
-    for lv in out.levels:
-        assert lv.telescoping_kappa_margin <= 1e-12
-        assert lv.telescoping_final_margin <= 1e-12
+    out, kappa_margin, final_margin = telescoping(LevelTable(d, cfg), asc_psi(theta=theta))
+    assert len(kappa_margin) == out.N_converged > 1
+    assert np.all(kappa_margin <= 1e-12) and np.all(final_margin <= 1e-12)
 
 
 def test_telescoping_final_margin_is_against_the_hyers_bound():
@@ -201,13 +208,12 @@ def test_telescoping_final_margin_is_against_the_hyers_bound():
     # otherwise)
     table = LevelTable(osc_map(eps=0.01), asc_cfg(seed=13))
     psi = asc_psi(theta=0.001)
-    out = stabilize(table, psi, rho_rows)
+    out, _, final_margin = telescoping(table, psi)
     probes = table.cfg.probes
     bound = hyers_bound(psi, probes.x, probes.z)
-    for lv in out.levels:
-        margin = float(np.max(rho_rows(table[lv.level] - table[0]) - bound))
-        assert lv.telescoping_final_margin == margin
-    assert out.bound_margin == out.levels[-1].telescoping_final_margin > 0.0
+    for lv, got in zip(out.levels, final_margin.tolist(), strict=True):
+        assert got == float(np.max(rho_rows(table[lv.level] - table[0]) - bound))
+    assert out.bound_margin == final_margin[-1] > 0.0
 
 
 # --- uniqueness and orbit ----------------------------------------------------
@@ -288,7 +294,7 @@ def _rerun_uniqueness_reference(psi, rho_fn, table):
                 break
         return frozen
 
-    base = stabilize(table, psi, rho_fn, telescoping=False).N_converged
+    base = stabilize(table, psi, rho_fn).N_converged
     runs = [(f"start={s}", rerun_from(s)) for s in (1, 2, 3)]
     runs += [(f"n_max={m}", rerun_from(0, m)) for m in (max(1, cfg.n_max - 5), cfg.n_max + 5)]
     variants = []
@@ -609,15 +615,13 @@ def test_random_calibrated_fixtures_satisfy_the_bound(seed):
     table = LevelTable(d, StabilizeConfig(direction="ascending", probes=probes))
     theta = calibrate_theta(table, psi0, rho_rows, 0.5, which="A")
     psi = psi0.with_theta(theta)
-    out = stabilize(table, psi, rho_rows)
+    out, kappa_margin, final_margin = telescoping(table, psi)
     assert out.converged
     X, Z = probes.x, probes.z
     recs = check_stability_bound(d(X, Z), out.D(X, Z), psi, rho_rows, probes)
     assert np.all(recs.margin <= 1e-9)
     assert all(slot.passed.all() for slot in check_biadditivity(out.D, rho_rows, probes, tol=1e-8))
-    for lv in out.levels:
-        assert lv.telescoping_kappa_margin <= 1e-9
-        assert lv.telescoping_final_margin <= 1e-9
+    assert np.all(kappa_margin <= 1e-9) and np.all(final_margin <= 1e-9)
 
 
 # --- level table ---------------------------------------------------------------

@@ -276,7 +276,7 @@ def test_stability_bound_flags_oversized_perturbation():
 
     big = BiMap(algebra=MATRIX2, kernel="commutator",
                 perturbation=Perturbation("bounded_osc", 0.5, boundary_safe=True))
-    out = stabilize(LevelTable(big, cfg), psi, rho_rows, telescoping=False)
+    out = stabilize(LevelTable(big, cfg), psi, rho_rows)
     X, Z = probes.x, probes.z
     recs = check_stability_bound(big(X, Z), out.D(X, Z), psi, rho_rows, probes)
     assert np.any(recs.margin > 0)
