@@ -91,11 +91,29 @@ MAX_ALGEBRA_DIM = 32
 
 
 def _complex_of(value, label):
-    if isinstance(value, (int, float)):
-        return complex(value)
+    """A complex config value: a finite number or an [re, im] pair of them."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_float_of(value[0], label), _float_of(value[1], label))
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return complex(_float_of(value, label))
     raise ConfigError(f"{label} must be a number or an [re, im] pair")
+
+
+def _float_of(value, label):
+    """A real config value: a finite int or float.  A bool, a string or a
+    NaN or infinite value is a config error."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        value = float(value)
+        if math.isfinite(value):
+            return value
+    raise ConfigError(f"{label} must be a finite number, got {value!r}")
+
+
+def _bool_of(value, label):
+    """A flag config value: a JSON bool, nothing else."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{label} must be true or false, got {value!r}")
 
 
 def _int_of(value, label):
@@ -119,8 +137,8 @@ def _sample_count(override, section, default):
 
 
 def _sample_radius(section):
-    radius = float(section.get("radius", 1.0))
-    if not math.isfinite(radius) or radius < 0.0:
+    radius = _float_of(section.get("radius", 1.0), "sample radius")
+    if radius < 0.0:
         raise ConfigError(f"sample radius must be finite and non-negative, got {radius}")
     return radius
 
@@ -153,10 +171,10 @@ def build_modular(cfg):
         raise ConfigError("modular section needs a kind")
     return ModularSpec(
         kind=cfg["kind"],
-        p=float(cfg.get("p", 2.0)),
+        p=_float_of(cfg.get("p", 2.0), "modular.p"),
         phi=cfg.get("phi", "square"),
-        convex=bool(cfg.get("convex", True)),
-        kappa=float(cfg.get("kappa", 2.0)),
+        convex=_bool_of(cfg.get("convex", True), "modular.convex"),
+        kappa=_float_of(cfg.get("kappa", 2.0), "modular.kappa"),
     )
 
 
@@ -186,9 +204,10 @@ def build_bimap(cfg, algebra):
     if pert_cfg is not None:
         pert = Perturbation(
             name=pert_cfg["name"],
-            epsilon=float(pert_cfg["epsilon"]),
-            p=float(pert_cfg.get("p", 2.0)),
-            boundary_safe=bool(pert_cfg.get("boundary_safe", False)),
+            epsilon=_float_of(pert_cfg["epsilon"], "perturbation.epsilon"),
+            p=_float_of(pert_cfg.get("p", 2.0), "perturbation.p"),
+            boundary_safe=_bool_of(pert_cfg.get("boundary_safe", False),
+                                   "perturbation.boundary_safe"),
         )
     return BiMap(
         algebra=algebra,
@@ -196,7 +215,7 @@ def build_bimap(cfg, algebra):
         coeff=coeff,
         tensor=tensor,
         perturbation=pert,
-        zero_boundary=bool(cfg.get("zero_boundary", True)),
+        zero_boundary=_bool_of(cfg.get("zero_boundary", True), "map.zero_boundary"),
     )
 
 
@@ -210,9 +229,9 @@ def build_psi(cfg, mspec):
     theta = cfg.get("theta", 1.0)
     needs_calibration = theta == "calibrate"
     psi = PsiEnvelope(
-        theta=1.0 if needs_calibration else float(theta),
-        p=float(cfg.get("p", 0.5)),
-        L=(float(cfg["L"]) if "L" in cfg and cfg["L"] is not None else None),
+        theta=1.0 if needs_calibration else _float_of(theta, "psi.theta"),
+        p=_float_of(cfg.get("p", 0.5), "psi.p"),
+        L=None if cfg.get("L") is None else _float_of(cfg["L"], "psi.L"),
         direction=cfg.get("direction", "ascending"),
         norm_fn=coeff_norm_fn(mspec),
     )
@@ -607,8 +626,9 @@ def _parse_stability(cfg, name, seed_override, probes_override):
                 direction=direction,
                 probes=probes,
                 n_max=_int_of(iter_cfg.get("n_max", 40), "iteration.n_max"),
-                tol=float(iter_cfg.get("tol", 1e-10)),
-                magnitude_cap=float(iter_cfg.get("magnitude_cap", 1e15)),
+                tol=_float_of(iter_cfg.get("tol", 1e-10), "iteration.tol"),
+                magnitude_cap=_float_of(iter_cfg.get("magnitude_cap", 1e15),
+                                        "iteration.magnitude_cap"),
             ))
         for chk in checks:
             if chk in _NEEDS_ITERATION and table is None:
@@ -618,7 +638,8 @@ def _parse_stability(cfg, name, seed_override, probes_override):
             name, algebra, mspec, bimap, s, probes,
             weight_kind=weight_kind,
             psi=psi, needs_calibration=needs_calibration, table=table,
-            checks=checks, assert_slot2=bool(cfg.get("biderivation_assert_slot2", False)),
+            checks=checks, assert_slot2=_bool_of(cfg.get("biderivation_assert_slot2", False),
+                                                 "biderivation_assert_slot2"),
         )
 
 
@@ -797,7 +818,7 @@ def _run_axioms(cfg, name, seed_override, probes_override):
             raise ConfigError(f"samples.dim {dim} exceeds the limit of {MAX_SAMPLE_DIM}")
         fixtures = [
             (fx.get("label", f"fixture-{idx}"), build_modular(fx["modular"]),
-             fx.get("expect_violation"), fx.get("check_delta2", False))
+             fx.get("expect_violation"), _bool_of(fx.get("check_delta2", False), "check_delta2"))
             for idx, fx in enumerate(cfg.get("fixtures", []))
         ]
 

@@ -367,6 +367,17 @@ def _probes_radius(value):
     return json.dumps(cfg)
 
 
+def _builtin_value(name, keys, value):
+    """The builtin ``name`` with the value at the path ``keys`` replaced."""
+    cfg = json.loads(json.dumps(builtin_scenarios()[name]))
+    *path, last = keys
+    section = cfg
+    for key in path:
+        section = section[key]
+    section[last] = value
+    return json.dumps(cfg)
+
+
 def _bogus_weight(name, drop_iteration=False):
     cfg = json.loads(json.dumps(builtin_scenarios()[name]))
     cfg["rho_tilde_weight"] = "bogus"
@@ -425,6 +436,30 @@ def _bogus_weight(name, drop_iteration=False):
         _axioms_samples("dim", True),
         # 3.5 would run a tensor of value_dim 3, whose 48 entries these are
         _malformed("map", {"kernel": {"form": "tensor", "value_dim": 3.5, "tensor": [0.0] * 48}}),
+        # real and flag values: a bool, a string or a NaN or infinite number
+        # is refused, where float() and bool() took them
+        _builtin_value("superstability-commutator", ["psi", "theta"], float("nan")),
+        _builtin_value("superstability-commutator", ["psi", "theta"], float("inf")),
+        _builtin_value("corollary-descending-p2", ["modular", "p"], float("nan")),
+        _builtin_value("superstability-commutator", ["s"], [float("nan"), 0.0]),
+        _builtin_value("superstability-commutator", ["map", "kernel", "c"], [float("nan"), 0.0]),
+        _builtin_value("superstability-commutator", ["s"], ["0.5", "0"]),
+        _probes_radius("2"),
+        _builtin_value("superstability-commutator", ["iteration", "tol"], True),
+        _builtin_value("superstability-commutator", ["modular", "convex"], "false"),
+        _builtin_value("superstability-commutator", ["map", "zero_boundary"], "no"),
+        _builtin_value("superstability-commutator", ["modular", "kappa"], True),
+        _builtin_value("corollary-ascending-p05", ["map", "perturbation", "epsilon"], "0.01"),
+        _builtin_value("corollary-descending-p2", ["map", "perturbation", "p"], float("inf")),
+        _builtin_value("corollary-ascending-p05", ["map", "perturbation", "boundary_safe"], 1),
+        _builtin_value("superstability-commutator", ["psi", "p"], "0.5"),
+        _builtin_value("superstability-commutator", ["psi", "L"], True),
+        _iteration_value("magnitude_cap", "1e15"),
+        _builtin_value("superstability-commutator", ["biderivation_assert_slot2"], 1),
+        _builtin_value("superstability-commutator", ["s"], True),
+        _algebra({"dim": 1, "structure": [True]}),
+        _axioms_samples("radius", "1"),
+        _builtin_value("axioms-suite", ["fixtures", 0, "check_delta2"], "yes"),
     ],
     ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list",
          "fixture-no-modular", "weight-bogus", "weight-bogus-no-iteration",
@@ -437,7 +472,12 @@ def _bogus_weight(name, drop_iteration=False):
          "algebra-dim-2.5", "structure-dim-1.5", "count-512.9", "count-string", "count-bool",
          "probes-seed-5.5", "probes-seed-string", "n-max-40.7", "n-max-string",
          "samples-dim-3.9", "samples-count-string", "samples-seed-5.5", "samples-dim-bool",
-         "value-dim-3.5"],
+         "value-dim-3.5", "psi-theta-nan", "psi-theta-inf", "modular-p-nan", "s-nan",
+         "kernel-c-nan", "s-strings", "probes-radius-string", "tol-bool", "convex-string",
+         "zero-boundary-string", "kappa-bool", "epsilon-string", "perturbation-p-inf",
+         "boundary-safe-int", "psi-p-string", "psi-L-bool", "magnitude-cap-string",
+         "assert-slot2-int", "s-bool", "structure-entry-bool", "samples-radius-string",
+         "check-delta2-string"],
 )
 def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "calibrate_theta", lambda *a, **k: pytest.fail("calibrated"))
