@@ -46,6 +46,16 @@ def failing_configs():
         ("corollary-ascending-p05", "ascending-psi-L-0.1", psi_l),
         ("superstability-commutator", "superstability-product-radius-4", product_radius_4),
         ("corollary-descending-p2", "descending-radius-16", radius_16),
+        # an undersized envelope, one per telescoping majorant form:
+        # inequality_A, stability_bound, telescoping (ascending) and bounded_orbit
+        ("corollary-ascending-p05", "ascending-theta-0.001",
+         lambda cfg: cfg["psi"].update(theta=0.001)),
+        # inequality_A and telescoping (kappa_both_slots)
+        ("corollary-descending-p2", "descending-theta-0.005",
+         lambda cfg: cfg["psi"].update(theta=0.005)),
+        # inequality_B, stability_bound and telescoping (kappa_first_zero)
+        ("inequality-B-descending", "inequality-B-theta-0.001",
+         lambda cfg: cfg["psi"].update(theta=0.001)),
     ]
     return {name: _variant(builtin, name, edit) for builtin, name, edit in variants}
 

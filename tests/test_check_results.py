@@ -33,6 +33,10 @@ FAILURES = {
     "ascending-psi-L-0.1": {"psi_law": 1},
     "superstability-product-radius-4": {"biderivation_slot1": 245, "biderivation_slot2": 237},
     "descending-radius-16": {"stabilize": 1, "biadditivity_slot1": 1, "biadditivity_slot2": 1},
+    "ascending-theta-0.001": {"inequality_A": 374, "stability_bound": 175, "telescoping": 29,
+                              "bounded_orbit": 1},
+    "descending-theta-0.005": {"inequality_A": 507, "telescoping": 29},
+    "inequality-B-theta-0.001": {"inequality_B": 422, "stability_bound": 511, "telescoping": 29},
 }
 
 
