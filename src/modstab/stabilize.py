@@ -123,11 +123,12 @@ class LevelTable:
     """The scaled iterates J^n d of the map ``d`` on the probes of ``cfg``,
     each level evaluated once: the one input of a run's iteration.
 
-    ``stabilize``, ``check_uniqueness`` and ``calibrate_theta`` take the
-    table and read the map, the probes, the direction, the level cap n_max,
-    the tolerance and the magnitude cap from it.  ``table[n]`` returns level
-    n as a read-only array; ``table.block(n)`` returns level n and the
-    levels after it in its block, stacked.
+    ``stabilize``, ``check_uniqueness``, ``calibrate_theta`` and the checks
+    on the iterates take the table and read the map, the probes, the
+    direction, the level cap n_max, the tolerance and the magnitude cap
+    from it.  ``table[n]`` returns level n as a read-only array;
+    ``table.block(n)`` returns level n and the levels after it in its
+    block, stacked.
 
     Levels 0..n_max are tabulated in blocks of consecutive levels, each
     spanning at most ``_kernels.BLOCK_ROWS`` rows (4 levels at 512 probes,
