@@ -484,7 +484,7 @@ def test_the_one_pass_gives_the_per_level_margins(direction, weight_kind, kappa,
     out = stabilize(table, psi, rho_rows, weight_kind=weight_kind)
     assert not out.converged and out.N_converged == cfg.n_max
     edge = max(1, BLOCK_ROWS // count)  # the first level of the second block
-    for n in sorted({1, min(edge - 1, cfg.n_max) or 1, min(edge, cfg.n_max), cfg.n_max}):
+    for n in sorted({1, max(1, min(edge - 1, cfg.n_max)), min(edge, cfg.n_max), cfg.n_max}):
         margins = margins_ref(ref, psi, rho_rows, n, weight_kind, kappa)
         result = same_margins(table, psi, margins, weight_kind, kappa)
         assert len(result) == n
