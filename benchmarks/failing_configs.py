@@ -40,6 +40,12 @@ def failing_configs():
     def radius_16(cfg):  # stabilize, biadditivity_slot1 and biadditivity_slot2
         cfg["probes"]["radius"] = 16.0
 
+    def kappa_dead_zone(cfg):  # delta2 (power p = 2, orlicz "square") and modular_axiom
+        power, square, dead_zone = cfg["fixtures"][1:]
+        power["modular"]["p"] = 2.0
+        square["check_delta2"] = True
+        del dead_zone["expect_violation"]  # its definiteness row now fails as it is
+
     variants = [
         ("corollary-ascending-p05", "ascending-conjugate-product", conjugate_product),
         ("superstability-commutator", "superstability-bounded-osc", bounded_osc),
@@ -56,6 +62,7 @@ def failing_configs():
         # inequality_B, stability_bound and telescoping (kappa_first_zero)
         ("inequality-B-descending", "inequality-B-theta-0.001",
          lambda cfg: cfg["psi"].update(theta=0.001)),
+        ("axioms-suite", "axioms-kappa-dead-zone", kappa_dead_zone),
     ]
     return {name: _variant(builtin, name, edit) for builtin, name, edit in variants}
 

@@ -12,6 +12,7 @@ expose the two independently useful numeric kernels as one-shots.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -19,23 +20,26 @@ import numpy as np
 
 from .algebra import three_unimodular_decomposition
 from .errors import ConfigError, ModstabError, NonFiniteValueError
-from .modular import ModularSpec, luxemburg_norm
+from .modular import luxemburg_norm
 from .report import count_failures, write_report
-from .scenarios import MAX_SAMPLE_COUNT, list_builtin_scenarios, run_scenario
+from .scenarios import MAX_SAMPLE_COUNT, _complex_of, build_modular, list_builtin_scenarios, run_scenario
 
 
 def _parse_modular(text):
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "norm":
-        return ModularSpec(kind="norm")
-    if kind == "power":
-        p = float(parts[1]) if len(parts) > 1 else 2.0
-        return ModularSpec(kind="power", p=p)
-    if kind == "orlicz":
-        phi = parts[1] if len(parts) > 1 else "square"
-        return ModularSpec(kind="orlicz", phi=phi)
-    raise ConfigError(f"cannot parse modular {text!r}; use norm | power:P | orlicz:PHI")
+    """norm | power:P | orlicz:PHI, built by the config's ``build_modular``
+    so that P obeys the config's rules for a real value."""
+    kind, *fields = text.split(":")
+    key = {"power": "p", "orlicz": "phi"}.get(kind)
+    if len(fields) > (key is not None):
+        raise ConfigError(f"cannot parse modular {text!r}; use norm | power:P | orlicz:PHI")
+    cfg = {"kind": kind}
+    if fields:
+        cfg[key] = fields[0]
+        if key == "p":
+            # text that is no number stays text, which build_modular refuses
+            with contextlib.suppress(ValueError):
+                cfg["p"] = float(fields[0])
+    return build_modular(cfg)
 
 
 def _parse_vector(text):
@@ -45,15 +49,7 @@ def _parse_vector(text):
         raise ConfigError(f"vector must be a JSON array: {e}")
     if not isinstance(data, list) or not data:
         raise ConfigError("vector must be a nonempty JSON array")
-    out = []
-    for entry in data:
-        if isinstance(entry, (int, float)):
-            out.append(complex(entry))
-        elif isinstance(entry, list) and len(entry) == 2:
-            out.append(complex(entry[0], entry[1]))
-        else:
-            raise ConfigError("vector entries must be numbers or [re, im] pairs")
-    return np.array(out, dtype=np.complex128)
+    return np.array([_complex_of(entry, "vector entry") for entry in data], dtype=np.complex128)
 
 
 def _cmd_run(args):

@@ -21,7 +21,8 @@ which is one scenario run, and reads a repeated row's norm from its memo.
 
 Everything here is sampled verification: the checkers quantify over
 caller-supplied finite sample sets and report worst margins, never over
-the full space.
+the full space.  Each returns ``report.CheckResult`` rows, which pass by
+the one rule lhs - rhs <= tol, like every other check.
 """
 
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .errors import (
     PreconditionError,
     UnsupportedModularError,
 )
+from .report import CheckResult
 
 PHI_PRESETS = {
     "square": _kernels.PHI_SQUARE,
@@ -239,7 +241,8 @@ def _bisect_luxemburg(m, rows, tol):
 
 
 # ---------------------------------------------------------------------------
-# sampled checkers
+# sampled checkers: each returns one-row report.CheckResults, whose lhs is a
+# worst margin (kappa_hat for delta2), so CheckResult computes the pass bit
 # ---------------------------------------------------------------------------
 
 
@@ -281,30 +284,23 @@ def draw_axiom_samples(dim, count, seed, radius=1.0):
     return AxiomSamples(x=x, y=y, alpha=alpha, beta=1.0 - alpha, zeta=zeta)
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    margin: float
-    witness: int
-    passed: bool
+def axiom_names(m):
+    """The axioms ``check_modular_axioms`` checks on ``m``, in its order:
+    the convex axiom only on a convex modular."""
+    return ("i", "ii", "iii", "iii_convex") if m.convex else ("i", "ii", "iii")
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    checks: dict
-    passed: bool
-
-    def __getitem__(self, name):
-        return self.checks[name]
-
-
-def _worst(margins, tol):
+def _worst(margins):
+    """(margin, witness): the worst margin, as the first argmax picks it
+    (so a NaN is the worst), and its sample index."""
     i = int(np.argmax(margins))
-    worst = float(margins[i])
-    return AxiomCheck(margin=worst, witness=i, passed=worst <= tol)
+    return float(margins[i]), i
 
 
 def check_modular_axioms(m, samples, tol=1e-12):
-    """Worst violation margin per axiom over the sample set; <= tol passes.
+    """One ``modular_axiom`` result per axiom of ``axiom_names(m)``, keyed
+    by the axiom's name: the worst violation margin over the sample set
+    and its witness, which passes iff margin <= tol.
 
     For the definiteness axiom the margin is an indicator: 1.0 for a
     sampled x != 0 with rho(x) = 0 (or rho(0) for a zero sample), negative
@@ -322,25 +318,22 @@ def check_modular_axioms(m, samples, tol=1e-12):
     rc = eval_modular(m, combo)
     subadd = rc - (rx + ry)
 
-    checks = {
-        "i": _worst(definite, tol),
-        "ii": _worst(invariance, tol),
-        "iii": _worst(subadd, tol),
-    }
+    margins = [definite, invariance, subadd]
     if m.convex:
-        convex_margin = rc - (samples.alpha * rx + samples.beta * ry)
-        checks["iii_convex"] = _worst(convex_margin, tol)
-    return AxiomReport(checks=checks, passed=all(c.passed for c in checks.values()))
-
-
-@dataclass(frozen=True)
-class Delta2Result:
-    kappa_hat: float
-    passed: bool
+        margins.append(rc - (samples.alpha * rx + samples.beta * ry))
+    results = {}
+    for axiom, margin in zip(axiom_names(m), margins):
+        worst, witness = _worst(margin)
+        results[axiom] = CheckResult.one(
+            "modular_axiom", worst, 0.0, tol, {"axiom": axiom, "margin": worst, "witness": witness}
+        )
+    return results
 
 
 def check_delta2(m, samples):
-    """Measured doubling constant max rho(2x)/rho(x) against the claimed kappa."""
+    """The ``delta2`` result: the measured doubling constant
+    kappa_hat = max rho(2x)/rho(x) against the claimed kappa, which passes
+    iff kappa_hat <= kappa + 1e-9 (lhs kappa_hat, rhs kappa + 1e-9, tol 0)."""
     rows, _ = _as_rows(samples)
     if rows.shape[0] == 0:
         raise PreconditionError("need at least one sample")
@@ -352,7 +345,8 @@ def check_delta2(m, samples):
         raise InvalidModularError("rho(x) = 0 for a nonzero sample: not a modular")
     r2 = eval_modular(m, 2.0 * rows)
     kappa_hat = float(np.max(r2 / r1))
-    return Delta2Result(kappa_hat=kappa_hat, passed=kappa_hat <= m.kappa + 1e-9)
+    # kappa_hat - cap <= 0 iff kappa_hat <= cap, in IEEE arithmetic
+    return CheckResult.one("delta2", kappa_hat, m.kappa + 1e-9, 0.0, {"kappa_hat": kappa_hat})
 
 
 @dataclass(frozen=True)
@@ -381,34 +375,27 @@ def draw_remark_samples(dim, count, seed, radius=1.0):
     return RemarkSamples(x=x, a=a, b=b, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class RemarkReport:
-    increasing: AxiomCheck
-    scalar_bound: AxiomCheck | None
-    half_double: AxiomCheck | None
-    passed: bool
-
-
 def check_remark_properties(m, samples, tol=1e-12):
-    """Monotonicity in the scalar; for convex modulars also
-    rho(alpha*x) <= |alpha| rho(x) and rho(x) <= rho(2x)/2."""
+    """The ``remark_properties`` result: monotonicity in the scalar, and for
+    convex modulars also rho(alpha*x) <= |alpha| rho(x) and
+    rho(x) <= rho(2x)/2.  Each property's margin is its worst over the
+    samples (None when not computed); the row's lhs is the largest margin,
+    so it passes iff every margin is <= tol, and a NaN fails."""
     rx = eval_modular(m, samples.x)
     inc = eval_modular(m, samples.a[:, None] * samples.x) - eval_modular(
         m, samples.b[:, None] * samples.x
     )
-    increasing = _worst(inc, tol)
-    scalar_bound = half_double = None
+    increasing, _ = _worst(inc)
+    scalar = half_double = None
     if m.convex:
         sc = eval_modular(m, samples.alpha[:, None] * samples.x) - np.abs(samples.alpha) * rx
-        scalar_bound = _worst(sc, tol)
+        scalar, _ = _worst(sc)
         hd = rx - 0.5 * eval_modular(m, 2.0 * samples.x)
-        half_double = _worst(hd, tol)
-    ok = increasing.passed and all(
-        c.passed for c in (scalar_bound, half_double) if c is not None
-    )
-    return RemarkReport(
-        increasing=increasing, scalar_bound=scalar_bound, half_double=half_double, passed=ok
-    )
+        half_double, _ = _worst(hd)
+    worst = np.max([v for v in (increasing, scalar, half_double) if v is not None])
+    return CheckResult.one("remark_properties", worst, 0.0, tol, {
+        "increasing_margin": increasing, "scalar_margin": scalar, "half_double_margin": half_double,
+    })
 
 
 def check_fatou(m, seq, limit, tol=1e-9):

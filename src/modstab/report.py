@@ -9,10 +9,11 @@ carries the timestamp.
 
 A run's records are ``Records``: single ``ReportRecord``s (the config
 echo, the iteration's levels, diagnostics) and ``CheckResult``s, read as
-one flat sequence of records.  A ``CheckResult`` is what a check returns
-and what the report writes, with no conversion between: its rows as
-columns, the measured side, the majorant and the tolerance, and the one
-pass rule lhs - rhs <= tol.  A result of many rows writes its lines from
+one flat sequence of records.  Every ``check``-stage line of every run,
+stability or axioms, is a row of a ``CheckResult``.  A ``CheckResult`` is
+what a check returns and what the report writes, with no conversion
+between: its rows as columns, the measured side, the majorant and the
+tolerance, and the one pass rule lhs - rhs <= tol.  A result of many rows writes its lines from
 one template that ``json.dumps`` encodes itself, so per line only the
 values are formatted; its lines are byte for byte ``ReportRecord.to_json``
 of its rows, which are built only when read.
@@ -125,8 +126,8 @@ def _column(col):
 
 
 class CheckResult(Rows):
-    """The verdict of one check, one row per probe, scalar or level, held as
-    columns; every check of a stability run returns this type.
+    """The verdict of one check, one row per probe, scalar, level or axiom,
+    held as columns; every check of every run returns this type.
 
     ``lhs`` is the measured side, ``rhs`` the majorant (an array or one
     number for every row) and ``tol`` the tolerance.  Row i passes iff

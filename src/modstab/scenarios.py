@@ -19,9 +19,16 @@ calibrate, config echo, psi law, iterate; a failed psi law or a numeric
 abort while iterating ends the run.  Last, each configured check is looked
 up in the registry ``_CHECKS`` (name -> function of the run returning a
 list of ``report.CheckResult``).  The psi law and the iteration's
-``stabilize`` record are ``CheckResult``s too, so every verdict of a
-stability run passes by the one rule lhs - rhs <= tol, and the report
-writes the results the checkers return.
+``stabilize`` record are ``CheckResult``s too.
+
+An axioms run (``_run_axioms``) writes, per fixture, the ``CheckResult``s
+of ``modular``'s checkers: one ``modular_axiom`` row per axiom, then
+``remark_properties`` and ``delta2``.  The axiom a fixture names in
+``expect_violation`` gets a row of its own instead, whose lhs is 1 when the
+axiom's row passed and 0 when it failed, against 0 with tol 0: it passes
+iff the violation was caught.  So every verdict of every run passes by the
+one rule lhs - rhs <= tol, and the report writes the results the checkers
+return.
 """
 
 import contextlib
@@ -45,6 +52,7 @@ from .errors import (
 )
 from .modular import (
     ModularSpec,
+    axiom_names,
     check_delta2,
     check_modular_axioms,
     check_remark_properties,
@@ -522,20 +530,11 @@ def _reading_config():
 
 
 @dataclass
-class _Scenario:
-    name: str
-
-    def record(self, payload, passed, stage="check", advisory=False):
-        return ReportRecord(
-            scenario=self.name, stage=stage, payload=payload, passed=passed, advisory=advisory
-        )
-
-
-@dataclass
-class _Run(_Scenario):
+class _Run:
     """A stability run: what the parse stage read from the config, plus
     what the run stages add (the calibrated envelope, the outcome)."""
 
+    name: str
     algebra: AlgebraSpec
     modular: ModularSpec
     bimap: BiMap
@@ -549,6 +548,9 @@ class _Run(_Scenario):
     assert_slot2: bool
     outcome: object = None
     parts: dict = field(default_factory=dict)  # which -> inequality_parts on the probes
+
+    def record(self, payload, passed, stage):
+        return ReportRecord(scenario=self.name, stage=stage, payload=payload, passed=passed)
 
     def rho_fn(self, rows):
         return eval_modular(self.modular, np.atleast_2d(rows))
@@ -671,7 +673,7 @@ def _config_echo(run):
     }
     if psi is not None:
         echo.update(theta=psi.theta, L=psi.L, psi_p=psi.p, direction=psi.direction)
-    return run.record(echo, True, stage="config")
+    return run.record(echo, True, "config")
 
 
 def _iterate(run):
@@ -683,10 +685,10 @@ def _iterate(run):
     except (OverflowAbort, NonFiniteValueError) as e:
         payload = {"error": str(e), "level": getattr(e, "level", None),
                    "probe_id": getattr(e, "probe_id", None)}
-        return [run.record(payload, False, stage="iterate")]
+        return [run.record(payload, False, "iterate")]
     records = [
         run.record({"level": lv.level, "sup_rho_delta": lv.sup_rho_delta,
-                    "rho_tilde_delta": lv.rho_tilde_delta}, True, stage="iterate")
+                    "rho_tilde_delta": lv.rho_tilde_delta}, True, "iterate")
         for lv in out.levels
     ]
     # delta_N <= tol, the rule that stopped the iteration
@@ -797,9 +799,6 @@ def _run_stability(cfg, name, seed_override, probes_override):
     if not halted:
         for chk in run.checks:
             records += _CHECKS[chk](run)
-    for r in records:
-        if isinstance(r, CheckResult):
-            r.scenario = run.name
     keep = ("algebra", "modular", "bimap", "psi", "probes", "weight_kind", "rho_fn", "s", "outcome")
     return records, {key: getattr(run, key) for key in keep}
 
@@ -816,43 +815,43 @@ def _run_axioms(cfg, name, seed_override, probes_override):
             raise ConfigError(f"samples.dim must be at least 1, got {dim}")
         if dim > MAX_SAMPLE_DIM:
             raise ConfigError(f"samples.dim {dim} exceeds the limit of {MAX_SAMPLE_DIM}")
-        fixtures = [
-            (fx.get("label", f"fixture-{idx}"), build_modular(fx["modular"]),
-             fx.get("expect_violation"), _bool_of(fx.get("check_delta2", False), "check_delta2"))
-            for idx, fx in enumerate(cfg.get("fixtures", []))
-        ]
+        fixtures = []
+        for idx, fx in enumerate(cfg.get("fixtures", [])):
+            label = fx.get("label", f"fixture-{idx}")
+            m = build_modular(fx["modular"])
+            expect = fx.get("expect_violation")
+            names = [f"axiom_{axiom}" for axiom in axiom_names(m)]
+            if expect is not None and expect not in names:
+                raise ConfigError(
+                    f"fixture {label!r}: expect_violation must be one of {names}, got {expect!r}"
+                )
+            fixtures.append((label, m, expect, _bool_of(fx.get("check_delta2", False),
+                                                        "check_delta2")))
 
-    run = _Scenario(name)
     samples = {"count": count, "radius": radius, "seed": seed, "dim": dim}
-    records = [run.record({"config_name": name, "kind": "axioms", "samples": samples}, True,
-                          stage="config")]
-    context = {}
+    records = [ReportRecord(name, "config", {"config_name": name, "kind": "axioms",
+                                             "samples": samples}, True)]
     for idx, (label, m, expect, delta2) in enumerate(fixtures):
-        report = check_modular_axioms(m, draw_axiom_samples(dim, count, seed + idx, radius))
-        context[label] = report
-        for axiom, chk in report.checks.items():
-            expected_violation = expect == f"axiom_{axiom}"
-            records.append(run.record(
-                {"check": "modular_axiom", "fixture": label, "axiom": axiom, "margin": chk.margin,
-                 "witness": chk.witness, "expected_violation": expected_violation},
-                (not chk.passed) if expected_violation else chk.passed,
-            ))
+        results = []
+        axioms = check_modular_axioms(m, draw_axiom_samples(dim, count, seed + idx, radius))
+        for axiom, result in axioms.items():
+            expected = expect == f"axiom_{axiom}"
+            if expected:
+                # caught iff the axiom's own row failed: lhs 1 if it passed, 0 if not
+                result = CheckResult(result.check, float(result.passed[0]), 0.0, 0.0,
+                                     result.columns)
+            result.columns["expected_violation"] = [expected]
+            results.append(result)
         if m.convex:
-            remark = check_remark_properties(m, draw_remark_samples(dim, count, seed + 50 + idx, radius))
-            records.append(run.record(
-                {"check": "remark_properties", "fixture": label,
-                 "increasing_margin": remark.increasing.margin,
-                 "scalar_margin": remark.scalar_bound.margin if remark.scalar_bound else None,
-                 "half_double_margin": remark.half_double.margin if remark.half_double else None},
-                remark.passed,
-            ))
+            results.append(check_remark_properties(
+                m, draw_remark_samples(dim, count, seed + 50 + idx, radius)))
         if delta2:
             rng = np.random.default_rng(seed + 100 + idx)
-            pts = complex_uniform(rng, 0.1, 1.0, (256, dim))
-            d2 = check_delta2(m, pts)
-            records.append(run.record({"check": "delta2", "fixture": label,
-                                       "kappa_hat": d2.kappa_hat}, d2.passed))
-    return records, context
+            results.append(check_delta2(m, complex_uniform(rng, 0.1, 1.0, (256, dim))))
+        for result in results:
+            result.columns["fixture"] = [label]
+        records += results
+    return records, {}
 
 
 def run_scenario(source, seed_override=None, probes_override=None):
@@ -872,7 +871,11 @@ def run_scenario(source, seed_override=None, probes_override=None):
             seed = seed_override if seed_override is not None else _default_seed(cfg)
             header = header_record(cfg, seed=seed, version=__version__, backend=_kernels.ACTIVE_BACKEND)
         runner = _run_axioms if cfg.get("kind", "stability") == "axioms" else _run_stability
-        records, context = runner(cfg, cfg.get("name", "unnamed"), seed_override, probes_override)
+        name = cfg.get("name", "unnamed")
+        records, context = runner(cfg, name, seed_override, probes_override)
+        for r in records:
+            if isinstance(r, CheckResult):
+                r.scenario = name
     except ModstabError as e:
         diag = ReportRecord(
             scenario=source if isinstance(source, str) else "config",

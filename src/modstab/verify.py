@@ -163,8 +163,8 @@ def check_first_slot_linearity(f, rho_fn, scalars, probes, tol=IDENTITY_TOL, fxz
     go through the constructive route: pick an integer M > 4|l|, decompose
     3l/M into unimodular mu1+mu2+mu3, and compare f(l x, z) against
     (M/3) [f(mu1 x, z) + f(mu2 x, z) + f(mu3 x, z)].  Both residuals are
-    recorded, one row per scalar; the row's lhs is the worse of the two
-    (as Python's ``max`` takes it: a NaN route counts for nothing).  The scalars go
+    recorded, one row per scalar; the row's lhs is the worse of the two,
+    ``np.maximum`` of them, so a NaN residual fails the row.  The scalars go
     through the map in stacked calls of at most ``_kernels.BLOCK_ROWS``
     rows, as many scalars (or routes) per call as fit, each call followed
     by one modular call.  ``fxz`` is f(x, z) on the probes when the caller
@@ -192,7 +192,7 @@ def check_first_slot_linearity(f, rho_fn, scalars, probes, tol=IDENTITY_TOL, fxz
         route_vec = (Ms[b] / 3.0)[:, None, None] * (fMU[:, 0] + fMU[:, 1] + fMU[:, 2])
         route[b] = _sup_rho(rho_fn, fLXZ[b] - route_vec)
     worst = direct.copy()
-    worst[generic] = np.where(route > direct[generic], route, direct[generic])
+    worst[generic] = np.maximum(direct[generic], route)
     routes = dict(zip(generic, zip(route.tolist(), Ms.tolist())))  # scalar index -> (route, M)
     return _per_probe(
         "first_slot_linearity", worst, np.zeros(len(lams)), tol,

@@ -1,7 +1,7 @@
-"""Every verdict of a stability run is one ``report.CheckResult``, from the
+"""Every verdict of every run is one ``report.CheckResult``, from the
 checker to the report line, and each of its rows passes iff lhs - rhs <= tol
 on the result's own columns; over every builtin and the failing variants
-of benchmarks/failing_configs.py."""
+of benchmarks/failing_configs.py, stability and axioms runs alike."""
 
 import importlib.util
 import json
@@ -12,8 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import modstab.modular
 from modstab import scenarios, verify
-from modstab.report import CheckResult
+from modstab.report import CheckResult, ReportRecord
 from modstab.scenarios import builtin_scenarios, run_scenario
 
 _PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "failing_configs.py"
@@ -21,10 +22,9 @@ _spec = importlib.util.spec_from_file_location("failing_configs", _PATH)
 failing_configs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(failing_configs)
 
-CONFIGS = {
-    **{name: cfg for name, cfg in builtin_scenarios().items() if cfg.get("kind") != "axioms"},
-    **failing_configs.failing_configs(),
-}
+ALL_CONFIGS = {**builtin_scenarios(), **failing_configs.failing_configs()}
+CONFIGS = {name: cfg for name, cfg in ALL_CONFIGS.items() if cfg.get("kind") != "axioms"}
+AXIOMS_CONFIGS = {name: cfg for name, cfg in ALL_CONFIGS.items() if cfg.get("kind") == "axioms"}
 # the failed lines that count toward the exit code, per check
 FAILURES = {
     "lemma-falsifier": {"inequality_A": 46},
@@ -37,6 +37,7 @@ FAILURES = {
                               "bounded_orbit": 1},
     "descending-theta-0.005": {"inequality_A": 507, "telescoping": 29},
     "inequality-B-theta-0.001": {"inequality_B": 422, "stability_bound": 511, "telescoping": 29},
+    "axioms-kappa-dead-zone": {"delta2": 2, "modular_axiom": 1},
 }
 
 
@@ -48,7 +49,8 @@ def rule(result):
 
 def test_the_failing_configs_are_named_and_listed():
     assert set(failing_configs.failing_configs()) <= set(FAILURES)
-    assert all(name == cfg["name"] for name, cfg in CONFIGS.items())
+    assert all(name == cfg["name"] for name, cfg in ALL_CONFIGS.items())
+    assert sorted(AXIOMS_CONFIGS) == ["axioms-kappa-dead-zone", "axioms-suite"]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -88,6 +90,49 @@ def test_every_verdict_is_one_check_result_passing_by_the_one_rule(name, monkeyp
             failed[r.check] += want.count(False)
     assert {k: v for k, v in failed.items() if v} == FAILURES.get(name, {})
     assert result.exit_code == (1 if name in FAILURES else 0)
+
+
+@pytest.mark.parametrize("seed", [None, 7, 4242])
+@pytest.mark.parametrize("name", sorted(AXIOMS_CONFIGS))
+def test_every_axioms_verdict_is_one_check_result_passing_by_the_one_rule(name, seed):
+    result = run_scenario(AXIOMS_CONFIGS[name], seed_override=seed)
+    echo, *results = result.records.items
+    assert type(echo) is ReportRecord and echo.stage == "config"
+    assert results and all(type(r) is CheckResult and len(r) == 1 for r in results)
+    assert result.context == {}
+
+    failed = Counter()
+    for r in results:
+        want = rule(r)
+        assert r.passed.tolist() == want and [row.passed for row in r] == want, r.check
+        [row] = r
+        assert row.scenario == name and row.payload["check"] == r.check
+        failed[r.check] += want.count(False)
+    assert {k: v for k, v in failed.items() if v} == FAILURES.get(name, {})
+    assert result.exit_code == (1 if name in FAILURES else 0)
+
+
+_EXPECT_III = {
+    "name": "expect-iii", "kind": "axioms", "samples": {"count": 1, "dim": 1, "seed": 3},
+    "fixtures": [{"label": "f", "modular": {"kind": "orlicz", "phi": "square", "convex": False},
+                  "expect_violation": "axiom_iii"}],
+}
+
+
+@pytest.mark.parametrize("margin", [float("nan"), -0.0, 1e-12, np.nextafter(1e-12, np.inf),
+                                    float("inf"), float("-inf")])
+def test_an_expected_violation_passes_iff_its_axiom_row_fails(margin, monkeypatch):
+    # rho is 0 on x, y and zeta x and ``margin`` on the combination, so axiom
+    # iii's margin rho(combo) - (rho(x) + rho(y)) is ``margin`` itself
+    calls = iter([0.0, 0.0, 0.0, margin])
+    monkeypatch.setattr(modstab.modular, "eval_modular", lambda m, x: np.array([next(calls)]))
+    result = run_scenario(_EXPECT_III)
+    [row] = [r for r in result.records if r.payload.get("axiom") == "iii"]
+    assert json.dumps(row.payload["margin"]) == json.dumps(margin)
+    assert row.payload["expected_violation"] is True and row.payload["witness"] == 0
+    # caught iff the axiom's own check does not pass, a NaN margin included
+    assert row.passed == (not (margin <= 1e-12))
+    assert [r.payload["axiom"] for r in result.records[1:]] == ["i", "ii", "iii"]
 
 
 class _Levels:

@@ -432,10 +432,12 @@ def test_luxemburg_absolute_homogeneity(mag, ang):
 )
 def test_axioms_hold_for_builtins(m):
     samples = draw_axiom_samples(dim=3, count=10_000, seed=11)
-    report = check_modular_axioms(m, samples)
-    assert report.passed
-    for chk in report.checks.values():
-        assert chk.margin <= 1e-12
+    results = check_modular_axioms(m, samples)
+    assert list(results) == ["i", "ii", "iii", "iii_convex"]
+    for axiom, result in results.items():
+        [row] = result
+        assert row.passed and row.payload["check"] == "modular_axiom"
+        assert row.payload["axiom"] == axiom and row.payload["margin"] <= 1e-12
 
 
 def test_axiom_ii_margin_zero_for_norm():
@@ -467,25 +469,44 @@ def test_axiom_samples_validated():
 def test_delta2_norm_is_two():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(100, 3)) + 1j * rng.normal(size=(100, 3))
-    res = check_delta2(NORM, pts)
-    assert abs(res.kappa_hat - 2.0) <= 1e-12
-    assert res.passed
+    [row] = check_delta2(NORM, pts)
+    assert abs(row.payload["kappa_hat"] - 2.0) <= 1e-12
+    assert row.passed
 
 
 def test_delta2_power2_is_four_and_fails():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
-    res = check_delta2(POWER2, pts)
-    assert abs(res.kappa_hat - 4.0) <= 1e-9
-    assert not res.passed
+    [row] = check_delta2(POWER2, pts)
+    assert abs(row.payload["kappa_hat"] - 4.0) <= 1e-9
+    assert not row.passed
 
 
 def test_delta2_power1_passes():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
-    res = check_delta2(POWER1, pts)
-    assert abs(res.kappa_hat - 2.0) <= 1e-12
-    assert res.passed
+    [row] = check_delta2(POWER1, pts)
+    assert abs(row.payload["kappa_hat"] - 2.0) <= 1e-12
+    assert row.passed
+
+
+def _eval_by_call(monkeypatch, values):
+    """modular.eval_modular returns [values[k]] at its k-th call."""
+    import modstab.modular
+
+    calls = iter(values)
+    monkeypatch.setattr(modstab.modular, "eval_modular", lambda m, x: np.array([next(calls)]))
+
+
+@pytest.mark.parametrize("kappa", [2.0, 1.5, 0.3, 1.0 + 2.0**-30])
+def test_delta2_passes_iff_kappa_hat_is_at_most_kappa_plus_1e_9(kappa, monkeypatch):
+    # kappa_hat = rho(2x)/rho(x) with rho(x) = 1, at the cap and one ulp on either side
+    cap = kappa + 1e-9
+    for kappa_hat in (np.nextafter(cap, -np.inf), cap, np.nextafter(cap, np.inf)):
+        _eval_by_call(monkeypatch, [1.0, kappa_hat])
+        [row] = check_delta2(ModularSpec(kind="norm", kappa=kappa), np.ones((1, 1)))
+        assert row.payload == {"check": "delta2", "kappa_hat": kappa_hat}
+        assert row.passed == (kappa_hat <= kappa + 1e-9)
 
 
 def test_delta2_detects_degenerate_functional():
@@ -509,9 +530,9 @@ def test_remark_power1_equality_case():
     x = np.array([[4.0 + 0j, 0.0]])
     s = draw_remark_samples(dim=2, count=1, seed=0)
     samples = type(s)(x=x, a=np.array([0.5]), b=np.array([1.0]), alpha=np.array([alpha]))
-    report = check_remark_properties(POWER1, samples)
-    assert abs(report.scalar_bound.margin) <= 1e-14
-    assert report.passed
+    [row] = check_remark_properties(POWER1, samples)
+    assert abs(row.payload["scalar_margin"]) <= 1e-14
+    assert row.passed
 
 
 def test_remark_orlicz_square_half_double():
@@ -523,9 +544,25 @@ def test_remark_orlicz_square_half_double():
         b=np.array([1.0]),
         alpha=np.array([0.5]),
     )
-    report = check_remark_properties(ORLICZ_SQ, samples)
-    assert report.half_double.margin == pytest.approx(2.0 - 4.0, abs=1e-12)
-    assert report.passed
+    [row] = check_remark_properties(ORLICZ_SQ, samples)
+    assert row.payload["half_double_margin"] == pytest.approx(2.0 - 4.0, abs=1e-12)
+    assert row.passed
+
+
+@pytest.mark.parametrize("nan_at, key", [(1, "increasing_margin"), (3, "scalar_margin"),
+                                         (4, "half_double_margin")])
+def test_remark_row_fails_on_one_nan_margin(nan_at, key, monkeypatch):
+    # rho at x, a x, b x, alpha x and 2x: margins -0.5, -0.25 and -1 but one NaN
+    values = [1.0, 0.5, 1.0, 0.25, 4.0]
+    values[nan_at] = float("nan")
+    _eval_by_call(monkeypatch, values)
+    s = draw_remark_samples(dim=1, count=1, seed=0)
+    samples = type(s)(x=s.x, a=np.array([0.5]), b=np.array([1.0]), alpha=np.array([0.5]))
+    [row] = check_remark_properties(NORM, samples)
+    margins = {k: v for k, v in row.payload.items() if k.endswith("_margin")}
+    assert [k for k, v in margins.items() if np.isnan(v)] == [key]
+    # the row passes iff every margin is <= tol, so a NaN fails it
+    assert row.passed == all(v <= 1e-12 for v in margins.values()) == False
 
 
 @pytest.mark.parametrize("m", [NORM, POWER1, POWER2, ORLICZ_SQ])

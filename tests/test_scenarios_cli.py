@@ -151,6 +151,18 @@ def test_axioms_suite_broken_fixture_detected():
     assert result.exit_code == 0
 
 
+def test_expect_violation_convex_axiom_only_on_a_convex_fixture():
+    cfg = builtin_scenarios()["axioms-suite"]
+    square = cfg["fixtures"][2]
+    square["expect_violation"] = "axiom_iii_convex"
+    assert run_scenario(cfg).exit_code == 1  # orlicz "square" is convex: nothing caught
+    square["modular"]["convex"] = False
+    result = run_scenario(cfg)
+    assert result.exit_code == 2
+    [diag] = result.records
+    assert "'orlicz-square': expect_violation must be one of" in diag.payload["error"]
+
+
 # --- CLI ----------------------------------------------------------------------
 
 
@@ -202,6 +214,18 @@ def test_cli_norm_overflowing_closed_form_exits_two(modular, capsys):
     assert cli_main(["norm", modular, "[1e308, 1e308]"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "overflows float64" in captured.err
+
+
+@pytest.mark.parametrize("modular, vector", [
+    ("power:abc", "[1, 2]"), ("power:inf", "[1, 2]"), ("power:nan", "[1, 2]"),
+    ("norm", "[NaN, 1]"), ("norm", "[Infinity]"), ("power:2:3", "[1]"), ("norm:x", "[1]"),
+    ("norm", "[true, 1]"),
+])
+def test_cli_norm_refuses_what_a_config_refuses(modular, vector, capsys):
+    assert cli_main(["norm", modular, vector]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "overflows" not in captured.err
 
 
 def test_cli_decompose(capsys):
@@ -460,6 +484,8 @@ def _bogus_weight(name, drop_iteration=False):
         _algebra({"dim": 1, "structure": [True]}),
         _axioms_samples("radius", "1"),
         _builtin_value("axioms-suite", ["fixtures", 0, "check_delta2"], "yes"),
+        _builtin_value("axioms-suite", ["fixtures", 0, "expect_violation"], "axiom_7"),
+        _builtin_value("axioms-suite", ["fixtures", 3, "expect_violation"], ["axiom_i"]),
     ],
     ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list",
          "fixture-no-modular", "weight-bogus", "weight-bogus-no-iteration",
@@ -477,7 +503,7 @@ def _bogus_weight(name, drop_iteration=False):
          "zero-boundary-string", "kappa-bool", "epsilon-string", "perturbation-p-inf",
          "boundary-safe-int", "psi-p-string", "psi-L-bool", "magnitude-cap-string",
          "assert-slot2-int", "s-bool", "structure-entry-bool", "samples-radius-string",
-         "check-delta2-string"],
+         "check-delta2-string", "expect-violation-axiom-7", "expect-violation-list"],
 )
 def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "calibrate_theta", lambda *a, **k: pytest.fail("calibrated"))

@@ -213,7 +213,7 @@ def _linearity_per_scalar(f, rho_fn, scalars, probes, tol=1e-10):
             route = float(np.max(rho_fn(fLXZ - route_vec)))
             extra["route"] = route
             extra["M"] = M
-            worst = max(direct, route)
+            worst = float(np.maximum(direct, route))
         payload = {"check": "first_slot_linearity", "probe_id": idx, "lhs": worst, "rhs": 0.0,
                    "margin": worst, **extra}
         out.append(ReportRecord(None, "check", payload, worst <= tol))
@@ -245,6 +245,20 @@ def test_stacked_linearity_equals_per_scalar_calls_bit_for_bit(modular):
             want = _linearity_per_scalar(f, rho_fn, scalars, probes)
             got = check_first_slot_linearity(f, rho_fn, scalars, probes)
             assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
+
+def test_linearity_row_fails_on_a_nan_route_residual():
+    # a map linear in x whose route stack, and only it, comes back NaN
+    probes = draw_probes(1, 32, 1.0, seed=4)
+    n = len(probes.x)
+
+    def f(X, Z):
+        out = X * Z
+        return np.full_like(out, np.nan) if len(X) == 3 * n else out
+
+    [row] = check_first_slot_linearity(f, rho_rows, [2.0 + 0.5j], probes)
+    assert np.isnan(row.payload["route"]) and row.payload["direct"] <= 1e-15
+    assert np.isnan(row.payload["lhs"]) and not row.passed
 
 
 def test_linearity_with_no_scalars_is_empty():
