@@ -38,17 +38,27 @@ complex ``sum(axis=1)`` gives different bits for C- and F-ordered (n, 4)
 input.  From width 8 on numpy regroups its sum and ``_row_sum`` stays left
 to right.  ``rho_norm`` squares the real and imaginary parts through a
 float64 view of the rows and adds re^2 + im^2 per entry, as before:
-325 -> 103 us at 10^4 rows, 24 -> 13 us at 512 rows, bit for bit.
+325 -> 103 us at 10^4 rows, 24 -> 13 us at 512 rows, bit for bit.  It
+runs under raising overflow and underflow flags, and only a batch that
+raises one is recomputed, with the rows whose sum left the float range
+scaled by their largest part; that costs about 4 us per call at 512 and
+2048 rows.
 ``_row_sum`` is private so that ``perfbench``'s tracer, which wraps public
 names only, keeps timing the ``rho_*`` kernels as whole spans.
 
 Every kernel here, and every map built on them, computes each row on its
 own, so a wide batch can be evaluated in blocks of ``BLOCK_ROWS`` rows
-(``row_blocks``) with the same bits.  A block's temporaries are 2048 rows
-of at most a few complex columns, small enough for the allocator to reuse
-from block to block; a 10^4-row temporary is not, and comes back as fresh
-pages.  The constant was set by a sweep on a 2-vCPU x86-64 host and is not
-configurable: a different value changes speed, never a result.
+(``row_blocks``) with the same bits.  The sites that do: calibration's
+10^4-tuple random family, drawn block by block as well
+(``bimaps.probe_blocks``); ``check_psi_law``'s level stack; the linearity
+stacks of ``verify.check_first_slot_linearity``; the telescoping
+majorants; the level table's blocks of levels (``stabilize.LevelTable``);
+and the level-pair differences of ``stabilize.bounded_orbit_estimate``.
+A block's temporaries are 2048 rows of at most a few complex columns, small
+enough for the allocator to reuse from block to block; a 10^4-row temporary
+is not, and comes back as fresh pages.  The constant was set by a sweep on
+a 2-vCPU x86-64 host and is not configurable: a different value changes
+speed and memory, never a result.
 """
 
 import numpy as np
@@ -111,11 +121,38 @@ def _row_sum(a):
     return out
 
 
-def rho_norm(v):
-    """Euclidean norm of each row of an (n, k) batch."""
-    sq = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
-    sq = sq * sq
+def _norm_of_parts(parts):
+    """sqrt of the row sums of re^2 + im^2, from a real (n, 2k) view."""
+    sq = parts * parts
     return np.sqrt(_row_sum(sq[:, 0::2] + sq[:, 1::2]))
+
+
+def rho_norm(v):
+    """Euclidean norm of each row of an (n, k) batch.
+
+    A finite row whose sum of squares overflows, or underflows to 0 while
+    an entry is nonzero, is recomputed as s * |row / s| with s its largest
+    |real or imaginary part|, so that its norm is finite and nonzero where
+    the true norm is, and overflows, with numpy's warning, only where the
+    true norm does; every other row keeps the bits of the plain sum.  The
+    floating-point flags tell whether a square or a sum left the float
+    range, so a batch in which none did pays no extra pass."""
+    parts = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return _norm_of_parts(parts)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", under="ignore"):
+        out = _norm_of_parts(parts)
+        rows = np.flatnonzero(~np.isfinite(out) | (out == 0.0))
+        sub = parts[rows]
+        scale = np.abs(sub).max(axis=1, initial=0.0)
+        fix = np.isfinite(scale) & (scale > 0.0)  # not a zero row, nor one with an inf or NaN
+        scaled = _norm_of_parts(sub[fix] / scale[fix, None])
+    # under the caller's error state: it overflows only where the norm does
+    out[rows[fix]] = scale[fix] * scaled
+    return out
 
 
 def rho_power(v, p):

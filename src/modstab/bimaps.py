@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .algebra import AlgebraSpec, complex_uniform, sample_unit_circle
+from .algebra import AlgebraSpec
 from .errors import ConfigError, NonFiniteValueError, PreconditionError
 from .report import CheckResult
 
@@ -311,27 +311,79 @@ class ProbeSet:
 
 
 N_MANDATORY = 13
+# the first lambda drawn from the unit-circle stream: rows 13-16 are the corners
+_FIRST_CIRCLE_ROW = N_MANDATORY + 4
+
+
+def _stream_reader(seed):
+    """read(start, lo, hi, shape): the uniform doubles on [lo, hi) at
+    positions start, start + 1, .. of the stream of ``default_rng(seed)``,
+    for starts in increasing order.  The generator jumps ahead with
+    ``advance`` only where a stretch does not follow the one before."""
+    rng, at = np.random.default_rng(seed), 0
+
+    def read(start, lo, hi, shape):
+        nonlocal at
+        if start != at:
+            rng.bit_generator.advance(start - at)
+        out = rng.uniform(lo, hi, shape)
+        at = start + out.size
+        return out
+
+    return read
+
+
+def probe_blocks(dim, count=512, radius=1.0, seed=0):
+    """The tuples (x, y, z, w, lam) of ``draw_probes`` in consecutive
+    blocks of ``_kernels.row_blocks(count)`` rows.
+
+    The draw is eight uniform streams of count x dim doubles from
+    ``default_rng(seed)``, one after another: the real parts of x, then its
+    imaginary parts, then y, z and w likewise, as ``complex_uniform`` draws
+    them; lambda past the corner scalars reads the stream of
+    ``default_rng(seed + 1)`` as ``sample_unit_circle`` does.  Each block
+    reads its own stretch of every stream by position, so its rows have the
+    bits of the same rows of the whole draw.  A block spanning all rows
+    reads the streams end to end, without a jump.  The mandatory tuples
+    are rows 0-12, built from rows 13-16 of the first block."""
+    if count < 17:
+        raise ConfigError("need at least 17 probes to fit the mandatory tuples")
+    half = radius / np.sqrt(2.0)
+    for b in _kernels.row_blocks(count):
+        rows = b.stop - b.start
+        read = _stream_reader(seed)
+        fields = []
+        for j in range(4):  # x, y, z, w
+            v = np.empty((rows, dim), dtype=np.complex128)
+            v.real = read((2 * j) * count * dim + b.start * dim, -half, half, (rows, dim))
+            v.imag = read((2 * j + 1) * count * dim + b.start * dim, -half, half, (rows, dim))
+            fields.append(v)
+        x, y, z, w = fields
+        lam = np.ones(rows, dtype=np.complex128)
+        first = max(b.start, _FIRST_CIRCLE_ROW)
+        if b.stop > first:
+            theta = _stream_reader(seed + 1)(first - _FIRST_CIRCLE_ROW, 0.0, 2.0 * np.pi,
+                                             b.stop - first)
+            lam[first - b.start:] = np.cos(theta) + 1j * np.sin(theta)
+        if b.start == 0:
+            lam[N_MANDATORY:_FIRST_CIRCLE_ROW] = [1.0, -1.0, 1j, -1j]
+            base = slice(N_MANDATORY, _FIRST_CIRCLE_ROW)
+            bx, bz = x[base].copy(), z[base].copy()
+            zero = np.zeros(dim, dtype=np.complex128)
+
+            # rows 0-3: y = x, w = 0;  rows 4-7: y = w = 0;  rows 8-11: halved pair
+            x[0:4], y[0:4], z[0:4], w[0:4] = bx, bx, bz, zero
+            x[4:8], y[4:8], z[4:8], w[4:8] = bx, zero, bz, zero
+            x[8:12], y[8:12], z[8:12], w[8:12] = bx / 2.0, bx / 2.0, bz, zero
+            x[12], y[12], z[12], w[12] = zero, zero, zero, zero
+        yield x, y, z, w, lam
 
 
 def draw_probes(dim, count=512, radius=1.0, seed=0):
-    if count < 17:
-        raise ConfigError("need at least 17 probes to fit the mandatory tuples")
-    rng = np.random.default_rng(seed)
-    half = radius / np.sqrt(2.0)
-    x, y, z, w = (complex_uniform(rng, -half, half, (count, dim)) for _ in range(4))
-    lam = np.ones(count, dtype=np.complex128)
-    lam[N_MANDATORY:] = sample_unit_circle(seed + 1, count - N_MANDATORY)
-
-    base = slice(N_MANDATORY, N_MANDATORY + 4)
-    bx, bz = x[base].copy(), z[base].copy()
-    zero = np.zeros(dim, dtype=np.complex128)
-
-    # rows 0-3: y = x, w = 0;  rows 4-7: y = w = 0;  rows 8-11: halved pair
-    x[0:4], y[0:4], z[0:4], w[0:4] = bx, bx, bz, zero
-    x[4:8], y[4:8], z[4:8], w[4:8] = bx, zero, bz, zero
-    x[8:12], y[8:12], z[8:12], w[8:12] = bx / 2.0, bx / 2.0, bz, zero
-    x[12], y[12], z[12], w[12] = zero, zero, zero, zero
-
+    """The ProbeSet of ``probe_blocks(dim, count, radius, seed)``, its
+    blocks concatenated."""
+    blocks = list(probe_blocks(dim, count, radius, seed))
+    x, y, z, w, lam = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
     mandatory = {
         "first_equal": np.arange(0, 4),
         "second_zero": np.arange(4, 8),

@@ -6,7 +6,8 @@ Configs are plain JSON-able dicts (complex numbers as [re, im] pairs;
 no code execution).  The envelope amplitude may be given as the string
 "calibrate", in which case theta is fixed by brute-force margin
 maximization of the scenario's functional inequality over an enlarged
-probe family: the scenario probes, a 10^4-tuple random family, and the
+probe family: the scenario probes, a 10^4-tuple random family, drawn and
+evaluated one row block at a time so that it is never held whole, and the
 scaled degenerate tuples the iteration traverses, read from the run's
 level table and stopping at the magnitude cap.  The result is
 deterministic for a fixed seed and is echoed into the report.
@@ -24,11 +25,11 @@ list of ``report.CheckResult``).  The psi law and the iteration's
 An axioms run (``_run_axioms``) writes, per fixture, the ``CheckResult``s
 of ``modular``'s checkers: one ``modular_axiom`` row per axiom, then
 ``remark_properties`` and ``delta2``.  The axiom a fixture names in
-``expect_violation`` gets a row of its own instead, whose lhs is 1 when the
-axiom's row passed and 0 when it failed, against 0 with tol 0: it passes
-iff the violation was caught.  So every verdict of every run passes by the
-one rule lhs - rhs <= tol, and the report writes the results the checkers
-return.
+``expect_violation`` gets a row of its own instead, whose lhs is 0 when the
+axiom's margin exceeds its tol and 1 otherwise, a NaN margin included,
+against 0 with tol 0: it passes iff the violation was caught.  So every
+verdict of every run passes by the one rule lhs - rhs <= tol, and the
+report writes the results the checkers return.
 """
 
 import contextlib
@@ -43,7 +44,15 @@ import numpy as np
 
 from . import __version__, _kernels
 from .algebra import AlgebraSpec, complex_uniform, preset
-from .bimaps import WEIGHT_KINDS, BiMap, Perturbation, PsiEnvelope, check_psi_law, draw_probes
+from .bimaps import (
+    WEIGHT_KINDS,
+    BiMap,
+    Perturbation,
+    PsiEnvelope,
+    check_psi_law,
+    draw_probes,
+    probe_blocks,
+)
 from .errors import (
     ConfigError,
     ModstabError,
@@ -307,11 +316,14 @@ def calibrate_theta(
     a LevelTable whose direction must be the envelope's.
     ``probe_parts`` are the inequality's (lhs, rhs) on the probes when the
     caller already has them (a run shares them with its inequality check).
-    The random family is evaluated in ``_kernels.row_blocks``; a row's
-    value does not depend on its block, and neither the max nor the refusal
-    depends on the order, so theta has the bits of one wide batch.  The
-    scaled degenerate family is read from levels 0..n_max of the table, one
-    (need, unit) pair per table block, and stops at the magnitude cap."""
+    The random family is drawn and evaluated one ``bimaps.probe_blocks``
+    block at a time, so at most ``_kernels.BLOCK_ROWS`` of its rows are
+    held at once; each block has the bits of the same rows of the whole
+    ``draw_probes`` family, a row's value does not depend on its block, and
+    neither the max nor the refusal depends on the order, so theta has the
+    bits of one wide batch.  The scaled degenerate family is read from
+    levels 0..n_max of the table, one (need, unit) pair per table block, and
+    stops at the magnitude cap."""
     bimap, probes = table.d, table.cfg.probes
     if psi_proto.direction != table.cfg.direction:
         raise ConfigError(
@@ -320,7 +332,7 @@ def calibrate_theta(
         )
     psi1 = psi_proto.with_theta(1.0)
     seed = probes.seed + CALIBRATION_SEED_OFFSET
-    extra = draw_probes(bimap.algebra.dim, max(extra_count, 17), probes.radius, seed)
+    extra = probe_blocks(bimap.algebra.dim, max(extra_count, 17), probes.radius, seed)
 
     def need_unit(x, y, z, w, lam, parts=None):
         if parts is None:
@@ -330,8 +342,8 @@ def calibrate_theta(
 
     def family():
         yield need_unit(probes.x, probes.y, probes.z, probes.w, probes.lam, probe_parts)
-        for b in _kernels.row_blocks(len(extra)):
-            yield need_unit(extra.x[b], extra.y[b], extra.z[b], extra.w[b], extra.lam[b])
+        for block in extra:
+            yield need_unit(*block)
         yield from _scaled_degenerate_family(table, psi1, rho_fn, which)
 
     required = 0.0
@@ -837,9 +849,10 @@ def _run_axioms(cfg, name, seed_override, probes_override):
         for axiom, result in axioms.items():
             expected = expect == f"axiom_{axiom}"
             if expected:
-                # caught iff the axiom's own row failed: lhs 1 if it passed, 0 if not
-                result = CheckResult(result.check, float(result.passed[0]), 0.0, 0.0,
-                                     result.columns)
+                # caught iff the axiom's margin exceeds its tol, so a NaN margin
+                # (an overflow) is not a caught violation: lhs 0 if caught, else 1
+                caught = bool(result.margin[0] > result.tol)
+                result = CheckResult(result.check, float(not caught), 0.0, 0.0, result.columns)
             result.columns["expected_violation"] = [expected]
             results.append(result)
         if m.convex:

@@ -370,31 +370,50 @@ def bounded_orbit_estimate(iterates, weights, rho_fn, weight_tol=1e-15, defect_t
     distance between iterates; finite orbits are what licence the
     fixed-point extraction.
 
+    ``iterates`` is a sequence of (P, value_dim) levels, read as given.
     The result is max over level pairs (i, j) and probes p of
     rho(T_i - T_j)[p] / w[p] over the probes with weight above
     ``weight_tol``, or +inf when a probe at or below it carries a value
     above ``defect_tol``.  It keeps one running maximum of rho per probe
-    over all pairs (one modular call per level i, over every later level
-    j) and divides it by the weights once: correctly rounded division by
-    a positive weight is monotone, so max fl(v / w) = fl(max v / w) and
-    the result has the bits of the ratios taken pair by pair.  Those ratios
-    are maximised level by level through Python's ``max``, which passes
-    over a NaN: a NaN value counts for nothing in the defect test, and a
-    level whose weighted ratios include a NaN (a NaN value, or inf over an
-    infinite weight) adds nothing to the maximum.  Finite weights and
-    iterates give no NaN ratio; an overflowing difference gives +inf.
+    over all pairs and divides it by the weights once: correctly rounded
+    division by a positive weight is monotone, so max fl(v / w) =
+    fl(max v / w) and the result has the bits of the ratios taken pair by
+    pair.  Each level i is differenced against the later levels in
+    ``_kernels.row_blocks`` chunks of at most ``BLOCK_ROWS`` rows (one level
+    when P is wider), into one buffer reused by every chunk, one modular
+    call per chunk.  Level i's ratios are maximised through Python's
+    ``max``, which passes over a NaN: a NaN value counts for nothing in the
+    defect test, and a level whose weighted ratios include a NaN (a NaN
+    value, or inf over an infinite weight) adds nothing to the maximum.
+    The chunks' maxima are combined with ``np.maximum`` and ``np.fmax``,
+    which give what the same reductions over all of level i's pairs give.
+    Finite weights and iterates give no NaN ratio; an overflowing
+    difference gives +inf.
     """
-    iterates = np.asarray(iterates)
+    n_levels, n_probes = len(iterates), len(weights)
     active = weights > weight_tol
-    peak = np.zeros(len(weights))
-    for i in range(len(iterates) - 1):
-        diffs = iterates[i] - iterates[i + 1:]
-        m, n, k = diffs.shape  # explicit: -1 cannot be inferred at value_dim 0
-        vals = rho_fn(diffs.reshape(m * n, k)).reshape(m, n)
-        top = vals.max(axis=0)
+    peak = np.zeros(n_probes)
+    if n_levels > 1:
+        value_dim = np.shape(iterates[0])[1]
+        per_chunk = min(_kernels._items_per_block(n_probes), n_levels - 1)
+        buf = np.empty((per_chunk, n_probes, value_dim), dtype=np.result_type(*iterates))
+    for i in range(n_levels - 1):
+        top = np.full(n_probes, -np.inf)  # max over the pairs: a NaN wins
+        ftop = np.full(n_probes, np.nan)  # fmax over the pairs: a NaN loses
+        for b in _kernels.row_blocks(n_levels - 1 - i, n_probes):
+            m = b.stop - b.start
+            for r, j in enumerate(range(i + 1 + b.start, i + 1 + b.stop)):
+                np.subtract(iterates[i], iterates[j], out=buf[r])
+            # explicit: -1 cannot be inferred at value_dim 0
+            vals = rho_fn(buf[:m].reshape(m * n_probes, value_dim)).reshape(m, n_probes)
+            chunk_top = vals.max(axis=0)
+            np.maximum(top, chunk_top, out=top)
+            if not np.isfinite(chunk_top).all():
+                chunk_top = np.fmax.reduce(vals, axis=0)
+            np.fmax(ftop, chunk_top, out=ftop)
         if not np.isfinite(top).all():  # a NaN or inf value: is some ratio NaN?
             nan_ratio = np.isnan(top) | np.isinf(top) & np.isinf(weights)
-            top = np.fmax.reduce(vals, axis=0)
+            top = ftop
             if np.any(active & nan_ratio):
                 top[active] = 0.0
         np.fmax(peak, top, out=peak)

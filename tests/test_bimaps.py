@@ -22,6 +22,7 @@ from modstab import (
     rho_tilde,
     rho_tilde_contraction_margin,
 )
+from modstab.bimaps import probe_blocks
 from modstab.report import ReportRecord
 
 MATRIX2 = preset("matrix2")
@@ -420,6 +421,44 @@ def test_probes_mandatory_tuples():
 def test_probes_minimum_count():
     with pytest.raises(ConfigError):
         draw_probes(4, 8, 1.0, seed=0)
+
+
+def _whole_stream_probes(dim, count, radius, seed):
+    """The probe draw as one pass over each stream: x, y, z, w from one
+    generator (real parts, then imaginary), lambda past the 13 mandatory rows
+    from a second one, then the mandatory tuples built from rows 13-16."""
+    rng, half = np.random.default_rng(seed), radius / np.sqrt(2.0)
+    shape = (count, dim)
+    x, y, z, w = (rng.uniform(-half, half, shape) + 1j * rng.uniform(-half, half, shape)
+                  for _ in range(4))
+    lam = np.ones(count, dtype=np.complex128)
+    lam[13:17] = [1.0, -1.0, 1j, -1j]
+    theta = np.random.default_rng(seed + 1).uniform(0.0, 2.0 * np.pi, count - 17)
+    lam[17:] = np.cos(theta) + 1j * np.sin(theta)
+    bx, bz, zero = x[13:17].copy(), z[13:17].copy(), np.zeros(dim)
+    x[0:4], y[0:4], z[0:4], w[0:4] = bx, bx, bz, zero
+    x[4:8], y[4:8], z[4:8], w[4:8] = bx, zero, bz, zero
+    x[8:12], y[8:12], z[8:12], w[8:12] = bx / 2.0, bx / 2.0, bz, zero
+    x[12], y[12], z[12], w[12] = zero, zero, zero, zero
+    return x, y, z, w, lam
+
+
+@pytest.mark.parametrize("count", [17, 2047, 2048, 2049, 10_000])
+@pytest.mark.parametrize("dim", [1, 4, 9])
+def test_probe_blocks_concatenate_to_the_whole_stream_draw(count, dim):
+    # each block reads its stretch of every stream by position; compared as
+    # float64 words, so a -0.0 or a last bit shows too
+    for radius, seed in ((1.0, 0), (1.3, 20107 + 104_729)):
+        want = _whole_stream_probes(dim, count, radius, seed)
+        blocks = list(probe_blocks(dim, count, radius, seed))
+        assert [len(b[0]) for b in blocks] == [s.stop - s.start for s in _kernels.row_blocks(count)]
+        probes = draw_probes(dim, count, radius, seed)
+        drawn = (probes.x, probes.y, probes.z, probes.w, probes.lam)
+        for field, parts, whole, ref in zip("xyzwl", zip(*blocks), drawn, want):
+            got = np.concatenate(parts)
+            assert got.shape == ref.shape and whole.shape == ref.shape, field
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), field
+            assert np.array_equal(whole.view(np.uint64), ref.view(np.uint64)), field
 
 
 # --- induced function-space modular -----------------------------------------

@@ -121,7 +121,7 @@ _EXPECT_III = {
 
 @pytest.mark.parametrize("margin", [float("nan"), -0.0, 1e-12, np.nextafter(1e-12, np.inf),
                                     float("inf"), float("-inf")])
-def test_an_expected_violation_passes_iff_its_axiom_row_fails(margin, monkeypatch):
+def test_an_expected_violation_passes_iff_its_margin_exceeds_tol(margin, monkeypatch):
     # rho is 0 on x, y and zeta x and ``margin`` on the combination, so axiom
     # iii's margin rho(combo) - (rho(x) + rho(y)) is ``margin`` itself
     calls = iter([0.0, 0.0, 0.0, margin])
@@ -130,8 +130,9 @@ def test_an_expected_violation_passes_iff_its_axiom_row_fails(margin, monkeypatc
     [row] = [r for r in result.records if r.payload.get("axiom") == "iii"]
     assert json.dumps(row.payload["margin"]) == json.dumps(margin)
     assert row.payload["expected_violation"] is True and row.payload["witness"] == 0
-    # caught iff the axiom's own check does not pass, a NaN margin included
-    assert row.passed == (not (margin <= 1e-12))
+    # caught iff the axiom's margin exceeds its tol: a NaN margin fails its
+    # axiom's own check and is not a caught violation either
+    assert row.passed == (margin > 1e-12)
     assert [r.payload["axiom"] for r in result.records[1:]] == ["i", "ii", "iii"]
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -237,3 +239,33 @@ def test_modular_sums_are_numpy_row_sums_bit_for_bit(name):
             t = {_kernels.PHI_SQUARE: t * t, _kernels.PHI_EXP_MINUS_ONE: np.expm1(t),
                  _kernels.PHI_LINEAR: t, _kernels.PHI_DEAD_ZONE: np.maximum(t - 1.0, 0.0)}[phi]
         assert np.array_equal(_bits(got), _bits(t.sum(axis=1)))
+
+
+def test_rho_norm_rescales_only_the_rows_whose_sum_leaves_the_float_range():
+    # [1e200, 1] overflows and [1e-200] underflows to 0 when squared; those
+    # rows are rescaled by their largest part, without a warning, and every
+    # other row of the batch keeps the bits of the plain sum
+    v = _wide_rows(16, 9, 3)
+    v[1] = [1e200, 1.0, 0.0]
+    v[2] = [1e-200, 0.0, 0.0]
+    v[3] = [1e308, 1e308j, -1e308]
+    v[4] = [complex(-0.0, 1e-170), 0.0, 3e-180]
+    v[5] = 0.0
+    v[6, 1] = complex(np.inf, 1e200)
+    v[7, 2] = complex(1e200, np.nan)
+    got = _kernels.rho_norm(v)
+    plain = [0, 5, 6, 7, 8]
+    with np.errstate(over="ignore"):
+        assert np.array_equal(_bits(got[plain]), _bits(_rho_norm_reference(v[plain])))
+    for i in (1, 2, 3, 4):
+        parts = v[i].view(np.float64).tolist()
+        assert got[i] == pytest.approx(math.hypot(*parts), rel=4e-16)
+    assert got[2] == 1e-200 and got[1] == 1e200
+    assert got[5] == 0.0 and np.isinf(got[6]) and np.isnan(got[7])
+
+
+def test_rho_norm_overflows_only_where_the_norm_does():
+    v = np.array([[1.5e308, 1.5e308], [1.0, 2.0]], dtype=np.complex128)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        got = _kernels.rho_norm(v)
+    assert np.isinf(got[0]) and got[1] == np.sqrt(5.0)

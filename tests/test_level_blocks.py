@@ -399,7 +399,9 @@ def test_a_non_finite_level_in_a_block(direction, count):
 
 @pytest.mark.parametrize("value, message", [
     (1e308, "non-finite iterate value at level {}"),  # 2^n * 1e308 overflows in the table
-    (1e200, "non-finite modular value"),  # the table holds 2^n * 1e200; rho overflows
+    # None: the table holds 1.2e308 from the bad level on, finite, and the
+    # norm of such a row, 2.4e308, overflows
+    (None, "non-finite modular value"),
 ])
 @pytest.mark.parametrize("count", [32, 512])
 def test_a_level_that_overflows(count, value, message):
@@ -410,7 +412,8 @@ def test_a_level_that_overflows(count, value, message):
     d, psi, cfg = fixture("descending", count)
     n_conv = stabilize(LevelTable(d, cfg), psi, rho_rows).N_converged
     for bad, raises in ((n_conv - 5, True), (n_conv + 1, False)):
-        wrapped = Huge(d, _bad_from("descending", cfg, bad), value)
+        wrapped = Huge(d, _bad_from("descending", cfg, bad),
+                       1.2e308 / 2.0**bad if value is None else value)
         with np.errstate(over="ignore"):
             table, ref = LevelTable(wrapped, cfg), RefTable(wrapped, cfg)
             got = run(lambda: outcome_fields(stabilize(table, psi, rho_rows)))

@@ -163,6 +163,37 @@ def test_expect_violation_convex_axiom_only_on_a_convex_fixture():
     assert "'orlicz-square': expect_violation must be one of" in diag.payload["error"]
 
 
+def _axioms_at_radius(radius, fixtures):
+    return {"name": "axioms-radius", "kind": "axioms",
+            "samples": {"count": 400, "radius": radius, "seed": 5, "dim": 4},
+            "fixtures": fixtures}
+
+
+def test_norm_axioms_at_radius_1e200_have_finite_margins():
+    # the sums of squares overflow there; the norm's rows are rescaled, so no
+    # margin is inf - inf and axioms i, iii and iii_convex pass.  Axiom ii and
+    # the remark's scalar margin are one rounding of a 1e200 norm, above the
+    # absolute tol
+    norm = {"label": "norm", "modular": {"kind": "norm"}}
+    result = run_scenario(_axioms_at_radius(1e200, [norm]))
+    rows = {r.payload.get("axiom", r.payload["check"]): r for r in result.records[1:]}
+    assert all(np.isfinite(r.payload["margin"])
+               for k, r in rows.items() if k != "remark_properties")
+    assert [k for k, r in rows.items() if r.passed] == ["i", "iii", "iii_convex"]
+
+
+def test_an_expected_violation_with_a_nan_margin_is_not_caught():
+    # rho(x) = sum |x_i|^2 is inf at radius 1e200, so axiom ii's margin is
+    # inf - inf: NaN is no evidence of the violation
+    fixture = {"label": "power-p2", "modular": {"kind": "power", "p": 2.0, "kappa": 2.0},
+               "expect_violation": "axiom_ii"}
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_scenario(_axioms_at_radius(1e200, [fixture]))
+    [row] = [r for r in result.records if r.payload.get("axiom") == "ii"]
+    assert row.payload["expected_violation"] and np.isnan(row.payload["margin"])
+    assert not row.passed and result.exit_code == 1
+
+
 # --- CLI ----------------------------------------------------------------------
 
 
@@ -180,6 +211,15 @@ def test_cli_norm_one_shot(capsys):
 def test_cli_norm_complex_entries(capsys):
     assert cli_main(["norm", "norm", "[[3, 0], [0, 4]]"]) == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(5.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("vector, printed", [
+    ("[1e200]", "1e+200"), ("[1e200, 1]", "1e+200"), ("[1e-200]", "1e-200"),
+    ("[1e308, 1e308]", "1.41421356237e+308"),
+])
+def test_cli_norm_of_entries_whose_squares_leave_the_float_range(vector, printed, capsys):
+    assert cli_main(["norm", "norm", vector]) == 0
+    assert capsys.readouterr().out == printed + "\n"
 
 
 def test_cli_norm_bad_modular(capsys):
@@ -211,7 +251,9 @@ def test_cli_norm_divergent_bracket_exits_two(capsys):
 
 @pytest.mark.parametrize("modular", ["norm", "orlicz:square", "power:3", "orlicz:linear"])
 def test_cli_norm_overflowing_closed_form_exits_two(modular, capsys):
-    assert cli_main(["norm", modular, "[1e308, 1e308]"]) == 2
+    # the norm of [1e308, 1e308] is finite; that of [1.5e308, 1.5e308] is not
+    vector = "[1.5e308, 1.5e308]" if modular == "norm" else "[1e308, 1e308]"
+    assert cli_main(["norm", modular, vector]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "overflows float64" in captured.err
 

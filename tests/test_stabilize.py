@@ -27,7 +27,7 @@ from modstab import (
     preset,
     stabilize,
 )
-from modstab._kernels import BLOCK_ROWS
+from modstab._kernels import BLOCK_ROWS, row_blocks
 from modstab.scenarios import builtin_scenarios, calibrate_theta, run_scenario
 from modstab.report import ReportRecord
 
@@ -429,6 +429,46 @@ def test_bounded_orbit_matches_the_pairwise_loop_on_every_prefix(seed):
         assert est == _pairwise_orbit_reference(stack[:m], weights, rho_rows)
 
 
+@pytest.mark.parametrize("n_probes", [700, 2049])  # 2 levels per chunk, then 1
+@pytest.mark.parametrize("case", ["finite", "nan_at_zero_weight_inf_at_active",
+                                  "nan_and_inf_at_one_zero_weight_probe",
+                                  "nan_and_inf_at_active_probes", "nan_then_inf_over_inf_weight"])
+def test_bounded_orbit_matches_the_pairwise_loop_across_chunks(n_probes, case):
+    # level 0's six pairs span three chunks at 700 probes and six at 2049; a
+    # NaN in level 2 and an overflowing difference between levels 0 and 5 fall
+    # in different chunks of level 0
+    assert len(row_blocks(6, n_probes)) == (3 if n_probes == 700 else 6)
+    rng = np.random.default_rng(n_probes)
+    stack = rng.normal(size=(7, n_probes, 4)) + 1j * rng.normal(size=(7, n_probes, 4))
+    weights = rng.uniform(0.1, 2.0, n_probes)
+    nan_at, inf_at = 10, 20
+    if case == "nan_at_zero_weight_inf_at_active":
+        weights[nan_at] = 0.0
+    elif case == "nan_and_inf_at_one_zero_weight_probe":
+        inf_at = nan_at
+        weights[nan_at] = 0.0
+    elif case == "nan_and_inf_at_active_probes":
+        weights[inf_at] = 1.0  # levels 3 and 4 differ from level 5 by ~1.5e308 there
+    elif case == "nan_then_inf_over_inf_weight":
+        weights[inf_at] = np.inf
+    if case != "finite":
+        stack[2, nan_at, 3] = complex(np.nan, 0.0)
+        stack[0, inf_at, 1], stack[5, inf_at, 1] = -1.5e308, 1.5e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = bounded_orbit_estimate(stack, weights, rho_rows)
+        assert est == _levelwise_orbit_reference(stack, weights, rho_rows)
+        pairwise = _pairwise_orbit_reference(stack, weights, rho_rows)
+    if case in ("nan_at_zero_weight_inf_at_active", "nan_and_inf_at_one_zero_weight_probe"):
+        assert est == pairwise == np.inf
+    elif case == "nan_and_inf_at_active_probes":
+        # level 0's NaN ratio passes over the whole level, its inf pair included
+        assert 0.0 < est < pairwise == np.inf
+    else:
+        assert 0.0 < est < np.inf
+        if case == "finite":
+            assert est == pairwise
+
+
 def test_bounded_orbit_check_reads_levels_0_to_n():
     # a power envelope's orbit moves away from level 0 at every level;
     # capped at level 3, the run stops far from its limit, so level 3 sets
@@ -553,7 +593,7 @@ def test_bounded_orbit_passes_over_a_level_with_a_nan_ratio(kind, defect):
     weights = rng.uniform(0.5, 2.0, 16)
     if kind == "inf_over_inf_weight":
         weights[2] = np.inf
-        stack[1, 2, 0] = 1.5e308  # rho is inf in every pair with level 1
+        stack[1, 2] = 1.5e308  # rho, about 3e308, is inf in every pair with level 1
         counted = 2  # levels 0 and 1 are passed over
     else:
         stack[3, 9, 2] = complex(np.nan, 0.0)  # NaN in every pair with level 3
