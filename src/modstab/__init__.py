@@ -8,7 +8,6 @@ from ._kernels import ACTIVE_BACKEND
 from .algebra import (
     AlgebraSpec,
     UnimodularTriple,
-    matrix_unit,
     mul,
     preset,
     sample_unit_circle,

@@ -10,6 +10,7 @@ from . import _kernels
 from .errors import ConfigError, InvalidModularError, OutOfDiscError
 
 _ASSOC_TOL = 1e-12
+PRESETS = ("matrix2", "complex", "zero_mul")
 
 
 class InvalidAlgebraError(ConfigError):
@@ -79,13 +80,6 @@ def mul(a, b, spec):
             raise ConfigError("batch sizes differ")
     out = _kernels.batch_mul(A, B, spec.structure)
     return out[0] if squeeze else out
-
-
-def matrix_unit(i, j):
-    """Coefficient vector of E_ij in the matrix2 basis."""
-    v = np.zeros(4, dtype=np.complex128)
-    v[2 * i + j] = 1.0
-    return v
 
 
 def complex_uniform(rng, lo, hi, shape):

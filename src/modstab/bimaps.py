@@ -26,8 +26,8 @@ from .algebra import AlgebraSpec
 from .errors import ConfigError, NonFiniteValueError, PreconditionError
 from .report import CheckResult
 
-_PERTURBATION_NAMES = ("bounded_osc", "power_env", "quad_slot1")
-_KERNEL_FORMS = ("commutator", "product", "conjugate_product", "tensor")
+PERTURBATION_NAMES = ("bounded_osc", "power_env", "quad_slot1")
+KERNEL_FORMS = ("commutator", "product", "conjugate_product", "tensor")
 DIRECTIONS = ("ascending", "descending")
 
 
@@ -46,7 +46,7 @@ class Perturbation:
     boundary_safe: bool = False
 
     def __post_init__(self):
-        if self.name not in _PERTURBATION_NAMES:
+        if self.name not in PERTURBATION_NAMES:
             raise ConfigError(f"unknown perturbation {self.name!r}")
         if self.name == "power_env" and self.p <= 0:
             raise ConfigError("power_env needs p > 0")
@@ -73,7 +73,7 @@ class BiMap:
     kernel_tensor: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kernel is not None and self.kernel not in _KERNEL_FORMS:
+        if self.kernel is not None and self.kernel not in KERNEL_FORMS:
             raise ConfigError(f"unknown kernel form {self.kernel!r}")
         if self.kernel is None and self.perturbation is None:
             raise ConfigError("map needs a kernel or a perturbation")

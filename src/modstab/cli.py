@@ -19,15 +19,16 @@ import sys
 import numpy as np
 
 from .algebra import three_unimodular_decomposition
+from .config import MAX_SAMPLE_COUNT, parse_modular, read
 from .errors import ConfigError, ModstabError, NonFiniteValueError
-from .modular import luxemburg_norm
+from .modular import ModularSpec, luxemburg_norm
 from .report import count_failures, write_report
-from .scenarios import MAX_SAMPLE_COUNT, _complex_of, build_modular, list_builtin_scenarios, run_scenario
+from .scenarios import list_builtin_scenarios, run_scenario
 
 
 def _parse_modular(text):
-    """norm | power:P | orlicz:PHI, built by the config's ``build_modular``
-    so that P obeys the config's rules for a real value."""
+    """norm | power:P | orlicz:PHI, read by the config schema's ``modular``
+    rows, so that P obeys the config's rules for a real value."""
     kind, *fields = text.split(":")
     key = {"power": "p", "orlicz": "phi"}.get(kind)
     if len(fields) > (key is not None):
@@ -36,10 +37,10 @@ def _parse_modular(text):
     if fields:
         cfg[key] = fields[0]
         if key == "p":
-            # text that is no number stays text, which build_modular refuses
+            # text that is no number stays text, which the schema refuses
             with contextlib.suppress(ValueError):
                 cfg["p"] = float(fields[0])
-    return build_modular(cfg)
+    return ModularSpec(**parse_modular(cfg))
 
 
 def _parse_vector(text):
@@ -49,7 +50,7 @@ def _parse_vector(text):
         raise ConfigError(f"vector must be a JSON array: {e}")
     if not isinstance(data, list) or not data:
         raise ConfigError("vector must be a nonempty JSON array")
-    return np.array([_complex_of(entry, "vector entry") for entry in data], dtype=np.complex128)
+    return np.array([read(entry, "vector entry", "complex") for entry in data], dtype=np.complex128)
 
 
 def _cmd_run(args):

@@ -53,7 +53,7 @@ PHI_PRESETS = {
 # the presets with phi(t*s) = t**q * phi(s) for t > 0, by their degree q
 _PHI_HOMOGENEITY = {"linear": 1.0, "square": 2.0}
 
-_MODULAR_KINDS = ("norm", "power", "orlicz")
+MODULAR_KINDS = ("norm", "power", "orlicz")
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class ModularSpec:
     kappa: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in _MODULAR_KINDS:
+        if self.kind not in MODULAR_KINDS:
             raise ConfigError(f"unknown modular kind {self.kind!r}")
         if self.kind == "power" and self.p < 1.0:
             raise ConfigError("power modular requires p >= 1")
@@ -306,21 +306,24 @@ def check_modular_axioms(m, samples, tol=1e-12):
     sampled x != 0 with rho(x) = 0 (or rho(0) for a zero sample), negative
     otherwise, so any strict violation dominates.
     """
-    rx = eval_modular(m, samples.x)
-    ry = eval_modular(m, samples.y)
+    # a modular whose values exceed float64 at the sampled radius yields inf,
+    # and inf - inf a NaN margin, which fails its row by the pass rule
+    with np.errstate(over="ignore", invalid="ignore"):
+        rx = eval_modular(m, samples.x)
+        ry = eval_modular(m, samples.y)
 
-    nonzero = np.any(samples.x != 0, axis=1)
-    definite = np.where(nonzero, np.where(rx > 0.0, -rx, 1.0), rx)
+        nonzero = np.any(samples.x != 0, axis=1)
+        definite = np.where(nonzero, np.where(rx > 0.0, -rx, 1.0), rx)
 
-    invariance = np.abs(eval_modular(m, samples.zeta[:, None] * samples.x) - rx)
+        invariance = np.abs(eval_modular(m, samples.zeta[:, None] * samples.x) - rx)
 
-    combo = samples.alpha[:, None] * samples.x + samples.beta[:, None] * samples.y
-    rc = eval_modular(m, combo)
-    subadd = rc - (rx + ry)
+        combo = samples.alpha[:, None] * samples.x + samples.beta[:, None] * samples.y
+        rc = eval_modular(m, combo)
+        subadd = rc - (rx + ry)
 
-    margins = [definite, invariance, subadd]
-    if m.convex:
-        margins.append(rc - (samples.alpha * rx + samples.beta * ry))
+        margins = [definite, invariance, subadd]
+        if m.convex:
+            margins.append(rc - (samples.alpha * rx + samples.beta * ry))
     results = {}
     for axiom, margin in zip(axiom_names(m), margins):
         worst, witness = _worst(margin)
@@ -340,11 +343,12 @@ def check_delta2(m, samples):
     nonzero = np.any(rows != 0, axis=1)
     if not np.all(nonzero):
         raise PreconditionError("delta2 samples must be nonzero")
-    r1 = eval_modular(m, rows)
-    if np.any(r1 == 0.0):
-        raise InvalidModularError("rho(x) = 0 for a nonzero sample: not a modular")
-    r2 = eval_modular(m, 2.0 * rows)
-    kappa_hat = float(np.max(r2 / r1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1 = eval_modular(m, rows)
+        if np.any(r1 == 0.0):
+            raise InvalidModularError("rho(x) = 0 for a nonzero sample: not a modular")
+        r2 = eval_modular(m, 2.0 * rows)
+        kappa_hat = float(np.max(r2 / r1))
     # kappa_hat - cap <= 0 iff kappa_hat <= cap, in IEEE arithmetic
     return CheckResult.one("delta2", kappa_hat, m.kappa + 1e-9, 0.0, {"kappa_hat": kappa_hat})
 
@@ -381,17 +385,18 @@ def check_remark_properties(m, samples, tol=1e-12):
     rho(x) <= rho(2x)/2.  Each property's margin is its worst over the
     samples (None when not computed); the row's lhs is the largest margin,
     so it passes iff every margin is <= tol, and a NaN fails."""
-    rx = eval_modular(m, samples.x)
-    inc = eval_modular(m, samples.a[:, None] * samples.x) - eval_modular(
-        m, samples.b[:, None] * samples.x
-    )
-    increasing, _ = _worst(inc)
-    scalar = half_double = None
-    if m.convex:
-        sc = eval_modular(m, samples.alpha[:, None] * samples.x) - np.abs(samples.alpha) * rx
-        scalar, _ = _worst(sc)
-        hd = rx - 0.5 * eval_modular(m, 2.0 * samples.x)
-        half_double, _ = _worst(hd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rx = eval_modular(m, samples.x)
+        inc = eval_modular(m, samples.a[:, None] * samples.x) - eval_modular(
+            m, samples.b[:, None] * samples.x
+        )
+        increasing, _ = _worst(inc)
+        scalar = half_double = None
+        if m.convex:
+            sc = eval_modular(m, samples.alpha[:, None] * samples.x) - np.abs(samples.alpha) * rx
+            scalar, _ = _worst(sc)
+            hd = rx - 0.5 * eval_modular(m, 2.0 * samples.x)
+            half_double, _ = _worst(hd)
     worst = np.max([v for v in (increasing, scalar, half_double) if v is not None])
     return CheckResult.one("remark_properties", worst, 0.0, tol, {
         "increasing_margin": increasing, "scalar_margin": scalar, "half_double_margin": half_double,

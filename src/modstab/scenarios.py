@@ -3,7 +3,8 @@ run pipeline that wires modular / algebra / map / envelope / probes into
 stabilize-then-verify and emits report records.
 
 Configs are plain JSON-able dicts (complex numbers as [re, im] pairs;
-no code execution).  The envelope amplitude may be given as the string
+no code execution), read by ``config.parse`` against the config schema
+before any evaluation.  The envelope amplitude may be given as the string
 "calibrate", in which case theta is fixed by brute-force margin
 maximization of the scenario's functional inequality over an enlarged
 probe family: the scenario probes, a 10^4-tuple random family, drawn and
@@ -13,9 +14,9 @@ level table and stopping at the magnitude cap.  The result is
 deterministic for a fixed seed and is echoed into the report.
 
 A stability run goes parse -> stages -> checks.  The parse stage
-(``_parse_stability``) reads the whole config into a ``_Run`` and rejects
-malformed values, unknown checks and checks that need a missing iteration
-section, all before any evaluation.  The run stages then go in order:
+(``_parse_stability``) builds a ``_Run`` from the parsed config and rejects
+the errors that span fields, such as a check that needs a missing
+iteration section, before any evaluation.  The run stages then go in order:
 calibrate, config echo, psi law, iterate; a failed psi law or a numeric
 abort while iterating ends the run.  Last, each configured check is looked
 up in the registry ``_CHECKS`` (name -> function of the run returning a
@@ -35,8 +36,6 @@ report writes the results the checkers return.
 import contextlib
 import copy
 import json
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -45,7 +44,6 @@ import numpy as np
 from . import __version__, _kernels
 from .algebra import AlgebraSpec, complex_uniform, preset
 from .bimaps import (
-    WEIGHT_KINDS,
     BiMap,
     Perturbation,
     PsiEnvelope,
@@ -53,6 +51,7 @@ from .bimaps import (
     draw_probes,
     probe_blocks,
 )
+from .config import parse
 from .errors import (
     ConfigError,
     ModstabError,
@@ -95,161 +94,51 @@ from .verify import (
 CALIBRATION_EXTRA_COUNT = 10_000
 CALIBRATION_SAFETY = 1.05
 CALIBRATION_SEED_OFFSET = 104_729
-# the largest probe or axiom sample count a run accepts (--probes, probes.count,
-# samples.count); a larger one is a config error before any array is drawn
-MAX_SAMPLE_COUNT = 100_000
-# the largest axiom sample dimension (samples.dim), checked likewise; at the
-# largest count a (count, dim) complex sample is then at most about 100 MB
-MAX_SAMPLE_DIM = 64
-# the largest algebra dimension (algebra.dim), checked before any structure
-# array is built; the associativity check's dim**4 complex temporaries are
-# then at most 16 MB
-MAX_ALGEBRA_DIM = 32
 
 
-def _complex_of(value, label):
-    """A complex config value: a finite number or an [re, im] pair of them."""
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_float_of(value[0], label), _float_of(value[1], label))
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return complex(_float_of(value, label))
-    raise ConfigError(f"{label} must be a number or an [re, im] pair")
+def build_algebra(a):
+    """The algebra of a parsed ``algebra`` section: a preset, or dim and
+    structure constants."""
+    if a["preset"] is not None:
+        return preset(a["preset"], dim=a["dim"])
+    dim, flat = a["dim"], a["structure"]
+    if dim is None or flat is None:
+        raise ConfigError("algebra needs a preset name or dim + structure constants")
+    if len(flat) != dim**3:
+        raise ConfigError(f"structure needs {dim ** 3} entries, got {len(flat)}")
+    return AlgebraSpec(dim=dim, structure=np.array(flat).reshape(dim, dim, dim))
 
 
-def _float_of(value, label):
-    """A real config value: a finite int or float.  A bool, a string or a
-    NaN or infinite value is a config error."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        value = float(value)
-        if math.isfinite(value):
-            return value
-    raise ConfigError(f"{label} must be a finite number, got {value!r}")
-
-
-def _bool_of(value, label):
-    """A flag config value: a JSON bool, nothing else."""
-    if isinstance(value, bool):
-        return value
-    raise ConfigError(f"{label} must be true or false, got {value!r}")
-
-
-def _int_of(value, label):
-    """An integer config value: an int, or a float that is a whole number.
-    A bool, a string or a fractional value is a config error."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ConfigError(f"{label} must be an integer, got {value!r}")
-
-
-def _sample_count(override, section, default):
-    count = _int_of(override if override is not None else section.get("count", default),
-                    "sample count")
-    if count < 1:
-        raise ConfigError(f"sample count must be at least 1, got {count}")
-    if count > MAX_SAMPLE_COUNT:
-        raise ConfigError(f"sample count {count} exceeds the limit of {MAX_SAMPLE_COUNT}")
-    return count
-
-
-def _sample_radius(section):
-    radius = _float_of(section.get("radius", 1.0), "sample radius")
-    if radius < 0.0:
-        raise ConfigError(f"sample radius must be finite and non-negative, got {radius}")
-    return radius
-
-
-def _algebra_dim(value):
-    dim = _int_of(value, "algebra.dim")
-    if not 1 <= dim <= MAX_ALGEBRA_DIM:
-        raise ConfigError(f"algebra dim must lie in [1, {MAX_ALGEBRA_DIM}], got {dim}")
-    return dim
-
-
-def build_algebra(cfg):
-    if not isinstance(cfg, dict):
-        raise ConfigError("algebra section must be a mapping")
-    if "preset" in cfg:
-        dim = cfg.get("dim")
-        return preset(cfg["preset"], dim=None if dim is None else _algebra_dim(dim))
-    if "dim" in cfg and "structure" in cfg:
-        dim = _algebra_dim(cfg["dim"])
-        flat = cfg["structure"]
-        if len(flat) != dim**3:
-            raise ConfigError(f"structure needs {dim ** 3} entries, got {len(flat)}")
-        c = np.array([_complex_of(v, "structure entry") for v in flat]).reshape(dim, dim, dim)
-        return AlgebraSpec(dim=dim, structure=c)
-    raise ConfigError("algebra needs a preset name or dim + structure constants")
-
-
-def build_modular(cfg):
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("modular section needs a kind")
-    return ModularSpec(
-        kind=cfg["kind"],
-        p=_float_of(cfg.get("p", 2.0), "modular.p"),
-        phi=cfg.get("phi", "square"),
-        convex=_bool_of(cfg.get("convex", True), "modular.convex"),
-        kappa=_float_of(cfg.get("kappa", 2.0), "modular.kappa"),
-    )
-
-
-def build_bimap(cfg, algebra):
-    if not isinstance(cfg, dict):
-        raise ConfigError("map section must be a mapping")
-    kernel_cfg = cfg.get("kernel")
-    kernel = None
-    coeff = 1.0 + 0.0j
-    tensor = None
-    if kernel_cfg is not None:
-        form = kernel_cfg.get("form")
-        if form == "tensor":
-            vd = _int_of(kernel_cfg.get("value_dim", algebra.dim), "map.kernel.value_dim")
-            flat = kernel_cfg["tensor"]
-            if len(flat) != algebra.dim * algebra.dim * vd:
-                raise ConfigError("kernel tensor has the wrong number of entries")
-            tensor = np.array([_complex_of(v, "tensor entry") for v in flat]).reshape(
-                algebra.dim, algebra.dim, vd
-            )
-            kernel = "tensor"
-        else:
-            kernel = form
-            coeff = _complex_of(kernel_cfg.get("c", 1.0), "kernel coefficient")
-    pert_cfg = cfg.get("perturbation")
-    pert = None
-    if pert_cfg is not None:
-        pert = Perturbation(
-            name=pert_cfg["name"],
-            epsilon=_float_of(pert_cfg["epsilon"], "perturbation.epsilon"),
-            p=_float_of(pert_cfg.get("p", 2.0), "perturbation.p"),
-            boundary_safe=_bool_of(pert_cfg.get("boundary_safe", False),
-                                   "perturbation.boundary_safe"),
-        )
+def build_bimap(m, algebra):
+    """The map of a parsed ``map`` section over ``algebra``."""
+    kernel, pert, tensor = m["kernel"], m["perturbation"], None
+    if kernel is not None and kernel["form"] == "tensor":
+        vd = algebra.dim if kernel["value_dim"] is None else kernel["value_dim"]
+        flat = kernel["tensor"]
+        if flat is None or len(flat) != algebra.dim * algebra.dim * vd:
+            raise ConfigError("kernel tensor has the wrong number of entries")
+        tensor = np.array(flat).reshape(algebra.dim, algebra.dim, vd)
     return BiMap(
         algebra=algebra,
-        kernel=kernel,
-        coeff=coeff,
+        kernel=None if kernel is None else kernel["form"],
+        coeff=1.0 + 0.0j if kernel is None else kernel["c"],
         tensor=tensor,
-        perturbation=pert,
-        zero_boundary=_bool_of(cfg.get("zero_boundary", True), "map.zero_boundary"),
+        perturbation=None if pert is None else Perturbation(**pert),
+        zero_boundary=m["zero_boundary"],
     )
 
 
-def build_psi(cfg, mspec):
-    """Envelope from config; theta == "calibrate" yields a unit-amplitude
-    prototype to be rescaled by the calibration pass."""
-    if cfg is None:
+def build_psi(p, mspec):
+    """Envelope of a parsed ``psi`` section; theta == "calibrate" yields a
+    unit-amplitude prototype to be rescaled by the calibration pass."""
+    if p is None:
         return None, False
-    if cfg.get("form", "power") != "power":
-        raise ConfigError("configs only expose the power envelope form")
-    theta = cfg.get("theta", 1.0)
-    needs_calibration = theta == "calibrate"
+    needs_calibration = p["theta"] == "calibrate"
     psi = PsiEnvelope(
-        theta=1.0 if needs_calibration else _float_of(theta, "psi.theta"),
-        p=_float_of(cfg.get("p", 0.5), "psi.p"),
-        L=None if cfg.get("L") is None else _float_of(cfg["L"], "psi.L"),
-        direction=cfg.get("direction", "ascending"),
+        theta=1.0 if needs_calibration else p["theta"],
+        p=p["p"],
+        L=p["L"],
+        direction=p["direction"],
         norm_fn=coeff_norm_fn(mspec),
     )
     return psi, needs_calibration
@@ -500,7 +389,7 @@ def load_config(source):
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{source!r} is neither a builtin scenario nor a readable file")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config {source!r} is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {source!r} must be a JSON object")
@@ -529,8 +418,8 @@ class RunResult:
 
 @contextlib.contextmanager
 def _reading_config():
-    """Turn a malformed config value (a missing key, a wrong type, text
-    where a number belongs, an infinite count) into ConfigError; package
+    """Turn a builtin error raised while the config is read or the run is
+    built (an integer too large for a float, say) into ConfigError; package
     errors pass as they are.  Wraps config reading only, never an
     evaluation."""
     try:
@@ -593,39 +482,25 @@ class _Run:
         return 10.0 * self.table.cfg.tol if self.table is not None else IDENTITY_TOL
 
 
-def _parse_stability(cfg, name, seed_override, probes_override):
-    """The parse stage: build the run from the config, and reject unknown
-    checks and checks whose iteration section is missing, before any work."""
+def _parse_stability(v):
+    """The parse stage: build the run from the parsed config ``v``, and
+    reject the cross-field errors the schema cannot see (an iteration without
+    an envelope or against its direction, a check whose iteration section is
+    missing), all before any evaluation."""
     with _reading_config():
-        algebra = build_algebra(cfg.get("algebra", {}))
-        mspec = build_modular(cfg.get("modular", {}))
-        bimap = build_bimap(cfg.get("map", {}), algebra)
-        s = _complex_of(cfg.get("s", [0.5, 0.0]), "s")
-        if abs(s) >= 1.0 or s == 0:
-            raise ConfigError(f"s must be nonzero with |s| < 1, got {s}")
+        algebra = build_algebra(v["algebra"])
+        mspec = ModularSpec(**v["modular"])
+        bimap = build_bimap(v["map"], algebra)
+        p = v["probes"]
+        probes = draw_probes(algebra.dim, p["count"], p["radius"], p["seed"])
+        psi, needs_calibration = build_psi(v["psi"], mspec)
 
-        probes_cfg = cfg.get("probes", {})
-        seed = _int_of(seed_override if seed_override is not None else probes_cfg.get("seed", 0),
-                       "probes.seed")
-        count = _sample_count(probes_override, probes_cfg, 512)
-        probes = draw_probes(algebra.dim, count, _sample_radius(probes_cfg), seed)
-
-        checks = list(cfg.get("checks", []))
-        for chk in checks:
-            if chk not in _CHECKS:
-                raise ConfigError(f"unknown check {chk!r}")
-
-        weight_kind = cfg.get("rho_tilde_weight", "psi_xx_z0")
-        if weight_kind not in WEIGHT_KINDS:
-            raise ConfigError(f"rho_tilde_weight must be one of {WEIGHT_KINDS}")
-        psi, needs_calibration = build_psi(cfg.get("psi"), mspec)
-
-        iter_cfg = cfg.get("iteration")
+        it = v["iteration"]
         table = None
-        if iter_cfg is not None:
+        if it is not None:
             if psi is None:
                 raise ConfigError("iteration requires an envelope")
-            direction = iter_cfg.get("direction", psi.direction)
+            direction = it["direction"] or psi.direction
             if direction != psi.direction:
                 raise ConfigError("iteration direction disagrees with the envelope direction")
             pert = bimap.perturbation
@@ -637,23 +512,18 @@ def _parse_stability(cfg, name, seed_override, probes_override):
             # one table of scaled iterates, read by calibration, the
             # iteration and the uniqueness check
             table = LevelTable(bimap, StabilizeConfig(
-                direction=direction,
-                probes=probes,
-                n_max=_int_of(iter_cfg.get("n_max", 40), "iteration.n_max"),
-                tol=_float_of(iter_cfg.get("tol", 1e-10), "iteration.tol"),
-                magnitude_cap=_float_of(iter_cfg.get("magnitude_cap", 1e15),
-                                        "iteration.magnitude_cap"),
+                direction=direction, probes=probes, n_max=it["n_max"], tol=it["tol"],
+                magnitude_cap=it["magnitude_cap"],
             ))
-        for chk in checks:
+        for chk in v["checks"]:
             if chk in _NEEDS_ITERATION and table is None:
                 raise ConfigError(f"{chk} requires an iteration section")
 
         return _Run(
-            name, algebra, mspec, bimap, s, probes,
-            weight_kind=weight_kind,
+            v["name"], algebra, mspec, bimap, v["s"], probes,
+            weight_kind=v["rho_tilde_weight"],
             psi=psi, needs_calibration=needs_calibration, table=table,
-            checks=checks, assert_slot2=_bool_of(cfg.get("biderivation_assert_slot2", False),
-                                                 "biderivation_assert_slot2"),
+            checks=v["checks"], assert_slot2=v["biderivation_assert_slot2"],
         )
 
 
@@ -795,8 +665,8 @@ _CHECKS = {
 _NEEDS_ITERATION = frozenset({"stability_bound", "telescoping", "bounded_orbit", "uniqueness"})
 
 
-def _run_stability(cfg, name, seed_override, probes_override):
-    run = _parse_stability(cfg, name, seed_override, probes_override)
+def _run_stability(v):
+    run = _parse_stability(v)
     _calibrate(run)
     records = [_config_echo(run)]
     # a failed psi law, or a numeric abort while iterating, ends the run
@@ -815,32 +685,21 @@ def _run_stability(cfg, name, seed_override, probes_override):
     return records, {key: getattr(run, key) for key in keep}
 
 
-def _run_axioms(cfg, name, seed_override, probes_override):
-    with _reading_config():
-        samples_cfg = cfg.get("samples", {})
-        seed = _int_of(seed_override if seed_override is not None else samples_cfg.get("seed", 0),
-                       "samples.seed")
-        count = _sample_count(probes_override, samples_cfg, 10_000)
-        radius = _sample_radius(samples_cfg)
-        dim = _int_of(samples_cfg.get("dim", 4), "samples.dim")
-        if dim < 1:
-            raise ConfigError(f"samples.dim must be at least 1, got {dim}")
-        if dim > MAX_SAMPLE_DIM:
-            raise ConfigError(f"samples.dim {dim} exceeds the limit of {MAX_SAMPLE_DIM}")
-        fixtures = []
-        for idx, fx in enumerate(cfg.get("fixtures", [])):
-            label = fx.get("label", f"fixture-{idx}")
-            m = build_modular(fx["modular"])
-            expect = fx.get("expect_violation")
-            names = [f"axiom_{axiom}" for axiom in axiom_names(m)]
-            if expect is not None and expect not in names:
-                raise ConfigError(
-                    f"fixture {label!r}: expect_violation must be one of {names}, got {expect!r}"
-                )
-            fixtures.append((label, m, expect, _bool_of(fx.get("check_delta2", False),
-                                                        "check_delta2")))
+def _run_axioms(v):
+    name, samples = v["name"], v["samples"]
+    count, radius, seed, dim = samples["count"], samples["radius"], samples["seed"], samples["dim"]
+    fixtures = []
+    for idx, fx in enumerate(v["fixtures"]):
+        label = f"fixture-{idx}" if fx["label"] is None else fx["label"]
+        m = ModularSpec(**fx["modular"])
+        expect = fx["expect_violation"]
+        names = [f"axiom_{axiom}" for axiom in axiom_names(m)]
+        if expect is not None and expect not in names:
+            raise ConfigError(
+                f"fixture {label!r}: expect_violation must be one of {names}, got {expect!r}"
+            )
+        fixtures.append((label, m, expect, fx["check_delta2"]))
 
-    samples = {"count": count, "radius": radius, "seed": seed, "dim": dim}
     records = [ReportRecord(name, "config", {"config_name": name, "kind": "axioms",
                                              "samples": samples}, True)]
     for idx, (label, m, expect, delta2) in enumerate(fixtures):
@@ -881,14 +740,14 @@ def run_scenario(source, seed_override=None, probes_override=None):
     try:
         cfg = load_config(source)
         with _reading_config():
-            seed = seed_override if seed_override is not None else _default_seed(cfg)
-            header = header_record(cfg, seed=seed, version=__version__, backend=_kernels.ACTIVE_BACKEND)
-        runner = _run_axioms if cfg.get("kind", "stability") == "axioms" else _run_stability
-        name = cfg.get("name", "unnamed")
-        records, context = runner(cfg, name, seed_override, probes_override)
+            v = parse(cfg, seed=seed_override, count=probes_override)
+        seed = v["samples" if v["kind"] == "axioms" else "probes"]["seed"]
+        header = header_record(cfg, seed=seed, version=__version__, backend=_kernels.ACTIVE_BACKEND)
+        runner = _run_axioms if v["kind"] == "axioms" else _run_stability
+        records, context = runner(v)
         for r in records:
             if isinstance(r, CheckResult):
-                r.scenario = name
+                r.scenario = v["name"]
     except ModstabError as e:
         diag = ReportRecord(
             scenario=source if isinstance(source, str) else "config",
@@ -906,9 +765,3 @@ def run_scenario(source, seed_override=None, probes_override=None):
         context=context,
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _default_seed(cfg):
-    if cfg.get("kind", "stability") == "axioms":
-        return cfg.get("samples", {}).get("seed", 0)
-    return cfg.get("probes", {}).get("seed", 0)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from modstab import (
     ConfigError,
     OutOfDiscError,
-    matrix_unit,
     mul,
     preset,
     sample_unit_circle,
@@ -17,6 +16,13 @@ from modstab.algebra import AlgebraSpec, InvalidAlgebraError, complex_uniform
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
 ZERO = preset("zero_mul", dim=3)
+
+
+def matrix_unit(i, j):
+    """Coefficient vector of E_ij in the matrix2 basis."""
+    v = np.zeros(4, dtype=np.complex128)
+    v[2 * i + j] = 1.0
+    return v
 
 
 def test_matrix2_units_multiply_like_matrices():

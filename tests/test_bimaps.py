@@ -14,7 +14,6 @@ from modstab import (
     eval_modular,
     iterate_evaluator,
     luxemburg_norm,
-    matrix_unit,
     ModularSpec,
     NonFiniteValueError,
     mul,
@@ -28,6 +27,13 @@ from modstab.report import ReportRecord
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
 NORM = ModularSpec(kind="norm")
+
+
+def matrix_unit(i, j):
+    """Coefficient vector of E_ij in the matrix2 basis."""
+    v = np.zeros(4, dtype=np.complex128)
+    v[2 * i + j] = 1.0
+    return v
 
 
 def rho_rows(rows):

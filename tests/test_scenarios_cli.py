@@ -9,10 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modstab import builtin_scenarios, list_builtin_scenarios, run_scenario, scenarios
+from modstab import (
+    ModularSpec, builtin_scenarios, config, list_builtin_scenarios, run_scenario, scenarios,
+)
 from modstab._kernels import BLOCK_ROWS, row_blocks
 from modstab.cli import main as cli_main
 from modstab.report import SCHEMA
+
+FIELDS = {row[0]: row for row in config.SCHEMA}
+MAX_ALGEBRA_DIM = FIELDS["algebra.dim"][2][1]
+MAX_SAMPLE_DIM = FIELDS["samples.dim"][2][1]
 
 
 def small_stability_config(**overrides):
@@ -187,11 +193,24 @@ def test_an_expected_violation_with_a_nan_margin_is_not_caught():
     # inf - inf: NaN is no evidence of the violation
     fixture = {"label": "power-p2", "modular": {"kind": "power", "p": 2.0, "kappa": 2.0},
                "expect_violation": "axiom_ii"}
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = run_scenario(_axioms_at_radius(1e200, [fixture]))
+    result = run_scenario(_axioms_at_radius(1e200, [fixture]))
     [row] = [r for r in result.records if r.payload.get("axiom") == "ii"]
     assert row.payload["expected_violation"] and np.isnan(row.payload["margin"])
     assert not row.passed and result.exit_code == 1
+
+
+def test_axioms_suite_at_radius_1e200_fails_its_nan_rows_without_a_warning():
+    # orlicz-square's values exceed float64 there, so its margins are inf - inf;
+    # the NaN rows fail by the pass rule, and no numpy warning is raised
+    cfg = builtin_scenarios()["axioms-suite"]
+    cfg["samples"]["radius"] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_scenario(cfg)
+    assert result.exit_code == 1
+    square = [r for r in result.records[1:] if r.payload["fixture"] == "orlicz-square"]
+    nan_rows = [r for r in square if any(np.isnan(v) for k, v in r.payload.items() if "margin" in k)]
+    assert len(nan_rows) == 4 and not any(r.passed for r in nan_rows)
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -453,6 +472,34 @@ def _bogus_weight(name, drop_iteration=False):
     return json.dumps(cfg)
 
 
+MALFORMED_NAMES = {}  # config text -> what its record's error must name
+
+
+def _misspelled(name, keys, typo, keep=False):
+    """The builtin ``name`` with the last key of the path ``keys`` spelled
+    ``typo`` (``keep``: the key stays, as if set twice); the record must name
+    the typo and the key it misspells."""
+    cfg = json.loads(json.dumps(builtin_scenarios()[name]))
+    *path, last = keys
+    section = cfg
+    for key in path:
+        section = section[key]
+    section[typo] = section[last] if keep else section.pop(last)
+    text = json.dumps(cfg)
+    prefix = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+    dot = prefix + "." if prefix else ""
+    MALFORMED_NAMES[text] = (repr(dot + typo), repr(dot + last))
+    return text
+
+
+def _no_checks():
+    cfg = json.loads(json.dumps(builtin_scenarios()["lemma-falsifier"]))
+    cfg["checks"] = []
+    text = json.dumps(cfg)
+    MALFORMED_NAMES[text] = ("checks must name at least one",)
+    return text
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -473,7 +520,7 @@ def _bogus_weight(name, drop_iteration=False):
         _probes_radius(float("inf")),
         _malformed("probes", {"count": float("inf")}),
         _malformed("iteration", {"direction": "ascending", "n_max": float("inf")}),
-        _axioms_samples("dim", scenarios.MAX_SAMPLE_DIM + 1),
+        _axioms_samples("dim", MAX_SAMPLE_DIM + 1),
         _axioms_samples("dim", 10**9),
         _iteration_value("n_max", 1100),
         _iteration_value("tol", float("nan")),
@@ -482,10 +529,10 @@ def _bogus_weight(name, drop_iteration=False):
         _iteration_value("magnitude_cap", float("nan")),
         _iteration_value("magnitude_cap", float("inf")),
         _iteration_value("magnitude_cap", -1.0),
-        _algebra({"preset": "zero_mul", "dim": scenarios.MAX_ALGEBRA_DIM + 1}),
+        _algebra({"preset": "zero_mul", "dim": MAX_ALGEBRA_DIM + 1}),
         _algebra({"preset": "zero_mul", "dim": 10**9}),
         _algebra({"preset": "zero_mul", "dim": 0}),
-        _algebra({"dim": scenarios.MAX_ALGEBRA_DIM + 1, "structure": [0.0]}),
+        _algebra({"dim": MAX_ALGEBRA_DIM + 1, "structure": [0.0]}),
         _algebra({"dim": 10**9, "structure": []}),
         _algebra({"preset": "zero_mul", "dim": 2.5}),
         _algebra({"dim": 1.5, "structure": [0.0]}),
@@ -528,6 +575,24 @@ def _bogus_weight(name, drop_iteration=False):
         _builtin_value("axioms-suite", ["fixtures", 0, "check_delta2"], "yes"),
         _builtin_value("axioms-suite", ["fixtures", 0, "expect_violation"], "axiom_7"),
         _builtin_value("axioms-suite", ["fixtures", 3, "expect_violation"], ["axiom_i"]),
+        # a misspelled key is refused, where the run ignored it
+        _misspelled("corollary-ascending-p05", ["iteration", "n_max"], "n_maxx"),
+        _misspelled("corollary-ascending-p05", ["iteration", "tol"], "tolerance"),
+        _misspelled("corollary-ascending-p05", ["probes", "count"], "cuont"),
+        _misspelled("superstability-commutator", ["psi", "theta"], "thetta"),
+        _misspelled("corollary-ascending-p05", ["map", "perturbation", "epsilon"], "epsilonn",
+                    keep=True),
+        _misspelled("corollary-ascending-p05", ["modular", "kappa"], "kapa"),
+        _misspelled("corollary-descending-p2", ["modular", "kappa"], "kapa"),
+        _misspelled("axioms-suite", ["fixtures", 0, "check_delta2"], "check_delta"),
+        # a run that checks nothing is refused, where it passed
+        _misspelled("lemma-falsifier", ["checks"], "chekcs"),
+        _no_checks(),
+        # a negative seed reached numpy's generator, a traceback in an axioms run
+        _axioms_samples("seed", -1),
+        # json refuses an integer past int's digit limit with a ValueError that
+        # is no JSONDecodeError: a traceback and exit 1
+        _probes_radius(0.123456789).replace("0.123456789", "9" * 5000),
     ],
     ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list",
          "fixture-no-modular", "weight-bogus", "weight-bogus-no-iteration",
@@ -545,7 +610,10 @@ def _bogus_weight(name, drop_iteration=False):
          "zero-boundary-string", "kappa-bool", "epsilon-string", "perturbation-p-inf",
          "boundary-safe-int", "psi-p-string", "psi-L-bool", "magnitude-cap-string",
          "assert-slot2-int", "s-bool", "structure-entry-bool", "samples-radius-string",
-         "check-delta2-string", "expect-violation-axiom-7", "expect-violation-list"],
+         "check-delta2-string", "expect-violation-axiom-7", "expect-violation-list",
+         "n-maxx", "tolerance", "cuont", "thetta", "epsilonn", "kapa", "kapa-descending",
+         "check-delta", "chekcs", "checks-empty", "samples-seed-negative",
+         "radius-5000-digits"],
 )
 def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "calibrate_theta", lambda *a, **k: pytest.fail("calibrated"))
@@ -557,6 +625,8 @@ def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch)
     lines = [json.loads(line) for line in out.read_text().strip().splitlines()]
     assert len(lines) == 2 and lines[0]["schema"] == SCHEMA
     assert lines[1]["stage"] == "config" and not lines[1]["pass"]
+    for part in MALFORMED_NAMES.get(text, ()):
+        assert part in lines[1]["payload"]["error"]
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -692,7 +762,7 @@ def _with_count(where, count):
     "where, count",
     [
         pytest.param("--probes", 10**11, id="--probes"),
-        pytest.param("probes.count", scenarios.MAX_SAMPLE_COUNT + 1, id="probes.count"),
+        pytest.param("probes.count", config.MAX_SAMPLE_COUNT + 1, id="probes.count"),
         pytest.param("samples.count", 10**11, id="samples.count"),
         pytest.param("--probes", 0, id="--probes-zero"),
         pytest.param("--probes", -5, id="--probes-negative"),
@@ -724,9 +794,11 @@ def test_sample_count_past_the_limit_exits_two_before_drawing(where, count, tmp_
 
 
 def test_sample_count_at_the_limit_is_accepted():
-    limit = scenarios.MAX_SAMPLE_COUNT
-    assert scenarios._sample_count(None, {"count": limit}, 512) == limit
-    assert scenarios._sample_count(limit, {"count": 10**12}, 512) == limit
+    limit = config.MAX_SAMPLE_COUNT
+    cfg = small_stability_config(probes={"count": limit})
+    assert config.parse(cfg)["probes"]["count"] == limit
+    cfg["probes"]["count"] = 10**12  # --probes replaces it unread
+    assert config.parse(cfg, count=limit)["probes"]["count"] == limit
 
 
 def _ascending_iteration(**iteration):
@@ -793,7 +865,8 @@ def test_orlicz_psi_law_is_exact_with_the_closed_form_norm(seed):
     # the linear preset is 1-homogeneous, so psi's norm is the l1 norm to
     # rounding and the scaling law holds without the bisection's 1e-12 slack
     cfg = _orlicz_luxemburg_config()
-    psi, _ = scenarios.build_psi(cfg["psi"], scenarios.build_modular(cfg["modular"]))
+    values = config.parse(cfg)
+    psi, _ = scenarios.build_psi(values["psi"], ModularSpec(**values["modular"]))
     result = run_scenario(cfg, seed_override=seed)
     [law] = [r.payload for r in result.records if r.payload.get("check") == "psi_law"]
     assert result.exit_code == 0
