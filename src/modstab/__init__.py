@@ -40,7 +40,6 @@ from .errors import (
 from .modular import (
     ModularSpec,
     check_delta2,
-    check_fatou,
     check_modular_axioms,
     check_remark_properties,
     coeff_norm_fn,

@@ -29,6 +29,10 @@ from .report import CheckResult
 PERTURBATION_NAMES = ("bounded_osc", "power_env", "quad_slot1")
 KERNEL_FORMS = ("commutator", "product", "conjugate_product", "tensor")
 DIRECTIONS = ("ascending", "descending")
+PSI_LAW_TOL = 1e-9
+# a weight at most WEIGHT_FLOOR counts as zero, and so does a defect at most DEFECT_FLOOR
+WEIGHT_FLOOR = 1e-15
+DEFECT_FLOOR = 1e-12
 
 
 def _rows(v):
@@ -118,19 +122,19 @@ class BiMap:
             raise ConfigError("batch sizes differ")
         if X.shape[1] != self.algebra.dim or Z.shape[1] != self.algebra.dim:
             raise ConfigError("argument dimension does not match the algebra")
-        if self.kernel_tensor is not None:
-            left = np.conj(X) if self.kernel == "conjugate_product" else X
-            # batch_mul sums from +0.0, so the product holds no -0.0 and needs no zero-fill
-            out = np.ascontiguousarray(_kernels.batch_mul(left, Z, self.kernel_tensor))
-        else:
-            out = np.zeros((X.shape[0], self.value_dim), dtype=np.complex128)
         g = self.perturbation
-        if g is not None:
-            pz, target = self._project(Z), out
-            # an overflowing term is reported by the finiteness check below,
-            # not by numpy warnings
-            norm = _kernels.rho_norm
-            with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing product or term is reported by the finiteness check
+        # below, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kernel_tensor is not None:
+                left = np.conj(X) if self.kernel == "conjugate_product" else X
+                # batch_mul sums from +0.0, so the product holds no -0.0 and needs no zero-fill
+                out = np.ascontiguousarray(_kernels.batch_mul(left, Z, self.kernel_tensor))
+            else:
+                out = np.zeros((X.shape[0], self.value_dim), dtype=np.complex128)
+            if g is not None:
+                pz, target = self._project(Z), out
+                norm = _kernels.rho_norm
                 if g.name == "bounded_osc":
                     term = (g.epsilon * np.sin(_kernels._row_sum(X.real)))[:, None] * pz
                 elif g.name == "quad_slot1":
@@ -225,40 +229,43 @@ class PsiEnvelope:
         )
 
 
-def check_psi_law(psi, probes, n_levels=30, floor_ratio=1e-9, tol=1e-9):
+def check_psi_law(psi, probes):
     """Scaling inequality on every probe plus an empirical vanishing test.
 
     The scaled sequence (psi(2^n x, 2^n y)/2^n ascending, 2^n psi(x/2^n,
-    x/2^n) descending) must decrease monotonically while it sits above a
-    noise floor of floor_ratio times its start value; values below the
-    floor count as converged to zero.  psi evaluates the levels on the
-    stacked scaled probes, in blocks of at most ``_kernels.BLOCK_ROWS``
-    rows, row by row, as per-level calls would.
+    x/2^n) descending) over levels n = 0..30 must decrease monotonically
+    while it sits above a noise floor of 1e-9 times its start value; values
+    below the floor count as converged to zero.  psi evaluates the levels on
+    the stacked scaled probes, in blocks of at most ``_kernels.BLOCK_ROWS``
+    rows, row by row, as per-level calls would.  An overflow gives an
+    infinite or NaN value, which fails the row, not a numpy warning.
 
     One row: its lhs is the probe-max scaling-law margin, or +inf when the
-    vanishing test fails, against 0 and ``tol``; its payload is
+    vanishing test fails, against 0 and ``PSI_LAW_TOL``; its payload is
     ``law_margin``, ``decay_ok`` and ``decay_ratio``.
     """
+    n_levels = 30
     X, Y = probes.x, probes.y
     n, dim = X.shape
     s = 2.0 ** np.arange(n_levels + 1)[:, None]
     seq = np.empty((s.size, n))
-    for b in _kernels.row_blocks(s.size, n):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in _kernels.row_blocks(s.size, n):
+            if psi.direction == "ascending":
+                sx, sy = ((s[b, :, None] * V).reshape(-1, dim) for V in (X, Y))
+                seq[b] = psi(sx, sy).reshape(seq[b].shape) / s[b]
+            else:
+                sx = (X / s[b, :, None]).reshape(-1, dim)
+                seq[b] = s[b] * psi(sx, sx).reshape(seq[b].shape)
+        X2 = 2.0 * X
         if psi.direction == "ascending":
-            sx, sy = ((s[b, :, None] * V).reshape(-1, dim) for V in (X, Y))
-            seq[b] = psi(sx, sy).reshape(seq[b].shape) / s[b]
+            margins = psi(X2, X2) - 2.0 * psi.L * psi(X, X)
         else:
-            sx = (X / s[b, :, None]).reshape(-1, dim)
-            seq[b] = s[b] * psi(sx, sx).reshape(seq[b].shape)
-    X2 = 2.0 * X
-    if psi.direction == "ascending":
-        margins = psi(X2, X2) - 2.0 * psi.L * psi(X, X)
-    else:
-        margins = psi(X, X) - (psi.L / 2.0) * psi(X2, X2)
+            margins = psi(X, X) - (psi.L / 2.0) * psi(X2, X2)
     law_margin = float(margins[int(np.argmax(margins))])
 
     start = seq[0]
-    floor = floor_ratio * start
+    floor = 1e-9 * start
     live = seq[:-1] > floor[None, :]
     monotone = np.all((seq[1:] <= seq[:-1] * (1.0 + 1e-12)) | ~live)
     shrunk = (start == 0.0) | (seq[-1] < start) | (seq[-1] <= floor)
@@ -267,7 +274,7 @@ def check_psi_law(psi, probes, n_levels=30, floor_ratio=1e-9, tol=1e-9):
         ratios = np.where(start > 0.0, seq[-1] / start, 0.0)
     decay_ratio = float(np.max(ratios) ** (1.0 / n_levels)) if np.any(start > 0) else 0.0
     payload = {"law_margin": law_margin, "decay_ok": decay_ok, "decay_ratio": decay_ratio}
-    return CheckResult.one("psi_law", law_margin if decay_ok else np.inf, 0.0, tol, payload)
+    return CheckResult.one("psi_law", law_margin if decay_ok else np.inf, 0.0, PSI_LAW_TOL, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +429,10 @@ class RhoTildeWeight:
         return first * self.psi(Z, np.zeros_like(Z))
 
 
-def rho_tilde_tabulated(rho_vals, weights, weight_tol=1e-15, defect_tol=1e-12):
-    """max rho(delta)/w over probes with positive weight; +inf when a
-    zero-weight probe carries a nonvanishing defect (empty infimum).
+def rho_tilde_tabulated(rho_vals, weights):
+    """max rho(delta)/w over the probes with weight above ``WEIGHT_FLOOR``;
+    +inf when a probe at or below it carries a defect above
+    ``DEFECT_FLOOR`` (empty infimum).
 
     ``rho_vals`` is one (P,) vector, giving a float, or a (k, P) batch of
     them, giving a (k,) array whose rows are the floats of the vectors
@@ -432,9 +440,9 @@ def rho_tilde_tabulated(rho_vals, weights, weight_tol=1e-15, defect_tol=1e-12):
     rho_vals = np.asarray(rho_vals, dtype=float)
     weights = np.asarray(weights, dtype=float)
     batch = np.atleast_2d(rho_vals)
-    active = weights > weight_tol
+    active = weights > WEIGHT_FLOOR
     out = np.full(len(batch), np.inf)
-    bounded = ~np.any(~active & (batch > defect_tol), axis=1)
+    bounded = ~np.any(~active & (batch > DEFECT_FLOOR), axis=1)
     if np.any(bounded):
         if not np.any(active):
             raise PreconditionError("no probe carries positive weight")

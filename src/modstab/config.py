@@ -139,7 +139,10 @@ def read(value, label, type_, bounds=None):
             raise ConfigError(f"{label} must be an integer, got {value!r}")
         value = int(value)
     else:  # a real
-        value = float(value) if number else value
+        try:
+            value = float(value) if number else value
+        except OverflowError:  # an int past float range, too long to format
+            raise ConfigError(f"{label} must be a finite number") from None
         if not number or not math.isfinite(value):
             raise ConfigError(f"{label} must be a finite number, got {value!r}")
     if bounds == "positive" and not value > 0:

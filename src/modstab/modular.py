@@ -54,6 +54,7 @@ PHI_PRESETS = {
 _PHI_HOMOGENEITY = {"linear": 1.0, "square": 2.0}
 
 MODULAR_KINDS = ("norm", "power", "orlicz")
+AXIOM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def _as_rows(x):
     raise ConfigError(f"expected a vector or a batch of vectors, got ndim={a.ndim}")
 
 
-def eval_modular(m, x, dim=None):
+def eval_modular(m, x):
     """rho(x); accepts a single vector or an (n, dim) batch.
 
     Returns 0 exactly iff x = 0 for the honest kinds.  Orlicz presets with
@@ -115,8 +116,6 @@ def eval_modular(m, x, dim=None):
     abort condition.
     """
     rows, squeeze = _as_rows(x)
-    if dim is not None and rows.shape[1] != dim:
-        raise ConfigError(f"dimension mismatch: expected {dim}, got {rows.shape[1]}")
     if m.kind == "norm":
         out = _kernels.rho_norm(rows)
     elif m.kind == "power":
@@ -297,10 +296,10 @@ def _worst(margins):
     return float(margins[i]), i
 
 
-def check_modular_axioms(m, samples, tol=1e-12):
+def check_modular_axioms(m, samples):
     """One ``modular_axiom`` result per axiom of ``axiom_names(m)``, keyed
     by the axiom's name: the worst violation margin over the sample set
-    and its witness, which passes iff margin <= tol.
+    and its witness, which passes iff margin <= ``AXIOM_TOL``.
 
     For the definiteness axiom the margin is an indicator: 1.0 for a
     sampled x != 0 with rho(x) = 0 (or rho(0) for a zero sample), negative
@@ -327,9 +326,8 @@ def check_modular_axioms(m, samples, tol=1e-12):
     results = {}
     for axiom, margin in zip(axiom_names(m), margins):
         worst, witness = _worst(margin)
-        results[axiom] = CheckResult.one(
-            "modular_axiom", worst, 0.0, tol, {"axiom": axiom, "margin": worst, "witness": witness}
-        )
+        results[axiom] = CheckResult.one("modular_axiom", worst, 0.0, AXIOM_TOL,
+                                         {"axiom": axiom, "margin": worst, "witness": witness})
     return results
 
 
@@ -379,12 +377,12 @@ def draw_remark_samples(dim, count, seed, radius=1.0):
     return RemarkSamples(x=x, a=a, b=b, alpha=alpha)
 
 
-def check_remark_properties(m, samples, tol=1e-12):
+def check_remark_properties(m, samples):
     """The ``remark_properties`` result: monotonicity in the scalar, and for
     convex modulars also rho(alpha*x) <= |alpha| rho(x) and
     rho(x) <= rho(2x)/2.  Each property's margin is its worst over the
     samples (None when not computed); the row's lhs is the largest margin,
-    so it passes iff every margin is <= tol, and a NaN fails."""
+    so it passes iff every margin is <= ``AXIOM_TOL``, and a NaN fails."""
     with np.errstate(over="ignore", invalid="ignore"):
         rx = eval_modular(m, samples.x)
         inc = eval_modular(m, samples.a[:, None] * samples.x) - eval_modular(
@@ -398,25 +396,7 @@ def check_remark_properties(m, samples, tol=1e-12):
             hd = rx - 0.5 * eval_modular(m, 2.0 * samples.x)
             half_double, _ = _worst(hd)
     worst = np.max([v for v in (increasing, scalar, half_double) if v is not None])
-    return CheckResult.one("remark_properties", worst, 0.0, tol, {
+    return CheckResult.one("remark_properties", worst, 0.0, AXIOM_TOL, {
         "increasing_margin": increasing, "scalar_margin": scalar, "half_double_margin": half_double,
     })
 
-
-def check_fatou(m, seq, limit, tol=1e-9):
-    """rho(limit) <= min of rho over the stored tail of a convergent sequence.
-
-    The caller guarantees convergence; the testable surrogate asks the
-    distances rho(x_n - limit) to be nonincreasing over the tail.
-    """
-    rows, _ = _as_rows(np.asarray(seq))
-    lim = np.asarray(limit, dtype=np.complex128).reshape(1, -1)
-    if rows.shape[0] < 2:
-        raise PreconditionError("need at least two sequence entries")
-    deltas = eval_modular(m, rows - lim)
-    tail_start = rows.shape[0] // 2
-    tail = deltas[tail_start:]
-    if np.any(np.diff(tail) > 1e-12):
-        raise PreconditionError("sequence tail is not rho-decreasing towards the limit")
-    tail_rho = eval_modular(m, rows[tail_start:])
-    return bool(eval_modular(m, lim)[0] <= float(np.min(tail_rho)) + tol)

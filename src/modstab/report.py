@@ -156,9 +156,9 @@ class CheckResult(Rows):
         self.scenario = scenario
 
     @classmethod
-    def one(cls, check, lhs, rhs, tol, payload, advisory=False):
+    def one(cls, check, lhs, rhs, tol, payload):
         """A one-row result whose payload is ``payload`` (after the check name)."""
-        return cls(check, lhs, rhs, tol, {key: [v] for key, v in payload.items()}, advisory)
+        return cls(check, lhs, rhs, tol, {key: [v] for key, v in payload.items()})
 
     def __len__(self):
         return len(self.lhs)

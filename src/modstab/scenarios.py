@@ -44,6 +44,8 @@ import numpy as np
 from . import __version__, _kernels
 from .algebra import AlgebraSpec, complex_uniform, preset
 from .bimaps import (
+    DEFECT_FLOOR,
+    WEIGHT_FLOOR,
     BiMap,
     Perturbation,
     PsiEnvelope,
@@ -195,11 +197,12 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which):
 
 def calibrate_theta(
     table, psi_proto, rho_fn, s, which="A",
-    extra_count=CALIBRATION_EXTRA_COUNT, safety=CALIBRATION_SAFETY, probe_parts=None,
+    extra_count=CALIBRATION_EXTRA_COUNT, probe_parts=None,
 ):
-    """Smallest theta (times a safety factor) for which the inequality
-    holds on the enlarged family; raises if a zero-envelope tuple carries a
-    genuine defect, since no amplitude can repair that.
+    """Smallest theta (times ``CALIBRATION_SAFETY``) for which the
+    inequality holds on the enlarged family; raises if a tuple whose
+    envelope is at most ``bimaps.WEIGHT_FLOOR`` carries a defect above
+    ``bimaps.DEFECT_FLOOR``, since no amplitude can repair that.
 
     The map, the probes and the level count n_max are those of ``table``,
     a LevelTable whose direction must be the envelope's.
@@ -237,14 +240,14 @@ def calibrate_theta(
 
     required = 0.0
     for need, unit in family():
-        weighted = unit > 1e-15
-        if np.any(~weighted & (need > 1e-12)):
+        weighted = unit > WEIGHT_FLOOR
+        if np.any(~weighted & (need > DEFECT_FLOOR)):
             raise ConfigError(
                 "defect does not vanish where the envelope does; no theta can calibrate it"
             )
         if np.any(weighted):
             required = max(required, float(np.max(need[weighted] / unit[weighted])))
-    return max(required * safety, 1e-12)
+    return max(required * CALIBRATION_SAFETY, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +482,7 @@ class _Run:
 
     @property
     def d_tol(self):
-        return 10.0 * self.table.cfg.tol if self.table is not None else IDENTITY_TOL
+        return self.table.cfg.limit_tol if self.table is not None else IDENTITY_TOL
 
 
 def _parse_stability(v):

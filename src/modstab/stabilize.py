@@ -10,7 +10,9 @@ import numpy as np
 
 from . import _kernels
 from .bimaps import (
+    DEFECT_FLOOR,
     DIRECTIONS,
+    WEIGHT_FLOOR,
     ProbeSet,
     RhoTildeWeight,
     check_psi_law,
@@ -51,6 +53,11 @@ class StabilizeConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
+
+    @property
+    def limit_tol(self):
+        """The tolerance of the checks on the limit the iteration froze."""
+        return 10.0 * self.tol
 
 
 @dataclass(frozen=True)
@@ -335,7 +342,7 @@ def check_uniqueness(outcome, rho_fn, table):
     level below the magnitude cap.  Deltas past the run's stop are computed
     from the table, for the levels a rerun reads.
 
-    One row: the largest disagreement against 0 and 10 cfg.tol; its payload
+    One row: the largest disagreement against 0 and cfg.limit_tol; its payload
     is ``max_disagreement`` and the ``variants``, one [tag, level,
     disagreement] per rerun.
     """
@@ -361,11 +368,11 @@ def check_uniqueness(outcome, rho_fn, table):
         n, vals = freeze(start, cap)
         variants.append([tag, n, float(np.max(rho_fn(vals - base_vals)))])
     worst = max(0.0, *(gap for _, _, gap in variants))
-    return CheckResult.one("uniqueness", worst, 0.0, 10.0 * cfg.tol,
+    return CheckResult.one("uniqueness", worst, 0.0, cfg.limit_tol,
                            {"max_disagreement": worst, "variants": variants})
 
 
-def bounded_orbit_estimate(iterates, weights, rho_fn, weight_tol=1e-15, defect_tol=1e-12):
+def bounded_orbit_estimate(iterates, weights, rho_fn):
     """Probe estimate of sup over level pairs of the induced-modular
     distance between iterates; finite orbits are what licence the
     fixed-point extraction.
@@ -373,15 +380,15 @@ def bounded_orbit_estimate(iterates, weights, rho_fn, weight_tol=1e-15, defect_t
     ``iterates`` is a sequence of (P, value_dim) levels, read as given.
     The result is max over level pairs (i, j) and probes p of
     rho(T_i - T_j)[p] / w[p] over the probes with weight above
-    ``weight_tol``, or +inf when a probe at or below it carries a value
-    above ``defect_tol``.  It keeps one running maximum of rho per probe
-    over all pairs and divides it by the weights once: correctly rounded
-    division by a positive weight is monotone, so max fl(v / w) =
-    fl(max v / w) and the result has the bits of the ratios taken pair by
-    pair.  Each level i is differenced against the later levels in
-    ``_kernels.row_blocks`` chunks of at most ``BLOCK_ROWS`` rows (one level
-    when P is wider), into one buffer reused by every chunk, one modular
-    call per chunk.  Level i's ratios are maximised through Python's
+    ``bimaps.WEIGHT_FLOOR``, or +inf when a probe at or below it carries a
+    value above ``bimaps.DEFECT_FLOOR``.  It keeps one running maximum of
+    rho per probe over all pairs and divides it by the weights once:
+    correctly rounded division by a positive weight is monotone, so
+    max fl(v / w) = fl(max v / w) and the result has the bits of the ratios
+    taken pair by pair.  Each level i is differenced against the later
+    levels in ``_kernels.row_blocks`` chunks of at most ``BLOCK_ROWS`` rows
+    (one level when P is wider), into one buffer reused by every chunk, one
+    modular call per chunk.  Level i's ratios are maximised through Python's
     ``max``, which passes over a NaN: a NaN value counts for nothing in the
     defect test, and a level whose weighted ratios include a NaN (a NaN
     value, or inf over an infinite weight) adds nothing to the maximum.
@@ -391,7 +398,7 @@ def bounded_orbit_estimate(iterates, weights, rho_fn, weight_tol=1e-15, defect_t
     difference gives +inf.
     """
     n_levels, n_probes = len(iterates), len(weights)
-    active = weights > weight_tol
+    active = weights > WEIGHT_FLOOR
     peak = np.zeros(n_probes)
     if n_levels > 1:
         value_dim = np.shape(iterates[0])[1]
@@ -417,7 +424,7 @@ def bounded_orbit_estimate(iterates, weights, rho_fn, weight_tol=1e-15, defect_t
             if np.any(active & nan_ratio):
                 top[active] = 0.0
         np.fmax(peak, top, out=peak)
-    if np.any(~active & (peak > defect_tol)):
+    if np.any(~active & (peak > DEFECT_FLOOR)):
         return float("inf")
     if not np.any(active):
         return 0.0

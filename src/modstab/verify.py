@@ -7,8 +7,9 @@ and the exact-scaling certificate.
 Every checker returns its verdict as a ``report.CheckResult``: one row
 per probe (or per scalar, or one row for a probe-sup), carrying the
 measured left side, the majorant and the tolerance; a row passes iff
-lhs - rhs <= tol.  Identity-type checks default to 1e-10 absolute,
-inequality margins to 1e-9.  A two-slot check returns one result per slot.
+lhs - rhs <= tol.  Identity-type checks take ``IDENTITY_TOL`` (by default,
+where the caller may pass a tol), inequality margins ``INEQUALITY_TOL``.
+A two-slot check returns one result per slot.
 """
 
 import numpy as np
@@ -67,7 +68,17 @@ def inequality_parts(f, rho_fn, s, X, Y, Z, W, lam, which="A"):
     return lhs, rhs
 
 
-def check_inequality_A(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL, parts=None):
+def _check_inequality(which, f, rho_fn, s, psi, probes, parts):
+    X, Y, Z, W = probes.x, probes.y, probes.z, probes.w
+    if parts is None:
+        parts = inequality_parts(f, rho_fn, s, X, Y, Z, W, probes.lam, which=which)
+    lhs, rhs = parts
+    if psi is not None:
+        rhs = rhs + psi(X, Y) * psi(Z, W)
+    return _per_probe(f"inequality_{which}", lhs, rhs, INEQUALITY_TOL)
+
+
+def check_inequality_A(f, rho_fn, s, psi, probes, parts=None):
     """Four-point defect against the s-weighted average plus envelope.
 
     lhs = rho( f(l(x+y), z+w) + f(l(x+y), z-w) + f(l(x-y), z+w)
@@ -78,16 +89,10 @@ def check_inequality_A(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL, parts=None
     ``parts`` are ``inequality_parts``' (lhs, rhs) on the probes when the
     caller already has them.
     """
-    X, Y, Z, W = probes.x, probes.y, probes.z, probes.w
-    if parts is None:
-        parts = inequality_parts(f, rho_fn, s, X, Y, Z, W, probes.lam, which="A")
-    lhs, rhs = parts
-    if psi is not None:
-        rhs = rhs + psi(X, Y) * psi(Z, W)
-    return _per_probe("inequality_A", lhs, rhs, tol)
+    return _check_inequality("A", f, rho_fn, s, psi, probes, parts)
 
 
-def check_inequality_B(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL, parts=None):
+def check_inequality_B(f, rho_fn, s, psi, probes, parts=None):
     """Mirror of inequality A with the s-weight on the four-point side.
 
     lhs = rho( 4 [ f(l(x+y)/2, z-w) + f(l(x-y)/2, z+w)
@@ -100,13 +105,7 @@ def check_inequality_B(f, rho_fn, s, psi, probes, tol=INEQUALITY_TOL, parts=None
     reduces the left side to rho(8 f(x/2, z) - 4 f(x, z)), the seed of the
     descending defect table.  ``parts`` as for inequality A.
     """
-    X, Y, Z, W = probes.x, probes.y, probes.z, probes.w
-    if parts is None:
-        parts = inequality_parts(f, rho_fn, s, X, Y, Z, W, probes.lam, which="B")
-    lhs, rhs = parts
-    if psi is not None:
-        rhs = rhs + psi(X, Y) * psi(Z, W)
-    return _per_probe("inequality_B", lhs, rhs, tol)
+    return _check_inequality("B", f, rho_fn, s, psi, probes, parts)
 
 
 def check_biadditivity(f, rho_fn, probes, tol=IDENTITY_TOL, fxz=None):
@@ -203,9 +202,7 @@ def check_first_slot_linearity(f, rho_fn, scalars, probes, tol=IDENTITY_TOL, fxz
     )
 
 
-def check_stability_bound(
-    d_vals, D_vals, psi, rho_fn, probes, tol=INEQUALITY_TOL, corollary_theta=None
-):
+def check_stability_bound(d_vals, D_vals, psi, rho_fn, probes, corollary_theta=None):
     """Per-probe margin of rho(D(x,z) - d(x,z)) against the a-priori bound
     psi(x,x) psi(z,0) / (2(1-L)).
 
@@ -226,7 +223,7 @@ def check_stability_bound(
         nz = psi.norm_fn(Z) ** psi.p
         printed = corollary_theta / denom * nx * nz
         extras = {"corollary_rhs": printed}
-    return _per_probe("stability_bound", lhs, rhs, tol, **extras)
+    return _per_probe("stability_bound", lhs, rhs, INEQUALITY_TOL, **extras)
 
 
 def _auto_telescope_form(direction, weight_kind):
@@ -283,14 +280,14 @@ def _majorants(form, kappa, terms):
     return rows
 
 
-def check_telescoping(table, psi, rho_fn, n, weight_kind, kappa, tol=INEQUALITY_TOL):
+def check_telescoping(table, psi, rho_fn, n, weight_kind, kappa):
     """The telescoping table of levels 1..n of ``table`` against level 0,
     one row per level: ``kappa_margin`` is the probe-max of the defect
     rho(T[l] - T[0]) minus the level's majorant times psi(z, 0), and
     ``final_margin`` the defect minus ``hyers_bound``.  A level passes iff
-    both are at most ``tol`` (its lhs is the larger, NaN if either is).
-    The majorant form follows the direction and ``weight_kind``; each row
-    has the bits it gets alone.  n is the run's stopping level."""
+    both are at most ``INEQUALITY_TOL`` (its lhs is the larger, NaN if
+    either is).  The majorant form follows the direction and ``weight_kind``;
+    each row has the bits it gets alone.  n is the run's stopping level."""
     X, Z = table.cfg.probes.x, table.cfg.probes.z
     form = _auto_telescope_form(table.cfg.direction, weight_kind)
     origin, defect, level = table[0], [], 1
@@ -307,10 +304,11 @@ def check_telescoping(table, psi, rho_fn, n, weight_kind, kappa, tol=INEQUALITY_
     final_margin = (defect - hyers_bound(psi, X, Z)).max(axis=1)
     columns = {"level": np.arange(1, n + 1), "kappa_margin": kappa_margin,
                "final_margin": final_margin}
-    return CheckResult("telescoping", np.maximum(kappa_margin, final_margin), 0.0, tol, columns)
+    return CheckResult("telescoping", np.maximum(kappa_margin, final_margin), 0.0, INEQUALITY_TOL,
+                       columns)
 
 
-def check_biderivation(f, rho_fn, alg, psi, probes, tol=IDENTITY_TOL, assert_slot2=False):
+def check_biderivation(f, rho_fn, alg, psi, probes, assert_slot2=False):
     """Leibniz-rule residuals in each slot against the optional envelope.
 
     Slot one measures rho(f(xy, z) - f(x,z) y - x f(y,z)); slot two the
@@ -328,20 +326,20 @@ def check_biderivation(f, rho_fn, alg, psi, probes, tol=IDENTITY_TOL, assert_slo
     # f(x, z) serves both slots; the map calls keep their order
     fXYZ, fXZ = f(mul(X, Y, alg), Z), f(X, Z)
     lhs1 = rho_fn(fXYZ - mul(fXZ, Y, alg) - mul(X, f(Y, Z), alg))
-    slot1 = _per_probe("biderivation_slot1", lhs1, env, tol)
+    slot1 = _per_probe("biderivation_slot1", lhs1, env, IDENTITY_TOL)
 
     lhs2 = rho_fn(
         f(X, mul(Z, W, alg)) - mul(fXZ, W, alg) - mul(Z, f(X, W), alg)
     )
-    slot2 = _per_probe("biderivation_slot2", lhs2, env, tol, advisory=not assert_slot2)
+    slot2 = _per_probe("biderivation_slot2", lhs2, env, IDENTITY_TOL, advisory=not assert_slot2)
     return slot1, slot2
 
 
-def check_superstability(d, rho_fn, probes, tol=IDENTITY_TOL):
+def check_superstability(d, rho_fn, probes):
     """Passes iff the map already satisfies the exact doubling law
-    d(2x, z) = 2 d(x, z) on every probe, to ``tol``; such a map is its own
+    d(2x, z) = 2 d(x, z) on every probe (to ``IDENTITY_TOL``), being its own
     limit.  One row, whose payload is the probe-sup ``sup_residual``."""
     X, Z = probes.x, probes.z
     res = rho_fn(d(2.0 * X, Z) - 2.0 * d(X, Z))
     sup = float(np.max(res))
-    return CheckResult.one("superstability", sup, 0.0, tol, {"sup_residual": sup})
+    return CheckResult.one("superstability", sup, 0.0, IDENTITY_TOL, {"sup_residual": sup})

@@ -94,15 +94,7 @@ def test_the_check_names_are_the_registry_of_checks():
 def _shipped_configs():
     configs = dict(builtin_scenarios())
     configs.update(_module("benchmarks/failing_configs.py").failing_configs())
-    workloads = _module("perfbench/workloads.py")
-    configs["orlicz-luxemburg"] = orlicz = workloads.orlicz_luxemburg_config()
-    configs["orlicz-luxemburg-exp-minus-one"] = dict(
-        orlicz, modular=dict(orlicz["modular"], phi="exp_minus_one"))
-    for name in ("corollary-descending-p2", "corollary-ascending-p05"):
-        cfg = builtin_scenarios()[name]
-        cfg["iteration"] = None
-        cfg["checks"] = [c for c in cfg["checks"] if c not in scenarios._NEEDS_ITERATION]
-        configs[name + "-no-iteration"] = cfg
+    configs.update(_module("benchmarks/identity_configs.py").identity_configs())
     head = _readme_parts()[0]
     configs["readme-example"] = json.loads(re.search(r"```json\n(.*?)```", head, re.S).group(1))
     return configs

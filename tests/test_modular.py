@@ -11,7 +11,6 @@ from modstab import (
     PreconditionError,
     UnsupportedModularError,
     check_delta2,
-    check_fatou,
     check_modular_axioms,
     check_remark_properties,
     coeff_norm_fn,
@@ -49,11 +48,6 @@ def test_eval_nonzero_is_positive(m):
     for _ in range(50):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         assert eval_modular(m, v) > 0.0
-
-
-def test_eval_dimension_mismatch():
-    with pytest.raises(ConfigError):
-        eval_modular(NORM, [1.0, 2.0], dim=3)
 
 
 def test_invalid_kind_rejected():
@@ -570,28 +564,3 @@ def test_remark_bulk(m):
     report = check_remark_properties(m, draw_remark_samples(dim=4, count=2000, seed=9))
     assert report.passed
 
-
-# --- Fatou surrogate --------------------------------------------------------
-
-
-def test_fatou_norm_decreasing_to_limit():
-    seq = np.array([[1.0 + 1.0 / n, 0.0] for n in range(1, 40)], dtype=complex)
-    assert check_fatou(NORM, seq, np.array([1.0, 0.0]))
-
-
-def test_fatou_power2_increasing_far_window():
-    # store a window deep enough that the tail sits within tolerance of the limit
-    ns = np.arange(1, 40) + 10**12
-    seq = np.array([[1.0 - 1.0 / n, 0.0] for n in ns], dtype=complex)
-    assert check_fatou(POWER2, seq, np.array([1.0, 0.0]))
-
-
-def test_fatou_constant_sequence():
-    seq = np.tile(np.array([0.3 + 0.1j, -0.2]), (10, 1))
-    assert check_fatou(NORM, seq, seq[0])
-
-
-def test_fatou_rejects_divergent_sequence():
-    seq = np.array([[float(n), 0.0] for n in range(1, 12)], dtype=complex)
-    with pytest.raises(PreconditionError):
-        check_fatou(NORM, seq, np.array([1.0, 0.0]))

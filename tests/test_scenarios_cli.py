@@ -213,6 +213,39 @@ def test_axioms_suite_at_radius_1e200_fails_its_nan_rows_without_a_warning():
     assert len(nan_rows) == 4 and not any(r.passed for r in nan_rows)
 
 
+@pytest.mark.parametrize("name, exit_code, error", [
+    ("superstability-commutator", 1, None),
+    ("corollary-ascending-p05", 2, "map evaluation is not finite at batch row 0"),
+    ("corollary-descending-p2", 2, "map evaluation is not finite at batch row 0"),
+    ("inequality-B-descending", 2, "map evaluation is not finite at batch row 0"),
+])
+def test_probes_at_radius_1e308_overflow_without_a_warning(name, exit_code, error):
+    # the map's product and psi's scaled probes overflow there: the overflow
+    # fails psi_law, or ends calibration at the map's finiteness check, and
+    # no numpy warning is raised
+    cfg = builtin_scenarios()[name]
+    cfg["probes"]["radius"] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_scenario(cfg)
+    assert result.exit_code == exit_code
+    if error is None:
+        assert [r.payload["check"] for r in result.records if not r.passed] == ["psi_law"]
+    else:
+        assert [r.payload for r in result.records] == [{"error": error}]
+
+
+def test_an_integer_radius_past_float_range_exits_two_naming_the_field():
+    # 5,000 digits: past float range, and too long for Python to format
+    cfg = small_stability_config()
+    cfg["probes"]["radius"] = 10**5000
+    result = run_scenario(cfg)
+    assert result.exit_code == 2
+    assert [r.payload for r in result.records] == [
+        {"error": "probes.radius must be a finite number"}
+    ]
+
+
 # --- CLI ----------------------------------------------------------------------
 
 
@@ -492,6 +525,12 @@ def _misspelled(name, keys, typo, keep=False):
     return text
 
 
+def _radius_past_float():
+    text = _probes_radius(10**400)
+    MALFORMED_NAMES[text] = ("probes.radius must be a finite number",)
+    return text
+
+
 def _no_checks():
     cfg = json.loads(json.dumps(builtin_scenarios()["lemma-falsifier"]))
     cfg["checks"] = []
@@ -593,6 +632,9 @@ def _no_checks():
         # json refuses an integer past int's digit limit with a ValueError that
         # is no JSONDecodeError: a traceback and exit 1
         _probes_radius(0.123456789).replace("0.123456789", "9" * 5000),
+        # an integer past float range: float() raised an OverflowError whose
+        # record named no field
+        _radius_past_float(),
     ],
     ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list",
          "fixture-no-modular", "weight-bogus", "weight-bogus-no-iteration",
@@ -613,7 +655,7 @@ def _no_checks():
          "check-delta2-string", "expect-violation-axiom-7", "expect-violation-list",
          "n-maxx", "tolerance", "cuont", "thetta", "epsilonn", "kapa", "kapa-descending",
          "check-delta", "chekcs", "checks-empty", "samples-seed-negative",
-         "radius-5000-digits"],
+         "radius-5000-digits", "radius-10**400"],
 )
 def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "calibrate_theta", lambda *a, **k: pytest.fail("calibrated"))
