@@ -53,7 +53,8 @@ own, so a wide batch can be evaluated in blocks of ``BLOCK_ROWS`` rows
 (``bimaps.probe_blocks``); ``check_psi_law``'s level stack; the linearity
 stacks of ``verify.check_first_slot_linearity``; the telescoping
 majorants; the level table's blocks of levels (``stabilize.LevelTable``);
-and the level-pair differences of ``stabilize.bounded_orbit_estimate``.
+and ``stabilize.bounded_orbit_estimate``'s pass over the pair bounds and
+its pruned sweep of each level against the later ones.
 A block's temporaries are 2048 rows of at most a few complex columns, small
 enough for the allocator to reuse from block to block; a 10^4-row temporary
 is not, and comes back as fresh pages.  The constant was set by a sweep on

@@ -46,7 +46,7 @@ def _parse_modular(text):
 def _parse_vector(text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"vector must be a JSON array: {e}")
     if not isinstance(data, list) or not data:
         raise ConfigError("vector must be a nonempty JSON array")

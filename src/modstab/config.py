@@ -13,8 +13,10 @@ in the README's config reference.  ``CHECKS`` are the keys of
 ``scenarios._CHECKS``, in its order.
 """
 
+import json
 import math
 import numbers
+import sys
 
 from .algebra import PRESETS
 from .bimaps import DIRECTIONS, KERNEL_FORMS, PERTURBATION_NAMES, WEIGHT_KINDS
@@ -100,28 +102,44 @@ for _row in SCHEMA:
             _SECTIONS.setdefault((_parent, _kind), {})[_key] = _row
 
 
+def _shown(value):
+    """repr(value) for a diagnostic, or a note in its place when it holds an
+    int of more digits than Python converts to text."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a value with over {sys.get_int_max_str_digits()} digits"
+
+
 def read(value, label, type_, bounds=None):
     """``value`` as a field of type ``type_`` within ``bounds``, or a
     ConfigError that names ``label``.  A number is never a bool or a
     string; an int may be a float that is a whole number, such as 64.0; a
     real is finite; a complex is a real or an [re, im] pair of reals."""
-    if type_ == "text" or type_ == "real or calibrate" and value == "calibrate":
+    if type_ == "text":
+        try:
+            json.dumps(value)  # echoed in the report
+        except (TypeError, ValueError):
+            raise ConfigError(f"{label} cannot be written to a report") from None
+        return value
+    if type_ == "real or calibrate" and value == "calibrate":
         return value
     if type_ == "flag":
         if not isinstance(value, bool):
-            raise ConfigError(f"{label} must be true or false, got {value!r}")
+            raise ConfigError(f"{label} must be true or false, got {_shown(value)}")
         return value
     if type_ == "name":
         if not isinstance(value, str) or value not in bounds:
-            raise ConfigError(f"{label} must be one of {bounds}, got {value!r}")
+            raise ConfigError(f"{label} must be one of {bounds}, got {_shown(value)}")
         return value
     if type_ in ("complex list", "name list"):
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{label} must be a list, got {value!r}")
+            raise ConfigError(f"{label} must be a list, got {_shown(value)}")
         if type_ == "name list" and not value:
             raise ConfigError(f"{label} must name at least one of {bounds}")
         return [read(v, f"{label} entry", type_[:-5], bounds) for v in value]
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    lo, hi = bounds if isinstance(bounds, tuple) else (None, None)
     if type_ == "complex":
         if isinstance(value, (list, tuple)) and len(value) == 2:
             value = complex(read(value[0], label, "real"), read(value[1], label, "real"))
@@ -136,18 +154,24 @@ def read(value, label, type_, bounds=None):
         if isinstance(value, float) and value.is_integer():
             value = int(value)
         if not number or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{label} must be an integer, got {value!r}")
+            raise ConfigError(f"{label} must be an integer, got {_shown(value)}")
         value = int(value)
+        try:
+            str(value)  # the report writes it
+        except ValueError:  # more digits than Python converts to text
+            limit = "what a report can write" if hi is None else f"the limit of {hi}"
+            raise ConfigError(
+                f"{label} has over {sys.get_int_max_str_digits()} digits, past {limit}"
+            ) from None
     else:  # a real
         try:
             value = float(value) if number else value
         except OverflowError:  # an int past float range, too long to format
             raise ConfigError(f"{label} must be a finite number") from None
         if not number or not math.isfinite(value):
-            raise ConfigError(f"{label} must be a finite number, got {value!r}")
+            raise ConfigError(f"{label} must be a finite number, got {_shown(value)}")
     if bounds == "positive" and not value > 0:
         raise ConfigError(f"{label} must be positive, got {value}")
-    lo, hi = bounds if isinstance(bounds, tuple) else (None, None)
     if lo is not None and value < lo:
         raise ConfigError(f"{label} must be at least {lo}, got {value}")
     if hi is not None and value > hi:
@@ -159,7 +183,7 @@ def _section(raw, path, label, kind, overrides):
     """The mapping ``raw`` of section ``path`` (``label`` in diagnostics),
     validated, with every default filled in."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{label or 'config'} must be a mapping, got {raw!r}")
+        raise ConfigError(f"{label or 'config'} must be a mapping, got {_shown(raw)}")
     rows = _SECTIONS[path, kind]
     dot = f"{label}." if label else ""
     for key in raw:
@@ -182,7 +206,7 @@ def _section(raw, path, label, kind, overrides):
             out[key] = _section(value, field, dot + key, kind, overrides)
         elif type_ == "section list":
             if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{dot + key} must be a list, got {value!r}")
+                raise ConfigError(f"{dot + key} must be a list, got {_shown(value)}")
             out[key] = [_section(v, field + "[]", f"{dot + key}[{i}]", kind, overrides)
                         for i, v in enumerate(value)]
         else:

@@ -744,8 +744,10 @@ def run_scenario(source, seed_override=None, probes_override=None):
         cfg = load_config(source)
         with _reading_config():
             v = parse(cfg, seed=seed_override, count=probes_override)
-        seed = v["samples" if v["kind"] == "axioms" else "probes"]["seed"]
-        header = header_record(cfg, seed=seed, version=__version__, backend=_kernels.ACTIVE_BACKEND)
+            seed = v["samples" if v["kind"] == "axioms" else "probes"]["seed"]
+            # hashes the config as given, with any value an override left unread
+            header = header_record(cfg, seed=seed, version=__version__,
+                                   backend=_kernels.ACTIVE_BACKEND)
         runner = _run_axioms if v["kind"] == "axioms" else _run_stability
         records, context = runner(v)
         for r in records:

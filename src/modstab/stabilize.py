@@ -372,60 +372,133 @@ def check_uniqueness(outcome, rho_fn, table):
                            {"max_disagreement": worst, "variants": variants})
 
 
+# bounded_orbit_estimate widens a level's bound by these before it skips the
+# level at a probe: a relative part, and an absolute part per value column;
+# its docstring derives them
+_ORBIT_GUARD_REL = 2.0**-20
+_ORBIT_GUARD_ABS = 2.0**-46
+
+
+def _rho_differences(iterates, first, later, rows, rho_fn, dtype, factor=1.0):
+    """rho(factor * (T_first - T_j)) at the probes ``rows`` (a slice or an
+    index array) for each level j of the range ``later``, yielded as one
+    (m, n) array per ``_kernels.row_blocks`` chunk of the levels.  Every
+    chunk is differenced into the same buffer and takes one modular call."""
+    base = iterates[first][rows]
+    n, value_dim = base.shape
+    buf = np.empty((min(_kernels._items_per_block(n), len(later)), n, value_dim), dtype=dtype)
+    for b in _kernels.row_blocks(len(later), n):
+        m = b.stop - b.start
+        for r, j in enumerate(later[b]):
+            np.subtract(base, iterates[j][rows], out=buf[r])
+        if factor != 1.0:
+            buf[:m] *= factor
+        # explicit: -1 cannot be inferred at value_dim 0
+        yield rho_fn(buf[:m].reshape(m * n, value_dim)).reshape(m, n)
+
+
 def bounded_orbit_estimate(iterates, weights, rho_fn):
     """Probe estimate of sup over level pairs of the induced-modular
     distance between iterates; finite orbits are what licence the
     fixed-point extraction.
 
-    ``iterates`` is a sequence of (P, value_dim) levels, read as given.
-    The result is max over level pairs (i, j) and probes p of
+    ``iterates`` is a sequence of (P, value_dim) levels T_0..T_L, read as
+    given.  The result is max over level pairs (i, j) and probes p of
     rho(T_i - T_j)[p] / w[p] over the probes with weight above
     ``bimaps.WEIGHT_FLOOR``, or +inf when a probe at or below it carries a
-    value above ``bimaps.DEFECT_FLOOR``.  It keeps one running maximum of
-    rho per probe over all pairs and divides it by the weights once:
-    correctly rounded division by a positive weight is monotone, so
-    max fl(v / w) = fl(max v / w) and the result has the bits of the ratios
-    taken pair by pair.  Each level i is differenced against the later
-    levels in ``_kernels.row_blocks`` chunks of at most ``BLOCK_ROWS`` rows
-    (one level when P is wider), into one buffer reused by every chunk, one
-    modular call per chunk.  Level i's ratios are maximised through Python's
-    ``max``, which passes over a NaN: a NaN value counts for nothing in the
-    defect test, and a level whose weighted ratios include a NaN (a NaN
-    value, or inf over an infinite weight) adds nothing to the maximum.
-    The chunks' maxima are combined with ``np.maximum`` and ``np.fmax``,
-    which give what the same reductions over all of level i's pairs give.
-    Finite weights and iterates give no NaN ratio; an overflowing
-    difference gives +inf.
+    value above ``bimaps.DEFECT_FLOOR``.  Level i's pairs are (i, j), j > i.
+    Its ratios are maximised as Python's ``max`` does, passing over a NaN:
+    a level whose weighted ratios include a NaN (a NaN value, or inf over
+    an infinite weight) adds nothing, and a NaN value counts for nothing
+    in the defect test.  Finite weights and iterates give no NaN ratio; an
+    overflowing difference gives +inf.  Correctly rounded division by a
+    positive weight is monotone, so a level's largest ratio at a probe is
+    fl(max v / w) over its values v there.
+
+    The sweep is pruned, yet exact.  Let s_k = rho(2 (T_L - T_k)), s_L = 0.
+    As T_i - T_j = 1/2 * 2 (T_i - T_L) + 1/2 * 2 (T_L - T_j), the modular's
+    axioms (ii) and (iii) give rho(T_i - T_j) <= s_i + s_j.  One pass
+    computes s, L rows per probe.  The levels are then evaluated in
+    ascending order, level i only at the probes where its bound
+    r = (s_i + max_{j>i} s_j) (1 + 2^-20) + value_dim 2^-46 is not finite,
+    or is above DEFECT_FLOOR at a zero-weight probe, or has r / w[p] above
+    the largest ratio ``best`` of the levels before it at a weighted probe
+    (so level 0 is evaluated at every weighted probe with r > 0).  A
+    skipped value is at most r, so its ratio is at most ``best``, which the
+    result reaches, and it is no defect.  It is finite, so it is no NaN
+    ratio either: a NaN or inf entry in T_i, T_j or T_L makes an s NaN or
+    inf.  The result therefore has the bits of the sweep over all pairs.
+    Once ``best`` is +inf the result is +inf, and nothing more is
+    evaluated; the first value above DEFECT_FLOOR at a zero-weight probe
+    returns +inf at once.  The s pass and each level difference their
+    probes against the later levels in ``_kernels.row_blocks`` chunks (one
+    level when the probes are wider), into one buffer per pass, one
+    modular call per chunk.  The s pass and the bounds run with numpy's
+    floating-point warnings off, as they decide no value.
+
+    The guard keeps r above the computed value of every pair it covers.
+    With u = 2^-53 and k = value_dim: a difference is rounded part by
+    part, so |fl(a - b)| <= (1 + u)|a - b| and |a - b| <= (1 + 2u)|fl(a - b)|
+    entrywise, and doubling is exact.  The chain from a pair's value to r
+    thus meets rho(c y) against rho(y) for 1 <= c <= 1 + 2u, three kernel
+    roundings (the pair and two s) and three roundings of r.  Every kind
+    here sums a function of |y_m| that grows with it.  Per kind:
+
+    - norm: 1-homogeneous; ``rho_norm`` is within (k + 4)u (2k squares,
+      their sum, a square root, and the rescaling of a row whose sum
+      leaves the float range).  In all, under (2k + 14)u.
+    - power p, orlicz ``linear`` (p = 1) and ``square`` (p = 2):
+      p-homogeneous, so rho(c y) <= (1 + 2u)^p rho(y).  |y_m| is within an
+      ulp, so its p-th power is within (1 + u)^(p + 1), and the sum within
+      (k - 1)u.  In all, under (5p + 2k + 3)u, below 2^-20 for p up to
+      2^30.  A term that underflows is off by at most 2^-1074.
+    - orlicz ``exp_minus_one``: expm1(c t) <= c e^((c - 1) t) expm1(t), and
+      a finite value has t < 710, so c = 1 + 2u costs at most 1422u, and
+      the kernel's rounding of |y_m| 711u.  In all, under (3600 + 2k)u.
+    - orlicz ``dead_zone``, phi(t) = max(t - 1, 0): not homogeneous, and at
+      its kink |t| = 1 the error is absolute, not relative.  For
+      c = 1 + d, phi(c t) - phi(t) <= d t, which is at most 2 d phi(t) for
+      t >= 2 and below 2d under it, so phi(c t) <= (1 + 2d) phi(t) + 2d.
+      t - 1 is exact for t in [1/2, 2] (Sterbenz) and rounded relatively
+      above.  The absolute parts add up to at most 16ku, an eighth of
+      k 2^-46; the relative ones stay under (2k + 14)u.  Two levels half
+      a unit either side of T_L can have s_i = s_j = 0 and a pair value of
+      2^-52: without the absolute part that pair would be skipped.
+
+    So the relative part 2^-20 covers every kind with room to spare, and
+    the absolute part covers the kink; a value that overflows has an r
+    that overflows too.  Every kind here is also convex, which halves the
+    bound, rho(T_i - T_j) <= (s_i + s_j) / 2; the guard does not lean on it.
     """
     n_levels, n_probes = len(iterates), len(weights)
     active = weights > WEIGHT_FLOOR
-    peak = np.zeros(n_probes)
-    if n_levels > 1:
-        value_dim = np.shape(iterates[0])[1]
-        per_chunk = min(_kernels._items_per_block(n_probes), n_levels - 1)
-        buf = np.empty((per_chunk, n_probes, value_dim), dtype=np.result_type(*iterates))
-    for i in range(n_levels - 1):
-        top = np.full(n_probes, -np.inf)  # max over the pairs: a NaN wins
-        ftop = np.full(n_probes, np.nan)  # fmax over the pairs: a NaN loses
-        for b in _kernels.row_blocks(n_levels - 1 - i, n_probes):
-            m = b.stop - b.start
-            for r, j in enumerate(range(i + 1 + b.start, i + 1 + b.stop)):
-                np.subtract(iterates[i], iterates[j], out=buf[r])
-            # explicit: -1 cannot be inferred at value_dim 0
-            vals = rho_fn(buf[:m].reshape(m * n_probes, value_dim)).reshape(m, n_probes)
-            chunk_top = vals.max(axis=0)
-            np.maximum(top, chunk_top, out=top)
-            if not np.isfinite(chunk_top).all():
-                chunk_top = np.fmax.reduce(vals, axis=0)
-            np.fmax(ftop, chunk_top, out=ftop)
-        if not np.isfinite(top).all():  # a NaN or inf value: is some ratio NaN?
-            nan_ratio = np.isnan(top) | np.isinf(top) & np.isinf(weights)
-            top = ftop
-            if np.any(active & nan_ratio):
-                top[active] = 0.0
-        np.fmax(peak, top, out=peak)
-    if np.any(~active & (peak > DEFECT_FLOOR)):
-        return float("inf")
-    if not np.any(active):
-        return 0.0
-    return float(np.max(peak[active] / weights[active]))
+    last, best = n_levels - 1, 0.0
+    if last > 0:
+        dtype = np.result_type(*iterates)
+        with np.errstate(all="ignore"):
+            s = np.concatenate(list(
+                _rho_differences(iterates, last, range(last), slice(None), rho_fn, dtype, 2.0)))
+            reach = np.zeros_like(s)  # max of s_j over j > i (s_L = 0); a NaN wins
+            reach[:-1] = np.maximum.accumulate(s[:0:-1])[::-1]
+            reach += s
+            reach *= 1.0 + _ORBIT_GUARD_REL
+            reach += np.shape(iterates[0])[1] * _ORBIT_GUARD_ABS
+            # level i skips probe p while best >= bar[i, p]
+            bar = np.where(active, reach / weights, np.where(reach <= DEFECT_FLOOR, -np.inf, np.inf))
+        bar[~np.isfinite(reach)] = np.inf
+    for i in range(last):
+        picked = np.flatnonzero(bar[i] > best)
+        if not len(picked):
+            continue
+        rows = slice(None) if len(picked) == n_probes else picked
+        weighted = active[rows]
+        top = None  # max over the level's pairs at its weighted probes: a NaN wins
+        for vals in _rho_differences(iterates, i, range(i + 1, n_levels), rows, rho_fn, dtype):
+            if np.any(vals[:, ~weighted] > DEFECT_FLOOR):
+                return float("inf")
+            chunk_top = vals[:, weighted].max(axis=0)
+            top = chunk_top if top is None else np.maximum(top, chunk_top)
+        w = weights[rows][weighted]
+        if top.size and not np.any(np.isnan(top) | np.isinf(top) & np.isinf(w)):
+            best = max(best, float(np.max(top / w)))
+    return best

@@ -246,6 +246,68 @@ def test_an_integer_radius_past_float_range_exits_two_naming_the_field():
     ]
 
 
+# Python's limit on the digits of an int it converts to text; 10**5000 is past it
+DIGITS = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("count", [None, 32])
+def test_a_seed_past_the_digit_limit_exits_two_naming_the_field(count):
+    # no report could write the seed
+    cfg = small_stability_config()
+    cfg["probes"]["seed"] = 10**5000
+    result = run_scenario(cfg, probes_override=count)
+    assert result.exit_code == 2
+    assert [r.payload for r in result.records] == [
+        {"error": f"probes.seed has over {DIGITS} digits, past what a report can write"}
+    ]
+
+
+def test_an_unread_seed_past_the_digit_limit_exits_two():
+    # --seed-override leaves the seed unread, but the header still hashes the
+    # config as given
+    cfg = small_stability_config()
+    cfg["probes"]["seed"] = 10**5000
+    result = run_scenario(cfg, seed_override=7)
+    assert result.exit_code == 2
+    [record] = result.records
+    assert record.stage == "config" and not record.passed
+    assert f"Exceeds the limit ({DIGITS} digits)" in record.payload["error"]
+
+
+def test_a_count_past_the_digit_limit_names_the_field_and_its_limit():
+    cfg = small_stability_config()
+    cfg["probes"]["count"] = 10**5000
+    result = run_scenario(cfg)
+    assert result.exit_code == 2
+    assert [r.payload for r in result.records] == [
+        {"error": f"probes.count has over {DIGITS} digits, past the limit of {config.MAX_SAMPLE_COUNT}"}
+    ]
+
+
+@pytest.mark.parametrize("path", ["probes", "probes.radius", "probes.count", "modular.kind",
+                                  "modular.convex", "checks"])
+def test_a_wrong_value_past_the_digit_limit_is_named_without_its_digits(path):
+    cfg = small_stability_config()
+    *sections, key = path.split(".")
+    section = cfg
+    for name in sections:
+        section = section[name]
+    section[key] = [10**5000]
+    result = run_scenario(cfg)
+    assert result.exit_code == 2
+    [record] = result.records
+    assert record.payload["error"].startswith(path + " ")
+    assert record.payload["error"].endswith(f"got a value with over {DIGITS} digits")
+
+
+def test_a_name_no_report_can_write_exits_two_naming_the_field():
+    cfg = small_stability_config()
+    cfg["name"] = 10**5000
+    result = run_scenario(cfg)
+    assert result.exit_code == 2
+    assert [r.payload for r in result.records] == [{"error": "name cannot be written to a report"}]
+
+
 # --- CLI ----------------------------------------------------------------------
 
 
@@ -320,6 +382,14 @@ def test_cli_norm_refuses_what_a_config_refuses(modular, vector, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "overflows" not in captured.err
+
+
+def test_cli_norm_entry_past_the_digit_limit_exits_two(capsys):
+    assert cli_main(["norm", "norm", "[" + "9" * 5000 + "]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: vector ") and "Traceback" not in captured.err
+    assert "9999" not in captured.err
 
 
 def test_cli_decompose(capsys):

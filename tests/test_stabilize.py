@@ -1,9 +1,12 @@
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modstab import (
     BiMap,
@@ -27,7 +30,9 @@ from modstab import (
     preset,
     stabilize,
 )
+from modstab import _kernels
 from modstab._kernels import BLOCK_ROWS, row_blocks
+from modstab.bimaps import DEFECT_FLOOR, WEIGHT_FLOOR
 from modstab.scenarios import builtin_scenarios, calibrate_theta, run_scenario
 from modstab.report import ReportRecord
 
@@ -614,6 +619,145 @@ def test_bounded_orbit_passes_over_a_level_with_a_nan_ratio(kind, defect):
         assert est == float("inf")
     else:
         assert est == rest and 0.0 < est < float("inf")
+
+
+def _all_pairs_orbit_estimate(iterates, weights, rho_fn):
+    # the sweep over every level pair that the pruned one replaced, verbatim
+    n_levels, n_probes = len(iterates), len(weights)
+    active = weights > WEIGHT_FLOOR
+    peak = np.zeros(n_probes)
+    if n_levels > 1:
+        value_dim = np.shape(iterates[0])[1]
+        per_chunk = min(_kernels._items_per_block(n_probes), n_levels - 1)
+        buf = np.empty((per_chunk, n_probes, value_dim), dtype=np.result_type(*iterates))
+    for i in range(n_levels - 1):
+        top = np.full(n_probes, -np.inf)  # max over the pairs: a NaN wins
+        ftop = np.full(n_probes, np.nan)  # fmax over the pairs: a NaN loses
+        for b in _kernels.row_blocks(n_levels - 1 - i, n_probes):
+            m = b.stop - b.start
+            for r, j in enumerate(range(i + 1 + b.start, i + 1 + b.stop)):
+                np.subtract(iterates[i], iterates[j], out=buf[r])
+            # explicit: -1 cannot be inferred at value_dim 0
+            vals = rho_fn(buf[:m].reshape(m * n_probes, value_dim)).reshape(m, n_probes)
+            chunk_top = vals.max(axis=0)
+            np.maximum(top, chunk_top, out=top)
+            if not np.isfinite(chunk_top).all():
+                chunk_top = np.fmax.reduce(vals, axis=0)
+            np.fmax(ftop, chunk_top, out=ftop)
+        if not np.isfinite(top).all():  # a NaN or inf value: is some ratio NaN?
+            nan_ratio = np.isnan(top) | np.isinf(top) & np.isinf(weights)
+            top = ftop
+            if np.any(active & nan_ratio):
+                top[active] = 0.0
+        np.fmax(peak, top, out=peak)
+    if np.any(~active & (peak > DEFECT_FLOOR)):
+        return float("inf")
+    if not np.any(active):
+        return 0.0
+    return float(np.max(peak[active] / weights[active]))
+
+
+ORBIT_MODULARS = [ModularSpec(kind="norm")]
+ORBIT_MODULARS += [ModularSpec(kind="power", p=p) for p in (1.0, 1.5, 3.0)]
+ORBIT_MODULARS += [ModularSpec(kind="orlicz", phi=phi)
+                   for phi in ("square", "exp_minus_one", "linear", "dead_zone")]
+
+
+@st.composite
+def orbit_cases(draw):
+    """(levels, weights) of a drawn orbit: geometric, non-decaying, or
+    alternating about its last level at the dead zone's kink, with ties,
+    zero and tiny weights, and inf and NaN entries."""
+    n_probes = draw(st.sampled_from([1, 2, 5, 40, 683, 1024, 2047, 2048, 2049]))
+    # few levels at many probes keeps the all-pairs oracle quick
+    n_levels = draw(st.integers(1, 45 if n_probes <= 40 else 3))
+    dim = draw(st.sampled_from([0, 1, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_levels, n_probes, dim)
+
+    def gauss(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    kind = draw(st.sampled_from(["geometric", "non-decaying", "kink"]))
+    scale = draw(st.sampled_from([1e-9, 1.0, 300.0, 1e150]))
+    if kind == "geometric":
+        decay = draw(st.sampled_from([0.25, 0.5, 2**-0.5, 0.99]))
+        steps = decay ** np.arange(n_levels)[:, None, None] * gauss(shape)
+        levels = scale * (gauss((1, n_probes, dim)) + steps)
+    elif kind == "non-decaying":
+        levels = scale * gauss(shape)
+    else:  # levels half a unit either side of the last, where phi(t) = max(t - 1, 0) kinks
+        turn = np.exp(2j * np.pi * rng.uniform(size=(1, n_probes, dim)))
+        ulps = rng.integers(-4, 5, size=shape) * 2.0**-52
+        sign = (-1.0) ** np.arange(n_levels)[:, None, None]
+        last = draw(st.sampled_from([0.3 + 0.2j, 5.3 - 2.1j, 1e3 + 0.1j]))
+        levels = last + sign * 0.5 * turn * (1.0 + ulps)
+        levels[-1] = last
+    if n_levels > 2 and draw(st.booleans()):  # ties: repeated levels and probes
+        levels[rng.integers(1, n_levels)] = levels[rng.integers(0, n_levels)]
+        levels[:, rng.integers(0, n_probes)] = levels[:, 0]
+    weights = rng.uniform(0.1, 2.0, n_probes)
+    for w in draw(st.lists(st.sampled_from(
+            [0.0, WEIGHT_FLOOR, np.nextafter(WEIGHT_FLOOR, 1.0), 1e-12, np.inf]), max_size=4)):
+        weights[rng.integers(0, n_probes)] = w
+    if dim:
+        for v in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 1.5e308]), max_size=3)):
+            levels[rng.integers(0, n_levels), rng.integers(0, n_probes), rng.integers(0, dim)] = v
+    return list(levels), weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=orbit_cases(), modular=st.sampled_from(ORBIT_MODULARS))
+def test_pruned_orbit_estimate_has_the_bits_of_all_pairs(case, modular):
+    levels, weights = case
+
+    def rho_fn(rows):
+        return eval_modular(modular, rows)
+
+    with np.errstate(all="ignore"):
+        est = bounded_orbit_estimate(levels, weights, rho_fn)
+        want = _all_pairs_orbit_estimate(levels, weights, rho_fn)
+    assert type(est) is float
+    assert est == want or math.isnan(est) and math.isnan(want)
+
+
+def test_pruned_orbit_estimate_guards_the_dead_zone_kink():
+    # T_0 and T_1 lie half a unit either side of T_2, so s_0 and s_1 are 0,
+    # but T_0 - T_1 rounds past |t| = 1 and its dead-zone value does not:
+    # only the absolute part of the guard keeps the pair from being skipped
+    dead_zone = ModularSpec(kind="orlicz", phi="dead_zone")
+
+    def rho_fn(rows):
+        return eval_modular(dead_zone, rows)
+
+    levels = [np.array([[-0.1786429207184289 + 0.34457162393129503j]]),
+              np.array([[0.778642920718429 + 0.05542837606870499j]]),
+              np.array([[0.3 + 0.2j]])]
+    s = [float(rho_fn(2.0 * (levels[2] - t))[0]) for t in levels[:2]]
+    value = float(rho_fn(levels[0] - levels[1])[0])
+    assert s == [0.0, 0.0] and value > 0.0
+    weights = np.array([1.0])
+    assert bounded_orbit_estimate(levels, weights, rho_fn) == value
+    assert _all_pairs_orbit_estimate(levels, weights, rho_fn) == value
+
+
+def test_orbit_estimate_of_the_ascending_builtin_skips_most_pairs():
+    # 30 levels: all 435 pairs would be 222,720 modular rows at 512 probes
+    result = run_scenario("corollary-ascending-p05")
+    [est] = [r.payload["estimate"] for r in result.records
+             if r.payload.get("check") == "bounded_orbit"]
+    ctx = result.context
+    table = LevelTable(ctx["bimap"], StabilizeConfig(direction="ascending", probes=ctx["probes"]))
+    levels = [table[n] for n in range(ctx["outcome"].N_converged + 1)]
+    assert len(levels) == 30
+    rows = []
+
+    def counting(batch):
+        rows.append(len(batch))
+        return ctx["rho_fn"](batch)
+
+    assert bounded_orbit_estimate(levels, ctx["outcome"].weights, counting) == est
+    assert sum(rows) <= 40_000
 
 
 def test_deltas_eventually_decrease_under_contraction():
