@@ -150,11 +150,13 @@ class BiMap:
                 target += term
         finite = np.isfinite(out.view(np.float64))
         if not finite.all():
-            idx = int(np.argmax(~finite.all(axis=1)))
-            raise NonFiniteValueError(
-                f"map evaluation is not finite at batch row {idx}", probe_id=idx
-            )
+            raise not_finite_at(int(np.argmax(~finite.all(axis=1))))
         return out[0] if (sx and sz) else out
+
+
+def not_finite_at(row):
+    """The error of a map evaluation that is not finite at batch row ``row``."""
+    return NonFiniteValueError(f"map evaluation is not finite at batch row {row}", probe_id=row)
 
 
 def iterate_evaluator(f, direction, level):

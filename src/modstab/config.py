@@ -111,6 +111,19 @@ def _shown(value):
         return f"a value with over {sys.get_int_max_str_digits()} digits"
 
 
+def _writable_int(value, label, hi):
+    """The int ``value``, or a ConfigError that names ``label`` when it has
+    more digits than Python converts to text, so a report cannot write it."""
+    try:
+        str(value)
+    except ValueError:
+        limit = "what a report can write" if hi is None else f"the limit of {hi}"
+        raise ConfigError(
+            f"{label} has over {sys.get_int_max_str_digits()} digits, past {limit}"
+        ) from None
+    return value
+
+
 def read(value, label, type_, bounds=None):
     """``value`` as a field of type ``type_`` within ``bounds``, or a
     ConfigError that names ``label``.  A number is never a bool or a
@@ -155,14 +168,7 @@ def read(value, label, type_, bounds=None):
             value = int(value)
         if not number or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{label} must be an integer, got {_shown(value)}")
-        value = int(value)
-        try:
-            str(value)  # the report writes it
-        except ValueError:  # more digits than Python converts to text
-            limit = "what a report can write" if hi is None else f"the limit of {hi}"
-            raise ConfigError(
-                f"{label} has over {sys.get_int_max_str_digits()} digits, past {limit}"
-            ) from None
+        value = _writable_int(int(value), label, hi)
     else:  # a real
         try:
             value = float(value) if number else value
@@ -190,14 +196,21 @@ def _section(raw, path, label, kind, overrides):
         if key not in rows:
             import difflib
 
-            [near] = difflib.get_close_matches(str(key), list(rows), n=1, cutoff=0.0)
-            raise ConfigError(f"unknown config key {dot + str(key)!r}; "
-                              f"did you mean {dot + near!r}?")
+            try:
+                name = str(key)
+            except ValueError:  # an int of more digits than Python converts to text
+                raise ConfigError(
+                    f"{label or 'config'} has an unknown key, {_shown(key)}"
+                ) from None
+            [near] = difflib.get_close_matches(name, list(rows), n=1, cutoff=0.0)
+            raise ConfigError(f"unknown config key {dot + name!r}; did you mean {dot + near!r}?")
     out = {}
     for key, (field, type_, bounds, default, _, _) in rows.items():
         value = overrides.get(field)
         if value is None:
             value = raw.get(key, default)
+        elif isinstance(raw.get(key), numbers.Integral):  # unread, but the report hashes it
+            _writable_int(raw[key], dot + key, bounds[1])
         if value is REQUIRED:
             raise ConfigError(f"{dot + key} is required")
         if value is None and default is None:

@@ -215,7 +215,16 @@ def calibrate_theta(
     neither the max nor the refusal depends on the order, so theta has the
     bits of one wide batch.  The scaled degenerate family is read from
     levels 0..n_max of the table, one (need, unit) pair per table block, and
-    stops at the magnitude cap."""
+    stops at the magnitude cap.
+
+    A random block's right side is evaluated only on the rows that can
+    raise the max so far or trip the refusal: a weighted row (unit >
+    WEIGHT_FLOOR) with fl(lhs / unit) above the max or NaN, and an
+    unweighted row with lhs > DEFECT_FLOOR.  Every other row takes rhs = 0,
+    which changes neither: rho >= 0 and rounding is monotone, so its
+    fl((lhs - rhs) / unit) <= fl(lhs / unit) <= the max, and lhs - rhs <=
+    lhs <= DEFECT_FLOOR.  The probes' right side, shared with the
+    inequality check, is evaluated in full; the scaled family has none."""
     bimap, probes = table.d, table.cfg.probes
     if psi_proto.direction != table.cfg.direction:
         raise ConfigError(
@@ -226,16 +235,28 @@ def calibrate_theta(
     seed = probes.seed + CALIBRATION_SEED_OFFSET
     extra = probe_blocks(bimap.algebra.dim, max(extra_count, 17), probes.radius, seed)
 
-    def need_unit(x, y, z, w, lam, parts=None):
-        if parts is None:
-            parts = inequality_parts(bimap, rho_fn, s, x, y, z, w, lam, which=which)
-        lhs, rhs0 = parts
-        return lhs - rhs0, psi1(x, y) * psi1(z, w)
+    def random_block(x, y, z, w, lam):
+        unit = None
 
-    def family():
-        yield need_unit(probes.x, probes.y, probes.z, probes.w, probes.lam, probe_parts)
+        def open_rows(lhs):  # unit follows the left side, as in a full evaluation
+            nonlocal unit
+            unit = psi1(x, y) * psi1(z, w)
+            weighted = unit > WEIGHT_FLOOR
+            rows = lhs > DEFECT_FLOOR
+            rows[weighted] = ~(lhs[weighted] / unit[weighted] <= required)
+            return np.flatnonzero(rows)
+
+        lhs, rhs0 = inequality_parts(bimap, rho_fn, s, x, y, z, w, lam, which=which,
+                                     keep=open_rows)
+        return lhs - rhs0, unit
+
+    def family():  # consumed one block at a time, so ``required`` is the max before it
+        x, y, z, w = probes.x, probes.y, probes.z, probes.w
+        lhs, rhs0 = probe_parts or inequality_parts(bimap, rho_fn, s, x, y, z, w, probes.lam,
+                                                    which=which)
+        yield lhs - rhs0, psi1(x, y) * psi1(z, w)
         for block in extra:
-            yield need_unit(*block)
+            yield random_block(*block)
         yield from _scaled_degenerate_family(table, psi1, rho_fn, which)
 
     required = 0.0

@@ -16,7 +16,8 @@ import numpy as np
 
 from ._kernels import row_blocks
 from .algebra import mul, sample_unit_circle, three_unimodular_decomposition
-from .errors import ConfigError, PreconditionError
+from .bimaps import not_finite_at
+from .errors import ConfigError, NonFiniteValueError, PreconditionError
 from .report import ABSENT, CheckResult
 from .stabilize import hyers_bound
 
@@ -33,11 +34,19 @@ def _per_probe(check, lhs, rhs, tol, advisory=False, **extras):
     return result
 
 
-def inequality_parts(f, rho_fn, s, X, Y, Z, W, lam, which="A"):
+def inequality_parts(f, rho_fn, s, X, Y, Z, W, lam, which="A", keep=None):
     """Raw (lhs, rhs) modular values of inequality A or B on argument
     arrays, without the envelope term.  Shared by the checkers and by the
     envelope calibration, which maximizes (lhs - rhs) over enlarged tuple
-    families."""
+    families.
+
+    ``keep``, when given, is called on the left side once it is evaluated
+    and returns the rows (an index array) whose right side is wanted; the
+    right side's map and modular calls then take those rows only (none when
+    no row is kept), and every other row's rhs is 0.  A map error there
+    names the row of the batch, as a call on all rows would.  Calibration
+    keeps the rows whose lhs can raise theta: rho >= 0, so a right side can
+    only lower lhs - rhs."""
     if abs(s) >= 1.0:
         raise PreconditionError("|s| must be < 1")
     if not getattr(f, "zero_boundary", True):
@@ -59,13 +68,38 @@ def inequality_parts(f, rho_fn, s, X, Y, Z, W, lam, which="A"):
             + f(lamc * xm, zm)
             - 4.0 * lamc * fxz
         )
-        rhs = rho_fn(4.0 * s * (f(xp / 2.0, zm) + f(xm / 2.0, zp) - fxz + f(Y, W)))
     else:
         lhs = rho_fn(
             4.0 * (f(lamc * xp / 2.0, zm) + f(lamc * xm / 2.0, zp) - lamc * fxz + lamc * f(Y, W))
         )
+    if keep is not None:
+        rows = keep(lhs)
+        if not rows.size:
+            return lhs, np.zeros_like(lhs)
+        f = _at_rows(f, rows)
+        xp, xm, zp, zm, fxz, Y, W = (a[rows] for a in (xp, xm, zp, zm, fxz, Y, W))
+    if which == "A":
+        rhs = rho_fn(4.0 * s * (f(xp / 2.0, zm) + f(xm / 2.0, zp) - fxz + f(Y, W)))
+    else:
         rhs = rho_fn(s * (f(xp, zp) + f(xp, zm) + f(xm, zp) + f(xm, zm) - 4.0 * fxz))
+    if keep is not None:
+        rhs, kept = np.zeros_like(lhs), rhs
+        rhs[rows] = kept
     return lhs, rhs
+
+
+def _at_rows(f, rows):
+    """The map ``f`` on arguments taken at ``rows`` of a batch: a map error
+    names its row of the batch, not its place among ``rows``."""
+    def f_at_rows(x, z):
+        try:
+            return f(x, z)
+        except NonFiniteValueError as e:
+            if e.probe_id is None:
+                raise
+            raise not_finite_at(int(rows[e.probe_id])) from None
+
+    return f_at_rows
 
 
 def _check_inequality(which, f, rho_fn, s, psi, probes, parts):

@@ -4,7 +4,9 @@ table.
 ``_scaled_family_reference`` keeps the calibration that evaluated the
 inequality on that family directly: every scaled tuple in one
 concatenated batch, the map called on all of them at once.  Reading the
-family from the table must give the same theta bit for bit.
+family from the table must give the same theta bit for bit.  It also
+evaluates both sides of every random tuple, so it is the oracle of the
+cut that skips the right side where the left side cannot raise theta.
 """
 
 import json
@@ -12,6 +14,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modstab import (
     BiMap,
@@ -28,7 +32,7 @@ from modstab import (
     stabilize,
 )
 from modstab import scenarios
-from modstab._kernels import BLOCK_ROWS
+from modstab._kernels import BLOCK_ROWS, rho_norm
 from modstab.scenarios import (
     CALIBRATION_EXTRA_COUNT,
     CALIBRATION_SAFETY,
@@ -42,6 +46,7 @@ from modstab.verify import inequality_parts
 MATRIX2 = preset("matrix2")
 NORM = ModularSpec(kind="norm")
 EXTRA = 500  # the random family is the same on both sides; keep it small
+REFUSAL = "defect does not vanish where the envelope does; no theta can calibrate it"
 
 
 def rho_rows(rows):
@@ -82,18 +87,21 @@ def _scaled_family_reference(bimap, psi_proto, rho_fn, s, probes, which, n_level
         unit = psi1(X, Y) * psi1(Z, W)
         need = lhs - rhs0
         weighted = unit > 1e-15
-        assert not np.any(~weighted & (need > 1e-12))
+        if np.any(~weighted & (need > 1e-12)):
+            raise ConfigError(REFUSAL)
         if np.any(weighted):
             required = max(required, float(np.max(need[weighted] / unit[weighted])))
     return max(required * safety, 1e-12)
 
 
-def random_map(seed, pert, direction):
+def random_map(seed, pert, direction, eps=None):
     rng = np.random.default_rng(seed)
     t = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
-    eps = float(rng.uniform(0.005, 0.02))
+    eps = float(rng.uniform(0.005, 0.02)) if eps is None else eps
     if pert == "bounded_osc":
         g = Perturbation("bounded_osc", eps, boundary_safe=True)
+    elif pert == "quad_slot1":
+        g = Perturbation("quad_slot1", eps)
     else:
         g = Perturbation("power_env", eps, p=0.5 if direction == "ascending" else 2.0)
     return BiMap(algebra=MATRIX2, kernel="tensor", tensor=t, perturbation=g)
@@ -213,9 +221,104 @@ def test_given_probe_parts_are_not_evaluated_again():
                             0.5, which="A", extra_count=EXTRA, probe_parts=parts)
     assert theta == calibrate_theta(table_of(d, probes, "ascending"), proto("ascending"),
                                     rho_rows, 0.5, which="A", extra_count=EXTRA)
-    # the random family's 8 map calls and the table's 41 levels in blocks of
-    # 32 levels (2 calls); no probe-family call
-    assert seen == [EXTRA] * 8 + [32 * len(probes), 9 * len(probes)]
+    # the random family's five left-side calls on every row and its three
+    # right-side calls on the two rows whose left side can raise theta, then
+    # the table's 41 levels in blocks of 32 levels (2 calls); no probe-family call
+    assert seen == [EXTRA] * 5 + [2] * 3 + [32 * len(probes), 9 * len(probes)]
+
+
+def blind_below(t):
+    """The Euclidean norm, read as 0 at or below t: a tuple whose two
+    arguments of one envelope factor both fall there carries no weight."""
+    def norm(X):
+        n = rho_norm(X)
+        return np.where(n > t, n, 0.0)
+
+    return norm
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's value, or the class and message of the error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    pert=st.sampled_from(["bounded_osc", "power_env", "quad_slot1"]),
+    direction=st.sampled_from(["ascending", "descending"]),
+    which=st.sampled_from(["A", "B"]),
+    extra=st.one_of(st.integers(17, 64), st.integers(BLOCK_ROWS - 2, BLOCK_ROWS + 2)),
+    radius=st.sampled_from([1e-3, 1.0, 100.0]),
+    eps=st.one_of(st.just(0.0), st.floats(0.001, 0.02)),
+    blind=st.sampled_from([None, 0.05, 0.5]),
+)
+def test_theta_with_the_cut_right_side_equals_full_evaluation(
+    seed, pert, direction, which, extra, radius, eps, blind,
+):
+    # calibration evaluates a random row's right side only where its left
+    # side can raise theta; the reference evaluates both sides of every
+    # tuple.  A blind envelope gives the random family zero-weight tuples,
+    # which with eps > 0 mostly carry a defect and are refused
+    d = random_map(seed, pert, direction, eps)
+    probes = draw_probes(4, 32, radius, seed)
+    psi0 = proto(direction)
+    if blind is not None:
+        psi0 = PsiEnvelope(theta=1.0, p=psi0.p, direction=direction,
+                           norm_fn=blind_below(blind * radius))
+    got = outcome(calibrate_theta, table_of(d, probes, direction), psi0, rho_rows, 0.5,
+                  which=which, extra_count=extra)
+    assert got == outcome(_scaled_family_reference, d, psi0, rho_rows, 0.5, probes, which,
+                          extra_count=extra)
+
+
+def test_calibration_of_the_ascending_builtin_skips_most_right_sides(monkeypatch):
+    rows, inside = [], []
+    call = BiMap.__call__
+
+    def counted(self, x, z):
+        if inside:
+            rows.append(len(x))
+        return call(self, x, z)
+
+    def calibrate(*args, **kwargs):
+        inside.append(True)
+        try:
+            return calibrate_theta(*args, **kwargs)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(BiMap, "__call__", counted)
+    monkeypatch.setattr(scenarios, "calibrate_theta", calibrate)
+    assert run_scenario("corollary-ascending-p05").exit_code == 0
+    # the table's 41 levels at 512 probes and the five left-side calls on
+    # the 10,000 random rows (the probes' sides are evaluated before); the
+    # full right side would add 30,000 rows
+    assert 41 * 512 + 5 * 10_000 <= sum(rows) <= 72_000
+
+
+@pytest.mark.parametrize("radius, offset, exit_code, error", [
+    # the map overflows only in the right side of random tuples the cut
+    # skips, which a full evaluation would report as "not finite at batch
+    # row 1310" (exit 2)
+    (4.5711922668528444e+76, 3, 1, None),
+    # the overflow sits in a kept row, named by its row of the block
+    (4.813566285049063e+76, 0, 2, "map evaluation is not finite at batch row 505"),
+])
+def test_an_overflow_in_a_skipped_right_side_does_not_end_calibration(radius, offset,
+                                                                      exit_code, error):
+    cfg = builtin_scenarios()["inequality-B-descending"]
+    cfg["probes"]["radius"] = radius
+    result = run_scenario(cfg, seed_override=cfg["probes"]["seed"] + offset)
+    assert result.exit_code == exit_code
+    if error is None:
+        [echo] = [r.payload for r in result.records if r.stage == "config"]
+        assert np.isfinite(echo["theta"])
+    else:
+        assert [r.payload for r in result.records] == [{"error": error}]
 
 
 def without_iteration(name):

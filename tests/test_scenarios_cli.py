@@ -262,16 +262,39 @@ def test_a_seed_past_the_digit_limit_exits_two_naming_the_field(count):
     ]
 
 
-def test_an_unread_seed_past_the_digit_limit_exits_two():
+@pytest.mark.parametrize("override", [None, 7])
+def test_an_unread_seed_past_the_digit_limit_exits_two(override):
     # --seed-override leaves the seed unread, but the header still hashes the
-    # config as given
+    # config as given, so the seed gets the record it gets without one
     cfg = small_stability_config()
     cfg["probes"]["seed"] = 10**5000
-    result = run_scenario(cfg, seed_override=7)
+    result = run_scenario(cfg, seed_override=override)
     assert result.exit_code == 2
     [record] = result.records
     assert record.stage == "config" and not record.passed
-    assert f"Exceeds the limit ({DIGITS} digits)" in record.payload["error"]
+    assert record.payload == {
+        "error": f"probes.seed has over {DIGITS} digits, past what a report can write"
+    }
+
+
+def test_an_unread_count_past_the_digit_limit_names_its_limit():
+    cfg = small_stability_config()
+    cfg["probes"]["count"] = 10**5000
+    result = run_scenario(cfg, probes_override=64)
+    assert result.exit_code == 2
+    assert [r.payload for r in result.records] == [
+        {"error": f"probes.count has over {DIGITS} digits, past the limit of {config.MAX_SAMPLE_COUNT}"}
+    ]
+
+
+def test_an_unknown_key_past_the_digit_limit_is_named_by_its_section():
+    cfg = small_stability_config()
+    cfg["probes"][10**5000] = 1
+    result = run_scenario(cfg)
+    assert result.exit_code == 2
+    assert [r.payload for r in result.records] == [
+        {"error": f"probes has an unknown key, a value with over {DIGITS} digits"}
+    ]
 
 
 def test_a_count_past_the_digit_limit_names_the_field_and_its_limit():

@@ -7,6 +7,7 @@ from modstab import (
     BiMap,
     LevelTable,
     ModularSpec,
+    NonFiniteValueError,
     Perturbation,
     PreconditionError,
     ProbeSet,
@@ -29,6 +30,7 @@ from modstab._kernels import BLOCK_ROWS
 from modstab.algebra import three_unimodular_decomposition
 from modstab.report import ReportRecord
 from modstab.scenarios import calibrate_theta
+from modstab.verify import inequality_parts
 
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
@@ -118,6 +120,50 @@ def test_inequality_B_quadratic_fails_at_second_zero_probe():
 
 
 # --- biadditivity -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_kept_rows_get_the_right_side_of_a_full_evaluation(which):
+    probes = draw_probes(4, 64, 1.0, 31)
+    d = BiMap(algebra=MATRIX2, perturbation=Perturbation("quad_slot1", 0.1))
+    args = (d, rho_rows, 0.5, probes.x, probes.y, probes.z, probes.w, probes.lam)
+    lhs, rhs = inequality_parts(*args, which=which)
+    kept = np.array([0, 5, 17, 63])
+    seen = []
+
+    def keep(got):
+        seen.append(got)
+        return kept
+
+    cut_lhs, cut_rhs = inequality_parts(*args, which=which, keep=keep)
+    assert np.array_equal(seen[0], lhs) and np.array_equal(cut_lhs, lhs)
+    assert np.array_equal(cut_rhs[kept], rhs[kept])
+    assert not np.delete(cut_rhs, kept).any()
+    lhs0, rhs0 = inequality_parts(*args, which=which, keep=lambda got: np.array([], dtype=int))
+    assert np.array_equal(lhs0, lhs) and not rhs0.any()
+
+
+def test_a_map_error_on_kept_rows_names_the_row_of_the_batch():
+    # only inequality A's right side calls f(y, w); the map fails on the
+    # rows whose first argument is the marked y
+    probes = draw_probes(4, 64, 1.0, 32)
+    marker = np.full(4, 7.0 + 7.0j)
+    y = probes.y.copy()
+    y[[9, 40]] = marker
+    d = random_tensor_map(32)
+
+    def f(x, z):
+        bad = np.flatnonzero((x == marker).all(axis=1))
+        if bad.size:
+            raise NonFiniteValueError("not finite", probe_id=int(bad[0]))
+        return d(x, z)
+
+    f.algebra, f.zero_boundary = d.algebra, d.zero_boundary
+    args = (f, rho_rows, 0.5, probes.x, y, probes.z, probes.w, probes.lam)
+    with pytest.raises(NonFiniteValueError, match="at batch row 40$") as exc:
+        inequality_parts(*args, keep=lambda lhs: np.array([3, 40, 50]))
+    assert exc.value.probe_id == 40
+    inequality_parts(*args, keep=lambda lhs: np.array([3, 50]))  # the marked rows are skipped
 
 
 def test_biadditivity_of_kernels():
