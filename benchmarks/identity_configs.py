@@ -7,7 +7,10 @@ besides the builtins and the failing variants of ``failing_configs.py``:
   "exp_minus_one", which takes the bisected norm and its memo;
 - the two calibrated builtins without their iteration section (and the
   checks that need it), the path on which calibration builds its own level
-  table.
+  table;
+- ``corollary-ascending-p05-structure``, that builtin with matrix2's 64
+  structure constants given as ``algebra.dim`` 4 and ``structure``, the
+  path of ``build_algebra`` that takes explicit constants.
 
     PYTHONPATH=src python benchmarks/identity_configs.py DIR
 
@@ -22,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from workloads import orlicz_luxemburg_config  # noqa: E402
 
-from modstab import builtin_scenarios  # noqa: E402
+from modstab import builtin_scenarios, preset  # noqa: E402
 from modstab.scenarios import _NEEDS_ITERATION  # noqa: E402
 
 
@@ -39,6 +42,10 @@ def identity_configs():
         cfg["iteration"] = None
         cfg["checks"] = [c for c in cfg["checks"] if c not in _NEEDS_ITERATION]
         configs[cfg["name"]] = cfg
+    cfg = builtin_scenarios()["corollary-ascending-p05"]
+    cfg["name"] = "corollary-ascending-p05-structure"
+    cfg["algebra"] = {"dim": 4, "structure": preset("matrix2").structure.real.ravel().tolist()}
+    configs[cfg["name"]] = cfg
     return configs
 
 

@@ -1,7 +1,9 @@
 """Hot numeric kernels: batched structure-constant products and modular sums.
 
 Plain numpy, one implementation each.  ``perfbench/`` times these
-functions per row.
+functions per row.  ``_rows`` is the one reader of "a vector or an (n, dim)
+batch" into complex rows, for the maps, the envelope, the product and the
+modulars alike.
 
 ``batch_mul`` sums over the nonzero entries of the structure tensor with
 elementwise numpy only: ``out[k] += t[i, j, k] * (a.T[i] * b.T[j])``, in
@@ -43,8 +45,8 @@ runs under raising overflow and underflow flags, and only a batch that
 raises one is recomputed, with the rows whose sum left the float range
 scaled by their largest part; that costs about 4 us per call at 512 and
 2048 rows.
-``_row_sum`` is private so that ``perfbench``'s tracer, which wraps public
-names only, keeps timing the ``rho_*`` kernels as whole spans.
+``_row_sum`` and ``_rows`` are private so that ``perfbench``'s tracer, which
+wraps public names only, keeps timing the ``rho_*`` kernels as whole spans.
 
 Every kernel here, and every map built on them, computes each row on its
 own, so a wide batch can be evaluated in blocks of ``BLOCK_ROWS`` rows
@@ -64,16 +66,22 @@ speed and memory, never a result.
 
 import numpy as np
 
+from .errors import ConfigError
+
 ACTIVE_BACKEND = "numpy"
 
 # rows per block for wide batches; see row_blocks
 BLOCK_ROWS = 2048
 
-# phi preset ids shared with modular.PHI_PRESETS
-PHI_SQUARE = 0
-PHI_EXP_MINUS_ONE = 1
-PHI_LINEAR = 2
-PHI_DEAD_ZONE = 3
+
+def _rows(v):
+    """(C-contiguous (n, dim) complex128 rows, whether v was one vector) of
+    a vector or an (n, dim) batch: a row's bits then do not depend on the
+    caller's memory layout."""
+    a = np.asarray(v, dtype=np.complex128)
+    if a.ndim not in (1, 2):
+        raise ConfigError(f"expected a vector or a batch of vectors, got ndim={a.ndim}")
+    return np.ascontiguousarray(a.reshape(1, -1) if a.ndim == 1 else a), a.ndim == 1
 
 
 def _items_per_block(rows_per_item):
@@ -160,15 +168,16 @@ def rho_power(v, p):
     return _row_sum(np.abs(v) ** p)
 
 
-def rho_orlicz(v, phi_id):
+def rho_orlicz(v, phi):
+    """sum_i phi(|v_i|) of each row, for the preset named ``phi``."""
     t = np.abs(v)
-    if phi_id == PHI_SQUARE:
+    if phi == "square":
         return _row_sum(t * t)
-    if phi_id == PHI_EXP_MINUS_ONE:
+    if phi == "exp_minus_one":
         with np.errstate(over="ignore"):
             return _row_sum(np.expm1(t))
-    if phi_id == PHI_LINEAR:
+    if phi == "linear":
         return _row_sum(t)
-    if phi_id == PHI_DEAD_ZONE:
+    if phi == "dead_zone":
         return _row_sum(np.maximum(t - 1.0, 0.0))
-    raise ValueError(f"unknown phi id {phi_id}")
+    raise ValueError(f"unknown phi {phi!r}")

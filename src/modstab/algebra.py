@@ -63,23 +63,15 @@ def preset(name, dim=None):
 
 
 def mul(a, b, spec):
-    """Bilinear product of coefficient vectors; accepts (d,) or (n, d)."""
-    A = np.asarray(a, dtype=np.complex128)
-    B = np.asarray(b, dtype=np.complex128)
-    squeeze = A.ndim == 1 and B.ndim == 1
-    A = np.atleast_2d(A)
-    B = np.atleast_2d(B)
+    """Bilinear product of coefficient vectors: a and b are each a (d,)
+    vector (one row) or an (n, d) batch, with equal row counts."""
+    (A, sa), (B, sb) = _kernels._rows(a), _kernels._rows(b)
     if A.shape[1] != spec.dim or B.shape[1] != spec.dim:
         raise ConfigError("element dimension does not match the algebra")
     if A.shape[0] != B.shape[0]:
-        if A.shape[0] == 1:
-            A = np.broadcast_to(A, B.shape)
-        elif B.shape[0] == 1:
-            B = np.broadcast_to(B, A.shape)
-        else:
-            raise ConfigError("batch sizes differ")
+        raise ConfigError("batch sizes differ")
     out = _kernels.batch_mul(A, B, spec.structure)
-    return out[0] if squeeze else out
+    return out[0] if sa and sb else out
 
 
 def complex_uniform(rng, lo, hi, shape):

@@ -35,13 +35,6 @@ WEIGHT_FLOOR = 1e-15
 DEFECT_FLOOR = 1e-12
 
 
-def _rows(v):
-    """(C-contiguous (n, dim) rows, whether v was one vector): a row's
-    bits then do not depend on the caller's memory layout."""
-    a = np.ascontiguousarray(v, dtype=np.complex128)
-    return (a.reshape(1, -1), True) if a.ndim == 1 else (a, False)
-
-
 @dataclass(frozen=True)
 class Perturbation:
     name: str
@@ -116,8 +109,8 @@ class BiMap:
         return out
 
     def __call__(self, x, z):
-        X, sx = _rows(x)
-        Z, sz = _rows(z)
+        X, sx = _kernels._rows(x)
+        Z, sz = _kernels._rows(z)
         if X.shape[0] != Z.shape[0]:
             raise ConfigError("batch sizes differ")
         if X.shape[1] != self.algebra.dim or Z.shape[1] != self.algebra.dim:
@@ -215,9 +208,9 @@ class PsiEnvelope:
 
     def __call__(self, x, y):
         """psi row by row; psi(x, x) with one array object takes its norms once."""
-        X, sx = _rows(x)
+        X, sx = _kernels._rows(x)
         nx = self.norm_fn(X) ** self.p
-        ny = nx if y is x else self.norm_fn(_rows(y)[0]) ** self.p
+        ny = nx if y is x else self.norm_fn(_kernels._rows(y)[0]) ** self.p
         out = np.sqrt(self.theta) * (nx + ny)
         return float(out[0]) if sx else out
 
@@ -313,10 +306,6 @@ class ProbeSet:
 
     def __len__(self):
         return self.x.shape[0]
-
-    @property
-    def count(self):
-        return len(self)
 
 
 N_MANDATORY = 13
@@ -470,10 +459,10 @@ def rho_tilde_contraction_margin(rho_fn, weight, delta, gamma, probes, kappa=2.0
     lhs is the probe rho-tilde of (T delta - T gamma).  The pointwise
     chain bounding it runs through the scale-shifted arguments (2x
     ascending, x/2 descending), so the right-hand rho-tilde is evaluated
-    on the probe set enriched with those shifted copies; the contraction
-    factor is L ascending and kappa*L/2 descending.  Returns (lhs, rhs,
-    margin) with margin <= 0 up to rounding whenever the scaling law
-    holds.
+    on the probes (x, z) followed by the shifted copies (2x or x/2, z).
+    The contraction factor is L ascending and kappa*L/2 descending.
+    Returns (lhs, rhs, margin) with margin <= 0 up to rounding whenever
+    the scaling law holds.
     """
     psi = weight.psi
     direction = psi.direction
@@ -488,15 +477,6 @@ def rho_tilde_contraction_margin(rho_fn, weight, delta, gamma, probes, kappa=2.0
     else:
         shifted_x = probes.x / 2.0
         factor = kappa * psi.L / 2.0
-    enriched = ProbeSet(
-        x=np.concatenate([probes.x, shifted_x]),
-        y=np.concatenate([probes.y, probes.y]),
-        z=np.concatenate([probes.z, probes.z]),
-        w=np.concatenate([probes.w, probes.w]),
-        lam=np.concatenate([probes.lam, probes.lam]),
-        seed=probes.seed,
-        radius=probes.radius * 2.0,
-        mandatory={},
-    )
-    rhs = factor * rho_tilde(rho_fn, weight, diff, enriched)
+    x, z = np.concatenate([probes.x, shifted_x]), np.concatenate([probes.z, probes.z])
+    rhs = factor * rho_tilde_tabulated(rho_fn(diff(x, z)), weight.values(x, z))
     return lhs, rhs, lhs - rhs

@@ -31,7 +31,6 @@ RUN_KINDS = ("stability", "axioms")
 CHECKS = ("inequality_A", "inequality_B", "stability_bound", "biadditivity",
           "first_slot_linearity", "biderivation", "superstability", "telescoping",
           "bounded_orbit", "uniqueness")
-PHIS = tuple(PHI_PRESETS)
 S, A, ANY = "stability", "axioms", "any"
 
 SCHEMA = (
@@ -44,7 +43,7 @@ SCHEMA = (
     ("modular", "section", None, {}, S, "the modular ρ of the value space"),
     ("modular.kind", "name", MODULAR_KINDS, REQUIRED, S, "the modular's family"),
     ("modular.p", "real", None, 2.0, S, "the power modular's exponent, at least 1"),
-    ("modular.phi", "name", PHIS, "square", S, "the Orlicz function"),
+    ("modular.phi", "name", PHI_PRESETS, "square", S, "the Orlicz function"),
     ("modular.convex", "flag", None, True, S, "false only for a non-convex Orlicz modular"),
     ("modular.kappa", "real", None, 2.0, S, "the claimed Δ2 constant κ, in (0, 2]"),
     ("map", "section", None, {}, S, "the map d: a kernel, a perturbation or both"),
@@ -88,7 +87,7 @@ SCHEMA = (
     ("fixtures[].modular", "section", None, REQUIRED, A, "the modular, as under modular"),
     ("fixtures[].modular.kind", "name", MODULAR_KINDS, REQUIRED, A, "as modular.kind"),
     ("fixtures[].modular.p", "real", None, 2.0, A, "as modular.p"),
-    ("fixtures[].modular.phi", "name", PHIS, "square", A, "as modular.phi"),
+    ("fixtures[].modular.phi", "name", PHI_PRESETS, "square", A, "as modular.phi"),
     ("fixtures[].modular.convex", "flag", None, True, A, "as modular.convex"),
     ("fixtures[].modular.kappa", "real", None, 2.0, A, "as modular.kappa"),
     ("fixtures[].expect_violation", "text", None, None, A, "the axiom_* the checker must catch"),

@@ -40,15 +40,10 @@ from .errors import (
 )
 from .report import CheckResult
 
-PHI_PRESETS = {
-    "square": _kernels.PHI_SQUARE,
-    "exp_minus_one": _kernels.PHI_EXP_MINUS_ONE,
-    "linear": _kernels.PHI_LINEAR,
-    # dead_zone is deliberately *not* a modular: phi(t) = max(t-1, 0)
-    # vanishes on a neighbourhood of 0, so rho(x) = 0 for small x != 0.
-    # It exists as the broken fixture the axiom checker must catch.
-    "dead_zone": _kernels.PHI_DEAD_ZONE,
-}
+# dead_zone is deliberately *not* a modular: phi(t) = max(t-1, 0) vanishes on
+# a neighbourhood of 0, so rho(x) = 0 for small x != 0.  It exists as the
+# broken fixture the axiom checker must catch.
+PHI_PRESETS = ("square", "exp_minus_one", "linear", "dead_zone")
 
 # the presets with phi(t*s) = t**q * phi(s) for t > 0, by their degree q
 _PHI_HOMOGENEITY = {"linear": 1.0, "square": 2.0}
@@ -98,16 +93,6 @@ class ModularSpec:
         return _PHI_HOMOGENEITY.get(self.phi)
 
 
-def _as_rows(x):
-    """Coerce a vector or a stack of vectors to (n, dim) complex128."""
-    a = np.asarray(x, dtype=np.complex128)
-    if a.ndim == 1:
-        return a.reshape(1, -1), True
-    if a.ndim == 2:
-        return a, False
-    raise ConfigError(f"expected a vector or a batch of vectors, got ndim={a.ndim}")
-
-
 def eval_modular(m, x):
     """rho(x); accepts a single vector or an (n, dim) batch.
 
@@ -115,13 +100,13 @@ def eval_modular(m, x):
     unbounded phi may overflow to +inf; downstream sweeps treat that as an
     abort condition.
     """
-    rows, squeeze = _as_rows(x)
+    rows, squeeze = _kernels._rows(x)
     if m.kind == "norm":
         out = _kernels.rho_norm(rows)
     elif m.kind == "power":
         out = _kernels.rho_power(rows, m.p)
     else:
-        out = _kernels.rho_orlicz(rows, PHI_PRESETS[m.phi])
+        out = _kernels.rho_orlicz(rows, m.phi)
         if np.any(out < 0):
             raise InvalidModularError("orlicz phi produced a negative value")
     return float(out[0]) if squeeze else out
@@ -148,8 +133,7 @@ def coeff_norm_fn(m):
     memo = {}
 
     def norm_fn(x):
-        rows, single = _as_rows(x)
-        rows = np.ascontiguousarray(rows)
+        rows, single = _kernels._rows(x)
         # each row's exact bytes, not a digest: a collision would return a wrong norm
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
         fresh = {key: i for i, key in enumerate(keys) if key not in memo}
@@ -174,7 +158,7 @@ def luxemburg_norm(m, x, tol=1e-12):
         raise UnsupportedModularError("Luxemburg norm requires a convex modular")
     if not tol > 0:  # NaN too: a NaN tol would stop the bisection at once
         raise ConfigError("tol must be positive")
-    rows, single = _as_rows(np.atleast_1d(x))
+    rows, single = _kernels._rows(np.atleast_1d(x))
     q = m.homogeneity
     if q is None:
         out = _bisect_luxemburg(m, rows, tol)
@@ -268,9 +252,6 @@ class AxiomSamples:
         if np.max(np.abs(np.abs(self.zeta) - 1.0)) > 1e-12:
             raise PreconditionError("zeta must be unimodular")
 
-    def __len__(self):
-        return self.x.shape[0]
-
 
 def draw_axiom_samples(dim, count, seed, radius=1.0):
     rng = np.random.default_rng(seed)
@@ -335,7 +316,7 @@ def check_delta2(m, samples):
     """The ``delta2`` result: the measured doubling constant
     kappa_hat = max rho(2x)/rho(x) against the claimed kappa, which passes
     iff kappa_hat <= kappa + 1e-9 (lhs kappa_hat, rhs kappa + 1e-9, tol 0)."""
-    rows, _ = _as_rows(samples)
+    rows, _ = _kernels._rows(samples)
     if rows.shape[0] == 0:
         raise PreconditionError("need at least one sample")
     nonzero = np.any(rows != 0, axis=1)

@@ -100,8 +100,15 @@ CALIBRATION_SEED_OFFSET = 104_729
 
 def build_algebra(a):
     """The algebra of a parsed ``algebra`` section: a preset, or dim and
-    structure constants."""
+    structure constants.  ``structure`` is read only without a preset, and
+    ``dim`` only with ``zero_mul`` or ``structure``; any other is refused."""
     if a["preset"] is not None:
+        if a["structure"] is not None:
+            raise ConfigError(f"algebra.structure is read only without a preset, "
+                              f"not with {a['preset']!r}")
+        if a["dim"] is not None and a["preset"] != "zero_mul":
+            raise ConfigError(f"algebra.dim is read only with zero_mul or structure, "
+                              f"not with {a['preset']!r}")
         return preset(a["preset"], dim=a["dim"])
     dim, flat = a["dim"], a["structure"]
     if dim is None or flat is None:
@@ -112,8 +119,15 @@ def build_algebra(a):
 
 
 def build_bimap(m, algebra):
-    """The map of a parsed ``map`` section over ``algebra``."""
+    """The map of a parsed ``map`` section over ``algebra``; ``tensor`` and
+    ``value_dim`` are read only with the tensor form, and refused with any
+    other."""
     kernel, pert, tensor = m["kernel"], m["perturbation"], None
+    if kernel is not None and kernel["form"] != "tensor":
+        for key in ("tensor", "value_dim"):
+            if kernel[key] is not None:
+                raise ConfigError(f"map.kernel.{key} is read only with form 'tensor', "
+                                  f"not with {kernel['form']!r}")
     if kernel is not None and kernel["form"] == "tensor":
         vd = algebra.dim if kernel["value_dim"] is None else kernel["value_dim"]
         flat = kernel["tensor"]
@@ -621,10 +635,7 @@ def _inequality_B(run):
 
 def _stability_bound(run):
     # d and its limit D on the probes are levels 0 and N of the run's table
-    return [check_stability_bound(
-        run.table[0], run.limit_vals, run.psi, run.rho_fn, run.probes,
-        corollary_theta=run.psi.theta,
-    )]
+    return [check_stability_bound(run.table[0], run.limit_vals, run.psi, run.rho_fn, run.probes)]
 
 
 def _biadditivity(run):

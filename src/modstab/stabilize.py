@@ -81,8 +81,6 @@ class StabilizeOutcome:
 def hyers_bound(psi, x, z):
     """psi(x,x) psi(z,0) / (2 (1 - L)): the a-priori distance between the
     perturbed map and its extracted bi-additive limit."""
-    if not (0.0 < psi.L < 1.0):
-        raise ConfigError("hyers bound needs L in (0, 1)")
     x = np.asarray(x, dtype=np.complex128)
     zero = np.zeros_like(np.asarray(z, dtype=np.complex128))
     return psi(x, x) * psi(z, zero) / (2.0 * (1.0 - psi.L))
@@ -98,24 +96,6 @@ def estimate_contraction(history):
     if not ratios:
         return 0.0
     return float(np.exp(np.mean(np.log(ratios))))
-
-
-def _tabulate(d, cfg, level, max_abs_x):
-    X, cap = cfg.probes.x, cfg.magnitude_cap
-    if cfg.direction == "ascending" and 2.0**level * max_abs_x > cap:
-        probe = int(np.argmax(np.abs(X).max(axis=1)))
-        raise OverflowAbort(
-            f"2^{level} scaling exceeds the magnitude cap {cap:g}",
-            level=level,
-            probe_id=probe,
-        )
-    vals = iterate_evaluator(d, cfg.direction, level)(X, cfg.probes.z)
-    if not np.isfinite(vals).all():
-        bad = int(np.argmax(~np.isfinite(vals).all(axis=1)))
-        raise NonFiniteValueError(
-            f"non-finite iterate value at level {level}", probe_id=bad, level=level
-        )
-    return vals
 
 
 # numpy's floating-point events raise (FloatingPointError) inside a stacked
@@ -147,13 +127,15 @@ class LevelTable:
     cap is evaluated (for ascending iterates the cap is known in advance
     from max |x|).  A level past n_max is tabulated alone.
 
-    A block whose map call raises an arithmetic or package error, meets a
-    floating-point overflow, invalid value or division by zero, or yields a
-    non-finite value is given up, and each of its levels is tabulated alone
-    when it is read: a level then raises the same ``OverflowAbort`` or
-    ``NonFiniteValueError`` (level, probe_id and message) as it did alone,
-    and only when it is read, so a run that converges before a bad level
-    does not raise.
+    A lone level is a one-level stack, evaluated under the caller's error
+    state: an ascending level past the magnitude cap raises
+    ``OverflowAbort``, and a non-finite value ``NonFiniteValueError``, each
+    naming the level and a probe.  A block whose map call raises an
+    arithmetic or package error, meets a floating-point overflow, invalid
+    value or division by zero, or yields a non-finite value is given up,
+    and each of its levels is tabulated alone when it is read: a level then
+    raises what it raises alone, and only when it is read, so a run that
+    converges before a bad level does not raise.
     Calibration reads levels up to n_max before the iteration runs and
     stops at a magnitude-cap abort, so a run still aborts at the same level
     and probe as it would without the table.
@@ -168,13 +150,12 @@ class LevelTable:
         self._blocks = {}  # level -> (block, row)
         self._per_block = _kernels._items_per_block(len(x))
         # blocks end at n_max and below the first level over the cap
-        self._end = cfg.n_max + 1
-        if cfg.direction == "ascending":
-            self._end = next(
-                (n for n in range(self._end) if 2.0**n * self._max_abs_x > cfg.magnitude_cap),
-                self._end,
-            )
+        self._end = next((n for n in range(cfg.n_max + 1) if self._over_cap(n)), cfg.n_max + 1)
         self._single_until = 0  # levels below it are tabulated alone
+
+    def _over_cap(self, n):  # whether level n's scaled probes pass the magnitude cap
+        cfg = self.cfg
+        return cfg.direction == "ascending" and 2.0**n * self._max_abs_x > cfg.magnitude_cap
 
     def __getitem__(self, level):
         if level not in self._levels:
@@ -194,33 +175,39 @@ class LevelTable:
         stop = next((n for n in range(start + 1, stop) if n in self._levels), stop)
         stack = None
         if start >= self._single_until and stop - start > 1:
-            stack = self._stacked(start, stop)
-            if stack is None:
-                self._single_until = stop
-        if stack is None:
-            stack = _tabulate(self.d, self.cfg, start, self._max_abs_x)[None]
+            try:
+                with np.errstate(**_RAISE):
+                    stack = self._stacked(start, stop)
+            except _LEVEL_ERRORS:  # met again by the levels alone
+                pass
+            if stack is None or not np.isfinite(stack).all():
+                stack, self._single_until = None, stop
+        if stack is None:  # the level alone, a one-level stack under the caller's error state
+            if self._over_cap(start):
+                raise OverflowAbort(
+                    f"2^{start} scaling exceeds the magnitude cap {self.cfg.magnitude_cap:g}",
+                    level=start, probe_id=int(np.argmax(np.abs(self.cfg.probes.x).max(axis=1))),
+                )
+            stack = self._stacked(start, start + 1)
+            finite = np.isfinite(stack[0]).all(axis=1)
+            if not finite.all():
+                raise NonFiniteValueError(f"non-finite iterate value at level {start}",
+                                          probe_id=int(np.argmax(~finite)), level=start)
         stack.flags.writeable = False
         for row in range(len(stack)):
             self._levels[start + row] = stack[row]
             self._blocks[start + row] = (stack, row)
 
     def _stacked(self, start, stop):
-        """Levels start..stop-1 from one map call, or None when the block
-        is given up."""
+        """Levels start..stop-1 from one map call on the stacked scaled probes."""
         X, Z = self.cfg.probes.x, self.cfg.probes.z
         k, (n, dim) = stop - start, X.shape
         s = np.array([2.0**level for level in range(start, stop)])[:, None, None]
-        try:
-            with np.errstate(**_RAISE):
-                if self.cfg.direction == "ascending":
-                    vals = self.d((s * X).reshape(k * n, dim), np.tile(Z, (k, 1)))
-                    vals = vals.reshape(k, n, vals.shape[1]) / s
-                else:
-                    vals = self.d((X / s).reshape(k * n, dim), np.tile(Z, (k, 1)))
-                    vals = s * vals.reshape(k, n, vals.shape[1])
-        except _LEVEL_ERRORS:  # met again by the levels alone
-            return None
-        return vals if np.isfinite(vals).all() else None
+        if self.cfg.direction == "ascending":
+            vals = self.d((s * X).reshape(k * n, dim), np.tile(Z, (k, 1)))
+            return vals.reshape(k, n, vals.shape[1]) / s
+        vals = self.d((X / s).reshape(k * n, dim), np.tile(Z, (k, 1)))
+        return s * vals.reshape(k, n, vals.shape[1])
 
 
 def _level_rho(table, rho_fn, n):

@@ -236,27 +236,26 @@ def check_first_slot_linearity(f, rho_fn, scalars, probes, tol=IDENTITY_TOL, fxz
     )
 
 
-def check_stability_bound(d_vals, D_vals, psi, rho_fn, probes, corollary_theta=None):
+def check_stability_bound(d_vals, D_vals, psi, rho_fn, probes):
     """Per-probe margin of rho(D(x,z) - d(x,z)) against the a-priori bound
     psi(x,x) psi(z,0) / (2(1-L)).
 
     ``d_vals`` and ``D_vals`` are the map and its limit on the probes, as
     (n, value_dim) arrays: a run reads both from its level table (levels 0
-    and N), so the check evaluates neither again.  When corollary_theta is
-    given (power envelope scenarios), the records also carry the
-    closed-form constant theta/(2^(1-p) - 1) |x|^p |z|^p for side-by-side
-    reporting; it is never asserted.
+    and N), so the check evaluates neither again.  Whenever 2^(1-p) > 1,
+    the records also carry ``corollary_rhs``, the closed-form constant
+    theta/(2^(1-p) - 1) |x|^p |z|^p with theta = ``psi.theta``, for
+    side-by-side reporting; it is never asserted.
     """
     X, Z = probes.x, probes.z
     lhs = rho_fn(D_vals - d_vals)
     rhs = hyers_bound(psi, X, Z)
     extras = {}
     denom = 2.0 ** (1.0 - psi.p) - 1.0
-    if corollary_theta is not None and denom > 0:
+    if denom > 0:
         nx = psi.norm_fn(X) ** psi.p
         nz = psi.norm_fn(Z) ** psi.p
-        printed = corollary_theta / denom * nx * nz
-        extras = {"corollary_rhs": printed}
+        extras = {"corollary_rhs": psi.theta / denom * nx * nz}
     return _per_probe("stability_bound", lhs, rhs, INEQUALITY_TOL, **extras)
 
 
@@ -285,10 +284,8 @@ def _majorant_terms(form, psi, X, span):
         u = np.array([2.0 ** (i - 1) for i in span])[:, None, None] * X
     elif form == "kappa_both_slots":
         u = X / np.array([2.0**i for i in span])[:, None, None]
-    elif form == "kappa_first_zero":
+    else:  # kappa_first_zero
         u = X / np.array([2.0 ** (i - 1) for i in span])[:, None, None]
-    else:
-        raise ConfigError(f"unknown telescoping form {form!r}")
     u = u.reshape(len(span) * n, dim)
     return psi(u, np.zeros_like(u) if form == "kappa_first_zero" else u).reshape(len(span), n)
 

@@ -87,6 +87,15 @@ def test_mul_dimension_mismatch():
         mul(np.ones(3), np.ones(3), MATRIX2)
 
 
+def test_mul_batch_size_mismatch():
+    with pytest.raises(ConfigError, match="batch sizes differ"):
+        mul(np.ones((2, 4)), np.ones((3, 4)), MATRIX2)
+    # a vector is one row, not broadcast over the other's batch
+    with pytest.raises(ConfigError, match="batch sizes differ"):
+        mul(np.ones(4), np.ones((3, 4)), MATRIX2)
+    assert mul(np.ones(4), np.ones((1, 4)), MATRIX2).shape == (1, 4)
+
+
 def test_non_associative_structure_rejected():
     c = np.zeros((2, 2, 2), dtype=complex)
     c[0, 0, 1] = 1.0

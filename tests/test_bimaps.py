@@ -539,3 +539,10 @@ def test_contraction_margin_nonpositive_for_matched_envelope():
     lhs, rhs, margin = rho_tilde_contraction_margin(rho_rows, w, d1, d2, probes)
     assert np.isfinite(lhs) and np.isfinite(rhs)
     assert margin <= 1e-9
+    # descending, under the norm modular, whose doubling constant kappa = 2 holds
+    psi = PsiEnvelope(theta=0.5, p=2.0, direction="descending")
+    d1 = BiMap(algebra=MATRIX2, kernel=None, perturbation=Perturbation("power_env", 0.1, p=2.0))
+    lhs, rhs, margin = rho_tilde_contraction_margin(
+        rho_rows, RhoTildeWeight(psi=psi, kind="psi_xx_z0"), d1, d2, probes)
+    assert np.isfinite(lhs) and np.isfinite(rhs) and lhs > 0
+    assert margin <= 1e-9

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modstab import _kernels, preset
+from modstab import ConfigError, _kernels, preset
 
 
 def batches(seed, n=257, d=4):
@@ -17,13 +17,13 @@ def batches(seed, n=257, d=4):
 @pytest.mark.parametrize("name", ["rho_norm", "rho_power", "rho_orlicz"])
 def test_zero_rows_give_exact_zero(name):
     v = np.zeros((5, 4), dtype=np.complex128)
-    args = {"rho_norm": (v,), "rho_power": (v, 1.5), "rho_orlicz": (v, 1)}[name]
+    args = {"rho_norm": (v,), "rho_power": (v, 1.5), "rho_orlicz": (v, "exp_minus_one")}[name]
     assert np.all(getattr(_kernels, name)(*args) == 0.0)
 
 
 def test_dead_zone_vanishes_inside_unit_ball():
     v = 0.7 * np.ones((3, 4), dtype=np.complex128)
-    assert np.all(_kernels.rho_orlicz(v, _kernels.PHI_DEAD_ZONE) == 0.0)
+    assert np.all(_kernels.rho_orlicz(v, "dead_zone") == 0.0)
 
 
 def test_power_of_two_scaling_exact_in_batch_mul():
@@ -33,6 +33,17 @@ def test_power_of_two_scaling_exact_in_batch_mul():
     base = _kernels.batch_mul(a, b, t)
     doubled = _kernels.batch_mul(2.0 * a, b, t)
     assert np.array_equal(doubled, 2.0 * base)
+
+
+def test_one_row_reader_for_vectors_and_batches():
+    rows, single = _kernels._rows([1, 2j])
+    assert single and rows.shape == (1, 2) and rows.dtype == np.complex128
+    f_ordered = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+    rows, single = _kernels._rows(f_ordered)
+    assert not single and rows.flags.c_contiguous and np.array_equal(rows, f_ordered)
+    for bad in (np.float64(1.0), np.ones((2, 2, 2))):
+        with pytest.raises(ConfigError, match="a vector or a batch of vectors"):
+            _kernels._rows(bad)
 
 
 def test_default_backend_reported():
@@ -229,15 +240,14 @@ def test_rho_norm_keeps_non_finite_rows():
 @pytest.mark.parametrize("name", ["rho_power", "rho_orlicz"])
 def test_modular_sums_are_numpy_row_sums_bit_for_bit(name):
     v = _wide_rows(15, 700, 4) * 1e-6
-    for phi in (_kernels.PHI_SQUARE, _kernels.PHI_EXP_MINUS_ONE, _kernels.PHI_LINEAR,
-                _kernels.PHI_DEAD_ZONE):
+    for phi in ("square", "exp_minus_one", "linear", "dead_zone"):
         if name == "rho_power":
             got, t = _kernels.rho_power(v, 1.5), np.abs(v) ** 1.5
         else:
             got = _kernels.rho_orlicz(v, phi)
             t = np.abs(v)
-            t = {_kernels.PHI_SQUARE: t * t, _kernels.PHI_EXP_MINUS_ONE: np.expm1(t),
-                 _kernels.PHI_LINEAR: t, _kernels.PHI_DEAD_ZONE: np.maximum(t - 1.0, 0.0)}[phi]
+            t = {"square": t * t, "exp_minus_one": np.expm1(t),
+                 "linear": t, "dead_zone": np.maximum(t - 1.0, 0.0)}[phi]
         assert np.array_equal(_bits(got), _bits(t.sum(axis=1)))
 
 

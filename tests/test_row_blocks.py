@@ -96,8 +96,8 @@ def test_map_batch_equals_its_blocks(form, pert):
 @pytest.mark.parametrize(
     "kernel, arg",
     [("rho_norm", None), ("rho_power", 1.5), ("rho_power", 1.0),
-     ("rho_orlicz", _kernels.PHI_SQUARE), ("rho_orlicz", _kernels.PHI_EXP_MINUS_ONE),
-     ("rho_orlicz", _kernels.PHI_LINEAR), ("rho_orlicz", _kernels.PHI_DEAD_ZONE)],
+     ("rho_orlicz", "square"), ("rho_orlicz", "exp_minus_one"),
+     ("rho_orlicz", "linear"), ("rho_orlicz", "dead_zone")],
 )
 def test_modular_kernel_batch_equals_its_blocks(kernel, arg):
     fn = getattr(_kernels, kernel)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from modstab import (
-    ModularSpec, builtin_scenarios, config, list_builtin_scenarios, run_scenario, scenarios,
+    ModularSpec, builtin_scenarios, config, list_builtin_scenarios, preset, run_scenario,
+    scenarios,
 )
 from modstab._kernels import BLOCK_ROWS, row_blocks
 from modstab.cli import main as cli_main
@@ -452,6 +453,22 @@ def test_cli_run_builtin_to_file(tmp_path, capsys):
     assert body[0]["stage"] == "config"
 
 
+def test_cli_run_without_out_or_quiet_writes_the_report_to_stdout(tmp_path, capsys):
+    out = tmp_path / "report.jsonl"
+    assert cli_main(["run", "superstability-commutator", "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert cli_main(["run", "superstability-commutator"]) == 0
+    printed = capsys.readouterr()
+
+    def undated(text):  # the header's created_at differs from run to run
+        header, *body = text.splitlines()
+        return {**json.loads(header), "created_at": None}, body
+
+    assert undated(printed.out) == undated(out.read_text())
+    assert re.fullmatch(r"# superstability-commutator: exit=0 records=1032 failures=0 "
+                        r"elapsed=\d+\.\d\ds\n", printed.err)
+
+
 def _failed_lines(path):
     docs = [json.loads(line) for line in path.read_text().splitlines()[1:]]
     return sum(1 for doc in docs if not doc["pass"] and not doc.get("advisory", False))
@@ -624,6 +641,15 @@ def _radius_past_float():
     return text
 
 
+def _naming(text, *parts):
+    """The config ``text``, whose record's error must hold each of ``parts``."""
+    MALFORMED_NAMES[text] = parts
+    return text
+
+
+MATRIX2_STRUCTURE = preset("matrix2").structure.real.ravel().tolist()
+
+
 def _no_checks():
     cfg = json.loads(json.dumps(builtin_scenarios()["lemma-falsifier"]))
     cfg["checks"] = []
@@ -728,6 +754,26 @@ def _no_checks():
         # an integer past float range: float() raised an OverflowError whose
         # record named no field
         _radius_past_float(),
+        # a field the run would ignore is refused, where it exited 0
+        _naming(_builtin_value("superstability-commutator", ["algebra"],
+                               {"preset": "matrix2", "dim": 3}), "algebra.dim"),
+        # this ran matrix2, not the zero algebra its constants give
+        _naming(_builtin_value("superstability-commutator", ["algebra"],
+                               {"preset": "matrix2", "structure": [0.0] * 64}),
+                "algebra.structure"),
+        _naming(_builtin_value("superstability-commutator", ["algebra"],
+                               {"preset": "zero_mul", "structure": [0.0] * 8}),
+                "algebra.structure"),
+        _naming(_builtin_value("superstability-commutator", ["map", "kernel"],
+                               {"form": "commutator", "tensor": MATRIX2_STRUCTURE}),
+                "map.kernel.tensor"),
+        _naming(_builtin_value("superstability-commutator", ["map", "kernel"],
+                               {"form": "commutator", "value_dim": 2}), "map.kernel.value_dim"),
+        # the cross-field checks of the parse stage
+        _naming(_builtin_value("superstability-commutator", ["psi"], None),
+                "iteration requires an envelope"),
+        _naming(_builtin_value("corollary-descending-p2", ["map", "perturbation", "p"], 0.5),
+                "descending runs need a power_env exponent p > 1"),
     ],
     ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list",
          "fixture-no-modular", "weight-bogus", "weight-bogus-no-iteration",
@@ -748,7 +794,9 @@ def _no_checks():
          "check-delta2-string", "expect-violation-axiom-7", "expect-violation-list",
          "n-maxx", "tolerance", "cuont", "thetta", "epsilonn", "kapa", "kapa-descending",
          "check-delta", "chekcs", "checks-empty", "samples-seed-negative",
-         "radius-5000-digits", "radius-10**400"],
+         "radius-5000-digits", "radius-10**400", "matrix2-with-dim", "matrix2-with-structure",
+         "zero-mul-with-structure", "commutator-with-tensor", "commutator-with-value-dim",
+         "iteration-without-psi", "descending-power-env-p-0.5"],
 )
 def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "calibrate_theta", lambda *a, **k: pytest.fail("calibrated"))
@@ -763,6 +811,19 @@ def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch)
     for part in MALFORMED_NAMES.get(text, ()):
         assert part in lines[1]["payload"]["error"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_explicit_structure_constants_run_as_their_preset():
+    # matrix2's constants given as dim and structure: the same run, apart
+    # from the config echo's algebra name
+    want = [r.to_json() for r in run_scenario("corollary-ascending-p05").records]
+    cfg = builtin_scenarios()["corollary-ascending-p05"]
+    cfg["algebra"] = {"dim": 4, "structure": MATRIX2_STRUCTURE}
+    result = run_scenario(cfg)
+    got = [r.to_json() for r in result.records]
+    assert result.exit_code == 0 and len(got) == len(want) == 1117
+    assert [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == [0]
+    assert got[0] == want[0].replace('"algebra": "matrix2"', '"algebra": "dim-4"')
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -859,7 +920,7 @@ def test_stability_bound_evaluates_no_map_block_again(monkeypatch):
     probes, psi = ctx["probes"], ctx["psi"]
     X, Z = probes.x, probes.z
     fresh = check_stability_bound(ctx["bimap"](X, Z), ctx["outcome"].D(X, Z), psi, ctx["rho_fn"],
-                                  probes, corollary_theta=psi.theta)
+                                  probes)
     want = [json.dumps({"check": "stability_bound", "probe_id": i, "lhs": lhs, "rhs": rhs,
                         "margin": lhs - rhs, "corollary_rhs": c})
             for i, (lhs, rhs, c) in enumerate(zip(fresh.lhs.tolist(), fresh.rhs.tolist(),

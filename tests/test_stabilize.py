@@ -101,6 +101,10 @@ def test_preconditions_rejected():
     bad = PsiEnvelope(theta=1.0, p=0.5, L=0.5, direction="ascending")
     with pytest.raises(PreconditionError):
         stabilize(LevelTable(d, asc_cfg()), bad, rho_rows)
+    # a map that need not vanish on the axes
+    off_axes = BiMap(algebra=MATRIX2, kernel="commutator", zero_boundary=False)
+    with pytest.raises(PreconditionError, match="zero_boundary"):
+        stabilize(LevelTable(off_axes, asc_cfg()), asc_psi(), rho_rows)
 
 
 def test_overflow_abort_records_level():

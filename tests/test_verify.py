@@ -347,7 +347,7 @@ def test_stability_bound_corollary_constant_reported():
     d = BiMap(algebra=MATRIX2, kernel="commutator")
     psi = PsiEnvelope(theta=1.0, p=0.5, direction="ascending")
     dxz = d(probes.x, probes.z)
-    recs = check_stability_bound(dxz, dxz, psi, rho_rows, probes, corollary_theta=1.0)
+    recs = check_stability_bound(dxz, dxz, psi, rho_rows, probes)
     assert all("corollary_rhs" in r.payload for r in recs)
 
 
