@@ -4,7 +4,7 @@ covers the lines a check writes when it fails.
     PYTHONPATH=src python benchmarks/failing_configs.py DIR
 
 writes each config as DIR/<name>.json and prints the paths, one a line.
-Each run exits 1; the failing checks are named beside each config.
+Each run exits 1; what fails is named beside each config.
 """
 
 import json
@@ -62,6 +62,10 @@ def failing_configs():
         # inequality_B, stability_bound and telescoping (kappa_first_zero)
         ("inequality-B-descending", "inequality-B-theta-0.001",
          lambda cfg: cfg["psi"].update(theta=0.001)),
+        # no check: level 20 passes the magnitude cap, and the iteration's
+        # abort record ends the run
+        ("corollary-ascending-p05", "ascending-magnitude-cap-1e6",
+         lambda cfg: cfg["iteration"].update(magnitude_cap=1e6)),
         ("axioms-suite", "axioms-kappa-dead-zone", kappa_dead_zone),
     ]
     return {name: _variant(builtin, name, edit) for builtin, name, edit in variants}

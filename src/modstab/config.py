@@ -8,6 +8,9 @@ echoed), section (a mapping of the rows below it) or section list.  A range
 is (lo, hi), inclusive, for an int or real (None: unbounded), "positive",
 the disc 0 < |s| < 1 for ``s``, or the names a name takes.  A field whose
 default is None also takes null; REQUIRED marks a key that must be given.
+A modular's ``p`` is read only with kind power and its ``phi`` only with
+kind orlicz: either is refused with another kind, and left null for
+``ModularSpec`` to fill with its default (``modular.KIND_FIELD``).
 ``runs`` is the run kind whose configs take the field; ``doc`` is its line
 in the README's config reference.  ``CHECKS`` are the keys of
 ``scenarios._CHECKS``, in its order.
@@ -21,7 +24,7 @@ import sys
 from .algebra import PRESETS
 from .bimaps import DIRECTIONS, KERNEL_FORMS, PERTURBATION_NAMES, WEIGHT_KINDS
 from .errors import ConfigError
-from .modular import MODULAR_KINDS, PHI_PRESETS
+from .modular import KIND_FIELD, MODULAR_KINDS, PHI_PRESETS
 from .stabilize import MAX_N_MAX
 
 # the largest probe or sample count; at it a (count, 64) complex sample is ~100 MB
@@ -42,8 +45,8 @@ SCHEMA = (
     ("algebra.structure", "complex list", None, None, S, "dim³ constants c[i, j, k], row-major"),
     ("modular", "section", None, {}, S, "the modular ρ of the value space"),
     ("modular.kind", "name", MODULAR_KINDS, REQUIRED, S, "the modular's family"),
-    ("modular.p", "real", None, 2.0, S, "the power modular's exponent, at least 1"),
-    ("modular.phi", "name", PHI_PRESETS, "square", S, "the Orlicz function"),
+    ("modular.p", "real", None, None, S, "power only, else exit 2: exponent ≥ 1, default 2.0"),
+    ("modular.phi", "name", PHI_PRESETS, None, S, "orlicz only, else exit 2: φ, default square"),
     ("modular.convex", "flag", None, True, S, "false only for a non-convex Orlicz modular"),
     ("modular.kappa", "real", None, 2.0, S, "the claimed Δ2 constant κ, in (0, 2]"),
     ("map", "section", None, {}, S, "the map d: a kernel, a perturbation or both"),
@@ -86,8 +89,8 @@ SCHEMA = (
     ("fixtures[].label", "text", None, None, A, "the fixture's name; default fixture-<index>"),
     ("fixtures[].modular", "section", None, REQUIRED, A, "the modular, as under modular"),
     ("fixtures[].modular.kind", "name", MODULAR_KINDS, REQUIRED, A, "as modular.kind"),
-    ("fixtures[].modular.p", "real", None, 2.0, A, "as modular.p"),
-    ("fixtures[].modular.phi", "name", PHI_PRESETS, "square", A, "as modular.phi"),
+    ("fixtures[].modular.p", "real", None, None, A, "as modular.p"),
+    ("fixtures[].modular.phi", "name", PHI_PRESETS, None, A, "as modular.phi"),
     ("fixtures[].modular.convex", "flag", None, True, A, "as modular.convex"),
     ("fixtures[].modular.kappa", "real", None, 2.0, A, "as modular.kappa"),
     ("fixtures[].expect_violation", "text", None, None, A, "the axiom_* the checker must catch"),
@@ -223,6 +226,11 @@ def _section(raw, path, label, kind, overrides):
                         for i, v in enumerate(value)]
         else:
             out[key] = read(value, dot + key, type_, bounds)
+    if path.endswith("modular"):  # ModularSpec fills the kind's own field
+        for reader, (key, _) in KIND_FIELD.items():
+            if out["kind"] != reader and out[key] is not None:
+                raise ConfigError(f"{dot + key} is read only with kind {reader!r}, "
+                                  f"not with {out['kind']!r}")
     return out
 
 

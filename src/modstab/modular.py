@@ -49,6 +49,8 @@ PHI_PRESETS = ("square", "exp_minus_one", "linear", "dead_zone")
 _PHI_HOMOGENEITY = {"linear": 1.0, "square": 2.0}
 
 MODULAR_KINDS = ("norm", "power", "orlicz")
+# the field that a kind reads besides convex and kappa, with its default
+KIND_FIELD = {"power": ("p", 2.0), "orlicz": ("phi", "square")}
 AXIOM_TOL = 1e-12
 
 
@@ -60,18 +62,24 @@ class ModularSpec:
     in (0, 2]; check_delta2 measures the actual constant against it.  A
     built-in whose true doubling constant exceeds 2 (power p > 1, orlicz
     "square") simply fails check_delta2 and is thereby excluded from
-    iteration scenarios while remaining usable in unit fixtures.
+    iteration scenarios while remaining usable in unit fixtures.  ``p`` is
+    read by kind power only and ``phi`` by kind orlicz only; left None, the
+    kind's own field takes its ``KIND_FIELD`` default (2.0, "square").
     """
 
     kind: str
-    p: float = 2.0
-    phi: str = "square"
+    p: float = None
+    phi: str = None
     convex: bool = True
     kappa: float = 2.0
 
     def __post_init__(self):
         if self.kind not in MODULAR_KINDS:
             raise ConfigError(f"unknown modular kind {self.kind!r}")
+        if self.kind in KIND_FIELD:
+            field, default = KIND_FIELD[self.kind]
+            if getattr(self, field) is None:
+                object.__setattr__(self, field, default)
         if self.kind == "power" and self.p < 1.0:
             raise ConfigError("power modular requires p >= 1")
         if self.kind in ("norm", "power") and not self.convex:

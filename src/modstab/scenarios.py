@@ -599,9 +599,7 @@ def _config_echo(run):
 def _iterate(run):
     """Iterate to the limit; a numeric abort leaves ``run.outcome`` None."""
     try:
-        run.outcome = out = stabilize(
-            run.table, run.psi, run.rho_fn, weight_kind=run.weight_kind, skip_psi_check=True
-        )
+        run.outcome = out = stabilize(run.table, run.psi, run.rho_fn, weight_kind=run.weight_kind)
     except (OverflowAbort, NonFiniteValueError) as e:
         payload = {"error": str(e), "level": getattr(e, "level", None),
                    "probe_id": getattr(e, "probe_id", None)}

@@ -15,7 +15,6 @@ from .bimaps import (
     WEIGHT_FLOOR,
     ProbeSet,
     RhoTildeWeight,
-    check_psi_law,
     iterate_evaluator,
     rho_tilde_tabulated,
 )
@@ -218,7 +217,7 @@ def _level_rho(table, rho_fn, n):
     return diff_rho
 
 
-def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0", skip_psi_check=False):
+def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0"):
     """Run the scaled iteration on ``table`` and freeze the limit candidate.
 
     The map d and its StabilizeConfig cfg are ``table.d`` and ``table.cfg``.
@@ -230,7 +229,10 @@ def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0", skip_psi_check=False)
     modular of the successive difference; the stopping rule deliberately
     uses the plain probe-sup ``sup_rho_delta`` so zero-weight boundary
     probes cannot produce 0/0.  A run iterates once: ``check_uniqueness``
-    reads its reruns off the outcome's levels.
+    reads its reruns off the outcome's levels.  The map must vanish on the
+    axes and psi must scale in cfg's direction; psi's scaling law is not
+    checked here, but once per run, by the ``psi_law`` stage before it
+    iterates.
 
     The levels are walked a table block at a time: one modular call gives
     the deltas of the whole block and rho-tilde of its levels up to the
@@ -245,11 +247,6 @@ def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0", skip_psi_check=False)
         raise PreconditionError("the map must vanish on the axes (zero_boundary)")
     if psi.direction != cfg.direction:
         raise PreconditionError("psi scaling direction disagrees with the iteration direction")
-    if not skip_psi_check:
-        law = check_psi_law(psi, cfg.probes)
-        if law.n_failed:
-            margin = law[0].payload["law_margin"]
-            raise PreconditionError(f"psi scaling law fails on the probe set (margin {margin:.3e})")
 
     X, Z = cfg.probes.x, cfg.probes.z
     weights = RhoTildeWeight(psi=psi, kind=weight_kind).values(X, Z)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spec
 from modstab import _kernels
 from modstab import (
     BiMap,
@@ -22,7 +23,6 @@ from modstab import (
     rho_tilde_contraction_margin,
 )
 from modstab.bimaps import probe_blocks
-from modstab.report import ReportRecord
 
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
@@ -338,38 +338,6 @@ def test_psi_law_fails_on_the_decay_test_alone():
     assert law.lhs[0] == np.inf and not row.passed and law.n_failed == 1
 
 
-def _psi_law_per_level(psi, probes, n_levels=30, floor_ratio=1e-9, tol=1e-9):
-    """The psi law as one psi call per level: the reference the stacked
-    check_psi_law must match bit for bit, as the report row it must read
-    as, whose pass bit is law_margin <= tol and decay_ok."""
-    X, Y = probes.x, probes.y
-    if psi.direction == "ascending":
-        margins = psi(2.0 * X, 2.0 * X) - 2.0 * psi.L * psi(X, X)
-    else:
-        margins = psi(X, X) - (psi.L / 2.0) * psi(2.0 * X, 2.0 * X)
-    witness = int(np.argmax(margins))
-    law_margin = float(margins[witness])
-    seq = np.empty((n_levels + 1, X.shape[0]))
-    for n in range(n_levels + 1):
-        s = 2.0**n
-        if psi.direction == "ascending":
-            seq[n] = psi(s * X, s * Y) / s
-        else:
-            seq[n] = s * psi(X / s, X / s)
-    start = seq[0]
-    floor = floor_ratio * start
-    live = seq[:-1] > floor[None, :]
-    monotone = np.all((seq[1:] <= seq[:-1] * (1.0 + 1e-12)) | ~live)
-    shrunk = (start == 0.0) | (seq[-1] < start) | (seq[-1] <= floor)
-    decay_ok = bool(monotone and np.all(shrunk))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(start > 0.0, seq[-1] / start, 0.0)
-    decay_ratio = float(np.max(ratios) ** (1.0 / n_levels)) if np.any(start > 0) else 0.0
-    payload = {"check": "psi_law", "law_margin": law_margin, "decay_ok": decay_ok,
-               "decay_ratio": decay_ratio}
-    return ReportRecord(None, "check", payload, (law_margin <= tol) and decay_ok)
-
-
 PSI_LAW_MODULARS = [
     ModularSpec(kind="norm"),
     ModularSpec(kind="power", p=1.5),
@@ -386,7 +354,7 @@ def test_psi_law_stacked_equals_per_level_bit_for_bit(m, direction, p, radius):
     assert not np.any(probes.x[probes.mandatory["zero"]])
     # the reference bisects every call afresh; the checked envelope has the memo
     plain = (lambda rows: luxemburg_norm(m, rows)) if m.kind == "orlicz" else coeff_norm_fn(m)
-    want = _psi_law_per_level(PsiEnvelope(p=p, direction=direction, norm_fn=plain), probes)
+    want = spec.psi_law(PsiEnvelope(p=p, direction=direction, norm_fn=plain), probes.x, probes.y)
     got = check_psi_law(PsiEnvelope(p=p, direction=direction, norm_fn=coeff_norm_fn(m)), probes)
     assert list(got) == [want]
 
@@ -429,33 +397,15 @@ def test_probes_minimum_count():
         draw_probes(4, 8, 1.0, seed=0)
 
 
-def _whole_stream_probes(dim, count, radius, seed):
-    """The probe draw as one pass over each stream: x, y, z, w from one
-    generator (real parts, then imaginary), lambda past the 13 mandatory rows
-    from a second one, then the mandatory tuples built from rows 13-16."""
-    rng, half = np.random.default_rng(seed), radius / np.sqrt(2.0)
-    shape = (count, dim)
-    x, y, z, w = (rng.uniform(-half, half, shape) + 1j * rng.uniform(-half, half, shape)
-                  for _ in range(4))
-    lam = np.ones(count, dtype=np.complex128)
-    lam[13:17] = [1.0, -1.0, 1j, -1j]
-    theta = np.random.default_rng(seed + 1).uniform(0.0, 2.0 * np.pi, count - 17)
-    lam[17:] = np.cos(theta) + 1j * np.sin(theta)
-    bx, bz, zero = x[13:17].copy(), z[13:17].copy(), np.zeros(dim)
-    x[0:4], y[0:4], z[0:4], w[0:4] = bx, bx, bz, zero
-    x[4:8], y[4:8], z[4:8], w[4:8] = bx, zero, bz, zero
-    x[8:12], y[8:12], z[8:12], w[8:12] = bx / 2.0, bx / 2.0, bz, zero
-    x[12], y[12], z[12], w[12] = zero, zero, zero, zero
-    return x, y, z, w, lam
-
-
 @pytest.mark.parametrize("count", [17, 2047, 2048, 2049, 10_000])
 @pytest.mark.parametrize("dim", [1, 4, 9])
 def test_probe_blocks_concatenate_to_the_whole_stream_draw(count, dim):
-    # each block reads its stretch of every stream by position; compared as
-    # float64 words, so a -0.0 or a last bit shows too
+    # each block reads its stretch of every stream by position, where the
+    # spec reads each stream in one pass; compared as float64 words, so a
+    # -0.0 or a last bit shows too
     for radius, seed in ((1.0, 0), (1.3, 20107 + 104_729)):
-        want = _whole_stream_probes(dim, count, radius, seed)
+        plain = spec.Probes(dim, count, radius, seed)
+        want = (plain.x, plain.y, plain.z, plain.w, plain.lam)
         blocks = list(probe_blocks(dim, count, radius, seed))
         assert [len(b[0]) for b in blocks] == [s.stop - s.start for s in _kernels.row_blocks(count)]
         probes = draw_probes(dim, count, radius, seed)

@@ -1,12 +1,9 @@
 """Envelope calibration reads its scaled degenerate family from the level
-table.
-
-``_scaled_family_reference`` keeps the calibration that evaluated the
-inequality on that family directly: every scaled tuple in one
-concatenated batch, the map called on all of them at once.  Reading the
-family from the table must give the same theta bit for bit.  It also
-evaluates both sides of every random tuple, so it is the oracle of the
-cut that skips the right side where the left side cannot raise theta.
+table and evaluates a random tuple's right side only where its left side
+can raise theta.  ``test_spec`` compares the theta of whole runs with the
+plain calibration of ``spec.py``, which evaluates both sides of every
+tuple; the cases here pin what a config cannot reach (a random family of
+any size, an envelope blind below a threshold) and what the laziness saves.
 """
 
 import json
@@ -17,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spec
 from modstab import (
     BiMap,
     ConfigError,
@@ -33,65 +31,16 @@ from modstab import (
 )
 from modstab import scenarios
 from modstab._kernels import BLOCK_ROWS, rho_norm
-from modstab.scenarios import (
-    CALIBRATION_EXTRA_COUNT,
-    CALIBRATION_SAFETY,
-    CALIBRATION_SEED_OFFSET,
-    builtin_scenarios,
-    calibrate_theta,
-    run_scenario,
-)
+from modstab.scenarios import builtin_scenarios, calibrate_theta, run_scenario
 from modstab.verify import inequality_parts
 
 MATRIX2 = preset("matrix2")
 NORM = ModularSpec(kind="norm")
 EXTRA = 500  # the random family is the same on both sides; keep it small
-REFUSAL = "defect does not vanish where the envelope does; no theta can calibrate it"
 
 
 def rho_rows(rows):
     return eval_modular(NORM, np.atleast_2d(rows))
-
-
-def _scaled_family_reference(bimap, psi_proto, rho_fn, s, probes, which, n_levels=40,
-                             extra_count=EXTRA, safety=CALIBRATION_SAFETY):
-    psi1 = psi_proto.with_theta(1.0)
-    zeros = np.zeros_like(probes.x)
-    ones = np.ones(len(probes.x), dtype=np.complex128)
-    families = [(probes.x, probes.y, probes.z, probes.w, probes.lam)]
-    extra = draw_probes(bimap.algebra.dim, max(extra_count, 17), probes.radius,
-                        probes.seed + CALIBRATION_SEED_OFFSET)
-    families.append((extra.x, extra.y, extra.z, extra.w, extra.lam))
-    blocks = []
-    for i in range(n_levels):
-        if psi_proto.direction == "ascending":
-            u = (2.0**i) * probes.x
-            blocks.append((u, u))
-        elif which == "A":
-            u = probes.x / (2.0 ** (i + 1))
-            blocks.append((u, u))
-        else:
-            u = probes.x / (2.0**i)
-            blocks.append((u, zeros))
-    reps = len(blocks)
-    families.append((
-        np.concatenate([b[0] for b in blocks]),
-        np.concatenate([b[1] for b in blocks]),
-        np.tile(probes.z, (reps, 1)),
-        np.tile(zeros, (reps, 1)),
-        np.tile(ones, reps),
-    ))
-    required = 0.0
-    for X, Y, Z, W, lam in families:
-        lhs, rhs0 = inequality_parts(bimap, rho_fn, s, X, Y, Z, W, lam, which=which)
-        unit = psi1(X, Y) * psi1(Z, W)
-        need = lhs - rhs0
-        weighted = unit > 1e-15
-        if np.any(~weighted & (need > 1e-12)):
-            raise ConfigError(REFUSAL)
-        if np.any(weighted):
-            required = max(required, float(np.max(need[weighted] / unit[weighted])))
-    return max(required * safety, 1e-12)
 
 
 def random_map(seed, pert, direction, eps=None):
@@ -116,18 +65,27 @@ def table_of(d, probes, direction):
     return LevelTable(d, StabilizeConfig(direction=direction, probes=probes))
 
 
+def plain_theta(d, psi0, probes, which, extra=EXTRA):
+    """The spec's calibration of ``d`` on ``probes``, with ``extra`` random
+    tuples, over the 40 levels of a run without an iteration section."""
+    tuples = draw_probes(4, extra, probes.radius, probes.seed + scenarios.CALIBRATION_SEED_OFFSET)
+    it = spec.Iteration(d, psi0.direction, 40, 1e-10, 1e15, probes.x, probes.z)
+    return spec.calibrate(d, psi0, rho_rows, 0.5, which, probes, tuples, it)
+
+
 @pytest.mark.parametrize("radius", [1.0, 1e6])
 @pytest.mark.parametrize("seed", [401, 402])
 @pytest.mark.parametrize("pert", ["bounded_osc", "power_env"])
 @pytest.mark.parametrize("which", ["A", "B"])
 @pytest.mark.parametrize("direction", ["ascending", "descending"])
 def test_theta_from_the_table_equals_the_concatenated_family(direction, which, pert, seed, radius):
+    # the scaled family read from the table's blocks against the spec's one
+    # level pair at a time; radius 1e6 puts the ascending cap at level 30
     d = random_map(seed, pert, direction)
     probes = draw_probes(4, 64, radius, seed)
-    psi0 = proto(direction)
-    got = calibrate_theta(table_of(d, probes, direction), psi0, rho_rows, 0.5, which=which,
-                          extra_count=EXTRA)
-    assert got == _scaled_family_reference(d, psi0, rho_rows, 0.5, probes, which)
+    got = calibrate_theta(table_of(d, probes, direction), proto(direction), rho_rows, 0.5,
+                          which=which, extra_count=EXTRA)
+    assert got == plain_theta(d, proto(direction), probes, which)
 
 
 class ScaledProbeCounter:
@@ -191,20 +149,6 @@ def test_calibration_refuses_a_table_of_other_iterates():
         calibrate_theta(table, proto("descending"), rho_rows, 0.5, extra_count=EXTRA)
 
 
-@pytest.mark.parametrize("direction, which", [("ascending", "A"), ("descending", "B")])
-def test_theta_from_blocks_of_the_random_family_equals_one_batch(direction, which):
-    # a random family wider than BLOCK_ROWS is evaluated block by block; the
-    # reference evaluates it as one batch
-    extra = 2 * BLOCK_ROWS + 5
-    d = random_map(403, "power_env", direction)
-    probes = draw_probes(4, 64, 1.0, 403)
-    psi0 = proto(direction)
-    got = calibrate_theta(table_of(d, probes, direction), psi0, rho_rows, 0.5, which=which,
-                          extra_count=extra)
-    assert got == _scaled_family_reference(d, psi0, rho_rows, 0.5, probes, which,
-                                           extra_count=extra)
-
-
 def test_given_probe_parts_are_not_evaluated_again():
     probes = draw_probes(4, 64, 1.0, 404)
     d = random_map(404, "bounded_osc", "ascending")
@@ -260,9 +204,9 @@ def test_theta_with_the_cut_right_side_equals_full_evaluation(
     seed, pert, direction, which, extra, radius, eps, blind,
 ):
     # calibration evaluates a random row's right side only where its left
-    # side can raise theta; the reference evaluates both sides of every
-    # tuple.  A blind envelope gives the random family zero-weight tuples,
-    # which with eps > 0 mostly carry a defect and are refused
+    # side can raise theta; the spec evaluates both sides of every tuple.  A
+    # blind envelope gives the random family zero-weight tuples, which with
+    # eps > 0 mostly carry a defect and are refused
     d = random_map(seed, pert, direction, eps)
     probes = draw_probes(4, 32, radius, seed)
     psi0 = proto(direction)
@@ -271,8 +215,7 @@ def test_theta_with_the_cut_right_side_equals_full_evaluation(
                            norm_fn=blind_below(blind * radius))
     got = outcome(calibrate_theta, table_of(d, probes, direction), psi0, rho_rows, 0.5,
                   which=which, extra_count=extra)
-    assert got == outcome(_scaled_family_reference, d, psi0, rho_rows, 0.5, probes, which,
-                          extra_count=extra)
+    assert got == outcome(plain_theta, d, psi0, probes, which, extra)
 
 
 def test_calibration_of_the_ascending_builtin_skips_most_right_sides(monkeypatch):
@@ -354,8 +297,3 @@ def test_calibration_without_an_iteration_section_reads_40_levels(name, failed, 
     assert result.exit_code == 1
     assert Counter(r.payload.get("check") for r in result.records
                    if not r.passed and not r.advisory) == failed
-    [echo] = [r.payload for r in result.records if r.stage == "config"]
-    ctx = result.context
-    assert echo["theta"] == _scaled_family_reference(
-        ctx["bimap"], ctx["psi"], ctx["rho_fn"], ctx["s"], ctx["probes"], "A", n_levels=40,
-        extra_count=CALIBRATION_EXTRA_COUNT)

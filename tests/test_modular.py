@@ -19,6 +19,7 @@ from modstab import (
     eval_modular,
     luxemburg_norm,
 )
+from modstab.config import parse_modular
 from modstab.modular import PHI_PRESETS, _bisect_luxemburg
 
 NORM = ModularSpec(kind="norm")
@@ -48,6 +49,14 @@ def test_eval_nonzero_is_positive(m):
     for _ in range(50):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         assert eval_modular(m, v) > 0.0
+
+
+def test_a_parsed_modular_is_the_library_default():
+    # a kind's own field takes its default in ModularSpec alone, so a config
+    # that leaves it out and the library call give one spec
+    for kind in ("norm", "power", "orlicz"):
+        assert ModularSpec(**parse_modular({"kind": kind})) == ModularSpec(kind=kind)
+    assert ModularSpec(kind="power").p == 2.0 and ModularSpec(kind="orlicz").phi == "square"
 
 
 def test_invalid_kind_rejected():

@@ -142,8 +142,12 @@ def own_seed(cfg):
     return int(section.get("seed", 0))
 
 
+# test_spec compares the stability builtins' lines with ReportRecord.to_json
+AXIOMS = [n for n, c in builtin_scenarios().items() if c.get("kind") == "axioms"]
+
+
 @pytest.mark.parametrize("offset", [0, 1])
-@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+@pytest.mark.parametrize("name", AXIOMS)
 def test_builtin_report_is_json_dumps_of_its_records(name, offset):
     seed = None if offset == 0 else own_seed(builtin_scenarios()[name]) + offset
     result = run_scenario(name, seed_override=seed)

@@ -2,12 +2,14 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spec
 from modstab import (
     BiMap,
     LevelTable,
@@ -30,11 +32,9 @@ from modstab import (
     preset,
     stabilize,
 )
-from modstab import _kernels
 from modstab._kernels import BLOCK_ROWS, row_blocks
-from modstab.bimaps import DEFECT_FLOOR, WEIGHT_FLOOR
+from modstab.bimaps import WEIGHT_FLOOR
 from modstab.scenarios import builtin_scenarios, calibrate_theta, run_scenario
-from modstab.report import ReportRecord
 
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
@@ -97,10 +97,6 @@ def test_preconditions_rejected():
     with pytest.raises(PreconditionError):
         stabilize(LevelTable(d, asc_cfg()), PsiEnvelope(theta=1.0, p=2.0, direction="descending"),
                   rho_rows)
-    # law violated: L below the sharp ascending constant
-    bad = PsiEnvelope(theta=1.0, p=0.5, L=0.5, direction="ascending")
-    with pytest.raises(PreconditionError):
-        stabilize(LevelTable(d, asc_cfg()), bad, rho_rows)
     # a map that need not vanish on the axes
     off_axes = BiMap(algebra=MATRIX2, kernel="commutator", zero_boundary=False)
     with pytest.raises(PreconditionError, match="zero_boundary"):
@@ -280,42 +276,6 @@ def test_a_run_whose_last_delta_equals_tol_passes_its_stabilize_record():
     assert stab.payload["n_converged"] == len(deltas) - 1
 
 
-def _rerun_uniqueness_reference(psi, rho_fn, table):
-    # the check as six iterations on the levels of one table: the base run,
-    # three reruns from start levels 1..3 and the runs from level 0 capped at
-    # n_max -/+ 5, each the per-level loop of stabilize begun at its start
-    # level and stopped at its cap (delta_n <= tol, the stop rule), and
-    # labelled with the cap it ran; returned as the report row the check
-    # must read as, whose pass bit is worst <= 10 tol
-    cfg = table.cfg
-
-    def rerun_from(start, cap=cfg.n_max):
-        v_prev = table[start]
-        frozen = start
-        for n in range(start + 1, cap + 1):
-            v = table[n]
-            diff_rho = rho_fn(v - v_prev)
-            if not np.isfinite(diff_rho).all():
-                raise NonFiniteValueError("non-finite modular value", level=n)
-            v_prev = v
-            frozen = n
-            if float(np.max(diff_rho)) <= cfg.tol:
-                break
-        return frozen
-
-    base = stabilize(table, psi, rho_fn).N_converged
-    runs = [(f"start={s}", rerun_from(s)) for s in (1, 2, 3)]
-    runs += [(f"n_max={m}", rerun_from(0, m)) for m in (max(1, cfg.n_max - 5), cfg.n_max + 5)]
-    variants = []
-    worst = 0.0
-    for tag, n in runs:
-        gap = float(np.max(rho_fn(table[n] - table[base])))
-        worst = max(worst, gap)
-        variants.append([tag, n, gap])
-    payload = {"check": "uniqueness", "max_disagreement": worst, "variants": variants}
-    return ReportRecord(None, "check", payload, worst <= 10.0 * cfg.tol)
-
-
 def _uniqueness_fixtures():
     eps = 0.01
     yield "ascending", osc_map(eps), asc_psi(theta=eps)
@@ -328,26 +288,21 @@ def _uniqueness_fixtures():
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6, 12, 40])
 def test_uniqueness_matches_the_reruns(n_max, tol):
-    # n_max 1..3 put a start level at or past the level cap
+    # n_max 1..3 put a start level at or past the level cap; the spec's
+    # reruns read their levels from a table of their own
     for direction, d, psi in _uniqueness_fixtures():
         cfg = StabilizeConfig(direction=direction, probes=draw_probes(4, 48, 1.0, 17),
                               n_max=n_max, tol=tol)
         table, ref_table = LevelTable(d, cfg), LevelTable(d, cfg)
         out = stabilize(table, psi, rho_rows)
         rep = check_uniqueness(out, rho_rows, table)
-        assert list(rep) == [_rerun_uniqueness_reference(psi, rho_rows, ref_table)]
+        ref = SimpleNamespace(level=ref_table.__getitem__, tol=tol, n_max=n_max)
+        stabilize(ref_table, psi, rho_rows)
+        assert list(rep) == [spec.uniqueness(ref, rho_rows, out.N_converged)]
         # and from the same blocks of levels, each level tabulated once: a
         # level is tabulated only with the block a read starts, so no block
         # is read that a rerun did not read
         assert tabulated_blocks(table) == tabulated_blocks(ref_table)
-
-
-def test_uniqueness_labels_the_cap_it_ran():
-    cfg = asc_cfg(seed=13, n_max=3)
-    variants = uniqueness(osc_map(), asc_psi(theta=0.01), cfg)[0].payload["variants"]
-    assert [tag for tag, _, _ in variants] == [
-        "start=1", "start=2", "start=3", "n_max=1", "n_max=8"]
-    assert [n for _, n, _ in variants] == [3, 3, 3, 1, 8]
 
 
 def test_uniqueness_keeps_the_non_finite_abort_past_the_run():
@@ -365,8 +320,10 @@ def test_uniqueness_keeps_the_non_finite_abort_past_the_run():
     level = exc.value.level
     table = LevelTable(d, asc_cfg(seed=22, n_max=level - 2))
     out = stabilize(table, asc_psi(), rho_exp)
+    plain = spec.Iteration(d, "ascending", level - 2, 1e-10, 1e15, table.cfg.probes.x,
+                           table.cfg.probes.z)
     for run_check in (lambda: check_uniqueness(out, rho_exp, table),
-                      lambda: _rerun_uniqueness_reference(asc_psi(), rho_exp, table)):
+                      lambda: spec.uniqueness(plain, rho_exp, out.N_converged)):
         with pytest.raises(NonFiniteValueError) as exc:
             run_check()
         assert exc.value.level == level
@@ -392,20 +349,6 @@ def test_uniqueness_stops_a_rerun_below_the_magnitude_cap():
     assert d.calls == Counter(range(cap_level + 1)) and d.widths == [11 * 64, 64, 64]
 
 
-def _pairwise_orbit_reference(iterates, weights, rho_fn, weight_tol=1e-15, defect_tol=1e-12):
-    # one modular call per pair of levels
-    active = weights > weight_tol
-    best = 0.0
-    for i in range(len(iterates)):
-        for j in range(i + 1, len(iterates)):
-            vals = rho_fn(iterates[i] - iterates[j])
-            if np.any(~active & (vals > defect_tol)):
-                return float("inf")
-            if np.any(active):
-                best = max(best, float(np.max(vals[active] / weights[active])))
-    return best
-
-
 def orbit(table, out):
     """Levels 0..N of the run's table, the iterates its orbit check reads."""
     return [table[n] for n in range(out.N_converged + 1)]
@@ -418,13 +361,13 @@ def test_bounded_orbit_matches_the_pairwise_loop():
     assert len(iterates) > 10
     est = bounded_orbit_estimate(iterates, out.weights, rho_rows)
     assert np.isfinite(est) and est > 0.0
-    assert est == _pairwise_orbit_reference(iterates, out.weights, rho_rows)
+    assert est == spec.orbit_estimate(iterates, out.weights, rho_rows)
     # the orbit moves at probe 7, so a zero weight there hides a defect
     # from the induced modular
     weights = out.weights.copy()
     weights[7] = 0.0
     assert bounded_orbit_estimate(iterates, weights, rho_rows) == float("inf")
-    assert _pairwise_orbit_reference(iterates, weights, rho_rows) == float("inf")
+    assert spec.orbit_estimate(iterates, weights, rho_rows) == float("inf")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -435,7 +378,7 @@ def test_bounded_orbit_matches_the_pairwise_loop_on_every_prefix(seed):
     weights = rng.uniform(0.1, 2.0, 40)
     for m in range(1, len(stack) + 1):
         est = bounded_orbit_estimate(stack[:m], weights, rho_rows)
-        assert est == _pairwise_orbit_reference(stack[:m], weights, rho_rows)
+        assert est == spec.orbit_estimate(stack[:m], weights, rho_rows)
 
 
 @pytest.mark.parametrize("n_probes", [700, 2049])  # 2 levels per chunk, then 1
@@ -465,56 +408,19 @@ def test_bounded_orbit_matches_the_pairwise_loop_across_chunks(n_probes, case):
         stack[0, inf_at, 1], stack[5, inf_at, 1] = -1.5e308, 1.5e308
     with np.errstate(over="ignore", invalid="ignore"):
         est = bounded_orbit_estimate(stack, weights, rho_rows)
-        assert est == _levelwise_orbit_reference(stack, weights, rho_rows)
-        pairwise = _pairwise_orbit_reference(stack, weights, rho_rows)
+        assert est == spec.orbit_estimate(stack, weights, rho_rows)
     if case in ("nan_at_zero_weight_inf_at_active", "nan_and_inf_at_one_zero_weight_probe"):
-        assert est == pairwise == np.inf
-    elif case == "nan_and_inf_at_active_probes":
-        # level 0's NaN ratio passes over the whole level, its inf pair included
-        assert 0.0 < est < pairwise == np.inf
+        assert est == np.inf
     else:
+        # in nan_and_inf_at_active_probes, level 0's NaN ratio passes over the
+        # whole level, its inf pair included
         assert 0.0 < est < np.inf
-        if case == "finite":
-            assert est == pairwise
-
-
-def test_bounded_orbit_check_reads_levels_0_to_n():
-    # a power envelope's orbit moves away from level 0 at every level;
-    # capped at level 3, the run stops far from its limit, so level 3 sets
-    # the estimate
-    cfg = json.loads(json.dumps(builtin_scenarios()["corollary-ascending-p05"]))
-    cfg["map"]["perturbation"] = {"name": "power_env", "epsilon": 0.01, "p": 0.5}
-    cfg["iteration"]["n_max"] = 3
-    result = run_scenario(cfg)
-    [est] = [r.payload["estimate"] for r in result.records
-             if r.payload.get("check") == "bounded_orbit"]
-    ctx = result.context
-    table = LevelTable(ctx["bimap"], StabilizeConfig(direction="ascending", probes=ctx["probes"]))
-    assert ctx["outcome"].N_converged == 3
-    levels = [table[n] for n in range(4)]
-    weights = ctx["outcome"].weights
-    assert est == bounded_orbit_estimate(levels, weights, ctx["rho_fn"])
-    assert est != bounded_orbit_estimate(levels[:3], weights, ctx["rho_fn"])
 
 
 def test_bounded_orbit_zero_for_fixed_point():
     table = LevelTable(BiMap(algebra=MATRIX2, kernel="commutator"), asc_cfg())
     out = stabilize(table, asc_psi(), rho_rows)
     assert bounded_orbit_estimate(orbit(table, out), out.weights, rho_rows) == 0.0
-
-
-def _levelwise_orbit_reference(iterates, weights, rho_fn, weight_tol=1e-15, defect_tol=1e-12):
-    # ratios taken level by level; Python's max passes over a level whose
-    # largest active ratio is NaN
-    active = weights > weight_tol
-    best = 0.0
-    for i in range(len(iterates) - 1):
-        vals = np.array([rho_fn(iterates[i] - later) for later in iterates[i + 1:]])
-        if np.any(~active & (vals > defect_tol)):
-            return float("inf")
-        if np.any(active):
-            best = max(best, float(np.max(vals[:, active] / weights[active])))
-    return best
 
 
 def _orbit_case(name):
@@ -562,8 +468,7 @@ def test_bounded_orbit_matches_the_pairwise_loop_on_edge_cases(name):
     stack, weights = _orbit_case(name)
     with np.errstate(over="ignore"):  # the overflow cases subtract +-1.5e308
         est = bounded_orbit_estimate(stack, weights, rho_rows)
-        want = _pairwise_orbit_reference(stack, weights, rho_rows)
-        assert _levelwise_orbit_reference(stack, weights, rho_rows) == want
+        want = spec.orbit_estimate(stack, weights, rho_rows)
     assert type(est) is float
     assert est == want
     if name in ORBIT_WANT:
@@ -587,7 +492,7 @@ def test_finite_weights_and_iterates_give_no_nan_ratio(seed):
         vals = [rho_rows(a - b) for i, a in enumerate(stack) for b in stack[i + 1:]]
         assert not np.isnan(vals).any()
         est = bounded_orbit_estimate(stack, weights, rho_rows)
-        assert est == _pairwise_orbit_reference(stack, weights, rho_rows)
+        assert est == spec.orbit_estimate(stack, weights, rho_rows)
 
 
 @pytest.mark.parametrize("defect", [False, True])
@@ -617,48 +522,12 @@ def test_bounded_orbit_passes_over_a_level_with_a_nan_ratio(kind, defect):
     stack[5, 11, 3] = complex(np.nan, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         est = bounded_orbit_estimate(stack, weights, rho_rows)
-        assert est == _levelwise_orbit_reference(stack, weights, rho_rows)
-        rest = _levelwise_orbit_reference(stack[counted:], weights, rho_rows)
+        assert est == spec.orbit_estimate(stack, weights, rho_rows)
+        rest = spec.orbit_estimate(stack[counted:], weights, rho_rows)
     if defect:
         assert est == float("inf")
     else:
         assert est == rest and 0.0 < est < float("inf")
-
-
-def _all_pairs_orbit_estimate(iterates, weights, rho_fn):
-    # the sweep over every level pair that the pruned one replaced, verbatim
-    n_levels, n_probes = len(iterates), len(weights)
-    active = weights > WEIGHT_FLOOR
-    peak = np.zeros(n_probes)
-    if n_levels > 1:
-        value_dim = np.shape(iterates[0])[1]
-        per_chunk = min(_kernels._items_per_block(n_probes), n_levels - 1)
-        buf = np.empty((per_chunk, n_probes, value_dim), dtype=np.result_type(*iterates))
-    for i in range(n_levels - 1):
-        top = np.full(n_probes, -np.inf)  # max over the pairs: a NaN wins
-        ftop = np.full(n_probes, np.nan)  # fmax over the pairs: a NaN loses
-        for b in _kernels.row_blocks(n_levels - 1 - i, n_probes):
-            m = b.stop - b.start
-            for r, j in enumerate(range(i + 1 + b.start, i + 1 + b.stop)):
-                np.subtract(iterates[i], iterates[j], out=buf[r])
-            # explicit: -1 cannot be inferred at value_dim 0
-            vals = rho_fn(buf[:m].reshape(m * n_probes, value_dim)).reshape(m, n_probes)
-            chunk_top = vals.max(axis=0)
-            np.maximum(top, chunk_top, out=top)
-            if not np.isfinite(chunk_top).all():
-                chunk_top = np.fmax.reduce(vals, axis=0)
-            np.fmax(ftop, chunk_top, out=ftop)
-        if not np.isfinite(top).all():  # a NaN or inf value: is some ratio NaN?
-            nan_ratio = np.isnan(top) | np.isinf(top) & np.isinf(weights)
-            top = ftop
-            if np.any(active & nan_ratio):
-                top[active] = 0.0
-        np.fmax(peak, top, out=peak)
-    if np.any(~active & (peak > DEFECT_FLOOR)):
-        return float("inf")
-    if not np.any(active):
-        return 0.0
-    return float(np.max(peak[active] / weights[active]))
 
 
 ORBIT_MODULARS = [ModularSpec(kind="norm")]
@@ -720,7 +589,7 @@ def test_pruned_orbit_estimate_has_the_bits_of_all_pairs(case, modular):
 
     with np.errstate(all="ignore"):
         est = bounded_orbit_estimate(levels, weights, rho_fn)
-        want = _all_pairs_orbit_estimate(levels, weights, rho_fn)
+        want = spec.orbit_estimate(levels, weights, rho_fn)
     assert type(est) is float
     assert est == want or math.isnan(est) and math.isnan(want)
 
@@ -742,7 +611,7 @@ def test_pruned_orbit_estimate_guards_the_dead_zone_kink():
     assert s == [0.0, 0.0] and value > 0.0
     weights = np.array([1.0])
     assert bounded_orbit_estimate(levels, weights, rho_fn) == value
-    assert _all_pairs_orbit_estimate(levels, weights, rho_fn) == value
+    assert spec.orbit_estimate(levels, weights, rho_fn) == value
 
 
 def test_orbit_estimate_of_the_ascending_builtin_skips_most_pairs():
@@ -887,19 +756,6 @@ def test_the_magnitude_cap_ends_a_block():
     uncapped = stabilize(LevelTable(osc_map(), replace(cfg, tol=1e-10)), psi, rho_rows)
     assert capped.converged and capped.levels == uncapped.levels
     assert d.calls == Counter(range(36)) and d.widths == [36 * 32]
-
-
-def test_shared_table_equals_fresh_runs():
-    cfg = asc_cfg(seed=13)
-    d, psi = osc_map(), asc_psi(theta=0.01)
-    table, fresh_table = LevelTable(d, cfg), LevelTable(d, cfg)
-    shared = stabilize(table, psi, rho_rows)
-    rep = check_uniqueness(shared, rho_rows, table)
-    fresh = stabilize(fresh_table, psi, rho_rows)
-    for name in ("N_converged", "converged", "contraction_estimate", "bound_margin", "levels"):
-        assert getattr(shared, name) == getattr(fresh, name), name
-    assert np.array_equal(orbit(table, shared), orbit(fresh_table, fresh))
-    assert rep == check_uniqueness(fresh, rho_rows, LevelTable(d, cfg))
 
 
 def test_level_table_refuses_other_iterates():

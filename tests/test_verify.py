@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import spec
 from modstab import (
     BiMap,
     LevelTable,
@@ -27,8 +28,6 @@ from modstab import (
     stabilize,
 )
 from modstab._kernels import BLOCK_ROWS
-from modstab.algebra import three_unimodular_decomposition
-from modstab.report import ReportRecord
 from modstab.scenarios import calibrate_theta
 from modstab.verify import inequality_parts
 
@@ -239,33 +238,6 @@ def test_conjugation_fails_at_imaginary_unit():
     assert bad.payload["lhs"] == pytest.approx(expected, abs=1e-12)
 
 
-def _linearity_per_scalar(f, rho_fn, scalars, probes, tol=1e-10):
-    """The sweep as one map call per scalar and per route term: the oracle
-    of the stacked sweep, as the report rows it must read as."""
-    X, Z = probes.x, probes.z
-    fXZ = f(X, Z)
-    out = []
-    for idx, lam in enumerate(np.asarray(scalars, dtype=np.complex128)):
-        fLXZ = f(lam * X, Z)
-        direct = float(np.max(rho_fn(fLXZ - lam * fXZ)))
-        extra = {"lam": [float(lam.real), float(lam.imag)], "direct": direct}
-        worst = direct
-        if abs(abs(lam) - 1.0) > 1e-12:
-            M = int(np.floor(4.0 * abs(lam))) + 1
-            triple = three_unimodular_decomposition(3.0 * lam / M)
-            route_vec = (M / 3.0) * (
-                f(triple.mu1 * X, Z) + f(triple.mu2 * X, Z) + f(triple.mu3 * X, Z)
-            )
-            route = float(np.max(rho_fn(fLXZ - route_vec)))
-            extra["route"] = route
-            extra["M"] = M
-            worst = float(np.maximum(direct, route))
-        payload = {"check": "first_slot_linearity", "probe_id": idx, "lhs": worst, "rhs": 0.0,
-                   "margin": worst, **extra}
-        out.append(ReportRecord(None, "check", payload, worst <= tol))
-    return out
-
-
 @pytest.mark.parametrize("modular", [NORM, ModularSpec(kind="power", p=1.5),
                                      ModularSpec(kind="orlicz", phi="exp_minus_one")],
                          ids=["norm", "power1.5", "orlicz-exp"])
@@ -288,7 +260,7 @@ def test_stacked_linearity_equals_per_scalar_calls_bit_for_bit(modular):
     for f, dim in maps:
         for radius in (1.0, 1e3):
             probes = draw_probes(dim, 40, radius, seed=6)
-            want = _linearity_per_scalar(f, rho_fn, scalars, probes)
+            want = spec.linearity(f, rho_fn, scalars, probes.x, probes.z, 1e-10)
             got = check_first_slot_linearity(f, rho_fn, scalars, probes)
             assert [r.to_json() for r in got] == [r.to_json() for r in want]
 
@@ -484,7 +456,7 @@ def test_linearity_in_blocks_equals_per_scalar_calls(n):
     counted = RowCounter(f, n)
     got = check_first_slot_linearity(counted, rho_rows, scalars, probes)
     assert [r.to_json() for r in got] == [
-        r.to_json() for r in _linearity_per_scalar(f, rho_rows, scalars, probes)]
+        r.to_json() for r in spec.linearity(f, rho_rows, scalars, probes.x, probes.z, 1e-10)]
     generic = int(np.sum(np.abs(np.abs(scalars) - 1.0) > 1e-12))
     per_call = max(1, BLOCK_ROWS // n)
     assert counted.calls == 1 + -(-len(scalars) // per_call) + generic
