@@ -31,6 +31,8 @@ MUTANTS = {
         "frozen, converged = len(levels) - 1, "),
     "calibration drops a kept row": (
         "scenarios.py", "return np.flatnonzero(rows)", "return np.flatnonzero(rows)[:-1]"),
+    "the magnitude cap one level higher": (
+        "stabilize.py", "(n - 1 for n in range(1024)", "(n for n in range(1024)"),
 }
 
 

@@ -167,8 +167,8 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which):
     scaling is exact, so there the right side is 0 and the left side
     reduces to rho(k_i T[i+1] - k_i T[i]) (descending A:
     rho(k_i T[i] - k_i T[i+1])).  Ascending B has a zero left side and
-    yields nothing.  The first level past the magnitude cap ends the
-    family, as it ends the iteration."""
+    yields nothing.  The family ends at level min(n_max,
+    ``table.below_cap``)."""
     cfg = table.cfg
     ascending = cfg.direction == "ascending"
     if ascending and which == "B":
@@ -180,16 +180,11 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which):
     def column(values):  # Python floats, one per level, against (k, P, dim)
         return np.array(values)[:, None, None]
 
-    try:
-        lo = table[0]
-    except OverflowAbort:
+    last = min(cfg.n_max, table.below_cap)
+    if last < 0:
         return
-    j = 1  # the upper level of the block's first pair
-    while j <= cfg.n_max:
-        try:
-            hi = table.block(j)[: cfg.n_max - j + 1]
-        except OverflowAbort:
-            return
+    lo = table[0]
+    for j, hi in table.span(1, last):  # j: the upper level of the block's first pair
         los = np.concatenate([lo[None], hi[:-1]])
         i, rows = range(j - 1, j - 1 + len(hi)), len(hi) * n
         if ascending:  # (u, u, z, 0) with u = 2^i x
@@ -206,7 +201,7 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which):
             diff, y = k * hi - k * los, np.zeros_like(u)
         need = rho_fn(diff.reshape(rows, diff.shape[2])).reshape(len(hi), n)
         yield need, psi1(u, y).reshape(len(hi), n) * psi_z0
-        lo, j = hi[-1], j + len(hi)
+        lo = hi[-1]
 
 
 def calibrate_theta(

@@ -97,124 +97,119 @@ def estimate_contraction(history):
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-# numpy's floating-point events raise (FloatingPointError) inside a stacked
-# pass, so that a pass which meets one is given up and its levels are redone
-# one at a time, under the caller's own error state; so is a pass that meets
-# any other arithmetic error or one of the package's own errors
+# a pass over stacked levels meets numpy's floating-point events as errors,
+# and is given up on them as on any arithmetic or package error; its levels
+# are then redone one at a time, under the caller's error state
 _RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
 _LEVEL_ERRORS = (ArithmeticError, ModstabError)
 
 
+def _attempt(stacked_pass, *args):
+    """``stacked_pass(*args)`` under ``_RAISE``, or None when it raises one
+    of ``_LEVEL_ERRORS``: the one rule by which a pass is given up."""
+    try:
+        with np.errstate(**_RAISE):
+            return stacked_pass(*args)
+    except _LEVEL_ERRORS:
+        return None
+
+
 class LevelTable:
     """The scaled iterates J^n d of the map ``d`` on the probes of ``cfg``,
-    each level evaluated once: the one input of a run's iteration.
+    each level evaluated once: the one input of a run's iteration, whose
+    readers take the map, the probes, the direction, the level cap n_max,
+    the tolerance and the magnitude cap from it.
 
-    ``stabilize``, ``check_uniqueness``, ``calibrate_theta`` and the checks
-    on the iterates take the table and read the map, the probes, the
-    direction, the level cap n_max, the tolerance and the magnitude cap
-    from it.  ``table[n]`` returns level n as a read-only array;
-    ``table.block(n)`` returns level n and the levels after it in its
-    block, stacked.
+    ``table[n]`` is level n, read-only; ``table.span(first, last)`` yields
+    (level, stack) pairs that cover levels first..last, one read-only stack
+    per block.  ``below_cap`` is the last level whose scaled probes 2^n x
+    stay within the magnitude cap, fixed by max |x| (-1 when level 0
+    passes it, +inf for descending iterates, which have no cap).
 
-    Levels 0..n_max are tabulated in blocks of consecutive levels, each
-    spanning at most ``_kernels.BLOCK_ROWS`` rows (4 levels at 512 probes,
-    all 41 at 32), from one map call on the stacked scaled probes:
-    2^n x (or x / 2^n) with z tiled, the value scaled back row by row.  A
+    Level n lives in block n // k, k = ``_kernels._items_per_block(P)``,
+    and blocks are cut after level min(n_max, below_cap).  The first read
+    of a level tabulates its block from one map call on the stacked scaled
+    probes, 2^n x (or x / 2^n) with z tiled, scaled back row by row; a
     row's value does not depend on its batch, so every level has the bits
-    of its own call.  The first read of a level tabulates the block that
-    starts there; nothing past that block, past n_max or past the magnitude
-    cap is evaluated (for ascending iterates the cap is known in advance
-    from max |x|).  A level past n_max is tabulated alone.
-
-    A lone level is a one-level stack, evaluated under the caller's error
-    state: an ascending level past the magnitude cap raises
-    ``OverflowAbort``, and a non-finite value ``NonFiniteValueError``, each
-    naming the level and a probe.  A block whose map call raises an
-    arithmetic or package error, meets a floating-point overflow, invalid
-    value or division by zero, or yields a non-finite value is given up,
-    and each of its levels is tabulated alone when it is read: a level then
-    raises what it raises alone, and only when it is read, so a run that
-    converges before a bad level does not raise.
-    Calibration reads levels up to n_max before the iteration runs and
-    stops at a magnitude-cap abort, so a run still aborts at the same level
-    and probe as it would without the table.
+    of its own call, whatever the order of reads.  A one-level block, a
+    level past the blocks, and each level of a block that ``_attempt``
+    gives up or that holds a non-finite value are tabulated alone when
+    read, under the caller's error state: past ``below_cap`` a level raises
+    ``OverflowAbort`` without a map call, and a non-finite value
+    ``NonFiniteValueError``, each naming the level and a probe.
     """
 
     def __init__(self, d, cfg):
         self.d = d
         self.cfg = cfg
         x = cfg.probes.x
-        self._max_abs_x = float(np.abs(x).max()) if x.size else 0.0
-        self._levels = {}  # level -> its read-only row of a block
-        self._blocks = {}  # level -> (block, row)
+        self.below_cap = math.inf
+        if cfg.direction == "ascending":
+            top = float(np.abs(x).max()) if x.size else 0.0
+            # no run reads a level past MAX_N_MAX + 5, and 2.0**n overflows at 1024
+            self.below_cap = next(
+                (n - 1 for n in range(1024) if 2.0**n * top > cfg.magnitude_cap), math.inf)
         self._per_block = _kernels._items_per_block(len(x))
-        # blocks end at n_max and below the first level over the cap
-        self._end = next((n for n in range(cfg.n_max + 1) if self._over_cap(n)), cfg.n_max + 1)
-        self._single_until = 0  # levels below it are tabulated alone
-
-    def _over_cap(self, n):  # whether level n's scaled probes pass the magnitude cap
-        cfg = self.cfg
-        return cfg.direction == "ascending" and 2.0**n * self._max_abs_x > cfg.magnitude_cap
+        self._last = min(cfg.n_max, self.below_cap)  # the last level in a block
+        self._stacks = {}  # first level -> its read-only stack: a block, or a level alone
+        self._failed = set()  # indices of the blocks given up
 
     def __getitem__(self, level):
-        if level not in self._levels:
-            self._fill(level)
-        return self._levels[level]
+        stack, row = self._find(level)
+        return stack[row]
 
-    def block(self, level):
-        """Level ``level`` and the tabulated levels after it in its block,
-        as a read-only (k, P, value_dim) array with k >= 1."""
-        if level not in self._levels:
-            self._fill(level)
-        stack, row = self._blocks[level]
-        return stack[row:]
+    def span(self, first, last):
+        """(level, stack) for the levels first..last in order: each stack
+        a read-only (k, P, value_dim) array of levels level..level+k-1 of
+        one block, k >= 1."""
+        while first <= last:
+            stack, row = self._find(first)
+            part = stack[row:row + last - first + 1]
+            yield first, part
+            first += len(part)
 
-    def _fill(self, start):
-        stop = min(start + self._per_block, self._end)
-        stop = next((n for n in range(start + 1, stop) if n in self._levels), stop)
-        stack = None
-        if start >= self._single_until and stop - start > 1:
-            try:
-                with np.errstate(**_RAISE):
-                    stack = self._stacked(start, stop)
-            except _LEVEL_ERRORS:  # met again by the levels alone
-                pass
-            if stack is None or not np.isfinite(stack).all():
-                stack, self._single_until = None, stop
-        if stack is None:  # the level alone, a one-level stack under the caller's error state
-            if self._over_cap(start):
+    def _find(self, level):
+        """(stack, row) of ``level``, its block's or its own, tabulated on
+        the level's first read."""
+        b, row = divmod(level, self._per_block)
+        first = level - row
+        stop = min(first + self._per_block, self._last + 1)
+        if level < stop and stop - first > 1 and b not in self._failed:
+            if first not in self._stacks:
+                stack = _attempt(self._stacked, first, stop)
+                if stack is None or not np.isfinite(stack).all():
+                    self._failed.add(b)
+                    return self._find(level)  # now alone
+                self._stacks[first] = stack
+            return self._stacks[first], row
+        if level not in self._stacks:
+            if level > self.below_cap:
                 raise OverflowAbort(
-                    f"2^{start} scaling exceeds the magnitude cap {self.cfg.magnitude_cap:g}",
-                    level=start, probe_id=int(np.argmax(np.abs(self.cfg.probes.x).max(axis=1))),
+                    f"2^{level} scaling exceeds the magnitude cap {self.cfg.magnitude_cap:g}",
+                    level=level, probe_id=int(np.argmax(np.abs(self.cfg.probes.x).max(axis=1))),
                 )
-            stack = self._stacked(start, start + 1)
+            stack = self._stacked(level, level + 1)
             finite = np.isfinite(stack[0]).all(axis=1)
             if not finite.all():
-                raise NonFiniteValueError(f"non-finite iterate value at level {start}",
-                                          probe_id=int(np.argmax(~finite)), level=start)
-        stack.flags.writeable = False
-        for row in range(len(stack)):
-            self._levels[start + row] = stack[row]
-            self._blocks[start + row] = (stack, row)
+                raise NonFiniteValueError(f"non-finite iterate value at level {level}",
+                                          probe_id=int(np.argmax(~finite)), level=level)
+            self._stacks[level] = stack
+        return self._stacks[level], 0
 
     def _stacked(self, start, stop):
-        """Levels start..stop-1 from one map call on the stacked scaled probes."""
+        """Levels start..stop-1, read-only, from one map call on the stacked
+        scaled probes."""
         X, Z = self.cfg.probes.x, self.cfg.probes.z
         k, (n, dim) = stop - start, X.shape
         s = np.array([2.0**level for level in range(start, stop)])[:, None, None]
         if self.cfg.direction == "ascending":
             vals = self.d((s * X).reshape(k * n, dim), np.tile(Z, (k, 1)))
-            return vals.reshape(k, n, vals.shape[1]) / s
-        vals = self.d((X / s).reshape(k * n, dim), np.tile(Z, (k, 1)))
-        return s * vals.reshape(k, n, vals.shape[1])
-
-
-def _level_rho(table, rho_fn, n):
-    """Per-probe rho(T[n] - T[n-1]), aborting on a non-finite value."""
-    diff_rho = rho_fn(table[n] - table[n - 1])
-    if not np.isfinite(diff_rho).all():
-        raise NonFiniteValueError("non-finite modular value", level=n)
-    return diff_rho
+            stack = vals.reshape(k, n, vals.shape[1]) / s
+        else:
+            vals = self.d((X / s).reshape(k * n, dim), np.tile(Z, (k, 1)))
+            stack = s * vals.reshape(k, n, vals.shape[1])
+        stack.flags.writeable = False
+        return stack
 
 
 def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0"):
@@ -237,10 +232,9 @@ def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0"):
     The levels are walked a table block at a time: one modular call gives
     the deltas of the whole block and rho-tilde of its levels up to the
     first that converges, each with the bits the level gets alone.  A block
-    pass that raises an arithmetic or package error, numpy's floating-point
-    events among them, is given up, and the rest of its block is walked one
-    level at a time under the caller's error state, so a run raises what it
-    raised level by level, at the same level.
+    pass that ``_attempt`` gives up is walked again one level at a time
+    under the caller's error state, so a run raises what it raised level
+    by level, at the same level.
     """
     d, cfg = table.d, table.cfg
     if not getattr(d, "zero_boundary", True):
@@ -276,22 +270,18 @@ def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0"):
         rows = zip(range(first, first + k), sup[:k].tolist(), rt.tolist())
         return [LevelDiag(*row) for row in rows]
 
-    levels, prev, single_until = [], v_origin, 0
-    while True:
-        first = len(levels) + 1
-        block = table.block(first)[: cfg.n_max - first + 1]
-        diags = None
-        if first >= single_until and len(block) > 1:
-            try:
-                with np.errstate(**_RAISE):
-                    diags = walk(block, first, prev)
-            except _LEVEL_ERRORS:  # met again by the levels alone
-                single_until = first + len(block)
-        if diags is None:
-            diags = walk(block[:1], first, prev)
+    levels, prev = [], v_origin
+    for first, block in table.span(1, cfg.n_max):
+        diags = _attempt(walk, block, first, prev) if len(block) > 1 else None
+        if diags is None:  # the levels alone, under the caller's error state
+            diags = []
+            for row in range(len(block)):
+                diags += walk(block[row:row + 1], first + row, block[row - 1] if row else prev)
+                if diags[-1].sup_rho_delta <= cfg.tol:
+                    break
         levels += diags
         prev = block[len(diags) - 1]
-        if levels[-1].sup_rho_delta <= cfg.tol or len(levels) == cfg.n_max:
+        if levels[-1].sup_rho_delta <= cfg.tol:
             break
 
     # n_max >= 1, so the loop ran: it froze at its last level
@@ -321,10 +311,11 @@ def check_uniqueness(outcome, rho_fn, table):
     ``outcome`` is ``stabilize``'s result on ``table`` with ``rho_fn``, and
     cfg is ``table.cfg``.  A rerun walks the same levels, so it is read off
     the outcome's deltas d_n = max rho(T[n] - T[n-1]), the levels'
-    ``sup_rho_delta``, not run: from level s with cap m it freezes at the
-    first n in (s, m] with d_n <= cfg.tol, else at max(s, m), or at the last
-    level below the magnitude cap.  Deltas past the run's stop are computed
-    from the table, for the levels a rerun reads.
+    ``sup_rho_delta``, not run.  From level s with cap m it reads no level
+    past c = min(m, ``table.below_cap``): it freezes at the first n in
+    (s, c] with d_n <= cfg.tol, else at min(max(s, m), below_cap).  Deltas
+    past the run's stop are computed from the table, for the levels a
+    rerun reads, and a non-finite one aborts as the iteration does.
 
     One row: the largest disagreement against 0 and cfg.limit_tol; its payload
     is ``max_disagreement`` and the ``variants``, one [tag, level,
@@ -334,15 +325,17 @@ def check_uniqueness(outcome, rho_fn, table):
     deltas = [lv.sup_rho_delta for lv in outcome.levels]  # deltas[n - 1] = d_n
 
     def freeze(start, cap):  # (level, values) of a rerun's limit
-        try:
-            for n in range(start + 1, cap + 1):
-                while len(deltas) < n:  # past the run's stop
-                    deltas.append(float(np.max(_level_rho(table, rho_fn, len(deltas) + 1))))
-                if deltas[n - 1] <= cfg.tol:
-                    return n, table[n]
-            return max(start, cap), table[max(start, cap)]
-        except OverflowAbort as e:
-            return e.level - 1, table[e.level - 1]
+        for n in range(start + 1, min(cap, table.below_cap) + 1):
+            while len(deltas) < n:  # past the run's stop
+                m = len(deltas) + 1
+                diff_rho = rho_fn(table[m] - table[m - 1])
+                if not np.isfinite(diff_rho).all():
+                    raise NonFiniteValueError("non-finite modular value", level=m)
+                deltas.append(float(np.max(diff_rho)))
+            if deltas[n - 1] <= cfg.tol:
+                return n, table[n]
+        n = min(max(start, cap), table.below_cap)
+        return n, table[n]
 
     base_vals = table[outcome.N_converged]
     runs = [(f"start={s}", s, cfg.n_max) for s in range(1, UNIQUENESS_START_LEVELS + 1)]

@@ -321,12 +321,10 @@ def check_telescoping(table, psi, rho_fn, n, weight_kind, kappa):
     each row has the bits it gets alone.  n is the run's stopping level."""
     X, Z = table.cfg.probes.x, table.cfg.probes.z
     form = _auto_telescope_form(table.cfg.direction, weight_kind)
-    origin, defect, level = table[0], [], 1
-    while level <= n:
-        block = table.block(level)[: n - level + 1]
+    origin, defect = table[0], []
+    for _, block in table.span(1, n):
         k, p, vd = block.shape
         defect.append(rho_fn((block - origin).reshape(k * p, vd)).reshape(k, p))
-        level += k
     defect = np.concatenate(defect)
     terms = np.concatenate([_majorant_terms(form, psi, X, range(b.start + 1, b.stop + 1))
                             for b in row_blocks(n, len(X))])

@@ -33,6 +33,7 @@ from modstab import scenarios
 from modstab._kernels import BLOCK_ROWS, rho_norm
 from modstab.scenarios import builtin_scenarios, calibrate_theta, run_scenario
 from modstab.verify import inequality_parts
+from test_stabilize import CountingMap
 
 MATRIX2 = preset("matrix2")
 NORM = ModularSpec(kind="norm")
@@ -282,17 +283,17 @@ def without_iteration(name):
 def test_calibration_without_an_iteration_section_reads_40_levels(name, failed, monkeypatch):
     tables = []
 
-    def calibrate(table, *args, **kwargs):
-        tables.append(table)
-        return calibrate_theta(table, *args, **kwargs)
+    class Recorded(LevelTable):
+        def __init__(self, d, cfg):
+            super().__init__(CountingMap(d, cfg.probes), cfg)
+            tables.append(self)
 
-    monkeypatch.setattr(scenarios, "calibrate_theta", calibrate)
+    monkeypatch.setattr(scenarios, "LevelTable", Recorded)
     result = run_scenario(without_iteration(name))
     [table] = tables
     # levels 0..40, each tabulated once: 512 probes give blocks of 4 levels
-    assert table.cfg.n_max == 40 and sorted(table._levels) == list(range(41))
-    blocks = sorted({(level - row, len(stack)) for level, (stack, row) in table._blocks.items()})
-    assert blocks == [(i, 4) for i in range(0, 40, 4)] + [(40, 1)]
+    assert table.cfg.n_max == 40 and table.d.calls == Counter(range(41))
+    assert table.d.widths == [4 * 512] * 10 + [512]
     # with no limit extracted, these checks measure the perturbed map itself
     assert result.exit_code == 1
     assert Counter(r.payload.get("check") for r in result.records

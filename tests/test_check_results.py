@@ -151,8 +151,8 @@ class _Levels:
     def __getitem__(self, level):
         return self.stack[level]
 
-    def block(self, level):
-        return self.stack[level:]
+    def span(self, first, last):
+        yield first, self.stack[first:last + 1]
 
 
 def test_telescoping_passes_a_level_iff_both_its_margins_pass(monkeypatch):

@@ -11,9 +11,13 @@ same numpy warnings.
 import functools
 import math
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spec
 from modstab import (
@@ -36,6 +40,7 @@ from modstab.bimaps import rho_tilde_tabulated
 from modstab.scenarios import _scaled_degenerate_family
 from modstab.stabilize import MAX_N_MAX
 from modstab.verify import _auto_telescope_form, _majorant_terms, _majorants, check_telescoping
+from test_stabilize import CountingMap
 
 MATRIX2 = preset("matrix2")
 NORM = ModularSpec(kind="norm")
@@ -106,14 +111,15 @@ def warned(fn):
     return out, [(w.category, str(w.message)) for w in caught]
 
 
-def check_table_levels(table, ref):
-    for level in sorted(table._levels):
-        assert table[level].tobytes() == ref.level(level).tobytes(), level
-        assert not table[level].flags.writeable
-
-
-def table_blocks(table):
-    return sorted({(level - row, len(stack)) for level, (stack, row) in table._blocks.items()})
+def check_table_levels(table, ref, levels):
+    """Each of ``levels`` reads as the spec's level, bit for bit and
+    read-only, or raises what the spec's raises."""
+    for level in levels:
+        got, want = run(lambda: table[level]), run(lambda: ref.level(level))
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable, level
+        else:
+            assert got == want, level
 
 
 def same_margins(table, psi, ref, n, weight_kind="psi_xx_z0", kappa=2.0, rho_fn=rho_rows):
@@ -136,7 +142,8 @@ def same_margins(table, psi, ref, n, weight_kind="psi_xx_z0", kappa=2.0, rho_fn=
 @pytest.mark.parametrize("direction, weight_kind", FORMS)
 def test_blocks_give_the_per_level_diagnostics(direction, weight_kind, count, theta):
     d, psi, cfg = fixture(direction, count, theta=theta)
-    table, ref = LevelTable(d, cfg), plain(d, cfg)
+    counted = CountingMap(d, cfg.probes)
+    table, ref = LevelTable(counted, cfg), plain(d, cfg)
     got = outcome(table, psi, weight_kind=weight_kind)
     same(got, spec.iterate(ref, psi, rho_rows, weight_kind))
     margins = same_margins(table, psi, ref, got[0], weight_kind)
@@ -144,12 +151,12 @@ def test_blocks_give_the_per_level_diagnostics(direction, weight_kind, count, th
         assert any(kappa > 0.0 for kappa, _ in margins)
     n, per_block = got[0], max(1, BLOCK_ROWS // count)
     assert got[1] and n > 3  # converged
-    check_table_levels(table, ref)
     # the run read blocks from level 0 and stopped inside the one holding N;
     # the telescoping check read no level past it
     end = min((n // per_block + 1) * per_block, cfg.n_max + 1)
-    assert sorted(table._levels) == list(range(end))
-    assert all(k * count <= max(BLOCK_ROWS, count) for _, k in table_blocks(table))
+    assert counted.calls == Counter(range(end))
+    assert all(w <= max(BLOCK_ROWS, count) for w in counted.widths)
+    check_table_levels(table, ref, range(end))
 
 
 @pytest.mark.parametrize("count", [17, 512, 700])
@@ -160,11 +167,41 @@ def test_blocks_without_telescoping_and_with_other_caps(direction, weight_kind, 
     # the check after it gives the per-level ones
     for n_max, tol in [(1, 1e-10), (4, 1e-10), (9, 1e-3), (40, 1e-30)]:
         d, psi, cfg = fixture(direction, count, n_max=n_max, tol=tol)
-        table, ref = LevelTable(d, cfg), plain(d, cfg)
+        counted = CountingMap(d, cfg.probes)
+        table, ref = LevelTable(counted, cfg), plain(d, cfg)
         got = outcome(table, psi, weight_kind=weight_kind)
         same(got, spec.iterate(ref, psi, rho_rows, weight_kind))
         same_margins(table, psi, ref, got[0], weight_kind)
-        check_table_levels(table, ref)
+        check_table_levels(table, ref, sorted(counted.calls))
+
+
+@st.composite
+def read_orders(draw):
+    """(direction, probe count, seed, n_max, cap level, reads): a table of
+    17-64 probes, so 32-120 levels to a block; an ascending one has its
+    magnitude cap after a level in 0..n_max+5, and the reads are any
+    levels in 0..n_max+5, repeats included."""
+    n_max = draw(st.integers(1, 130))
+    return (draw(st.sampled_from(["ascending", "descending"])), draw(st.integers(17, 64)),
+            draw(st.integers(0, 2**16)), n_max, draw(st.integers(0, n_max + 5)),
+            draw(st.lists(st.integers(0, n_max + 5), min_size=1, max_size=40)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=read_orders())
+def test_the_order_of_reads_moves_no_bit(case):
+    # every read is the spec's level, or raises what it raises, and a
+    # level is evaluated at most once, whichever level is read first; a
+    # sweep of every level after the drawn reads reads past the cap
+    direction, count, seed, n_max, cap_level, reads = case
+    d, _, cfg = fixture(direction, count, seed=seed, n_max=n_max)
+    if direction == "ascending":
+        top = float(np.abs(cfg.probes.x).max())
+        cfg = replace(cfg, magnitude_cap=2.0**cap_level * top)
+    counted = CountingMap(d, cfg.probes)
+    table = LevelTable(counted, cfg)
+    check_table_levels(table, plain(d, cfg), reads + list(range(n_max + 6)))
+    assert set(counted.calls.values()) <= {1}
 
 
 class BlowsUp:
@@ -220,7 +257,8 @@ def test_a_non_finite_level_in_a_block(direction, count):
     # in the block the run reads, raises only when it is read
     for bad, raises in ((n_conv - 5, True), (n_conv + 1, False)):
         wrapped = BlowsUp(d, _bad_from(direction, cfg, bad), direction)
-        table, ref = LevelTable(wrapped, cfg), plain(wrapped, cfg)
+        counted = CountingMap(wrapped, cfg.probes)
+        table, ref = LevelTable(counted, cfg), plain(wrapped, cfg)
         got = run(lambda: outcome(table, psi))
         same(got, run(lambda: spec.iterate(ref, psi, rho_rows, "psi_xx_z0")))
         assert (got[0] is NonFiniteValueError) == raises
@@ -232,7 +270,7 @@ def test_a_non_finite_level_in_a_block(direction, count):
             assert wrapped.raised <= 1
         assert run(lambda: table[bad]) == run(lambda: ref.level(bad))
         assert run(lambda: table[bad])[0] is NonFiniteValueError
-        check_table_levels(table, ref)
+        check_table_levels(table, ref, sorted(counted.calls))
         # the levels after the bad one read alone as they did
         assert run(lambda: table[bad + 1]) == run(lambda: ref.level(bad + 1))
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from collections import Counter
@@ -34,6 +35,7 @@ from modstab import (
 )
 from modstab._kernels import BLOCK_ROWS, row_blocks
 from modstab.bimaps import WEIGHT_FLOOR
+from modstab.report import write_report
 from modstab.scenarios import builtin_scenarios, calibrate_theta, run_scenario
 
 MATRIX2 = preset("matrix2")
@@ -293,16 +295,17 @@ def test_uniqueness_matches_the_reruns(n_max, tol):
     for direction, d, psi in _uniqueness_fixtures():
         cfg = StabilizeConfig(direction=direction, probes=draw_probes(4, 48, 1.0, 17),
                               n_max=n_max, tol=tol)
-        table, ref_table = LevelTable(d, cfg), LevelTable(d, cfg)
+        counted, ref_counted = CountingMap(d, cfg.probes), CountingMap(d, cfg.probes)
+        table, ref_table = LevelTable(counted, cfg), LevelTable(ref_counted, cfg)
         out = stabilize(table, psi, rho_rows)
         rep = check_uniqueness(out, rho_rows, table)
         ref = SimpleNamespace(level=ref_table.__getitem__, tol=tol, n_max=n_max)
         stabilize(ref_table, psi, rho_rows)
         assert list(rep) == [spec.uniqueness(ref, rho_rows, out.N_converged)]
-        # and from the same blocks of levels, each level tabulated once: a
-        # level is tabulated only with the block a read starts, so no block
-        # is read that a rerun did not read
-        assert tabulated_blocks(table) == tabulated_blocks(ref_table)
+        # and in the same map calls, each level evaluated once: no level is
+        # evaluated that a rerun did not read
+        assert counted.widths == ref_counted.widths and counted.calls == ref_counted.calls
+        assert set(counted.calls.values()) == {1}
 
 
 def test_uniqueness_keeps_the_non_finite_abort_past_the_run():
@@ -347,6 +350,23 @@ def test_uniqueness_stops_a_rerun_below_the_magnitude_cap():
     # levels 0..10 are one block; 11 and 12, past n_max, are read alone by
     # the rerun, and no level past the cap is evaluated
     assert d.calls == Counter(range(cap_level + 1)) and d.widths == [11 * 64, 64, 64]
+
+
+def test_uniqueness_reads_no_rerun_level_past_the_magnitude_cap():
+    # radius 1 and cap 2 admit level 1 and no level past it; the run
+    # converges at level 1, and the rerun from start level 3 with cap 3
+    # freezes at level 1 too, as the spec's does, where it once read level 2
+    # past the cap and exited 2
+    cfg = builtin_scenarios()["superstability-commutator"]
+    cfg["iteration"].update(n_max=3, magnitude_cap=2.0)
+    cfg["checks"] = ["uniqueness"]
+    result = run_scenario(cfg)
+    out = io.StringIO()
+    write_report(result.header, result.records, out)
+    assert (result.exit_code, out.getvalue().splitlines(keepends=True)[1:]) == spec.run(cfg)
+    assert result.exit_code == 0
+    [variants] = [r.payload["variants"] for r in result.records if "variants" in r.payload]
+    assert [level for _, level, _ in variants] == [1] * 5
 
 
 def orbit(table, out):
@@ -685,28 +705,43 @@ def test_random_calibrated_fixtures_satisfy_the_bound(seed):
 
 
 class CountingMap:
-    """Wraps an ascending map; records the width of each call and counts,
-    per scaling level, the probe blocks it evaluates (a call on k stacked
-    levels counts each of them once)."""
+    """Wraps the map d and counts its calls on stacked scaled probes, the
+    calls of a level table: for each it records the width, and counts each
+    level n it stacks (2^n x or x / 2^n) once.  A call on other rows, such
+    as calibration's random family, passes uncounted; d's other attributes
+    are read through."""
 
     def __init__(self, d, probes):
         self.d = d
-        self.zero_boundary = d.zero_boundary
-        self.base = float(np.abs(probes.x).max())
-        self.n = len(probes.x)
+        self.x = probes.x
         self.calls = Counter()
         self.widths = []
 
+    def __getattr__(self, name):
+        return getattr(self.d, name)
+
     def __call__(self, x, z):
-        self.widths.append(len(x))
-        for rows in np.split(np.asarray(x), len(x) // self.n):
-            self.calls[int(round(np.log2(float(np.abs(rows).max()) / self.base)))] += 1
+        x = np.asarray(x)
+        levels = self._levels(x)
+        if levels:
+            self.widths.append(len(x))
+            self.calls.update(levels)
         return self.d(x, z)
 
-
-def tabulated_blocks(table):
-    """(first level, level count) of each block the table has tabulated."""
-    return sorted({(level - row, len(stack)) for level, (stack, row) in table._blocks.items()})
+    def _levels(self, x):
+        """The level of each probe-sized block of x, or None unless every
+        block is the probes scaled by a power of two."""
+        n = len(self.x)
+        if not len(x) or len(x) % n:
+            return None
+        levels = []
+        for rows in np.split(x, len(x) // n):
+            with np.errstate(divide="ignore"):
+                m = np.log2(np.abs(rows).max() / np.abs(self.x).max())
+            if not np.isfinite(m) or not np.array_equal(rows, self.x * 2.0 ** round(m)):
+                return None
+            levels.append(abs(round(m)))
+        return levels
 
 
 def osc_map(eps=0.01):
@@ -729,10 +764,10 @@ def test_level_table_evaluates_each_level_once():
     assert d.calls == Counter(range(per_block)) and d.widths == [BLOCK_ROWS]
     rep = check_uniqueness(out, rho_rows, table)
     assert rep.passed.all() and all(v[1] == n for v in rep[0].payload["variants"])
-    # the reruns and their limits on the probes read the table only
+    # the reruns and their limits on the probes read the table only, and a
+    # level read twice is the same stored row, read-only
+    assert np.shares_memory(table[n], table[n]) and not table[n].flags.writeable
     assert d.calls == Counter(range(per_block)) and d.widths == [BLOCK_ROWS]
-    assert tabulated_blocks(table) == [(0, per_block)]
-    assert table[n] is table[n] and not table[n].flags.writeable
 
 
 def test_the_magnitude_cap_ends_a_block():
@@ -761,10 +796,12 @@ def test_the_magnitude_cap_ends_a_block():
 def test_level_table_refuses_other_iterates():
     # the table fixes the map, the probes, the direction and the cap; an
     # envelope that scales the other way is refused
-    table = LevelTable(osc_map(), asc_cfg(seed=13))
+    cfg = asc_cfg(seed=13)
+    d = CountingMap(osc_map(), cfg.probes)
     with pytest.raises(PreconditionError, match="direction"):
-        stabilize(table, PsiEnvelope(theta=0.01, p=2.0, direction="descending"), rho_rows)
-    assert table._levels == {}
+        stabilize(LevelTable(d, cfg), PsiEnvelope(theta=0.01, p=2.0, direction="descending"),
+                  rho_rows)
+    assert d.widths == []
 
 
 def test_shared_table_keeps_the_cap_abort():
