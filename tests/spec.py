@@ -71,11 +71,15 @@ class Iteration:
             return lambda x, z: self.d(s * np.asarray(x, dtype=np.complex128), z) / s
         return lambda x, z: s * self.d(np.asarray(x, dtype=np.complex128) / s, z)
 
+    def within_cap(self, n):
+        """Whether the scaled probes of level n stay within the magnitude cap."""
+        return self.direction != "ascending" or 2.0**n * float(np.abs(self.x).max()) <= self.cap
+
     def level(self, n):
         """T_n on the probes; an ascending level past the cap, or a non-finite
         value, raises naming the level and a probe."""
         x = self.x
-        if self.direction == "ascending" and 2.0**n * float(np.abs(x).max()) > self.cap:
+        if not self.within_cap(n):
             raise OverflowAbort(f"2^{n} scaling exceeds the magnitude cap {self.cap:g}",
                                 level=n, probe_id=int(np.argmax(np.abs(x).max(axis=1))))
         vals = self.at(n)(x, self.z)
@@ -319,7 +323,10 @@ def uniqueness(it, rho, N, name=None):
                     return n, level(n)
             return max(start, cap), level(max(start, cap))
         except OverflowAbort as e:
-            return e.level - 1, level(e.level - 1)
+            n = e.level - 1
+            while not it.within_cap(n):
+                n -= 1
+            return n, level(n)
 
     base, variants = level(N), []
     for tag, start, cap in [(f"start={s}", s, it.n_max) for s in (1, 2, 3)] + [

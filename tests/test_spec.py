@@ -80,6 +80,10 @@ EDGES = {
     # unconverged at n_max 20 under a 2^22 cap: the rerun capped at 25 stops at 22
     "ascending-cap-2^22": ("corollary-ascending-p05", {"iteration": {
         "n_max": 20, "tol": 1e-30, "magnitude_cap": 2.0**22}}),
+    # a rerun whose own cap and start both lie past the magnitude cap: every
+    # variant freezes at level 1, the last level within the cap
+    "commutator-cap-2": ("superstability-commutator", {"iteration": {
+        "n_max": 1, "magnitude_cap": 2.0}, "checks": ["uniqueness"]}),
     # the magnitude cap inside a block of levels, in calibration and the iteration
     "ascending-radius-3-cap-1e6": ("corollary-ascending-p05", {
         "probes": {"radius": 3.0}, "iteration": {"magnitude_cap": 1e6}}),
@@ -97,7 +101,10 @@ def test_edge_configs_are_the_plain_run(name):
     builtin, edits = EDGES[name]
     cfg = builtin_scenarios()[builtin]
     for section, values in edits.items():
-        cfg[section].update(values)
+        if isinstance(values, dict):
+            cfg[section].update(values)
+        else:
+            cfg[section] = values
     same(cfg)
 
 
