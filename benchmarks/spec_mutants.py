@@ -33,6 +33,9 @@ MUTANTS = {
         "scenarios.py", "return np.flatnonzero(rows)", "return np.flatnonzero(rows)[:-1]"),
     "the magnitude cap one level higher": (
         "stabilize.py", "(n - 1 for n in range(1024)", "(n for n in range(1024)"),
+    "calibration's envelope terms one level off": (
+        "scenarios.py", "_majorant_terms(form, psi1, x, range(j, ",
+        "_majorant_terms(form, psi1, x, range(j + 1, "),
 }
 
 

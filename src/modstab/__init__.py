@@ -21,8 +21,6 @@ from .bimaps import (
     RhoTildeWeight,
     check_psi_law,
     draw_probes,
-    iterate_evaluator,
-    rho_tilde,
     rho_tilde_contraction_margin,
     rho_tilde_tabulated,
 )

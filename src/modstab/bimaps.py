@@ -152,14 +152,23 @@ def not_finite_at(row):
     return NonFiniteValueError(f"map evaluation is not finite at batch row {row}", probe_id=row)
 
 
-def iterate_evaluator(f, direction, level):
-    """The level-n scaled map 2^-n f(2^n x, z) (or its descending twin)."""
-    scale = 2.0**level
-    if direction == "ascending":
-        return lambda x, z: f(scale * np.asarray(x, dtype=np.complex128), z) / scale
-    if direction == "descending":
-        return lambda x, z: scale * f(np.asarray(x, dtype=np.complex128) / scale, z)
-    raise ConfigError(f"unknown direction {direction!r}")
+def _stacked_call(f, factors, X, Z):
+    """f(c X, Z) for every factor c of ``factors``, from one map call on the
+    stacked scaled rows with Z tiled: a (len(factors), n, value_dim) stack.
+    A row's value does not depend on its batch."""
+    factors = np.asarray(factors)
+    vals = f((factors[:, None, None] * X).reshape(-1, X.shape[1]), np.tile(Z, (len(factors), 1)))
+    return vals.reshape(len(factors), X.shape[0], vals.shape[1])
+
+
+def _scaled_levels(f, direction, levels, X, Z):
+    """The scaled maps J^n f on the rows (X, Z) for each n of ``levels``, a
+    (len(levels), n, value_dim) stack: f(s X, Z) times the exact reciprocal
+    1/s, s = 2^n ascending (2^-n f(2^n x, z)) and 2^-n descending
+    (2^n f(x / 2^n, z)), from one ``_stacked_call``."""
+    sign = 1 if direction == "ascending" else -1
+    inverse = np.array([2.0 ** (-sign * n) for n in levels])[:, None, None]
+    return _stacked_call(f, [2.0 ** (sign * n) for n in levels], X, Z) * inverse
 
 
 # ---------------------------------------------------------------------------
@@ -441,42 +450,29 @@ def rho_tilde_tabulated(rho_vals, weights):
     return float(out[0]) if rho_vals.ndim == 1 else out
 
 
-def rho_tilde(rho_fn, weight, delta, probes):
-    """Probe-set lower bound for the induced modular of a difference map.
-
-    rho_fn maps an (n, value_dim) batch to the (n,) modular values;
-    delta(x, z) evaluates the difference map on batches.
-    """
-    vals = rho_fn(delta(probes.x, probes.z))
-    w = weight.values(probes.x, probes.z)
-    return rho_tilde_tabulated(vals, w)
-
-
 def rho_tilde_contraction_margin(rho_fn, weight, delta, gamma, probes, kappa=2.0):
     """Instrument the strict-contraction step of the scaling operator at
     probe scale.
 
-    lhs is the probe rho-tilde of (T delta - T gamma).  The pointwise
-    chain bounding it runs through the scale-shifted arguments (2x
-    ascending, x/2 descending), so the right-hand rho-tilde is evaluated
-    on the probes (x, z) followed by the shifted copies (2x or x/2, z).
-    The contraction factor is L ascending and kappa*L/2 descending.
-    Returns (lhs, rhs, margin) with margin <= 0 up to rounding whenever
-    the scaling law holds.
+    lhs is the probe rho-tilde of (T delta - T gamma), T = J^1.  The
+    pointwise chain bounding it runs through the scale-shifted arguments
+    (2x ascending, x/2 descending), so the right-hand rho-tilde is taken
+    over the probes (x, z) followed by the shifted copies (2x or x/2, z).
+    Both sides read J^0 and J^1 of delta - gamma from one ``_scaled_levels``
+    call: the difference at the shifted copies is up J^1, up = 2 ascending
+    and 1/2 descending, a power-of-two rescaling.  The contraction factor is
+    L ascending and kappa*L/2 descending.  Returns (lhs, rhs, margin) with
+    margin <= 0 up to rounding whenever the scaling law holds.
     """
     psi = weight.psi
-    direction = psi.direction
-
-    def diff(x, z):
-        return delta(x, z) - gamma(x, z)
-
-    lhs = rho_tilde(rho_fn, weight, iterate_evaluator(diff, direction, 1), probes)
-    if direction == "ascending":
-        shifted_x = 2.0 * probes.x
-        factor = psi.L
+    x, z = probes.x, probes.z
+    t0, t1 = _scaled_levels(lambda a, b: delta(a, b) - gamma(a, b), psi.direction, [0, 1], x, z)
+    lhs = rho_tilde_tabulated(rho_fn(t1), weight.values(x, z))
+    if psi.direction == "ascending":
+        up, shifted_x, factor = 2.0, 2.0 * x, psi.L
     else:
-        shifted_x = probes.x / 2.0
-        factor = kappa * psi.L / 2.0
-    x, z = np.concatenate([probes.x, shifted_x]), np.concatenate([probes.z, probes.z])
-    rhs = factor * rho_tilde_tabulated(rho_fn(diff(x, z)), weight.values(x, z))
+        up, shifted_x, factor = 0.5, x / 2.0, kappa * psi.L / 2.0
+    vals = np.concatenate([t0, up * t1])
+    x, z = np.concatenate([x, shifted_x]), np.concatenate([z, z])
+    rhs = factor * rho_tilde_tabulated(rho_fn(vals), weight.values(x, z))
     return lhs, rhs, lhs - rhs

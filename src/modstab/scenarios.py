@@ -81,6 +81,7 @@ from .stabilize import (
 )
 from .verify import (
     IDENTITY_TOL,
+    _majorant_terms,
     check_biadditivity,
     check_biderivation,
     check_first_slot_linearity,
@@ -166,41 +167,33 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which):
     row for level i < n_max is the pair (T[i], T[i+1]).  Power-of-two
     scaling is exact, so there the right side is 0 and the left side
     reduces to rho(k_i T[i+1] - k_i T[i]) (descending A:
-    rho(k_i T[i] - k_i T[i+1])).  Ascending B has a zero left side and
-    yields nothing.  The family ends at level min(n_max,
+    rho(k_i T[i] - k_i T[i+1])).  The unit is psi(z, 0) times the
+    telescoping majorant's term psi_(i+1) (``verify._majorant_terms``),
+    which is psi at the tuple's first two slots.  Ascending B has a zero
+    left side and yields nothing.  The family ends at level min(n_max,
     ``table.below_cap``)."""
     cfg = table.cfg
     ascending = cfg.direction == "ascending"
     if ascending and which == "B":
         return
+    if ascending:  # (u, u, z, 0) with u = 2^i x
+        form, k_at = "ascending", lambda i: 2.0 ** (i + 2)
+    elif which == "A":  # (u, u, z, 0) with u = x / 2^(i+1)
+        form, k_at = "kappa_both_slots", lambda i: 2.0 ** (1 - i)
+    else:  # (u, 0, z, 0) with u = x / 2^i
+        form, k_at = "kappa_first_zero", lambda i: 2.0 ** (2 - i)
     x, z = cfg.probes.x, cfg.probes.z
-    n, dim = x.shape
     psi_z0 = psi1(z, np.zeros_like(z))
-
-    def column(values):  # Python floats, one per level, against (k, P, dim)
-        return np.array(values)[:, None, None]
-
     last = min(cfg.n_max, table.below_cap)
     if last < 0:
         return
     lo = table[0]
     for j, hi in table.span(1, last):  # j: the upper level of the block's first pair
         los = np.concatenate([lo[None], hi[:-1]])
-        i, rows = range(j - 1, j - 1 + len(hi)), len(hi) * n
-        if ascending:  # (u, u, z, 0) with u = 2^i x
-            k = column([2.0 ** (m + 2) for m in i])
-            u = (column([2.0**m for m in i]) * x).reshape(rows, dim)
-            diff, y = k * hi - k * los, u
-        elif which == "A":  # (u, u, z, 0) with u = x / 2^(i+1)
-            k = column([2.0 ** (1 - m) for m in i])
-            u = (x / column([2.0 ** (m + 1) for m in i])).reshape(rows, dim)
-            diff, y = k * los - k * hi, u
-        else:  # (u, 0, z, 0) with u = x / 2^i
-            k = column([2.0 ** (2 - m) for m in i])
-            u = (x / column([2.0**m for m in i])).reshape(rows, dim)
-            diff, y = k * hi - k * los, np.zeros_like(u)
-        need = rho_fn(diff.reshape(rows, diff.shape[2])).reshape(len(hi), n)
-        yield need, psi1(u, y).reshape(len(hi), n) * psi_z0
+        k = np.array([k_at(i) for i in range(j - 1, j - 1 + len(hi))])[:, None, None]
+        diff = k * los - k * hi if form == "kappa_both_slots" else k * hi - k * los
+        need = rho_fn(diff.reshape(len(hi) * len(x), diff.shape[2])).reshape(len(hi), len(x))
+        yield need, _majorant_terms(form, psi1, x, range(j, j + len(hi))) * psi_z0
         lo = hi[-1]
 
 

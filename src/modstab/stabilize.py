@@ -15,7 +15,7 @@ from .bimaps import (
     WEIGHT_FLOOR,
     ProbeSet,
     RhoTildeWeight,
-    iterate_evaluator,
+    _scaled_levels,
     rho_tilde_tabulated,
 )
 from .errors import (
@@ -199,15 +199,8 @@ class LevelTable:
     def _stacked(self, start, stop):
         """Levels start..stop-1, read-only, from one map call on the stacked
         scaled probes."""
-        X, Z = self.cfg.probes.x, self.cfg.probes.z
-        k, (n, dim) = stop - start, X.shape
-        s = np.array([2.0**level for level in range(start, stop)])[:, None, None]
-        if self.cfg.direction == "ascending":
-            vals = self.d((s * X).reshape(k * n, dim), np.tile(Z, (k, 1)))
-            stack = vals.reshape(k, n, vals.shape[1]) / s
-        else:
-            vals = self.d((X / s).reshape(k * n, dim), np.tile(Z, (k, 1)))
-            stack = s * vals.reshape(k, n, vals.shape[1])
+        probes = self.cfg.probes
+        stack = _scaled_levels(self.d, self.cfg.direction, range(start, stop), probes.x, probes.z)
         stack.flags.writeable = False
         return stack
 
@@ -290,7 +283,7 @@ def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0"):
     bound_margin = float(np.max(rho_fn(table[frozen] - v_origin) - hyers_vals))
     contraction = estimate_contraction(rt_deltas) if len(rt_deltas) >= 3 else 0.0
     return StabilizeOutcome(
-        D=iterate_evaluator(d, cfg.direction, frozen),
+        D=lambda x, z: _scaled_levels(d, cfg.direction, [frozen], x, z)[0],
         N_converged=frozen,
         converged=converged,
         contraction_estimate=contraction,

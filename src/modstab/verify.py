@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import row_blocks
 from .algebra import mul, sample_unit_circle, three_unimodular_decomposition
-from .bimaps import not_finite_at
+from .bimaps import _stacked_call, not_finite_at
 from .errors import ConfigError, NonFiniteValueError, PreconditionError
 from .report import ABSENT, CheckResult
 from .stabilize import hyers_bound
@@ -176,13 +176,6 @@ def default_linearity_scalars(seed=0):
     return np.concatenate([circle, generic])
 
 
-def _first_slot_stack(f, scalars, X, Z):
-    """f(c x, z) for the scalars c in one map call, as a (len(scalars), n,
-    value_dim) stack; a row's value does not depend on its batch."""
-    vals = f((scalars[:, None, None] * X).reshape(-1, X.shape[1]), np.tile(Z, (len(scalars), 1)))
-    return vals.reshape(len(scalars), X.shape[0], vals.shape[1])
-
-
 def _sup_rho(rho_fn, stack):
     """max over probes of rho, for each block of an (m, n, value_dim) stack."""
     m, n, k = stack.shape
@@ -215,13 +208,13 @@ def check_first_slot_linearity(f, rho_fn, scalars, probes, tol=IDENTITY_TOL, fxz
     direct = np.empty(len(lams))
     kept = []  # f(l x, z) of the generic scalars, for their routes
     for b in row_blocks(len(lams), n):
-        fL = _first_slot_stack(f, lams[b], X, Z)
+        fL = _stacked_call(f, lams[b], X, Z)
         direct[b] = _sup_rho(rho_fn, fL - lams[b, None, None] * fXZ)
         kept.append(fL[is_generic[b]])
     fLXZ = np.concatenate(kept) if generic else None
     route = np.empty(len(generic))
     for b in row_blocks(len(generic), 3 * n):
-        fMU = _first_slot_stack(f, mus[b].reshape(-1), X, Z).reshape(len(Ms[b]), 3, *fXZ.shape)
+        fMU = _stacked_call(f, mus[b].reshape(-1), X, Z).reshape(len(Ms[b]), 3, *fXZ.shape)
         route_vec = (Ms[b] / 3.0)[:, None, None] * (fMU[:, 0] + fMU[:, 1] + fMU[:, 2])
         route[b] = _sup_rho(rho_fn, fLXZ[b] - route_vec)
     worst = direct.copy()

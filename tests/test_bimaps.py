@@ -13,16 +13,15 @@ from modstab import (
     coeff_norm_fn,
     draw_probes,
     eval_modular,
-    iterate_evaluator,
     luxemburg_norm,
     ModularSpec,
     NonFiniteValueError,
     mul,
     preset,
-    rho_tilde,
     rho_tilde_contraction_margin,
+    rho_tilde_tabulated,
 )
-from modstab.bimaps import probe_blocks
+from modstab.bimaps import _scaled_levels, probe_blocks
 
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
@@ -260,17 +259,16 @@ def test_direct_step_fixes_bilinear_maps():
     X = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
     Z = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
     for direction in ("ascending", "descending"):
-        stepped = iterate_evaluator(d, direction, 1)
-        assert np.max(np.abs(stepped(X, Z) - d(X, Z))) <= 1e-12
+        [stepped] = _scaled_levels(d, direction, [1], X, Z)
+        assert np.max(np.abs(stepped - d(X, Z))) <= 1e-12
 
 
 def test_direct_step_doubles_quadratic_first_slot():
     # f(x, z) = x^2 z on the scalar algebra; half of f(2x, z) is 2 x^2 z
     f = BiMap(algebra=COMPLEX, kernel=None, perturbation=Perturbation("quad_slot1", 1.0))
-    stepped = iterate_evaluator(f, "ascending", 1)
-    x = np.array([1.3 - 0.2j])
-    z = np.array([0.7 + 0.4j])
-    assert np.allclose(stepped(x, z), 2.0 * f(x, z))
+    x = np.array([[1.3 - 0.2j]])
+    z = np.array([[0.7 + 0.4j]])
+    assert np.allclose(_scaled_levels(f, "ascending", [1], x, z)[0], 2.0 * f(x, z))
 
 
 # --- envelope ---------------------------------------------------------------
@@ -425,9 +423,15 @@ def _weight(theta=1.0):
     return RhoTildeWeight(psi=psi, kind="psi_xx_z0")
 
 
+def rho_tilde(weight, delta, probes):
+    """The probe rho-tilde of the difference map ``delta``."""
+    return rho_tilde_tabulated(rho_rows(delta(probes.x, probes.z)),
+                               weight.values(probes.x, probes.z))
+
+
 def test_rho_tilde_zero_map():
     probes = draw_probes(4, 32, 1.0, seed=6)
-    assert rho_tilde(rho_rows, _weight(), lambda x, z: np.zeros_like(x), probes) == 0.0
+    assert rho_tilde(_weight(), lambda x, z: np.zeros_like(x), probes) == 0.0
 
 
 def test_rho_tilde_unit_ratio():
@@ -440,7 +444,7 @@ def test_rho_tilde_unit_ratio():
     def delta(x, z):
         return w.values(np.atleast_2d(x), np.atleast_2d(z))[:, None] * v[None, :]
 
-    assert rho_tilde(rho_rows, w, delta, probes) == pytest.approx(1.0, abs=1e-12)
+    assert rho_tilde(w, delta, probes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho_tilde_zero_weight_flag():
@@ -452,7 +456,7 @@ def test_rho_tilde_zero_weight_flag():
         out[:, 0] = 1.0  # does not vanish at the zero probe
         return out
 
-    assert rho_tilde(rho_rows, w, delta, probes) == float("inf")
+    assert rho_tilde(w, delta, probes) == float("inf")
 
 
 def test_rho_tilde_weight_kinds_differ():
@@ -476,8 +480,8 @@ def test_rho_tilde_convexity_sampled():
         def mix(x, z, a=a, b=b):
             return a * d1(x, z) + b * d2(x, z)
 
-        lhs = rho_tilde(rho_rows, w, mix, probes)
-        rhs = a * rho_tilde(rho_rows, w, d1, probes) + b * rho_tilde(rho_rows, w, d2, probes)
+        lhs = rho_tilde(w, mix, probes)
+        rhs = a * rho_tilde(w, d1, probes) + b * rho_tilde(w, d2, probes)
         assert lhs <= rhs + 1e-12
 
 
@@ -496,3 +500,36 @@ def test_contraction_margin_nonpositive_for_matched_envelope():
         rho_rows, RhoTildeWeight(psi=psi, kind="psi_xx_z0"), d1, d2, probes)
     assert np.isfinite(lhs) and np.isfinite(rhs) and lhs > 0
     assert margin <= 1e-9
+
+
+@pytest.mark.parametrize("kappa", [2.0, 1.5])
+@pytest.mark.parametrize("direction, p", [("ascending", 0.5), ("descending", 2.0)])
+def test_contraction_margin_is_the_direct_evaluation(direction, p, kappa):
+    # the instrument reads the difference at the shifted probes (2x, or x/2)
+    # off its level-1 scaled map; here it takes a map call of its own
+    probes = draw_probes(4, 64, 1.0, seed=14)
+    psi = PsiEnvelope(theta=0.5, p=p, direction=direction)
+    w = RhoTildeWeight(psi=psi, kind="psi_xx_z0")
+    perturbations = [Perturbation("bounded_osc", 0.05), Perturbation("quad_slot1", 0.02),
+                     Perturbation("bounded_osc", 0.03, boundary_safe=True),
+                     Perturbation("power_env", 0.1, p=0.5 if direction == "ascending" else 3.0)]
+    pool = [BiMap(algebra=MATRIX2, kernel=None, perturbation=g) for g in perturbations]
+    pool.append(BiMap(algebra=MATRIX2, kernel="commutator",
+                      perturbation=Perturbation("bounded_osc", 0.01)))
+    x, z = probes.x, probes.z
+    if direction == "ascending":
+        shifted, factor = 2.0 * x, psi.L
+    else:
+        shifted, factor = x / 2.0, kappa * psi.L / 2.0
+    xs, zs = np.concatenate([x, shifted]), np.concatenate([z, z])
+    for i, delta in enumerate(pool):
+        for gamma in pool[:i] + pool[i + 1:]:
+            def diff(a, b):
+                return delta(a, b) - gamma(a, b)
+
+            stepped = diff(2.0 * x, z) / 2.0 if direction == "ascending" else 2.0 * diff(x / 2.0, z)
+            lhs = rho_tilde_tabulated(rho_rows(stepped), w.values(x, z))
+            rhs = factor * rho_tilde_tabulated(rho_rows(diff(xs, zs)), w.values(xs, zs))
+            got = rho_tilde_contraction_margin(rho_rows, w, delta, gamma, probes, kappa=kappa)
+            assert repr(got) == repr((lhs, rhs, lhs - rhs))
+            assert lhs > 0.0 and rhs > 0.0

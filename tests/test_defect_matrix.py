@@ -4,6 +4,12 @@ that must mend it.  A row asserts the check that should fail, not only the
 exit code.  A change that mends a row makes it pass, which ``strict``
 turns into a failure until the row's marker is removed, so no fix lands
 unseen.
+
+Coverage: every check a builtin or a failing variant of
+``benchmarks/failing_configs.py`` writes must fail in some planted defect,
+a ``FAILURES`` variant of ``test_check_results`` or a row here.  The checks
+that none fails yet are strict xfails too, so a check written anew without
+a catcher fails.
 """
 
 from collections import Counter
@@ -11,6 +17,8 @@ from collections import Counter
 import pytest
 
 from modstab import builtin_scenarios, run_scenario
+from modstab.report import CheckResult
+from test_check_results import ALL_CONFIGS, FAILURES
 
 COMMUTATOR = {"form": "commutator", "c": [1.0, 0.0]}
 
@@ -60,3 +68,26 @@ def test_a_planted_defect_fails_its_check(row, seed):
     assert result.exit_code == 1
     assert any(check.startswith(fails) for check in failed if check)
     assert passes not in failed
+
+
+def _written_checks():
+    """The check names the builtins and the failing variants write."""
+    return sorted({r.check for cfg in ALL_CONFIGS.values()
+                   for r in run_scenario(cfg).records.items if isinstance(r, CheckResult)})
+
+
+# checks that no planted defect fails yet -> the item that must plant one
+UNCAUGHT = {
+    "uniqueness": "item 8 (and 2(c)): every rerun is read off the run's own deltas",
+    "superstability_certificate": "item 8: written only where superstability passes, and no "
+                                  "variant there has a limit away from the map",
+    "remark_properties": "item 8: no axioms fixture breaks the remark's properties",
+}
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(check, marks=pytest.mark.xfail(strict=True, reason=UNCAUGHT[check]))
+    if check in UNCAUGHT else check for check in _written_checks()])
+def test_every_written_check_fails_in_some_planted_defect(check):
+    assert any(check in failed for failed in FAILURES.values()) or any(
+        check.startswith(fails) for _, _, fails, _, _ in ROWS.values())
