@@ -1,28 +1,48 @@
 """The lines of ``src/modstab`` that no shipped run reaches.
 
-    PYTHONPATH=src python benchmarks/reach.py
+    PYTHONPATH=src python benchmarks/reach.py [--expect FILE]
 
-runs ``run_scenario`` on every builtin, every generated config of
-``identity_configs.py`` and every failing variant of ``failing_configs.py``,
-each at its default seed and with seed override 7, and writes each report
-to a discarded stream, as ``modstab run`` does, under a ``sys.settrace``
-line trace.  It then prints, grouped by file, each line of a function body in
+runs ``modstab run`` through ``cli.main`` on every builtin, every generated
+config of ``identity_configs.py`` and every failing variant of
+``failing_configs.py`` (each written to a temporary JSON file), each at its
+default seed and with ``--seed-override 7`` and its report written with
+``--out`` to a temporary file, plus one call of each one-shot command
+(``list``, ``norm``, ``decompose``), all under a ``sys.settrace`` line
+trace.  It then prints, grouped by file, each line of a function body in
 ``src/modstab`` that no run executed (class and module bodies, which run at
 import, are left out), and the count per file.  A line on the list is a
 dead branch, a second path for a job done elsewhere, or a guard that only a
-test or a malformed config reaches.  The trace takes a few seconds; no test or CI step runs it.
+test or a malformed config reaches.
+
+With ``--expect FILE`` it also compares the list with FILE, whose entries
+are ``<file>: <line text, stripped>``, one a line, a line repeated as often
+as it is unreached; ``#`` lines are comments, under which the file marks
+which entries are guards.  Keyed by text, an entry does not move when lines
+are added or removed elsewhere in its file.  It prints each unreached line
+that FILE does not list, and each entry of FILE that is now reached, and
+exits 1 when there is an unreached line that FILE does not list.  The trace
+takes a few seconds.  The set of traced lines follows the interpreter's
+line table, so FILE holds for the Python version it was written with
+(3.11).
 """
 
+import argparse
+import contextlib
 import importlib.util
 import inspect
 import io
+import json
 import sys
+import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "modstab"
 SEEDS = (None, 7)
+ONE_SHOTS = (["list"], ["norm", "power:1.5", "[3, [0, 4]]"],
+             ["decompose", "0.3", "-0.4"])
 
 
 def _tracer(executed):
@@ -65,36 +85,81 @@ def _module(name):
     return module
 
 
-def main():
-    executed = {}
+def _run_everything(executed):
+    """Trace every shipped run into ``executed``; returns the config count."""
     sys.settrace(_tracer(executed))  # before the import, so code run at import counts too
-    from modstab import builtin_scenarios, run_scenario
-    from modstab.report import write_report
+    from modstab import builtin_scenarios, cli
 
-    configs = dict(builtin_scenarios())
-    configs.update(_module("identity_configs").identity_configs())
-    configs.update(_module("failing_configs").failing_configs())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for cfg in configs.values():
-            for seed in SEEDS:
-                result = run_scenario(cfg, seed_override=seed)
-                write_report(result.header, result.records, io.StringIO())
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = list(builtin_scenarios())
+        generated = {**_module("identity_configs").identity_configs(),
+                     **_module("failing_configs").failing_configs()}
+        for name, cfg in generated.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            configs.append(str(path))
+        out = str(Path(tmp) / "report.jsonl")
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            for config in configs:
+                for seed in SEEDS:
+                    seed_args = [] if seed is None else ["--seed-override", str(seed)]
+                    cli.main(["run", config, *seed_args, "--out", out])
+            for argv in ONE_SHOTS:
+                cli.main(argv)
     sys.settrace(None)
+    return len(configs)
 
-    total = 0
+
+def unreached():
+    """(file relative to the repo, line number, stripped text) of each
+    unreached line, in file and line order, and the config count."""
+    executed = {}
+    n_configs = _run_everything(executed)
+    missed = []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         text = source.splitlines()
-        missed = sorted(_body_lines(compile(source, str(path), "exec"))
-                        - executed.get(str(path), set()))
-        if not missed:
-            continue
-        total += len(missed)
-        print(f"{path.relative_to(ROOT)}: {len(missed)} lines never executed")
-        for line in missed:
-            print(f"  {line:5d}  {text[line - 1].strip()}")
-    print(f"{total} lines in {len(configs)} configs x {len(SEEDS)} seeds")
+        lines = _body_lines(compile(source, str(path), "exec")) - executed.get(str(path), set())
+        rel = path.relative_to(ROOT).as_posix()
+        missed += [(rel, line, text[line - 1].strip()) for line in sorted(lines)]
+    return missed, n_configs
+
+
+def compare(missed, expect_path):
+    """Print the unreached lines that ``expect_path`` does not list and the
+    entries it lists that are reached; True when every unreached line is
+    listed."""
+    listed = Counter(line for line in expect_path.read_text(encoding="utf-8").splitlines()
+                     if line.strip() and not line.startswith("#"))
+    found = Counter(f"{rel}: {text}" for rel, _, text in missed)
+    new, reached = found - listed, listed - found
+    for entry in sorted(reached.elements()):
+        print(f"now reached, remove from {expect_path.name}: {entry}")
+    for entry in sorted(new.elements()):
+        print(f"unreached, not in {expect_path.name}: {entry}")
+    print(f"{sum(new.values())} unreached lines not listed, "
+          f"{sum(reached.values())} listed lines reached")
+    return not new
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--expect", type=Path, default=None,
+                        help="exit 1 when a line this file does not list goes unreached")
+    args = parser.parse_args(argv)
+    missed, n_configs = unreached()
+    by_file = Counter(rel for rel, _, _ in missed)
+    for rel in by_file:
+        print(f"{rel}: {by_file[rel]} lines never executed")
+        for r, line, text in missed:
+            if r == rel:
+                print(f"  {line:5d}  {text}")
+    print(f"{len(missed)} lines in {n_configs} configs x {len(SEEDS)} seeds "
+          f"and {len(ONE_SHOTS)} one-shot commands")
+    if args.expect is not None and not compare(missed, args.expect):
+        return 1
     return 0
 
 

@@ -59,7 +59,6 @@ from .stabilize import (
     StabilizeOutcome,
     bounded_orbit_estimate,
     check_uniqueness,
-    estimate_contraction,
     hyers_bound,
     stabilize,
 )

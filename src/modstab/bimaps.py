@@ -1,4 +1,4 @@
-"""Two-variable maps d : A x A -> X, their perturbations, probe sets, the
+"""Two-variable maps d : A x A -> A, their perturbations, probe sets, the
 control envelope psi with its scaling law, and the probe-restricted
 function-space modular induced by psi.
 
@@ -27,7 +27,7 @@ from .errors import ConfigError, NonFiniteValueError, PreconditionError
 from .report import CheckResult
 
 PERTURBATION_NAMES = ("bounded_osc", "power_env", "quad_slot1")
-KERNEL_FORMS = ("commutator", "product", "conjugate_product", "tensor")
+KERNEL_FORMS = ("commutator", "product", "conjugate_product")
 DIRECTIONS = ("ascending", "descending")
 PSI_LAW_TOL = 1e-9
 # a weight at most WEIGHT_FLOOR counts as zero, and so does a defect at most DEFECT_FLOOR
@@ -51,20 +51,17 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class BiMap:
-    """Evaluatable map d(x, z) = kernel + optional perturbation.
+    """Evaluatable map d(x, z) = kernel + optional perturbation, A x A -> A.
 
     The kernel is exactly bilinear: a named closed form over the algebra
-    product, or an explicit coefficient tensor into a value space of
-    dimension tensor.shape[2].  Every form is held as one structure tensor
-    T, built at construction, and evaluated as sum_ij x_i z_j T[i,j,:]
-    (x conjugated for conjugate_product).  Perturbed maps need not be
-    bilinear.
+    product, held as one structure tensor T, built at construction, and
+    evaluated as sum_ij x_i z_j T[i,j,:] (x conjugated for
+    conjugate_product).  Perturbed maps need not be bilinear.
     """
 
     algebra: AlgebraSpec
     kernel: str | None = "commutator"
     coeff: complex = 1.0 + 0.0j
-    tensor: np.ndarray | None = None
     perturbation: Perturbation | None = None
     zero_boundary: bool = True
     kernel_tensor: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
@@ -76,37 +73,11 @@ class BiMap:
             raise ConfigError("map needs a kernel or a perturbation")
         c = self.algebra.structure
         t = None
-        if self.kernel == "tensor":
-            t = np.asarray(self.tensor, dtype=np.complex128)
-            d = self.algebra.dim
-            if t.ndim != 3 or t.shape[0] != d or t.shape[1] != d:
-                raise ConfigError(f"kernel tensor must be ({d},{d},value_dim)")
-            object.__setattr__(self, "tensor", t)
-        elif self.kernel == "commutator":
+        if self.kernel == "commutator":
             t = self.coeff * (c - c.transpose(1, 0, 2))
         elif self.kernel is not None:  # product, conjugate_product
             t = self.coeff * c
         object.__setattr__(self, "kernel_tensor", t)
-        g = self.perturbation
-        if g is not None and g.name == "power_env" and self.value_dim == 0:
-            raise ConfigError("power_env needs a value space with a first coordinate")
-
-    @property
-    def value_dim(self):
-        if self.kernel_tensor is None:
-            return self.algebra.dim
-        return self.kernel_tensor.shape[2]
-
-    def _project(self, Z):
-        vd = self.value_dim
-        d = Z.shape[1]
-        if vd == d:
-            return Z
-        if vd < d:
-            return Z[:, :vd]
-        out = np.zeros((Z.shape[0], vd), dtype=np.complex128)
-        out[:, :d] = Z
-        return out
 
     def __call__(self, x, z):
         X, sx = _kernels._rows(x)
@@ -124,16 +95,16 @@ class BiMap:
                 # batch_mul sums from +0.0, so the product holds no -0.0 and needs no zero-fill
                 out = np.ascontiguousarray(_kernels.batch_mul(left, Z, self.kernel_tensor))
             else:
-                out = np.zeros((X.shape[0], self.value_dim), dtype=np.complex128)
+                out = np.zeros(X.shape, dtype=np.complex128)
             if g is not None:
-                pz, target = self._project(Z), out
+                target = out
                 norm = _kernels.rho_norm
                 if g.name == "bounded_osc":
-                    term = (g.epsilon * np.sin(_kernels._row_sum(X.real)))[:, None] * pz
+                    term = (g.epsilon * np.sin(_kernels._row_sum(X.real)))[:, None] * Z
                 elif g.name == "quad_slot1":
                     # numpy's complex row sum, not _row_sum: it groups width-4
                     # rows its own way, and the payloads keep its bits
-                    term = (g.epsilon * X.sum(axis=1) ** 2)[:, None] * pz
+                    term = (g.epsilon * X.sum(axis=1) ** 2)[:, None] * Z
                 else:  # power_env: a real multiple of the first unit vector
                     term = (g.epsilon * (norm(X) ** g.p * norm(Z) ** g.p))[:, None]
                     target = out.real[:, :1]
@@ -305,7 +276,6 @@ class ProbeSet:
     lam: np.ndarray
     seed: int
     radius: float
-    mandatory: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("x", "y", "z", "w"):
@@ -391,13 +361,7 @@ def draw_probes(dim, count=512, radius=1.0, seed=0):
     blocks concatenated."""
     blocks = list(probe_blocks(dim, count, radius, seed))
     x, y, z, w, lam = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
-    mandatory = {
-        "first_equal": np.arange(0, 4),
-        "second_zero": np.arange(4, 8),
-        "halved": np.arange(8, 12),
-        "zero": np.array([12]),
-    }
-    return ProbeSet(x=x, y=y, z=z, w=w, lam=lam, seed=seed, radius=radius, mandatory=mandatory)
+    return ProbeSet(x=x, y=y, z=z, w=w, lam=lam, seed=seed, radius=radius)
 
 
 # ---------------------------------------------------------------------------

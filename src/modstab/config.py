@@ -51,10 +51,8 @@ SCHEMA = (
     ("modular.kappa", "real", None, 2.0, S, "the claimed Δ2 constant κ, in (0, 2]"),
     ("map", "section", None, {}, S, "the map d: a kernel, a perturbation or both"),
     ("map.kernel", "section", None, None, S, "the exactly bilinear part"),
-    ("map.kernel.form", "name", KERNEL_FORMS, None, S, "a form over the product, or tensor"),
+    ("map.kernel.form", "name", KERNEL_FORMS, None, S, "a form over the algebra product"),
     ("map.kernel.c", "complex", None, 1.0, S, "the form's coefficient"),
-    ("map.kernel.value_dim", "int", (0, None), None, S, "the tensor's; default algebra.dim"),
-    ("map.kernel.tensor", "complex list", None, None, S, "dim·dim·value_dim entries, row-major"),
     ("map.perturbation", "section", None, None, S, "a closed-form perturbation"),
     ("map.perturbation.name", "name", PERTURBATION_NAMES, REQUIRED, S, "the perturbation"),
     ("map.perturbation.epsilon", "real", None, REQUIRED, S, "its amplitude"),

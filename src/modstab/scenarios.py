@@ -120,26 +120,12 @@ def build_algebra(a):
 
 
 def build_bimap(m, algebra):
-    """The map of a parsed ``map`` section over ``algebra``; ``tensor`` and
-    ``value_dim`` are read only with the tensor form, and refused with any
-    other."""
-    kernel, pert, tensor = m["kernel"], m["perturbation"], None
-    if kernel is not None and kernel["form"] != "tensor":
-        for key in ("tensor", "value_dim"):
-            if kernel[key] is not None:
-                raise ConfigError(f"map.kernel.{key} is read only with form 'tensor', "
-                                  f"not with {kernel['form']!r}")
-    if kernel is not None and kernel["form"] == "tensor":
-        vd = algebra.dim if kernel["value_dim"] is None else kernel["value_dim"]
-        flat = kernel["tensor"]
-        if flat is None or len(flat) != algebra.dim * algebra.dim * vd:
-            raise ConfigError("kernel tensor has the wrong number of entries")
-        tensor = np.array(flat).reshape(algebra.dim, algebra.dim, vd)
+    """The map of a parsed ``map`` section over ``algebra``."""
+    kernel, pert = m["kernel"], m["perturbation"]
     return BiMap(
         algebra=algebra,
         kernel=None if kernel is None else kernel["form"],
         coeff=1.0 + 0.0j if kernel is None else kernel["c"],
-        tensor=tensor,
         perturbation=None if pert is None else Perturbation(**pert),
         zero_boundary=m["zero_boundary"],
     )
@@ -599,7 +585,7 @@ def _iterate(run):
     ]
     # delta_N <= tol, the rule that stopped the iteration
     payload = {"n_converged": out.N_converged, "converged": out.converged,
-               "contraction_estimate": out.contraction_estimate, "bound_margin": out.bound_margin}
+               "bound_margin": out.bound_margin}
     return records + [CheckResult.one("stabilize", out.levels[-1].sup_rho_delta, 0.0,
                                       run.table.cfg.tol, payload)]
 

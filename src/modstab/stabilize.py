@@ -71,7 +71,6 @@ class StabilizeOutcome:
     D: object
     N_converged: int
     converged: bool
-    contraction_estimate: float = 0.0
     bound_margin: float = float("nan")
     levels: list = field(default_factory=list)
     weights: np.ndarray | None = None
@@ -83,18 +82,6 @@ def hyers_bound(psi, x, z):
     x = np.asarray(x, dtype=np.complex128)
     zero = np.zeros_like(np.asarray(z, dtype=np.complex128))
     return psi(x, x) * psi(z, zero) / (2.0 * (1.0 - psi.L))
-
-
-def estimate_contraction(history):
-    """Geometric-mean ratio of successive nonzero deltas; 0 when the
-    iteration sat at a fixed point the whole time."""
-    if len(history) < 3:
-        raise PreconditionError("need at least 3 recorded deltas")
-    h = [float(v) for v in history if np.isfinite(v)]
-    ratios = [b / a for a, b in zip(h, h[1:]) if a > 0.0 and b > 0.0]
-    if not ratios:
-        return 0.0
-    return float(np.exp(np.mean(np.log(ratios))))
 
 
 # a pass over stacked levels meets numpy's floating-point events as errors,
@@ -279,14 +266,11 @@ def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0"):
 
     # n_max >= 1, so the loop ran: it froze at its last level
     frozen, converged = len(levels), levels[-1].sup_rho_delta <= cfg.tol
-    rt_deltas = [lv.rho_tilde_delta for lv in levels]
     bound_margin = float(np.max(rho_fn(table[frozen] - v_origin) - hyers_vals))
-    contraction = estimate_contraction(rt_deltas) if len(rt_deltas) >= 3 else 0.0
     return StabilizeOutcome(
         D=lambda x, z: _scaled_levels(d, cfg.direction, [frozen], x, z)[0],
         N_converged=frozen,
         converged=converged,
-        contraction_estimate=contraction,
         bound_margin=bound_margin,
         levels=levels,
         weights=weights,

@@ -95,11 +95,10 @@ def record(name, check, lhs, rhs, tol, payload, advisory=False):
     return ReportRecord(name, "check", {"check": check, **payload}, lhs - rhs <= tol, advisory)
 
 
-def per_probe(name, check, lhs, rhs, tol, advisory=False, **extras):
-    """One row per probe i: probe_id i, lhs, rhs, margin and ``extras``."""
+def per_probe(name, check, lhs, rhs, tol, advisory=False):
+    """One row per probe i: probe_id i, lhs, rhs and margin."""
     return [ReportRecord(name, "check", {"check": check, "probe_id": i, "lhs": l, "rhs": r,
-                                         "margin": l - r, **{k: v[i] for k, v in extras.items()}},
-                         l - r <= tol, advisory)
+                                         "margin": l - r}, l - r <= tol, advisory)
             for i, (l, r) in enumerate(zip(lhs.tolist(), rhs.tolist()))]
 
 
@@ -112,10 +111,10 @@ def sides(f, rho, s, X, Y, Z, W, lam, which):
     if which == "A":
         lhs = rho(f(lamc * xp, zp) + f(lamc * xp, zm) + f(lamc * xm, zp) + f(lamc * xm, zm)
                   - 4.0 * lamc * fxz)
-        return lhs, rho(4.0 * s * (f(xp / 2.0, zm) + f(xm / 2.0, zp) - fxz + f(Y, W)))
+        return lhs, rho(np.multiply(4.0 * s, f(xp / 2.0, zm) + f(xm / 2.0, zp) - fxz + f(Y, W)))
     lhs = rho(4.0 * (f(lamc * xp / 2.0, zm) + f(lamc * xm / 2.0, zp) - lamc * fxz
                      + lamc * f(Y, W)))
-    return lhs, rho(s * (f(xp, zp) + f(xp, zm) + f(xm, zp) + f(xm, zm) - 4.0 * fxz))
+    return lhs, rho(np.multiply(s, f(xp, zp) + f(xp, zm) + f(xm, zp) + f(xm, zm) - 4.0 * fxz))
 
 
 def hyers(psi, X, Z):
@@ -210,8 +209,8 @@ def delta(rho, cur, prev, n):
 
 def iterate(it, psi, rho, weight_kind):
     """The per-level loop that stops at the first delta_n <= tol, or at
-    n_max: (N, converged, contraction estimate, bound margin,
-    [(level, sup delta, rho-tilde delta)], weights)."""
+    n_max: (N, converged, bound margin, [(level, sup delta, rho-tilde
+    delta)], weights)."""
     if not it.d.zero_boundary:
         raise PreconditionError("the map must vanish on the axes (zero_boundary)")
     X, Z = it.x, it.z
@@ -234,10 +233,7 @@ def iterate(it, psi, rho, weight_kind):
         if levels[-1][1] <= it.tol:
             break
     bound_margin = float(np.max(rho(prev - origin) - bound))
-    h = [lv[2] for lv in levels if np.isfinite(lv[2])]
-    ratios = [b / a for a, b in zip(h, h[1:]) if a > 0.0 and b > 0.0]
-    contraction = float(np.exp(np.mean(np.log(ratios)))) if len(levels) >= 3 and ratios else 0.0
-    return len(levels), levels[-1][1] <= it.tol, contraction, bound_margin, levels, weights
+    return len(levels), levels[-1][1] <= it.tol, bound_margin, levels, weights
 
 
 def majorant_terms(form, psi, X, N):
@@ -380,8 +376,6 @@ def biadditivity(f, rho, p, tol, name):
 
 
 def biderivation(f, rho, alg, psi, p, assert_slot2, name):
-    if f.value_dim != alg.dim:
-        raise ConfigError("biderivation residuals need the value space to be the algebra")
     X, Y, Z, W = p.x, p.y, p.z, p.w
     env = psi(X, Y) * psi(Z, W) if psi is not None else np.zeros(len(X))
     fXYZ, fXZ = f(mul(X, Y, alg), Z), f(X, Z)
@@ -439,7 +433,7 @@ def run(source, seed=None, count=None):
     halted, N = not records[-1].passed, None
     if not halted and it is not None:
         try:
-            N, converged, contraction, bound_margin, levels, weights = iterate(
+            N, converged, bound_margin, levels, weights = iterate(
                 it, psi, rho, weight_kind)
         except (OverflowAbort, NonFiniteValueError) as e:
             records.append(ReportRecord(name, "iterate", {
@@ -450,8 +444,7 @@ def run(source, seed=None, count=None):
                 "level": n, "sup_rho_delta": sup, "rho_tilde_delta": rt}, True)
                 for n, sup, rt in levels]
             records.append(record(name, "stabilize", levels[-1][1], 0.0, it.tol, {
-                "n_converged": N, "converged": converged,
-                "contraction_estimate": contraction, "bound_margin": bound_margin}))
+                "n_converged": N, "converged": converged, "bound_margin": bound_margin}))
     target, tol = (d, 1e-10) if N is None else (it.at(N), 10.0 * it.tol)
     for check in [] if halted else checks:
         if check in ("inequality_A", "inequality_B"):
@@ -460,12 +453,8 @@ def run(source, seed=None, count=None):
                 rhs = rhs + psi(p.x, p.y) * psi(p.z, p.w)
             records += per_probe(name, check, lhs, rhs, 1e-9)
         elif check == "stability_bound":
-            extras, denom = {}, 2.0 ** (1.0 - psi.p) - 1.0
-            if denom > 0:
-                nx, nz = psi.norm_fn(p.x) ** psi.p, psi.norm_fn(p.z) ** psi.p
-                extras["corollary_rhs"] = (psi.theta / denom * nx * nz).tolist()
             lhs = rho(it.level(N) - it.level(0))
-            records += per_probe(name, check, lhs, hyers(psi, p.x, p.z), 1e-9, **extras)
+            records += per_probe(name, check, lhs, hyers(psi, p.x, p.z), 1e-9)
         elif check == "biadditivity":
             records += biadditivity(target, rho, p, tol, name)
         elif check == "first_slot_linearity":

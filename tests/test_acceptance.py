@@ -118,13 +118,19 @@ def test_ac03_descending_mirror_inequality(warmed):
     )
 
 
+def _random_form_map(seed, perturbation=None):
+    """The commutator or the product on matrix2, by the seed's parity, times
+    a random complex coefficient, plus ``perturbation``."""
+    rng = np.random.default_rng(seed)
+    return BiMap(algebra=MATRIX2, kernel=("commutator", "product")[seed % 2],
+                 coeff=complex(rng.normal(), rng.normal()), perturbation=perturbation)
+
+
 def test_ac04_no_false_certifications(warmed):
     rng_seeds = range(100, 120)
     clean_worst = 0.0
     for i, seed in enumerate(rng_seeds):
-        rng = np.random.default_rng(seed)
-        t = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
-        f = BiMap(algebra=MATRIX2, kernel="tensor", tensor=t)
+        f = _random_form_map(seed)
         probes = draw_probes(4, 64, 1.0, seed=seed)
         for recs in (
             check_inequality_A(f, rho_rows, 0.5, None, probes),
@@ -135,19 +141,12 @@ def test_ac04_no_false_certifications(warmed):
 
     missed = 0
     for i, seed in enumerate(rng_seeds):
-        rng = np.random.default_rng(seed + 1000)
-        t = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
-        f = BiMap(
-            algebra=MATRIX2,
-            kernel="tensor",
-            tensor=t,
-            perturbation=Perturbation("quad_slot1", 0.5),
-        )
+        f = _random_form_map(seed + 1000, Perturbation("quad_slot1", 0.5))
         probes = draw_probes(4, 64, 1.0, seed=seed + 1000)
         recs_a = check_inequality_A(f, rho_rows, 0.5, None, probes)
         recs_b = check_inequality_B(f, rho_rows, 0.5, None, probes)
-        a_hit = any(not recs_a[j].passed for j in probes.mandatory["first_equal"])
-        b_hit = any(not recs_b[j].passed for j in probes.mandatory["second_zero"])
+        a_hit = any(not recs_a[j].passed for j in range(0, 4))  # y = x, w = 0
+        b_hit = any(not recs_b[j].passed for j in range(4, 8))  # y = w = 0
         certified_a = all(r.passed for r in recs_a)
         certified_b = all(r.passed for r in recs_b)
         if not (a_hit and b_hit) or certified_a or certified_b:

@@ -45,8 +45,10 @@ def rho_rows(rows):
 
 
 def random_map(seed, pert, direction, eps=None):
+    """The commutator or the product on matrix2, by the seed's parity, times
+    a random complex coefficient, plus the perturbation ``pert``."""
     rng = np.random.default_rng(seed)
-    t = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
+    c = complex(rng.normal(), rng.normal())
     eps = float(rng.uniform(0.005, 0.02)) if eps is None else eps
     if pert == "bounded_osc":
         g = Perturbation("bounded_osc", eps, boundary_safe=True)
@@ -54,7 +56,8 @@ def random_map(seed, pert, direction, eps=None):
         g = Perturbation("quad_slot1", eps)
     else:
         g = Perturbation("power_env", eps, p=0.5 if direction == "ascending" else 2.0)
-    return BiMap(algebra=MATRIX2, kernel="tensor", tensor=t, perturbation=g)
+    return BiMap(algebra=MATRIX2, kernel=("commutator", "product")[seed % 2], coeff=c,
+                 perturbation=g)
 
 
 def proto(direction):

@@ -78,17 +78,18 @@ def test_row_blocks_partition_the_items(n, per_item):
      ("quad_slot1", False)],
     ids=["none", "bounded_osc", "bounded_osc-safe", "power_env", "quad_slot1"],
 )
-@pytest.mark.parametrize("form", ["commutator", "product", "conjugate_product", "tensor"])
-def test_map_batch_equals_its_blocks(form, pert):
-    rng = np.random.default_rng(3)
-    tensor = None
-    if form == "tensor":
-        tensor = rng.normal(size=(4, 4, 3)) + 1j * rng.normal(size=(4, 4, 3))
+@pytest.mark.parametrize(
+    "form, c",
+    [("commutator", 1.0), ("product", 1.0), ("conjugate_product", 1.0),
+     ("product", 0.75 - 1.25j)],
+    ids=["commutator", "product", "conjugate_product", "product-complex-c"],
+)
+def test_map_batch_equals_its_blocks(form, c, pert):
     g = None
     if pert is not None:
         name, safe = pert
         g = Perturbation(name, 0.3, p=0.5, boundary_safe=safe)
-    d = BiMap(algebra=MATRIX2, kernel=form, tensor=tensor, perturbation=g)
+    d = BiMap(algebra=MATRIX2, kernel=form, coeff=c, perturbation=g)
     whole, parts = _blockwise(d, _rows(1), _rows(2))
     for part in parts:
         assert _same_bits(part, whole)

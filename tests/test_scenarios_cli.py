@@ -676,8 +676,6 @@ def _no_checks():
         _axioms_samples("count", "64"),
         _axioms_samples("seed", 5.5),
         _axioms_samples("dim", True),
-        # 3.5 would run a tensor of value_dim 3, whose 48 entries these are
-        _malformed("map", {"kernel": {"form": "tensor", "value_dim": 3.5, "tensor": [0.0] * 48}}),
         # real and flag values: a bool, a string or a NaN or infinite number
         # is refused, where float() and bool() took them
         _builtin_value("superstability-commutator", ["psi", "theta"], float("nan")),
@@ -735,6 +733,12 @@ def _no_checks():
         _naming(_builtin_value("superstability-commutator", ["algebra"],
                                {"preset": "zero_mul", "structure": [0.0] * 8}),
                 "algebra.structure"),
+        # the tensor form and its two fields are gone: each is refused by name
+        _naming(_builtin_value("superstability-commutator", ["map", "kernel"], {"form": "tensor"}),
+                "map.kernel.form", "'tensor'"),
+        _naming(_builtin_value("superstability-commutator", ["map", "kernel"],
+                               {"form": "tensor", "value_dim": 4, "tensor": MATRIX2_STRUCTURE}),
+                "map.kernel.value_dim"),
         _naming(_builtin_value("superstability-commutator", ["map", "kernel"],
                                {"form": "commutator", "tensor": MATRIX2_STRUCTURE}),
                 "map.kernel.tensor"),
@@ -765,7 +769,7 @@ def _no_checks():
          "algebra-dim-2.5", "structure-dim-1.5", "count-512.9", "count-string", "count-bool",
          "probes-seed-5.5", "probes-seed-string", "n-max-40.7", "n-max-string",
          "samples-dim-3.9", "samples-count-string", "samples-seed-5.5", "samples-dim-bool",
-         "value-dim-3.5", "psi-theta-nan", "psi-theta-inf", "modular-p-nan", "s-nan",
+         "psi-theta-nan", "psi-theta-inf", "modular-p-nan", "s-nan",
          "kernel-c-nan", "s-strings", "probes-radius-string", "tol-bool", "convex-string",
          "zero-boundary-string", "kappa-bool", "epsilon-string", "perturbation-p-inf",
          "boundary-safe-int", "psi-p-string", "psi-L-bool", "magnitude-cap-string",
@@ -774,7 +778,8 @@ def _no_checks():
          "n-maxx", "tolerance", "cuont", "thetta", "epsilonn", "kapa", "kapa-descending",
          "check-delta", "chekcs", "checks-empty", "samples-seed-negative",
          "radius-5000-digits", "radius-10**400", "matrix2-with-dim", "matrix2-with-structure",
-         "zero-mul-with-structure", "commutator-with-tensor", "commutator-with-value-dim",
+         "zero-mul-with-structure", "form-tensor", "tensor-with-its-fields",
+         "commutator-with-tensor", "commutator-with-value-dim",
          "iteration-without-psi", "descending-power-env-p-0.5", "norm-with-phi", "norm-with-p",
          "orlicz-with-p", "power-with-phi", "norm-fixture-with-p"],
 )
@@ -894,20 +899,6 @@ def test_stability_bound_evaluates_no_map_block_again(monkeypatch):
     result = run_scenario("corollary-ascending-p05")
     assert result.exit_code == 0
     assert during and not any(during)
-
-
-def test_map_into_a_zero_dimensional_value_space_runs():
-    # every modular of an empty row is 0; the row reductions and stacked
-    # sweeps must not trip over the empty value axis
-    cfg = small_stability_config(
-        map={"kernel": {"form": "tensor", "value_dim": 0, "tensor": []}},
-        checks=["inequality_A", "stability_bound", "first_slot_linearity", "bounded_orbit",
-                "uniqueness"],
-    )
-    cfg["psi"]["theta"] = 1.0
-    result = run_scenario(cfg)
-    assert result.exit_code == 0
-    assert not any("error" in r.payload for r in result.records)
 
 
 def _with_count(where, count):

@@ -117,10 +117,6 @@ def test_block_edges_are_the_plain_run(name, count):
 EXPONENTS = {"ascending": [0.25, 0.5, 0.75], "descending": [1.5, 2.0, 3.0]}
 
 
-def _complex_list(rng, size):
-    return [[float(a), float(b)] for a, b in rng.normal(size=(size, 2))]
-
-
 @st.composite
 def configs(draw):
     """A small stability config: every kernel form and perturbation, presets
@@ -131,16 +127,13 @@ def configs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     algebra = draw(st.sampled_from(["matrix2", "complex", "zero_mul", "structure"]))
     if algebra == "structure":
-        dim, algebra = 4, {"dim": 4, "structure": preset("matrix2").structure.real.ravel().tolist()}
+        algebra = {"dim": 4, "structure": preset("matrix2").structure.real.ravel().tolist()}
     else:
-        dim = {"matrix2": 4, "complex": 1}.get(algebra) or draw(st.integers(1, 3))
-        algebra = {"preset": algebra, "dim": None if algebra != "zero_mul" else dim}
+        algebra = {"preset": algebra,
+                   "dim": draw(st.integers(1, 3)) if algebra == "zero_mul" else None}
     direction = draw(st.sampled_from(["ascending", "descending"]))
-    form = draw(st.sampled_from(["commutator", "product", "conjugate_product", "tensor", None]))
-    kernel = None if form is None else {"form": form, "c": _complex_list(rng, 1)[0]}
-    if form == "tensor":
-        value_dim = draw(st.integers(1, dim + 1))
-        kernel.update(value_dim=value_dim, tensor=_complex_list(rng, dim * dim * value_dim))
+    form = draw(st.sampled_from(["commutator", "product", "conjugate_product", None]))
+    kernel = None if form is None else {"form": form, "c": rng.normal(size=2).tolist()}
     pert = draw(st.sampled_from([None, "bounded_osc", "power_env", "quad_slot1"]))
     if form is None and pert is None:
         pert = "bounded_osc"
