@@ -71,6 +71,17 @@ def test_product_on_complex():
     assert d(np.array([2.0 + 0j]), np.array([3.0 + 0j]))[0] == pytest.approx(6.0)
 
 
+def test_tensor_kernel_matches_named_form():
+    # the named product against the contraction with the algebra's
+    # structure tensor, x_i z_j e_ijk
+    d_named = BiMap(algebra=MATRIX2, kernel="product", coeff=2.0)
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    Z = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    expected = np.einsum("ni,nj,ijk->nk", X, Z, 2.0 * MATRIX2.structure)
+    assert np.allclose(d_named(X, Z), expected)
+
+
 FORM_COEFF = 0.75 - 1.25j
 
 

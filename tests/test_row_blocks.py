@@ -81,8 +81,10 @@ def test_row_blocks_partition_the_items(n, per_item):
 @pytest.mark.parametrize(
     "form, c",
     [("commutator", 1.0), ("product", 1.0), ("conjugate_product", 1.0),
-     ("product", 0.75 - 1.25j)],
-    ids=["commutator", "product", "conjugate_product", "product-complex-c"],
+     ("product", 0.75 - 1.25j), ("commutator", 0.75 - 1.25j),
+     ("conjugate_product", 0.75 - 1.25j)],
+    ids=["commutator", "product", "conjugate_product", "product-complex-c",
+         "commutator-complex-c", "conjugate_product-complex-c"],
 )
 def test_map_batch_equals_its_blocks(form, c, pert):
     g = None

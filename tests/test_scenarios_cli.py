@@ -676,6 +676,10 @@ def _no_checks():
         _axioms_samples("count", "64"),
         _axioms_samples("seed", 5.5),
         _axioms_samples("dim", True),
+        # a value_dim, integral or not, no longer has a map to size: refused by name
+        _naming(_malformed("map", {"kernel": {"form": "tensor", "value_dim": 3.5,
+                                              "tensor": [0.0] * 48}}),
+                "map.kernel"),
         # real and flag values: a bool, a string or a NaN or infinite number
         # is refused, where float() and bool() took them
         _builtin_value("superstability-commutator", ["psi", "theta"], float("nan")),
@@ -769,7 +773,7 @@ def _no_checks():
          "algebra-dim-2.5", "structure-dim-1.5", "count-512.9", "count-string", "count-bool",
          "probes-seed-5.5", "probes-seed-string", "n-max-40.7", "n-max-string",
          "samples-dim-3.9", "samples-count-string", "samples-seed-5.5", "samples-dim-bool",
-         "psi-theta-nan", "psi-theta-inf", "modular-p-nan", "s-nan",
+         "value-dim-3.5", "psi-theta-nan", "psi-theta-inf", "modular-p-nan", "s-nan",
          "kernel-c-nan", "s-strings", "probes-radius-string", "tol-bool", "convex-string",
          "zero-boundary-string", "kappa-bool", "epsilon-string", "perturbation-p-inf",
          "boundary-safe-int", "psi-p-string", "psi-L-bool", "magnitude-cap-string",
