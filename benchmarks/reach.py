@@ -1,6 +1,6 @@
 """The lines of ``src/modstab`` that no shipped run reaches.
 
-    PYTHONPATH=src python benchmarks/reach.py [--expect FILE]
+    PYTHONPATH=src python benchmarks/reach.py
 
 runs ``modstab run`` through ``cli.main`` on every builtin, every generated
 config of ``identity_configs.py`` and every failing variant of
@@ -14,19 +14,18 @@ import, are left out), and the count per file.  A line on the list is a
 dead branch, a second path for a job done elsewhere, or a guard that only a
 test or a malformed config reaches.
 
-With ``--expect FILE`` it also compares the list with FILE, whose entries
-are ``<file>: <line text, stripped>``, one a line, a line repeated as often
-as it is unreached; ``#`` lines are comments, under which the file marks
-which entries are guards.  Keyed by text, an entry does not move when lines
-are added or removed elsewhere in its file.  It prints each unreached line
-that FILE does not list, and each entry of FILE that is now reached, and
-exits 1 when there is an unreached line that FILE does not list.  The trace
-takes a few seconds.  The set of traced lines follows the interpreter's
-line table, so FILE holds for the Python version it was written with
-(3.11).
+Last it compares the list with ``benchmarks/reach_expected.txt``, whose
+entries are ``<file>: <line text, stripped>``, one a line, a line repeated
+as often as it is unreached; ``#`` lines are comments, under which the file
+marks which entries are guards.  Keyed by text, an entry does not move when
+lines are added or removed elsewhere in its file.  It prints each unreached
+line that the file does not list and each entry of the file that is now
+reached, and exits 1 when there is either, so the file always matches the
+trace.  The trace takes a few seconds.  The set of traced lines follows the
+interpreter's line table, so the file holds for the Python version it was
+written with (3.11).
 """
 
-import argparse
 import contextlib
 import importlib.util
 import inspect
@@ -40,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "modstab"
+EXPECTED = ROOT / "benchmarks" / "reach_expected.txt"
 SEEDS = (None, 7)
 ONE_SHOTS = (["list"], ["norm", "power:1.5", "[3, [0, 4]]"],
              ["decompose", "0.3", "-0.4"])
@@ -127,28 +127,23 @@ def unreached():
     return missed, n_configs
 
 
-def compare(missed, expect_path):
-    """Print the unreached lines that ``expect_path`` does not list and the
-    entries it lists that are reached; True when every unreached line is
-    listed."""
-    listed = Counter(line for line in expect_path.read_text(encoding="utf-8").splitlines()
+def compare(missed):
+    """Print the unreached lines that ``EXPECTED`` does not list and the
+    entries it lists that are reached; True when there are neither."""
+    listed = Counter(line for line in EXPECTED.read_text(encoding="utf-8").splitlines()
                      if line.strip() and not line.startswith("#"))
     found = Counter(f"{rel}: {text}" for rel, _, text in missed)
     new, reached = found - listed, listed - found
     for entry in sorted(reached.elements()):
-        print(f"now reached, remove from {expect_path.name}: {entry}")
+        print(f"now reached, remove from {EXPECTED.name}: {entry}")
     for entry in sorted(new.elements()):
-        print(f"unreached, not in {expect_path.name}: {entry}")
+        print(f"unreached, not in {EXPECTED.name}: {entry}")
     print(f"{sum(new.values())} unreached lines not listed, "
           f"{sum(reached.values())} listed lines reached")
-    return not new
+    return not new and not reached
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--expect", type=Path, default=None,
-                        help="exit 1 when a line this file does not list goes unreached")
-    args = parser.parse_args(argv)
+def main():
     missed, n_configs = unreached()
     by_file = Counter(rel for rel, _, _ in missed)
     for rel in by_file:
@@ -158,9 +153,7 @@ def main(argv=None):
                 print(f"  {line:5d}  {text}")
     print(f"{len(missed)} lines in {n_configs} configs x {len(SEEDS)} seeds "
           f"and {len(ONE_SHOTS)} one-shot commands")
-    if args.expect is not None and not compare(missed, args.expect):
-        return 1
-    return 0
+    return 0 if compare(missed) else 1
 
 
 if __name__ == "__main__":

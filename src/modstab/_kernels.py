@@ -121,9 +121,7 @@ def batch_mul(a, b, t):
 def _row_sum(a):
     """Sum of each row of a real (n, k) array: its columns added left to
     right onto +0.0, numpy's start value, so that an all -0.0 row sums to
-    +0.0 as in numpy (zeros for k = 0)."""
-    if a.shape[1] == 0:
-        return np.zeros(a.shape[0], dtype=a.dtype)
+    +0.0 as in numpy; k is at least 1."""
     out = a[:, 0] + 0.0  # a copy of column 0, with -0.0 made +0.0
     for j in range(1, a.shape[1]):
         out += a[:, j]

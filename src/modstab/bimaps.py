@@ -125,7 +125,7 @@ def not_finite_at(row):
 
 def _stacked_call(f, factors, X, Z):
     """f(c X, Z) for every factor c of ``factors``, from one map call on the
-    stacked scaled rows with Z tiled: a (len(factors), n, value_dim) stack.
+    stacked scaled rows with Z tiled: a (len(factors), n, dim) stack.
     A row's value does not depend on its batch."""
     factors = np.asarray(factors)
     vals = f((factors[:, None, None] * X).reshape(-1, X.shape[1]), np.tile(Z, (len(factors), 1)))
@@ -134,7 +134,7 @@ def _stacked_call(f, factors, X, Z):
 
 def _scaled_levels(f, direction, levels, X, Z):
     """The scaled maps J^n f on the rows (X, Z) for each n of ``levels``, a
-    (len(levels), n, value_dim) stack: f(s X, Z) times the exact reciprocal
+    (len(levels), n, dim) stack: f(s X, Z) times the exact reciprocal
     1/s, s = 2^n ascending (2^-n f(2^n x, z)) and 2^-n descending
     (2^n f(x / 2^n, z)), from one ``_stacked_call``."""
     sign = 1 if direction == "ascending" else -1

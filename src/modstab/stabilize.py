@@ -147,7 +147,7 @@ class LevelTable:
 
     def span(self, first, last):
         """(level, stack) for the levels first..last in order: each stack
-        a read-only (k, P, value_dim) array of levels level..level+k-1 of
+        a read-only (k, P, dim) array of levels level..level+k-1 of
         one block, k >= 1."""
         while first <= last:
             stack, row = self._find(first)
@@ -196,7 +196,7 @@ def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0"):
     """Run the scaled iteration on ``table`` and freeze the limit candidate.
 
     The map d and its StabilizeConfig cfg are ``table.d`` and ``table.cfg``.
-    rho_fn maps an (n, value_dim) batch to its (n,) modular values.
+    rho_fn maps an (n, dim) batch to its (n,) modular values.
     Stops when the probe-sup modular distance delta_n between successive
     candidates is at most cfg.tol (convergence: delta_n <= tol, the pass
     rule of the run's ``stabilize`` record) or at cfg.n_max.  Each
@@ -339,16 +339,15 @@ def _rho_differences(iterates, first, later, rows, rho_fn, dtype, factor=1.0):
     (m, n) array per ``_kernels.row_blocks`` chunk of the levels.  Every
     chunk is differenced into the same buffer and takes one modular call."""
     base = iterates[first][rows]
-    n, value_dim = base.shape
-    buf = np.empty((min(_kernels._items_per_block(n), len(later)), n, value_dim), dtype=dtype)
+    n, dim = base.shape
+    buf = np.empty((min(_kernels._items_per_block(n), len(later)), n, dim), dtype=dtype)
     for b in _kernels.row_blocks(len(later), n):
         m = b.stop - b.start
         for r, j in enumerate(later[b]):
             np.subtract(base, iterates[j][rows], out=buf[r])
         if factor != 1.0:
             buf[:m] *= factor
-        # explicit: -1 cannot be inferred at value_dim 0
-        yield rho_fn(buf[:m].reshape(m * n, value_dim)).reshape(m, n)
+        yield rho_fn(buf[:m].reshape(m * n, dim)).reshape(m, n)
 
 
 def bounded_orbit_estimate(iterates, weights, rho_fn):
@@ -356,7 +355,7 @@ def bounded_orbit_estimate(iterates, weights, rho_fn):
     distance between iterates; finite orbits are what licence the
     fixed-point extraction.
 
-    ``iterates`` is a sequence of (P, value_dim) levels T_0..T_L, read as
+    ``iterates`` is a sequence of (P, dim) levels T_0..T_L, read as
     given.  The result is max over level pairs (i, j) and probes p of
     rho(T_i - T_j)[p] / w[p] over the probes with weight above
     ``bimaps.WEIGHT_FLOOR``, or +inf when a probe at or below it carries a
@@ -374,7 +373,7 @@ def bounded_orbit_estimate(iterates, weights, rho_fn):
     axioms (ii) and (iii) give rho(T_i - T_j) <= s_i + s_j.  One pass
     computes s, L rows per probe.  The levels are then evaluated in
     ascending order, level i only at the probes where its bound
-    r = (s_i + max_{j>i} s_j) (1 + 2^-20) + value_dim 2^-46 is not finite,
+    r = (s_i + max_{j>i} s_j) (1 + 2^-20) + dim 2^-46 is not finite,
     or is above DEFECT_FLOOR at a zero-weight probe, or has r / w[p] above
     the largest ratio ``best`` of the levels before it at a weighted probe
     (so level 0 is evaluated at every weighted probe with r > 0).  A
@@ -391,7 +390,7 @@ def bounded_orbit_estimate(iterates, weights, rho_fn):
     floating-point warnings off, as they decide no value.
 
     The guard keeps r above the computed value of every pair it covers.
-    With u = 2^-53 and k = value_dim: a difference is rounded part by
+    With u = 2^-53 and k = dim: a difference is rounded part by
     part, so |fl(a - b)| <= (1 + u)|a - b| and |a - b| <= (1 + 2u)|fl(a - b)|
     entrywise, and doubling is exact.  The chain from a pair's value to r
     thus meets rho(c y) against rho(y) for 1 <= c <= 1 + 2u, three kernel

@@ -57,7 +57,7 @@ def inequality_parts(f, rho_fn, s, X, Y, Z, W, lam, which="A", keep=None):
     xp, xm = X + Y, X - Y
     zp, zm = Z + W, Z - W
     # f(x, z) is shared by both sides, and each side is reduced to its
-    # modular before the other is built, so one (n, value_dim) side vector
+    # modular before the other is built, so one (n, dim) side vector
     # is alive at a time
     fxz = f(X, Z)
     if which == "A":
@@ -180,7 +180,7 @@ def default_linearity_scalars(seed=0):
 
 
 def _sup_rho(rho_fn, stack):
-    """max over probes of rho, for each block of an (m, n, value_dim) stack."""
+    """max over probes of rho, for each block of an (m, n, dim) stack."""
     m, n, k = stack.shape
     return rho_fn(stack.reshape(m * n, k)).reshape(m, n).max(axis=1)
 

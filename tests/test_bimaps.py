@@ -71,7 +71,7 @@ def test_product_on_complex():
     assert d(np.array([2.0 + 0j]), np.array([3.0 + 0j]))[0] == pytest.approx(6.0)
 
 
-def test_tensor_kernel_matches_named_form():
+def test_product_matches_the_structure_contraction():
     # the named product against the contraction with the algebra's
     # structure tensor, x_i z_j e_ijk
     d_named = BiMap(algebra=MATRIX2, kernel="product", coeff=2.0)

@@ -193,10 +193,6 @@ def test_row_sum_is_numpy_row_sum_bit_for_bit_up_to_width_7(k):
     assert _kernels._row_sum(zero_rows).shape == (0,)
 
 
-def test_row_sum_of_no_columns_is_zero():
-    assert np.array_equal(_kernels._row_sum(np.zeros((3, 0))), np.zeros(3))
-
-
 @pytest.mark.parametrize("k", [8, 9])
 def test_row_sum_adds_left_to_right_from_width_8(k):
     a = _wide_rows(40 + k, 500, k).real

@@ -679,7 +679,7 @@ def _no_checks():
         # a value_dim, integral or not, no longer has a map to size: refused by name
         _naming(_malformed("map", {"kernel": {"form": "tensor", "value_dim": 3.5,
                                               "tensor": [0.0] * 48}}),
-                "map.kernel"),
+                "map.kernel.value_dim"),
         # real and flag values: a bool, a string or a NaN or infinite number
         # is refused, where float() and bool() took them
         _builtin_value("superstability-commutator", ["psi", "theta"], float("nan")),
@@ -741,9 +741,6 @@ def _no_checks():
         _naming(_builtin_value("superstability-commutator", ["map", "kernel"], {"form": "tensor"}),
                 "map.kernel.form", "'tensor'"),
         _naming(_builtin_value("superstability-commutator", ["map", "kernel"],
-                               {"form": "tensor", "value_dim": 4, "tensor": MATRIX2_STRUCTURE}),
-                "map.kernel.value_dim"),
-        _naming(_builtin_value("superstability-commutator", ["map", "kernel"],
                                {"form": "commutator", "tensor": MATRIX2_STRUCTURE}),
                 "map.kernel.tensor"),
         _naming(_builtin_value("superstability-commutator", ["map", "kernel"],
@@ -782,7 +779,7 @@ def _no_checks():
          "n-maxx", "tolerance", "cuont", "thetta", "epsilonn", "kapa", "kapa-descending",
          "check-delta", "chekcs", "checks-empty", "samples-seed-negative",
          "radius-5000-digits", "radius-10**400", "matrix2-with-dim", "matrix2-with-structure",
-         "zero-mul-with-structure", "form-tensor", "tensor-with-its-fields",
+         "zero-mul-with-structure", "form-tensor",
          "commutator-with-tensor", "commutator-with-value-dim",
          "iteration-without-psi", "descending-power-env-p-0.5", "norm-with-phi", "norm-with-p",
          "orlicz-with-p", "power-with-phi", "norm-fixture-with-p"],
