@@ -10,7 +10,12 @@ besides the builtins and the failing variants of ``failing_configs.py``:
   table;
 - ``corollary-ascending-p05-structure``, that builtin with matrix2's 64
   structure constants given as ``algebra.dim`` 4 and ``structure``, the
-  path of ``build_algebra`` that takes explicit constants.
+  path of ``build_algebra`` that takes explicit constants;
+- ``ascending-complex-c-B``, that builtin with kernel coefficient
+  0.6 - 0.8i and the checks inequality_B, biderivation, biadditivity and
+  stability_bound: the general-coefficient product, calibrated ascending
+  inequality B (whose scaled family is empty) and the advisory slot-two
+  biderivation rows.
 
     PYTHONPATH=src python benchmarks/identity_configs.py DIR
 
@@ -45,6 +50,11 @@ def identity_configs():
     cfg = builtin_scenarios()["corollary-ascending-p05"]
     cfg["name"] = "corollary-ascending-p05-structure"
     cfg["algebra"] = {"dim": 4, "structure": preset("matrix2").structure.real.ravel().tolist()}
+    configs[cfg["name"]] = cfg
+    cfg = builtin_scenarios()["corollary-ascending-p05"]
+    cfg["name"] = "ascending-complex-c-B"
+    cfg["map"]["kernel"]["c"] = [0.6, -0.8]
+    cfg["checks"] = ["inequality_B", "biderivation", "biadditivity", "stability_bound"]
     configs[cfg["name"]] = cfg
     return configs
 

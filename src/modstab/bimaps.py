@@ -56,14 +56,14 @@ class BiMap:
     The kernel is exactly bilinear: a named closed form over the algebra
     product, held as one structure tensor T, built at construction, and
     evaluated as sum_ij x_i z_j T[i,j,:] (x conjugated for
-    conjugate_product).  Perturbed maps need not be bilinear.
+    conjugate_product).  Perturbed maps need not be bilinear, but every
+    map vanishes on the axes: each perturbation is zero at x = 0 and at z = 0.
     """
 
     algebra: AlgebraSpec
     kernel: str | None = "commutator"
     coeff: complex = 1.0 + 0.0j
     perturbation: Perturbation | None = None
-    zero_boundary: bool = True
     kernel_tensor: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):

@@ -54,14 +54,23 @@ def _parse_vector(text):
 
 
 def _cmd_run(args):
-    result = run_scenario(
-        args.config, seed_override=args.seed_override, probes_override=args.probes
-    )
+    report = None
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_report(result.header, result.records, fh)
-    elif not args.quiet:
-        write_report(result.header, result.records, sys.stdout)
+        # opened before the run, so an unwritable report costs no run, and for
+        # appending, so the file (the config, say) stays whole until it is read
+        try:
+            report = open(args.out, "a", encoding="utf-8")
+        except OSError as e:
+            raise ConfigError(f"cannot write the report to {args.out!r}: {e.strerror}") from None
+    with report or contextlib.nullcontext():
+        result = run_scenario(
+            args.config, seed_override=args.seed_override, probes_override=args.probes
+        )
+        if report is not None:
+            report.truncate(0)
+            write_report(result.header, result.records, report)
+        elif not args.quiet:
+            write_report(result.header, result.records, sys.stdout)
     if not args.quiet:
         print(
             f"# {args.config}: exit={result.exit_code} records={len(result.records)} "

@@ -58,13 +58,11 @@ SCHEMA = (
     ("map.perturbation.epsilon", "real", None, REQUIRED, S, "its amplitude"),
     ("map.perturbation.p", "real", None, 2.0, S, "power_env's: < 1 ascending, > 1 descending"),
     ("map.perturbation.boundary_safe", "flag", None, False, S, "damp it to 0 on the axes"),
-    ("map.zero_boundary", "flag", None, True, S, "the map vanishes on the axes"),
     ("psi", "section", None, None, S, "the envelope ψ(x, y) = √θ (‖x‖^p + ‖y‖^p)"),
-    ("psi.form", "name", ("power",), "power", S, "the envelope's form"),
     ("psi.theta", "real or calibrate", None, 1.0, S, "θ, or \"calibrate\" to fit it"),
     ("psi.p", "real", None, 0.5, S, "the envelope's exponent"),
     ("psi.L", "real", None, None, S, "in (0, 1); default the sharp 2^(p−1) or 2^(1−p)"),
-    ("psi.direction", "name", DIRECTIONS, "ascending", S, "the scaling direction"),
+    ("psi.direction", "name", DIRECTIONS, "ascending", S, "ψ's and the iteration's direction"),
     ("s", "complex", "0 < |s| < 1", 0.5, S, "the s of the s-functional inequalities"),
     ("rho_tilde_weight", "name", WEIGHT_KINDS, "psi_xx_z0", S, "ρ̃'s weight, after ψ's arguments"),
     ("probes", "section", None, {}, S, "the seeded probe set"),
@@ -72,7 +70,6 @@ SCHEMA = (
     ("probes.radius", "real", (0.0, None), 1.0, S, "the probes' coordinate radius"),
     ("probes.seed", "int", (0, None), 0, S, "the probes' seed; --seed-override sets it"),
     ("iteration", "section", None, None, S, "the scaling iteration"),
-    ("iteration.direction", "name", DIRECTIONS, None, S, "psi.direction, its default"),
     ("iteration.n_max", "int", (1, MAX_N_MAX), 40, S, "the last level; uniqueness reads + 5"),
     ("iteration.tol", "real", "positive", 1e-10, S, "stop at the first δ_n ≤ tol"),
     ("iteration.magnitude_cap", "real", "positive", 1e15, S, "abort past this scaled size"),

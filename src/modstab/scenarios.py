@@ -127,7 +127,6 @@ def build_bimap(m, algebra):
         kernel=None if kernel is None else kernel["form"],
         coeff=1.0 + 0.0j if kernel is None else kernel["c"],
         perturbation=None if pert is None else Perturbation(**pert),
-        zero_boundary=m["zero_boundary"],
     )
 
 
@@ -279,11 +278,11 @@ def builtin_scenarios():
                     "boundary_safe": True,
                 },
             },
-            "psi": {"form": "power", "theta": "calibrate", "p": 0.5, "direction": "ascending"},
+            "psi": {"theta": "calibrate", "p": 0.5, "direction": "ascending"},
             "s": [0.5, 0.0],
             "rho_tilde_weight": "psi_xx_z0",
             "probes": {"count": 512, "radius": 1.0, "seed": 20107},
-            "iteration": {"direction": "ascending", "n_max": 40, "tol": 1e-10},
+            "iteration": {"n_max": 40, "tol": 1e-10},
             "checks": [
                 "inequality_A",
                 "stability_bound",
@@ -302,11 +301,11 @@ def builtin_scenarios():
                 "kernel": {"form": "commutator", "c": [1.0, 0.0]},
                 "perturbation": {"name": "power_env", "epsilon": 0.01, "p": 2.0},
             },
-            "psi": {"form": "power", "theta": "calibrate", "p": 2.0, "direction": "descending"},
+            "psi": {"theta": "calibrate", "p": 2.0, "direction": "descending"},
             "s": [0.5, 0.0],
             "rho_tilde_weight": "psi_xx_z0",
             "probes": {"count": 512, "radius": 1.0, "seed": 30211},
-            "iteration": {"direction": "descending", "n_max": 40, "tol": 1e-10},
+            "iteration": {"n_max": 40, "tol": 1e-10},
             "checks": ["inequality_A", "stability_bound", "biadditivity", "telescoping"],
         },
         "inequality-B-descending": {
@@ -317,11 +316,11 @@ def builtin_scenarios():
                 "kernel": {"form": "commutator", "c": [1.0, 0.0]},
                 "perturbation": {"name": "power_env", "epsilon": 0.01, "p": 2.0},
             },
-            "psi": {"form": "power", "theta": "calibrate", "p": 2.0, "direction": "descending"},
+            "psi": {"theta": "calibrate", "p": 2.0, "direction": "descending"},
             "s": [0.5, 0.0],
             "rho_tilde_weight": "psi_x0_z0",
             "probes": {"count": 512, "radius": 1.0, "seed": 40487},
-            "iteration": {"direction": "descending", "n_max": 40, "tol": 1e-10},
+            "iteration": {"n_max": 40, "tol": 1e-10},
             "checks": ["inequality_B", "stability_bound", "biadditivity", "telescoping"],
         },
         "superstability-commutator": {
@@ -329,11 +328,11 @@ def builtin_scenarios():
             "algebra": {"preset": "matrix2"},
             "modular": dict(common_modular),
             "map": {"kernel": {"form": "commutator", "c": [1.0, 0.0]}, "perturbation": None},
-            "psi": {"form": "power", "theta": 1.0, "p": 0.5, "direction": "ascending"},
+            "psi": {"theta": 1.0, "p": 0.5, "direction": "ascending"},
             "s": [0.5, 0.0],
             "rho_tilde_weight": "psi_xx_z0",
             "probes": {"count": 256, "radius": 1.0, "seed": 505},
-            "iteration": {"direction": "ascending", "n_max": 40, "tol": 1e-12},
+            "iteration": {"n_max": 40, "tol": 1e-12},
             "checks": [
                 "superstability",
                 "biderivation",
@@ -399,7 +398,7 @@ def load_config(source):
     try:
         with open(source, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
+    except OSError:
         raise ConfigError(f"{source!r} is neither a builtin scenario nor a readable file")
     except ValueError as e:  # a JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config {source!r} is not valid JSON: {e}")
@@ -497,8 +496,8 @@ class _Run:
 def _parse_stability(v):
     """The parse stage: build the run from the parsed config ``v``, and
     reject the cross-field errors the schema cannot see (an iteration without
-    an envelope or against its direction, a check whose iteration section is
-    missing), all before any evaluation."""
+    an envelope, a check whose iteration section is missing), all before any
+    evaluation.  The iteration runs in the envelope's direction."""
     with _reading_config():
         algebra = build_algebra(v["algebra"])
         mspec = ModularSpec(**v["modular"])
@@ -512,19 +511,16 @@ def _parse_stability(v):
         if it is not None:
             if psi is None:
                 raise ConfigError("iteration requires an envelope")
-            direction = it["direction"] or psi.direction
-            if direction != psi.direction:
-                raise ConfigError("iteration direction disagrees with the envelope direction")
             pert = bimap.perturbation
             if pert is not None and pert.name == "power_env":
-                if direction == "ascending" and pert.p >= 1.0:
+                if psi.direction == "ascending" and pert.p >= 1.0:
                     raise ConfigError("ascending runs need a power_env exponent p < 1")
-                if direction == "descending" and pert.p <= 1.0:
+                if psi.direction == "descending" and pert.p <= 1.0:
                     raise ConfigError("descending runs need a power_env exponent p > 1")
             # one table of scaled iterates, read by calibration, the
             # iteration and the uniqueness check
             table = LevelTable(bimap, StabilizeConfig(
-                direction=direction, probes=probes, n_max=it["n_max"], tol=it["tol"],
+                direction=psi.direction, probes=probes, n_max=it["n_max"], tol=it["tol"],
                 magnitude_cap=it["magnitude_cap"],
             ))
         for chk in v["checks"]:

@@ -204,9 +204,9 @@ def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0"):
     modular of the successive difference; the stopping rule deliberately
     uses the plain probe-sup ``sup_rho_delta`` so zero-weight boundary
     probes cannot produce 0/0.  A run iterates once: ``check_uniqueness``
-    reads its reruns off the outcome's levels.  The map must vanish on the
-    axes and psi must scale in cfg's direction; psi's scaling law is not
-    checked here, but once per run, by the ``psi_law`` stage before it
+    reads its reruns off the outcome's levels.  Every ``BiMap`` vanishes on
+    the axes, and psi must scale in cfg's direction; psi's scaling law is
+    not checked here, but once per run, by the ``psi_law`` stage before it
     iterates.
 
     The levels are walked a table block at a time: one modular call gives
@@ -217,8 +217,6 @@ def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0"):
     by level, at the same level.
     """
     d, cfg = table.d, table.cfg
-    if not getattr(d, "zero_boundary", True):
-        raise PreconditionError("the map must vanish on the axes (zero_boundary)")
     if psi.direction != cfg.direction:
         raise PreconditionError("psi scaling direction disagrees with the iteration direction")
 

@@ -49,8 +49,6 @@ def inequality_parts(f, rho_fn, s, X, Y, Z, W, lam, which="A", keep=None):
     only lower lhs - rhs."""
     if abs(s) >= 1.0:
         raise PreconditionError("|s| must be < 1")
-    if not getattr(f, "zero_boundary", True):
-        raise PreconditionError("the map must vanish on the axes (zero_boundary)")
     if which not in ("A", "B"):
         raise ConfigError(f"unknown inequality {which!r}")
     lamc = lam[:, None]

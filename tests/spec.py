@@ -104,8 +104,6 @@ def per_probe(name, check, lhs, rhs, tol, advisory=False):
 
 def sides(f, rho, s, X, Y, Z, W, lam, which):
     """(lhs, rhs) of inequality A or B, envelope left out, on every tuple."""
-    if not f.zero_boundary:
-        raise PreconditionError("the map must vanish on the axes (zero_boundary)")
     lamc, xp, xm, zp, zm = lam[:, None], X + Y, X - Y, Z + W, Z - W
     fxz = f(X, Z)
     if which == "A":
@@ -211,8 +209,6 @@ def iterate(it, psi, rho, weight_kind):
     """The per-level loop that stops at the first delta_n <= tol, or at
     n_max: (N, converged, bound margin, [(level, sup delta, rho-tilde
     delta)], weights)."""
-    if not it.d.zero_boundary:
-        raise PreconditionError("the map must vanish on the axes (zero_boundary)")
     X, Z = it.x, it.z
     first = psi(X, X) if weight_kind == "psi_xx_z0" else psi(X, np.zeros_like(X))
     weights = first * psi(Z, np.zeros_like(Z))
@@ -402,14 +398,13 @@ def run(source, seed=None, count=None):
                           norm_fn=lambda x: luxemburg_norm(m, x))
     if v["iteration"] is not None:
         i = v["iteration"]
-        direction = i["direction"] or (psi and psi.direction)
-        if psi is None or direction != psi.direction:
-            raise ConfigError("iteration requires an envelope of its direction")
+        if psi is None:
+            raise ConfigError("iteration requires an envelope")
         g = d.perturbation
         if g is not None and g.name == "power_env" and (
-                g.p >= 1.0 if direction == "ascending" else g.p <= 1.0):
+                g.p >= 1.0 if psi.direction == "ascending" else g.p <= 1.0):
             raise ConfigError("power_env's exponent is on the wrong side of 1")
-        it = Iteration(d, direction, i["n_max"], i["tol"], i["magnitude_cap"], p.x, p.z)
+        it = Iteration(d, psi.direction, i["n_max"], i["tol"], i["magnitude_cap"], p.x, p.z)
     if it is None and set(checks) & {"stability_bound", "telescoping", "bounded_orbit",
                                      "uniqueness"}:
         raise ConfigError("a check requires an iteration section")

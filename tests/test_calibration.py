@@ -99,7 +99,6 @@ class ScaledProbeCounter:
     def __init__(self, d, probes, levels):
         self.d = d
         self.algebra = d.algebra
-        self.zero_boundary = d.zero_boundary
         self.probes = probes
         self.levels = levels
         self.calls = Counter()
@@ -164,7 +163,7 @@ def test_given_probe_parts_are_not_evaluated_again():
         seen.append(len(x))
         return d(x, z)
 
-    counted.algebra, counted.zero_boundary = d.algebra, d.zero_boundary
+    counted.algebra = d.algebra
     theta = calibrate_theta(table_of(counted, probes, "ascending"), proto("ascending"), rho_rows,
                             0.5, which="A", extra_count=EXTRA, probe_parts=parts)
     assert theta == calibrate_theta(table_of(d, probes, "ascending"), proto("ascending"),

@@ -210,7 +210,6 @@ class BlowsUp:
 
     def __init__(self, d, limit, direction):
         self.d, self.limit, self.direction = d, limit, direction
-        self.zero_boundary = True
         self.raised = 0
 
     def __call__(self, x, z):
@@ -230,7 +229,6 @@ class Huge:
 
     def __init__(self, d, limit, value):
         self.d, self.limit, self.value = d, limit, value
-        self.zero_boundary = True
 
     def __call__(self, x, z):
         vals = self.d(x, z)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import modstab.cli
 from modstab import (
     ModularSpec, builtin_scenarios, config, list_builtin_scenarios, preset, run_scenario,
     scenarios,
@@ -31,11 +32,11 @@ def small_stability_config(**overrides):
             "kernel": {"form": "commutator", "c": [1.0, 0.0]},
             "perturbation": {"name": "bounded_osc", "epsilon": 0.01, "boundary_safe": True},
         },
-        "psi": {"form": "power", "theta": "calibrate", "p": 0.5, "direction": "ascending"},
+        "psi": {"theta": "calibrate", "p": 0.5, "direction": "ascending"},
         "s": [0.5, 0.0],
         "rho_tilde_weight": "psi_xx_z0",
         "probes": {"count": 32, "radius": 1.0, "seed": 3},
-        "iteration": {"direction": "ascending", "n_max": 40, "tol": 1e-10},
+        "iteration": {"n_max": 40, "tol": 1e-10},
         "checks": ["inequality_A", "stability_bound", "biadditivity"],
     }
     cfg.update(overrides)
@@ -68,12 +69,6 @@ def test_unknown_check_exits_two():
 def test_unknown_preset_exits_two():
     result = run_scenario(small_stability_config(algebra={"preset": "octonions"}))
     assert result.exit_code == 2
-
-
-def test_direction_mismatch_exits_two():
-    cfg = small_stability_config()
-    cfg["iteration"]["direction"] = "descending"
-    assert run_scenario(cfg).exit_code == 2
 
 
 def test_power_env_direction_guard():
@@ -470,6 +465,38 @@ def test_cli_run_missing_config_exits_two(tmp_path):
     assert cli_main(["run", str(tmp_path / "nope.json"), "--quiet"]) == 2
 
 
+def test_cli_run_directory_config_exits_two(tmp_path, capsys):
+    # reading a directory raised IsADirectoryError: a traceback and exit 1
+    out = tmp_path / "report.jsonl"
+    assert cli_main(["run", str(tmp_path), "--out", str(out), "--quiet"]) == 2
+    lines = [json.loads(line) for line in out.read_text().strip().splitlines()]
+    assert len(lines) == 2 and lines[1]["stage"] == "config" and not lines[1]["pass"]
+    assert repr(str(tmp_path)) in lines[1]["payload"]["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_run_out_into_a_missing_directory_exits_two_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    # the report was opened after the whole run, and its FileNotFoundError
+    # was a traceback and exit 1
+    monkeypatch.setattr(modstab.cli, "run_scenario", lambda *a, **k: pytest.fail("ran"))
+    out = tmp_path / "missing" / "r.jsonl"
+    assert cli_main(["run", "superstability-commutator", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write the report to {str(out)!r}")
+    assert "Traceback" not in err
+
+
+def test_cli_run_report_replaces_its_own_config(tmp_path):
+    # the report path is opened before the run, but the config it names is
+    # read whole first, and the report then replaces it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_stability_config()))
+    assert cli_main(["run", str(path), "--out", str(path), "--quiet"]) == 0
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines[0]["schema"] == SCHEMA and lines[1]["payload"]["config_name"] == "mini"
+
+
 def test_cli_run_invalid_json_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -648,7 +675,7 @@ def _no_checks():
         _probes_radius(float("nan")),
         _probes_radius(float("inf")),
         _malformed("probes", {"count": float("inf")}),
-        _malformed("iteration", {"direction": "ascending", "n_max": float("inf")}),
+        _malformed("iteration", {"n_max": float("inf")}),
         _axioms_samples("dim", MAX_SAMPLE_DIM + 1),
         _axioms_samples("dim", 10**9),
         _iteration_value("n_max", 1100),
@@ -691,7 +718,6 @@ def _no_checks():
         _probes_radius("2"),
         _builtin_value("superstability-commutator", ["iteration", "tol"], True),
         _builtin_value("superstability-commutator", ["modular", "convex"], "false"),
-        _builtin_value("superstability-commutator", ["map", "zero_boundary"], "no"),
         _builtin_value("superstability-commutator", ["modular", "kappa"], True),
         _builtin_value("corollary-ascending-p05", ["map", "perturbation", "epsilon"], "0.01"),
         _builtin_value("corollary-descending-p2", ["map", "perturbation", "p"], float("inf")),
@@ -745,6 +771,14 @@ def _no_checks():
                 "map.kernel.tensor"),
         _naming(_builtin_value("superstability-commutator", ["map", "kernel"],
                                {"form": "commutator", "value_dim": 2}), "map.kernel.value_dim"),
+        # every map vanishes on the axes, ψ has one form and the iteration
+        # runs in ψ's direction: each field that said so is refused by name
+        _naming(_builtin_value("superstability-commutator", ["map", "zero_boundary"], True),
+                "'map.zero_boundary'"),
+        _naming(_builtin_value("corollary-ascending-p05", ["psi", "form"], "power"),
+                "'psi.form'"),
+        _naming(_builtin_value("corollary-ascending-p05", ["iteration", "direction"], "ascending"),
+                "'iteration.direction'"),
         # the cross-field checks of the parse stage
         _naming(_builtin_value("superstability-commutator", ["psi"], None),
                 "iteration requires an envelope"),
@@ -772,7 +806,7 @@ def _no_checks():
          "samples-dim-3.9", "samples-count-string", "samples-seed-5.5", "samples-dim-bool",
          "value-dim-3.5", "psi-theta-nan", "psi-theta-inf", "modular-p-nan", "s-nan",
          "kernel-c-nan", "s-strings", "probes-radius-string", "tol-bool", "convex-string",
-         "zero-boundary-string", "kappa-bool", "epsilon-string", "perturbation-p-inf",
+         "kappa-bool", "epsilon-string", "perturbation-p-inf",
          "boundary-safe-int", "psi-p-string", "psi-L-bool", "magnitude-cap-string",
          "assert-slot2-int", "s-bool", "structure-entry-bool", "samples-radius-string",
          "check-delta2-string", "expect-violation-axiom-7", "expect-violation-list",
@@ -781,6 +815,7 @@ def _no_checks():
          "radius-5000-digits", "radius-10**400", "matrix2-with-dim", "matrix2-with-structure",
          "zero-mul-with-structure", "form-tensor",
          "commutator-with-tensor", "commutator-with-value-dim",
+         "zero-boundary-key", "psi-form-key", "iteration-direction-key",
          "iteration-without-psi", "descending-power-env-p-0.5", "norm-with-phi", "norm-with-p",
          "orlicz-with-p", "power-with-phi", "norm-fixture-with-p"],
 )

@@ -146,8 +146,7 @@ def configs(draw):
         + [{"kind": "orlicz", "phi": phi} for phi in ("linear", "square")]))
     iteration = None
     if draw(st.booleans()):
-        iteration = {"direction": draw(st.sampled_from([direction, None])),
-                     "n_max": draw(st.sampled_from([1, 2, 3, 5, 12, 40])),
+        iteration = {"n_max": draw(st.sampled_from([1, 2, 3, 5, 12, 40])),
                      "tol": draw(st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30])),
                      "magnitude_cap": draw(st.sampled_from([1e15, 1e6]))}
     psi = None

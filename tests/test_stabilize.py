@@ -97,10 +97,6 @@ def test_preconditions_rejected():
     with pytest.raises(PreconditionError):
         stabilize(LevelTable(d, asc_cfg()), PsiEnvelope(theta=1.0, p=2.0, direction="descending"),
                   rho_rows)
-    # a map that need not vanish on the axes
-    off_axes = BiMap(algebra=MATRIX2, kernel="commutator", zero_boundary=False)
-    with pytest.raises(PreconditionError, match="zero_boundary"):
-        stabilize(LevelTable(off_axes, asc_cfg()), asc_psi(), rho_rows)
 
 
 def test_overflow_abort_records_level():

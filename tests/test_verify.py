@@ -81,11 +81,6 @@ def test_inequality_A_quadratic_probe_arithmetic():
 
 def test_inequality_checkers_enforce_preconditions():
     probes = draw_probes(4, 32, 1.0, seed=20)
-    f = BiMap(algebra=MATRIX2, kernel="commutator", zero_boundary=False)
-    with pytest.raises(PreconditionError):
-        check_inequality_A(f, rho_rows, 0.5, None, probes)
-    with pytest.raises(PreconditionError):
-        check_inequality_B(f, rho_rows, 0.5, None, probes)
     with pytest.raises(PreconditionError):
         check_inequality_A(random_form_map(1), rho_rows, 1.2, None, probes)
 
@@ -158,7 +153,7 @@ def test_a_map_error_on_kept_rows_names_the_row_of_the_batch():
             raise NonFiniteValueError("not finite", probe_id=int(bad[0]))
         return d(x, z)
 
-    f.algebra, f.zero_boundary = d.algebra, d.zero_boundary
+    f.algebra = d.algebra
     args = (f, rho_rows, 0.5, probes.x, y, probes.z, probes.w, probes.lam)
     with pytest.raises(NonFiniteValueError, match="at batch row 40$") as exc:
         inequality_parts(*args, keep=lambda lhs: np.array([3, 40, 50]))
@@ -401,7 +396,6 @@ class RowCounter:
     def __init__(self, d, n):
         self.d = d
         self.n = n
-        self.zero_boundary = d.zero_boundary
         self.calls = 0
         self.rows = 0
         self.blocks = Counter()
