@@ -36,6 +36,9 @@ MUTANTS = {
     "calibration's envelope terms one level off": (
         "scenarios.py", "_majorant_terms(form, psi1, x, range(j, ",
         "_majorant_terms(form, psi1, x, range(j + 1, "),
+    "the substitution ignores inequality B": (
+        "bimaps.py", 'return "kappa_first_zero" if which == "B" else "kappa_both_slots"',
+        'return "kappa_both_slots"'),
 }
 
 

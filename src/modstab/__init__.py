@@ -18,11 +18,12 @@ from .bimaps import (
     Perturbation,
     ProbeSet,
     PsiEnvelope,
-    RhoTildeWeight,
     check_psi_law,
     draw_probes,
     rho_tilde_contraction_margin,
     rho_tilde_tabulated,
+    substitution,
+    tilde_weights,
 )
 from .errors import (
     BracketDivergenceError,

@@ -368,29 +368,23 @@ def draw_probes(dim, count=512, radius=1.0, seed=0):
 # probe-restricted function-space modular
 # ---------------------------------------------------------------------------
 
-WEIGHT_KINDS = ("psi_xx_z0", "psi_x0_z0")
+def substitution(direction, which):
+    """The degenerate tuple a stability proof substitutes into inequality
+    ``which`` ("A" or "B") to seed its iteration, named by the telescoping
+    majorant it gives: "ascending" for every ascending run; descending,
+    "kappa_first_zero" for B's y = w = 0 and "kappa_both_slots" for A's
+    y = x, w = 0.  Calibration's scaled family, the majorant and rho-tilde's
+    weight (``tilde_weights``) all follow it."""
+    if direction == "ascending":
+        return "ascending"
+    return "kappa_first_zero" if which == "B" else "kappa_both_slots"
 
 
-@dataclass(frozen=True)
-class RhoTildeWeight:
-    """Pointwise weight w(x, z); the two variants the estimates use are
-    psi(x,x) psi(z,0) and psi(x,0) psi(z,0).  Scenarios pick one
-    explicitly."""
-
-    psi: PsiEnvelope
-    kind: str = "psi_xx_z0"
-
-    def __post_init__(self):
-        if self.kind not in WEIGHT_KINDS:
-            raise ConfigError(f"weight kind must be one of {WEIGHT_KINDS}")
-
-    def values(self, X, Z):
-        zero = np.zeros_like(X)
-        if self.kind == "psi_xx_z0":
-            first = self.psi(X, X)
-        else:
-            first = self.psi(X, zero)
-        return first * self.psi(Z, np.zeros_like(Z))
+def tilde_weights(psi, form, X, Z):
+    """Rho-tilde's pointwise weight w(x, z) under the substitution ``form``:
+    psi(x, 0) psi(z, 0) for kappa_first_zero, else psi(x, x) psi(z, 0)."""
+    first = psi(X, np.zeros_like(X)) if form == "kappa_first_zero" else psi(X, X)
+    return first * psi(Z, np.zeros_like(Z))
 
 
 def rho_tilde_tabulated(rho_vals, weights):
@@ -414,7 +408,7 @@ def rho_tilde_tabulated(rho_vals, weights):
     return float(out[0]) if rho_vals.ndim == 1 else out
 
 
-def rho_tilde_contraction_margin(rho_fn, weight, delta, gamma, probes, kappa=2.0):
+def rho_tilde_contraction_margin(rho_fn, psi, delta, gamma, probes, kappa=2.0):
     """Instrument the strict-contraction step of the scaling operator at
     probe scale.
 
@@ -425,18 +419,18 @@ def rho_tilde_contraction_margin(rho_fn, weight, delta, gamma, probes, kappa=2.0
     Both sides read J^0 and J^1 of delta - gamma from one ``_scaled_levels``
     call: the difference at the shifted copies is up J^1, up = 2 ascending
     and 1/2 descending, a power-of-two rescaling.  The contraction factor is
-    L ascending and kappa*L/2 descending.  Returns (lhs, rhs, margin) with
-    margin <= 0 up to rounding whenever the scaling law holds.
+    L ascending and kappa*L/2 descending.  Rho-tilde takes the both-slot
+    weight psi(x, x) psi(z, 0) in either direction.  Returns (lhs, rhs,
+    margin) with margin <= 0 up to rounding whenever the scaling law holds.
     """
-    psi = weight.psi
     x, z = probes.x, probes.z
     t0, t1 = _scaled_levels(lambda a, b: delta(a, b) - gamma(a, b), psi.direction, [0, 1], x, z)
-    lhs = rho_tilde_tabulated(rho_fn(t1), weight.values(x, z))
+    lhs = rho_tilde_tabulated(rho_fn(t1), tilde_weights(psi, "kappa_both_slots", x, z))
     if psi.direction == "ascending":
         up, shifted_x, factor = 2.0, 2.0 * x, psi.L
     else:
         up, shifted_x, factor = 0.5, x / 2.0, kappa * psi.L / 2.0
     vals = np.concatenate([t0, up * t1])
     x, z = np.concatenate([x, shifted_x]), np.concatenate([z, z])
-    rhs = factor * rho_tilde_tabulated(rho_fn(vals), weight.values(x, z))
+    rhs = factor * rho_tilde_tabulated(rho_fn(vals), tilde_weights(psi, "kappa_both_slots", x, z))
     return lhs, rhs, lhs - rhs

@@ -53,6 +53,10 @@ def _parse_vector(text):
     return np.array([read(entry, "vector entry", "complex") for entry in data], dtype=np.complex128)
 
 
+def _unwritable(path, e):
+    return ConfigError(f"cannot write the report to {path!r}: {e.strerror}")
+
+
 def _cmd_run(args):
     report = None
     if args.out is not None:
@@ -61,14 +65,22 @@ def _cmd_run(args):
         try:
             report = open(args.out, "a", encoding="utf-8")
         except OSError as e:
-            raise ConfigError(f"cannot write the report to {args.out!r}: {e.strerror}") from None
+            raise _unwritable(args.out, e) from None
     with report or contextlib.nullcontext():
         result = run_scenario(
             args.config, seed_override=args.seed_override, probes_override=args.probes
         )
         if report is not None:
-            report.truncate(0)
-            write_report(result.header, result.records, report)
+            # a file that takes no truncation (/dev/full) or no more bytes (a
+            # full disk) fails here, after the run
+            try:
+                report.truncate(0)
+                write_report(result.header, result.records, report)
+                report.flush()
+            except OSError as e:
+                with contextlib.suppress(OSError):  # the unflushed rest fails again
+                    report.close()
+                raise _unwritable(args.out, e) from None
         elif not args.quiet:
             write_report(result.header, result.records, sys.stdout)
     if not args.quiet:

@@ -22,7 +22,7 @@ import numbers
 import sys
 
 from .algebra import PRESETS
-from .bimaps import DIRECTIONS, KERNEL_FORMS, PERTURBATION_NAMES, WEIGHT_KINDS
+from .bimaps import DIRECTIONS, KERNEL_FORMS, PERTURBATION_NAMES
 from .errors import ConfigError
 from .modular import KIND_FIELD, MODULAR_KINDS, PHI_PRESETS
 from .stabilize import MAX_N_MAX
@@ -64,7 +64,6 @@ SCHEMA = (
     ("psi.L", "real", None, None, S, "in (0, 1); default the sharp 2^(p−1) or 2^(1−p)"),
     ("psi.direction", "name", DIRECTIONS, "ascending", S, "ψ's and the iteration's direction"),
     ("s", "complex", "0 < |s| < 1", 0.5, S, "the s of the s-functional inequalities"),
-    ("rho_tilde_weight", "name", WEIGHT_KINDS, "psi_xx_z0", S, "ρ̃'s weight, after ψ's arguments"),
     ("probes", "section", None, {}, S, "the seeded probe set"),
     ("probes.count", "int", (1, MAX_SAMPLE_COUNT), 512, S, "the probe count; --probes sets it"),
     ("probes.radius", "real", (0.0, None), 1.0, S, "the probes' coordinate radius"),

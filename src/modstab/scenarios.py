@@ -52,6 +52,7 @@ from .bimaps import (
     check_psi_law,
     draw_probes,
     probe_blocks,
+    substitution,
 )
 from .config import parse
 from .errors import (
@@ -158,15 +159,12 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which):
     left side and yields nothing.  The family ends at level min(n_max,
     ``table.below_cap``)."""
     cfg = table.cfg
-    ascending = cfg.direction == "ascending"
-    if ascending and which == "B":
+    form = substitution(cfg.direction, which)
+    if form == "ascending" and which == "B":
         return
-    if ascending:  # (u, u, z, 0) with u = 2^i x
-        form, k_at = "ascending", lambda i: 2.0 ** (i + 2)
-    elif which == "A":  # (u, u, z, 0) with u = x / 2^(i+1)
-        form, k_at = "kappa_both_slots", lambda i: 2.0 ** (1 - i)
-    else:  # (u, 0, z, 0) with u = x / 2^i
-        form, k_at = "kappa_first_zero", lambda i: 2.0 ** (2 - i)
+    # k_i = 2^(a + b i) for the tuple at level i: ascending (u, u, z, 0) with u = 2^i x,
+    # descending A (u, u, z, 0) with u = x / 2^(i+1), B (u, 0, z, 0) with u = x / 2^i
+    a, b = {"ascending": (2, 1), "kappa_both_slots": (1, -1), "kappa_first_zero": (2, -1)}[form]
     x, z = cfg.probes.x, cfg.probes.z
     psi_z0 = psi1(z, np.zeros_like(z))
     last = min(cfg.n_max, table.below_cap)
@@ -175,7 +173,7 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which):
     lo = table[0]
     for j, hi in table.span(1, last):  # j: the upper level of the block's first pair
         los = np.concatenate([lo[None], hi[:-1]])
-        k = np.array([k_at(i) for i in range(j - 1, j - 1 + len(hi))])[:, None, None]
+        k = np.array([2.0 ** (a + b * i) for i in range(j - 1, j - 1 + len(hi))])[:, None, None]
         diff = k * los - k * hi if form == "kappa_both_slots" else k * hi - k * los
         need = rho_fn(diff.reshape(len(hi) * len(x), diff.shape[2])).reshape(len(hi), len(x))
         yield need, _majorant_terms(form, psi1, x, range(j, j + len(hi))) * psi_z0
@@ -280,7 +278,6 @@ def builtin_scenarios():
             },
             "psi": {"theta": "calibrate", "p": 0.5, "direction": "ascending"},
             "s": [0.5, 0.0],
-            "rho_tilde_weight": "psi_xx_z0",
             "probes": {"count": 512, "radius": 1.0, "seed": 20107},
             "iteration": {"n_max": 40, "tol": 1e-10},
             "checks": [
@@ -303,7 +300,6 @@ def builtin_scenarios():
             },
             "psi": {"theta": "calibrate", "p": 2.0, "direction": "descending"},
             "s": [0.5, 0.0],
-            "rho_tilde_weight": "psi_xx_z0",
             "probes": {"count": 512, "radius": 1.0, "seed": 30211},
             "iteration": {"n_max": 40, "tol": 1e-10},
             "checks": ["inequality_A", "stability_bound", "biadditivity", "telescoping"],
@@ -318,7 +314,6 @@ def builtin_scenarios():
             },
             "psi": {"theta": "calibrate", "p": 2.0, "direction": "descending"},
             "s": [0.5, 0.0],
-            "rho_tilde_weight": "psi_x0_z0",
             "probes": {"count": 512, "radius": 1.0, "seed": 40487},
             "iteration": {"n_max": 40, "tol": 1e-10},
             "checks": ["inequality_B", "stability_bound", "biadditivity", "telescoping"],
@@ -330,7 +325,6 @@ def builtin_scenarios():
             "map": {"kernel": {"form": "commutator", "c": [1.0, 0.0]}, "perturbation": None},
             "psi": {"theta": 1.0, "p": 0.5, "direction": "ascending"},
             "s": [0.5, 0.0],
-            "rho_tilde_weight": "psi_xx_z0",
             "probes": {"count": 256, "radius": 1.0, "seed": 505},
             "iteration": {"n_max": 40, "tol": 1e-12},
             "checks": [
@@ -352,7 +346,6 @@ def builtin_scenarios():
             },
             "psi": None,
             "s": [0.5, 0.0],
-            "rho_tilde_weight": "psi_xx_z0",
             "probes": {"count": 64, "radius": 1.0, "seed": 60601},
             "iteration": None,
             "checks": ["inequality_A"],
@@ -452,7 +445,7 @@ class _Run:
     bimap: BiMap
     s: complex
     probes: object
-    weight_kind: str
+    which: str  # the inequality whose substitution seeds the iteration, "A" or "B"
     psi: PsiEnvelope | None
     needs_calibration: bool
     table: LevelTable | None  # its cfg is the iteration's; None without one
@@ -529,7 +522,7 @@ def _parse_stability(v):
 
         return _Run(
             v["name"], algebra, mspec, bimap, v["s"], probes,
-            weight_kind=v["rho_tilde_weight"],
+            which="B" if "inequality_B" in v["checks"] else "A",
             psi=psi, needs_calibration=needs_calibration, table=table,
             checks=v["checks"], assert_slot2=v["biderivation_assert_slot2"],
         )
@@ -540,24 +533,25 @@ def _parse_stability(v):
 
 def _calibrate(run):
     if run.needs_calibration:
-        which = "B" if "inequality_B" in run.checks else "A"
         table = run.table
         if table is None:  # no iteration section: calibrate on a table of its own
             table = LevelTable(run.bimap, StabilizeConfig(direction=run.psi.direction,
                                                           probes=run.probes))
         theta = calibrate_theta(
-            table, run.psi, run.rho_fn, run.s, which=which, probe_parts=run.probe_parts(which)
+            table, run.psi, run.rho_fn, run.s, which=run.which,
+            probe_parts=run.probe_parts(run.which),
         )
         run.psi = run.psi.with_theta(theta)
 
 
 def _config_echo(run):
     psi, probes = run.psi, run.probes
+    first_zero = psi is not None and substitution(psi.direction, run.which) == "kappa_first_zero"
     echo = {
         "config_name": run.name,
         "algebra": run.algebra.preset_name or f"dim-{run.algebra.dim}",
         "modular": run.modular.kind,
-        "weight": run.weight_kind,
+        "weight": "psi_x0_z0" if first_zero else "psi_xx_z0",
         "s": [run.s.real, run.s.imag],
         "probes": {"count": len(probes.x), "radius": probes.radius, "seed": probes.seed},
     }
@@ -569,7 +563,7 @@ def _config_echo(run):
 def _iterate(run):
     """Iterate to the limit; a numeric abort leaves ``run.outcome`` None."""
     try:
-        run.outcome = out = stabilize(run.table, run.psi, run.rho_fn, weight_kind=run.weight_kind)
+        run.outcome = out = stabilize(run.table, run.psi, run.rho_fn, which=run.which)
     except (OverflowAbort, NonFiniteValueError) as e:
         payload = {"error": str(e), "level": getattr(e, "level", None),
                    "probe_id": getattr(e, "probe_id", None)}
@@ -635,7 +629,7 @@ def _superstability(run):
 
 def _telescoping(run):
     return [check_telescoping(run.table, run.psi, run.rho_fn, run.outcome.N_converged,
-                              run.weight_kind, run.modular.kappa)]
+                              run.which, run.modular.kappa)]
 
 
 def _bounded_orbit(run):
@@ -684,7 +678,7 @@ def _run_stability(v):
     if not halted:
         for chk in run.checks:
             records += _CHECKS[chk](run)
-    keep = ("algebra", "modular", "bimap", "psi", "probes", "weight_kind", "rho_fn", "s", "outcome")
+    keep = ("algebra", "modular", "bimap", "psi", "probes", "which", "rho_fn", "s", "outcome")
     return records, {key: getattr(run, key) for key in keep}
 
 

@@ -14,9 +14,10 @@ from .bimaps import (
     DIRECTIONS,
     WEIGHT_FLOOR,
     ProbeSet,
-    RhoTildeWeight,
     _scaled_levels,
     rho_tilde_tabulated,
+    substitution,
+    tilde_weights,
 )
 from .errors import (
     ConfigError,
@@ -192,7 +193,7 @@ class LevelTable:
         return stack
 
 
-def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0"):
+def stabilize(table, psi, rho_fn, which="A"):
     """Run the scaled iteration on ``table`` and freeze the limit candidate.
 
     The map d and its StabilizeConfig cfg are ``table.d`` and ``table.cfg``.
@@ -201,9 +202,10 @@ def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0"):
     candidates is at most cfg.tol (convergence: delta_n <= tol, the pass
     rule of the run's ``stabilize`` record) or at cfg.n_max.  Each
     level's ``rho_tilde_delta`` is the probe-restricted function-space
-    modular of the successive difference; the stopping rule deliberately
-    uses the plain probe-sup ``sup_rho_delta`` so zero-weight boundary
-    probes cannot produce 0/0.  A run iterates once: ``check_uniqueness``
+    modular of the successive difference, weighted as the substitution into
+    inequality ``which`` ("A" or "B") gives (``bimaps.substitution``); the
+    stopping rule deliberately uses the plain probe-sup ``sup_rho_delta``
+    so zero-weight boundary probes cannot produce 0/0.  A run iterates once: ``check_uniqueness``
     reads its reruns off the outcome's levels.  Every ``BiMap`` vanishes on
     the axes, and psi must scale in cfg's direction; psi's scaling law is
     not checked here, but once per run, by the ``psi_law`` stage before it
@@ -221,7 +223,7 @@ def stabilize(table, psi, rho_fn, weight_kind="psi_xx_z0"):
         raise PreconditionError("psi scaling direction disagrees with the iteration direction")
 
     X, Z = cfg.probes.x, cfg.probes.z
-    weights = RhoTildeWeight(psi=psi, kind=weight_kind).values(X, Z)
+    weights = tilde_weights(psi, substitution(cfg.direction, which), X, Z)
 
     v_origin = table[0]  # the unscaled map, reference for the bound
     hyers_vals = hyers_bound(psi, X, Z)

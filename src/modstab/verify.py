@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import row_blocks
 from .algebra import mul, sample_unit_circle, three_unimodular_decomposition
-from .bimaps import _stacked_call, not_finite_at
+from .bimaps import _stacked_call, not_finite_at, substitution
 from .errors import ConfigError, NonFiniteValueError, PreconditionError
 from .report import ABSENT, CheckResult
 from .stabilize import hyers_bound
@@ -242,12 +242,6 @@ def check_stability_bound(d_vals, D_vals, psi, rho_fn, probes):
     return _per_probe("stability_bound", lhs, hyers_bound(psi, probes.x, probes.z), INEQUALITY_TOL)
 
 
-def _auto_telescope_form(direction, weight_kind):
-    if direction == "ascending":
-        return "ascending"
-    return "kappa_first_zero" if weight_kind == "psi_x0_z0" else "kappa_both_slots"
-
-
 # The telescoping majorants bound the defect against the level-0 map.
 # Ascending uses the geometric partial sum
 #     sum_{i<=n} 2^-i psi(2^(i-1) x, 2^(i-1) x) psi(z, 0),
@@ -294,16 +288,17 @@ def _majorants(form, kappa, terms):
     return rows
 
 
-def check_telescoping(table, psi, rho_fn, n, weight_kind, kappa):
+def check_telescoping(table, psi, rho_fn, n, which, kappa):
     """The telescoping table of levels 1..n of ``table`` against level 0,
     one row per level: ``kappa_margin`` is the probe-max of the defect
     rho(T[l] - T[0]) minus the level's majorant times psi(z, 0), and
     ``final_margin`` the defect minus ``hyers_bound``.  A level passes iff
     both are at most ``INEQUALITY_TOL`` (its lhs is the larger, NaN if
-    either is).  The majorant form follows the direction and ``weight_kind``;
-    each row has the bits it gets alone.  n is the run's stopping level."""
+    either is).  The majorant form is the substitution into inequality
+    ``which`` in the table's direction (``bimaps.substitution``); each row
+    has the bits it gets alone.  n is the run's stopping level."""
     X, Z = table.cfg.probes.x, table.cfg.probes.z
-    form = _auto_telescope_form(table.cfg.direction, weight_kind)
+    form = substitution(table.cfg.direction, which)
     origin, defect = table[0], []
     for _, block in table.span(1, n):
         k, p, vd = block.shape

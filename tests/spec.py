@@ -205,12 +205,13 @@ def delta(rho, cur, prev, n):
     return vals
 
 
-def iterate(it, psi, rho, weight_kind):
+def iterate(it, psi, rho, form):
     """The per-level loop that stops at the first delta_n <= tol, or at
     n_max: (N, converged, bound margin, [(level, sup delta, rho-tilde
-    delta)], weights)."""
+    delta)], weights).  The weight is psi(x, 0) psi(z, 0) for the
+    kappa_first_zero substitution, else psi(x, x) psi(z, 0)."""
     X, Z = it.x, it.z
-    first = psi(X, X) if weight_kind == "psi_xx_z0" else psi(X, np.zeros_like(X))
+    first = psi(X, np.zeros_like(X)) if form == "kappa_first_zero" else psi(X, X)
     weights = first * psi(Z, np.zeros_like(Z))
     active = weights > 1e-15
     prev = origin = it.level(0)
@@ -256,11 +257,9 @@ def majorant(form, kappa, terms, n):
     return out
 
 
-def telescoping(it, psi, rho, N, weight_kind, kappa, name=None):
+def telescoping(it, psi, rho, N, form, kappa, name=None):
     """Rows of levels 1..N: rho(T_n - T_0) against the level's majorant and
     against the Hyers bound, each level taken alone."""
-    form = "ascending" if it.direction == "ascending" else (
-        "kappa_first_zero" if weight_kind == "psi_x0_z0" else "kappa_both_slots")
     terms, psi_z0 = majorant_terms(form, psi, it.x, N), psi(it.z, np.zeros_like(it.z))
     bound, origin, rows = hyers(psi, it.x, it.z), it.level(0), []
     for n in range(1, N + 1):
@@ -387,15 +386,19 @@ def run(source, seed=None, count=None):
     v = parse(load_config(source), seed=seed, count=count)
     if v["kind"] != "stability":
         raise ValueError("the spec covers stability runs only")
-    name, checks, weight_kind, s = v["name"], v["checks"], v["rho_tilde_weight"], v["s"]
+    name, checks, s = v["name"], v["checks"], v["s"]
+    which = "B" if "inequality_B" in checks else "A"
     algebra, m = build_algebra(v["algebra"]), ModularSpec(**v["modular"])
     d = build_bimap(v["map"], algebra)
     p = Probes(algebra.dim, v["probes"]["count"], v["probes"]["radius"], v["probes"]["seed"])
-    psi = it = None
+    psi = it = form = None
     if (q := v["psi"]) is not None:
         psi = PsiEnvelope(theta=1.0 if q["theta"] == "calibrate" else q["theta"], p=q["p"],
                           L=q["L"], direction=q["direction"],
                           norm_fn=lambda x: luxemburg_norm(m, x))
+        # the substitution that seeds the iteration: it names the majorant and the weight
+        form = "ascending" if psi.direction == "ascending" else (
+            "kappa_first_zero" if which == "B" else "kappa_both_slots")
     if v["iteration"] is not None:
         i = v["iteration"]
         if psi is None:
@@ -415,10 +418,10 @@ def run(source, seed=None, count=None):
     if q is not None and q["theta"] == "calibrate":
         extra = Probes(algebra.dim, 10_000, p.radius, p.seed + 104_729)
         table = it or Iteration(d, psi.direction, 40, 1e-10, 1e15, p.x, p.z)
-        which = "B" if "inequality_B" in checks else "A"
         psi = psi.with_theta(calibrate(d, psi, rho, s, which, p, extra, table))
+    weight = "psi_x0_z0" if form == "kappa_first_zero" else "psi_xx_z0"
     echo = {"config_name": name, "algebra": algebra.preset_name or f"dim-{algebra.dim}",
-            "modular": m.kind, "weight": weight_kind, "s": [s.real, s.imag],
+            "modular": m.kind, "weight": weight, "s": [s.real, s.imag],
             "probes": {"count": len(p.x), "radius": p.radius, "seed": p.seed}}
     if psi is not None:
         echo.update(theta=psi.theta, L=psi.L, psi_p=psi.p, direction=psi.direction)
@@ -429,7 +432,7 @@ def run(source, seed=None, count=None):
     if not halted and it is not None:
         try:
             N, converged, bound_margin, levels, weights = iterate(
-                it, psi, rho, weight_kind)
+                it, psi, rho, form)
         except (OverflowAbort, NonFiniteValueError) as e:
             records.append(ReportRecord(name, "iterate", {
                 "error": str(e), "level": e.level, "probe_id": e.probe_id}, False))
@@ -464,7 +467,7 @@ def run(source, seed=None, count=None):
                 records.append(record(name, "superstability_certificate", gap, 0.0, 1e-12,
                                       {"limit_gap": gap}))
         elif check == "telescoping":
-            records += telescoping(it, psi, rho, N, weight_kind, m.kappa, name)
+            records += telescoping(it, psi, rho, N, form, m.kappa, name)
         elif check == "bounded_orbit":
             est = orbit_estimate([it.level(n) for n in range(N + 1)], weights, rho)
             cap = 1.0 / (1.0 - psi.L) + 1e-6

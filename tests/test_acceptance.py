@@ -10,7 +10,6 @@ from modstab import (
     BiMap,
     ModularSpec,
     Perturbation,
-    RhoTildeWeight,
     check_inequality_A,
     check_inequality_B,
     draw_probes,
@@ -204,7 +203,6 @@ def test_ac07_function_space_contraction(ascending_run):
     result, _ = ascending_run
     psi = result.context["psi"]
     probes = result.context["probes"]
-    weight = RhoTildeWeight(psi=psi, kind="psi_xx_z0")
 
     rng = np.random.default_rng(707)
     pool = []
@@ -223,7 +221,7 @@ def test_ac07_function_space_contraction(ascending_run):
     for k in range(100):
         delta = pool[rng.integers(len(pool))]
         gamma = pool[rng.integers(len(pool))]
-        _, _, margin = rho_tilde_contraction_margin(rho_rows, weight, delta, gamma, probes)
+        _, _, margin = rho_tilde_contraction_margin(rho_rows, psi, delta, gamma, probes)
         worst = max(worst, margin)
     ok = worst <= 1e-9
     _criterion("AC-7 induced-modular contraction", ok, f"worst_margin={worst:.2e} pairs=100")

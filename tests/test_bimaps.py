@@ -8,7 +8,6 @@ from modstab import (
     ConfigError,
     Perturbation,
     PsiEnvelope,
-    RhoTildeWeight,
     check_psi_law,
     coeff_norm_fn,
     draw_probes,
@@ -20,6 +19,8 @@ from modstab import (
     preset,
     rho_tilde_contraction_margin,
     rho_tilde_tabulated,
+    substitution,
+    tilde_weights,
 )
 from modstab.bimaps import _scaled_levels, probe_blocks
 
@@ -388,58 +389,67 @@ def test_probe_blocks_concatenate_to_the_whole_stream_draw(count, dim):
 # --- induced function-space modular -----------------------------------------
 
 
-def _weight(theta=1.0):
-    psi = PsiEnvelope(theta=theta, p=0.5, direction="ascending")
-    return RhoTildeWeight(psi=psi, kind="psi_xx_z0")
+def _psi(theta=1.0):
+    return PsiEnvelope(theta=theta, p=0.5, direction="ascending")
 
 
-def rho_tilde(weight, delta, probes):
+def both_slot(psi, x, z):
+    """Rho-tilde's both-slot weight psi(x, x) psi(z, 0)."""
+    return tilde_weights(psi, "kappa_both_slots", x, z)
+
+
+def rho_tilde(psi, delta, probes):
     """The probe rho-tilde of the difference map ``delta``."""
     return rho_tilde_tabulated(rho_rows(delta(probes.x, probes.z)),
-                               weight.values(probes.x, probes.z))
+                               both_slot(psi, probes.x, probes.z))
 
 
 def test_rho_tilde_zero_map():
     probes = draw_probes(4, 32, 1.0, seed=6)
-    assert rho_tilde(_weight(), lambda x, z: np.zeros_like(x), probes) == 0.0
+    assert rho_tilde(_psi(), lambda x, z: np.zeros_like(x), probes) == 0.0
 
 
 def test_rho_tilde_unit_ratio():
     # delta = psi(x,x) psi(z,0) * v with a unit vector v: every ratio is 1
     probes = draw_probes(4, 32, 1.0, seed=6)
-    w = _weight()
+    psi = _psi()
     v = np.zeros(4, dtype=complex)
     v[2] = 1.0
 
     def delta(x, z):
-        return w.values(np.atleast_2d(x), np.atleast_2d(z))[:, None] * v[None, :]
+        return both_slot(psi, np.atleast_2d(x), np.atleast_2d(z))[:, None] * v[None, :]
 
-    assert rho_tilde(w, delta, probes) == pytest.approx(1.0, abs=1e-12)
+    assert rho_tilde(psi, delta, probes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho_tilde_zero_weight_flag():
     probes = draw_probes(4, 32, 1.0, seed=6)
-    w = _weight()
+    psi = _psi()
 
     def delta(x, z):
         out = np.zeros((len(x), 4), dtype=complex)
         out[:, 0] = 1.0  # does not vanish at the zero probe
         return out
 
-    assert rho_tilde(w, delta, probes) == float("inf")
+    assert rho_tilde(psi, delta, probes) == float("inf")
 
 
-def test_rho_tilde_weight_kinds_differ():
+def test_tilde_weights_follow_the_substitution():
+    # descending, A substitutes y = x, w = 0 and B y = w = 0; ascending, both
+    # take A's tuple, since B's degenerate left side is 0
+    assert [substitution(d, which) for d in ("ascending", "descending") for which in "AB"] == [
+        "ascending", "ascending", "kappa_both_slots", "kappa_first_zero"]
     probes = draw_probes(4, 32, 1.0, seed=8)
-    psi = PsiEnvelope(theta=1.0, p=0.5, direction="ascending")
-    wa = RhoTildeWeight(psi=psi, kind="psi_xx_z0").values(probes.x, probes.z)
-    wb = RhoTildeWeight(psi=psi, kind="psi_x0_z0").values(probes.x, probes.z)
+    psi = _psi()
+    wa, wb, asc = (tilde_weights(psi, form, probes.x, probes.z)
+                   for form in ("kappa_both_slots", "kappa_first_zero", "ascending"))
     assert np.allclose(wa, 2.0 * wb)  # psi(x,x) = 2 psi(x,0) for the power form
+    assert np.array_equal(asc, wa)
 
 
 def test_rho_tilde_convexity_sampled():
     probes = draw_probes(4, 48, 1.0, seed=9)
-    w = _weight()
+    psi = _psi()
     d1 = BiMap(algebra=MATRIX2, kernel=None, perturbation=Perturbation("bounded_osc", 0.3))
     d2 = BiMap(algebra=MATRIX2, kernel=None, perturbation=Perturbation("power_env", 0.2, p=0.5))
     rng = np.random.default_rng(10)
@@ -450,24 +460,22 @@ def test_rho_tilde_convexity_sampled():
         def mix(x, z, a=a, b=b):
             return a * d1(x, z) + b * d2(x, z)
 
-        lhs = rho_tilde(w, mix, probes)
-        rhs = a * rho_tilde(w, d1, probes) + b * rho_tilde(w, d2, probes)
+        lhs = rho_tilde(psi, mix, probes)
+        rhs = a * rho_tilde(psi, d1, probes) + b * rho_tilde(psi, d2, probes)
         assert lhs <= rhs + 1e-12
 
 
 def test_contraction_margin_nonpositive_for_matched_envelope():
     probes = draw_probes(4, 64, 1.0, seed=12)
-    w = _weight(theta=0.5)
     d1 = BiMap(algebra=MATRIX2, kernel=None, perturbation=Perturbation("power_env", 0.1, p=0.5))
     d2 = BiMap(algebra=MATRIX2, kernel=None, perturbation=Perturbation("bounded_osc", 0.05))
-    lhs, rhs, margin = rho_tilde_contraction_margin(rho_rows, w, d1, d2, probes)
+    lhs, rhs, margin = rho_tilde_contraction_margin(rho_rows, _psi(theta=0.5), d1, d2, probes)
     assert np.isfinite(lhs) and np.isfinite(rhs)
     assert margin <= 1e-9
     # descending, under the norm modular, whose doubling constant kappa = 2 holds
     psi = PsiEnvelope(theta=0.5, p=2.0, direction="descending")
     d1 = BiMap(algebra=MATRIX2, kernel=None, perturbation=Perturbation("power_env", 0.1, p=2.0))
-    lhs, rhs, margin = rho_tilde_contraction_margin(
-        rho_rows, RhoTildeWeight(psi=psi, kind="psi_xx_z0"), d1, d2, probes)
+    lhs, rhs, margin = rho_tilde_contraction_margin(rho_rows, psi, d1, d2, probes)
     assert np.isfinite(lhs) and np.isfinite(rhs) and lhs > 0
     assert margin <= 1e-9
 
@@ -479,7 +487,6 @@ def test_contraction_margin_is_the_direct_evaluation(direction, p, kappa):
     # off its level-1 scaled map; here it takes a map call of its own
     probes = draw_probes(4, 64, 1.0, seed=14)
     psi = PsiEnvelope(theta=0.5, p=p, direction=direction)
-    w = RhoTildeWeight(psi=psi, kind="psi_xx_z0")
     perturbations = [Perturbation("bounded_osc", 0.05), Perturbation("quad_slot1", 0.02),
                      Perturbation("bounded_osc", 0.03, boundary_safe=True),
                      Perturbation("power_env", 0.1, p=0.5 if direction == "ascending" else 3.0)]
@@ -498,8 +505,8 @@ def test_contraction_margin_is_the_direct_evaluation(direction, p, kappa):
                 return delta(a, b) - gamma(a, b)
 
             stepped = diff(2.0 * x, z) / 2.0 if direction == "ascending" else 2.0 * diff(x / 2.0, z)
-            lhs = rho_tilde_tabulated(rho_rows(stepped), w.values(x, z))
-            rhs = factor * rho_tilde_tabulated(rho_rows(diff(xs, zs)), w.values(xs, zs))
-            got = rho_tilde_contraction_margin(rho_rows, w, delta, gamma, probes, kappa=kappa)
+            lhs = rho_tilde_tabulated(rho_rows(stepped), both_slot(psi, x, z))
+            rhs = factor * rho_tilde_tabulated(rho_rows(diff(xs, zs)), both_slot(psi, xs, zs))
+            got = rho_tilde_contraction_margin(rho_rows, psi, delta, gamma, probes, kappa=kappa)
             assert repr(got) == repr((lhs, rhs, lhs - rhs))
             assert lhs > 0.0 and rhs > 0.0

@@ -164,7 +164,7 @@ def test_telescoping_passes_a_level_iff_both_its_margins_pass(monkeypatch):
     majorants = [0.0, nan, 1.0, 1.0 - e29, 1.0 + e29, 2.0 + e31]
     monkeypatch.setattr(verify, "_majorants", lambda form, kappa, terms: np.array(majorants)[:, None])
     run = SimpleNamespace(table=_Levels(defects), psi=lambda a, b: np.ones(len(a)),
-                          rho_fn=lambda rows: rows[:, 0].real, weight_kind="psi_xx_z0",
+                          rho_fn=lambda rows: rows[:, 0].real, which="A",
                           outcome=SimpleNamespace(N_converged=len(defects)),
                           modular=SimpleNamespace(kappa=2.0))
     for bound in (1.0, nan):  # a NaN bound makes every final margin NaN

@@ -36,16 +36,16 @@ from modstab import (
     stabilize,
 )
 from modstab._kernels import BLOCK_ROWS
-from modstab.bimaps import rho_tilde_tabulated
+from modstab.bimaps import rho_tilde_tabulated, substitution
 from modstab.scenarios import _scaled_degenerate_family
 from modstab.stabilize import MAX_N_MAX
-from modstab.verify import _auto_telescope_form, _majorant_terms, _majorants, check_telescoping
+from modstab.verify import _majorant_terms, _majorants, check_telescoping
 from test_stabilize import CountingMap
 
 MATRIX2 = preset("matrix2")
 NORM = ModularSpec(kind="norm")
 COUNTS = [17, 32, 512, 700, 2049]
-FORMS = [("ascending", "psi_xx_z0"), ("descending", "psi_xx_z0"), ("descending", "psi_x0_z0")]
+FORMS = [("ascending", "A"), ("descending", "A"), ("descending", "B")]  # (direction, which)
 
 
 def rho_rows(rows):
@@ -78,9 +78,9 @@ def plain(d, cfg):
     return it
 
 
-def outcome(table, psi, rho_fn=rho_rows, weight_kind="psi_xx_z0"):
+def outcome(table, psi, rho_fn=rho_rows, which="A"):
     """stabilize's outcome on ``table`` as the fields ``spec.iterate`` returns."""
-    out = stabilize(table, psi, rho_fn, weight_kind)
+    out = stabilize(table, psi, rho_fn, which)
     levels = [(lv.level, lv.sup_rho_delta, lv.rho_tilde_delta) for lv in out.levels]
     return out.N_converged, out.converged, out.bound_margin, levels, out.weights
 
@@ -121,12 +121,13 @@ def check_table_levels(table, ref, levels):
             assert got == want, level
 
 
-def same_margins(table, psi, ref, n, weight_kind="psi_xx_z0", kappa=2.0, rho_fn=rho_rows):
+def same_margins(table, psi, ref, n, which="A", kappa=2.0, rho_fn=rho_rows):
     """check_telescoping's rows on levels 1..n of ``table`` are the spec's,
     line for line, each row's lhs the larger margin; returns the margins
     (kappa, final)."""
-    want = spec.telescoping(ref, psi, rho_fn, n, weight_kind, kappa)
-    got = check_telescoping(table, psi, rho_fn, n, weight_kind, kappa)
+    form = substitution(table.cfg.direction, which)
+    want = spec.telescoping(ref, psi, rho_fn, n, form, kappa)
+    got = check_telescoping(table, psi, rho_fn, n, which, kappa)
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
     cols = got.columns
     assert got.lhs.tobytes() == np.maximum(cols["kappa_margin"], cols["final_margin"]).tobytes()
@@ -138,14 +139,14 @@ def same_margins(table, psi, ref, n, weight_kind="psi_xx_z0", kappa=2.0, rho_fn=
 
 @pytest.mark.parametrize("theta", [0.01, 0.0005])
 @pytest.mark.parametrize("count", COUNTS)
-@pytest.mark.parametrize("direction, weight_kind", FORMS)
-def test_blocks_give_the_per_level_diagnostics(direction, weight_kind, count, theta):
+@pytest.mark.parametrize("direction, which", FORMS)
+def test_blocks_give_the_per_level_diagnostics(direction, which, count, theta):
     d, psi, cfg = fixture(direction, count, theta=theta)
     counted = CountingMap(d, cfg.probes)
     table, ref = LevelTable(counted, cfg), plain(d, cfg)
-    got = outcome(table, psi, weight_kind=weight_kind)
-    same(got, spec.iterate(ref, psi, rho_rows, weight_kind))
-    margins = same_margins(table, psi, ref, got[0], weight_kind)
+    got = outcome(table, psi, which=which)
+    same(got, spec.iterate(ref, psi, rho_rows, substitution(direction, which)))
+    margins = same_margins(table, psi, ref, got[0], which)
     if theta < 0.01:
         assert any(kappa > 0.0 for kappa, _ in margins)
     n, per_block = got[0], max(1, BLOCK_ROWS // count)
@@ -159,8 +160,8 @@ def test_blocks_give_the_per_level_diagnostics(direction, weight_kind, count, th
 
 
 @pytest.mark.parametrize("count", [17, 512, 700])
-@pytest.mark.parametrize("direction, weight_kind", FORMS)
-def test_blocks_without_telescoping_and_with_other_caps(direction, weight_kind, count):
+@pytest.mark.parametrize("direction, which", FORMS)
+def test_blocks_without_telescoping_and_with_other_caps(direction, which, count):
     # level caps and tolerances put the stop at a block edge, inside a
     # block and at n_max; the iteration computes no telescoping margin, and
     # the check after it gives the per-level ones
@@ -168,9 +169,9 @@ def test_blocks_without_telescoping_and_with_other_caps(direction, weight_kind, 
         d, psi, cfg = fixture(direction, count, n_max=n_max, tol=tol)
         counted = CountingMap(d, cfg.probes)
         table, ref = LevelTable(counted, cfg), plain(d, cfg)
-        got = outcome(table, psi, weight_kind=weight_kind)
-        same(got, spec.iterate(ref, psi, rho_rows, weight_kind))
-        same_margins(table, psi, ref, got[0], weight_kind)
+        got = outcome(table, psi, which=which)
+        same(got, spec.iterate(ref, psi, rho_rows, substitution(direction, which)))
+        same_margins(table, psi, ref, got[0], which)
         check_table_levels(table, ref, sorted(counted.calls))
 
 
@@ -257,7 +258,7 @@ def test_a_non_finite_level_in_a_block(direction, count):
         counted = CountingMap(wrapped, cfg.probes)
         table, ref = LevelTable(counted, cfg), plain(wrapped, cfg)
         got = run(lambda: outcome(table, psi))
-        same(got, run(lambda: spec.iterate(ref, psi, rho_rows, "psi_xx_z0")))
+        same(got, run(lambda: spec.iterate(ref, psi, rho_rows, substitution(direction, "A"))))
         assert (got[0] is NonFiniteValueError) == raises
         if raises:
             assert got[1] == "map evaluation is not finite at batch row %d" % got[3]
@@ -288,7 +289,7 @@ def test_a_level_that_overflows(count, value, message):
     n_conv = stabilize(LevelTable(d, cfg), psi, rho_rows).N_converged
 
     def ref_outcome():
-        return spec.iterate(plain(wrapped, cfg), psi, rho_rows, "psi_xx_z0")
+        return spec.iterate(plain(wrapped, cfg), psi, rho_rows, "kappa_both_slots")
 
     for bad, raises in ((n_conv - 5, True), (n_conv + 1, False)):
         wrapped = Huge(d, _bad_from("descending", cfg, bad),
@@ -330,19 +331,19 @@ def test_a_non_finite_modular_value_in_a_block(count):
     cfg = StabilizeConfig(direction="ascending", probes=draw_probes(4, count, 1.0, 22))
     psi = PsiEnvelope(theta=1.0, p=0.5, direction="ascending")
     got = run(lambda: stabilize(LevelTable(d, cfg), psi, rho_exp))
-    assert got == run(lambda: spec.iterate(plain(d, cfg), psi, rho_exp, "psi_xx_z0"))
+    assert got == run(lambda: spec.iterate(plain(d, cfg), psi, rho_exp, "ascending"))
     assert got[:2] == (NonFiniteValueError, "non-finite modular value") and 1 < got[2] < 40
 
 
 @pytest.mark.parametrize("N", [1, 3, 4, 40])
 @pytest.mark.parametrize("kappa", [2.0, 0.75])
-@pytest.mark.parametrize("direction, weight_kind", FORMS)
-def test_majorant_rows_are_the_per_level_majorants(direction, weight_kind, kappa, N):
+@pytest.mark.parametrize("direction, which", FORMS)
+def test_majorant_rows_are_the_per_level_majorants(direction, which, kappa, N):
     # every probe's majorant over the span 1..N, not only the maximum
     # margin a telescoping row keeps
     _, psi, cfg = fixture(direction, 64)
     X = cfg.probes.x
-    form = _auto_telescope_form(direction, weight_kind)
+    form = substitution(direction, which)
     terms = spec.majorant_terms(form, psi, X, N)
     rows = _majorants(form, kappa, _majorant_terms(form, psi, X, range(1, N + 1)))
     assert rows.shape == (N, len(X))
@@ -352,18 +353,18 @@ def test_majorant_rows_are_the_per_level_majorants(direction, weight_kind, kappa
 
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("kappa", [2.0, 1.5, 0.75])
-@pytest.mark.parametrize("direction, weight_kind", FORMS)
-def test_the_one_pass_gives_the_per_level_margins(direction, weight_kind, kappa, count):
+@pytest.mark.parametrize("direction, which", FORMS)
+def test_the_one_pass_gives_the_per_level_margins(direction, which, kappa, count):
     # on an unconverged run (tol 1e-30, so N = n_max): the check's rows for
     # n = 1, for n at the last level of the table's first block and at the
     # first of the next, and for n = n_max, against the levels taken alone
     d, psi, cfg = fixture(direction, count, theta=0.0005, tol=1e-30)
     table, ref = LevelTable(d, cfg), plain(d, cfg)
-    out = stabilize(table, psi, rho_rows, weight_kind=weight_kind)
+    out = stabilize(table, psi, rho_rows, which=which)
     assert not out.converged and out.N_converged == cfg.n_max
     edge = max(1, BLOCK_ROWS // count)  # the first level of the second block
     for n in sorted({1, max(1, min(edge - 1, cfg.n_max)), min(edge, cfg.n_max), cfg.n_max}):
-        margins = same_margins(table, psi, ref, n, weight_kind, kappa)
+        margins = same_margins(table, psi, ref, n, which, kappa)
     assert any(k > 0.0 for k, _ in margins)  # the undersized envelope shows
 
 
@@ -372,8 +373,7 @@ def test_the_one_pass_gives_the_per_level_margins(direction, weight_kind, kappa,
 
 @pytest.mark.parametrize("radius", [1.0, 1e6])
 @pytest.mark.parametrize("count", COUNTS)
-@pytest.mark.parametrize("direction, which", [("ascending", "A"), ("descending", "A"),
-                                              ("descending", "B")])
+@pytest.mark.parametrize("direction, which", FORMS)
 def test_the_scaled_family_in_blocks_has_the_per_level_rows(direction, which, count, radius):
     # radius 1e6 puts the ascending magnitude cap at level 30, inside a block
     d, _, cfg = fixture(direction, count)

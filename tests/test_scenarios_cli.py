@@ -1,6 +1,8 @@
+import errno
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -34,7 +36,6 @@ def small_stability_config(**overrides):
         },
         "psi": {"theta": "calibrate", "p": 0.5, "direction": "ascending"},
         "s": [0.5, 0.0],
-        "rho_tilde_weight": "psi_xx_z0",
         "probes": {"count": 32, "radius": 1.0, "seed": 3},
         "iteration": {"n_max": 40, "tol": 1e-10},
         "checks": ["inequality_A", "stability_bound", "biadditivity"],
@@ -487,6 +488,30 @@ def test_cli_run_out_into_a_missing_directory_exits_two_before_the_run(
     assert "Traceback" not in err
 
 
+def test_cli_run_report_that_fills_the_disk_exits_two(tmp_path, capsys, monkeypatch):
+    # a write that fails after the run was a traceback and exit 1; the bytes
+    # written before it are flushed again on close, and fail there too
+    def full(header, records, fh):
+        fh.write("{")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(modstab.cli, "write_report", full)
+    out = tmp_path / "r.jsonl"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_stability_config()))
+    assert cli_main(["run", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write the report to {str(out)!r}: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_cli_run_out_dev_full_exits_two(capsys):
+    # /dev/full refuses the truncation (EINVAL) and every write (ENOSPC)
+    assert cli_main(["run", "superstability-commutator", "--out", "/dev/full", "--quiet"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot write the report to '/dev/full': ")
+
+
 def test_cli_run_report_replaces_its_own_config(tmp_path):
     # the report path is opened before the run, but the config it names is
     # read whole first, and the report then replaces it
@@ -604,15 +629,6 @@ def _builtin_value(name, keys, value):
     return json.dumps(cfg)
 
 
-def _bogus_weight(name, drop_iteration=False):
-    cfg = json.loads(json.dumps(builtin_scenarios()[name]))
-    cfg["rho_tilde_weight"] = "bogus"
-    if drop_iteration:
-        cfg["iteration"] = None
-        cfg["checks"] = [c for c in cfg["checks"] if c != "stability_bound"]
-    return json.dumps(cfg)
-
-
 MALFORMED_NAMES = {}  # config text -> what its record's error must name
 
 
@@ -665,8 +681,6 @@ def _no_checks():
         _malformed("s", [0.5, "x"]),
         _malformed("probes", [1, 2]),
         _axioms_fixture_without_modular(),
-        _bogus_weight("corollary-ascending-p05"),
-        _bogus_weight("superstability-commutator", drop_iteration=True),
         _axioms_samples("dim", -1),
         _axioms_samples("dim", 0),
         _axioms_samples("radius", float("nan")),
@@ -779,6 +793,9 @@ def _no_checks():
                 "'psi.form'"),
         _naming(_builtin_value("corollary-ascending-p05", ["iteration", "direction"], "ascending"),
                 "'iteration.direction'"),
+        # ρ̃'s weight follows the run's inequality and direction
+        _naming(_builtin_value("inequality-B-descending", ["rho_tilde_weight"], "psi_x0_z0"),
+                "unknown config key 'rho_tilde_weight'"),
         # the cross-field checks of the parse stage
         _naming(_builtin_value("superstability-commutator", ["psi"], None),
                 "iteration requires an envelope"),
@@ -794,7 +811,7 @@ def _no_checks():
                 "fixtures[0].modular.p is read only with kind 'power', not with 'norm'"),
     ],
     ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list",
-         "fixture-no-modular", "weight-bogus", "weight-bogus-no-iteration",
+         "fixture-no-modular",
          "samples-dim-negative", "samples-dim-zero", "samples-radius-nan",
          "samples-radius-negative", "samples-radius-inf", "probes-radius-nan",
          "probes-radius-inf", "count-inf", "n-max-inf", "samples-dim-past-limit",
@@ -816,6 +833,7 @@ def _no_checks():
          "zero-mul-with-structure", "form-tensor",
          "commutator-with-tensor", "commutator-with-value-dim",
          "zero-boundary-key", "psi-form-key", "iteration-direction-key",
+         "rho-tilde-weight-key",
          "iteration-without-psi", "descending-power-env-p-0.5", "norm-with-phi", "norm-with-p",
          "orlicz-with-p", "power-with-phi", "norm-fixture-with-p"],
 )
@@ -889,6 +907,27 @@ def test_checks_call_their_checkers_through_the_module(monkeypatch):
     assert calls == ["check_biadditivity", "bounded_orbit_estimate", "check_uniqueness"]
 
 
+def test_echoed_weight_follows_the_inequality_and_direction():
+    # rho-tilde weighs by psi(x,0) psi(z,0) exactly when a descending run
+    # checks inequality B, whose substitution zeroes y; every other run takes
+    # A's tuple y = x and psi(x,x) psi(z,0)
+    identity = runpy.run_path(str(Path(__file__).resolve().parents[1] / "benchmarks"
+                                  / "identity_configs.py"))["identity_configs"]()
+    both_inequalities = builtin_scenarios()["corollary-descending-p2"]
+    both_inequalities["checks"] = ["inequality_A", "inequality_B", "telescoping"]
+    want = {"corollary-ascending-p05": "psi_xx_z0", "corollary-descending-p2": "psi_xx_z0",
+            "inequality-B-descending": "psi_x0_z0", "superstability-commutator": "psi_xx_z0",
+            "lemma-falsifier": "psi_xx_z0"}
+    assert set(want) == {n for n, c in builtin_scenarios().items() if c.get("kind") != "axioms"}
+    sources = [(name, name, weight) for name, weight in want.items()] + [
+        ("ascending-complex-c-B", identity["ascending-complex-c-B"], "psi_xx_z0"),
+        ("descending A and B", both_inequalities, "psi_x0_z0")]
+    for label, source, weight in sources:
+        result = run_scenario(source, probes_override=17)
+        [echo] = [r.payload for r in result.records if r.stage == "config"]
+        assert echo["weight"] == weight, label
+
+
 def test_ascending_builtin_iterates_once(monkeypatch):
     # the uniqueness check reads its reruns off the run's one iteration
     stabilize_module = sys.modules["modstab.stabilize"]
@@ -904,7 +943,7 @@ def test_ascending_builtin_iterates_once(monkeypatch):
     result = run_scenario("corollary-ascending-p05")
     assert result.exit_code == 0
     # the iteration is told nothing of the checks the run makes after it
-    assert calls == [["weight_kind"]]
+    assert calls == [["which"]]
     [rep] = [r.payload for r in result.records if r.payload.get("check") == "uniqueness"]
     assert [v[1] for v in rep["variants"]] == [result.context["outcome"].N_converged] * 5
 

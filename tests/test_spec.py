@@ -162,7 +162,6 @@ def configs(draw):
         "modular": {**modular, "kappa": draw(st.sampled_from([2.0, 1.5, 0.75]))},
         "map": {"kernel": kernel, "perturbation": pert}, "psi": psi,
         "s": draw(st.sampled_from([0.5, [0.3, -0.4], -0.25, [0.0, 0.9]])),
-        "rho_tilde_weight": draw(st.sampled_from(["psi_xx_z0", "psi_x0_z0"])),
         "probes": {"count": draw(st.integers(17, 128)),
                    "radius": draw(st.sampled_from([0.25, 1.0, 3.0, 8.0])),
                    "seed": draw(st.integers(0, 2**16))},

@@ -159,11 +159,12 @@ def test_hyers_bound_degenerate_cases():
 # --- telescoping diagnostics -------------------------------------------------
 
 
-def telescoping(table, psi, kappa=2.0, weight_kind="psi_xx_z0"):
+def telescoping(table, psi, kappa=2.0):
     """The run's one iteration on ``table``, then the telescoping check on
-    its levels 1..N: (outcome, kappa margins, final margins)."""
-    out = stabilize(table, psi, rho_rows, weight_kind=weight_kind)
-    tel = check_telescoping(table, psi, rho_rows, out.N_converged, weight_kind, kappa)
+    its levels 1..N, both under inequality A's substitution: (outcome,
+    kappa margins, final margins)."""
+    out = stabilize(table, psi, rho_rows)
+    tel = check_telescoping(table, psi, rho_rows, out.N_converged, "A", kappa)
     return out, tel.columns["kappa_margin"], tel.columns["final_margin"]
 
 
