@@ -34,7 +34,6 @@ from .errors import (
     OutOfDiscError,
     OverflowAbort,
     PreconditionError,
-    UnsupportedModularError,
 )
 from .modular import (
     ModularSpec,

@@ -9,8 +9,9 @@ is (lo, hi), inclusive, for an int or real (None: unbounded), "positive",
 the disc 0 < |s| < 1 for ``s``, or the names a name takes.  A field whose
 default is None also takes null; REQUIRED marks a key that must be given.
 A modular's ``p`` is read only with kind power and its ``phi`` only with
-kind orlicz: either is refused with another kind, and left null for
-``ModularSpec`` to fill with its default (``modular.KIND_FIELD``).
+kind orlicz, and a perturbation's ``p`` only with name power_env: each is
+refused with another kind or name.  A modular's two are left null for
+``ModularSpec`` to fill with the kind's default (``modular.KIND_FIELD``).
 ``runs`` is the run kind whose configs take the field; ``doc`` is its line
 in the README's config reference.  ``CHECKS`` are the keys of
 ``scenarios._CHECKS``, in its order.
@@ -47,7 +48,6 @@ SCHEMA = (
     ("modular.kind", "name", MODULAR_KINDS, REQUIRED, S, "the modular's family"),
     ("modular.p", "real", None, None, S, "power only, else exit 2: exponent ≥ 1, default 2.0"),
     ("modular.phi", "name", PHI_PRESETS, None, S, "orlicz only, else exit 2: φ, default square"),
-    ("modular.convex", "flag", None, True, S, "false only for a non-convex Orlicz modular"),
     ("modular.kappa", "real", None, 2.0, S, "the claimed Δ2 constant κ, in (0, 2]"),
     ("map", "section", None, {}, S, "the map d: a kernel, a perturbation or both"),
     ("map.kernel", "section", None, None, S, "the exactly bilinear part"),
@@ -56,7 +56,8 @@ SCHEMA = (
     ("map.perturbation", "section", None, None, S, "a closed-form perturbation"),
     ("map.perturbation.name", "name", PERTURBATION_NAMES, REQUIRED, S, "the perturbation"),
     ("map.perturbation.epsilon", "real", None, REQUIRED, S, "its amplitude"),
-    ("map.perturbation.p", "real", None, 2.0, S, "power_env's: < 1 ascending, > 1 descending"),
+    ("map.perturbation.p", "real", None, 2.0, S,
+     "power_env only, else exit 2: < 1 ascending, > 1 descending"),
     ("map.perturbation.boundary_safe", "flag", None, False, S, "damp it to 0 on the axes"),
     ("psi", "section", None, None, S, "the envelope ψ(x, y) = √θ (‖x‖^p + ‖y‖^p)"),
     ("psi.theta", "real or calibrate", None, 1.0, S, "θ, or \"calibrate\" to fit it"),
@@ -85,11 +86,15 @@ SCHEMA = (
     ("fixtures[].modular.kind", "name", MODULAR_KINDS, REQUIRED, A, "as modular.kind"),
     ("fixtures[].modular.p", "real", None, None, A, "as modular.p"),
     ("fixtures[].modular.phi", "name", PHI_PRESETS, None, A, "as modular.phi"),
-    ("fixtures[].modular.convex", "flag", None, True, A, "as modular.convex"),
     ("fixtures[].modular.kappa", "real", None, 2.0, A, "as modular.kappa"),
     ("fixtures[].expect_violation", "text", None, None, A, "the axiom_* the checker must catch"),
     ("fixtures[].check_delta2", "flag", None, False, A, "measure κ̂ against kappa"),
 )
+# section name -> (the key that picks a variant, {variant: the field it alone reads})
+_VARIANT_FIELDS = {
+    "modular": ("kind", {kind: key for kind, (key, _) in KIND_FIELD.items()}),
+    "perturbation": ("name", {"power_env": "p"}),
+}
 _SECTIONS = {}  # (section path, run kind) -> {key: row} of the fields it takes
 for _row in SCHEMA:
     _parent, _, _key = _row[0].rpartition(".")
@@ -220,11 +225,11 @@ def _section(raw, path, label, kind, overrides):
                         for i, v in enumerate(value)]
         else:
             out[key] = read(value, dot + key, type_, bounds)
-    if path.endswith("modular"):  # ModularSpec fills the kind's own field
-        for reader, (key, _) in KIND_FIELD.items():
-            if out["kind"] != reader and out[key] is not None:
-                raise ConfigError(f"{dot + key} is read only with kind {reader!r}, "
-                                  f"not with {out['kind']!r}")
+    picker, fields = _VARIANT_FIELDS.get(path.rpartition(".")[2], (None, {}))
+    for variant, key in fields.items():
+        if out[picker] != variant and raw.get(key) is not None:
+            raise ConfigError(f"{dot + key} is read only with {picker} {variant!r}, "
+                              f"not with {out[picker]!r}")
     return out
 
 

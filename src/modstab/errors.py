@@ -18,10 +18,6 @@ class InvalidModularError(ModstabError, ValueError):
     """A functional that claims to be a modular but provably is not."""
 
 
-class UnsupportedModularError(ModstabError, ValueError):
-    """Operation requires properties (e.g. convexity) the modular lacks."""
-
-
 class BracketDivergenceError(ModstabError, RuntimeError):
     """Bisection could not bracket its root within the magnitude cap."""
 

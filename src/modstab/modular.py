@@ -3,11 +3,12 @@
 A modular rho generalizes a norm: rho(x) = 0 iff x = 0, rho is invariant
 under unimodular scalars, and rho(a*x + b*y) <= rho(x) + rho(y) whenever
 a, b >= 0 and a + b = 1 (convex modulars sharpen the right side to
-a*rho(x) + b*rho(y)).  Three families are built in:
+a*rho(x) + b*rho(y)).  Three families are built in, and each is convex:
 
     norm         rho(x) = ||x||_2
     power(p>=1)  rho(x) = sum_i |x_i|^p
-    orlicz(phi)  rho(x) = sum_i phi(|x_i|), phi a named scalar preset
+    orlicz(phi)  rho(x) = sum_i phi(|x_i|), phi a named scalar preset that
+                 is convex and nondecreasing with phi(0) = 0
 
 The Luxemburg norm of a convex modular is inf{lam > 0 : rho(x/lam) <= 1}.
 For a q-homogeneous modular, rho(t*x) = t**q * rho(x) for t > 0, it is
@@ -36,7 +37,6 @@ from .errors import (
     ConfigError,
     InvalidModularError,
     PreconditionError,
-    UnsupportedModularError,
 )
 from .report import CheckResult
 
@@ -49,7 +49,7 @@ PHI_PRESETS = ("square", "exp_minus_one", "linear", "dead_zone")
 _PHI_HOMOGENEITY = {"linear": 1.0, "square": 2.0}
 
 MODULAR_KINDS = ("norm", "power", "orlicz")
-# the field that a kind reads besides convex and kappa, with its default
+# the field that a kind reads besides kappa, with its default
 KIND_FIELD = {"power": ("p", 2.0), "orlicz": ("phi", "square")}
 AXIOM_TOL = 1e-12
 
@@ -59,10 +59,12 @@ class ModularSpec:
     """A named modular plus its claimed doubling constant kappa.
 
     kappa is the claimed constant in rho(2x) <= kappa*rho(x) and must lie
-    in (0, 2]; check_delta2 measures the actual constant against it.  A
-    built-in whose true doubling constant exceeds 2 (power p > 1, orlicz
-    "square") simply fails check_delta2 and is thereby excluded from
-    iteration scenarios while remaining usable in unit fixtures.  ``p`` is
+    in (0, 2]; check_delta2 measures the actual constant against it, but
+    only an axioms run's fixture with ``check_delta2`` calls it.  A
+    stability run takes kappa as claimed: with power p > 1 or orlicz
+    "square" (true constant 4) it still iterates and can exit 0, which
+    ROADMAP item 2(a) mends and ``test_defect_matrix.py`` pins as strict
+    xfails.  ``p`` is
     read by kind power only and ``phi`` by kind orlicz only; left None, the
     kind's own field takes its ``KIND_FIELD`` default (2.0, "square").
     """
@@ -70,7 +72,6 @@ class ModularSpec:
     kind: str
     p: float = None
     phi: str = None
-    convex: bool = True
     kappa: float = 2.0
 
     def __post_init__(self):
@@ -82,8 +83,6 @@ class ModularSpec:
                 object.__setattr__(self, field, default)
         if self.kind == "power" and self.p < 1.0:
             raise ConfigError("power modular requires p >= 1")
-        if self.kind in ("norm", "power") and not self.convex:
-            raise ConfigError(f"{self.kind} modular is convex; convex=False is inconsistent")
         if self.kind == "orlicz" and self.phi not in PHI_PRESETS:
             raise ConfigError(f"unknown orlicz preset {self.phi!r}; options: {sorted(PHI_PRESETS)}")
         if not (0.0 < self.kappa <= 2.0):
@@ -115,8 +114,6 @@ def eval_modular(m, x):
         out = _kernels.rho_power(rows, m.p)
     else:
         out = _kernels.rho_orlicz(rows, m.phi)
-        if np.any(out < 0):
-            raise InvalidModularError("orlicz phi produced a negative value")
     return float(out[0]) if squeeze else out
 
 
@@ -154,7 +151,7 @@ def coeff_norm_fn(m):
 
 
 def luxemburg_norm(m, x, tol=1e-12):
-    """inf{lam > 0 : rho(x/lam) <= 1} of a convex modular.
+    """inf{lam > 0 : rho(x/lam) <= 1}.
 
     ``x`` is a single vector (returns a float) or an (n, dim) batch
     (returns an (n,) array); a zero row has norm 0.  A q-homogeneous
@@ -162,8 +159,6 @@ def luxemburg_norm(m, x, tol=1e-12):
     rho(x)**(1/q), exact to rounding, and ignores ``tol``.  Any other
     modular is bisected to within ``tol`` (see ``_bisect_luxemburg``).
     """
-    if not m.convex:
-        raise UnsupportedModularError("Luxemburg norm requires a convex modular")
     if not tol > 0:  # NaN too: a NaN tol would stop the bisection at once
         raise ConfigError("tol must be positive")
     rows, single = _kernels._rows(np.atleast_1d(x))
@@ -272,10 +267,8 @@ def draw_axiom_samples(dim, count, seed, radius=1.0):
     return AxiomSamples(x=x, y=y, alpha=alpha, beta=1.0 - alpha, zeta=zeta)
 
 
-def axiom_names(m):
-    """The axioms ``check_modular_axioms`` checks on ``m``, in its order:
-    the convex axiom only on a convex modular."""
-    return ("i", "ii", "iii", "iii_convex") if m.convex else ("i", "ii", "iii")
+# the axioms check_modular_axioms checks, in its order
+AXIOM_NAMES = ("i", "ii", "iii", "iii_convex")
 
 
 def _worst(margins):
@@ -286,7 +279,7 @@ def _worst(margins):
 
 
 def check_modular_axioms(m, samples):
-    """One ``modular_axiom`` result per axiom of ``axiom_names(m)``, keyed
+    """One ``modular_axiom`` result per axiom of ``AXIOM_NAMES``, keyed
     by the axiom's name: the worst violation margin over the sample set
     and its witness, which passes iff margin <= ``AXIOM_TOL``.
 
@@ -309,11 +302,9 @@ def check_modular_axioms(m, samples):
         rc = eval_modular(m, combo)
         subadd = rc - (rx + ry)
 
-        margins = [definite, invariance, subadd]
-        if m.convex:
-            margins.append(rc - (samples.alpha * rx + samples.beta * ry))
+        convexity = rc - (samples.alpha * rx + samples.beta * ry)
     results = {}
-    for axiom, margin in zip(axiom_names(m), margins):
+    for axiom, margin in zip(AXIOM_NAMES, (definite, invariance, subadd, convexity)):
         worst, witness = _worst(margin)
         results[axiom] = CheckResult.one("modular_axiom", worst, 0.0, AXIOM_TOL,
                                          {"axiom": axiom, "margin": worst, "witness": witness})
@@ -367,24 +358,22 @@ def draw_remark_samples(dim, count, seed, radius=1.0):
 
 
 def check_remark_properties(m, samples):
-    """The ``remark_properties`` result: monotonicity in the scalar, and for
-    convex modulars also rho(alpha*x) <= |alpha| rho(x) and
-    rho(x) <= rho(2x)/2.  Each property's margin is its worst over the
-    samples (None when not computed); the row's lhs is the largest margin,
-    so it passes iff every margin is <= ``AXIOM_TOL``, and a NaN fails."""
+    """The ``remark_properties`` result: monotonicity in the scalar,
+    rho(alpha*x) <= |alpha| rho(x) and rho(x) <= rho(2x)/2, the last two by
+    convexity.  Each property's margin is its worst over the samples; the
+    row's lhs is the largest margin, so it passes iff every margin is
+    <= ``AXIOM_TOL``, and a NaN fails."""
     with np.errstate(over="ignore", invalid="ignore"):
         rx = eval_modular(m, samples.x)
         inc = eval_modular(m, samples.a[:, None] * samples.x) - eval_modular(
             m, samples.b[:, None] * samples.x
         )
         increasing, _ = _worst(inc)
-        scalar = half_double = None
-        if m.convex:
-            sc = eval_modular(m, samples.alpha[:, None] * samples.x) - np.abs(samples.alpha) * rx
-            scalar, _ = _worst(sc)
-            hd = rx - 0.5 * eval_modular(m, 2.0 * samples.x)
-            half_double, _ = _worst(hd)
-    worst = np.max([v for v in (increasing, scalar, half_double) if v is not None])
+        sc = eval_modular(m, samples.alpha[:, None] * samples.x) - np.abs(samples.alpha) * rx
+        scalar, _ = _worst(sc)
+        hd = rx - 0.5 * eval_modular(m, 2.0 * samples.x)
+        half_double, _ = _worst(hd)
+    worst = np.max([increasing, scalar, half_double])
     return CheckResult.one("remark_properties", worst, 0.0, AXIOM_TOL, {
         "increasing_margin": increasing, "scalar_margin": scalar, "half_double_margin": half_double,
     })

@@ -62,8 +62,8 @@ from .errors import (
     OverflowAbort,
 )
 from .modular import (
+    AXIOM_NAMES,
     ModularSpec,
-    axiom_names,
     check_delta2,
     check_modular_axioms,
     check_remark_properties,
@@ -690,7 +690,7 @@ def _run_axioms(v):
         label = f"fixture-{idx}" if fx["label"] is None else fx["label"]
         m = ModularSpec(**fx["modular"])
         expect = fx["expect_violation"]
-        names = [f"axiom_{axiom}" for axiom in axiom_names(m)]
+        names = [f"axiom_{axiom}" for axiom in AXIOM_NAMES]
         if expect is not None and expect not in names:
             raise ConfigError(
                 f"fixture {label!r}: expect_violation must be one of {names}, got {expect!r}"
@@ -711,9 +711,8 @@ def _run_axioms(v):
                 result = CheckResult(result.check, float(not caught), 0.0, 0.0, result.columns)
             result.columns["expected_violation"] = [expected]
             results.append(result)
-        if m.convex:
-            results.append(check_remark_properties(
-                m, draw_remark_samples(dim, count, seed + 50 + idx, radius)))
+        results.append(check_remark_properties(
+            m, draw_remark_samples(dim, count, seed + 50 + idx, radius)))
         if delta2:
             rng = np.random.default_rng(seed + 100 + idx)
             results.append(check_delta2(m, complex_uniform(rng, 0.1, 1.0, (256, dim))))
@@ -729,9 +728,8 @@ def run_scenario(source, seed_override=None, probes_override=None):
     Returns a RunResult whose exit code is 0 when every asserted record
     passes, 1 when any check fails, and 2 on any package error
     (``ModstabError``) that escapes the stages which report their own:
-    configuration errors (malformed values included), unsupported or
-    invalid modulars, and numeric aborts (overflow, non-finite values, a
-    diverging bracket).
+    configuration errors (malformed values included), invalid modulars,
+    and numeric aborts (overflow, non-finite values, a diverging bracket).
     """
     t0 = time.perf_counter()
     try:

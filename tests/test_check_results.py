@@ -117,7 +117,7 @@ def test_every_axioms_verdict_is_one_check_result_passing_by_the_one_rule(name, 
 
 _EXPECT_III = {
     "name": "expect-iii", "kind": "axioms", "samples": {"count": 1, "dim": 1, "seed": 3},
-    "fixtures": [{"label": "f", "modular": {"kind": "orlicz", "phi": "square", "convex": False},
+    "fixtures": [{"label": "f", "modular": {"kind": "orlicz", "phi": "square"},
                   "expect_violation": "axiom_iii"}],
 }
 
@@ -126,8 +126,9 @@ _EXPECT_III = {
                                     float("inf"), float("-inf")])
 def test_an_expected_violation_passes_iff_its_margin_exceeds_tol(margin, monkeypatch):
     # rho is 0 on x, y and zeta x and ``margin`` on the combination, so axiom
-    # iii's margin rho(combo) - (rho(x) + rho(y)) is ``margin`` itself
-    calls = iter([0.0, 0.0, 0.0, margin])
+    # iii's margin rho(combo) - (rho(x) + rho(y)) is ``margin`` itself; the
+    # remark properties' five evaluations are 0, so their margins are 0
+    calls = iter([0.0, 0.0, 0.0, margin] + [0.0] * 5)
     monkeypatch.setattr(modstab.modular, "eval_modular", lambda m, x: np.array([next(calls)]))
     result = run_scenario(_EXPECT_III)
     [row] = [r for r in result.records if r.payload.get("axiom") == "iii"]
@@ -136,7 +137,8 @@ def test_an_expected_violation_passes_iff_its_margin_exceeds_tol(margin, monkeyp
     # caught iff the axiom's margin exceeds its tol: a NaN margin fails its
     # axiom's own check and is not a caught violation either
     assert row.passed == (margin > 1e-12)
-    assert [r.payload["axiom"] for r in result.records[1:]] == ["i", "ii", "iii"]
+    checks = [r.payload.get("axiom", r.payload["check"]) for r in result.records[1:]]
+    assert checks == ["i", "ii", "iii", "iii_convex", "remark_properties"]
 
 
 class _Levels:

@@ -125,16 +125,10 @@ def test_axioms_suite_broken_fixture_detected():
     assert result.exit_code == 0
 
 
-def test_expect_violation_convex_axiom_only_on_a_convex_fixture():
+def test_an_expected_convex_axiom_violation_on_a_convex_fixture_is_not_caught():
     cfg = builtin_scenarios()["axioms-suite"]
-    square = cfg["fixtures"][2]
-    square["expect_violation"] = "axiom_iii_convex"
+    cfg["fixtures"][2]["expect_violation"] = "axiom_iii_convex"
     assert run_scenario(cfg).exit_code == 1  # orlicz "square" is convex: nothing caught
-    square["modular"]["convex"] = False
-    result = run_scenario(cfg)
-    assert result.exit_code == 2
-    [diag] = result.records
-    assert "'orlicz-square': expect_violation must be one of" in diag.payload["error"]
 
 
 def _axioms_at_radius(radius, fixtures):
@@ -276,7 +270,7 @@ def test_a_count_past_the_digit_limit_names_the_field_and_its_limit():
 
 
 @pytest.mark.parametrize("path", ["probes", "probes.radius", "probes.count", "modular.kind",
-                                  "modular.convex", "checks"])
+                                  "map.perturbation.boundary_safe", "checks"])
 def test_a_wrong_value_past_the_digit_limit_is_named_without_its_digits(path):
     cfg = small_stability_config()
     *sections, key = path.split(".")
@@ -564,18 +558,6 @@ def test_cli_run_numeric_abort_raises_no_numpy_warning(tmp_path):
     assert "not finite" in lines[1]["payload"]["error"]
 
 
-def test_cli_run_nonconvex_modular_exits_two_with_diagnostic(tmp_path):
-    # UnsupportedModularError from the envelope's Luxemburg norm
-    cfg = json.loads(json.dumps(builtin_scenarios()["superstability-commutator"]))
-    cfg["modular"] = {"kind": "orlicz", "phi": "square", "convex": False}
-    code, lines = _run_to_report(cfg, tmp_path)
-    assert code == 2
-    assert len(lines) == 2
-    assert lines[0]["schema"] == SCHEMA
-    assert lines[1]["stage"] == "config" and not lines[1]["pass"]
-    assert "convex" in lines[1]["payload"]["error"]
-
-
 def _malformed(section, value):
     cfg = small_stability_config()
     cfg[section] = value
@@ -731,7 +713,6 @@ def _no_checks():
         _builtin_value("superstability-commutator", ["s"], ["0.5", "0"]),
         _probes_radius("2"),
         _builtin_value("superstability-commutator", ["iteration", "tol"], True),
-        _builtin_value("superstability-commutator", ["modular", "convex"], "false"),
         _builtin_value("superstability-commutator", ["modular", "kappa"], True),
         _builtin_value("corollary-ascending-p05", ["map", "perturbation", "epsilon"], "0.01"),
         _builtin_value("corollary-descending-p2", ["map", "perturbation", "p"], float("inf")),
@@ -793,6 +774,11 @@ def _no_checks():
                 "'psi.form'"),
         _naming(_builtin_value("corollary-ascending-p05", ["iteration", "direction"], "ascending"),
                 "'iteration.direction'"),
+        # every modular is convex, so the claim is no key
+        _naming(_builtin_value("superstability-commutator", ["modular", "convex"], True),
+                "unknown config key 'modular.convex'"),
+        _naming(_builtin_value("axioms-suite", ["fixtures", 2, "modular", "convex"], False),
+                "unknown config key 'fixtures[2].modular.convex'"),
         # ρ̃'s weight follows the run's inequality and direction
         _naming(_builtin_value("inequality-B-descending", ["rho_tilde_weight"], "psi_x0_z0"),
                 "unknown config key 'rho_tilde_weight'"),
@@ -809,6 +795,8 @@ def _no_checks():
             ({"kind": "power", "p": 1.0, "phi": "linear"}, "phi")]),
         _naming(_builtin_value("axioms-suite", ["fixtures", 0, "modular", "p"], 9.0),
                 "fixtures[0].modular.p is read only with kind 'power', not with 'norm'"),
+        _naming(_builtin_value("corollary-ascending-p05", ["map", "perturbation", "p"], 7.0),
+                "map.perturbation.p is read only with name 'power_env', not with 'bounded_osc'"),
     ],
     ids=["json-list", "count-abc", "perturbation-no-name", "s-text", "probes-list",
          "fixture-no-modular",
@@ -822,7 +810,7 @@ def _no_checks():
          "probes-seed-5.5", "probes-seed-string", "n-max-40.7", "n-max-string",
          "samples-dim-3.9", "samples-count-string", "samples-seed-5.5", "samples-dim-bool",
          "value-dim-3.5", "psi-theta-nan", "psi-theta-inf", "modular-p-nan", "s-nan",
-         "kernel-c-nan", "s-strings", "probes-radius-string", "tol-bool", "convex-string",
+         "kernel-c-nan", "s-strings", "probes-radius-string", "tol-bool",
          "kappa-bool", "epsilon-string", "perturbation-p-inf",
          "boundary-safe-int", "psi-p-string", "psi-L-bool", "magnitude-cap-string",
          "assert-slot2-int", "s-bool", "structure-entry-bool", "samples-radius-string",
@@ -833,9 +821,10 @@ def _no_checks():
          "zero-mul-with-structure", "form-tensor",
          "commutator-with-tensor", "commutator-with-value-dim",
          "zero-boundary-key", "psi-form-key", "iteration-direction-key",
+         "modular-convex-key", "fixture-convex-key",
          "rho-tilde-weight-key",
          "iteration-without-psi", "descending-power-env-p-0.5", "norm-with-phi", "norm-with-p",
-         "orlicz-with-p", "power-with-phi", "norm-fixture-with-p"],
+         "orlicz-with-p", "power-with-phi", "norm-fixture-with-p", "bounded-osc-with-p"],
 )
 def test_cli_run_malformed_config_exits_two(text, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "calibrate_theta", lambda *a, **k: pytest.fail("calibrated"))

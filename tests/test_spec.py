@@ -120,7 +120,7 @@ EXPONENTS = {"ascending": [0.25, 0.5, 0.75], "descending": [1.5, 2.0, 3.0]}
 @st.composite
 def configs(draw):
     """A small stability config: every kernel form and perturbation, presets
-    and explicit structure, the norm, power and convex Orlicz modulars
+    and explicit structure, the norm, power and Orlicz modulars
     (exp_minus_one aside: its envelope bisects every norm it takes, about a
     second a run, so it runs in ``GENERATED`` and ``EDGES`` instead), both
     directions, fixed and calibrated theta, and any checks."""
@@ -138,9 +138,10 @@ def configs(draw):
     if form is None and pert is None:
         pert = "bounded_osc"
     if pert is not None:
-        pert = {"name": pert, "epsilon": draw(st.sampled_from([0.001, 0.01, 0.05])),
-                "p": draw(st.sampled_from(EXPONENTS[direction])),
-                "boundary_safe": draw(st.booleans())}
+        pert = {"name": pert, "epsilon": draw(st.sampled_from([0.001, 0.01, 0.05]))}
+        if pert["name"] == "power_env":  # the only perturbation that reads p
+            pert["p"] = draw(st.sampled_from(EXPONENTS[direction]))
+        pert["boundary_safe"] = draw(st.booleans())
     modular = draw(st.sampled_from(
         [{"kind": "norm"}, {"kind": "power", "p": 1.0}, {"kind": "power", "p": 1.5}]
         + [{"kind": "orlicz", "phi": phi} for phi in ("linear", "square")]))
