@@ -36,6 +36,8 @@ MUTANTS = {
     "calibration's envelope terms one level off": (
         "scenarios.py", "_majorant_terms(form, psi1, x, range(j, ",
         "_majorant_terms(form, psi1, x, range(j + 1, "),
+    "the descending majorant one power of two off": (
+        "verify.py", "else 2.0 ** (n - 1) for n in span]", "else 2.0**n for n in span]"),
     "the substitution ignores inequality B": (
         "bimaps.py", 'return "kappa_first_zero" if which == "B" else "kappa_both_slots"',
         'return "kappa_both_slots"'),

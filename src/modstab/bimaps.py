@@ -408,7 +408,7 @@ def rho_tilde_tabulated(rho_vals, weights):
     return float(out[0]) if rho_vals.ndim == 1 else out
 
 
-def rho_tilde_contraction_margin(rho_fn, psi, delta, gamma, probes, kappa=2.0):
+def rho_tilde_contraction_margin(rho_fn, psi, delta, gamma, probes):
     """Instrument the strict-contraction step of the scaling operator at
     probe scale.
 
@@ -419,7 +419,8 @@ def rho_tilde_contraction_margin(rho_fn, psi, delta, gamma, probes, kappa=2.0):
     Both sides read J^0 and J^1 of delta - gamma from one ``_scaled_levels``
     call: the difference at the shifted copies is up J^1, up = 2 ascending
     and 1/2 descending, a power-of-two rescaling.  The contraction factor is
-    L ascending and kappa*L/2 descending.  Rho-tilde takes the both-slot
+    L in both directions: descending it is kappa*L/2 at the doubling
+    constant ``modular.KAPPA`` = 2.  Rho-tilde takes the both-slot
     weight psi(x, x) psi(z, 0) in either direction.  Returns (lhs, rhs,
     margin) with margin <= 0 up to rounding whenever the scaling law holds.
     """
@@ -427,10 +428,10 @@ def rho_tilde_contraction_margin(rho_fn, psi, delta, gamma, probes, kappa=2.0):
     t0, t1 = _scaled_levels(lambda a, b: delta(a, b) - gamma(a, b), psi.direction, [0, 1], x, z)
     lhs = rho_tilde_tabulated(rho_fn(t1), tilde_weights(psi, "kappa_both_slots", x, z))
     if psi.direction == "ascending":
-        up, shifted_x, factor = 2.0, 2.0 * x, psi.L
+        up, shifted_x = 2.0, 2.0 * x
     else:
-        up, shifted_x, factor = 0.5, x / 2.0, kappa * psi.L / 2.0
+        up, shifted_x = 0.5, x / 2.0
     vals = np.concatenate([t0, up * t1])
     x, z = np.concatenate([x, shifted_x]), np.concatenate([z, z])
-    rhs = factor * rho_tilde_tabulated(rho_fn(vals), tilde_weights(psi, "kappa_both_slots", x, z))
+    rhs = psi.L * rho_tilde_tabulated(rho_fn(vals), tilde_weights(psi, "kappa_both_slots", x, z))
     return lhs, rhs, lhs - rhs

@@ -40,7 +40,8 @@ def _parse_modular(text):
             # text that is no number stays text, which the schema refuses
             with contextlib.suppress(ValueError):
                 cfg["p"] = float(fields[0])
-    return ModularSpec(**parse_modular(cfg))
+    m = parse_modular(cfg)
+    return ModularSpec(m["kind"], m["p"], m["phi"])
 
 
 def _parse_vector(text):

@@ -12,6 +12,8 @@ A modular's ``p`` is read only with kind power and its ``phi`` only with
 kind orlicz, and a perturbation's ``p`` only with name power_env: each is
 refused with another kind or name.  A modular's two are left null for
 ``ModularSpec`` to fill with the kind's default (``modular.KIND_FIELD``).
+A modular's ``kappa`` takes only 2 (``modular.KAPPA``) and is read by no
+code: it stays so that a config which spells it still parses.
 ``runs`` is the run kind whose configs take the field; ``doc`` is its line
 in the README's config reference.  ``CHECKS`` are the keys of
 ``scenarios._CHECKS``, in its order.
@@ -48,7 +50,7 @@ SCHEMA = (
     ("modular.kind", "name", MODULAR_KINDS, REQUIRED, S, "the modular's family"),
     ("modular.p", "real", None, None, S, "power only, else exit 2: exponent ≥ 1, default 2.0"),
     ("modular.phi", "name", PHI_PRESETS, None, S, "orlicz only, else exit 2: φ, default square"),
-    ("modular.kappa", "real", None, 2.0, S, "the claimed Δ2 constant κ, in (0, 2]"),
+    ("modular.kappa", "real", (2.0, 2.0), 2.0, S, "the Δ2 constant κ: 2 only, the least a convex ρ has"),
     ("map", "section", None, {}, S, "the map d: a kernel, a perturbation or both"),
     ("map.kernel", "section", None, None, S, "the exactly bilinear part"),
     ("map.kernel.form", "name", KERNEL_FORMS, None, S, "a form over the algebra product"),
@@ -86,9 +88,9 @@ SCHEMA = (
     ("fixtures[].modular.kind", "name", MODULAR_KINDS, REQUIRED, A, "as modular.kind"),
     ("fixtures[].modular.p", "real", None, None, A, "as modular.p"),
     ("fixtures[].modular.phi", "name", PHI_PRESETS, None, A, "as modular.phi"),
-    ("fixtures[].modular.kappa", "real", None, 2.0, A, "as modular.kappa"),
+    ("fixtures[].modular.kappa", "real", (2.0, 2.0), 2.0, A, "as modular.kappa"),
     ("fixtures[].expect_violation", "text", None, None, A, "the axiom_* the checker must catch"),
-    ("fixtures[].check_delta2", "flag", None, False, A, "measure κ̂ against kappa"),
+    ("fixtures[].check_delta2", "flag", None, False, A, "measure κ̂ against κ = 2"),
 )
 # section name -> (the key that picks a variant, {variant: the field it alone reads})
 _VARIANT_FIELDS = {

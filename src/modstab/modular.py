@@ -10,6 +10,10 @@ a*rho(x) + b*rho(y)).  Three families are built in, and each is convex:
     orlicz(phi)  rho(x) = sum_i phi(|x_i|), phi a named scalar preset that
                  is convex and nondecreasing with phi(0) = 0
 
+Convexity gives rho(x) = rho(2x/2 + 0/2) <= rho(2x)/2, so no modular here
+has a doubling constant below ``KAPPA`` = 2, the one the descending case
+runs at.
+
 The Luxemburg norm of a convex modular is inf{lam > 0 : rho(x/lam) <= 1}.
 For a q-homogeneous modular, rho(t*x) = t**q * rho(x) for t > 0, it is
 exactly rho(x)**(1/q): norm and orlicz "linear" (q = 1), power p (q = p)
@@ -49,30 +53,28 @@ PHI_PRESETS = ("square", "exp_minus_one", "linear", "dead_zone")
 _PHI_HOMOGENEITY = {"linear": 1.0, "square": 2.0}
 
 MODULAR_KINDS = ("norm", "power", "orlicz")
-# the field that a kind reads besides kappa, with its default
+# the field that a kind reads, with its default
 KIND_FIELD = {"power": ("p", 2.0), "orlicz": ("phi", "square")}
 AXIOM_TOL = 1e-12
+KAPPA = 2.0  # the doubling constant: the least a convex modular has
 
 
 @dataclass(frozen=True)
 class ModularSpec:
-    """A named modular plus its claimed doubling constant kappa.
+    """A named modular: its kind, plus the one field that kind reads.
 
-    kappa is the claimed constant in rho(2x) <= kappa*rho(x) and must lie
-    in (0, 2]; check_delta2 measures the actual constant against it, but
-    only an axioms run's fixture with ``check_delta2`` calls it.  A
-    stability run takes kappa as claimed: with power p > 1 or orlicz
-    "square" (true constant 4) it still iterates and can exit 0, which
-    ROADMAP item 2(a) mends and ``test_defect_matrix.py`` pins as strict
-    xfails.  ``p`` is
-    read by kind power only and ``phi`` by kind orlicz only; left None, the
-    kind's own field takes its ``KIND_FIELD`` default (2.0, "square").
+    ``p`` is read by kind power only and ``phi`` by kind orlicz only; left
+    None, the kind's own field takes its ``KIND_FIELD`` default (2.0,
+    "square").  check_delta2 measures the doubling constant against
+    ``KAPPA``, but only an axioms run's fixture with ``check_delta2`` calls
+    it.  A stability run with power p > 1 or orlicz "square" (true constant
+    4) still iterates and can exit 0, which ROADMAP item 2(a) mends and
+    ``test_defect_matrix.py`` pins as strict xfails.
     """
 
     kind: str
     p: float = None
     phi: str = None
-    kappa: float = 2.0
 
     def __post_init__(self):
         if self.kind not in MODULAR_KINDS:
@@ -85,8 +87,6 @@ class ModularSpec:
             raise ConfigError("power modular requires p >= 1")
         if self.kind == "orlicz" and self.phi not in PHI_PRESETS:
             raise ConfigError(f"unknown orlicz preset {self.phi!r}; options: {sorted(PHI_PRESETS)}")
-        if not (0.0 < self.kappa <= 2.0):
-            raise ConfigError("kappa must lie in (0, 2]")
 
     @property
     def homogeneity(self):
@@ -313,8 +313,8 @@ def check_modular_axioms(m, samples):
 
 def check_delta2(m, samples):
     """The ``delta2`` result: the measured doubling constant
-    kappa_hat = max rho(2x)/rho(x) against the claimed kappa, which passes
-    iff kappa_hat <= kappa + 1e-9 (lhs kappa_hat, rhs kappa + 1e-9, tol 0)."""
+    kappa_hat = max rho(2x)/rho(x) against ``KAPPA`` = 2, which passes
+    iff kappa_hat <= 2 + 1e-9 (lhs kappa_hat, rhs 2 + 1e-9, tol 0)."""
     rows, _ = _kernels._rows(samples)
     if rows.shape[0] == 0:
         raise PreconditionError("need at least one sample")
@@ -328,7 +328,7 @@ def check_delta2(m, samples):
         r2 = eval_modular(m, 2.0 * rows)
         kappa_hat = float(np.max(r2 / r1))
     # kappa_hat - cap <= 0 iff kappa_hat <= cap, in IEEE arithmetic
-    return CheckResult.one("delta2", kappa_hat, m.kappa + 1e-9, 0.0, {"kappa_hat": kappa_hat})
+    return CheckResult.one("delta2", kappa_hat, KAPPA + 1e-9, 0.0, {"kappa_hat": kappa_hat})
 
 
 @dataclass(frozen=True)

@@ -152,8 +152,9 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which):
     from the level table T: one pair of (k, P) arrays per table block, whose
     row for level i < n_max is the pair (T[i], T[i+1]).  Power-of-two
     scaling is exact, so there the right side is 0 and the left side
-    reduces to rho(k_i T[i+1] - k_i T[i]) (descending A:
-    rho(k_i T[i] - k_i T[i+1])).  The unit is psi(z, 0) times the
+    reduces to rho(k_i T[i+1] - k_i T[i]).  Descending A's is
+    rho(k_i T[i] - k_i T[i+1]), the same bits: fl(a - b) = -fl(b - a), and
+    every modular reads only |.|.  The unit is psi(z, 0) times the
     telescoping majorant's term psi_(i+1) (``verify._majorant_terms``),
     which is psi at the tuple's first two slots.  Ascending B has a zero
     left side and yields nothing.  The family ends at level min(n_max,
@@ -174,7 +175,7 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which):
     for j, hi in table.span(1, last):  # j: the upper level of the block's first pair
         los = np.concatenate([lo[None], hi[:-1]])
         k = np.array([2.0 ** (a + b * i) for i in range(j - 1, j - 1 + len(hi))])[:, None, None]
-        diff = k * los - k * hi if form == "kappa_both_slots" else k * hi - k * los
+        diff = k * hi - k * los
         need = rho_fn(diff.reshape(len(hi) * len(x), diff.shape[2])).reshape(len(hi), len(x))
         yield need, _majorant_terms(form, psi1, x, range(j, j + len(hi))) * psi_z0
         lo = hi[-1]
@@ -262,12 +263,11 @@ def calibrate_theta(
 
 
 def builtin_scenarios():
-    common_modular = {"kind": "norm", "kappa": 2.0}
     return {
         "corollary-ascending-p05": {
             "name": "corollary-ascending-p05",
             "algebra": {"preset": "matrix2"},
-            "modular": dict(common_modular),
+            "modular": {"kind": "norm"},
             "map": {
                 "kernel": {"form": "commutator", "c": [1.0, 0.0]},
                 "perturbation": {
@@ -293,7 +293,7 @@ def builtin_scenarios():
         "corollary-descending-p2": {
             "name": "corollary-descending-p2",
             "algebra": {"preset": "matrix2"},
-            "modular": dict(common_modular),
+            "modular": {"kind": "norm"},
             "map": {
                 "kernel": {"form": "commutator", "c": [1.0, 0.0]},
                 "perturbation": {"name": "power_env", "epsilon": 0.01, "p": 2.0},
@@ -307,7 +307,7 @@ def builtin_scenarios():
         "inequality-B-descending": {
             "name": "inequality-B-descending",
             "algebra": {"preset": "matrix2"},
-            "modular": dict(common_modular),
+            "modular": {"kind": "norm"},
             "map": {
                 "kernel": {"form": "commutator", "c": [1.0, 0.0]},
                 "perturbation": {"name": "power_env", "epsilon": 0.01, "p": 2.0},
@@ -321,7 +321,7 @@ def builtin_scenarios():
         "superstability-commutator": {
             "name": "superstability-commutator",
             "algebra": {"preset": "matrix2"},
-            "modular": dict(common_modular),
+            "modular": {"kind": "norm"},
             "map": {"kernel": {"form": "commutator", "c": [1.0, 0.0]}, "perturbation": None},
             "psi": {"theta": 1.0, "p": 0.5, "direction": "ascending"},
             "s": [0.5, 0.0],
@@ -339,7 +339,7 @@ def builtin_scenarios():
         "lemma-falsifier": {
             "name": "lemma-falsifier",
             "algebra": {"preset": "complex"},
-            "modular": {"kind": "norm", "kappa": 2.0},
+            "modular": {"kind": "norm"},
             "map": {
                 "kernel": None,
                 "perturbation": {"name": "quad_slot1", "epsilon": 1.0},
@@ -355,20 +355,20 @@ def builtin_scenarios():
             "kind": "axioms",
             "samples": {"count": 10_000, "radius": 1.0, "seed": 70809, "dim": 4},
             "fixtures": [
-                {"label": "norm", "modular": {"kind": "norm", "kappa": 2.0}, "check_delta2": True},
+                {"label": "norm", "modular": {"kind": "norm"}, "check_delta2": True},
                 {
                     "label": "power-p1",
-                    "modular": {"kind": "power", "p": 1.0, "kappa": 2.0},
+                    "modular": {"kind": "power", "p": 1.0},
                     "check_delta2": True,
                 },
                 {
                     "label": "orlicz-square",
-                    "modular": {"kind": "orlicz", "phi": "square", "kappa": 2.0},
+                    "modular": {"kind": "orlicz", "phi": "square"},
                     "check_delta2": False,
                 },
                 {
                     "label": "dead-zone-broken",
-                    "modular": {"kind": "orlicz", "phi": "dead_zone", "kappa": 2.0},
+                    "modular": {"kind": "orlicz", "phi": "dead_zone"},
                     "check_delta2": False,
                     "expect_violation": "axiom_i",
                 },
@@ -493,7 +493,7 @@ def _parse_stability(v):
     evaluation.  The iteration runs in the envelope's direction."""
     with _reading_config():
         algebra = build_algebra(v["algebra"])
-        mspec = ModularSpec(**v["modular"])
+        mspec = ModularSpec(v["modular"]["kind"], v["modular"]["p"], v["modular"]["phi"])
         bimap = build_bimap(v["map"], algebra)
         p = v["probes"]
         probes = draw_probes(algebra.dim, p["count"], p["radius"], p["seed"])
@@ -628,8 +628,7 @@ def _superstability(run):
 
 
 def _telescoping(run):
-    return [check_telescoping(run.table, run.psi, run.rho_fn, run.outcome.N_converged,
-                              run.which, run.modular.kappa)]
+    return [check_telescoping(run.table, run.psi, run.rho_fn, run.outcome.N_converged, run.which)]
 
 
 def _bounded_orbit(run):
@@ -688,7 +687,7 @@ def _run_axioms(v):
     fixtures = []
     for idx, fx in enumerate(v["fixtures"]):
         label = f"fixture-{idx}" if fx["label"] is None else fx["label"]
-        m = ModularSpec(**fx["modular"])
+        m = ModularSpec(fx["modular"]["kind"], fx["modular"]["p"], fx["modular"]["phi"])
         expect = fx["expect_violation"]
         names = [f"axiom_{axiom}" for axiom in AXIOM_NAMES]
         if expect is not None and expect not in names:

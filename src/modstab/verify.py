@@ -245,10 +245,11 @@ def check_stability_bound(d_vals, D_vals, psi, rho_fn, probes):
 # The telescoping majorants bound the defect against the level-0 map.
 # Ascending uses the geometric partial sum
 #     sum_{i<=n} 2^-i psi(2^(i-1) x, 2^(i-1) x) psi(z, 0),
-# whose full sum is bounded by psi(x,x) psi(z,0)/(2(1-L)).  Descending uses
-# the kappa-weighted table (two variants, one keyed by psi at the halved
-# diagonal, one by psi(. , 0)); at kappa = 2 the table coincides with the
-# honest unrolled recursion.  The full bound is ``hyers_bound`` on the probes.
+# whose full sum is bounded by psi(x,x) psi(z,0)/(2(1-L)).  Descending
+# unrolls the recursion at the doubling constant ``modular.KAPPA`` = 2,
+#     sum_{i<=n} 2^(i-1) psi_i psi(z, 0),
+# in two variants, one keyed by psi at the halved diagonal, one by
+# psi(. , 0).  The full bound is ``hyers_bound`` on the probes.
 
 
 def _majorant_terms(form, psi, X, span):
@@ -267,28 +268,18 @@ def _majorant_terms(form, psi, X, span):
     return psi(u, np.zeros_like(u) if form == "kappa_first_zero" else u).reshape(len(span), n)
 
 
-def _majorants(form, kappa, terms):
+def _majorants(form, terms):
     """The majorants of levels 1..N before their psi(z, 0) factor, an
-    (N, P) array, from their ``terms`` psi_1..psi_N.  The coefficients are
-    Python floats.
-
-    Ascending, row n adds 2^-n psi_n to the row before it, in level order,
-    from a +0.0 start row.  Descending, row n sums c_n,i psi_i over
-    i = 1..n in that order, with c_n,1 = kappa^(n-1) / 2^(n-1) and
-    c_n,i = kappa^n / 2^(n-i+1): one vector update per i over the rows
-    n >= i."""
+    (N, P) array, from their ``terms`` psi_1..psi_N: row n adds c_n psi_n
+    to the row before it, in level order, from a +0.0 start row, with the
+    Python float c_n = 2^-n ascending and 2^(n-1) descending."""
     span = range(1, len(terms) + 1)
-    if form == "ascending":
-        steps = np.array([2.0 ** (-n) for n in span])[:, None] * terms
-        return np.add.accumulate(np.concatenate([np.zeros_like(terms[:1]), steps]), axis=0)[1:]
-    rows = np.array([kappa ** (n - 1) / 2.0 ** (n - 1) for n in span])[:, None] * terms[0]
-    for i in span[1:]:
-        c = [kappa**n / 2.0 ** (n - i + 1) for n in span[i - 1:]]
-        rows[i - 1:] += np.array(c)[:, None] * terms[i - 1]
-    return rows
+    c = [2.0 ** (-n) if form == "ascending" else 2.0 ** (n - 1) for n in span]
+    steps = np.array(c)[:, None] * terms
+    return np.add.accumulate(np.concatenate([np.zeros_like(terms[:1]), steps]), axis=0)[1:]
 
 
-def check_telescoping(table, psi, rho_fn, n, which, kappa):
+def check_telescoping(table, psi, rho_fn, n, which):
     """The telescoping table of levels 1..n of ``table`` against level 0,
     one row per level: ``kappa_margin`` is the probe-max of the defect
     rho(T[l] - T[0]) minus the level's majorant times psi(z, 0), and
@@ -306,7 +297,7 @@ def check_telescoping(table, psi, rho_fn, n, which, kappa):
     defect = np.concatenate(defect)
     terms = np.concatenate([_majorant_terms(form, psi, X, range(b.start + 1, b.stop + 1))
                             for b in row_blocks(n, len(X))])
-    majorant = _majorants(form, kappa, terms) * psi(Z, np.zeros_like(Z))
+    majorant = _majorants(form, terms) * psi(Z, np.zeros_like(Z))
     kappa_margin = (defect - majorant).max(axis=1)
     final_margin = (defect - hyers_bound(psi, X, Z)).max(axis=1)
     columns = {"level": np.arange(1, n + 1), "kappa_margin": kappa_margin,

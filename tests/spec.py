@@ -243,28 +243,29 @@ def majorant_terms(form, psi, X, N):
     return [psi(u, u) for u in us]
 
 
-def majorant(form, kappa, terms, n):
+def majorant(form, terms, n):
     """Level n's majorant before its psi(z, 0) factor: sum_i 2^-i psi_i
-    ascending, else kappa^(n-1) / 2^(n-1) psi_1 + sum_{i>1} kappa^n / 2^(n-i+1) psi_i."""
+    ascending, else the kappa-general sum kappa^(n-1) / 2^(n-1) psi_1 +
+    sum_{i>1} kappa^n / 2^(n-i+1) psi_i at kappa = 2."""
     if form == "ascending":
         out = np.zeros_like(terms[0])
         for i in range(1, n + 1):
             out = out + 2.0 ** (-i) * terms[i - 1]
         return out
-    out = kappa ** (n - 1) / 2.0 ** (n - 1) * terms[0]
+    out = 2.0 ** (n - 1) / 2.0 ** (n - 1) * terms[0]
     for i in range(2, n + 1):
-        out = out + kappa**n / 2.0 ** (n - i + 1) * terms[i - 1]
+        out = out + 2.0**n / 2.0 ** (n - i + 1) * terms[i - 1]
     return out
 
 
-def telescoping(it, psi, rho, N, form, kappa, name=None):
+def telescoping(it, psi, rho, N, form, name=None):
     """Rows of levels 1..N: rho(T_n - T_0) against the level's majorant and
     against the Hyers bound, each level taken alone."""
     terms, psi_z0 = majorant_terms(form, psi, it.x, N), psi(it.z, np.zeros_like(it.z))
     bound, origin, rows = hyers(psi, it.x, it.z), it.level(0), []
     for n in range(1, N + 1):
         defect = rho(it.level(n) - origin)
-        kappa_margin = float(np.max(defect - majorant(form, kappa, terms, n) * psi_z0))
+        kappa_margin = float(np.max(defect - majorant(form, terms, n) * psi_z0))
         final_margin = float(np.max(defect - bound))
         rows.append(record(name, "telescoping", float(np.maximum(kappa_margin, final_margin)),
                            0.0, 1e-9, {"level": n, "kappa_margin": kappa_margin,
@@ -388,7 +389,8 @@ def run(source, seed=None, count=None):
         raise ValueError("the spec covers stability runs only")
     name, checks, s = v["name"], v["checks"], v["s"]
     which = "B" if "inequality_B" in checks else "A"
-    algebra, m = build_algebra(v["algebra"]), ModularSpec(**v["modular"])
+    mv = v["modular"]
+    algebra, m = build_algebra(v["algebra"]), ModularSpec(mv["kind"], mv["p"], mv["phi"])
     d = build_bimap(v["map"], algebra)
     p = Probes(algebra.dim, v["probes"]["count"], v["probes"]["radius"], v["probes"]["seed"])
     psi = it = form = None
@@ -467,7 +469,7 @@ def run(source, seed=None, count=None):
                 records.append(record(name, "superstability_certificate", gap, 0.0, 1e-12,
                                       {"limit_gap": gap}))
         elif check == "telescoping":
-            records += telescoping(it, psi, rho, N, form, m.kappa, name)
+            records += telescoping(it, psi, rho, N, form, name)
         elif check == "bounded_orbit":
             est = orbit_estimate([it.level(n) for n in range(N + 1)], weights, rho)
             cap = 1.0 / (1.0 - psi.L) + 1e-6

@@ -164,11 +164,10 @@ def test_telescoping_passes_a_level_iff_both_its_margins_pass(monkeypatch):
     nan, e29, e31 = float("nan"), 2.0**-29, 2.0**-31  # 2^-29 > 1e-9 > 2^-31
     defects = [nan, 1.0, 1.0, 1.0, 1.0 + e29, 1.0 + e31]
     majorants = [0.0, nan, 1.0, 1.0 - e29, 1.0 + e29, 2.0 + e31]
-    monkeypatch.setattr(verify, "_majorants", lambda form, kappa, terms: np.array(majorants)[:, None])
+    monkeypatch.setattr(verify, "_majorants", lambda form, terms: np.array(majorants)[:, None])
     run = SimpleNamespace(table=_Levels(defects), psi=lambda a, b: np.ones(len(a)),
                           rho_fn=lambda rows: rows[:, 0].real, which="A",
-                          outcome=SimpleNamespace(N_converged=len(defects)),
-                          modular=SimpleNamespace(kappa=2.0))
+                          outcome=SimpleNamespace(N_converged=len(defects)))
     for bound in (1.0, nan):  # a NaN bound makes every final margin NaN
         monkeypatch.setattr(verify, "hyers_bound", lambda psi, x, z: np.array([bound]))
         pairs = [(d - m, d - bound) for d, m in zip(defects, majorants)]

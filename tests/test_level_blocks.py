@@ -121,13 +121,13 @@ def check_table_levels(table, ref, levels):
             assert got == want, level
 
 
-def same_margins(table, psi, ref, n, which="A", kappa=2.0, rho_fn=rho_rows):
+def same_margins(table, psi, ref, n, which="A", rho_fn=rho_rows):
     """check_telescoping's rows on levels 1..n of ``table`` are the spec's,
     line for line, each row's lhs the larger margin; returns the margins
     (kappa, final)."""
     form = substitution(table.cfg.direction, which)
-    want = spec.telescoping(ref, psi, rho_fn, n, form, kappa)
-    got = check_telescoping(table, psi, rho_fn, n, which, kappa)
+    want = spec.telescoping(ref, psi, rho_fn, n, form)
+    got = check_telescoping(table, psi, rho_fn, n, which)
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
     cols = got.columns
     assert got.lhs.tobytes() == np.maximum(cols["kappa_margin"], cols["final_margin"]).tobytes()
@@ -336,25 +336,23 @@ def test_a_non_finite_modular_value_in_a_block(count):
 
 
 @pytest.mark.parametrize("N", [1, 3, 4, 40])
-@pytest.mark.parametrize("kappa", [2.0, 0.75])
 @pytest.mark.parametrize("direction, which", FORMS)
-def test_majorant_rows_are_the_per_level_majorants(direction, which, kappa, N):
+def test_majorant_rows_are_the_per_level_majorants(direction, which, N):
     # every probe's majorant over the span 1..N, not only the maximum
     # margin a telescoping row keeps
     _, psi, cfg = fixture(direction, 64)
     X = cfg.probes.x
     form = substitution(direction, which)
     terms = spec.majorant_terms(form, psi, X, N)
-    rows = _majorants(form, kappa, _majorant_terms(form, psi, X, range(1, N + 1)))
+    rows = _majorants(form, _majorant_terms(form, psi, X, range(1, N + 1)))
     assert rows.shape == (N, len(X))
     for n, row in enumerate(rows, 1):
-        assert row.tobytes() == spec.majorant(form, kappa, terms, n).tobytes(), n
+        assert row.tobytes() == spec.majorant(form, terms, n).tobytes(), n
 
 
 @pytest.mark.parametrize("count", COUNTS)
-@pytest.mark.parametrize("kappa", [2.0, 1.5, 0.75])
 @pytest.mark.parametrize("direction, which", FORMS)
-def test_the_one_pass_gives_the_per_level_margins(direction, which, kappa, count):
+def test_the_one_pass_gives_the_per_level_margins(direction, which, count):
     # on an unconverged run (tol 1e-30, so N = n_max): the check's rows for
     # n = 1, for n at the last level of the table's first block and at the
     # first of the next, and for n = n_max, against the levels taken alone
@@ -364,7 +362,7 @@ def test_the_one_pass_gives_the_per_level_margins(direction, which, kappa, count
     assert not out.converged and out.N_converged == cfg.n_max
     edge = max(1, BLOCK_ROWS // count)  # the first level of the second block
     for n in sorted({1, max(1, min(edge - 1, cfg.n_max)), min(edge, cfg.n_max), cfg.n_max}):
-        margins = same_margins(table, psi, ref, n, which, kappa)
+        margins = same_margins(table, psi, ref, n, which)
     assert any(k > 0.0 for k, _ in margins)  # the undersized envelope shows
 
 

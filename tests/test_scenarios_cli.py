@@ -713,7 +713,7 @@ def _no_checks():
         _builtin_value("superstability-commutator", ["s"], ["0.5", "0"]),
         _probes_radius("2"),
         _builtin_value("superstability-commutator", ["iteration", "tol"], True),
-        _builtin_value("superstability-commutator", ["modular", "kappa"], True),
+        _builtin_value("superstability-commutator", ["probes", "radius"], True),
         _builtin_value("corollary-ascending-p05", ["map", "perturbation", "epsilon"], "0.01"),
         _builtin_value("corollary-descending-p2", ["map", "perturbation", "p"], float("inf")),
         _builtin_value("corollary-ascending-p05", ["map", "perturbation", "boundary_safe"], 1),
@@ -734,8 +734,8 @@ def _no_checks():
         _misspelled("superstability-commutator", ["psi", "theta"], "thetta"),
         _misspelled("corollary-ascending-p05", ["map", "perturbation", "epsilon"], "epsilonn",
                     keep=True),
-        _misspelled("corollary-ascending-p05", ["modular", "kappa"], "kapa"),
-        _misspelled("corollary-descending-p2", ["modular", "kappa"], "kapa"),
+        _misspelled("corollary-ascending-p05", ["modular", "kind"], "knid"),
+        _misspelled("corollary-descending-p2", ["psi", "direction"], "drection"),
         _misspelled("axioms-suite", ["fixtures", 0, "check_delta2"], "check_delta"),
         # a run that checks nothing is refused, where it passed
         _misspelled("lemma-falsifier", ["checks"], "chekcs"),
@@ -779,6 +779,13 @@ def _no_checks():
                 "unknown config key 'modular.convex'"),
         _naming(_builtin_value("axioms-suite", ["fixtures", 2, "modular", "convex"], False),
                 "unknown config key 'fixtures[2].modular.convex'"),
+        # κ is 2 for every modular, so any other value is refused by name
+        _naming(_builtin_value("corollary-ascending-p05", ["modular", "kappa"], 0.75),
+                "modular.kappa must be at least 2.0, got 0.75"),
+        _naming(_builtin_value("axioms-suite", ["fixtures", 0, "modular", "kappa"], 1.5),
+                "fixtures[0].modular.kappa must be at least 2.0, got 1.5"),
+        _naming(_builtin_value("corollary-descending-p2", ["modular", "kappa"], 3.0),
+                "modular.kappa 3.0 exceeds the limit of 2.0"),
         # ρ̃'s weight follows the run's inequality and direction
         _naming(_builtin_value("inequality-B-descending", ["rho_tilde_weight"], "psi_x0_z0"),
                 "unknown config key 'rho_tilde_weight'"),
@@ -811,17 +818,18 @@ def _no_checks():
          "samples-dim-3.9", "samples-count-string", "samples-seed-5.5", "samples-dim-bool",
          "value-dim-3.5", "psi-theta-nan", "psi-theta-inf", "modular-p-nan", "s-nan",
          "kernel-c-nan", "s-strings", "probes-radius-string", "tol-bool",
-         "kappa-bool", "epsilon-string", "perturbation-p-inf",
+         "radius-bool", "epsilon-string", "perturbation-p-inf",
          "boundary-safe-int", "psi-p-string", "psi-L-bool", "magnitude-cap-string",
          "assert-slot2-int", "s-bool", "structure-entry-bool", "samples-radius-string",
          "check-delta2-string", "expect-violation-axiom-7", "expect-violation-list",
-         "n-maxx", "tolerance", "cuont", "thetta", "epsilonn", "kapa", "kapa-descending",
+         "n-maxx", "tolerance", "cuont", "thetta", "epsilonn", "knid", "drection-descending",
          "check-delta", "chekcs", "checks-empty", "samples-seed-negative",
          "radius-5000-digits", "radius-10**400", "matrix2-with-dim", "matrix2-with-structure",
          "zero-mul-with-structure", "form-tensor",
          "commutator-with-tensor", "commutator-with-value-dim",
          "zero-boundary-key", "psi-form-key", "iteration-direction-key",
-         "modular-convex-key", "fixture-convex-key",
+         "modular-convex-key", "fixture-convex-key", "kappa-0.75", "fixture-kappa-1.5",
+         "kappa-3.0",
          "rho-tilde-weight-key",
          "iteration-without-psi", "descending-power-env-p-0.5", "norm-with-phi", "norm-with-p",
          "orlicz-with-p", "power-with-phi", "norm-fixture-with-p", "bounded-osc-with-p"],
@@ -1051,7 +1059,8 @@ def test_orlicz_psi_law_is_exact_with_the_closed_form_norm(seed):
     # rounding and the scaling law holds without the bisection's 1e-12 slack
     cfg = _orlicz_luxemburg_config()
     values = config.parse(cfg)
-    psi, _ = scenarios.build_psi(values["psi"], ModularSpec(**values["modular"]))
+    m = values["modular"]
+    psi, _ = scenarios.build_psi(values["psi"], ModularSpec(m["kind"], m["p"], m["phi"]))
     result = run_scenario(cfg, seed_override=seed)
     [law] = [r.payload for r in result.records if r.payload.get("check") == "psi_law"]
     assert result.exit_code == 0

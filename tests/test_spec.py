@@ -87,9 +87,6 @@ EDGES = {
     # the magnitude cap inside a block of levels, in calibration and the iteration
     "ascending-radius-3-cap-1e6": ("corollary-ascending-p05", {
         "probes": {"radius": 3.0}, "iteration": {"magnitude_cap": 1e6}}),
-    # the kappa-weighted telescoping majorants, in both descending forms
-    "descending-kappa-0.75": ("corollary-descending-p2", {"modular": {"kappa": 0.75}}),
-    "B-kappa-1.5": ("inequality-B-descending", {"modular": {"kappa": 1.5}}),
     # an exp_minus_one envelope, calibrated, ascending
     "ascending-exp-minus-one": ("corollary-ascending-p05", {
         "modular": {"kind": "orlicz", "phi": "exp_minus_one"}, "probes": {"count": 32}}),
@@ -160,7 +157,7 @@ def configs(draw):
         checks = [c for c in checks if c not in scenarios._NEEDS_ITERATION] or ["inequality_B"]
     return {
         "name": "drawn", "algebra": algebra,
-        "modular": {**modular, "kappa": draw(st.sampled_from([2.0, 1.5, 0.75]))},
+        "modular": modular,
         "map": {"kernel": kernel, "perturbation": pert}, "psi": psi,
         "s": draw(st.sampled_from([0.5, [0.3, -0.4], -0.25, [0.0, 0.9]])),
         "probes": {"count": draw(st.integers(17, 128)),

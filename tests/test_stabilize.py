@@ -159,17 +159,17 @@ def test_hyers_bound_degenerate_cases():
 # --- telescoping diagnostics -------------------------------------------------
 
 
-def telescoping(table, psi, kappa=2.0):
+def telescoping(table, psi):
     """The run's one iteration on ``table``, then the telescoping check on
     its levels 1..N, both under inequality A's substitution: (outcome,
     kappa margins, final margins)."""
     out = stabilize(table, psi, rho_rows)
-    tel = check_telescoping(table, psi, rho_rows, out.N_converged, "A", kappa)
+    tel = check_telescoping(table, psi, rho_rows, out.N_converged, "A")
     return out, tel.columns["kappa_margin"], tel.columns["final_margin"]
 
 
 def test_descending_table_tight_at_matched_amplitude():
-    # theta = eps makes the kappa-form table an equality chain for the
+    # theta = eps makes the descending table an equality chain for the
     # quadratic envelope perturbation; margins must be <= 0 up to rounding
     eps = 0.01
     d = BiMap(algebra=MATRIX2, kernel="commutator",
@@ -177,7 +177,7 @@ def test_descending_table_tight_at_matched_amplitude():
     probes = draw_probes(4, 64, 1.0, seed=9)
     cfg = StabilizeConfig(direction="descending", probes=probes)
     psi = PsiEnvelope(theta=eps, p=2.0, direction="descending")
-    out, kappa_margin, final_margin = telescoping(LevelTable(d, cfg), psi, kappa=2.0)
+    out, kappa_margin, final_margin = telescoping(LevelTable(d, cfg), psi)
     assert len(kappa_margin) == out.N_converged > 1
     assert np.all(kappa_margin <= 1e-12) and np.all(final_margin <= 1e-12)
 
@@ -189,7 +189,7 @@ def test_descending_table_detects_undersized_envelope():
     probes = draw_probes(4, 64, 1.0, seed=9)
     cfg = StabilizeConfig(direction="descending", probes=probes)
     psi = PsiEnvelope(theta=eps / 4.0, p=2.0, direction="descending")
-    _, kappa_margin, _ = telescoping(LevelTable(d, cfg), psi, kappa=2.0)
+    _, kappa_margin, _ = telescoping(LevelTable(d, cfg), psi)
     assert np.any(kappa_margin > 0)
 
 
