@@ -480,11 +480,12 @@ def test_contraction_margin_nonpositive_for_matched_envelope():
     assert margin <= 1e-9
 
 
+@pytest.mark.parametrize("seed", [14, 31])
 @pytest.mark.parametrize("direction, p", [("ascending", 0.5), ("descending", 2.0)])
-def test_contraction_margin_is_the_direct_evaluation(direction, p):
+def test_contraction_margin_is_the_direct_evaluation(direction, p, seed):
     # the instrument reads the difference at the shifted probes (2x, or x/2)
     # off its level-1 scaled map; here it takes a map call of its own
-    probes = draw_probes(4, 64, 1.0, seed=14)
+    probes = draw_probes(4, 64, 1.0, seed=seed)
     psi = PsiEnvelope(theta=0.5, p=p, direction=direction)
     perturbations = [Perturbation("bounded_osc", 0.05), Perturbation("quad_slot1", 0.02),
                      Perturbation("bounded_osc", 0.03, boundary_safe=True),

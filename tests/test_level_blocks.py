@@ -336,11 +336,13 @@ def test_a_non_finite_modular_value_in_a_block(count):
 
 
 @pytest.mark.parametrize("N", [1, 3, 4, 40])
+@pytest.mark.parametrize("theta", [0.01, 0.0005])
 @pytest.mark.parametrize("direction, which", FORMS)
-def test_majorant_rows_are_the_per_level_majorants(direction, which, N):
+def test_majorant_rows_are_the_per_level_majorants(direction, which, theta, N):
     # every probe's majorant over the span 1..N, not only the maximum
-    # margin a telescoping row keeps
-    _, psi, cfg = fixture(direction, 64)
+    # margin a telescoping row keeps, at the matched envelope and an
+    # undersized one
+    _, psi, cfg = fixture(direction, 64, theta=theta)
     X = cfg.probes.x
     form = substitution(direction, which)
     terms = spec.majorant_terms(form, psi, X, N)
@@ -351,12 +353,14 @@ def test_majorant_rows_are_the_per_level_majorants(direction, which, N):
 
 
 @pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("seed", [3, 7, 11])
 @pytest.mark.parametrize("direction, which", FORMS)
-def test_the_one_pass_gives_the_per_level_margins(direction, which, count):
-    # on an unconverged run (tol 1e-30, so N = n_max): the check's rows for
-    # n = 1, for n at the last level of the table's first block and at the
-    # first of the next, and for n = n_max, against the levels taken alone
-    d, psi, cfg = fixture(direction, count, theta=0.0005, tol=1e-30)
+def test_the_one_pass_gives_the_per_level_margins(direction, which, seed, count):
+    # on an unconverged run (tol 1e-30, so N = n_max), on three probe draws:
+    # the check's rows for n = 1, for n at the last level of the table's
+    # first block and at the first of the next, and for n = n_max, against
+    # the levels taken alone
+    d, psi, cfg = fixture(direction, count, seed, theta=0.0005, tol=1e-30)
     table, ref = LevelTable(d, cfg), plain(d, cfg)
     out = stabilize(table, psi, rho_rows, which=which)
     assert not out.converged and out.N_converged == cfg.n_max

@@ -493,12 +493,13 @@ def _eval_by_call(monkeypatch, values):
     monkeypatch.setattr(modstab.modular, "eval_modular", lambda m, x: np.array([next(calls)]))
 
 
-def test_delta2_passes_iff_kappa_hat_is_at_most_kappa_plus_1e_9(monkeypatch):
-    # kappa_hat = rho(2x)/rho(x) with rho(x) = 1, at the cap 2 + 1e-9 and one
-    # ulp on either side
+@pytest.mark.parametrize("rho_x", [1.0, 0.5, 8.0, 2.0**-40])
+def test_delta2_passes_iff_kappa_hat_is_at_most_kappa_plus_1e_9(rho_x, monkeypatch):
+    # kappa_hat = rho(2x)/rho(x), at the cap 2 + 1e-9 and one ulp on either
+    # side; rho(x) a power of two, so the quotient is exact
     cap = 2.0 + 1e-9
     for kappa_hat in (np.nextafter(cap, -np.inf), cap, np.nextafter(cap, np.inf)):
-        _eval_by_call(monkeypatch, [1.0, kappa_hat])
+        _eval_by_call(monkeypatch, [rho_x, kappa_hat * rho_x])
         [row] = check_delta2(NORM, np.ones((1, 1)))
         assert row.payload == {"check": "delta2", "kappa_hat": kappa_hat}
         assert row.passed == (kappa_hat <= cap)

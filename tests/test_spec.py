@@ -87,6 +87,9 @@ EDGES = {
     # the magnitude cap inside a block of levels, in calibration and the iteration
     "ascending-radius-3-cap-1e6": ("corollary-ascending-p05", {
         "probes": {"radius": 3.0}, "iteration": {"magnitude_cap": 1e6}}),
+    # kappa spelled at its one accepted value, in both descending forms
+    "descending-kappa-2": ("corollary-descending-p2", {"modular": {"kappa": 2.0}}),
+    "B-kappa-2": ("inequality-B-descending", {"modular": {"kappa": 2.0}}),
     # an exp_minus_one envelope, calibrated, ascending
     "ascending-exp-minus-one": ("corollary-ascending-p05", {
         "modular": {"kind": "orlicz", "phi": "exp_minus_one"}, "probes": {"count": 32}}),
