@@ -34,13 +34,16 @@ MUTANTS = {
     "the magnitude cap one level higher": (
         "stabilize.py", "(n - 1 for n in range(1024)", "(n for n in range(1024)"),
     "calibration's envelope terms one level off": (
-        "scenarios.py", "_majorant_terms(form, psi1, x, range(j, ",
-        "_majorant_terms(form, psi1, x, range(j + 1, "),
+        "scenarios.py", "_majorant_terms(theorem, psi1, x, range(j, ",
+        "_majorant_terms(theorem, psi1, x, range(j + 1, "),
     "the descending majorant one power of two off": (
-        "verify.py", "else 2.0 ** (n - 1) for n in span]", "else 2.0**n for n in span]"),
+        "theorem.py", "step=(1, -1)", "step=(1, 0)"),
     "the substitution ignores inequality B": (
-        "bimaps.py", 'return "kappa_first_zero" if which == "B" else "kappa_both_slots"',
-        'return "kappa_both_slots"'),
+        "theorem.py", 'which="B", y_is_x=False, term_offset=1, family=(2, -1)',
+        'which="B", y_is_x=True, term_offset=0, family=(1, -1)'),
+    "ascending B gets a scaled family": (
+        "theorem.py", 'which="B", y_is_x=True, term_offset=1, family=None',
+        'which="B", y_is_x=True, term_offset=1, family=(2, 1)'),
 }
 
 

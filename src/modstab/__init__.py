@@ -22,7 +22,6 @@ from .bimaps import (
     draw_probes,
     rho_tilde_contraction_margin,
     rho_tilde_tabulated,
-    substitution,
     tilde_weights,
 )
 from .errors import (

@@ -57,11 +57,11 @@ stacks of ``verify.check_first_slot_linearity``; the telescoping
 majorants; the level table's blocks of levels (``stabilize.LevelTable``);
 and ``stabilize.bounded_orbit_estimate``'s pass over the pair bounds and
 its pruned sweep of each level against the later ones.
-A block's temporaries are 2048 rows of at most a few complex columns, small
-enough for the allocator to reuse from block to block; a 10^4-row temporary
-is not, and comes back as fresh pages.  The constant was set by a sweep on
-a 2-vCPU x86-64 host and is not configurable: a different value changes
-speed and memory, never a result.
+A block's temporaries are 2048 rows of at most a few complex columns: 128
+KiB at four, glibc's default mmap threshold, so in a fresh process they
+come back as fresh pages, as 10^4-row ones do (README, "Row blocks").  The
+constant was set by a sweep on a 2-vCPU x86-64 host and is not
+configurable: a different value changes speed and memory, never a result.
 """
 
 import numpy as np

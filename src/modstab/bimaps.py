@@ -17,7 +17,7 @@ An optional boundary-safe factor (1 - e^{-|x|^2})(1 - e^{-|z|^2}) keeps
 any perturbation exactly zero on the axes, preserving d(x,0)=d(0,x)=0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from . import _kernels
 from .algebra import AlgebraSpec
 from .errors import ConfigError, NonFiniteValueError, PreconditionError
 from .report import CheckResult
+from .theorem import THEOREMS
 
 PERTURBATION_NAMES = ("bounded_osc", "power_env", "quad_slot1")
 KERNEL_FORMS = ("commutator", "product", "conjugate_product")
@@ -132,12 +133,11 @@ def _stacked_call(f, factors, X, Z):
     return vals.reshape(len(factors), X.shape[0], vals.shape[1])
 
 
-def _scaled_levels(f, direction, levels, X, Z):
+def _scaled_levels(f, sign, levels, X, Z):
     """The scaled maps J^n f on the rows (X, Z) for each n of ``levels``, a
     (len(levels), n, dim) stack: f(s X, Z) times the exact reciprocal
-    1/s, s = 2^n ascending (2^-n f(2^n x, z)) and 2^-n descending
-    (2^n f(x / 2^n, z)), from one ``_stacked_call``."""
-    sign = 1 if direction == "ascending" else -1
+    1/s, s = 2^(sign n) (``Theorem.sign``: 2^-n f(2^n x, z) ascending and
+    2^n f(x / 2^n, z) descending), from one ``_stacked_call``."""
     inverse = np.array([2.0 ** (-sign * n) for n in levels])[:, None, None]
     return _stacked_call(f, [2.0 ** (sign * n) for n in levels], X, Z) * inverse
 
@@ -150,13 +150,9 @@ def _scaled_levels(f, direction, levels, X, Z):
 @dataclass(frozen=True)
 class PsiEnvelope:
     """psi(x, y) = sqrt(theta) (|x|^p + |y|^p) with a declared contraction
-    constant L in (0,1) and a scaling direction.
-
-    Ascending runs require psi(2x,2x) <= 2L psi(x,x); descending runs
-    require psi(x,x) <= (L/2) psi(2x,2x).  For the power form the sharp
-    constants are L = 2^(p-1) (ascending, p < 1) and L = 2^(1-p)
-    (descending, p > 1); omitted L defaults to the sharp one for the
-    declared direction.
+    constant L in (0,1) and a scaling direction, whose theorem fixes the
+    scaling law (``Theorem.law_at_2x``) and the sharp L that an omitted L
+    defaults to: 2^(p-1) ascending, 2^(1-p) descending.
 
     ``norm_fn`` computes the row-wise norm on coefficient vectors; the
     scenario layer wires in the Luxemburg norm of the configured modular
@@ -177,8 +173,8 @@ class PsiEnvelope:
         if self.p < 0:
             raise ConfigError("p must be nonnegative")
         if self.L is None:
-            default = 2.0 ** (self.p - 1.0) if self.direction == "ascending" else 2.0 ** (1.0 - self.p)
-            object.__setattr__(self, "L", default)
+            sharp = THEOREMS[self.direction, "A"].sharp_L_sign * (self.p - 1.0)
+            object.__setattr__(self, "L", 2.0**sharp)
         if not (0.0 < self.L < 1.0):
             raise ConfigError(
                 f"L = {self.L} is outside (0, 1); the scaling law has no contraction there"
@@ -195,48 +191,38 @@ class PsiEnvelope:
         return float(out[0]) if sx else out
 
     def with_theta(self, theta):
-        return PsiEnvelope(
-            theta=float(theta),
-            p=self.p,
-            L=self.L,
-            direction=self.direction,
-            norm_fn=self.norm_fn,
-        )
+        return replace(self, theta=float(theta))
 
 
 def check_psi_law(psi, probes):
     """Scaling inequality on every probe plus an empirical vanishing test.
 
-    The scaled sequence (psi(2^n x, 2^n y)/2^n ascending, 2^n psi(x/2^n,
-    x/2^n) descending) over levels n = 0..30 must decrease monotonically
-    while it sits above a noise floor of 1e-9 times its start value; values
-    below the floor count as converged to zero.  psi evaluates the levels on
-    the stacked scaled probes, in blocks of at most ``_kernels.BLOCK_ROWS``
-    rows, row by row, as per-level calls would.  An overflow gives an
+    The direction's scaled sequence (``Theorem.law_at_2x``) over levels
+    n = 0..30 must decrease monotonically while it sits above a noise floor
+    of 1e-9 times its start value; values below the floor count as
+    converged to zero.  psi evaluates the levels on the stacked scaled
+    probes, in blocks of at most ``_kernels.BLOCK_ROWS`` rows, row by row,
+    as per-level calls would.  An overflow gives an
     infinite or NaN value, which fails the row, not a numpy warning.
 
     One row: its lhs is the probe-max scaling-law margin, or +inf when the
     vanishing test fails, against 0 and ``PSI_LAW_TOL``; its payload is
     ``law_margin``, ``decay_ok`` and ``decay_ratio``.
     """
-    n_levels = 30
+    theorem, n_levels = THEOREMS[psi.direction, "A"], 30
     X, Y = probes.x, probes.y
     n, dim = X.shape
-    s = 2.0 ** np.arange(n_levels + 1)[:, None]
+    s = 2.0 ** (theorem.sign * np.arange(n_levels + 1))[:, None]
     seq = np.empty((s.size, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for b in _kernels.row_blocks(s.size, n):
-            if psi.direction == "ascending":
-                sx, sy = ((s[b, :, None] * V).reshape(-1, dim) for V in (X, Y))
-                seq[b] = psi(sx, sy).reshape(seq[b].shape) / s[b]
-            else:
-                sx = (X / s[b, :, None]).reshape(-1, dim)
-                seq[b] = s[b] * psi(sx, sx).reshape(seq[b].shape)
+            sx = (s[b, :, None] * X).reshape(-1, dim)
+            sy = sx if theorem.law_at_2x else (s[b, :, None] * Y).reshape(-1, dim)
+            seq[b] = psi(sx, sy).reshape(seq[b].shape) / s[b]
         X2 = 2.0 * X
-        if psi.direction == "ascending":
-            margins = psi(X2, X2) - 2.0 * psi.L * psi(X, X)
-        else:
-            margins = psi(X, X) - (psi.L / 2.0) * psi(X2, X2)
+        at_x, at_2x = psi(X, X), psi(X2, X2)
+        lhs, rhs = (at_x, at_2x) if theorem.law_at_2x else (at_2x, at_x)
+        margins = lhs - (2.0**theorem.sign * psi.L) * rhs
     law_margin = float(margins[int(np.argmax(margins))])
 
     start = seq[0]
@@ -368,22 +354,10 @@ def draw_probes(dim, count=512, radius=1.0, seed=0):
 # probe-restricted function-space modular
 # ---------------------------------------------------------------------------
 
-def substitution(direction, which):
-    """The degenerate tuple a stability proof substitutes into inequality
-    ``which`` ("A" or "B") to seed its iteration, named by the telescoping
-    majorant it gives: "ascending" for every ascending run; descending,
-    "kappa_first_zero" for B's y = w = 0 and "kappa_both_slots" for A's
-    y = x, w = 0.  Calibration's scaled family, the majorant and rho-tilde's
-    weight (``tilde_weights``) all follow it."""
-    if direction == "ascending":
-        return "ascending"
-    return "kappa_first_zero" if which == "B" else "kappa_both_slots"
-
-
-def tilde_weights(psi, form, X, Z):
-    """Rho-tilde's pointwise weight w(x, z) under the substitution ``form``:
-    psi(x, 0) psi(z, 0) for kappa_first_zero, else psi(x, x) psi(z, 0)."""
-    first = psi(X, np.zeros_like(X)) if form == "kappa_first_zero" else psi(X, X)
+def tilde_weights(psi, theorem, X, Z):
+    """Rho-tilde's pointwise weight w(x, z) under the substitution of
+    ``theorem``: psi(x, x) psi(z, 0) for y = x, psi(x, 0) psi(z, 0) for y = 0."""
+    first = psi(X, X) if theorem.y_is_x else psi(X, np.zeros_like(X))
     return first * psi(Z, np.zeros_like(Z))
 
 
@@ -417,21 +391,18 @@ def rho_tilde_contraction_margin(rho_fn, psi, delta, gamma, probes):
     (2x ascending, x/2 descending), so the right-hand rho-tilde is taken
     over the probes (x, z) followed by the shifted copies (2x or x/2, z).
     Both sides read J^0 and J^1 of delta - gamma from one ``_scaled_levels``
-    call: the difference at the shifted copies is up J^1, up = 2 ascending
-    and 1/2 descending, a power-of-two rescaling.  The contraction factor is
-    L in both directions: descending it is kappa*L/2 at the doubling
-    constant ``modular.KAPPA`` = 2.  Rho-tilde takes the both-slot
-    weight psi(x, x) psi(z, 0) in either direction.  Returns (lhs, rhs,
-    margin) with margin <= 0 up to rounding whenever the scaling law holds.
+    call: the difference at the shifted copies is up J^1, up = 2^sign, a
+    power-of-two rescaling.  The contraction factor is L in both directions:
+    descending it is kappa*L/2 at the doubling constant ``modular.KAPPA`` =
+    2.  Rho-tilde takes A's weight psi(x, x) psi(z, 0) in either direction.
+    Returns (lhs, rhs, margin) with margin <= 0 up to rounding whenever the
+    scaling law holds.
     """
-    x, z = probes.x, probes.z
-    t0, t1 = _scaled_levels(lambda a, b: delta(a, b) - gamma(a, b), psi.direction, [0, 1], x, z)
-    lhs = rho_tilde_tabulated(rho_fn(t1), tilde_weights(psi, "kappa_both_slots", x, z))
-    if psi.direction == "ascending":
-        up, shifted_x = 2.0, 2.0 * x
-    else:
-        up, shifted_x = 0.5, x / 2.0
+    theorem, x, z = THEOREMS[psi.direction, "A"], probes.x, probes.z
+    t0, t1 = _scaled_levels(lambda a, b: delta(a, b) - gamma(a, b), theorem.sign, [0, 1], x, z)
+    lhs = rho_tilde_tabulated(rho_fn(t1), tilde_weights(psi, theorem, x, z))
+    up = 2.0**theorem.sign
     vals = np.concatenate([t0, up * t1])
-    x, z = np.concatenate([x, shifted_x]), np.concatenate([z, z])
-    rhs = psi.L * rho_tilde_tabulated(rho_fn(vals), tilde_weights(psi, "kappa_both_slots", x, z))
+    x, z = np.concatenate([x, up * x]), np.concatenate([z, z])
+    rhs = psi.L * rho_tilde_tabulated(rho_fn(vals), tilde_weights(psi, theorem, x, z))
     return lhs, rhs, lhs - rhs

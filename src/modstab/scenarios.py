@@ -52,7 +52,6 @@ from .bimaps import (
     check_psi_law,
     draw_probes,
     probe_blocks,
-    substitution,
 )
 from .config import parse
 from .errors import (
@@ -80,6 +79,7 @@ from .stabilize import (
     check_uniqueness,
     stabilize,
 )
+from .theorem import THEOREMS, Theorem
 from .verify import (
     IDENTITY_TOL,
     _majorant_terms,
@@ -147,7 +147,7 @@ def build_psi(p, mspec):
     return psi, needs_calibration
 
 
-def _scaled_degenerate_family(table, psi1, rho_fn, which):
+def _scaled_degenerate_family(table, psi1, rho_fn, theorem):
     """(need, unit) on the degenerate tuples the iteration traverses, read
     from the level table T: one pair of (k, P) arrays per table block, whose
     row for level i < n_max is the pair (T[i], T[i+1]).  Power-of-two
@@ -156,42 +156,39 @@ def _scaled_degenerate_family(table, psi1, rho_fn, which):
     rho(k_i T[i] - k_i T[i+1]), the same bits: fl(a - b) = -fl(b - a), and
     every modular reads only |.|.  The unit is psi(z, 0) times the
     telescoping majorant's term psi_(i+1) (``verify._majorant_terms``),
-    which is psi at the tuple's first two slots.  Ascending B has a zero
-    left side and yields nothing.  The family ends at level min(n_max,
-    ``table.below_cap``)."""
+    which is psi at the tuple's first two slots: ascending (u, u, z, 0) with
+    u = 2^i x, descending A (u, u, z, 0) with u = x / 2^(i+1), B (u, 0, z, 0)
+    with u = x / 2^i.  k_i = 2^(a + b i), (a, b) = ``theorem.family``; None
+    where the left side is 0 (ascending B), and then the family yields
+    nothing.  It ends at level min(n_max, ``table.below_cap``)."""
     cfg = table.cfg
-    form = substitution(cfg.direction, which)
-    if form == "ascending" and which == "B":
+    last = min(cfg.n_max, table.below_cap)
+    if theorem.family is None or last < 0:
         return
-    # k_i = 2^(a + b i) for the tuple at level i: ascending (u, u, z, 0) with u = 2^i x,
-    # descending A (u, u, z, 0) with u = x / 2^(i+1), B (u, 0, z, 0) with u = x / 2^i
-    a, b = {"ascending": (2, 1), "kappa_both_slots": (1, -1), "kappa_first_zero": (2, -1)}[form]
+    a, b = theorem.family
     x, z = cfg.probes.x, cfg.probes.z
     psi_z0 = psi1(z, np.zeros_like(z))
-    last = min(cfg.n_max, table.below_cap)
-    if last < 0:
-        return
     lo = table[0]
     for j, hi in table.span(1, last):  # j: the upper level of the block's first pair
         los = np.concatenate([lo[None], hi[:-1]])
         k = np.array([2.0 ** (a + b * i) for i in range(j - 1, j - 1 + len(hi))])[:, None, None]
         diff = k * hi - k * los
         need = rho_fn(diff.reshape(len(hi) * len(x), diff.shape[2])).reshape(len(hi), len(x))
-        yield need, _majorant_terms(form, psi1, x, range(j, j + len(hi))) * psi_z0
+        yield need, _majorant_terms(theorem, psi1, x, range(j, j + len(hi))) * psi_z0
         lo = hi[-1]
 
 
 def calibrate_theta(
-    table, psi_proto, rho_fn, s, which="A",
-    extra_count=CALIBRATION_EXTRA_COUNT, probe_parts=None,
+    table, psi_proto, rho_fn, s, theorem, extra_count=CALIBRATION_EXTRA_COUNT, probe_parts=None,
 ):
     """Smallest theta (times ``CALIBRATION_SAFETY``) for which the
-    inequality holds on the enlarged family; raises if a tuple whose
-    envelope is at most ``bimaps.WEIGHT_FLOOR`` carries a defect above
-    ``bimaps.DEFECT_FLOOR``, since no amplitude can repair that.
+    inequality of the ``theorem.Theorem`` ``theorem`` holds on the enlarged
+    family; raises if a tuple whose envelope is at most
+    ``bimaps.WEIGHT_FLOOR`` carries a defect above ``bimaps.DEFECT_FLOOR``,
+    since no amplitude can repair that.
 
     The map, the probes and the level count n_max are those of ``table``,
-    a LevelTable whose direction must be the envelope's.
+    a LevelTable whose direction must be the envelope's and the theorem's.
     ``probe_parts`` are the inequality's (lhs, rhs) on the probes when the
     caller already has them (a run shares them with its inequality check).
     The random family is drawn and evaluated one ``bimaps.probe_blocks``
@@ -212,11 +209,9 @@ def calibrate_theta(
     lhs <= DEFECT_FLOOR.  The probes' right side, shared with the
     inequality check, is evaluated in full; the scaled family has none."""
     bimap, probes = table.d, table.cfg.probes
-    if psi_proto.direction != table.cfg.direction:
-        raise ConfigError(
-            f"the level table was built for {table.cfg.direction} iterates, "
-            f"the envelope scales {psi_proto.direction}"
-        )
+    if not psi_proto.direction == table.cfg.direction == theorem.direction:
+        raise ConfigError(f"the level table was built for {table.cfg.direction} iterates, the "
+                          f"envelope scales {psi_proto.direction}, the theorem {theorem.direction}")
     psi1 = psi_proto.with_theta(1.0)
     seed = probes.seed + CALIBRATION_SEED_OFFSET
     extra = probe_blocks(bimap.algebra.dim, max(extra_count, 17), probes.radius, seed)
@@ -232,18 +227,18 @@ def calibrate_theta(
             rows[weighted] = ~(lhs[weighted] / unit[weighted] <= required)
             return np.flatnonzero(rows)
 
-        lhs, rhs0 = inequality_parts(bimap, rho_fn, s, x, y, z, w, lam, which=which,
+        lhs, rhs0 = inequality_parts(bimap, rho_fn, s, x, y, z, w, lam, which=theorem.which,
                                      keep=open_rows)
         return lhs - rhs0, unit
 
     def family():  # consumed one block at a time, so ``required`` is the max before it
         x, y, z, w = probes.x, probes.y, probes.z, probes.w
         lhs, rhs0 = probe_parts or inequality_parts(bimap, rho_fn, s, x, y, z, w, probes.lam,
-                                                    which=which)
+                                                    which=theorem.which)
         yield lhs - rhs0, psi1(x, y) * psi1(z, w)
         for block in extra:
             yield random_block(*block)
-        yield from _scaled_degenerate_family(table, psi1, rho_fn, which)
+        yield from _scaled_degenerate_family(table, psi1, rho_fn, theorem)
 
     required = 0.0
     for need, unit in family():
@@ -445,7 +440,7 @@ class _Run:
     bimap: BiMap
     s: complex
     probes: object
-    which: str  # the inequality whose substitution seeds the iteration, "A" or "B"
+    theorem: Theorem | None  # the run's theorem; None without an envelope
     psi: PsiEnvelope | None
     needs_calibration: bool
     table: LevelTable | None  # its cfg is the iteration's; None without one
@@ -490,7 +485,9 @@ def _parse_stability(v):
     """The parse stage: build the run from the parsed config ``v``, and
     reject the cross-field errors the schema cannot see (an iteration without
     an envelope, a check whose iteration section is missing), all before any
-    evaluation.  The iteration runs in the envelope's direction."""
+    evaluation.  The iteration runs in the envelope's direction, and the
+    run's theorem is that direction's with inequality B iff the run checks
+    it."""
     with _reading_config():
         algebra = build_algebra(v["algebra"])
         mspec = ModularSpec(v["modular"]["kind"], v["modular"]["p"], v["modular"]["phi"])
@@ -498,18 +495,19 @@ def _parse_stability(v):
         p = v["probes"]
         probes = draw_probes(algebra.dim, p["count"], p["radius"], p["seed"])
         psi, needs_calibration = build_psi(v["psi"], mspec)
+        which = "B" if "inequality_B" in v["checks"] else "A"
+        theorem = None if psi is None else THEOREMS[psi.direction, which]
 
         it = v["iteration"]
         table = None
         if it is not None:
             if psi is None:
                 raise ConfigError("iteration requires an envelope")
-            pert = bimap.perturbation
-            if pert is not None and pert.name == "power_env":
-                if psi.direction == "ascending" and pert.p >= 1.0:
-                    raise ConfigError("ascending runs need a power_env exponent p < 1")
-                if psi.direction == "descending" and pert.p <= 1.0:
-                    raise ConfigError("descending runs need a power_env exponent p > 1")
+            pert, above = bimap.perturbation, theorem.env_above_one
+            if pert is not None and pert.name == "power_env" and (
+                    pert.p <= 1.0 if above else pert.p >= 1.0):
+                raise ConfigError(f"{psi.direction} runs need a power_env exponent "
+                                  f"p {'>' if above else '<'} 1")
             # one table of scaled iterates, read by calibration, the
             # iteration and the uniqueness check
             table = LevelTable(bimap, StabilizeConfig(
@@ -520,12 +518,8 @@ def _parse_stability(v):
             if chk in _NEEDS_ITERATION and table is None:
                 raise ConfigError(f"{chk} requires an iteration section")
 
-        return _Run(
-            v["name"], algebra, mspec, bimap, v["s"], probes,
-            which="B" if "inequality_B" in v["checks"] else "A",
-            psi=psi, needs_calibration=needs_calibration, table=table,
-            checks=v["checks"], assert_slot2=v["biderivation_assert_slot2"],
-        )
+        return _Run(v["name"], algebra, mspec, bimap, v["s"], probes, theorem, psi,
+                    needs_calibration, table, v["checks"], v["biderivation_assert_slot2"])
 
 
 # -- run stages: calibrate, config echo, psi law, iterate --------------------
@@ -537,21 +531,18 @@ def _calibrate(run):
         if table is None:  # no iteration section: calibrate on a table of its own
             table = LevelTable(run.bimap, StabilizeConfig(direction=run.psi.direction,
                                                           probes=run.probes))
-        theta = calibrate_theta(
-            table, run.psi, run.rho_fn, run.s, which=run.which,
-            probe_parts=run.probe_parts(run.which),
-        )
+        theta = calibrate_theta(table, run.psi, run.rho_fn, run.s, run.theorem,
+                                probe_parts=run.probe_parts(run.theorem.which))
         run.psi = run.psi.with_theta(theta)
 
 
 def _config_echo(run):
     psi, probes = run.psi, run.probes
-    first_zero = psi is not None and substitution(psi.direction, run.which) == "kappa_first_zero"
     echo = {
         "config_name": run.name,
         "algebra": run.algebra.preset_name or f"dim-{run.algebra.dim}",
         "modular": run.modular.kind,
-        "weight": "psi_x0_z0" if first_zero else "psi_xx_z0",
+        "weight": "psi_xx_z0" if run.theorem is None or run.theorem.y_is_x else "psi_x0_z0",
         "s": [run.s.real, run.s.imag],
         "probes": {"count": len(probes.x), "radius": probes.radius, "seed": probes.seed},
     }
@@ -563,7 +554,7 @@ def _config_echo(run):
 def _iterate(run):
     """Iterate to the limit; a numeric abort leaves ``run.outcome`` None."""
     try:
-        run.outcome = out = stabilize(run.table, run.psi, run.rho_fn, which=run.which)
+        run.outcome = out = stabilize(run.table, run.psi, run.rho_fn, theorem=run.theorem)
     except (OverflowAbort, NonFiniteValueError) as e:
         payload = {"error": str(e), "level": getattr(e, "level", None),
                    "probe_id": getattr(e, "probe_id", None)}
@@ -628,7 +619,8 @@ def _superstability(run):
 
 
 def _telescoping(run):
-    return [check_telescoping(run.table, run.psi, run.rho_fn, run.outcome.N_converged, run.which)]
+    return [check_telescoping(run.table, run.psi, run.rho_fn, run.outcome.N_converged,
+                              run.theorem)]
 
 
 def _bounded_orbit(run):
@@ -677,7 +669,7 @@ def _run_stability(v):
     if not halted:
         for chk in run.checks:
             records += _CHECKS[chk](run)
-    keep = ("algebra", "modular", "bimap", "psi", "probes", "which", "rho_fn", "s", "outcome")
+    keep = ("algebra", "modular", "bimap", "psi", "probes", "theorem", "rho_fn", "s", "outcome")
     return records, {key: getattr(run, key) for key in keep}
 
 

@@ -16,7 +16,6 @@ from .bimaps import (
     ProbeSet,
     _scaled_levels,
     rho_tilde_tabulated,
-    substitution,
     tilde_weights,
 )
 from .errors import (
@@ -27,6 +26,7 @@ from .errors import (
     PreconditionError,
 )
 from .report import CheckResult
+from .theorem import THEOREMS
 
 
 # the largest level cap n_max a run accepts: 2.0**n overflows a float from
@@ -110,9 +110,9 @@ class LevelTable:
 
     ``table[n]`` is level n, read-only; ``table.span(first, last)`` yields
     (level, stack) pairs that cover levels first..last, one read-only stack
-    per block.  ``below_cap`` is the last level whose scaled probes 2^n x
-    stay within the magnitude cap, fixed by max |x| (-1 when level 0
-    passes it, +inf for descending iterates, which have no cap).
+    per block; ``sign`` is ``Theorem.sign``.  ``below_cap`` is the last level
+    whose scaled probes 2^n x stay within the magnitude cap, fixed by max
+    |x| (-1 when level 0 passes it, +inf for descending iterates).
 
     Level n lives in block n // k, k = ``_kernels._items_per_block(P)``,
     and blocks are cut after level min(n_max, below_cap).  The first read
@@ -131,8 +131,9 @@ class LevelTable:
         self.d = d
         self.cfg = cfg
         x = cfg.probes.x
+        self.sign = THEOREMS[cfg.direction, "A"].sign
         self.below_cap = math.inf
-        if cfg.direction == "ascending":
+        if self.sign > 0:
             top = float(np.abs(x).max()) if x.size else 0.0
             # no run reads a level past MAX_N_MAX + 5, and 2.0**n overflows at 1024
             self.below_cap = next(
@@ -188,12 +189,12 @@ class LevelTable:
         """Levels start..stop-1, read-only, from one map call on the stacked
         scaled probes."""
         probes = self.cfg.probes
-        stack = _scaled_levels(self.d, self.cfg.direction, range(start, stop), probes.x, probes.z)
+        stack = _scaled_levels(self.d, self.sign, range(start, stop), probes.x, probes.z)
         stack.flags.writeable = False
         return stack
 
 
-def stabilize(table, psi, rho_fn, which="A"):
+def stabilize(table, psi, rho_fn, theorem=None):
     """Run the scaled iteration on ``table`` and freeze the limit candidate.
 
     The map d and its StabilizeConfig cfg are ``table.d`` and ``table.cfg``.
@@ -202,14 +203,14 @@ def stabilize(table, psi, rho_fn, which="A"):
     candidates is at most cfg.tol (convergence: delta_n <= tol, the pass
     rule of the run's ``stabilize`` record) or at cfg.n_max.  Each
     level's ``rho_tilde_delta`` is the probe-restricted function-space
-    modular of the successive difference, weighted as the substitution into
-    inequality ``which`` ("A" or "B") gives (``bimaps.substitution``); the
-    stopping rule deliberately uses the plain probe-sup ``sup_rho_delta``
-    so zero-weight boundary probes cannot produce 0/0.  A run iterates once: ``check_uniqueness``
-    reads its reruns off the outcome's levels.  Every ``BiMap`` vanishes on
-    the axes, and psi must scale in cfg's direction; psi's scaling law is
-    not checked here, but once per run, by the ``psi_law`` stage before it
-    iterates.
+    modular of the successive difference, weighted by ``theorem``'s
+    substitution (``bimaps.tilde_weights``; None takes inequality A's); the
+    stopping rule deliberately uses the plain probe-sup ``sup_rho_delta`` so
+    zero-weight boundary probes cannot produce 0/0.  A run iterates once:
+    ``check_uniqueness`` reads its reruns off the outcome's levels.  Every
+    ``BiMap`` vanishes on the axes, and psi and the theorem must scale in
+    cfg's direction; psi's scaling law is checked once per run, by the
+    ``psi_law`` stage before it iterates.
 
     The levels are walked a table block at a time: one modular call gives
     the deltas of the whole block and rho-tilde of its levels up to the
@@ -219,11 +220,12 @@ def stabilize(table, psi, rho_fn, which="A"):
     by level, at the same level.
     """
     d, cfg = table.d, table.cfg
-    if psi.direction != cfg.direction:
-        raise PreconditionError("psi scaling direction disagrees with the iteration direction")
+    theorem = theorem or THEOREMS[cfg.direction, "A"]
+    if not psi.direction == cfg.direction == theorem.direction:
+        raise PreconditionError("psi, the iteration and the theorem disagree on the direction")
 
     X, Z = cfg.probes.x, cfg.probes.z
-    weights = tilde_weights(psi, substitution(cfg.direction, which), X, Z)
+    weights = tilde_weights(psi, theorem, X, Z)
 
     v_origin = table[0]  # the unscaled map, reference for the bound
     hyers_vals = hyers_bound(psi, X, Z)
@@ -268,7 +270,7 @@ def stabilize(table, psi, rho_fn, which="A"):
     frozen, converged = len(levels), levels[-1].sup_rho_delta <= cfg.tol
     bound_margin = float(np.max(rho_fn(table[frozen] - v_origin) - hyers_vals))
     return StabilizeOutcome(
-        D=lambda x, z: _scaled_levels(d, cfg.direction, [frozen], x, z)[0],
+        D=lambda x, z: _scaled_levels(d, table.sign, [frozen], x, z)[0],
         N_converged=frozen,
         converged=converged,
         bound_margin=bound_margin,

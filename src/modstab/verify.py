@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import row_blocks
 from .algebra import mul, sample_unit_circle, three_unimodular_decomposition
-from .bimaps import _stacked_call, not_finite_at, substitution
+from .bimaps import _stacked_call, not_finite_at
 from .errors import ConfigError, NonFiniteValueError, PreconditionError
 from .report import ABSENT, CheckResult
 from .stabilize import hyers_bound
@@ -242,62 +242,46 @@ def check_stability_bound(d_vals, D_vals, psi, rho_fn, probes):
     return _per_probe("stability_bound", lhs, hyers_bound(psi, probes.x, probes.z), INEQUALITY_TOL)
 
 
-# The telescoping majorants bound the defect against the level-0 map.
-# Ascending uses the geometric partial sum
-#     sum_{i<=n} 2^-i psi(2^(i-1) x, 2^(i-1) x) psi(z, 0),
-# whose full sum is bounded by psi(x,x) psi(z,0)/(2(1-L)).  Descending
-# unrolls the recursion at the doubling constant ``modular.KAPPA`` = 2,
-#     sum_{i<=n} 2^(i-1) psi_i psi(z, 0),
-# in two variants, one keyed by psi at the halved diagonal, one by
-# psi(. , 0).  The full bound is ``hyers_bound`` on the probes.
-
-
-def _majorant_terms(form, psi, X, span):
+def _majorant_terms(theorem, psi, X, span):
     """The majorant's term psi_i for each level i of ``span``, from one
-    psi call on the stacked scaled probes: a (k, P) array.  psi_i is
-    psi(2^(i-1) x, 2^(i-1) x) ascending, psi(x / 2^i, x / 2^i) for
-    kappa_both_slots and psi(x / 2^(i-1), 0) for kappa_first_zero."""
+    psi call on the stacked scaled probes: a (k, P) array.  psi_i is psi at
+    (u, u), or (u, 0) where ``theorem`` substitutes y = 0, with
+    u = 2^(sign (i - term_offset)) x."""
     n, dim = X.shape
-    if form == "ascending":
-        u = np.array([2.0 ** (i - 1) for i in span])[:, None, None] * X
-    elif form == "kappa_both_slots":
-        u = X / np.array([2.0**i for i in span])[:, None, None]
-    else:  # kappa_first_zero
-        u = X / np.array([2.0 ** (i - 1) for i in span])[:, None, None]
-    u = u.reshape(len(span) * n, dim)
-    return psi(u, np.zeros_like(u) if form == "kappa_first_zero" else u).reshape(len(span), n)
+    scale = [2.0 ** (theorem.sign * (i - theorem.term_offset)) for i in span]
+    u = (np.array(scale)[:, None, None] * X).reshape(len(span) * n, dim)
+    return psi(u, u if theorem.y_is_x else np.zeros_like(u)).reshape(len(span), n)
 
 
-def _majorants(form, terms):
-    """The majorants of levels 1..N before their psi(z, 0) factor, an
+def _majorants(theorem, terms):
+    """The telescoping majorants of levels 1..N, bounds on the defect
+    against level 0, before their psi(z, 0) factor, an
     (N, P) array, from their ``terms`` psi_1..psi_N: row n adds c_n psi_n
     to the row before it, in level order, from a +0.0 start row, with the
-    Python float c_n = 2^-n ascending and 2^(n-1) descending."""
-    span = range(1, len(terms) + 1)
-    c = [2.0 ** (-n) if form == "ascending" else 2.0 ** (n - 1) for n in span]
-    steps = np.array(c)[:, None] * terms
+    Python float c_n = 2^(m n + c), (m, c) = ``theorem.step``."""
+    m, c = theorem.step
+    steps = np.array([2.0 ** (m * n + c) for n in range(1, len(terms) + 1)])[:, None] * terms
     return np.add.accumulate(np.concatenate([np.zeros_like(terms[:1]), steps]), axis=0)[1:]
 
 
-def check_telescoping(table, psi, rho_fn, n, which):
+def check_telescoping(table, psi, rho_fn, n, theorem):
     """The telescoping table of levels 1..n of ``table`` against level 0,
     one row per level: ``kappa_margin`` is the probe-max of the defect
     rho(T[l] - T[0]) minus the level's majorant times psi(z, 0), and
     ``final_margin`` the defect minus ``hyers_bound``.  A level passes iff
     both are at most ``INEQUALITY_TOL`` (its lhs is the larger, NaN if
-    either is).  The majorant form is the substitution into inequality
-    ``which`` in the table's direction (``bimaps.substitution``); each row
-    has the bits it gets alone.  n is the run's stopping level."""
+    either is).  The majorant is that of the run's ``theorem.Theorem``
+    ``theorem``, in the table's direction; each row has the bits it gets
+    alone.  n is the run's stopping level."""
     X, Z = table.cfg.probes.x, table.cfg.probes.z
-    form = substitution(table.cfg.direction, which)
     origin, defect = table[0], []
     for _, block in table.span(1, n):
         k, p, vd = block.shape
         defect.append(rho_fn((block - origin).reshape(k * p, vd)).reshape(k, p))
     defect = np.concatenate(defect)
-    terms = np.concatenate([_majorant_terms(form, psi, X, range(b.start + 1, b.stop + 1))
+    terms = np.concatenate([_majorant_terms(theorem, psi, X, range(b.start + 1, b.stop + 1))
                             for b in row_blocks(n, len(X))])
-    majorant = _majorants(form, terms) * psi(Z, np.zeros_like(Z))
+    majorant = _majorants(theorem, terms) * psi(Z, np.zeros_like(Z))
     kappa_margin = (defect - majorant).max(axis=1)
     final_margin = (defect - hyers_bound(psi, X, Z)).max(axis=1)
     columns = {"level": np.arange(1, n + 1), "kappa_margin": kappa_margin,

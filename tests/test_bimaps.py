@@ -19,10 +19,10 @@ from modstab import (
     preset,
     rho_tilde_contraction_margin,
     rho_tilde_tabulated,
-    substitution,
     tilde_weights,
 )
 from modstab.bimaps import _scaled_levels, probe_blocks
+from modstab.theorem import THEOREMS
 
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
@@ -230,8 +230,8 @@ def test_direct_step_fixes_bilinear_maps():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
     Z = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
-    for direction in ("ascending", "descending"):
-        [stepped] = _scaled_levels(d, direction, [1], X, Z)
+    for sign in (1, -1):  # ascending and descending
+        [stepped] = _scaled_levels(d, sign, [1], X, Z)
         assert np.max(np.abs(stepped - d(X, Z))) <= 1e-12
 
 
@@ -240,7 +240,7 @@ def test_direct_step_doubles_quadratic_first_slot():
     f = BiMap(algebra=COMPLEX, kernel=None, perturbation=Perturbation("quad_slot1", 1.0))
     x = np.array([[1.3 - 0.2j]])
     z = np.array([[0.7 + 0.4j]])
-    assert np.allclose(_scaled_levels(f, "ascending", [1], x, z)[0], 2.0 * f(x, z))
+    assert np.allclose(_scaled_levels(f, 1, [1], x, z)[0], 2.0 * f(x, z))
 
 
 # --- envelope ---------------------------------------------------------------
@@ -394,8 +394,8 @@ def _psi(theta=1.0):
 
 
 def both_slot(psi, x, z):
-    """Rho-tilde's both-slot weight psi(x, x) psi(z, 0)."""
-    return tilde_weights(psi, "kappa_both_slots", x, z)
+    """Rho-tilde's both-slot weight psi(x, x) psi(z, 0), inequality A's."""
+    return tilde_weights(psi, THEOREMS[psi.direction, "A"], x, z)
 
 
 def rho_tilde(psi, delta, probes):
@@ -437,12 +437,12 @@ def test_rho_tilde_zero_weight_flag():
 def test_tilde_weights_follow_the_substitution():
     # descending, A substitutes y = x, w = 0 and B y = w = 0; ascending, both
     # take A's tuple, since B's degenerate left side is 0
-    assert [substitution(d, which) for d in ("ascending", "descending") for which in "AB"] == [
-        "ascending", "ascending", "kappa_both_slots", "kappa_first_zero"]
+    assert [THEOREMS[d, which].y_is_x for d in ("ascending", "descending") for which in "AB"] == [
+        True, True, True, False]
     probes = draw_probes(4, 32, 1.0, seed=8)
     psi = _psi()
-    wa, wb, asc = (tilde_weights(psi, form, probes.x, probes.z)
-                   for form in ("kappa_both_slots", "kappa_first_zero", "ascending"))
+    wa, wb, asc = (tilde_weights(psi, THEOREMS[key], probes.x, probes.z)
+                   for key in (("descending", "A"), ("descending", "B"), ("ascending", "B")))
     assert np.allclose(wa, 2.0 * wb)  # psi(x,x) = 2 psi(x,0) for the power form
     assert np.array_equal(asc, wa)
 

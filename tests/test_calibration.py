@@ -32,6 +32,7 @@ from modstab import (
 from modstab import scenarios
 from modstab._kernels import BLOCK_ROWS, rho_norm
 from modstab.scenarios import builtin_scenarios, calibrate_theta, run_scenario
+from modstab.theorem import THEOREMS
 from modstab.verify import inequality_parts
 from test_stabilize import CountingMap
 
@@ -88,7 +89,7 @@ def test_theta_from_the_table_equals_the_concatenated_family(direction, which, p
     d = random_map(seed, pert, direction)
     probes = draw_probes(4, 64, radius, seed)
     got = calibrate_theta(table_of(d, probes, direction), proto(direction), rho_rows, 0.5,
-                          which=which, extra_count=EXTRA)
+                          THEOREMS[direction, which], extra_count=EXTRA)
     assert got == plain_theta(d, proto(direction), probes, which)
 
 
@@ -131,7 +132,7 @@ def test_shared_table_evaluates_each_scaled_level_once():
     base = random_map(13, "bounded_osc", "ascending")
     d = ScaledProbeCounter(base, probes, cfg.n_max + 5)
     table = LevelTable(d, cfg)
-    theta = calibrate_theta(table, proto("ascending"), rho_rows, 0.5, which="A",
+    theta = calibrate_theta(table, proto("ascending"), rho_rows, 0.5, THEOREMS["ascending", "A"],
                             extra_count=EXTRA)
     once = Counter(range(cfg.n_max + 1))
     blocks = [32 * len(probes), 9 * len(probes)]
@@ -149,7 +150,8 @@ def test_calibration_refuses_a_table_of_other_iterates():
     probes = draw_probes(4, 64, 1.0, 13)
     table = table_of(random_map(13, "bounded_osc", "ascending"), probes, "ascending")
     with pytest.raises(ConfigError, match="level table"):
-        calibrate_theta(table, proto("descending"), rho_rows, 0.5, extra_count=EXTRA)
+        calibrate_theta(table, proto("descending"), rho_rows, 0.5, THEOREMS["ascending", "A"],
+                        extra_count=EXTRA)
 
 
 def test_given_probe_parts_are_not_evaluated_again():
@@ -165,9 +167,9 @@ def test_given_probe_parts_are_not_evaluated_again():
 
     counted.algebra = d.algebra
     theta = calibrate_theta(table_of(counted, probes, "ascending"), proto("ascending"), rho_rows,
-                            0.5, which="A", extra_count=EXTRA, probe_parts=parts)
+                            0.5, THEOREMS["ascending", "A"], extra_count=EXTRA, probe_parts=parts)
     assert theta == calibrate_theta(table_of(d, probes, "ascending"), proto("ascending"),
-                                    rho_rows, 0.5, which="A", extra_count=EXTRA)
+                                    rho_rows, 0.5, THEOREMS["ascending", "A"], extra_count=EXTRA)
     # the random family's five left-side calls on every row and its three
     # right-side calls on the two rows whose left side can raise theta, then
     # the table's 41 levels in blocks of 32 levels (2 calls); no probe-family call
@@ -217,7 +219,7 @@ def test_theta_with_the_cut_right_side_equals_full_evaluation(
         psi0 = PsiEnvelope(theta=1.0, p=psi0.p, direction=direction,
                            norm_fn=blind_below(blind * radius))
     got = outcome(calibrate_theta, table_of(d, probes, direction), psi0, rho_rows, 0.5,
-                  which=which, extra_count=extra)
+                  THEOREMS[direction, which], extra_count=extra)
     assert got == outcome(plain_theta, d, psi0, probes, which, extra)
 
 

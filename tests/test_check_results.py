@@ -16,6 +16,7 @@ import modstab.modular
 from modstab import scenarios, verify
 from modstab.report import CheckResult, ReportRecord
 from modstab.scenarios import builtin_scenarios, run_scenario
+from modstab.theorem import THEOREMS
 
 _PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "failing_configs.py"
 _spec = importlib.util.spec_from_file_location("failing_configs", _PATH)
@@ -164,9 +165,10 @@ def test_telescoping_passes_a_level_iff_both_its_margins_pass(monkeypatch):
     nan, e29, e31 = float("nan"), 2.0**-29, 2.0**-31  # 2^-29 > 1e-9 > 2^-31
     defects = [nan, 1.0, 1.0, 1.0, 1.0 + e29, 1.0 + e31]
     majorants = [0.0, nan, 1.0, 1.0 - e29, 1.0 + e29, 2.0 + e31]
-    monkeypatch.setattr(verify, "_majorants", lambda form, terms: np.array(majorants)[:, None])
+    monkeypatch.setattr(verify, "_majorants", lambda theorem, terms: np.array(majorants)[:, None])
     run = SimpleNamespace(table=_Levels(defects), psi=lambda a, b: np.ones(len(a)),
-                          rho_fn=lambda rows: rows[:, 0].real, which="A",
+                          rho_fn=lambda rows: rows[:, 0].real,
+                          theorem=THEOREMS["ascending", "A"],
                           outcome=SimpleNamespace(N_converged=len(defects)))
     for bound in (1.0, nan):  # a NaN bound makes every final margin NaN
         monkeypatch.setattr(verify, "hyers_bound", lambda psi, x, z: np.array([bound]))

@@ -36,9 +36,10 @@ from modstab import (
     stabilize,
 )
 from modstab._kernels import BLOCK_ROWS
-from modstab.bimaps import rho_tilde_tabulated, substitution
+from modstab.bimaps import rho_tilde_tabulated
 from modstab.scenarios import _scaled_degenerate_family
 from modstab.stabilize import MAX_N_MAX
+from modstab.theorem import THEOREMS
 from modstab.verify import _majorant_terms, _majorants, check_telescoping
 from test_stabilize import CountingMap
 
@@ -50,6 +51,13 @@ FORMS = [("ascending", "A"), ("descending", "A"), ("descending", "B")]  # (direc
 
 def rho_rows(rows):
     return eval_modular(NORM, np.atleast_2d(rows))
+
+
+def spec_form(direction, which):
+    """The spec's name for the substitution of the (direction, which) theorem."""
+    if direction == "ascending":
+        return "ascending"
+    return "kappa_first_zero" if which == "B" else "kappa_both_slots"
 
 
 # --- helpers -------------------------------------------------------------------
@@ -80,7 +88,7 @@ def plain(d, cfg):
 
 def outcome(table, psi, rho_fn=rho_rows, which="A"):
     """stabilize's outcome on ``table`` as the fields ``spec.iterate`` returns."""
-    out = stabilize(table, psi, rho_fn, which)
+    out = stabilize(table, psi, rho_fn, THEOREMS[table.cfg.direction, which])
     levels = [(lv.level, lv.sup_rho_delta, lv.rho_tilde_delta) for lv in out.levels]
     return out.N_converged, out.converged, out.bound_margin, levels, out.weights
 
@@ -125,9 +133,9 @@ def same_margins(table, psi, ref, n, which="A", rho_fn=rho_rows):
     """check_telescoping's rows on levels 1..n of ``table`` are the spec's,
     line for line, each row's lhs the larger margin; returns the margins
     (kappa, final)."""
-    form = substitution(table.cfg.direction, which)
-    want = spec.telescoping(ref, psi, rho_fn, n, form)
-    got = check_telescoping(table, psi, rho_fn, n, which)
+    direction = table.cfg.direction
+    want = spec.telescoping(ref, psi, rho_fn, n, spec_form(direction, which))
+    got = check_telescoping(table, psi, rho_fn, n, THEOREMS[direction, which])
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
     cols = got.columns
     assert got.lhs.tobytes() == np.maximum(cols["kappa_margin"], cols["final_margin"]).tobytes()
@@ -145,7 +153,7 @@ def test_blocks_give_the_per_level_diagnostics(direction, which, count, theta):
     counted = CountingMap(d, cfg.probes)
     table, ref = LevelTable(counted, cfg), plain(d, cfg)
     got = outcome(table, psi, which=which)
-    same(got, spec.iterate(ref, psi, rho_rows, substitution(direction, which)))
+    same(got, spec.iterate(ref, psi, rho_rows, spec_form(direction, which)))
     margins = same_margins(table, psi, ref, got[0], which)
     if theta < 0.01:
         assert any(kappa > 0.0 for kappa, _ in margins)
@@ -170,7 +178,7 @@ def test_blocks_without_telescoping_and_with_other_caps(direction, which, count)
         counted = CountingMap(d, cfg.probes)
         table, ref = LevelTable(counted, cfg), plain(d, cfg)
         got = outcome(table, psi, which=which)
-        same(got, spec.iterate(ref, psi, rho_rows, substitution(direction, which)))
+        same(got, spec.iterate(ref, psi, rho_rows, spec_form(direction, which)))
         same_margins(table, psi, ref, got[0], which)
         check_table_levels(table, ref, sorted(counted.calls))
 
@@ -258,7 +266,7 @@ def test_a_non_finite_level_in_a_block(direction, count):
         counted = CountingMap(wrapped, cfg.probes)
         table, ref = LevelTable(counted, cfg), plain(wrapped, cfg)
         got = run(lambda: outcome(table, psi))
-        same(got, run(lambda: spec.iterate(ref, psi, rho_rows, substitution(direction, "A"))))
+        same(got, run(lambda: spec.iterate(ref, psi, rho_rows, spec_form(direction, "A"))))
         assert (got[0] is NonFiniteValueError) == raises
         if raises:
             assert got[1] == "map evaluation is not finite at batch row %d" % got[3]
@@ -344,9 +352,9 @@ def test_majorant_rows_are_the_per_level_majorants(direction, which, theta, N):
     # undersized one
     _, psi, cfg = fixture(direction, 64, theta=theta)
     X = cfg.probes.x
-    form = substitution(direction, which)
+    form, theorem = spec_form(direction, which), THEOREMS[direction, which]
     terms = spec.majorant_terms(form, psi, X, N)
-    rows = _majorants(form, _majorant_terms(form, psi, X, range(1, N + 1)))
+    rows = _majorants(theorem, _majorant_terms(theorem, psi, X, range(1, N + 1)))
     assert rows.shape == (N, len(X))
     for n, row in enumerate(rows, 1):
         assert row.tobytes() == spec.majorant(form, terms, n).tobytes(), n
@@ -362,7 +370,7 @@ def test_the_one_pass_gives_the_per_level_margins(direction, which, seed, count)
     # the levels taken alone
     d, psi, cfg = fixture(direction, count, seed, theta=0.0005, tol=1e-30)
     table, ref = LevelTable(d, cfg), plain(d, cfg)
-    out = stabilize(table, psi, rho_rows, which=which)
+    out = stabilize(table, psi, rho_rows, theorem=THEOREMS[direction, which])
     assert not out.converged and out.N_converged == cfg.n_max
     edge = max(1, BLOCK_ROWS // count)  # the first level of the second block
     for n in sorted({1, max(1, min(edge - 1, cfg.n_max)), min(edge, cfg.n_max), cfg.n_max}):
@@ -382,7 +390,8 @@ def test_the_scaled_family_in_blocks_has_the_per_level_rows(direction, which, co
     cfg = StabilizeConfig(direction=direction, probes=draw_probes(4, count, radius, 5))
     psi1 = PsiEnvelope(theta=1.0, p=0.5 if direction == "ascending" else 2.0,
                        direction=direction)
-    got = list(_scaled_degenerate_family(LevelTable(d, cfg), psi1, rho_rows, which))
+    got = list(_scaled_degenerate_family(LevelTable(d, cfg), psi1, rho_rows,
+                                         THEOREMS[direction, which]))
     want = list(spec.scaled_family(plain(d, cfg), psi1, rho_rows, which))
     assert (len(want) < 40) == (direction == "ascending" and radius > 1)
     for part in (0, 1):  # need, unit

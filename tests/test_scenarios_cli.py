@@ -940,7 +940,7 @@ def test_ascending_builtin_iterates_once(monkeypatch):
     result = run_scenario("corollary-ascending-p05")
     assert result.exit_code == 0
     # the iteration is told nothing of the checks the run makes after it
-    assert calls == [["which"]]
+    assert calls == [["theorem"]]
     [rep] = [r.payload for r in result.records if r.payload.get("check") == "uniqueness"]
     assert [v[1] for v in rep["variants"]] == [result.context["outcome"].N_converged] * 5
 

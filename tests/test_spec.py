@@ -90,6 +90,10 @@ EDGES = {
     # kappa spelled at its one accepted value, in both descending forms
     "descending-kappa-2": ("corollary-descending-p2", {"modular": {"kappa": 2.0}}),
     "B-kappa-2": ("inequality-B-descending", {"modular": {"kappa": 2.0}}),
+    # ascending B, calibrated: its theorem has no scaled family, and its
+    # telescoping table is ascending A's
+    "ascending-B-telescoping": ("corollary-ascending-p05", {
+        "checks": ["inequality_B", "telescoping"]}),
     # an exp_minus_one envelope, calibrated, ascending
     "ascending-exp-minus-one": ("corollary-ascending-p05", {
         "modular": {"kind": "orlicz", "phi": "exp_minus_one"}, "probes": {"count": 32}}),

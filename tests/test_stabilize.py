@@ -36,6 +36,7 @@ from modstab._kernels import BLOCK_ROWS, row_blocks
 from modstab.bimaps import WEIGHT_FLOOR
 from modstab.report import write_report
 from modstab.scenarios import builtin_scenarios, calibrate_theta, run_scenario
+from modstab.theorem import THEOREMS
 
 MATRIX2 = preset("matrix2")
 COMPLEX = preset("complex")
@@ -164,7 +165,7 @@ def telescoping(table, psi):
     its levels 1..N, both under inequality A's substitution: (outcome,
     kappa margins, final margins)."""
     out = stabilize(table, psi, rho_rows)
-    tel = check_telescoping(table, psi, rho_rows, out.N_converged, "A")
+    tel = check_telescoping(table, psi, rho_rows, out.N_converged, THEOREMS["ascending", "A"])
     return out, tel.columns["kappa_margin"], tel.columns["final_margin"]
 
 
@@ -683,7 +684,7 @@ def test_random_calibrated_fixtures_satisfy_the_bound(seed):
     probes = draw_probes(4, 96, 1.0, seed=seed)
     psi0 = PsiEnvelope(theta=1.0, p=0.5, direction="ascending")
     table = LevelTable(d, StabilizeConfig(direction="ascending", probes=probes))
-    theta = calibrate_theta(table, psi0, rho_rows, 0.5, which="A")
+    theta = calibrate_theta(table, psi0, rho_rows, 0.5, THEOREMS["ascending", "A"])
     psi = psi0.with_theta(theta)
     out, kappa_margin, final_margin = telescoping(table, psi)
     assert out.converged

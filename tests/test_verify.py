@@ -29,6 +29,7 @@ from modstab import (
 )
 from modstab._kernels import BLOCK_ROWS, row_blocks
 from modstab.scenarios import calibrate_theta
+from modstab.theorem import THEOREMS
 from modstab.verify import inequality_parts
 
 MATRIX2 = preset("matrix2")
@@ -320,7 +321,7 @@ def test_stability_bound_flags_oversized_perturbation():
                   perturbation=Perturbation("bounded_osc", 0.01, boundary_safe=True))
     psi0 = PsiEnvelope(theta=1.0, p=0.5, direction="ascending")
     cfg = StabilizeConfig(direction="ascending", probes=probes)
-    theta = calibrate_theta(LevelTable(small, cfg), psi0, rho_rows, 0.5, which="A")
+    theta = calibrate_theta(LevelTable(small, cfg), psi0, rho_rows, 0.5, THEOREMS["ascending", "A"])
     psi = psi0.with_theta(theta)
 
     big = BiMap(algebra=MATRIX2, kernel="commutator",
