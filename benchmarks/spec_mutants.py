@@ -37,13 +37,16 @@ MUTANTS = {
         "scenarios.py", "_majorant_terms(theorem, psi1, x, range(j, ",
         "_majorant_terms(theorem, psi1, x, range(j + 1, "),
     "the descending majorant one power of two off": (
-        "theorem.py", "step=(1, -1)", "step=(1, 0)"),
+        "theorem.py", 'Theorem("descending", "A", y_is_x=True, term_offset=0, step=(1, -1)',
+        'Theorem("descending", "A", y_is_x=True, term_offset=0, step=(1, 0)'),
     "the substitution ignores inequality B": (
-        "theorem.py", 'which="B", y_is_x=False, term_offset=1, family=(2, -1)',
-        'which="B", y_is_x=True, term_offset=0, family=(1, -1)'),
+        "theorem.py", 'Theorem("descending", "B", y_is_x=False, term_offset=1, step=(1, -1), '
+        'family=(2, -1))',
+        'Theorem("descending", "B", y_is_x=True, term_offset=0, step=(1, -1), family=(1, -1))'),
     "ascending B gets a scaled family": (
-        "theorem.py", 'which="B", y_is_x=True, term_offset=1, family=None',
-        'which="B", y_is_x=True, term_offset=1, family=(2, 1)'),
+        "theorem.py", 'Theorem("ascending", "B", y_is_x=True, term_offset=1, step=(-1, 0), '
+        'family=None)',
+        'Theorem("ascending", "B", y_is_x=True, term_offset=1, step=(-1, 0), family=(2, 1))'),
 }
 
 

@@ -17,7 +17,7 @@ An optional boundary-safe factor (1 - e^{-|x|^2})(1 - e^{-|z|^2}) keeps
 any perturbation exactly zero on the axes, preserving d(x,0)=d(0,x)=0.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import _kernels
 from .algebra import AlgebraSpec
 from .errors import ConfigError, NonFiniteValueError, PreconditionError
 from .report import CheckResult
-from .theorem import THEOREMS
+from .theorem import SIGN, THEOREMS
 
 PERTURBATION_NAMES = ("bounded_osc", "power_env", "quad_slot1")
 KERNEL_FORMS = ("commutator", "product", "conjugate_product")
@@ -136,7 +136,7 @@ def _stacked_call(f, factors, X, Z):
 def _scaled_levels(f, sign, levels, X, Z):
     """The scaled maps J^n f on the rows (X, Z) for each n of ``levels``, a
     (len(levels), n, dim) stack: f(s X, Z) times the exact reciprocal
-    1/s, s = 2^(sign n) (``Theorem.sign``: 2^-n f(2^n x, z) ascending and
+    1/s, s = 2^(sign n) (``theorem.SIGN``: 2^-n f(2^n x, z) ascending and
     2^n f(x / 2^n, z) descending), from one ``_stacked_call``."""
     inverse = np.array([2.0 ** (-sign * n) for n in levels])[:, None, None]
     return _stacked_call(f, [2.0 ** (sign * n) for n in levels], X, Z) * inverse
@@ -150,9 +150,13 @@ def _scaled_levels(f, sign, levels, X, Z):
 @dataclass(frozen=True)
 class PsiEnvelope:
     """psi(x, y) = sqrt(theta) (|x|^p + |y|^p) with a declared contraction
-    constant L in (0,1) and a scaling direction, whose theorem fixes the
-    scaling law (``Theorem.law_at_2x``) and the sharp L that an omitted L
-    defaults to: 2^(p-1) ascending, 2^(1-p) descending.
+    constant L in (0,1) and a scaling direction.
+
+    Ascending runs require psi(2x,2x) <= 2L psi(x,x); descending runs
+    require psi(x,x) <= (L/2) psi(2x,2x).  For the power form the sharp
+    constants are L = 2^(p-1) (ascending, p < 1) and L = 2^(1-p)
+    (descending, p > 1), L = 2^(sign (p-1)) with ``theorem.SIGN``; omitted
+    L defaults to the sharp one for the declared direction.
 
     ``norm_fn`` computes the row-wise norm on coefficient vectors; the
     scenario layer wires in the Luxemburg norm of the configured modular
@@ -173,8 +177,7 @@ class PsiEnvelope:
         if self.p < 0:
             raise ConfigError("p must be nonnegative")
         if self.L is None:
-            sharp = THEOREMS[self.direction, "A"].sharp_L_sign * (self.p - 1.0)
-            object.__setattr__(self, "L", 2.0**sharp)
+            object.__setattr__(self, "L", 2.0 ** (SIGN[self.direction] * (self.p - 1.0)))
         if not (0.0 < self.L < 1.0):
             raise ConfigError(
                 f"L = {self.L} is outside (0, 1); the scaling law has no contraction there"
@@ -191,38 +194,44 @@ class PsiEnvelope:
         return float(out[0]) if sx else out
 
     def with_theta(self, theta):
-        return replace(self, theta=float(theta))
+        return PsiEnvelope(
+            theta=float(theta),
+            p=self.p,
+            L=self.L,
+            direction=self.direction,
+            norm_fn=self.norm_fn,
+        )
 
 
 def check_psi_law(psi, probes):
     """Scaling inequality on every probe plus an empirical vanishing test.
 
-    The direction's scaled sequence (``Theorem.law_at_2x``) over levels
-    n = 0..30 must decrease monotonically while it sits above a noise floor
-    of 1e-9 times its start value; values below the floor count as
-    converged to zero.  psi evaluates the levels on the stacked scaled
-    probes, in blocks of at most ``_kernels.BLOCK_ROWS`` rows, row by row,
-    as per-level calls would.  An overflow gives an
+    The scaled sequence (psi(2^n x, 2^n y)/2^n ascending, 2^n psi(x/2^n,
+    x/2^n) descending) over levels n = 0..30 must decrease monotonically
+    while it sits above a noise floor of 1e-9 times its start value; values
+    below the floor count as converged to zero.  psi evaluates the levels on
+    the stacked scaled probes, in blocks of at most ``_kernels.BLOCK_ROWS``
+    rows, row by row, as per-level calls would.  An overflow gives an
     infinite or NaN value, which fails the row, not a numpy warning.
 
     One row: its lhs is the probe-max scaling-law margin, or +inf when the
     vanishing test fails, against 0 and ``PSI_LAW_TOL``; its payload is
     ``law_margin``, ``decay_ok`` and ``decay_ratio``.
     """
-    theorem, n_levels = THEOREMS[psi.direction, "A"], 30
+    sign, n_levels = SIGN[psi.direction], 30
     X, Y = probes.x, probes.y
     n, dim = X.shape
-    s = 2.0 ** (theorem.sign * np.arange(n_levels + 1))[:, None]
+    s = 2.0 ** (sign * np.arange(n_levels + 1))[:, None]
     seq = np.empty((s.size, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for b in _kernels.row_blocks(s.size, n):
             sx = (s[b, :, None] * X).reshape(-1, dim)
-            sy = sx if theorem.law_at_2x else (s[b, :, None] * Y).reshape(-1, dim)
+            sy = sx if sign < 0 else (s[b, :, None] * Y).reshape(-1, dim)
             seq[b] = psi(sx, sy).reshape(seq[b].shape) / s[b]
         X2 = 2.0 * X
         at_x, at_2x = psi(X, X), psi(X2, X2)
-        lhs, rhs = (at_x, at_2x) if theorem.law_at_2x else (at_2x, at_x)
-        margins = lhs - (2.0**theorem.sign * psi.L) * rhs
+        lhs, rhs = (at_x, at_2x) if sign < 0 else (at_2x, at_x)
+        margins = lhs - (2.0**sign * psi.L) * rhs
     law_margin = float(margins[int(np.argmax(margins))])
 
     start = seq[0]

@@ -162,12 +162,14 @@ def _scaled_degenerate_family(table, psi1, rho_fn, theorem):
     where the left side is 0 (ascending B), and then the family yields
     nothing.  It ends at level min(n_max, ``table.below_cap``)."""
     cfg = table.cfg
-    last = min(cfg.n_max, table.below_cap)
-    if theorem.family is None or last < 0:
+    if theorem.family is None:
         return
     a, b = theorem.family
     x, z = cfg.probes.x, cfg.probes.z
     psi_z0 = psi1(z, np.zeros_like(z))
+    last = min(cfg.n_max, table.below_cap)
+    if last < 0:
+        return
     lo = table[0]
     for j, hi in table.span(1, last):  # j: the upper level of the block's first pair
         los = np.concatenate([lo[None], hi[:-1]])
@@ -179,7 +181,8 @@ def _scaled_degenerate_family(table, psi1, rho_fn, theorem):
 
 
 def calibrate_theta(
-    table, psi_proto, rho_fn, s, theorem, extra_count=CALIBRATION_EXTRA_COUNT, probe_parts=None,
+    table, psi_proto, rho_fn, s, theorem,
+    extra_count=CALIBRATION_EXTRA_COUNT, probe_parts=None,
 ):
     """Smallest theta (times ``CALIBRATION_SAFETY``) for which the
     inequality of the ``theorem.Theorem`` ``theorem`` holds on the enlarged
@@ -503,7 +506,7 @@ def _parse_stability(v):
         if it is not None:
             if psi is None:
                 raise ConfigError("iteration requires an envelope")
-            pert, above = bimap.perturbation, theorem.env_above_one
+            pert, above = bimap.perturbation, theorem.sign < 0
             if pert is not None and pert.name == "power_env" and (
                     pert.p <= 1.0 if above else pert.p >= 1.0):
                 raise ConfigError(f"{psi.direction} runs need a power_env exponent "
@@ -518,8 +521,12 @@ def _parse_stability(v):
             if chk in _NEEDS_ITERATION and table is None:
                 raise ConfigError(f"{chk} requires an iteration section")
 
-        return _Run(v["name"], algebra, mspec, bimap, v["s"], probes, theorem, psi,
-                    needs_calibration, table, v["checks"], v["biderivation_assert_slot2"])
+        return _Run(
+            v["name"], algebra, mspec, bimap, v["s"], probes,
+            theorem=theorem,
+            psi=psi, needs_calibration=needs_calibration, table=table,
+            checks=v["checks"], assert_slot2=v["biderivation_assert_slot2"],
+        )
 
 
 # -- run stages: calibrate, config echo, psi law, iterate --------------------
@@ -531,8 +538,10 @@ def _calibrate(run):
         if table is None:  # no iteration section: calibrate on a table of its own
             table = LevelTable(run.bimap, StabilizeConfig(direction=run.psi.direction,
                                                           probes=run.probes))
-        theta = calibrate_theta(table, run.psi, run.rho_fn, run.s, run.theorem,
-                                probe_parts=run.probe_parts(run.theorem.which))
+        theta = calibrate_theta(
+            table, run.psi, run.rho_fn, run.s, run.theorem,
+            probe_parts=run.probe_parts(run.theorem.which),
+        )
         run.psi = run.psi.with_theta(theta)
 
 

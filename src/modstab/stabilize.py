@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
 )
 from .report import CheckResult
-from .theorem import THEOREMS
+from .theorem import SIGN, THEOREMS
 
 
 # the largest level cap n_max a run accepts: 2.0**n overflows a float from
@@ -110,9 +110,10 @@ class LevelTable:
 
     ``table[n]`` is level n, read-only; ``table.span(first, last)`` yields
     (level, stack) pairs that cover levels first..last, one read-only stack
-    per block; ``sign`` is ``Theorem.sign``.  ``below_cap`` is the last level
-    whose scaled probes 2^n x stay within the magnitude cap, fixed by max
-    |x| (-1 when level 0 passes it, +inf for descending iterates).
+    per block; ``sign`` is the direction's ``theorem.SIGN``.  ``below_cap``
+    is the last level whose scaled probes 2^n x stay within the magnitude
+    cap, fixed by max |x| (-1 when level 0 passes it, +inf for descending
+    iterates, which have no cap).
 
     Level n lives in block n // k, k = ``_kernels._items_per_block(P)``,
     and blocks are cut after level min(n_max, below_cap).  The first read
@@ -131,7 +132,7 @@ class LevelTable:
         self.d = d
         self.cfg = cfg
         x = cfg.probes.x
-        self.sign = THEOREMS[cfg.direction, "A"].sign
+        self.sign = SIGN[cfg.direction]
         self.below_cap = math.inf
         if self.sign > 0:
             top = float(np.abs(x).max()) if x.size else 0.0

@@ -4,13 +4,14 @@ envelope's direction with which = "B" iff it checks ``inequality_B``."""
 
 from dataclasses import dataclass
 
+# J^n f(x, z) = 2^(-sign n) f(2^(sign n) x, z): the direction's scaling sign
+SIGN = {"ascending": 1, "descending": -1}
+
 
 @dataclass(frozen=True)
 class Theorem:
-    """The constants a stability theorem fixes, read by every stage; a
-    direction's two entries share the fields that follow the direction alone.
+    """The constants a stability theorem fixes, read by every stage.
 
-    - ``sign``: J^n f(x, z) = 2^(-sign n) f(2^(sign n) x, z), +1 ascending.
     - ``y_is_x``: the tuple that seeds the iteration is (x, x, z, 0), with
       rho-tilde's weight psi(x, x) psi(z, 0); else (x, 0, z, 0), psi(x, 0) psi(z, 0).
     - ``term_offset``: the majorant's term psi_i is psi at (u, u), or at
@@ -19,32 +20,23 @@ class Theorem:
       n - 1's; descending, the recursion unrolled at ``modular.KAPPA`` = 2.
     - ``family``: (a, b), calibration's tuple at level i is scaled by
       2^(a + b i); None where its left side is 0 (ascending B).
-    - ``law_at_2x``: the psi law is psi(x, x) <= (L/2) psi(2x, 2x), with the
-      decay sequence 2^n psi(x / 2^n, x / 2^n); else psi(2x, 2x) <= 2L psi(x, x),
-      with psi(2^n x, 2^n y) / 2^n.
-    - ``sharp_L_sign``: the power envelope's sharp L is 2^(sharp_L_sign (p - 1)).
-    - ``env_above_one``: a ``power_env`` exponent must be above 1, else below.
     """
 
     direction: str
     which: str
-    sign: int
     y_is_x: bool
     term_offset: int
     step: tuple
     family: tuple | None
-    law_at_2x: bool
-    sharp_L_sign: int
-    env_above_one: bool
+
+    @property
+    def sign(self):
+        return SIGN[self.direction]
 
 
-_ASCENDING = dict(direction="ascending", sign=1, step=(-1, 0), law_at_2x=False, sharp_L_sign=1,
-                  env_above_one=False)
-_DESCENDING = dict(direction="descending", sign=-1, step=(1, -1), law_at_2x=True,
-                   sharp_L_sign=-1, env_above_one=True)
 THEOREMS = {(t.direction, t.which): t for t in (
-    Theorem(which="A", y_is_x=True, term_offset=1, family=(2, 1), **_ASCENDING),
-    Theorem(which="B", y_is_x=True, term_offset=1, family=None, **_ASCENDING),
-    Theorem(which="A", y_is_x=True, term_offset=0, family=(1, -1), **_DESCENDING),
-    Theorem(which="B", y_is_x=False, term_offset=1, family=(2, -1), **_DESCENDING),
+    Theorem("ascending", "A", y_is_x=True, term_offset=1, step=(-1, 0), family=(2, 1)),
+    Theorem("ascending", "B", y_is_x=True, term_offset=1, step=(-1, 0), family=None),
+    Theorem("descending", "A", y_is_x=True, term_offset=0, step=(1, -1), family=(1, -1)),
+    Theorem("descending", "B", y_is_x=False, term_offset=1, step=(1, -1), family=(2, -1)),
 )}

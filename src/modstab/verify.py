@@ -242,6 +242,17 @@ def check_stability_bound(d_vals, D_vals, psi, rho_fn, probes):
     return _per_probe("stability_bound", lhs, hyers_bound(psi, probes.x, probes.z), INEQUALITY_TOL)
 
 
+# The telescoping majorants bound the defect against the level-0 map.
+# Ascending uses the geometric partial sum
+#     sum_{i<=n} 2^-i psi(2^(i-1) x, 2^(i-1) x) psi(z, 0),
+# whose full sum is bounded by psi(x,x) psi(z,0)/(2(1-L)).  Descending
+# unrolls the recursion at the doubling constant ``modular.KAPPA`` = 2,
+#     sum_{i<=n} 2^(i-1) psi_i psi(z, 0),
+# in two variants: A's psi_i = psi(x / 2^i, x / 2^i), B's psi(x / 2^(i-1), 0).
+# ``theorem.THEOREMS`` holds each as a term offset and step.  The full
+# bound is ``hyers_bound`` on the probes.
+
+
 def _majorant_terms(theorem, psi, X, span):
     """The majorant's term psi_i for each level i of ``span``, from one
     psi call on the stacked scaled probes: a (k, P) array.  psi_i is psi at
@@ -254,8 +265,7 @@ def _majorant_terms(theorem, psi, X, span):
 
 
 def _majorants(theorem, terms):
-    """The telescoping majorants of levels 1..N, bounds on the defect
-    against level 0, before their psi(z, 0) factor, an
+    """The majorants of levels 1..N before their psi(z, 0) factor, an
     (N, P) array, from their ``terms`` psi_1..psi_N: row n adds c_n psi_n
     to the row before it, in level order, from a +0.0 start row, with the
     Python float c_n = 2^(m n + c), (m, c) = ``theorem.step``."""
@@ -272,7 +282,10 @@ def check_telescoping(table, psi, rho_fn, n, theorem):
     both are at most ``INEQUALITY_TOL`` (its lhs is the larger, NaN if
     either is).  The majorant is that of the run's ``theorem.Theorem``
     ``theorem``, in the table's direction; each row has the bits it gets
-    alone.  n is the run's stopping level."""
+    alone.  n is the run's stopping level.  psi and the theorem must scale
+    in the table's direction."""
+    if not psi.direction == table.cfg.direction == theorem.direction:
+        raise PreconditionError("psi, the iteration and the theorem disagree on the direction")
     X, Z = table.cfg.probes.x, table.cfg.probes.z
     origin, defect = table[0], []
     for _, block in table.span(1, n):

@@ -158,6 +158,15 @@ class _Levels:
         yield first, self.stack[first:last + 1]
 
 
+class _UnitPsi:
+    """psi = 1 on every row, scaling in ``_Levels``' direction."""
+
+    direction = "ascending"
+
+    def __call__(self, a, b):
+        return np.ones(len(a))
+
+
 def test_telescoping_passes_a_level_iff_both_its_margins_pass(monkeypatch):
     # the row's lhs is the larger margin, and a NaN in either fails the row:
     # with psi = 1, rho the real part and the majorants and the bound set
@@ -166,7 +175,7 @@ def test_telescoping_passes_a_level_iff_both_its_margins_pass(monkeypatch):
     defects = [nan, 1.0, 1.0, 1.0, 1.0 + e29, 1.0 + e31]
     majorants = [0.0, nan, 1.0, 1.0 - e29, 1.0 + e29, 2.0 + e31]
     monkeypatch.setattr(verify, "_majorants", lambda theorem, terms: np.array(majorants)[:, None])
-    run = SimpleNamespace(table=_Levels(defects), psi=lambda a, b: np.ones(len(a)),
+    run = SimpleNamespace(table=_Levels(defects), psi=_UnitPsi(),
                           rho_fn=lambda rows: rows[:, 0].real,
                           theorem=THEOREMS["ascending", "A"],
                           outcome=SimpleNamespace(N_converged=len(defects)))

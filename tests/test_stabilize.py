@@ -165,7 +165,8 @@ def telescoping(table, psi):
     its levels 1..N, both under inequality A's substitution: (outcome,
     kappa margins, final margins)."""
     out = stabilize(table, psi, rho_rows)
-    tel = check_telescoping(table, psi, rho_rows, out.N_converged, THEOREMS["ascending", "A"])
+    tel = check_telescoping(table, psi, rho_rows, out.N_converged,
+                            THEOREMS[table.cfg.direction, "A"])
     return out, tel.columns["kappa_margin"], tel.columns["final_margin"]
 
 
@@ -192,6 +193,17 @@ def test_descending_table_detects_undersized_envelope():
     psi = PsiEnvelope(theta=eps / 4.0, p=2.0, direction="descending")
     _, kappa_margin, _ = telescoping(LevelTable(d, cfg), psi)
     assert np.any(kappa_margin > 0)
+
+
+def test_telescoping_refuses_a_theorem_of_another_direction():
+    # the majorant follows the theorem: one whose direction is not the
+    # table's would bound descending iterates by the ascending sum
+    d = BiMap(algebra=MATRIX2, kernel="commutator",
+              perturbation=Perturbation("power_env", 0.01, p=2.0))
+    cfg = StabilizeConfig(direction="descending", probes=draw_probes(4, 17, 1.0, seed=9))
+    psi = PsiEnvelope(theta=0.01, p=2.0, direction="descending")
+    with pytest.raises(PreconditionError, match="direction"):
+        check_telescoping(LevelTable(d, cfg), psi, rho_rows, 2, THEOREMS["ascending", "A"])
 
 
 def test_ascending_partial_sums_majorize_with_slack():
