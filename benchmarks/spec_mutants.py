@@ -43,6 +43,11 @@ MUTANTS = {
         "theorem.py", 'Theorem("descending", "B", y_is_x=False, term_offset=1, step=(1, -1), '
         'family=(2, -1))',
         'Theorem("descending", "B", y_is_x=True, term_offset=0, step=(1, -1), family=(1, -1))'),
+    "inequality A's left side reads f(l(x - y), z - w) for f(l(x + y), z - w)": (
+        "verify.py", "(lamc * xp, zp), (lamc * xp, zm),", "(lamc * xp, zp), (lamc * xm, zm),"),
+    "a stacked map call's pairs come back in reverse order": (
+        "bimaps.py", "list(vals.reshape(len(xs), n, vals.shape[1]))",
+        "list(vals.reshape(len(xs), n, vals.shape[1]))[::-1]"),
     "ascending B gets a scaled family": (
         "theorem.py", 'Theorem("ascending", "B", y_is_x=True, term_offset=1, step=(-1, 0), '
         'family=None)',

@@ -55,10 +55,11 @@ class BiMap:
     """Evaluatable map d(x, z) = kernel + optional perturbation, A x A -> A.
 
     The kernel is exactly bilinear: a named closed form over the algebra
-    product, held as one structure tensor T, built at construction, and
-    evaluated as sum_ij x_i z_j T[i,j,:] (x conjugated for
-    conjugate_product).  Perturbed maps need not be bilinear, but every
-    map vanishes on the axes: each perturbation is zero at x = 0 and at z = 0.
+    product, held as one structure tensor T, built at construction with
+    its ``_kernels.product_plan``, and evaluated as sum_ij x_i z_j T[i,j,:]
+    (x conjugated for conjugate_product).  Perturbed maps need not be
+    bilinear, but every map vanishes on the axes: each perturbation is zero
+    at x = 0 and at z = 0.
     """
 
     algebra: AlgebraSpec
@@ -66,6 +67,7 @@ class BiMap:
     coeff: complex = 1.0 + 0.0j
     perturbation: Perturbation | None = None
     kernel_tensor: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    kernel_plan: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kernel is not None and self.kernel not in KERNEL_FORMS:
@@ -79,6 +81,7 @@ class BiMap:
         elif self.kernel is not None:  # product, conjugate_product
             t = self.coeff * c
         object.__setattr__(self, "kernel_tensor", t)
+        object.__setattr__(self, "kernel_plan", None if t is None else _kernels.product_plan(t))
 
     def __call__(self, x, z):
         X, sx = _kernels._rows(x)
@@ -94,7 +97,8 @@ class BiMap:
             if self.kernel_tensor is not None:
                 left = np.conj(X) if self.kernel == "conjugate_product" else X
                 # batch_mul sums from +0.0, so the product holds no -0.0 and needs no zero-fill
-                out = np.ascontiguousarray(_kernels.batch_mul(left, Z, self.kernel_tensor))
+                out = np.ascontiguousarray(
+                    _kernels.batch_mul(left, Z, self.kernel_tensor, self.kernel_plan))
             else:
                 out = np.zeros(X.shape, dtype=np.complex128)
             if g is not None:
@@ -122,6 +126,30 @@ class BiMap:
 def not_finite_at(row):
     """The error of a map evaluation that is not finite at batch row ``row``."""
     return NonFiniteValueError(f"map evaluation is not finite at batch row {row}", probe_id=row)
+
+
+def map_pairs(f, pairs, rows=None):
+    """f(x, z) for each (x, z) of ``pairs``, whose arrays have one row count
+    n, as a list in pair order: from stacked map calls of at most
+    ``_kernels.BLOCK_ROWS`` rows, as many pairs per call as fit, or one
+    pair per call when a pair alone is wider.  A row's value does not
+    depend on its batch, so each is the value of f(x, z) alone.
+
+    A map error names its row of the pair, as a call on the pair alone
+    would, or ``rows[that row]`` when the pairs' rows were taken at
+    ``rows`` of a batch."""
+    n, out = len(pairs[0][0]), []
+    for b in _kernels.row_blocks(len(pairs), n):
+        xs, zs = zip(*pairs[b])
+        try:
+            vals = f(xs[0], zs[0]) if len(xs) == 1 else f(np.concatenate(xs), np.concatenate(zs))
+        except NonFiniteValueError as e:
+            if e.probe_id is None:
+                raise
+            row = e.probe_id % n
+            raise not_finite_at(row if rows is None else int(rows[row])) from None
+        out += [vals] if len(xs) == 1 else list(vals.reshape(len(xs), n, vals.shape[1]))
+    return out
 
 
 def _stacked_call(f, factors, X, Z):

@@ -188,7 +188,9 @@ def calibrate_theta(
     inequality of the ``theorem.Theorem`` ``theorem`` holds on the enlarged
     family; raises if a tuple whose envelope is at most
     ``bimaps.WEIGHT_FLOOR`` carries a defect above ``bimaps.DEFECT_FLOOR``,
-    since no amplitude can repair that.
+    since no amplitude can repair that, and likewise if the inequality's
+    sums overflow float64: a NaN need, or a largest need / unit whose theta
+    is not finite.  Such an overflow raises no numpy warning.
 
     The map, the probes and the level count n_max are those of ``table``,
     a LevelTable whose direction must be the envelope's and the theorem's.
@@ -209,8 +211,10 @@ def calibrate_theta(
     unweighted row with lhs > DEFECT_FLOOR.  Every other row takes rhs = 0,
     which changes neither: rho >= 0 and rounding is monotone, so its
     fl((lhs - rhs) / unit) <= fl(lhs / unit) <= the max, and lhs - rhs <=
-    lhs <= DEFECT_FLOOR.  The probes' right side, shared with the
-    inequality check, is evaluated in full; the scaled family has none."""
+    lhs <= DEFECT_FLOOR.  A right side that would overflow to NaN on such a
+    row is not seen, as a map error there is not.  The probes' right side,
+    shared with the inequality check, is evaluated in full; the scaled
+    family has none."""
     bimap, probes = table.d, table.cfg.probes
     if not psi_proto.direction == table.cfg.direction == theorem.direction:
         raise ConfigError(f"the level table was built for {table.cfg.direction} iterates, the "
@@ -244,14 +248,19 @@ def calibrate_theta(
         yield from _scaled_degenerate_family(table, psi1, rho_fn, theorem)
 
     required = 0.0
-    for need, unit in family():
-        weighted = unit > WEIGHT_FLOOR
-        if np.any(~weighted & (need > DEFECT_FLOOR)):
-            raise ConfigError(
-                "defect does not vanish where the envelope does; no theta can calibrate it"
-            )
-        if np.any(weighted):
-            required = max(required, float(np.max(need[weighted] / unit[weighted])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for need, unit in family():
+            weighted = unit > WEIGHT_FLOOR
+            if np.any(~weighted & (need > DEFECT_FLOOR)):
+                raise ConfigError(
+                    "defect does not vanish where the envelope does; no theta can calibrate it"
+                )
+            # NaN where a need or a ratio is, which Python's max would pass over
+            peak = np.max(need[weighted] / unit[weighted], initial=required)
+            if np.isnan(need).any() or not peak * CALIBRATION_SAFETY < np.inf:
+                raise ConfigError("the inequality's defect overflows float64 on the "
+                                  "calibration family; no theta can calibrate it")
+            required = float(peak)
     return max(required * CALIBRATION_SAFETY, 1e-12)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from ._kernels import row_blocks
 from .algebra import mul, sample_unit_circle, three_unimodular_decomposition
-from .bimaps import _stacked_call, not_finite_at
-from .errors import ConfigError, NonFiniteValueError, PreconditionError
+from .bimaps import _stacked_call, map_pairs
+from .errors import ConfigError, PreconditionError
 from .report import ABSENT, CheckResult
 from .stabilize import hyers_bound
 
@@ -40,6 +40,12 @@ def inequality_parts(f, rho_fn, s, X, Y, Z, W, lam, which="A", keep=None):
     envelope calibration, which maximizes (lhs - rhs) over enlarged tuple
     families.
 
+    Each side's map values, f(x, z) with the left side's, come from one
+    ``bimaps.map_pairs`` call, so a map call spans at most
+    ``_kernels.BLOCK_ROWS`` rows, and each side is reduced to its modular
+    before the other is evaluated.  A sum that overflows gives an infinite
+    or NaN value, not a numpy warning.
+
     ``keep``, when given, is called on the left side once it is evaluated
     and returns the rows (an index array) whose right side is wanted; the
     right side's map and modular calls then take those rows only (none when
@@ -54,53 +60,36 @@ def inequality_parts(f, rho_fn, s, X, Y, Z, W, lam, which="A", keep=None):
     lamc = lam[:, None]
     xp, xm = X + Y, X - Y
     zp, zm = Z + W, Z - W
-    # f(x, z) is shared by both sides, and each side is reduced to its
-    # modular before the other is built, so one (n, dim) side vector
-    # is alive at a time
-    fxz = f(X, Z)
-    if which == "A":
-        lhs = rho_fn(
-            f(lamc * xp, zp)
-            + f(lamc * xp, zm)
-            + f(lamc * xm, zp)
-            + f(lamc * xm, zm)
-            - 4.0 * lamc * fxz
-        )
-    else:
-        lhs = rho_fn(
-            4.0 * (f(lamc * xp / 2.0, zm) + f(lamc * xm / 2.0, zp) - lamc * fxz + lamc * f(Y, W))
-        )
-    if keep is not None:
-        rows = keep(lhs)
-        if not rows.size:
-            return lhs, np.zeros_like(lhs)
-        f = _at_rows(f, rows)
-        xp, xm, zp, zm, fxz, Y, W = (a[rows] for a in (xp, xm, zp, zm, fxz, Y, W))
-    # an explicit multiply, never numpy's in-place reuse of a large
-    # temporary, whose complex loop rounds differently: a row's bits must
-    # not depend on its batch
-    if which == "A":
-        rhs = rho_fn(np.multiply(4.0 * s, f(xp / 2.0, zm) + f(xm / 2.0, zp) - fxz + f(Y, W)))
-    else:
-        rhs = rho_fn(np.multiply(s, f(xp, zp) + f(xp, zm) + f(xm, zp) + f(xm, zm) - 4.0 * fxz))
+    # fpm is f at (a multiple of x + y, z - w), fmp at (one of x - y, z + w),
+    # and so on; fyw is f(y, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if which == "A":
+            fxz, fpp, fpm, fmp, fmm = map_pairs(f, [
+                (X, Z), (lamc * xp, zp), (lamc * xp, zm), (lamc * xm, zp), (lamc * xm, zm)])
+            lhs = rho_fn(fpp + fpm + fmp + fmm - 4.0 * lamc * fxz)
+        else:
+            fxz, fpm, fmp, fyw = map_pairs(f, [
+                (X, Z), (lamc * xp / 2.0, zm), (lamc * xm / 2.0, zp), (Y, W)])
+            lhs = rho_fn(4.0 * (fpm + fmp - lamc * fxz + lamc * fyw))
+        rows = None
+        if keep is not None:
+            rows = keep(lhs)
+            if not rows.size:
+                return lhs, np.zeros_like(lhs)
+            xp, xm, zp, zm, fxz, Y, W = (a[rows] for a in (xp, xm, zp, zm, fxz, Y, W))
+        # an explicit multiply, never numpy's in-place reuse of a large
+        # temporary, whose complex loop rounds differently: a row's bits must
+        # not depend on its batch
+        if which == "A":
+            fpm, fmp, fyw = map_pairs(f, [(xp / 2.0, zm), (xm / 2.0, zp), (Y, W)], rows)
+            rhs = rho_fn(np.multiply(4.0 * s, fpm + fmp - fxz + fyw))
+        else:
+            fpp, fpm, fmp, fmm = map_pairs(f, [(xp, zp), (xp, zm), (xm, zp), (xm, zm)], rows)
+            rhs = rho_fn(np.multiply(s, fpp + fpm + fmp + fmm - 4.0 * fxz))
     if keep is not None:
         rhs, kept = np.zeros_like(lhs), rhs
         rhs[rows] = kept
     return lhs, rhs
-
-
-def _at_rows(f, rows):
-    """The map ``f`` on arguments taken at ``rows`` of a batch: a map error
-    names its row of the batch, not its place among ``rows``."""
-    def f_at_rows(x, z):
-        try:
-            return f(x, z)
-        except NonFiniteValueError as e:
-            if e.probe_id is None:
-                raise
-            raise not_finite_at(int(rows[e.probe_id])) from None
-
-    return f_at_rows
 
 
 def _check_inequality(which, f, rho_fn, s, psi, probes, parts):
@@ -150,11 +139,16 @@ def check_biadditivity(f, rho_fn, probes, tol=IDENTITY_TOL, fxz=None):
     is f(x, z) on the probes when the caller already has it (a run's level
     table does)."""
     X, Y, Z, W = probes.x, probes.y, probes.z, probes.w
-    # f(x, z) serves both slots; the map calls keep their order
-    fXYZ = f(X + Y, Z)
-    fXZ = f(X, Z) if fxz is None else fxz
-    slot1 = rho_fn(fXYZ - fXZ - f(Y, Z))
-    slot2 = rho_fn(f(X, Z + W) - fXZ - f(X, W))
+    # f(x, z) serves both slots; the map values keep their order
+    pairs = [(X + Y, Z), (X, Z), (Y, Z), (X, Z + W), (X, W)]
+    if fxz is not None:
+        del pairs[1]
+    vals = map_pairs(f, pairs)
+    if fxz is not None:
+        vals.insert(1, fxz)
+    fXYZ, fXZ, fYZ, fXZW, fXW = vals
+    slot1 = rho_fn(fXYZ - fXZ - fYZ)
+    slot2 = rho_fn(fXZW - fXZ - fXW)
     results = []
     for name, residuals in (("biadditivity_slot1", slot1), ("biadditivity_slot2", slot2)):
         witness = int(np.argmax(residuals))
@@ -316,14 +310,12 @@ def check_biderivation(f, rho_fn, alg, psi, probes, assert_slot2=False):
     X, Y, Z, W = probes.x, probes.y, probes.z, probes.w
     env = psi(X, Y) * psi(Z, W) if psi is not None else np.zeros(len(probes.x))
 
-    # f(x, z) serves both slots; the map calls keep their order
-    fXYZ, fXZ = f(mul(X, Y, alg), Z), f(X, Z)
-    lhs1 = rho_fn(fXYZ - mul(fXZ, Y, alg) - mul(X, f(Y, Z), alg))
+    # f(x, z) serves both slots; the map values keep their order
+    fXYZ, fXZ, fYZ, fXZW, fXW = map_pairs(
+        f, [(mul(X, Y, alg), Z), (X, Z), (Y, Z), (X, mul(Z, W, alg)), (X, W)])
+    lhs1 = rho_fn(fXYZ - mul(fXZ, Y, alg) - mul(X, fYZ, alg))
     slot1 = _per_probe("biderivation_slot1", lhs1, env, IDENTITY_TOL)
-
-    lhs2 = rho_fn(
-        f(X, mul(Z, W, alg)) - mul(fXZ, W, alg) - mul(Z, f(X, W), alg)
-    )
+    lhs2 = rho_fn(fXZW - mul(fXZ, W, alg) - mul(Z, fXW, alg))
     slot2 = _per_probe("biderivation_slot2", lhs2, env, IDENTITY_TOL, advisory=not assert_slot2)
     return slot1, slot2
 
@@ -333,6 +325,7 @@ def check_superstability(d, rho_fn, probes):
     d(2x, z) = 2 d(x, z) on every probe (to ``IDENTITY_TOL``), being its own
     limit.  One row, whose payload is the probe-sup ``sup_residual``."""
     X, Z = probes.x, probes.z
-    res = rho_fn(d(2.0 * X, Z) - 2.0 * d(X, Z))
+    d2XZ, dXZ = map_pairs(d, [(2.0 * X, Z), (X, Z)])
+    res = rho_fn(d2XZ - 2.0 * dXZ)
     sup = float(np.max(res))
     return CheckResult.one("superstability", sup, 0.0, IDENTITY_TOL, {"sup_residual": sup})

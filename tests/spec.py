@@ -19,7 +19,7 @@ Axioms runs are out of scope: ``_run_axioms`` has no optimisation to pin.
 One difference is known: the package evaluates a random tuple's right side
 only where its left side can raise theta, so a map overflow confined to
 skipped right sides (radius 4.57e76) ends its run with exit 1, this one
-with exit 2.
+with exit 2, and so would a right side's sum that overflows to NaN there.
 """
 
 import numpy as np
@@ -150,7 +150,8 @@ def calibrate(f, psi, rho, s, which, probes, extra, it):
     """1.05 times the largest need / unit, at least 1e-12, over the probes,
     the random tuples ``extra`` and the scaled family of ``it``, each family
     evaluated when it is reached; a defect above 1e-12 where the unit is at
-    most 1e-15 is refused."""
+    most 1e-15 is refused, and so is an overflow: a NaN need, or a need /
+    unit whose theta is not finite."""
     psi1 = psi.with_theta(1.0)
 
     def family():
@@ -160,13 +161,17 @@ def calibrate(f, psi, rho, s, which, probes, extra, it):
         yield from scaled_family(it, psi1, rho, which)
 
     required = 0.0
-    for need, unit in family():
-        weighted = unit > 1e-15
-        if np.any(~weighted & (need > 1e-12)):
-            raise ConfigError("defect does not vanish where the envelope does; "
-                              "no theta can calibrate it")
-        if np.any(weighted):
-            required = max(required, float(np.max(need[weighted] / unit[weighted])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for need, unit in family():
+            weighted = unit > 1e-15
+            if np.any(~weighted & (need > 1e-12)):
+                raise ConfigError("defect does not vanish where the envelope does; "
+                                  "no theta can calibrate it")
+            ratios = need[weighted] / unit[weighted]
+            if np.any(np.isnan(need)) or not np.all(ratios * 1.05 < np.inf):
+                raise ConfigError("the defect overflows float64; no theta can calibrate it")
+            if np.any(weighted):
+                required = max(required, float(np.max(ratios)))
     return max(required * 1.05, 1e-12)
 
 

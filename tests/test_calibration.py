@@ -123,8 +123,9 @@ class ScaledProbeCounter:
 
 def test_shared_table_evaluates_each_scaled_level_once():
     # calibration, the iteration and the uniqueness check read one table;
-    # the one extra level-0 call is f(x, z) inside the inequality at the
-    # scenario probes, which is not a scaled iterate.  At 64 probes the
+    # the one extra level-0 block is f(x, z) inside the inequality at the
+    # scenario probes, which is not a scaled iterate: it shares one map
+    # call with the left side's four terms (5 x 64 rows).  At 64 probes the
     # table's blocks span 32 levels: levels 0..n_max = 40 take two map
     # calls, and no level past n_max is evaluated
     probes = draw_probes(4, 64, 1.0, 13)
@@ -137,13 +138,13 @@ def test_shared_table_evaluates_each_scaled_level_once():
     once = Counter(range(cfg.n_max + 1))
     blocks = [32 * len(probes), 9 * len(probes)]
     assert d.calls == once + Counter({0: 1})
-    assert d.scaled_widths == [len(probes)] + blocks
+    assert d.scaled_widths == [5 * len(probes)] + blocks
     psi = proto("ascending").with_theta(theta)
     out = stabilize(table, psi, rho_rows)
     assert out.converged and out.N_converged < cfg.n_max
     assert check_uniqueness(out, rho_rows, table).passed.all()
     assert d.calls == once + Counter({0: 1})
-    assert d.scaled_widths == [len(probes)] + blocks
+    assert d.scaled_widths == [5 * len(probes)] + blocks
 
 
 def test_calibration_refuses_a_table_of_other_iterates():
@@ -170,10 +171,11 @@ def test_given_probe_parts_are_not_evaluated_again():
                             0.5, THEOREMS["ascending", "A"], extra_count=EXTRA, probe_parts=parts)
     assert theta == calibrate_theta(table_of(d, probes, "ascending"), proto("ascending"),
                                     rho_rows, 0.5, THEOREMS["ascending", "A"], extra_count=EXTRA)
-    # the random family's five left-side calls on every row and its three
-    # right-side calls on the two rows whose left side can raise theta, then
-    # the table's 41 levels in blocks of 32 levels (2 calls); no probe-family call
-    assert seen == [EXTRA] * 5 + [2] * 3 + [32 * len(probes), 9 * len(probes)]
+    # the random family's five left-side terms on every row, four to a
+    # 2,048-row call, and its three right-side terms on the two rows whose
+    # left side can raise theta, in one call; then the table's 41 levels in
+    # blocks of 32 levels (2 calls); no probe-family call
+    assert seen == [4 * EXTRA, EXTRA, 3 * 2] + [32 * len(probes), 9 * len(probes)]
 
 
 def blind_below(t):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modstab import ConfigError, _kernels, preset
+from modstab import BiMap, ConfigError, _kernels, preset
 
 
 def batches(seed, n=257, d=4):
@@ -145,6 +145,22 @@ def test_batch_mul_matches_the_entry_order_loop_on_the_algebra_tensors():
     commutator = c - c.transpose(1, 0, 2)
     assert np.count_nonzero(commutator) == 12
     assert len({(i, j) for i, j, _ in zip(*np.nonzero(commutator))}) == 10
+
+
+@pytest.mark.parametrize("form", ["commutator", "product", "conjugate_product"])
+def test_a_map_walks_the_product_plan_of_its_tensor(form):
+    # the plan is made once per map, with Python coefficients; a call
+    # that passes it has the bits of one that derives it
+    d = BiMap(algebra=preset("matrix2"), kernel=form, coeff=0.75 - 1.25j)
+    t, plan = d.kernel_tensor, d.kernel_plan
+    assert plan == _kernels.product_plan(t)
+    assert [(i, j, k) for i, j, terms in plan for k, _ in terms] == [
+        tuple(e) for e in np.argwhere(t).tolist()]
+    assert all(type(c) is complex for _, _, terms in plan for _, c in terms)
+    rng = np.random.default_rng(43)
+    a, b = _signed_inputs(rng, 300, 4), _signed_inputs(rng, 300, 4)
+    assert np.array_equal(_cbits(_kernels.batch_mul(a, b, t, plan)),
+                          _cbits(_kernels.batch_mul(a, b, t)))
 
 
 @pytest.mark.parametrize("seed", range(6))

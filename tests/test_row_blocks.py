@@ -22,6 +22,10 @@ from modstab import (
 )
 from modstab import _kernels
 from modstab._kernels import BLOCK_ROWS, row_blocks
+from modstab.bimaps import map_pairs, not_finite_at
+from modstab.errors import NonFiniteValueError
+from modstab.modular import eval_modular
+from modstab.verify import inequality_parts
 
 MATRIX2 = preset("matrix2")
 N = BLOCK_ROWS + 37
@@ -144,3 +148,81 @@ def test_psi_law_in_blocks_equals_per_level_calls(direction):
     psi = PsiEnvelope(theta=1.0, p=0.5 if direction == "ascending" else 2.0, direction=direction)
     rep = check_psi_law(psi, probes)
     assert list(rep) == [spec.psi_law(psi, probes.x, probes.y)] and rep.passed.all()
+
+
+class CallWidths:
+    """A map that records the rows of each call, and is not finite at the
+    rows whose first argument is ``marker``, as the map is at an overflow."""
+
+    def __init__(self, d, marker=None):
+        self.d, self.algebra, self.marker, self.widths = d, d.algebra, marker, []
+
+    def __call__(self, x, z):
+        self.widths.append(len(x))
+        if self.marker is not None:
+            bad = np.flatnonzero((x == self.marker).all(axis=1))
+            if bad.size:
+                raise not_finite_at(int(bad[0]))
+        return self.d(x, z)
+
+
+PAIRS = 5
+
+
+def _pairs(n):
+    """PAIRS argument pairs of n random rows each."""
+    return [(_rows(10 + k, n), _rows(20 + k, n)) for k in range(PAIRS)]
+
+
+# 409 rows fit five pairs in a call and 410 four; 512 fill a call with four,
+# 1,025 leave one to a call, as a pair wider than a call does
+@pytest.mark.parametrize("n", [17, 409, 410, 512, 1025, BLOCK_ROWS + 3])
+def test_map_pairs_equal_per_pair_calls(n):
+    d = BiMap(algebra=MATRIX2, kernel="commutator", coeff=0.75 - 1.25j,
+              perturbation=Perturbation("bounded_osc", 0.3, boundary_safe=True))
+    pairs, counted = _pairs(n), CallWidths(d)
+    got = map_pairs(counted, pairs)
+    assert len(got) == PAIRS
+    for vals, (x, z) in zip(got, pairs):
+        assert _same_bits(vals, d(x, z))
+    per_call = _kernels._items_per_block(n)
+    assert counted.widths == [n * len(range(k, min(k + per_call, PAIRS)))
+                              for k in range(0, PAIRS, per_call)]
+
+
+@pytest.mark.parametrize("n", [17, 410, 1025])
+@pytest.mark.parametrize("k", [0, 3, PAIRS - 1])
+def test_a_map_error_in_a_stacked_call_names_the_row_of_its_pair(n, k):
+    pairs = _pairs(n)
+    r = n // 2
+    f = CallWidths(BiMap(algebra=MATRIX2), marker=pairs[k][0][r])
+    with pytest.raises(NonFiniteValueError, match=f"at batch row {r}$") as exc:
+        map_pairs(f, pairs)
+    assert exc.value.probe_id == r
+    # on rows taken at ``rows`` of a batch, the error names the batch row
+    rows = np.arange(n) * 3 + 1
+    with pytest.raises(NonFiniteValueError, match=f"at batch row {rows[r]}$"):
+        map_pairs(f, pairs, rows)
+
+
+@pytest.mark.parametrize("which, term", [("A", 0), ("A", 1), ("B", 2), ("B", 3)])
+def test_a_map_error_on_kept_rows_of_a_stacked_side_names_the_batch_row(which, term):
+    # the map fails on one kept row of the right side's term ``term``,
+    # which shares its map call with the other terms
+    probes = draw_probes(4, 64, 1.0, 34)
+    x, y, z, w = probes.x, probes.y, probes.z, probes.w
+    xp, xm = x + y, x - y
+    firsts = {"A": [xp / 2.0, xm / 2.0, y], "B": [xp, xp, xm, xm]}[which]
+    kept = np.array([2, 19, 40, 63])
+    f = CallWidths(BiMap(algebra=MATRIX2), marker=firsts[term][40])
+
+    def rho(rows):
+        return eval_modular(ModularSpec("norm"), rows)
+
+    args = (f, rho, 0.5, x, y, z, w, probes.lam)
+    with pytest.raises(NonFiniteValueError, match="at batch row 40$") as exc:
+        inequality_parts(*args, which=which, keep=lambda lhs: kept)
+    assert exc.value.probe_id == 40
+    assert f.widths[-1] == len(firsts) * len(kept)
+    with pytest.raises(NonFiniteValueError, match="at batch row 40$"):
+        inequality_parts(*args, which=which)

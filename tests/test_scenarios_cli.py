@@ -401,6 +401,28 @@ def test_cli_decompose_out_of_disc_message(capsys):
     assert capsys.readouterr().err == "error: |w| = 1.41421e+308 exceeds 3\n"
 
 
+def test_repeated_cli_calls_in_one_process_each_get_their_own_arguments(tmp_path, capsys):
+    # the parser is shared by every call: nothing of one call's arguments
+    # may reach the next
+    name = "superstability-commutator"
+    default_seed = builtin_scenarios()[name]["probes"]["seed"]
+    seeds = []
+    for extra in (["--seed-override", "7"], []):
+        out = tmp_path / "report.jsonl"
+        assert cli_main(["run", name, *extra, "--out", str(out), "--quiet"]) == 0
+        seeds.append(json.loads(out.read_text().splitlines()[0])["seed"])
+    assert seeds == [7, default_seed]
+    assert capsys.readouterr() == ("", "")
+    assert cli_main(["norm", "power:2", "[3, [0, 4]]"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(5.0, abs=1e-9)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: config" in capsys.readouterr().err
+    assert cli_main(["list"]) == 0
+    assert capsys.readouterr().out.split() == list_builtin_scenarios()
+
+
 def test_cli_run_builtin_to_file(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     code = cli_main(["run", "superstability-commutator", "--out", str(out), "--quiet"])
@@ -556,6 +578,25 @@ def test_cli_run_numeric_abort_raises_no_numpy_warning(tmp_path):
         code, lines = _run_to_report(cfg, tmp_path)
     assert code == 2 and len(lines) == 2
     assert "not finite" in lines[1]["payload"]["error"]
+
+
+@pytest.mark.parametrize("name, error", [
+    # every map value is finite, but the inequality's sums overflow:
+    # calibration refuses, where theta would be inf
+    ("corollary-ascending-p05",
+     "the inequality's defect overflows float64 on the calibration family; "
+     "no theta can calibrate it"),
+    ("corollary-descending-p2", "map evaluation is not finite at batch row 3"),
+    ("inequality-B-descending", "map evaluation is not finite at batch row 1"),
+], ids=["ascending", "descending", "B-descending"])
+def test_an_epsilon_of_1e308_exits_two_without_a_warning(name, error):
+    cfg = builtin_scenarios()[name]
+    cfg["map"]["perturbation"]["epsilon"] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_scenario(cfg)
+    assert result.exit_code == 2
+    assert [(r.stage, r.payload) for r in result.records] == [("config", {"error": error})]
 
 
 def _malformed(section, value):

@@ -94,6 +94,10 @@ EDGES = {
     # telescoping table is ascending A's
     "ascending-B-telescoping": ("corollary-ascending-p05", {
         "checks": ["inequality_B", "telescoping"]}),
+    # a perturbation whose values stay finite while the inequality's sums
+    # overflow: calibration refuses it
+    "ascending-epsilon-1e308": ("corollary-ascending-p05", {"map": {"perturbation": {
+        "name": "bounded_osc", "epsilon": 1e308, "boundary_safe": True}}}),
     # an exp_minus_one envelope, calibrated, ascending
     "ascending-exp-minus-one": ("corollary-ascending-p05", {
         "modular": {"kind": "orlicz", "phi": "exp_minus_one"}, "probes": {"count": 32}}),

@@ -419,8 +419,9 @@ class RowCounter:
 def test_checkers_evaluate_each_map_value_once(checker, given):
     # one probe block of rows per map value a checker's residuals name:
     # f(x, z) is shared by both slots, and f(l x, z) by the direct and the
-    # route residuals; the linearity sweep stacks its blocks into 3 calls.
-    # Given f(x, z) from a level table, a checker evaluates no (x, z) block.
+    # route residuals; the two-slot checks stack their blocks into one call
+    # and the linearity sweep into 3.  Given f(x, z) from a level table, a
+    # checker evaluates no (x, z) block.
     probes = draw_probes(4, 32, 1.0, seed=5)
     X, Z = probes.x, probes.z
     d = BiMap(algebra=MATRIX2, kernel="commutator",
@@ -430,20 +431,18 @@ def test_checkers_evaluate_each_map_value_once(checker, given):
     if checker == "biadditivity":
         assert check_biadditivity(counted, rho_rows, probes, **fxz) == check_biadditivity(
             d, rho_rows, probes)
-        n_values, n_calls = 5, 5
+        n_values, n_calls = 5 - given, 1
     elif checker == "first_slot_linearity":
         scalars = default_linearity_scalars(8)
         assert check_first_slot_linearity(counted, rho_rows, scalars, probes, **fxz) == (
             check_first_slot_linearity(d, rho_rows, scalars, probes))
         generic = int(np.sum(np.abs(np.abs(scalars) - 1.0) > 1e-12))
         assert generic == 8
-        n_values, n_calls = 1 + len(scalars) + 3 * generic, 3
+        n_values, n_calls = 1 + len(scalars) + 3 * generic - given, 3 - given
     else:
         assert check_biderivation(counted, rho_rows, MATRIX2, None, probes) == (
             check_biderivation(d, rho_rows, MATRIX2, None, probes))
-        n_values, n_calls = 5, 5
-    if given:
-        n_values, n_calls = n_values - 1, n_calls - 1
+        n_values, n_calls = 5, 1
     assert counted.rows == n_values * len(probes)
     assert counted.calls == n_calls
     # f(1 x, z) at the corner scalar 1 is a named value of its own, though
